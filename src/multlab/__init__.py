@@ -19,6 +19,7 @@ from .buchsbaum_rim import (
 from .closure import integral_closure, newton_polyhedron_member
 from .errors import (
     DimensionMismatchError,
+    ImpossibleValueError,
     NotMPrimaryError,
     ParseError,
     StabilizationError,
@@ -124,6 +125,7 @@ __all__ = [
     "check_prop_dim3",
     "check_additivity",
     "DimensionMismatchError",
+    "ImpossibleValueError",
     "NotMPrimaryError",
     "ParseError",
     "StabilizationError",

@@ -13,10 +13,10 @@ real cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from math import comb, factorial
 
-from .lengths import ProductSampler, colength
+from .errors import ImpossibleValueError
+from .lengths import colength, shared_sampler
 from .monomial import MonomialIdeal, is_m_primary
 from .monomial import scale_by_m as _scale_ideal
 from .multiplicity import StabilizePolicy, _heuristic_base, mixed_multiplicity, stabilize
@@ -73,16 +73,11 @@ def _compositions(total: int, parts: int):
             yield (head, *rest)
 
 
-@lru_cache(maxsize=32)
-def _module_sampler(ideals: tuple[MonomialIdeal, ...]) -> ProductSampler:
-    return ProductSampler(ideals)
-
-
 def module_colength(E: DirectSumModule, n: int) -> int:
     """lambda(Sym^n F / E^n): sum of product colengths over compositions of n."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    sampler = _module_sampler(E.ideals)
+    sampler = shared_sampler(E.ideals)
     return sum(sampler.colength_at(a) for a in _compositions(n, E.rank))
 
 
@@ -103,7 +98,7 @@ def br_direct(E: DirectSumModule, policy: StabilizePolicy | None = None) -> int:
         policy = replace(policy, initial_base=_heuristic_base(proper, d))
     table = stabilize(lambda pt: module_colength(E, pt[0]), (order,), policy)
     if table.result < 1:
-        raise ArithmeticError(
+        raise ImpossibleValueError(
             f"difference table produced {table.result}; Buchsbaum-Rim "
             "multiplicities of proper submodules are positive"
         )
@@ -121,14 +116,11 @@ def br_via_mixed(E: DirectSumModule, policy: StabilizePolicy | None = None) -> i
     if not any(not I.is_unit for I in E.ideals):
         raise ValueError("E equals F; the Buchsbaum-Rim multiplicity needs E != F")
     d, r = E.dim, E.rank
-    cache: dict = {}
     total = 0
     for a in _compositions(d, r):
         if any(w > 0 and I.is_unit for w, I in zip(a, E.ideals)):
             continue
-        total += mixed_multiplicity(
-            list(E.ideals), a, policy, _sampler_cache=cache
-        )
+        total += mixed_multiplicity(list(E.ideals), a, policy)
     return total
 
 

@@ -9,7 +9,8 @@ Subcommands:
 * ``fuzz`` -- time-budgeted randomized search for violations.
 
 Exit codes: 0 success, 1 bad usage or unparsable input, 2 a verified
-inequality failed (or --cross-check disagreed), 3 stabilization failed.
+inequality failed (or --cross-check disagreed), 3 a difference table failed
+to stabilize or stabilized on an impossible value (ImpossibleValueError).
 """
 
 from __future__ import annotations
@@ -104,8 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"comma-separated subset of: {', '.join(CHECK_NAMES)}")
         p.add_argument("--exploration", action="store_true", default=None,
                        help="also run d>=4 bounds below dimension 4, flagged")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default $MULTLAB_JOBS or 1)")
+        if name == "verify":
+            p.add_argument("--jobs", type=int, default=None,
+                           help="worker processes (default $MULTLAB_JOBS or 1)")
         p.add_argument("--report", default=None, metavar="FILE.jsonl",
                        help="write one JSON report per instance")
         p.add_argument("--summary", default=None, metavar="FILE.csv",
@@ -153,13 +155,15 @@ def _corpus_config(args) -> CorpusConfig:
             raise ParseError(
                 f"unknown config keys: {', '.join(sorted(unknown))}"
             )
+        if args.command == "fuzz" and "jobs" in raw:
+            raise ParseError("fuzz runs in one process; jobs applies to verify only")
         for key, text in raw.items():
             values[key] = _CONFIG_FIELDS[key](text)
     for key in _CONFIG_FIELDS:
         arg = getattr(args, key, None)
         if arg is not None:
             values[key] = _CONFIG_FIELDS[key](arg) if isinstance(arg, str) else arg
-    if "jobs" not in values:
+    if args.command == "verify" and "jobs" not in values:
         values["jobs"] = _jobs_default()
     if isinstance(values.get("checks"), tuple) and not values["checks"]:
         values.pop("checks")

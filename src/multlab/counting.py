@@ -1,16 +1,26 @@
-"""Exact lattice-point counting for staircase complements.
+"""Exact lattice-point counting for staircase complements, on height fields.
 
 Everything here counts standard monomials: exponent vectors v inside a box
 prod [0, b_i) that are not divisible by any generator.  `count_naive` is the
 trivially-correct reference (enumerate the box, test every generator).
-`count_grid` is the production counter: pick the coordinate with the largest
-box as the "height" axis, then the number of standard points equals the sum,
-over the remaining grid, of the clipped prefix minimum of generator heights.
-The prefix minima are built with vectorized running minima, streaming over
-one axis so memory stays at the size of a (d-2)-dimensional slice.
 
-Counts are exact: int64 internally with an explicit width guard that reroutes
-to object (big-int) arrays, Python ints at the boundary.
+The production representation of a staircase is its height field.  Pick one
+coordinate c of the box as the height axis; over the cells x' of the other
+axes, h(x') = min(b_c, min{g_c : g' <= x'}) is the number of standard points
+above x', so the count is h.sum().
+* `field_slabs` builds the field of a generator array: scatter the
+  generator heights, then take running minima along every axis.  It yields
+  only the distinct rows along one axis, in slabs of at most FIELD_CELLS
+  cells, so counting a large box never holds the whole field.
+* `multiply_field` turns the field of P into the field of P*J with one
+  min-plus update per generator g of J: out[g':] = min(out[g':], h[:-g'] + g_c).
+  Nothing is minimalized; from the empty field of the unit ideal it gives
+  the field of J.
+* `field_count` sums a field or a slab exactly; `count_grid` sums the slabs.
+
+Counts are exact: fields are int32 while heights stay below 2**30 and hold
+Python ints beyond.  numpy sums int32 in int64, which no field that fits in
+memory can overflow.
 """
 
 from __future__ import annotations
@@ -19,7 +29,10 @@ from itertools import product as iter_product
 
 import numpy as np
 
-_INT64_SAFE = 2**62
+_INT32_SAFE = 2**30
+
+# Cells of the largest field or slab built at once: 4 MiB of int32.
+FIELD_CELLS = 2**20
 
 
 def _volume(box) -> int:
@@ -27,6 +40,11 @@ def _volume(box) -> int:
     for b in box:
         vol *= int(b)
     return vol
+
+
+def _dtype(top: int):
+    """int32 while heights up to `top` leave room to add two of them; else Python ints."""
+    return np.int32 if top < _INT32_SAFE else object
 
 
 def count_naive(gens, box) -> int:
@@ -45,81 +63,86 @@ def count_naive(gens, box) -> int:
     return count
 
 
-def count_fill(gens, box) -> int:
-    """Vectorized reference: mark every covered cell, count the rest."""
+def height_axis(box) -> int:
+    """The longest side of the box; as the height axis it keeps fields smallest."""
+    return max(range(len(box)), key=lambda i: box[i])
+
+
+def field_slabs(gens, box, axis: int):
+    """Height field along `axis` of the ideal generated by the rows of `gens`.
+
+    The field lives on the box with `axis` removed.  Along the first
+    remaining axis it changes only at generator coordinates, so it comes as
+    pairs (rows, widths): consecutive distinct rows, in slabs of at most
+    FIELD_CELLS cells or one row, and how many rows of the field each one
+    stands for.  Generators need not be minimal, and those outside the box
+    on another axis are ignored.
+    """
     box = tuple(int(b) for b in box)
-    if _volume(box) > 200_000_000:
-        raise ValueError("box too large for the fill counter")
-    covered = np.zeros(box, dtype=bool)
-    for g in np.asarray(gens, dtype=np.int64):
-        if all(int(g[i]) < box[i] for i in range(len(box))):
-            covered[tuple(slice(int(g[i]), None) for i in range(len(box)))] = True
-    return _volume(box) - int(covered.sum())
+    rest = [i for i in range(len(box)) if i != axis]
+    shape = [box[i] for i in rest]
+    top = box[axis]
+    gens = np.asarray(gens, dtype=np.int64)
+    gens = gens[(gens[:, rest] < shape).all(axis=1)]
+    dtype = _dtype(top)
+    vals = gens[:, axis] if dtype is object else np.minimum(gens[:, axis], top)
+    vals = vals.astype(dtype)
+    if not rest:
+        yield np.full((), vals.min(initial=top), dtype=dtype), np.ones(1, np.int64)
+        return
+    starts = np.unique(np.r_[0, gens[:, rest[0]]])
+    widths = np.diff(np.r_[starts, shape[0]])
+    first = np.searchsorted(starts, gens[:, rest[0]])
+    rows = max(1, FIELD_CELLS // _volume(shape[1:]))
+    carry = np.full([1, *shape[1:]], top, dtype=dtype)
+    for lo in range(0, len(starts), rows):
+        hi = min(lo + rows, len(starts))
+        mine = (first >= lo) & (first < hi)
+        h = np.full([hi - lo, *shape[1:]], top, dtype=dtype)
+        np.minimum.at(h, (first[mine] - lo, *(gens[mine, i] for i in rest[1:])), vals[mine])
+        np.minimum(h[:1], carry, out=h[:1])
+        for ax in range(len(rest)):
+            np.minimum.accumulate(h, axis=ax, out=h)
+        carry = h[-1:].copy()
+        yield h, widths[lo:hi]
+
+
+def multiply_field(h: np.ndarray, box, gens, gen_box, axis: int) -> np.ndarray:
+    """Height field of P*J on the box `box + gen_box`, from the field h of P.
+
+    P and J are m-primary: `box` and `gen_box` are their pure-power bounds
+    and J is generated by the rows of `gens`.  Beyond P's box a point lies
+    in P, so h counts as 0 there; every g' fits inside the product's box.
+    """
+    out_box = [int(a) + int(b) for a, b in zip(box, gen_box)]
+    rest = [i for i in range(len(out_box)) if i != axis]
+    shape = tuple(out_box[i] for i in rest)
+    dtype = _dtype(out_box[axis])
+    padded = np.zeros(shape, dtype=dtype)
+    padded[(*(slice(0, n) for n in h.shape), ...)] = h
+    out = np.full(shape, out_box[axis], dtype=dtype)
+    for g in np.asarray(gens, dtype=np.int64).tolist():
+        view = out[(*(slice(g[i], None) for i in rest), ...)]
+        src = padded[(*(slice(0, n - g[i]) for n, i in zip(shape, rest)), ...)]
+        np.minimum(view, src + g[axis], out=view)
+    return out
+
+
+def field_count(h: np.ndarray, widths=None) -> int:
+    """Standard points under a field, or under a slab whose rows stand for `widths` rows."""
+    if widths is None:
+        return int(h.sum())
+    sums = h.reshape(len(widths), -1).sum(axis=1)
+    return int(np.dot(widths.astype(object), sums.astype(object)))
 
 
 def count_grid(gens, box) -> int:
-    """Streamed prefix-minimum counter; exact for any d >= 1.
-
-    The standard-point count equals sum over cells (x != height axis) of
-    min(b_c, min{g_c : g agrees with a prefix of the cell}), accumulated
-    slice by slice along the largest remaining axis.
-    """
+    """Height-field counter; exact for any d >= 1 and any generating set."""
     box = tuple(int(b) for b in box)
-    d = len(box)
     if any(b <= 0 for b in box):
         return 0
     gens = np.asarray(gens, dtype=np.int64)
-    if gens.ndim != 2 or gens.shape[1] != d:
+    if gens.ndim != 2 or gens.shape[1] != len(box):
         raise ValueError("generator array must be (n, d)")
-    if d == 1:
-        return min(int(gens[:, 0].min()), box[0])
-
-    order = sorted(range(d), key=lambda i: box[i], reverse=True)
-    c, stream, inner = order[0], order[1], order[2:]
-    bc, bs = box[c], box[stream]
-
-    # generators outside the box on a non-height axis can never divide
-    keep = np.ones(len(gens), dtype=bool)
-    for ax in (stream, *inner):
-        keep &= gens[:, ax] < box[ax]
-    gens = gens[keep]
-    vals = np.minimum(gens[:, c], bc) if len(gens) else gens[:, c]
-
-    # int64 is plenty unless a single accumulated sum can overflow it
-    slice_cap = bc * bs if d == 2 else bc
-    for ax in inner:
-        slice_cap *= box[ax]
-    dtype = object if slice_cap >= _INT64_SAFE or bc >= _INT64_SAFE else np.int64
-
-    w = gens[:, stream]
-    o = np.argsort(w, kind="stable")
-    w, vals = w[o], vals[o]
-    cells = tuple(gens[o, i] for i in inner)
-    starts = np.searchsorted(w, np.arange(bs + 1))
-
-    if d == 2:
-        per = np.full(bs, bc, dtype=dtype)
-        if dtype is object:
-            vals = vals.astype(object)
-        np.minimum.at(per, w, vals)
-        running = np.minimum.accumulate(per)
-        return int(running.sum())
-
-    inner_shape = tuple(box[i] for i in inner)
-    M = np.full(inner_shape, bc, dtype=dtype)
-    if dtype is object:
-        vals = vals.astype(object)
-    total = 0
-    prev = None
-    for t in range(bs):
-        lo, hi = starts[t], starts[t + 1]
-        if hi > lo:
-            np.minimum.at(M, tuple(cv[lo:hi] for cv in cells), vals[lo:hi])
-            prev = None
-        if prev is None:
-            S = M.copy()
-            for ax in range(len(inner)):
-                np.minimum.accumulate(S, axis=ax, out=S)
-            prev = int(S.sum())
-        total += prev
-    return total
+    axis = height_axis(box)
+    return sum(field_count(h, w) for h, w in field_slabs(gens, box, axis))

@@ -30,3 +30,7 @@ class StabilizationError(RuntimeError):
         super().__init__(message)
         self.bases = bases or []
         self.attempts = attempts or []
+
+
+class ImpossibleValueError(StabilizationError, ArithmeticError):
+    """A difference table stabilized on a value the theory rules out."""

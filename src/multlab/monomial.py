@@ -32,10 +32,6 @@ def divides(a: Monomial, b: Monomial) -> bool:
     return all(ai <= bi for ai, bi in zip(a, b))
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(ai + bi for ai, bi in zip(a, b))
-
-
 def degree(a: Monomial) -> int:
     return sum(a)
 
@@ -183,21 +179,6 @@ def _dedup_rows(pts: np.ndarray) -> np.ndarray:
     return pts[idx]
 
 
-def _scatter_min(grid: np.ndarray, cells: tuple, vals: np.ndarray) -> None:
-    if len(vals) <= 4096:
-        # np.minimum.at is unbuffered (correct with duplicate cells)
-        np.minimum.at(grid, cells, vals)
-        return
-    # sort + reduceat beats the unbuffered ufunc on big batches
-    flat = np.ravel_multi_index(cells, grid.shape)
-    order = np.argsort(flat, kind="stable")
-    flat, vals = flat[order], vals[order]
-    starts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
-    mins = np.minimum.reduceat(vals, starts)
-    heads = flat[starts]
-    grid.flat[heads] = np.minimum(grid.flat[heads], mins)
-
-
 def _pareto_pairwise(pts: np.ndarray) -> np.ndarray:
     le = (pts[:, None, :] <= pts[None, :, :]).all(axis=2)
     np.fill_diagonal(le, False)
@@ -254,7 +235,7 @@ def minimalize_array(pts: np.ndarray) -> np.ndarray:
         [int(maxs[i]) + 1 for i in rest], np.iinfo(np.int64).max, np.int64
     )
     cells = tuple(pts[:, i] for i in rest)
-    _scatter_min(grid, cells, tilde)
+    np.minimum.at(grid, cells, tilde)  # unbuffered: right with duplicate cells
     for ax in range(len(rest)):
         np.minimum.accumulate(grid, axis=ax, out=grid)
     pref = grid[cells]

@@ -17,7 +17,8 @@ from itertools import product as iter_product
 from math import comb
 
 from .errors import DimensionMismatchError, NotMPrimaryError, StabilizationError
-from .lengths import ProductSampler
+from .errors import ImpossibleValueError
+from .lengths import shared_sampler
 from .monomial import MonomialIdeal, is_m_primary, m_ideal
 
 
@@ -162,7 +163,7 @@ def _heuristic_base(ideals, dim: int) -> int:
     return max(dim, top + 1)
 
 
-def _difference_table(ideals, type_, policy, sampler_cache=None):
+def _difference_table(ideals, type_, policy):
     ideals = list(ideals)
     if not ideals:
         raise ValueError("need at least one ideal")
@@ -185,17 +186,9 @@ def _difference_table(ideals, type_, policy, sampler_cache=None):
     if policy.initial_base is None:
         policy = replace(policy, initial_base=_heuristic_base(merged, d))
 
-    key = tuple(merged)
-    if sampler_cache is not None and key in sampler_cache:
-        sampler = sampler_cache[key]
-    else:
-        sampler = ProductSampler(merged)
-        if sampler_cache is not None:
-            sampler_cache[key] = sampler
-
-    table = stabilize(sampler.colength_at, orders, policy)
+    table = stabilize(shared_sampler(tuple(merged)).colength_at, orders, policy)
     if table.result < 1:
-        raise ArithmeticError(
+        raise ImpossibleValueError(
             f"difference table produced {table.result}; mixed multiplicities "
             "of m-primary ideals are positive, so the inputs are inconsistent"
         )
@@ -213,7 +206,7 @@ def mixed_difference_table(
 
 
 def mixed_multiplicity(
-    ideals, type_=None, policy: StabilizePolicy | None = None, *, _sampler_cache=None
+    ideals, type_=None, policy: StabilizePolicy | None = None
 ) -> int:
     """Mixed multiplicity e(I_1^[a_1], ..., I_s^[a_s]).
 
@@ -224,7 +217,7 @@ def mixed_multiplicity(
     ideals = list(ideals)
     if type_ is None:
         type_ = (1,) * len(ideals)
-    return _difference_table(ideals, type_, policy, _sampler_cache).result
+    return _difference_table(ideals, type_, policy).result
 
 
 def hilbert_samuel(I: MonomialIdeal, policy: StabilizePolicy | None = None) -> int:

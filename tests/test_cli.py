@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from multlab import ImpossibleValueError
 from multlab.cli import EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE, EXIT_VIOLATION, main
 
 
@@ -154,6 +155,38 @@ class TestFuzz:
         )
         assert code == EXIT_OK
         assert "lech_classical" in out
+
+    def test_jobs_flag_is_rejected(self, capsys):
+        code, _, err = run(capsys, "fuzz", "--seconds", "0.1", "--jobs", "2")
+        assert code == EXIT_USAGE
+        assert "--jobs" in err
+
+    def test_jobs_config_key_is_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "fuzz.cfg"
+        cfg.write_text("dim = 2\njobs = 2\n")
+        code, _, err = run(capsys, "fuzz", "--seconds", "0.1", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert "jobs" in err
+
+
+class TestImpossibleValue:
+    def test_maps_to_unstable_exit_without_traceback(self, capsys, monkeypatch):
+        def inconsistent(*args, **kwargs):
+            raise ImpossibleValueError("difference table produced 0")
+
+        monkeypatch.setattr("multlab.cli.mixed_multiplicity", inconsistent)
+        code, out, err = run(capsys, "mixed", "(x, y^2)", "(x^2, y)")
+        assert code == EXIT_UNSTABLE
+        assert "difference table produced 0" in err
+        assert "Traceback" not in err + out
+
+    def test_other_arithmetic_errors_are_not_swallowed(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("defect")
+
+        monkeypatch.setattr("multlab.cli.mixed_multiplicity", broken)
+        with pytest.raises(ZeroDivisionError):
+            main(["mixed", "(x, y^2)", "(x^2, y)"])
 
 
 class TestUsage:

@@ -1,5 +1,6 @@
 """Colengths: closed forms, counters, the product sampler."""
 
+from itertools import product as iter_product
 from math import comb
 
 import numpy as np
@@ -13,6 +14,7 @@ from multlab import (
     colength,
     colength_naive,
     colength_of_product,
+    hilbert_samuel,
     ideal,
     m_ideal,
     m_power,
@@ -21,8 +23,10 @@ from multlab import (
     product,
     unit_ideal,
 )
-from multlab.counting import count_fill, count_grid, count_naive
-from multlab.monomial import as_array, box_bounds
+from multlab import counting, lengths
+from multlab.counting import FIELD_CELLS, count_grid, count_naive, field_slabs
+from multlab.lengths import PRODUCTS_KEPT, shared_sampler
+from multlab.monomial import as_array, box_bounds, scale_by_m
 
 from conftest import oracle_colength, random_mprimary
 
@@ -31,7 +35,6 @@ class TestCounters:
     def test_frozen_values(self):
         I = parse_ideal("(x^2, x*y, y^3)")
         assert count_naive(as_array(I), box_bounds(I)) == 4
-        assert count_fill(as_array(I), box_bounds(I)) == 4
         assert count_grid(as_array(I), box_bounds(I)) == 4
 
     def test_one_dimension(self):
@@ -46,15 +49,27 @@ class TestCounters:
         want = 3 * tall - 5
         assert want > np.iinfo(np.int64).max
         assert count_grid(arr, (3, tall)) == want
+        # a generator far above a short box clips to the box, never wraps
+        assert count_grid(np.array([[0, 2**40]], dtype=np.int64), (3, 5)) == 15
 
-    def test_counters_agree_random(self, rng):
-        for _ in range(40):
-            d = rng.randint(1, 4)
-            I = random_mprimary(rng, d, max_power=4, extras=3)
-            arr, box = as_array(I), box_bounds(I)
-            want = count_naive(arr, box)
-            assert count_fill(arr, box) == want
-            assert count_grid(arr, box) == want
+    def test_field_types(self):
+        # int32 while heights stay below 2**30, Python ints beyond
+        (short, _), = field_slabs([[0, 4]], (3, 5), 1)
+        assert short.dtype == np.int32
+        (tall, widths), = field_slabs([[1, 2**31]], (3, 2**31 + 1), 1)
+        assert tall.dtype == object
+        assert tall.tolist() == [2**31 + 1, 2**31]
+        assert widths.tolist() == [1, 2]
+
+    def test_counters_agree_random(self, rng, monkeypatch):
+        # whole fields, then slabs of a few cells
+        for cells in (FIELD_CELLS, 3):
+            monkeypatch.setattr(counting, "FIELD_CELLS", cells)
+            for _ in range(40):
+                d = rng.randint(1, 4)
+                I = random_mprimary(rng, d, max_power=4, extras=3)
+                arr, box = as_array(I), box_bounds(I)
+                assert count_grid(arr, box) == count_naive(arr, box)
 
     def test_redundant_generators_ok(self):
         # counters must not require minimal generating sets
@@ -97,16 +112,40 @@ class TestColength:
 
 
 class TestProductSampler:
-    def test_matches_direct_products(self, rng):
-        for _ in range(8):
-            a = random_mprimary(rng, 2)
-            b = random_mprimary(rng, 2)
-            sampler = ProductSampler([a, b])
-            for na in range(4):
-                for nb in range(4):
-                    direct = product(power(a, na), power(b, nb))
-                    want = 0 if direct.is_unit else colength(direct)
-                    assert sampler.colength_at((na, nb)) == want
+    def test_matches_direct_products(self, rng, monkeypatch):
+        pairs = [(random_mprimary(rng, 2), random_mprimary(rng, 2)) for _ in range(8)]
+        pairs += [(random_mprimary(rng, d), random_mprimary(rng, d)) for d in (1, 3, 4)]
+        pairs.append((scale_by_m(random_mprimary(rng, 3)), random_mprimary(rng, 3)))
+        pairs.append((random_mprimary(rng, 4), unit_ideal(4)))
+        # height fields, then minimal generators for every product of 2+ cells
+        for cells in (FIELD_CELLS, 1):
+            monkeypatch.setattr(lengths, "FIELD_CELLS", cells)
+            for a, b in pairs:
+                sampler = ProductSampler([a, b])
+                for na in range(4):
+                    for nb in range(4):
+                        direct = product(power(a, na), power(b, nb))
+                        want = 0 if direct.is_unit else colength(direct)
+                        assert sampler.colength_at((na, nb)) == want
+
+    def test_keeps_a_bounded_number_of_products(self, monkeypatch):
+        texts = ("(x^2, x*y, y^3, z^2)", "(x^3, y, z^2)", "(x, y^2, y*z, z^3)")
+        for cells, kind in ((FIELD_CELLS, "_fields"), (1, "_chains")):
+            monkeypatch.setattr(lengths, "FIELD_CELLS", cells)
+            sampler = ProductSampler([parse_ideal(t, dim=3) for t in texts])
+            points = [*iter_product(range(5), repeat=3), *((s, s, s) for s in range(6, 12))]
+            for n in points:
+                sampler.colength_at(n)
+                assert len(sampler._fields) <= PRODUCTS_KEPT
+                assert len(sampler._chains) <= PRODUCTS_KEPT
+            assert getattr(sampler, kind)
+
+    def test_large_boxes_with_few_generators_stay_within_the_budget(self):
+        I = parse_ideal("(x^20, y^20, z^20, w^20)", dim=4)
+        assert hilbert_samuel(I) == 20**4
+        sampler = shared_sampler((I,))
+        assert sampler._chains
+        assert all(h.size <= FIELD_CELLS for h in sampler._fields.values())
 
     def test_all_zero_is_zero(self):
         sampler = ProductSampler([m_ideal(2), m_ideal(2)])

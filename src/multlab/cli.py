@@ -157,6 +157,8 @@ def _corpus_config(args) -> CorpusConfig:
             )
         if args.command == "fuzz" and "jobs" in raw:
             raise ParseError("fuzz runs in one process; jobs applies to verify only")
+        if args.command == "fuzz" and "instances" in raw:
+            raise ParseError("fuzz runs for --seconds; instances applies to verify only")
         for key, text in raw.items():
             values[key] = _CONFIG_FIELDS[key](text)
     for key in _CONFIG_FIELDS:

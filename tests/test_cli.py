@@ -168,6 +168,13 @@ class TestFuzz:
         assert code == EXIT_USAGE
         assert "jobs" in err
 
+    def test_instances_config_key_is_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "fuzz.cfg"
+        cfg.write_text("dim = 2\ninstances = 1\n")
+        code, _, err = run(capsys, "fuzz", "--seconds", "0.1", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert "instances" in err
+
 
 class TestImpossibleValue:
     def test_maps_to_unstable_exit_without_traceback(self, capsys, monkeypatch):

@@ -1,4 +1,6 @@
-"""Integral closure via the Newton polyhedron, against a Fourier-Motzkin oracle."""
+"""Integral closure via the Newton polyhedron, judged by the simplex and Fourier-Motzkin."""
+
+from itertools import product as iter_product
 
 import pytest
 from hypothesis import given, settings
@@ -6,14 +8,17 @@ from hypothesis import strategies as st
 
 from multlab import (
     NotMPrimaryError,
+    box_bounds,
     colength,
     hilbert_samuel,
+    ideal,
     ideal_contains,
     integral_closure,
     m_power,
     newton_polyhedron_member,
     parse_ideal,
 )
+from multlab import counting
 
 from conftest import oracle_newton_member, random_mprimary
 
@@ -67,8 +72,6 @@ class TestClosure:
             assert colength(closed) <= colength(I)
 
     def test_closure_preserves_box(self, rng):
-        from multlab import box_bounds
-
         for _ in range(8):
             I = random_mprimary(rng, 2, max_power=4, extras=3)
             assert box_bounds(integral_closure(I)) == box_bounds(I)
@@ -78,13 +81,56 @@ class TestClosure:
             for k in (1, 2, 3):
                 assert integral_closure(m_power(d, k)) == m_power(d, k)
 
+    def test_large_pure_power_box(self):
+        # 21^4 = 194481 box points, every one against the single facet
+        assert integral_closure(parse_ideal("(x^20, y^20, z^20, w^20)")) == m_power(4, 20)
+
     def test_requires_m_primary(self):
         with pytest.raises(NotMPrimaryError):
             integral_closure(parse_ideal("(x^2, x*y)"))
 
 
+def _box_scan(I, member):
+    """The closure by definition: every point of the box that `member` accepts."""
+    box = (range(b + 1) for b in box_bounds(I))
+    return ideal([v for v in iter_product(*box) if member(I, v)], dim=I.dim)
+
+
+def _cross_check_ideals(rng):
+    ideals = [
+        parse_ideal("(x^7)"),
+        parse_ideal("(x^3, y^5, z^2)"),  # pure powers only
+        parse_ideal("(x, y^4, z^3)"),  # a linear generator
+        parse_ideal("(x^4, x*y^2, x*z^2, y^4, z^4)"),  # projections onto x repeat
+        parse_ideal("(x^3, x^2*y, x*y^2*w, y^3, y*z, z^2, w^2)"),
+    ]
+    for d in (1, 2, 3, 4):
+        for _ in range(10):
+            extras = rng.randint(0, 6)
+            ideals.append(random_mprimary(rng, d, max_power=5 if d < 4 else 4, extras=extras))
+    return ideals
+
+
+def test_facet_scan_matches_both_exact_oracles(rng):
+    # the simplex judges every ideal, Fourier-Motzkin every third
+    for n, I in enumerate(_cross_check_ideals(rng)):
+        closed = integral_closure(I)
+        assert closed == _box_scan(I, newton_polyhedron_member), I
+        if n % 3 == 0:
+            assert closed == _box_scan(I, oracle_newton_member), I
+
+
+def test_slabs_of_a_few_cells_give_the_same_closure(rng, monkeypatch):
+    # slabs of one row or a few cells: generators straddle slab boundaries
+    ideals = _cross_check_ideals(rng)
+    whole = [integral_closure(I) for I in ideals]
+    for cells in (1, 7, 40):
+        monkeypatch.setattr(counting, "FIELD_CELLS", cells)
+        assert [integral_closure(I) for I in ideals] == whole
+
+
 @settings(max_examples=20, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 4))
+@given(st.integers(1, 60), st.integers(1, 60))
 def test_closure_of_diagonal_ideals(a, b):
     # (x^a, y^b) closes to all v with v1/a + v2/b >= 1
     I = parse_ideal(f"(x^{a}, y^{b})")
@@ -95,8 +141,6 @@ def test_closure_of_diagonal_ideals(a, b):
         for v2 in range(b + 1)
         if v1 * b + v2 * a >= a * b
     ]
-    from multlab import ideal
-
     assert closed == ideal(expected, dim=2)
 
 

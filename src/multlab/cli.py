@@ -54,13 +54,17 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _jobs_default() -> int:
+    """Worker processes from $MULTLAB_JOBS, a positive int; 1 when it is unset or blank."""
     env = os.environ.get("MULTLAB_JOBS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if not env:
+        return 1
+    try:
+        jobs = int(env)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ParseError(f"MULTLAB_JOBS must be a positive integer, got {env!r}")
+    return jobs
 
 
 def build_parser() -> argparse.ArgumentParser:

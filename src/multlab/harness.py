@@ -22,7 +22,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from itertools import combinations
-from math import factorial
+from math import factorial, inf
 
 from .buchsbaum_rim import DirectSumModule, br_via_mixed, scale_by_m
 from .lengths import colength
@@ -283,6 +283,7 @@ def check_additivity(ideals, J: MonomialIdeal, **meta) -> InequalityReport:
 
 
 def _applicable_checks(config: CorpusConfig) -> list[str]:
+    """The checks of `config` that apply at its dimension; raises when none does."""
     wanted = config.checks if config.checks is not None else CHECK_NAMES
     out = []
     for name in wanted:
@@ -296,6 +297,8 @@ def _applicable_checks(config: CorpusConfig) -> list[str]:
                     "prop_dim3") and config.dim < 2:
             continue
         out.append(name)
+    if not out:
+        raise ValueError("no applicable checks for this configuration")
     return out
 
 
@@ -391,10 +394,10 @@ def run_suite(config: CorpusConfig) -> SuiteResult:
 
 def fuzz(config: CorpusConfig, seconds: float) -> SuiteResult:
     """Open-ended search: keep sampling fresh instances until time runs out."""
-    deadline = time.monotonic() + seconds
+    if not 0 < seconds < inf:
+        raise ValueError(f"seconds must be positive and finite, got {seconds}")
     checks = _applicable_checks(config)
-    if not checks:
-        raise ValueError("no applicable checks for this configuration")
+    deadline = time.monotonic() + seconds
     reports = []
     index = 0
     while time.monotonic() < deadline:

@@ -7,8 +7,11 @@ box of pure-power bounds.  `ProductSampler` serves the multiplicity engine,
 which needs lambda(R / I_1^{n_1} ... I_s^{n_s}) on many nearby exponent
 vectors: it walks the lattice on height fields (on minimal generators once
 a field would pass `counting.FIELD_CELLS`), so each new vector costs one
-product per step from a kept product plus one count.  `shared_sampler` is
-the one bounded cache of samplers that every caller shares.
+product per step from a kept product plus one count, and one product in all
+when a neighbour one step below is kept.  Small products are kept by cells
+(a whole composition layer fits), large ones by count (`PRODUCTS_KEPT`).
+`shared_sampler` is the one bounded cache of samplers that every caller
+shares.
 """
 
 from __future__ import annotations
@@ -32,11 +35,15 @@ from .monomial import (
     product_array,
 )
 
-# Products one sampler keeps of each kind.  The lattice walks of a
-# difference table step between neighbours, so a few recent products serve
-# almost every step, while keeping every field grows memory like the number
-# of points times (n*b)^(d-1).
+# Products one sampler keeps of each kind, least recently used out, once
+# they hold more than KEPT_CELLS array elements together.  The lattice walks
+# of a difference table step between neighbours, so small products are kept
+# by cells, enough for a whole layer of compositions of n, while large ones
+# stay at PRODUCTS_KEPT: keeping every field grows memory like the number of
+# points times (n*b)^(d-1).  Either way one kind holds at most
+# PRODUCTS_KEPT * FIELD_CELLS cells of fields.
 PRODUCTS_KEPT = 4
+KEPT_CELLS = FIELD_CELLS // PRODUCTS_KEPT
 
 
 def colength(I: MonomialIdeal) -> int:
@@ -59,6 +66,21 @@ def colength_naive(I: MonomialIdeal) -> int:
     return count_naive(as_array(I), box_bounds(I))
 
 
+class _Kept(OrderedDict):
+    """Products of one kind by exponent vector, least recently used first."""
+
+    def __init__(self):
+        super().__init__()
+        self.cells = 0
+
+    def keep(self, n, held) -> None:
+        """Add the product at n, which is not kept yet, and drop old ones past the budget."""
+        self[n] = held
+        self.cells += held.size
+        while len(self) > PRODUCTS_KEPT and self.cells > KEPT_CELLS:
+            self.cells -= self.popitem(last=False)[1].size
+
+
 class ProductSampler:
     """Colengths of products prod_j I_j^{n_j}, memoized across exponents.
 
@@ -66,11 +88,15 @@ class ProductSampler:
     of the summed boxes of the ideals.  A product whose field would have
     more than FIELD_CELLS cells is held as its minimal generators instead,
     so memory stays bounded for large boxes with few generators.  To reach
-    n, start from the kept product nearest below n (or from the unit ideal)
-    and multiply by one ideal at a time, lowest index first; only the
-    PRODUCTS_KEPT most recently used products of each kind are kept.  Unit
-    ideals never change a product, and when every ideal is a power of the
-    maximal ideal the colength collapses to a binomial and nothing is built.
+    n, start from a kept product at n - e_j, one step below; failing that,
+    from the kept product nearest below n (or from the unit ideal), and
+    multiply by one ideal at a time, lowest index first, carrying the box.
+    Products of each kind are dropped least recently used first, but only
+    while more than PRODUCTS_KEPT of them hold more than KEPT_CELLS cells
+    together: small products keep a whole layer of neighbours, large ones
+    the last PRODUCTS_KEPT.  Unit ideals never change a product, and when
+    every ideal is a power of the maximal ideal the colength collapses to a
+    binomial and nothing is built.
     """
 
     def __init__(self, ideals):
@@ -97,8 +123,8 @@ class ProductSampler:
         self._all_m = all(k is not None for k in self._m_degrees)
         self._gens = [as_array(I) for I in ideals]
         self._axis = height_axis([sum(b[i] for b in bounds) for i in range(d)])
-        self._fields: OrderedDict[tuple[int, ...], object] = OrderedDict()
-        self._chains: OrderedDict[tuple[int, ...], object] = OrderedDict()
+        self._fields = _Kept()
+        self._chains = _Kept()
         self._counts: dict[tuple[int, ...], int] = {}
 
     def _box(self, n):
@@ -107,13 +133,16 @@ class ProductSampler:
         )
 
     def _walk(self, kept, n):
-        """The product at n, from the nearest product in `kept` below n.
+        """The product at n, from `kept`: at n, one step below n, or nearest below n.
 
         `kept` is `_fields` for a height field, `_chains` for minimal generators.
         """
         fields = kept is self._fields
-        below = [q for q in kept if all(a <= b for a, b in zip(q, n))]
-        cur = max(below, key=sum, default=(0,) * len(n))
+        steps = (n[:j] + (e - 1,) + n[j + 1 :] for j, e in enumerate(n) if e)
+        cur = next((q for q in (n, *steps) if q in kept), None)
+        if cur is None:
+            below = [q for q in kept if all(a <= b for a, b in zip(q, n))]
+            cur = max(below, key=sum, default=(0,) * len(n))
         if cur in kept:
             kept.move_to_end(cur)
             held = kept[cur]
@@ -121,17 +150,17 @@ class ProductSampler:
             held = np.zeros((0,) * (self.dim - 1), dtype=np.int32)
         else:
             held = np.zeros((1, self.dim), dtype=np.int64)
+        box = self._box(cur)
         while cur != n:
             j = next(j for j, (a, b) in enumerate(zip(cur, n)) if a < b)
-            gens = self._gens[j]
+            gens, bounds = self._gens[j], self._bounds[j]
             if fields:
-                held = multiply_field(held, self._box(cur), gens, self._bounds[j], self._axis)
+                held = multiply_field(held, box, gens, bounds, self._axis)
             else:
                 held = minimalize_array(product_array(held, gens))
+            box = tuple(a + b for a, b in zip(box, bounds))
             cur = cur[:j] + (cur[j] + 1,) + cur[j + 1 :]
-            kept[cur] = held
-            if len(kept) > PRODUCTS_KEPT:
-                kept.popitem(last=False)
+            kept.keep(cur, held)
         return held
 
     def colength_at(self, n) -> int:

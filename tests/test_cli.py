@@ -146,6 +146,28 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--config", "/nonexistent.cfg")
         assert code == EXIT_USAGE
 
+    def test_no_applicable_checks_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--dim", "1", "--checks", "prop_dim2")
+        assert code == EXIT_USAGE
+        assert "no applicable checks" in err
+        assert "total" not in out
+
+    @pytest.mark.parametrize("value", ["zero", "0", "-2", "1.5"])
+    def test_malformed_jobs_variable_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("MULTLAB_JOBS", value)
+        code, _, err = run(capsys, "verify", "--dim", "2", "--instances", "1")
+        assert code == EXIT_USAGE
+        assert "MULTLAB_JOBS" in err
+
+    def test_jobs_variable_sets_the_default(self, capsys, monkeypatch):
+        monkeypatch.setenv("MULTLAB_JOBS", " 1 ")
+        code, _, _ = run(capsys, "verify", "--dim", "2", "--instances", "1")
+        assert code == EXIT_OK
+        # an explicit flag wins over a malformed variable
+        monkeypatch.setenv("MULTLAB_JOBS", "zero")
+        code, _, _ = run(capsys, "verify", "--dim", "2", "--instances", "1", "--jobs", "1")
+        assert code == EXIT_OK
+
 
 class TestFuzz:
     def test_short_budget_runs(self, capsys):
@@ -155,6 +177,18 @@ class TestFuzz:
         )
         assert code == EXIT_OK
         assert "lech_classical" in out
+
+    @pytest.mark.parametrize("seconds", ["-1", "0", "nan", "inf"])
+    def test_seconds_must_be_positive_and_finite(self, capsys, seconds):
+        code, out, err = run(capsys, "fuzz", "--seconds", seconds, "--dim", "2")
+        assert code == EXIT_USAGE
+        assert "seconds" in err
+        assert "total" not in out
+
+    def test_no_applicable_checks_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "fuzz", "--seconds", "0.1", "--dim", "1", "--checks", "prop_dim2")
+        assert code == EXIT_USAGE
+        assert "no applicable checks" in err
 
     def test_jobs_flag_is_rejected(self, capsys):
         code, _, err = run(capsys, "fuzz", "--seconds", "0.1", "--jobs", "2")

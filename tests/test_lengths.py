@@ -24,8 +24,9 @@ from multlab import (
     unit_ideal,
 )
 from multlab import counting, lengths
-from multlab.counting import FIELD_CELLS, count_grid, count_naive, field_slabs
-from multlab.lengths import PRODUCTS_KEPT, shared_sampler
+from multlab.buchsbaum_rim import module, module_colength
+from multlab.counting import FIELD_CELLS, count_grid, count_naive, field_slabs, multiply_field
+from multlab.lengths import KEPT_CELLS, PRODUCTS_KEPT, shared_sampler
 from multlab.monomial import as_array, box_bounds, scale_by_m
 
 from conftest import oracle_colength, random_mprimary
@@ -129,16 +130,50 @@ class TestProductSampler:
                         assert sampler.colength_at((na, nb)) == want
 
     def test_keeps_a_bounded_number_of_products(self, monkeypatch):
+        # per kind: at most PRODUCTS_KEPT products, or at most KEPT_CELLS cells
         texts = ("(x^2, x*y, y^3, z^2)", "(x^3, y, z^2)", "(x, y^2, y*z, z^3)")
+        points = [*iter_product(range(5), repeat=3), *((s, s, s) for s in range(6, 12))]
         for cells, kind in ((FIELD_CELLS, "_fields"), (1, "_chains")):
             monkeypatch.setattr(lengths, "FIELD_CELLS", cells)
-            sampler = ProductSampler([parse_ideal(t, dim=3) for t in texts])
-            points = [*iter_product(range(5), repeat=3), *((s, s, s) for s in range(6, 12))]
-            for n in points:
-                sampler.colength_at(n)
-                assert len(sampler._fields) <= PRODUCTS_KEPT
-                assert len(sampler._chains) <= PRODUCTS_KEPT
-            assert getattr(sampler, kind)
+            # the real cell budget keeps every product of this walk; a budget
+            # of 0 cells keeps PRODUCTS_KEPT, as a count alone would
+            for kept_cells in (KEPT_CELLS, 0):
+                monkeypatch.setattr(lengths, "KEPT_CELLS", kept_cells)
+                sampler = ProductSampler([parse_ideal(t, dim=3) for t in texts])
+                for n in points:
+                    sampler.colength_at(n)
+                    for kept in (sampler._fields, sampler._chains):
+                        assert kept.cells == sum(h.size for h in kept.values())
+                        assert len(kept) <= PRODUCTS_KEPT or kept.cells <= kept_cells
+                assert getattr(sampler, kind)
+
+    def test_one_product_per_new_point_of_a_module(self, monkeypatch):
+        E = module(
+            parse_ideal(t, dim=3)
+            for t in ("(x^2, x*y, y^3, z^2)", "(x^3, y, z^2)", "(x, y^2, y*z, z^3)")
+        )
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return multiply_field(*args)
+
+        monkeypatch.setattr(lengths, "multiply_field", counted)
+        shared_sampler.cache_clear()
+        for n in range(1, 7):
+            before = len(calls)
+            value = module_colength(E, n)
+            points = comb(n + 2, 2)
+            if n > 1:
+                assert len(calls) - before <= points
+            want = sum(
+                colength(product(product(power(E.ideals[0], a), power(E.ideals[1], b)),
+                                 power(E.ideals[2], c)))
+                for a, b, c in iter_product(range(n + 1), repeat=3)
+                if a + b + c == n
+            )
+            assert value == want
+        shared_sampler.cache_clear()
 
     def test_large_boxes_with_few_generators_stay_within_the_budget(self):
         I = parse_ideal("(x^20, y^20, z^20, w^20)", dim=4)

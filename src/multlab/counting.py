@@ -18,9 +18,10 @@ above x', so the count is h.sum().
   the field of J.
 * `field_count` sums a field or a slab exactly; `count_grid` sums the slabs.
 
-Counts are exact: fields are int32 while heights stay below 2**30 and hold
-Python ints beyond.  numpy sums int32 in int64, which no field that fits in
-memory can overflow.
+Counts are exact: fields are int16 while heights stay below 2**14, int32
+while they stay below 2**30, and hold Python ints beyond, so adding two
+heights never overflows.  numpy sums int16 and int32 in int64, which no
+field that fits in memory can overflow.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ from itertools import product as iter_product
 
 import numpy as np
 
+_INT16_SAFE = 2**14
 _INT32_SAFE = 2**30
 
-# Cells of the largest field or slab built at once: 4 MiB of int32.
+# Cells of the largest field or slab built at once: 2 MiB of int16, 4 MiB of int32.
 FIELD_CELLS = 2**20
 
 
@@ -42,8 +44,13 @@ def _volume(box) -> int:
     return vol
 
 
-def _dtype(top: int):
-    """int32 while heights up to `top` leave room to add two of them; else Python ints."""
+def field_dtype(top: int):
+    """The narrowest field type in which two heights up to `top` still add exactly.
+
+    int16 below 2**14, int32 below 2**30, Python ints beyond.
+    """
+    if top < _INT16_SAFE:
+        return np.int16
     return np.int32 if top < _INT32_SAFE else object
 
 
@@ -84,7 +91,7 @@ def field_slabs(gens, box, axis: int):
     top = box[axis]
     gens = np.asarray(gens, dtype=np.int64)
     gens = gens[(gens[:, rest] < shape).all(axis=1)]
-    dtype = _dtype(top)
+    dtype = field_dtype(top)
     vals = gens[:, axis] if dtype is object else np.minimum(gens[:, axis], top)
     vals = vals.astype(dtype)
     if not rest:
@@ -117,7 +124,7 @@ def multiply_field(h: np.ndarray, box, gens, gen_box, axis: int) -> np.ndarray:
     out_box = [int(a) + int(b) for a, b in zip(box, gen_box)]
     rest = [i for i in range(len(out_box)) if i != axis]
     shape = tuple(out_box[i] for i in rest)
-    dtype = _dtype(out_box[axis])
+    dtype = field_dtype(out_box[axis])
     padded = np.zeros(shape, dtype=dtype)
     padded[(*(slice(0, n) for n in h.shape), ...)] = h
     out = np.full(shape, out_box[axis], dtype=dtype)

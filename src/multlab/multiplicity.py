@@ -7,7 +7,9 @@ lower term and returns a_1! ... a_s! times the leading coefficient -- which
 is exactly the mixed multiplicity e(I_1^[a_1], ..., I_s^[a_s]).  `stabilize`
 evaluates that difference at a window of diagonal shifts and accepts the
 value only when the window is constant, doubling the base point otherwise,
-so polynomiality is confirmed rather than assumed.
+so polynomiality is confirmed rather than assumed.  Each round hands all
+its lattice points to the sampler at once, so a ProductSampler builds
+their products in one depth-first walk from the round's base point.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import product as iter_product
 from math import comb
+from operator import add
 
 from .errors import DimensionMismatchError, NotMPrimaryError, StabilizationError
 from .errors import ImpossibleValueError
@@ -32,13 +35,17 @@ class LengthSample:
 
 @dataclass(frozen=True)
 class DifferenceTable:
-    """A confirmed mixed difference: where it was taken and what it gave."""
+    """A confirmed mixed difference: where it was taken and what it gave.
+
+    `rounds` is the number of bases tried, the last one being `base`.
+    """
 
     base: tuple[int, ...]
     order: tuple[int, ...]
     samples: tuple[LengthSample, ...]
     result: int
     stable: bool
+    rounds: int
 
 
 @dataclass(frozen=True)
@@ -65,26 +72,38 @@ class StabilizePolicy:
             raise ValueError("growth must be at least 2")
 
 
-def _mixed_difference(f, base, order, cache):
-    """Sum of (-1)^{|order - delta|} prod C(order_j, delta_j) f(base + delta)."""
+def _mixed_difference(values, base, order):
+    """Sum of (-1)^{|order - delta|} prod C(order_j, delta_j) f(base + delta).
+
+    `values` maps every point base + delta to f there.
+    """
     total = 0
     for delta in iter_product(*(range(o + 1) for o in order)):
         point = tuple(b + t for b, t in zip(base, delta))
-        value = cache.get(point)
-        if value is None:
-            value = f(point)
-            cache[point] = value
         coeff = 1
         for o, t in zip(order, delta):
             coeff *= comb(o, t)
         sign = (-1) ** (sum(order) - sum(delta))
-        total += sign * coeff * value
+        total += sign * coeff * values[point]
     return total
 
 
-def stabilize(sampler, order, policy: StabilizePolicy | None = None) -> DifferenceTable:
-    """Confirmed mixed difference of `sampler` (a callable on lattice points).
+def _round_points(base, order, window):
+    """The distinct lattice points of one round's differences, in first-use order."""
+    deltas = list(iter_product(*(range(o + 1) for o in order)))
+    points = {}
+    for s in range(window + 1):
+        shifted = tuple(b + s for b in base)
+        points.update(dict.fromkeys(tuple(map(add, shifted, delta)) for delta in deltas))
+    return list(points)
 
+
+def stabilize(sampler, order, policy: StabilizePolicy | None = None) -> DifferenceTable:
+    """Confirmed mixed difference of `sampler` on lattice points.
+
+    `sampler` is a callable on lattice points, or an object whose
+    `colengths` method takes all the points of a round at once (a
+    ProductSampler, which then builds their products in one walk).
     Evaluates the order-`order` difference at diagonal shifts 0..window of a
     base point and returns a DifferenceTable once all shifts agree, growing
     the base geometrically otherwise.  Raises StabilizationError with the
@@ -104,22 +123,24 @@ def stabilize(sampler, order, policy: StabilizePolicy | None = None) -> Differen
             raise ValueError("initial_base length must match order length")
     if any(b < 1 for b in base):
         raise ValueError("base coordinates must be positive")
+    evaluate = getattr(sampler, "colengths", None) or (
+        lambda points: [sampler(p) for p in points]
+    )
 
     bases_tried = []
     diffs_seen = []
     for _ in range(policy.max_rounds + 1):
-        cache: dict[tuple[int, ...], int] = {}
+        points = _round_points(base, order, policy.window)
+        values = dict(zip(points, evaluate(points)))
         diffs = [
-            _mixed_difference(
-                sampler, tuple(b + s for b in base), order, cache
-            )
+            _mixed_difference(values, tuple(b + s for b in base), order)
             for s in range(policy.window + 1)
         ]
         bases_tried.append(base)
         diffs_seen.append(tuple(diffs))
         if all(v == diffs[0] for v in diffs):
             samples = tuple(
-                LengthSample(point, value) for point, value in sorted(cache.items())
+                LengthSample(point, value) for point, value in sorted(values.items())
             )
             return DifferenceTable(
                 base=base,
@@ -127,6 +148,7 @@ def stabilize(sampler, order, policy: StabilizePolicy | None = None) -> Differen
                 samples=samples,
                 result=diffs[0],
                 stable=True,
+                rounds=len(bases_tried),
             )
         base = tuple(b * policy.growth for b in base)
     raise StabilizationError(
@@ -186,7 +208,7 @@ def _difference_table(ideals, type_, policy):
     if policy.initial_base is None:
         policy = replace(policy, initial_base=_heuristic_base(merged, d))
 
-    table = stabilize(shared_sampler(tuple(merged)).colength_at, orders, policy)
+    table = stabilize(shared_sampler(tuple(merged)), orders, policy)
     if table.result < 1:
         raise ImpossibleValueError(
             f"difference table produced {table.result}; mixed multiplicities "

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from multlab import (
     NotMPrimaryError,
     ProductSampler,
+    StabilizePolicy,
     colength,
     colength_naive,
     colength_of_product,
@@ -18,9 +19,11 @@ from multlab import (
     ideal,
     m_ideal,
     m_power,
+    mixed_difference_table,
     parse_ideal,
     power,
     product,
+    stabilize,
     unit_ideal,
 )
 from multlab import counting, lengths
@@ -54,9 +57,18 @@ class TestCounters:
         assert count_grid(np.array([[0, 2**40]], dtype=np.int64), (3, 5)) == 15
 
     def test_field_types(self):
-        # int32 while heights stay below 2**30, Python ints beyond
-        (short, _), = field_slabs([[0, 4]], (3, 5), 1)
-        assert short.dtype == np.int32
+        # the narrowest type in which two heights up to the top still add:
+        # int16 below 2**14, int32 below 2**30, Python ints beyond
+        ladder = ((2**14 - 1, np.int16), (2**14, np.int32), (2**30 - 1, np.int32),
+                  (2**30, object))
+        for top, dtype in ladder:
+            (h, widths), = field_slabs([[1, top - 1]], (3, top), 1)
+            assert h.dtype == dtype
+            assert h.tolist() == [top, top - 1]
+            assert widths.tolist() == [1, 2]
+            grown = multiply_field(h.repeat(widths), (3, top), [[0, top], [1, 0]], (1, top), 1)
+            assert grown.dtype == counting.field_dtype(2 * top)
+            assert grown.tolist() == [2 * top, top, top - 1, top - 1]
         (tall, widths), = field_slabs([[1, 2**31]], (3, 2**31 + 1), 1)
         assert tall.dtype == object
         assert tall.tolist() == [2**31 + 1, 2**31]
@@ -123,11 +135,16 @@ class TestProductSampler:
             monkeypatch.setattr(lengths, "FIELD_CELLS", cells)
             for a, b in pairs:
                 sampler = ProductSampler([a, b])
+                want = {}
                 for na in range(4):
                     for nb in range(4):
                         direct = product(power(a, na), power(b, nb))
-                        want = 0 if direct.is_unit else colength(direct)
-                        assert sampler.colength_at((na, nb)) == want
+                        want[na, nb] = 0 if direct.is_unit else colength(direct)
+                        assert sampler.colength_at((na, nb)) == want[na, nb]
+                # one batch whose points do not step down to each other
+                scattered = [(3, 0), (0, 3), (2, 2), (1, 3), (2, 2)]
+                batch = ProductSampler([a, b]).colengths(scattered)
+                assert batch == [want[p] for p in scattered]
 
     def test_keeps_a_bounded_number_of_products(self, monkeypatch):
         # per kind: at most PRODUCTS_KEPT products, or at most KEPT_CELLS cells
@@ -174,6 +191,42 @@ class TestProductSampler:
             )
             assert value == want
         shared_sampler.cache_clear()
+
+    def test_round_walk_makes_one_product_per_new_point(self, monkeypatch):
+        # an order-(1,1,1,1) table of the default d = 4 corpus (lech_mixed, index 6)
+        texts = ("(x^2, y^2, z^2, w)", "(x, y, z, w^2)", "(x, y, z^3, w)", "(x^2, y^2, z^3, w)")
+        ideals = [parse_ideal(t, dim=4) for t in texts]
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return multiply_field(*args)
+
+        monkeypatch.setattr(lengths, "multiply_field", counted)
+        shared_sampler.cache_clear()
+        table = mixed_difference_table(ideals)
+        shared_sampler.cache_clear()
+        assert table.order == (1, 1, 1, 1)
+        # the climb from the unit ideal to the root ends in the root's field
+        assert len(calls) <= sum(table.base) + len(table.samples) - 1
+        fresh = ProductSampler(ideals)
+        by_point = stabilize(
+            fresh.colength_at, table.order, StabilizePolicy(initial_base=table.base)
+        )
+        assert (table.base, table.samples, table.result) == (
+            by_point.base, by_point.samples, by_point.result
+        )
+
+    def test_narrow_fields_widen_exactly(self):
+        # heights of I are below 2**14 (int16 fields), those of I^2 and I^3 are not
+        a, b = 3, 2**13 + 1
+        I = ideal([(a, 0), (0, b)], dim=2)
+        sampler = ProductSampler([I])
+        tops = [n * b for n in (1, 2, 3)]
+        assert [counting.field_dtype(t) for t in tops] == [np.int16, np.int32, np.int32]
+        for n in (1, 2, 3):
+            assert sampler.colength_at((n,)) == a * b * n * (n + 1) // 2
+        assert hilbert_samuel(I) == a * b
 
     def test_large_boxes_with_few_generators_stay_within_the_budget(self):
         I = parse_ideal("(x^20, y^20, z^20, w^20)", dim=4)

@@ -50,6 +50,14 @@ class TestStabilize:
         table = stabilize(f, (2,), StabilizePolicy(initial_base=3))
         assert table.result == 10
         assert table.base[0] >= 40
+        assert table.rounds > 1
+
+    def test_rounds_count_the_bases_tried(self):
+        table = stabilize(lambda n: 3 * n[0] ** 2 + n[0], (2,))
+        assert table.rounds == 1
+        f = lambda n: (n[0] % 7) if n[0] < 40 else 5 * n[0] ** 2
+        table = stabilize(f, (2,), StabilizePolicy(initial_base=3))
+        assert table.base == (3 * 2 ** (table.rounds - 1),)
 
     def test_gives_up_with_diagnostics(self):
         with pytest.raises(StabilizationError) as exc:

@@ -28,7 +28,14 @@ from math import factorial, prod
 import numpy as np
 
 from . import counting
-from .monomial import MonomialIdeal, as_array, box_bounds, contains, ideal_from_array
+from .monomial import (
+    MonomialIdeal,
+    as_array,
+    box_bounds,
+    contains,
+    dedup_rows,
+    ideal_from_array,
+)
 
 
 def _phase_one_feasible(cols: list[tuple[int, ...]], rhs: tuple[int, ...]) -> bool:
@@ -140,7 +147,7 @@ def _newton_facets(gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for k in range(1, d + 1):
         minors = [[c for c in range(k) if c != j] for j in range(k)]
         for T in combinations(range(d), k):
-            proj = np.unique(gens[:, T], axis=0)
+            proj = dedup_rows(gens[:, T])
             picks = combinations(range(len(proj)), k)
             batch = max(1, counting.FIELD_CELLS // len(proj))
             while chunk := list(islice(picks, batch)):
@@ -159,8 +166,8 @@ def _newton_facets(gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 full[:, list(T)] = a[keep]
                 full[:, d] = b[keep]
                 full //= np.gcd.reduce(full, axis=1, keepdims=True)
-                rows.append(np.unique(full, axis=0))
-    rows = np.unique(np.concatenate(rows), axis=0)
+                rows.append(dedup_rows(full))
+    rows = dedup_rows(np.concatenate(rows))
     return rows[:, :d], rows[:, d]
 
 

@@ -158,12 +158,13 @@ def ideal_from_array(dim: int, arr: np.ndarray) -> MonomialIdeal:
     return MonomialIdeal(dim, gens)
 
 
-def _dedup_rows(pts: np.ndarray) -> np.ndarray:
+def dedup_rows(pts: np.ndarray) -> np.ndarray:
     """np.unique(pts, axis=0) but via packed integer keys when they fit.
 
     Row-wise unique sorts void views, which is an order of magnitude slower
     than a plain int64 sort; coordinates here are small enough to pack
-    almost always.  Output is lex-sorted either way.
+    almost always.  Entries must be non-negative.  Output is lex-sorted
+    either way.
     """
     n, d = pts.shape
     if n <= 1:
@@ -214,7 +215,7 @@ def minimalize_array(pts: np.ndarray) -> np.ndarray:
     prefix cell really does dominate, because winning forces value <= and
     the cell gives <= elsewhere.  Hence one pass is exact.
     """
-    pts = _dedup_rows(pts)  # lex-sorted, so row index is the lex rank
+    pts = dedup_rows(pts)  # lex-sorted, so row index is the lex rank
     n, d = pts.shape
     if n <= 1:
         return pts

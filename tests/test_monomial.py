@@ -22,7 +22,7 @@ from multlab import (
     product,
     unit_ideal,
 )
-from multlab.monomial import as_array, minimalize_array, scale_by_m
+from multlab.monomial import as_array, dedup_rows, minimalize_array, scale_by_m
 
 from conftest import oracle_minimalize, oracle_power, oracle_product, random_mprimary
 
@@ -103,6 +103,21 @@ class TestMinimalize:
         big = np.repeat(arr, 40, axis=0)  # 1440 rows with duplicates
         got = sorted(map(tuple, minimalize_array(big).tolist()))
         assert got == sorted(layer.gens)
+
+    @given(
+        st.lists(
+            st.tuples(*[st.integers(0, 9)] * 4), min_size=0, max_size=40
+        )
+    )
+    def test_dedup_rows_matches_unique(self, rows):
+        pts = np.array(rows, dtype=np.int64).reshape(-1, 4)
+        assert dedup_rows(pts).tolist() == np.unique(pts, axis=0).tolist()
+
+    def test_dedup_rows_unpackable_rows(self):
+        # four coordinates of 2**20 need more than 63 bits to pack
+        big = 2**20
+        pts = np.array([[big, 0, 1, big], [0, big, big, 1], [big, 0, 1, big]])
+        assert dedup_rows(pts).tolist() == [[0, big, big, 1], [big, 0, 1, big]]
 
 
 class TestArithmetic:

@@ -97,7 +97,9 @@ def field_slabs(gens, box, axis: int):
     if not rest:
         yield np.full((), vals.min(initial=top), dtype=dtype), np.ones(1, np.int64)
         return
-    starts = np.unique(np.r_[0, gens[:, rest[0]]])
+    # distinct starts by sort and neighbour mask: np.unique would import numpy.ma
+    coords = np.sort(np.r_[0, gens[:, rest[0]]])
+    starts = coords[np.r_[True, coords[1:] != coords[:-1]]]
     widths = np.diff(np.r_[starts, shape[0]])
     first = np.searchsorted(starts, gens[:, rest[0]])
     rows = max(1, FIELD_CELLS // _volume(shape[1:]))

@@ -10,18 +10,23 @@ value only when the window is constant, doubling the base point otherwise,
 so polynomiality is confirmed rather than assumed.  Each round hands all
 its lattice points to the sampler at once, so a ProductSampler builds
 their products in one depth-first walk from the round's base point.
+The tables behind `mixed_multiplicity` come from a memo of the last
+`lengths.MEMO_ENTRIES` distinct (ideals, orders, policy) keys, so a corpus
+that repeats its ideals stabilizes each table once; `stabilize` itself
+memoizes nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import product as iter_product
 from math import comb
 from operator import add
 
 from .errors import DimensionMismatchError, NotMPrimaryError, StabilizationError
 from .errors import ImpossibleValueError
-from .lengths import shared_sampler
+from .lengths import MEMO_ENTRIES, shared_sampler
 from .monomial import MonomialIdeal, is_m_primary, m_ideal
 
 
@@ -64,6 +69,9 @@ class StabilizePolicy:
     growth: int = 2
 
     def __post_init__(self):
+        if self.initial_base is not None and not isinstance(self.initial_base, int):
+            # any sequence of ints becomes a tuple, so the policy can key the table memo
+            object.__setattr__(self, "initial_base", tuple(map(int, self.initial_base)))
         if self.window < 1:
             raise ValueError("window must be at least 1")
         if self.max_rounds < 0:
@@ -185,6 +193,16 @@ def _heuristic_base(ideals, dim: int) -> int:
     return max(dim, top + 1)
 
 
+@lru_cache(maxsize=MEMO_ENTRIES)
+def _stabilized(merged, orders, policy) -> DifferenceTable:
+    """The table of the merged ideals at `orders`, shared by all callers.
+
+    Tables, ideals and policies are frozen, so a hit is safe to share.
+    A StabilizationError is not stored and is raised again on every call.
+    """
+    return stabilize(shared_sampler(merged), orders, policy)
+
+
 def _difference_table(ideals, type_, policy):
     ideals = list(ideals)
     if not ideals:
@@ -208,7 +226,7 @@ def _difference_table(ideals, type_, policy):
     if policy.initial_base is None:
         policy = replace(policy, initial_base=_heuristic_base(merged, d))
 
-    table = stabilize(shared_sampler(tuple(merged)), orders, policy)
+    table = _stabilized(tuple(merged), orders, policy)
     if table.result < 1:
         raise ImpossibleValueError(
             f"difference table produced {table.result}; mixed multiplicities "

@@ -15,7 +15,7 @@ from itertools import product as iter_product
 
 import pytest
 
-from multlab import MonomialIdeal, ideal
+from multlab import MonomialIdeal, ideal, lengths, multiplicity
 
 
 def oracle_minimalize(gens) -> tuple:
@@ -127,3 +127,14 @@ def random_mprimary(rng: random.Random, dim: int, max_power: int = 3,
 @pytest.fixture
 def rng():
     return random.Random(20260814)
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    """Every test starts with empty samplers, difference tables and colengths.
+
+    Otherwise a memo warmed by an earlier test hides the work a test counts.
+    """
+    lengths.shared_sampler.cache_clear()
+    lengths.colength.cache_clear()
+    multiplicity._stabilized.cache_clear()

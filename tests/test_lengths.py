@@ -1,7 +1,11 @@
 """Colengths: closed forms, counters, the product sampler."""
 
+import os
+import subprocess
+import sys
 from itertools import product as iter_product
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +33,7 @@ from multlab import (
 from multlab import counting, lengths
 from multlab.buchsbaum_rim import module, module_colength
 from multlab.counting import FIELD_CELLS, count_grid, count_naive, field_slabs, multiply_field
-from multlab.lengths import KEPT_CELLS, PRODUCTS_KEPT, shared_sampler
+from multlab.lengths import KEPT_CELLS, MEMO_ENTRIES, PRODUCTS_KEPT, shared_sampler
 from multlab.monomial import as_array, box_bounds, scale_by_m
 
 from conftest import oracle_colength, random_mprimary
@@ -123,6 +127,37 @@ class TestColength:
             I = random_mprimary(rng, 3)
             assert colength(product(m, I)) >= colength(I)
 
+    def test_repeat_is_a_hit(self, monkeypatch):
+        counted = []
+        monkeypatch.setattr(lengths, "count_grid", lambda *a: counted.append(a) or count_grid(*a))
+        I = parse_ideal("(x^3, x*y, y^4)")
+        assert colength(I) == colength(parse_ideal("(x^3, x*y, y^4)")) == 6
+        assert len(counted) == 1
+
+    def test_not_m_primary_raises_every_time(self):
+        for _ in range(2):
+            with pytest.raises(NotMPrimaryError):
+                colength(parse_ideal("(x^2, x*y)"))
+        assert colength.cache_info().currsize == 0
+
+    def test_bounded_by_count(self):
+        for b in range(1, MEMO_ENTRIES + 2):
+            assert colength(ideal([(2, 0), (0, b)], dim=2)) == 2 * b
+        assert colength.cache_info().currsize == MEMO_ENTRIES
+
+    def test_counting_leaves_numpy_ma_unloaded(self):
+        # numpy 2's 1-D np.unique imports numpy.ma, about 10 ms on the first call
+        code = (
+            "import sys; from multlab import colength, parse_ideal; "
+            "assert colength(parse_ideal('(x^3, x*y, y^4)')) == 6; "
+            "print('numpy.ma' in sys.modules)"
+        )
+        src = str(Path(lengths.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path}, check=True)
+        assert out.stdout.strip() == "False"
+
 
 class TestProductSampler:
     def test_matches_direct_products(self, rng, monkeypatch):
@@ -176,7 +211,6 @@ class TestProductSampler:
             return multiply_field(*args)
 
         monkeypatch.setattr(lengths, "multiply_field", counted)
-        shared_sampler.cache_clear()
         for n in range(1, 7):
             before = len(calls)
             value = module_colength(E, n)
@@ -190,7 +224,6 @@ class TestProductSampler:
                 if a + b + c == n
             )
             assert value == want
-        shared_sampler.cache_clear()
 
     def test_round_walk_makes_one_product_per_new_point(self, monkeypatch):
         # an order-(1,1,1,1) table of the default d = 4 corpus (lech_mixed, index 6)
@@ -203,9 +236,7 @@ class TestProductSampler:
             return multiply_field(*args)
 
         monkeypatch.setattr(lengths, "multiply_field", counted)
-        shared_sampler.cache_clear()
         table = mixed_difference_table(ideals)
-        shared_sampler.cache_clear()
         assert table.order == (1, 1, 1, 1)
         # the climb from the unit ideal to the root ends in the root's field
         assert len(calls) <= sum(table.base) + len(table.samples) - 1

@@ -1,11 +1,15 @@
 """Multiplicities: stabilization, Hilbert-Samuel, mixed, hyperplane sections."""
 
+import io
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multlab import (
     DimensionMismatchError,
+    ImpossibleValueError,
     NotMPrimaryError,
     StabilizationError,
     StabilizePolicy,
@@ -21,6 +25,9 @@ from multlab import (
     stabilize,
     unit_ideal,
 )
+from multlab import lengths, multiplicity
+from multlab.harness import CorpusConfig, run_suite, write_jsonl
+from multlab.lengths import MEMO_ENTRIES
 
 from conftest import random_mprimary
 
@@ -276,3 +283,80 @@ class TestReproducibility:
             StabilizePolicy(growth=1)
         with pytest.raises(ValueError):
             StabilizePolicy(max_rounds=-1)
+
+
+class TestTableMemo:
+    def test_repeat_is_a_hit(self, monkeypatch):
+        calls = []
+        real = lengths.multiply_field
+
+        def counted(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(lengths, "multiply_field", counted)
+        ideals = [parse_ideal("(x^2, x*y, y^3)"), parse_ideal("(x^3, y^2)")]
+        first = mixed_difference_table(ideals)
+        assert calls
+        calls.clear()
+        assert mixed_difference_table(ideals) == first
+        assert mixed_multiplicity(ideals) == first.result
+        assert not calls
+
+    def test_policy_and_type_are_part_of_the_key(self):
+        I, J = parse_ideal("(x^2, x*y, y^3)"), parse_ideal("(x^3, y^2)")
+        info = multiplicity._stabilized.cache_info
+        table = mixed_difference_table([I, J])
+        wider = mixed_difference_table([I, J], policy=StabilizePolicy(window=3))
+        assert (info().misses, info().hits) == (2, 0)
+        assert wider.samples != table.samples and wider.result == table.result
+        assert mixed_difference_table([I, J], (2, 0)).result == hilbert_samuel(I)
+        assert (info().misses, info().hits) == (3, 1)
+
+    def test_a_listed_base_is_a_key(self):
+        ideals = [parse_ideal("(x^2, x*y, y^3)"), parse_ideal("(x^3, y^2)")]
+        listed = mixed_difference_table(ideals, policy=StabilizePolicy(initial_base=[4, 4]))
+        assert listed == mixed_difference_table(
+            ideals, policy=StabilizePolicy(initial_base=(4, 4))
+        )
+        assert multiplicity._stabilized.cache_info().hits == 1
+
+    def test_stabilization_error_is_raised_every_time(self):
+        I = parse_ideal("(x^5, x^4*y, y^6)")
+        policy = StabilizePolicy(initial_base=1, window=1, max_rounds=0)
+        for _ in range(2):
+            with pytest.raises(StabilizationError):
+                mixed_difference_table([I], (2,), policy)
+        assert multiplicity._stabilized.cache_info().currsize == 0
+
+    def test_impossible_value_is_raised_on_a_hit(self, monkeypatch):
+        stabilized = []
+
+        def zero(sampler, order, policy):
+            stabilized.append(order)
+            return replace(stabilize(sampler, order, policy), result=0)
+
+        monkeypatch.setattr(multiplicity, "stabilize", zero)
+        I = parse_ideal("(x^2, y^2)")
+        for _ in range(2):
+            with pytest.raises(ImpossibleValueError):
+                hilbert_samuel(I)
+        assert len(stabilized) == 1
+
+    def test_bounded_by_count(self):
+        # powers of the maximal ideal collapse to binomials, so each key is cheap
+        I = m_ideal(1)
+        for b in range(1, MEMO_ENTRIES + 2):
+            assert hilbert_samuel(I, StabilizePolicy(initial_base=b)) == 1
+        assert multiplicity._stabilized.cache_info().currsize == MEMO_ENTRIES
+
+    def test_warm_memos_write_the_same_report(self):
+        config = CorpusConfig(seed=3, dim=2, rank=3, instances=20)
+        runs = []
+        for _ in range(2):
+            out = io.StringIO()
+            write_jsonl(run_suite(config).reports, out)
+            runs.append(out.getvalue())
+        assert multiplicity._stabilized.cache_info().hits
+        assert lengths.colength.cache_info().hits
+        assert runs[0] == runs[1]

@@ -86,7 +86,9 @@ def br_direct(E: DirectSumModule, policy: StabilizePolicy | None = None) -> int:
 
     Takes the (d + r - 1)-th difference of n |-> module_colength(E, n) at a
     stabilized base; the constant window certifies that the polynomial
-    degree is exactly d + r - 1 with the expected leading behaviour.
+    degree is exactly d + r - 1 with the expected leading behaviour.  Each
+    round hands the compositions of all its n to the sampler in one
+    `colengths` call, so `module_colength` then only reads its memo.
     """
     if not any(not I.is_unit for I in E.ideals):
         raise ValueError("E equals F; the Buchsbaum-Rim multiplicity needs E != F")
@@ -96,7 +98,13 @@ def br_direct(E: DirectSumModule, policy: StabilizePolicy | None = None) -> int:
     if policy.initial_base is None:
         proper = [I for I in E.ideals if not I.is_unit]
         policy = replace(policy, initial_base=_heuristic_base(proper, d))
-    table = stabilize(lambda pt: module_colength(E, pt[0]), (order,), policy)
+    sampler = shared_sampler(E.ideals)
+
+    def evaluate(points):
+        sampler.colengths([a for (n,) in points for a in _compositions(n, r)])
+        return [module_colength(E, n) for (n,) in points]
+
+    table = stabilize(evaluate, (order,), policy)
     if table.result < 1:
         raise ImpossibleValueError(
             f"difference table produced {table.result}; Buchsbaum-Rim "

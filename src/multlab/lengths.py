@@ -7,11 +7,10 @@ box of pure-power bounds.  `ProductSampler` serves the multiplicity engine,
 which needs lambda(R / I_1^{n_1} ... I_s^{n_s}) on many nearby exponent
 vectors, on height fields (on minimal generators once a field would pass
 `counting.FIELD_CELLS`).  `colengths` takes all the points of a difference
-round at once and builds their fields depth-first from the round's root,
-one product per new point beyond the climb to the root.  `colength_at`
-takes one point and walks to it from a kept product, one product in all
-when a neighbour one step below is kept; small products are kept by cells
-(a whole composition layer fits), large ones by count (`PRODUCTS_KEPT`).
+round at once and builds their products in one depth-first walk, one
+product per new point beyond the climb to their meet; the climb starts
+from the one product a sampler keeps, the last walk's meet, when it lies
+below.  `colength_at` is the same walk on one point.
 Repeated exact results come from bounded memos, least recently used out:
 `shared_sampler` holds the samplers every caller shares, `colength` keeps
 MEMO_ENTRIES colengths, and `multiplicity` keeps as many difference tables.
@@ -19,10 +18,9 @@ MEMO_ENTRIES colengths, and `multiplicity` keeps as many difference tables.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from functools import lru_cache
 from math import comb, prod
-from operator import add, mul
+from operator import add, gt, le, mul
 
 import numpy as np
 
@@ -38,16 +36,6 @@ from .monomial import (
     minimalize_array,
     product_array,
 )
-
-# Products one sampler keeps of each kind, least recently used out, once
-# they hold more than KEPT_CELLS array elements together.  The lattice walks
-# of a difference table step between neighbours, so small products are kept
-# by cells, enough for a whole layer of compositions of n, while large ones
-# stay at PRODUCTS_KEPT: keeping every field grows memory like the number of
-# points times (n*b)^(d-1).  Either way one kind holds at most
-# PRODUCTS_KEPT * FIELD_CELLS cells of fields.
-PRODUCTS_KEPT = 4
-KEPT_CELLS = FIELD_CELLS // PRODUCTS_KEPT
 
 # Entries of the colength and difference-table memos.  A corpus of small
 # ideals asks for the same values again and again: `verify --dim 2 --rank 3
@@ -83,38 +71,17 @@ def colength_naive(I: MonomialIdeal) -> int:
     return count_naive(as_array(I), box_bounds(I))
 
 
-class _Kept(OrderedDict):
-    """Products of one kind by exponent vector, least recently used first."""
-
-    def __init__(self):
-        super().__init__()
-        self.cells = 0
-
-    def keep(self, n, held) -> None:
-        """Add the product at n, which is not kept yet, and drop old ones past the budget."""
-        self[n] = held
-        self.cells += held.size
-        while len(self) > PRODUCTS_KEPT and self.cells > KEPT_CELLS:
-            self.cells -= self.popitem(last=False)[1].size
-
-
 class ProductSampler:
     """Colengths of products prod_j I_j^{n_j}, memoized across exponents.
 
     Products are height fields along one axis per sampler: the longest side
     of the summed boxes of the ideals.  A product whose field would have
     more than FIELD_CELLS cells is held as its minimal generators instead,
-    so memory stays bounded for large boxes with few generators.  The
-    fields of a batch of points (`colengths`) grow depth-first from their
-    meet; see `_grow`.  To reach the meet, or a single point n, start from
-    a kept product at n - e_j, one step below; failing that, from the kept
-    product nearest below n (or from the unit ideal), and multiply by one
-    ideal at a time, lowest index first, carrying the box.  Only these
-    walks keep products.
-    Products of each kind are dropped least recently used first, but only
-    while more than PRODUCTS_KEPT of them hold more than KEPT_CELLS cells
-    together: small products keep a whole layer of neighbours, large ones
-    the last PRODUCTS_KEPT.  Unit ideals never change a product, and when
+    so memory stays bounded for large boxes with few generators.  Every
+    product is built by one depth-first walk over the points of a call
+    (`_grow`), from the root kept by the last walk of the same kind or from
+    the unit ideal.  Between calls a sampler holds its counts and one
+    product, that root's.  Unit ideals never change a product, and when
     every ideal is a power of the maximal ideal the colength collapses to a
     binomial and nothing is built.
     """
@@ -147,69 +114,43 @@ class ProductSampler:
         self._axis = height_axis([sum(b[i] for b in bounds) for i in range(d)])
         # a product costs one min-plus update per generator of the ideal it adds
         self._cheapest = sorted(range(len(ideals)), key=lambda j: len(self._gens[j]))
-        self._fields = _Kept()
-        self._chains = _Kept()
+        self._root = None  # (fields?, point, product) at the meet of the last walk
         self._counts: dict[tuple[int, ...], int] = {}
 
     def _box(self, n):
         return tuple([sum(map(mul, n, column)) for column in self._columns])
 
-    def _walk(self, kept, n):
-        """The product at n and its box, from `kept`: at n, one step below, or nearest below.
+    def _grow(self, points, fields: bool) -> None:
+        """Count `points` in one depth-first walk through their meet.
 
-        `kept` is `_fields` for a height field, `_chains` for minimal generators.
+        The walk starts from the root kept by the last walk when that root
+        is of the same kind (height fields or minimal generators) and below
+        the new meet, and from the unit ideal otherwise.  A node's parent is
+        one step below it, in the slot whose ideal has the fewest generators
+        (lowest index on ties) among the steps that stay among the nodes;
+        failing that, the first step in that order that stays above the
+        meet, or for the meet and the climb below it above the start, added
+        as a node of its own.  Every node but the start costs one product
+        from its parent's.  Smaller subtrees go first and the last child
+        takes over its parent's product, so the path stack holds only the
+        ancestors that still have children to visit; of the products, only
+        the meet's is kept.
         """
-        fields = kept is self._fields
-        steps = (n[:j] + (e - 1,) + n[j + 1 :] for j, e in enumerate(n) if e)
-        cur = next((q for q in (n, *steps) if q in kept), None)
-        if cur is None:
-            below = [q for q in kept if all(a <= b for a, b in zip(q, n))]
-            cur = max(below, key=sum, default=(0,) * len(n))
-        if cur in kept:
-            kept.move_to_end(cur)
-            held = kept[cur]
+        meet = tuple(map(min, zip(*points)))
+        if self._root and self._root[0] == fields and all(map(le, self._root[1], meet)):
+            _, start, held = self._root
         elif fields:
-            held = np.zeros((0,) * (self.dim - 1), dtype=field_dtype(0))
+            start, held = (0,) * len(meet), np.zeros((0,) * (self.dim - 1), field_dtype(0))
         else:
-            held = np.zeros((1, self.dim), dtype=np.int64)
-        box = self._box(cur)
-        while cur != n:
-            j = next(j for j, (a, b) in enumerate(zip(cur, n)) if a < b)
-            gens, bounds = self._gens[j], self._bounds[j]
-            if fields:
-                held = multiply_field(held, box, gens, bounds, self._axis)
-            else:
-                held = minimalize_array(product_array(held, gens))
-            box = tuple(a + b for a, b in zip(box, bounds))
-            cur = cur[:j] + (cur[j] + 1,) + cur[j + 1 :]
-            kept.keep(cur, held)
-        return held, box
-
-    def _grow(self, points) -> None:
-        """Count the fields of `points` depth-first from their meet, the root.
-
-        A point's parent is the point one step below it in the slot whose
-        ideal has the fewest generators (lowest index on ties) among the
-        steps that stay among the points; failing that, the first step in
-        that order that stays above the root, added to the tree as a point
-        of its own.  The root comes from `_walk`; every other node costs one
-        product from its parent's field.  Smaller subtrees go first and the
-        last child takes over its parent's field, so the path stack holds
-        only the ancestors that still have children to visit, and it is
-        freed on return: nothing below the root is kept.
-        """
-        root = tuple(map(min, zip(*points)))
-        held, box = self._walk(self._fields, root)
-        if root not in self._counts:
-            self._counts[root] = field_count(held)
-        pending = sorted(set(points) - {root})
-        if not pending:
-            return
-        children = {p: [] for p in (root, *pending)}
+            start, held = (0,) * len(meet), np.zeros((1, self.dim), dtype=np.int64)
+        self._root = None  # a root the walk does not start from is freed before it
+        pending = sorted((set(points) | {meet}) - {start})
+        children = {p: [] for p in (start, *pending)}
         while pending:
             p = pending.pop()
+            floor = meet if any(map(gt, p, meet)) else start
             steps = [
-                (j, p[:j] + (p[j] - 1,) + p[j + 1 :]) for j in self._cheapest if p[j] > root[j]
+                (j, p[:j] + (p[j] - 1,) + p[j + 1 :]) for j in self._cheapest if p[j] > floor[j]
             ]
             j, up = next((step for step in steps if step[1] in children), steps[0])
             if up not in children:
@@ -220,24 +161,29 @@ class ProductSampler:
         for p in sorted(children, key=sum, reverse=True):
             size[p] = 1 + sum([size[c] for _, c in children[p]])
 
-        def push(p, held, box):
-            """Queue the children of p with their slots, the largest subtree last."""
+        def visit(p, held, box):
+            """Count p if asked, keep it if it is the meet, and queue its children."""
+            if p in points:
+                self._counts[p] = field_count(held) if fields else count_grid(held, box)
+            if p == meet:
+                self._root = (fields, meet, held)
             if children[p]:
                 kids = sorted(children[p], key=lambda jc: (size[jc[1]], jc[1]), reverse=True)
                 path.append((held, box, kids))
 
         path = []
-        push(root, held, box)
+        visit(start, held, self._box(start))
         while path:
             held, box, kids = path[-1]
             j, c = kids.pop()
             if not kids:
                 path.pop()
-            bounds = self._bounds[j]
-            held = multiply_field(held, box, self._gens[j], bounds, self._axis)
-            if c not in self._counts:
-                self._counts[c] = field_count(held)
-            push(c, held, tuple(map(add, box, bounds)))
+            gens, bounds = self._gens[j], self._bounds[j]
+            if fields:
+                held = multiply_field(held, box, gens, bounds, self._axis)
+            else:
+                held = minimalize_array(product_array(held, gens))
+            visit(c, held, tuple(map(add, box, bounds)))
 
     def _key(self, n) -> tuple[int, ...]:
         """n as a tuple of ints, with the exponents of unit ideals set to 0."""
@@ -251,8 +197,8 @@ class ProductSampler:
         return n
 
     def _fill(self, todo) -> None:
-        """Count every point of `todo` not counted yet; fields go depth-first together."""
-        fields = set()
+        """Count every point of `todo` not counted yet, one walk per kind of product."""
+        walks = {True: set(), False: set()}
         for n in todo:
             if n in self._counts:
                 continue
@@ -263,12 +209,11 @@ class ProductSampler:
                 self._counts[n] = 0
             else:
                 box = self._box(n)
-                if prod(b for i, b in enumerate(box) if i != self._axis) <= FIELD_CELLS:
-                    fields.add(n)
-                else:
-                    self._counts[n] = count_grid(*self._walk(self._chains, n))
-        if fields:
-            self._grow(fields)
+                walks[prod(b for i, b in enumerate(box) if i != self._axis) <= FIELD_CELLS].add(n)
+        # fields first: a round that outgrows FIELD_CELLS keeps the root of its larger points
+        for fields in (True, False):
+            if walks[fields]:
+                self._grow(walks[fields], fields)
 
     def colength_at(self, n) -> int:
         n = self._key(n)
@@ -277,7 +222,7 @@ class ProductSampler:
         return self._counts[n]
 
     def colengths(self, points) -> list[int]:
-        """Colengths at all `points`, their fields built in one depth-first walk."""
+        """Colengths at all `points`, their products built in one walk per kind."""
         keys = [self._key(n) for n in points]
         self._fill(keys)
         return [self.colength_at(n) for n in keys]
@@ -288,15 +233,11 @@ def shared_sampler(ideals: tuple[MonomialIdeal, ...]) -> ProductSampler:
     """The sampler of a tuple of ideals, from a small cache shared by all callers.
 
     Bounded by count like the colength and table memos, but to four
-    samplers, since each keeps fields of up to PRODUCTS_KEPT products.
+    samplers, since each keeps its counts and one root product.
     """
     return ProductSampler(ideals)
 
 
 def colength_of_product(ideals, exponents) -> int:
     """lambda(R / prod I_j^{n_j}) for m-primary ideals; 0 when all n_j = 0."""
-    key = tuple(ideals)
-    n = tuple(int(e) for e in exponents)
-    if len(n) != len(key):
-        raise ValueError("one exponent per ideal")
-    return shared_sampler(key).colength_at(n)
+    return shared_sampler(tuple(ideals)).colength_at(exponents)

@@ -191,7 +191,8 @@ def _pareto_layers(pts: np.ndarray) -> np.ndarray:
     order = np.argsort(deg, kind="stable")
     pts, deg = pts[order], deg[order]
     kept = []
-    for val in np.unique(deg):
+    # distinct degrees by neighbour mask: np.unique would import numpy.ma
+    for val in deg[np.r_[True, deg[1:] != deg[:-1]]]:
         layer = pts[deg == val]
         if kept:
             base = np.concatenate(kept)

@@ -8,8 +8,9 @@ is exactly the mixed multiplicity e(I_1^[a_1], ..., I_s^[a_s]).  `stabilize`
 evaluates that difference at a window of diagonal shifts and accepts the
 value only when the window is constant, doubling the base point otherwise,
 so polynomiality is confirmed rather than assumed.  Each round hands all
-its lattice points to the sampler at once, so a ProductSampler builds
-their products in one depth-first walk from the round's base point.
+its lattice points to one evaluator at once; for colengths of products
+that is `ProductSampler.colengths`, which builds them in one depth-first
+walk through the round's base point.
 The tables behind `mixed_multiplicity` come from a memo of the last
 `lengths.MEMO_ENTRIES` distinct (ideals, orders, policy) keys, so a corpus
 that repeats its ideals stabilizes each table once; `stabilize` itself
@@ -106,15 +107,14 @@ def _round_points(base, order, window):
     return list(points)
 
 
-def stabilize(sampler, order, policy: StabilizePolicy | None = None) -> DifferenceTable:
-    """Confirmed mixed difference of `sampler` on lattice points.
+def stabilize(evaluate, order, policy: StabilizePolicy | None = None) -> DifferenceTable:
+    """Confirmed mixed difference of a function on lattice points.
 
-    `sampler` is a callable on lattice points, or an object whose
-    `colengths` method takes all the points of a round at once (a
-    ProductSampler, which then builds their products in one walk).
-    Evaluates the order-`order` difference at diagonal shifts 0..window of a
-    base point and returns a DifferenceTable once all shifts agree, growing
-    the base geometrically otherwise.  Raises StabilizationError with the
+    `evaluate` maps a round's list of points to the list of their values,
+    and a list of another length raises ValueError.  Evaluates the
+    order-`order` difference at diagonal shifts 0..window of a base point
+    and returns a DifferenceTable once all shifts agree, growing the base
+    geometrically otherwise.  Raises StabilizationError with the
     full escalation history if no window ever becomes constant.
     """
     policy = policy or StabilizePolicy()
@@ -131,15 +131,12 @@ def stabilize(sampler, order, policy: StabilizePolicy | None = None) -> Differen
             raise ValueError("initial_base length must match order length")
     if any(b < 1 for b in base):
         raise ValueError("base coordinates must be positive")
-    evaluate = getattr(sampler, "colengths", None) or (
-        lambda points: [sampler(p) for p in points]
-    )
 
     bases_tried = []
     diffs_seen = []
     for _ in range(policy.max_rounds + 1):
         points = _round_points(base, order, policy.window)
-        values = dict(zip(points, evaluate(points)))
+        values = dict(zip(points, evaluate(points), strict=True))
         diffs = [
             _mixed_difference(values, tuple(b + s for b in base), order)
             for s in range(policy.window + 1)
@@ -200,7 +197,7 @@ def _stabilized(merged, orders, policy) -> DifferenceTable:
     Tables, ideals and policies are frozen, so a hit is safe to share.
     A StabilizationError is not stored and is raised again on every call.
     """
-    return stabilize(shared_sampler(merged), orders, policy)
+    return stabilize(shared_sampler(merged).colengths, orders, policy)
 
 
 def _difference_table(ideals, type_, policy):

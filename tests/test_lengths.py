@@ -5,6 +5,7 @@ import subprocess
 import sys
 from itertools import product as iter_product
 from math import comb
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +32,10 @@ from multlab import (
     unit_ideal,
 )
 from multlab import counting, lengths
-from multlab.buchsbaum_rim import module, module_colength
+from multlab.buchsbaum_rim import br_direct, module, module_colength
 from multlab.counting import FIELD_CELLS, count_grid, count_naive, field_slabs, multiply_field
-from multlab.lengths import KEPT_CELLS, MEMO_ENTRIES, PRODUCTS_KEPT, shared_sampler
-from multlab.monomial import as_array, box_bounds, scale_by_m
+from multlab.lengths import MEMO_ENTRIES, shared_sampler
+from multlab.monomial import as_array, box_bounds, product_array, scale_by_m
 
 from conftest import oracle_colength, random_mprimary
 
@@ -148,21 +149,26 @@ class TestColength:
     def test_counting_leaves_numpy_ma_unloaded(self):
         # numpy 2's 1-D np.unique imports numpy.ma, about 10 ms on the first
         # call; numpy 1 imports numpy.ma with numpy itself, so there is
-        # nothing to check
-        code = (
-            "import sys; from multlab import colength, parse_ideal; "
-            "at_import = 'numpy.ma' in sys.modules; "
-            "assert colength(parse_ideal('(x^3, x*y, y^4)')) == 6; "
-            "print(at_import, 'numpy.ma' in sys.modules)"
+        # nothing to check.  The second input walks minimal generators.
+        calls = (
+            "colength(parse_ideal('(x^3, x*y, y^4)')) == 6",
+            "hilbert_samuel(parse_ideal('(x^20, y^20, z^20, w^20)', dim=4)) == 160000",
         )
         src = str(Path(lengths.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": path}, check=True)
-        at_import, after_colength = out.stdout.split()
-        if at_import == "True":
-            pytest.skip("this numpy loads numpy.ma on import")
-        assert after_colength == "False"
+        for call in calls:
+            code = (
+                "import sys; from multlab import colength, hilbert_samuel, parse_ideal; "
+                "at_import = 'numpy.ma' in sys.modules; "
+                f"assert {call}; "
+                "print(at_import, 'numpy.ma' in sys.modules)"
+            )
+            out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                 env={**os.environ, "PYTHONPATH": path}, check=True)
+            at_import, after_call = out.stdout.split()
+            if at_import == "True":
+                pytest.skip("this numpy loads numpy.ma on import")
+            assert after_call == "False", call
 
 
 class TestProductSampler:
@@ -187,25 +193,38 @@ class TestProductSampler:
                 batch = ProductSampler([a, b]).colengths(scattered)
                 assert batch == [want[p] for p in scattered]
 
-    def test_keeps_a_bounded_number_of_products(self, monkeypatch):
-        # per kind: at most PRODUCTS_KEPT products, or at most KEPT_CELLS cells
-        texts = ("(x^2, x*y, y^3, z^2)", "(x^3, y, z^2)", "(x, y^2, y*z, z^3)")
-        points = [*iter_product(range(5), repeat=3), *((s, s, s) for s in range(6, 12))]
-        for cells, kind in ((FIELD_CELLS, "_fields"), (1, "_chains")):
+    def test_a_later_round_climbs_from_the_last_root(self, monkeypatch):
+        # fields, then minimal generators for every product of 2+ cells
+        ideals = [
+            parse_ideal(t, dim=3)
+            for t in ("(x^2, x*y, y^3, z^2)", "(x^3, y, z^2)", "(x, y^2, y*z, z^3)")
+        ]
+        cube = list(iter_product(range(2), repeat=3))
+        first, second = (2, 3, 1), (4, 4, 3)
+        rounds = [[tuple(map(add, root, delta)) for delta in cube] for root in (first, second)]
+        for cells, step in ((FIELD_CELLS, multiply_field), (1, product_array)):
             monkeypatch.setattr(lengths, "FIELD_CELLS", cells)
-            # the real cell budget keeps every product of this walk; a budget
-            # of 0 cells keeps PRODUCTS_KEPT, as a count alone would
-            for kept_cells in (KEPT_CELLS, 0):
-                monkeypatch.setattr(lengths, "KEPT_CELLS", kept_cells)
-                sampler = ProductSampler([parse_ideal(t, dim=3) for t in texts])
-                for n in points:
-                    sampler.colength_at(n)
-                    for kept in (sampler._fields, sampler._chains):
-                        assert kept.cells == sum(h.size for h in kept.values())
-                        assert len(kept) <= PRODUCTS_KEPT or kept.cells <= kept_cells
-                assert getattr(sampler, kind)
+            calls = []
 
-    def test_one_product_per_new_point_of_a_module(self, monkeypatch):
+            def counted(*args, step=step):
+                calls.append(None)
+                return step(*args)
+
+            monkeypatch.setattr(lengths, step.__name__, counted)
+            sampler = ProductSampler(ideals)
+            assert sampler.colengths(rounds[0]) == ProductSampler(ideals).colengths(rounds[0])
+            calls.clear()
+            values = sampler.colengths(rounds[1])
+            # the climb from one root to the next ends in the new root's product
+            assert len(calls) == sum(second) - sum(first) + len(rounds[1]) - 1
+            assert values == ProductSampler(ideals).colengths(rounds[1])
+            assert values == [
+                colength(product(product(power(ideals[0], a), power(ideals[1], b)),
+                                 power(ideals[2], c)))
+                for a, b, c in rounds[1]
+            ]
+
+    def test_module_rounds_make_one_product_per_point_below_their_top(self, monkeypatch):
         E = module(
             parse_ideal(t, dim=3)
             for t in ("(x^2, x*y, y^3, z^2)", "(x^3, y, z^2)", "(x, y^2, y*z, z^3)")
@@ -217,19 +236,33 @@ class TestProductSampler:
             return multiply_field(*args)
 
         monkeypatch.setattr(lengths, "multiply_field", counted)
-        for n in range(1, 7):
+        sampler = shared_sampler(E.ideals)
+        batch = sampler.colengths
+        layers = set()
+
+        def one_round(points):
             before = len(calls)
-            value = module_colength(E, n)
-            points = comb(n + 2, 2)
-            if n > 1:
-                assert len(calls) - before <= points
+            values = batch(points)
+            top = max(map(sum, points))
+            # every product is of a lattice point with sum <= top, each at most once
+            assert len(calls) - before <= comb(top + 3, 3)
+            layers.update(map(sum, points))
+            return values
+
+        monkeypatch.setattr(sampler, "colengths", one_round)
+        assert br_direct(E) == 46
+        calls.clear()
+        for n in layers:
+            module_colength(E, n)
+        assert not calls  # the rounds' layers are all counted
+        for n in range(1, 7):
             want = sum(
                 colength(product(product(power(E.ideals[0], a), power(E.ideals[1], b)),
                                  power(E.ideals[2], c)))
                 for a, b, c in iter_product(range(n + 1), repeat=3)
                 if a + b + c == n
             )
-            assert value == want
+            assert module_colength(E, n) == want
 
     def test_round_walk_makes_one_product_per_new_point(self, monkeypatch):
         # an order-(1,1,1,1) table of the default d = 4 corpus (lech_mixed, index 6)
@@ -248,7 +281,9 @@ class TestProductSampler:
         assert len(calls) <= sum(table.base) + len(table.samples) - 1
         fresh = ProductSampler(ideals)
         by_point = stabilize(
-            fresh.colength_at, table.order, StabilizePolicy(initial_base=table.base)
+            lambda points: [fresh.colength_at(n) for n in points],
+            table.order,
+            StabilizePolicy(initial_base=table.base),
         )
         assert (table.base, table.samples, table.result) == (
             by_point.base, by_point.samples, by_point.result
@@ -265,12 +300,23 @@ class TestProductSampler:
             assert sampler.colength_at((n,)) == a * b * n * (n + 1) // 2
         assert hilbert_samuel(I) == a * b
 
-    def test_large_boxes_with_few_generators_stay_within_the_budget(self):
+    def test_large_boxes_with_few_generators_stay_within_the_budget(self, monkeypatch):
+        products, fields = [], []
+
+        def product_counted(*args):
+            products.append(None)
+            return product_array(*args)
+
+        def field_counted(*args):
+            fields.append(multiply_field(*args))
+            return fields[-1]
+
+        monkeypatch.setattr(lengths, "product_array", product_counted)
+        monkeypatch.setattr(lengths, "multiply_field", field_counted)
         I = parse_ideal("(x^20, y^20, z^20, w^20)", dim=4)
         assert hilbert_samuel(I) == 20**4
-        sampler = shared_sampler((I,))
-        assert sampler._chains
-        assert all(h.size <= FIELD_CELLS for h in sampler._fields.values())
+        assert products  # the generator walk ran
+        assert all(h.size <= FIELD_CELLS for h in fields)
 
     def test_all_zero_is_zero(self):
         sampler = ProductSampler([m_ideal(2), m_ideal(2)])

@@ -32,10 +32,15 @@ from multlab.lengths import MEMO_ENTRIES
 from conftest import random_mprimary
 
 
+def batch(f):
+    """The round evaluator of a function on single points."""
+    return lambda points: [f(n) for n in points]
+
+
 class TestStabilize:
     def test_polynomial_sampler(self):
         table = stabilize(
-            lambda n: n[0] * (n[0] + 1) // 2, (2,), StabilizePolicy(initial_base=1)
+            batch(lambda n: n[0] * (n[0] + 1) // 2), (2,), StabilizePolicy(initial_base=1)
         )
         assert table.result == 1
         assert table.stable
@@ -43,40 +48,40 @@ class TestStabilize:
 
     def test_quadratic_leading_coefficient(self):
         # f(n) = 7n^2 + 3n + 2: second difference is 2 * 7
-        table = stabilize(lambda n: 7 * n[0] ** 2 + 3 * n[0] + 2, (2,))
+        table = stabilize(batch(lambda n: 7 * n[0] ** 2 + 3 * n[0] + 2), (2,))
         assert table.result == 14
 
     def test_mixed_difference_of_product_poly(self):
         # f(a, b) = a^2 b: difference of order (2, 1) gives 2! * 1! * 1
-        table = stabilize(lambda n: n[0] ** 2 * n[1], (2, 1))
+        table = stabilize(batch(lambda n: n[0] ** 2 * n[1]), (2, 1))
         assert table.result == 2
 
     def test_escalates_past_transient(self):
         # piecewise junk below 40, clean quadratic afterwards
         f = lambda n: (n[0] % 7) if n[0] < 40 else 5 * n[0] ** 2
-        table = stabilize(f, (2,), StabilizePolicy(initial_base=3))
+        table = stabilize(batch(f), (2,), StabilizePolicy(initial_base=3))
         assert table.result == 10
         assert table.base[0] >= 40
         assert table.rounds > 1
 
     def test_rounds_count_the_bases_tried(self):
-        table = stabilize(lambda n: 3 * n[0] ** 2 + n[0], (2,))
+        table = stabilize(batch(lambda n: 3 * n[0] ** 2 + n[0]), (2,))
         assert table.rounds == 1
         f = lambda n: (n[0] % 7) if n[0] < 40 else 5 * n[0] ** 2
-        table = stabilize(f, (2,), StabilizePolicy(initial_base=3))
+        table = stabilize(batch(f), (2,), StabilizePolicy(initial_base=3))
         assert table.base == (3 * 2 ** (table.rounds - 1),)
 
     def test_gives_up_with_diagnostics(self):
         with pytest.raises(StabilizationError) as exc:
             stabilize(
-                lambda n: n[0] % 2, (1,), StabilizePolicy(initial_base=2, max_rounds=3)
+                batch(lambda n: n[0] % 2), (1,), StabilizePolicy(initial_base=2, max_rounds=3)
             )
         err = exc.value
         assert len(err.bases) == 4  # initial + 3 escalations
         assert len(err.attempts) == 4
 
     def test_samples_recorded(self):
-        table = stabilize(lambda n: n[0] ** 2, (2,), StabilizePolicy(initial_base=2))
+        table = stabilize(batch(lambda n: n[0] ** 2), (2,), StabilizePolicy(initial_base=2))
         points = {s.point for s in table.samples}
         assert (2,) in points and (6,) in points  # base through base+window+order
         values = {s.point: s.value for s in table.samples}
@@ -84,9 +89,15 @@ class TestStabilize:
 
     def test_rejects_bad_orders(self):
         with pytest.raises(ValueError):
-            stabilize(lambda n: 0, ())
+            stabilize(batch(lambda n: 0), ())
         with pytest.raises(ValueError):
-            stabilize(lambda n: 0, (0, 1))
+            stabilize(batch(lambda n: 0), (0, 1))
+
+    def test_rejects_an_evaluator_of_the_wrong_length(self):
+        # one value short would otherwise surface as a KeyError in the difference
+        for wrong in (lambda points: [0] * (len(points) - 1), lambda points: [0] * 99):
+            with pytest.raises(ValueError):
+                stabilize(wrong, (2,))
 
 
 class TestHilbertSamuel:

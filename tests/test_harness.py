@@ -31,7 +31,7 @@ from multlab import (
     write_jsonl,
     write_summary_csv,
 )
-from multlab.harness import rng_for, run_instance
+from multlab.harness import _applicable_checks, rng_for, run_instance
 
 
 class TestGenerator:
@@ -242,3 +242,61 @@ class TestSuite:
             CorpusConfig(instances=0)
         with pytest.raises(ValueError):
             CorpusConfig(jobs=0)
+
+
+# (applicable checks, {check: (ideals drawn, exploratory)}) at rank 3, by
+# (dim, exploration); draws are pinned for d <= 4 only, d = 5 is too slow
+_DISPATCH = {
+    (1, False): {"lech_classical": (1, False)},
+    (1, True): {"lech_classical": (1, False), "main_br": (3, True)},
+    (2, False): {
+        "lech_classical": (1, False), "lech_mixed": (2, False),
+        "prop_dim2": (3, False), "additivity": (3, False),
+    },
+    (2, True): {
+        "lech_classical": (1, False), "lech_mixed": (2, False),
+        "prop_dim2": (3, False), "main_mixed": (2, True),
+        "main_br": (3, True), "additivity": (3, False),
+    },
+    (3, False): {
+        "lech_classical": (1, False), "lech_mixed": (3, False),
+        "prop_dim3": (4, False), "additivity": (4, False),
+    },
+    (3, True): {
+        "lech_classical": (1, False), "lech_mixed": (3, False),
+        "prop_dim3": (4, False), "main_mixed": (3, True),
+        "main_br": (3, True), "additivity": (4, False),
+    },
+    (4, False): {
+        "lech_classical": (1, False), "lech_mixed": (4, False),
+        "main_mixed": (4, False), "main_br": (3, False), "additivity": (5, False),
+    },
+}
+_DISPATCH[4, True] = _DISPATCH[4, False]
+_DISPATCH[5, False] = _DISPATCH[5, True] = _DISPATCH[4, False]
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("dim,exploration", sorted(_DISPATCH))
+    def test_applicable_checks(self, dim, exploration):
+        cfg = CorpusConfig(dim=dim, rank=3, exploration=exploration)
+        assert _applicable_checks(cfg) == list(_DISPATCH[dim, exploration])
+
+    @pytest.mark.parametrize("dim,exploration", [k for k in sorted(_DISPATCH) if k[0] <= 4])
+    def test_draw_counts_and_flags(self, dim, exploration):
+        # draws do not depend on the pure-power cap; 2 keeps d = 4 quick
+        cfg = CorpusConfig(dim=dim, rank=3, max_pure_power=2, exploration=exploration)
+        seen = {}
+        for check in _applicable_checks(cfg):
+            rep = run_instance(cfg, check, 0)
+            assert rep.check == check and rep.index == 0
+            seen[check] = (len(rep.instance["ideals"]), rep.exploratory)
+        assert seen == _DISPATCH[dim, exploration]
+
+    def test_no_applicable_check_raises(self):
+        with pytest.raises(ValueError, match="no applicable checks"):
+            _applicable_checks(CorpusConfig(dim=1, checks=("prop_dim2",)))
+
+    def test_unknown_check_in_run_instance_raises(self):
+        with pytest.raises(ValueError, match="unknown check"):
+            run_instance(CorpusConfig(), "nope", 0)

@@ -27,7 +27,7 @@ from .buchsbaum_rim import (
     scale_by_m,
 )
 from .errors import ParseError, StabilizationError
-from .expr import format_ideal, parse_ideal, parse_module
+from .expr import format_ideal, parse_ideal, parse_ideals, parse_module
 from .harness import CHECK_NAMES, CorpusConfig, fuzz, run_suite, write_jsonl, write_summary_csv
 from .lengths import colength
 from .multiplicity import hilbert_samuel, mixed_multiplicity
@@ -171,8 +171,6 @@ def _corpus_config(args) -> CorpusConfig:
             values[key] = _CONFIG_FIELDS[key](arg) if isinstance(arg, str) else arg
     if args.command == "verify" and "jobs" not in values:
         values["jobs"] = _jobs_default()
-    if isinstance(values.get("checks"), tuple) and not values["checks"]:
-        values.pop("checks")
     try:
         return CorpusConfig(**values)
     except ValueError as exc:
@@ -201,11 +199,7 @@ def _cmd_mult(args) -> int:
 
 
 def _cmd_mixed(args) -> int:
-    dims = args.dim
-    ideals = [parse_ideal(text, dim=dims) for text in args.ideals]
-    if dims is None:
-        d = max(I.dim for I in ideals)
-        ideals = [parse_ideal(text, dim=d) for text in args.ideals]
+    ideals = parse_ideals(args.ideals, dim=args.dim)
     if args.scale_by_m:
         ideals = [scale_by_m(I) for I in ideals]
     type_ = args.type if args.type is not None else (1,) * len(ideals)
@@ -251,17 +245,17 @@ def _finish_suite(result, args) -> int:
     if args.summary:
         with open(args.summary, "w") as fh:
             write_summary_csv(result, fh)
-    for row in result.summary_rows():
+    rows = result.summary_rows()
+    for row in rows:
         status = "ok" if row["violations"] == 0 else "VIOLATED"
         extra = f" (+{row['exploratory']} exploratory)" if row["exploratory"] else ""
         print(
             f"{row['check']:<16} {row['instances']:>4} instances{extra}  "
             f"min slack {row['min_slack']:>6}  {status}"
         )
-    counted = [r for r in result.reports if not r.exploratory]
     print(
         f"total {len(result.reports)} reports, "
-        f"{sum(not r.holds for r in counted)} violations"
+        f"{sum(row['violations'] for row in rows)} violations"
     )
     return EXIT_OK if result.passed else EXIT_VIOLATION
 

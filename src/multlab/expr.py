@@ -150,10 +150,15 @@ def parse_module(text: str, dim: int | None = None) -> list[MonomialIdeal]:
     parts = [p for p in text.split(";") if p.strip()]
     if not parts:
         raise ParseError("empty module expression")
-    ideals = [parse_ideal(p, dim=dim) for p in parts]
+    return parse_ideals(parts, dim=dim)
+
+
+def parse_ideals(texts, dim: int | None = None) -> list[MonomialIdeal]:
+    """Parse several ideals into one dimension: `dim`, else the largest any of them uses."""
+    ideals = [parse_ideal(text, dim=dim) for text in texts]
     if dim is None:
         d = max(I.dim for I in ideals)
-        ideals = [parse_ideal(p, dim=d) for p in parts]
+        ideals = [parse_ideal(text, dim=d) for text in texts]
     return ideals
 
 

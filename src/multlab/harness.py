@@ -7,9 +7,13 @@ index) through SHA-256, so a corpus is reproducible independently of which
 checks run, in what order, or across how many worker processes; report
 files contain no timestamps and are byte-identical for a given config.
 
-Checks whose hypotheses need d >= 4 can also be *explored* below that
-dimension: exploratory reports are flagged and never count toward the
-verdict.
+Each check is declared once, as a row of `_CHECKS`: how many ideals an
+instance draws, the dimensions the check is stated for, whether it is one
+of the strict d >= 4 bounds, and how the drawn ideals become the arguments
+of its `check_*` function.  `CHECK_NAMES`, `_applicable_checks` and
+`run_instance` only read that table.  The strict bounds can also be
+*explored* below d = 4: exploratory reports are flagged and never count
+toward the verdict.
 """
 
 from __future__ import annotations
@@ -20,28 +24,16 @@ import json
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
-from itertools import combinations
+from dataclasses import asdict, dataclass, field
+from itertools import combinations, repeat
 from math import factorial, inf
+from typing import Callable, NamedTuple
 
 from .buchsbaum_rim import DirectSumModule, br_via_mixed, scale_by_m
+from .expr import format_ideal
 from .lengths import colength
-from .monomial import MonomialIdeal, box_bounds, ideal, m_ideal, product
-from .multiplicity import (
-    StabilizePolicy,
-    hyperplane_section_multiplicity,
-    mixed_multiplicity,
-)
-
-CHECK_NAMES = (
-    "lech_classical",
-    "lech_mixed",
-    "prop_dim2",
-    "prop_dim3",
-    "main_mixed",
-    "main_br",
-    "additivity",
-)
+from .monomial import MonomialIdeal, ideal, m_ideal, product
+from .multiplicity import hyperplane_section_multiplicity, mixed_multiplicity
 
 
 @dataclass(frozen=True)
@@ -151,13 +143,19 @@ def _gen_many(config: CorpusConfig, check: str, index: int, count: int):
 
 
 def _describe(ideals) -> dict:
-    from .expr import format_ideal
-
     return {"ideals": [format_ideal(I) for I in ideals]}
 
 
 # ---------------------------------------------------------------------------
 # the checks
+
+
+def _one_per_dim(ideals) -> list[MonomialIdeal]:
+    """`ideals` as a list; raises unless there are exactly as many as their dimension."""
+    ideals = list(ideals)
+    if len(ideals) != ideals[0].dim:
+        raise ValueError(f"need {ideals[0].dim} ideals, got {len(ideals)}")
+    return ideals
 
 
 def check_lech_classical(I: MonomialIdeal, **meta) -> InequalityReport:
@@ -170,10 +168,8 @@ def check_lech_classical(I: MonomialIdeal, **meta) -> InequalityReport:
 
 def check_lech_mixed(ideals, **meta) -> InequalityReport:
     """e(I_1, ..., I_d) <= (d-1)! * sum lambda(R/I_i)."""
-    ideals = list(ideals)
+    ideals = _one_per_dim(ideals)
     d = ideals[0].dim
-    if len(ideals) != d:
-        raise ValueError(f"need {d} ideals, got {len(ideals)}")
     lhs = mixed_multiplicity(ideals)
     rhs = factorial(d - 1) * sum(colength(I) for I in ideals)
     return _report("lech_mixed", lhs, rhs, "<=", **meta)
@@ -184,10 +180,8 @@ def check_main_mixed(ideals, *, exploratory=False, **meta) -> InequalityReport:
 
     Stated for d >= 4; lower dimensions are allowed only as exploration.
     """
-    ideals = list(ideals)
+    ideals = _one_per_dim(ideals)
     d = ideals[0].dim
-    if len(ideals) != d:
-        raise ValueError(f"need {d} ideals, got {len(ideals)}")
     if d < 4 and not exploratory:
         raise ValueError("the strict scaled bound is asserted only for d >= 4")
     scaled = [scale_by_m(I) for I in ideals]
@@ -269,13 +263,35 @@ def check_prop_dim3(ideals, **meta) -> InequalityReport:
 
 def check_additivity(ideals, J: MonomialIdeal, **meta) -> InequalityReport:
     """e(I_1 J, I_2, ..., I_d) == e(I_1, ..., I_d) + e(J, I_2, ..., I_d)."""
-    ideals = list(ideals)
-    d = ideals[0].dim
-    if len(ideals) != d:
-        raise ValueError(f"need {d} ideals, got {len(ideals)}")
+    ideals = _one_per_dim(ideals)
     lhs = mixed_multiplicity([product(ideals[0], J)] + ideals[1:])
     rhs = mixed_multiplicity(ideals) + mixed_multiplicity([J] + ideals[1:])
     return _report("additivity", lhs, rhs, "==", **meta)
+
+
+class _Check(NamedTuple):
+    """One row of `_CHECKS`."""
+
+    draws: Callable[[int, int], int]  # ideals an instance draws at (d, r)
+    applies: Callable[[int], bool]  # the dimensions d the check is stated for
+    strict: bool  # a strict d >= 4 bound: below d = 4 only explored, flagged
+    call: Callable[..., InequalityReport]  # (drawn ideals, **meta) -> report
+
+
+# the order of the rows is the order of reports and summary rows
+_CHECKS = {
+    "lech_classical": _Check(lambda d, r: 1, lambda d: d >= 1, False,
+                             lambda ideals, **meta: check_lech_classical(ideals[0], **meta)),
+    "lech_mixed": _Check(lambda d, r: d, lambda d: d >= 2, False, check_lech_mixed),
+    "prop_dim2": _Check(lambda d, r: max(2, r), lambda d: d == 2, False, check_prop_dim2),
+    "prop_dim3": _Check(lambda d, r: 4, lambda d: d == 3, False, check_prop_dim3),
+    "main_mixed": _Check(lambda d, r: d, lambda d: d >= 2, True, check_main_mixed),
+    "main_br": _Check(lambda d, r: r, lambda d: d >= 1, True,
+                      lambda ideals, **meta: check_main_br(DirectSumModule(tuple(ideals)), **meta)),
+    "additivity": _Check(lambda d, r: d + 1, lambda d: d >= 2, False,
+                         lambda ideals, **meta: check_additivity(ideals[:-1], ideals[-1], **meta)),
+}
+CHECK_NAMES = tuple(_CHECKS)
 
 
 # ---------------------------------------------------------------------------
@@ -285,18 +301,11 @@ def check_additivity(ideals, J: MonomialIdeal, **meta) -> InequalityReport:
 def _applicable_checks(config: CorpusConfig) -> list[str]:
     """The checks of `config` that apply at its dimension; raises when none does."""
     wanted = config.checks if config.checks is not None else CHECK_NAMES
-    out = []
-    for name in wanted:
-        if name == "prop_dim2" and config.dim != 2:
-            continue
-        if name == "prop_dim3" and config.dim != 3:
-            continue
-        if name in ("main_mixed", "main_br") and config.dim < 4 and not config.exploration:
-            continue
-        if name in ("lech_mixed", "main_mixed", "additivity", "prop_dim2",
-                    "prop_dim3") and config.dim < 2:
-            continue
-        out.append(name)
+    explore = config.exploration or config.dim >= 4
+    out = [
+        name for name in wanted
+        if _CHECKS[name].applies(config.dim) and (explore or not _CHECKS[name].strict)
+    ]
     if not out:
         raise ValueError("no applicable checks for this configuration")
     return out
@@ -304,50 +313,23 @@ def _applicable_checks(config: CorpusConfig) -> list[str]:
 
 def run_instance(config: CorpusConfig, check: str, index: int) -> InequalityReport:
     """Evaluate one seeded instance of one check (deterministic)."""
-    d, r = config.dim, config.rank
-    exploratory = config.dim < 4 and check in ("main_mixed", "main_br")
-    if check == "lech_classical":
-        (I,) = _gen_many(config, check, index, 1)
-        return check_lech_classical(I, instance=_describe([I]), index=index)
-    if check == "lech_mixed":
-        ideals = _gen_many(config, check, index, d)
-        return check_lech_mixed(ideals, instance=_describe(ideals), index=index)
-    if check == "main_mixed":
-        ideals = _gen_many(config, check, index, d)
-        return check_main_mixed(
-            ideals, instance=_describe(ideals), index=index, exploratory=exploratory
-        )
-    if check == "main_br":
-        ideals = _gen_many(config, check, index, r)
-        E = DirectSumModule(tuple(ideals))
-        return check_main_br(
-            E, instance=_describe(ideals), index=index, exploratory=exploratory
-        )
-    if check == "prop_dim2":
-        ideals = _gen_many(config, check, index, max(2, r))
-        return check_prop_dim2(ideals, instance=_describe(ideals), index=index)
-    if check == "prop_dim3":
-        ideals = _gen_many(config, check, index, 4)
-        return check_prop_dim3(ideals, instance=_describe(ideals), index=index)
-    if check == "additivity":
-        ideals = _gen_many(config, check, index, d + 1)
-        J = ideals.pop()
-        return check_additivity(
-            ideals, J, instance=_describe(ideals + [J]), index=index
-        )
-    raise ValueError(f"unknown check {check!r}")
-
-
-def _run_star(args) -> InequalityReport:
-    config_kwargs, check, index = args
-    return run_instance(CorpusConfig(**config_kwargs), check, index)
+    if check not in _CHECKS:
+        raise ValueError(f"unknown check {check!r}")
+    row = _CHECKS[check]
+    ideals = _gen_many(config, check, index, row.draws(config.dim, config.rank))
+    return row.call(ideals, instance=_describe(ideals), index=index,
+                    exploratory=row.strict and config.dim < 4)
 
 
 @dataclass
 class SuiteResult:
     config: CorpusConfig
     reports: list[InequalityReport]
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        """Whether every report that counts toward the verdict holds."""
+        return all(r.holds for r in self.reports if not r.exploratory)
 
     def summary_rows(self) -> list[dict]:
         rows = []
@@ -377,19 +359,11 @@ def run_suite(config: CorpusConfig) -> SuiteResult:
         for index in range(config.instances)
     ]
     if config.jobs > 1 and len(tasks) > 1:
-        kwargs = asdict(config)
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            reports = list(
-                pool.map(
-                    _run_star,
-                    [(kwargs, check, index) for check, index in tasks],
-                    chunksize=4,
-                )
-            )
+            reports = list(pool.map(run_instance, repeat(config), *zip(*tasks), chunksize=4))
     else:
         reports = [run_instance(config, check, index) for check, index in tasks]
-    passed = all(r.holds for r in reports if not r.exploratory)
-    return SuiteResult(config=config, reports=reports, passed=passed)
+    return SuiteResult(config=config, reports=reports)
 
 
 def fuzz(config: CorpusConfig, seconds: float) -> SuiteResult:
@@ -404,8 +378,7 @@ def fuzz(config: CorpusConfig, seconds: float) -> SuiteResult:
         for check in checks:
             reports.append(run_instance(config, check, index))
         index += 1
-    passed = all(r.holds for r in reports if not r.exploratory)
-    return SuiteResult(config=config, reports=reports, passed=passed)
+    return SuiteResult(config=config, reports=reports)
 
 
 def write_jsonl(reports, stream) -> None:

@@ -33,7 +33,6 @@ from .monomial import (
     box_bounds,
     is_m_primary,
     m_power_degree,
-    minimalize_array,
     product_array,
 )
 
@@ -182,7 +181,7 @@ class ProductSampler:
             if fields:
                 held = multiply_field(held, box, gens, bounds, self._axis)
             else:
-                held = minimalize_array(product_array(held, gens))
+                held = product_array(held, gens)
             visit(c, held, tuple(map(add, box, bounds)))
 
     def _key(self, n) -> tuple[int, ...]:

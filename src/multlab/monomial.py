@@ -186,7 +186,10 @@ def _pareto_pairwise(pts: np.ndarray) -> np.ndarray:
     return pts[~le.any(axis=0)]
 
 def _pareto_layers(pts: np.ndarray) -> np.ndarray:
-    # degree layers are antichains, so only cross-layer tests are needed
+    # degree layers are antichains, so only cross-layer tests are needed; a
+    # layer meets the kept rows in row blocks of at most _GRID_CELL_CAP
+    # booleans (one row when a single row is larger), so this fallback
+    # allocates no more than the grid it replaces
     deg = pts.sum(axis=1)
     order = np.argsort(deg, kind="stable")
     pts, deg = pts[order], deg[order]
@@ -196,7 +199,11 @@ def _pareto_layers(pts: np.ndarray) -> np.ndarray:
         layer = pts[deg == val]
         if kept:
             base = np.concatenate(kept)
-            dom = (base[None, :, :] <= layer[:, None, :]).all(axis=2).any(axis=1)
+            rows = max(1, _GRID_CELL_CAP // base.size)
+            dom = np.concatenate([
+                (base[None, :, :] <= block[:, None, :]).all(axis=2).any(axis=1)
+                for block in np.split(layer, range(rows, len(layer), rows))
+            ])
             layer = layer[~dom]
         if len(layer):
             kept.append(layer)

@@ -152,6 +152,21 @@ class TestVerify:
         assert "no applicable checks" in err
         assert "total" not in out
 
+    @pytest.mark.parametrize("checks", [",", "", " , "])
+    def test_empty_checks_flag_is_usage_error(self, capsys, checks):
+        code, out, err = run(capsys, "verify", "--dim", "2", "--instances", "1", "--checks", checks)
+        assert code == EXIT_USAGE
+        assert "no applicable checks" in err
+        assert "total" not in out
+
+    def test_empty_checks_config_key_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text("dim = 2\ninstances = 1\nchecks =\n")
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert "no applicable checks" in err
+        assert "total" not in out
+
     @pytest.mark.parametrize("value", ["zero", "0", "-2", "1.5"])
     def test_malformed_jobs_variable_is_usage_error(self, capsys, monkeypatch, value):
         monkeypatch.setenv("MULTLAB_JOBS", value)

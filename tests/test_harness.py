@@ -293,10 +293,6 @@ class TestDispatch:
             seen[check] = (len(rep.instance["ideals"]), rep.exploratory)
         assert seen == _DISPATCH[dim, exploration]
 
-    def test_no_applicable_check_raises(self):
-        with pytest.raises(ValueError, match="no applicable checks"):
-            _applicable_checks(CorpusConfig(dim=1, checks=("prop_dim2",)))
-
     def test_unknown_check_in_run_instance_raises(self):
         with pytest.raises(ValueError, match="unknown check"):
             run_instance(CorpusConfig(), "nope", 0)

@@ -31,7 +31,7 @@ from multlab import (
     stabilize,
     unit_ideal,
 )
-from multlab import counting, lengths
+from multlab import counting, lengths, monomial
 from multlab.buchsbaum_rim import br_direct, module, module_colength
 from multlab.counting import FIELD_CELLS, count_grid, count_naive, field_slabs, multiply_field
 from multlab.lengths import MEMO_ENTRIES, shared_sampler
@@ -299,6 +299,29 @@ class TestProductSampler:
         for n in (1, 2, 3):
             assert sampler.colength_at((n,)) == a * b * n * (n + 1) // 2
         assert hilbert_samuel(I) == a * b
+
+    def test_generator_products_are_minimalized_once(self, monkeypatch):
+        ideals = [parse_ideal(t, dim=3) for t in ("(x^2, x*y, y^3, z^2)", "(x^3, y, z^2)")]
+        points = list(iter_product(range(3), repeat=2))
+        want = ProductSampler(ideals).colengths(points)
+        calls = {"product": 0, "minimalize": 0}
+
+        def counted(fn, name):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(lengths, "FIELD_CELLS", 1)  # the generator walk
+        monkeypatch.setattr(lengths, "product_array", counted(product_array, "product"))
+        minimalize = counted(monomial.minimalize_array, "minimalize")
+        monkeypatch.setattr(monomial, "minimalize_array", minimalize)
+        # counted too if lengths binds the name and minimalizes a product again
+        monkeypatch.setattr(lengths, "minimalize_array", minimalize, raising=False)
+        assert ProductSampler(ideals).colengths(points) == want
+        assert calls["product"] > 0
+        assert calls["minimalize"] == calls["product"]
 
     def test_large_boxes_with_few_generators_stay_within_the_budget(self, monkeypatch):
         products, fields = [], []

@@ -22,6 +22,7 @@ from multlab import (
     product,
     unit_ideal,
 )
+from multlab import monomial
 from multlab.monomial import as_array, dedup_rows, minimalize_array, scale_by_m
 
 from conftest import oracle_minimalize, oracle_power, oracle_product, random_mprimary
@@ -103,6 +104,22 @@ class TestMinimalize:
         big = np.repeat(arr, 40, axis=0)  # 1440 rows with duplicates
         got = sorted(map(tuple, minimalize_array(big).tolist()))
         assert got == sorted(layer.gens)
+
+    def test_layers_path_in_row_blocks(self, rng, monkeypatch):
+        # > 1024 distinct points on four adjacent degree layers, so each
+        # layer meets many kept rows; a small grid cap forces the
+        # degree-layer path and splits each layer into row blocks
+        pts = set()
+        while len(pts) < 1100:
+            p = tuple(rng.randrange(0, 10) for _ in range(4))
+            if 11 <= sum(p) <= 14:
+                pts.add(p)
+        arr = np.array(list(pts), dtype=np.int64)
+        want = list(oracle_minimalize(pts))
+        assert 100 < len(want) < len(pts)
+        for cap in (1, 2_000, 100_000):
+            monkeypatch.setattr(monomial, "_GRID_CELL_CAP", cap)
+            assert sorted(map(tuple, minimalize_array(arr).tolist())) == want
 
     @given(
         st.lists(

@@ -12,7 +12,7 @@ real cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import comb, factorial
 
 from .errors import ImpossibleValueError
@@ -81,7 +81,7 @@ def module_colength(E: DirectSumModule, n: int) -> int:
     return sum(sampler.colength_at(a) for a in _compositions(n, E.rank))
 
 
-def br_direct(E: DirectSumModule, policy: StabilizePolicy | None = None) -> int:
+def br_direct(E: DirectSumModule) -> int:
     """Buchsbaum-Rim multiplicity from the symmetric-power colength function.
 
     Takes the (d + r - 1)-th difference of n |-> module_colength(E, n) at a
@@ -90,14 +90,12 @@ def br_direct(E: DirectSumModule, policy: StabilizePolicy | None = None) -> int:
     round hands the compositions of all its n to the sampler in one
     `colengths` call, so `module_colength` then only reads its memo.
     """
-    if not any(not I.is_unit for I in E.ideals):
+    proper = [I for I in E.ideals if not I.is_unit]
+    if not proper:
         raise ValueError("E equals F; the Buchsbaum-Rim multiplicity needs E != F")
     d, r = E.dim, E.rank
     order = d + r - 1
-    policy = policy or StabilizePolicy()
-    if policy.initial_base is None:
-        proper = [I for I in E.ideals if not I.is_unit]
-        policy = replace(policy, initial_base=_heuristic_base(proper, d))
+    policy = StabilizePolicy(initial_base=_heuristic_base(proper, d))
     sampler = shared_sampler(E.ideals)
 
     def evaluate(points):
@@ -113,7 +111,7 @@ def br_direct(E: DirectSumModule, policy: StabilizePolicy | None = None) -> int:
     return table.result
 
 
-def br_via_mixed(E: DirectSumModule, policy: StabilizePolicy | None = None) -> int:
+def br_via_mixed(E: DirectSumModule) -> int:
     """Buchsbaum-Rim multiplicity as a sum of mixed multiplicities.
 
     br(E) = sum over compositions (a_1, ..., a_r) of d of
@@ -128,7 +126,7 @@ def br_via_mixed(E: DirectSumModule, policy: StabilizePolicy | None = None) -> i
     for a in _compositions(d, r):
         if any(w > 0 and I.is_unit for w, I in zip(a, E.ideals)):
             continue
-        total += mixed_multiplicity(list(E.ideals), a, policy)
+        total += mixed_multiplicity(list(E.ideals), a)
     return total
 
 

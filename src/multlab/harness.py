@@ -25,7 +25,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from itertools import combinations, repeat
+from itertools import combinations, count, repeat
 from math import factorial, inf
 from typing import Callable, NamedTuple
 
@@ -359,7 +359,7 @@ def run_suite(config: CorpusConfig) -> SuiteResult:
         for index in range(config.instances)
     ]
     if config.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(tasks))) as pool:
             reports = list(pool.map(run_instance, repeat(config), *zip(*tasks), chunksize=4))
     else:
         reports = [run_instance(config, check, index) for check, index in tasks]
@@ -367,18 +367,20 @@ def run_suite(config: CorpusConfig) -> SuiteResult:
 
 
 def fuzz(config: CorpusConfig, seconds: float) -> SuiteResult:
-    """Open-ended search: keep sampling fresh instances until time runs out."""
+    """Open-ended search: keep sampling fresh instances until time runs out.
+
+    The deadline is read after each full round of checks, so every
+    applicable check runs at least once however short the budget.
+    """
     if not 0 < seconds < inf:
         raise ValueError(f"seconds must be positive and finite, got {seconds}")
     checks = _applicable_checks(config)
     deadline = time.monotonic() + seconds
     reports = []
-    index = 0
-    while time.monotonic() < deadline:
-        for check in checks:
-            reports.append(run_instance(config, check, index))
-        index += 1
-    return SuiteResult(config=config, reports=reports)
+    for index in count():
+        reports.extend(run_instance(config, check, index) for check in checks)
+        if time.monotonic() >= deadline:
+            return SuiteResult(config=config, reports=reports)
 
 
 def write_jsonl(reports, stream) -> None:

@@ -12,14 +12,15 @@ its lattice points to one evaluator at once; for colengths of products
 that is `ProductSampler.colengths`, which builds them in one depth-first
 walk through the round's base point.
 The tables behind `mixed_multiplicity` come from a memo of the last
-`lengths.MEMO_ENTRIES` distinct (ideals, orders, policy) keys, so a corpus
-that repeats its ideals stabilizes each table once; `stabilize` itself
-memoizes nothing.
+`lengths.MEMO_ENTRIES` distinct (ideals, orders) keys, so a corpus that
+repeats its ideals stabilizes each table once; `stabilize` itself
+memoizes nothing.  Every multiplicity uses one fixed schedule, starting
+from a base read off the ideals' generators.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
 from math import comb
@@ -50,17 +51,18 @@ class DifferenceTable:
     order: tuple[int, ...]
     samples: tuple[LengthSample, ...]
     result: int
-    stable: bool
     rounds: int
 
 
 @dataclass(frozen=True)
 class StabilizePolicy:
-    """How hard to push for a constant difference window.
+    """How hard `stabilize` pushes for a constant difference window.
 
-    `initial_base` of None lets the caller's heuristic pick the starting
-    point; on an unstable window every base coordinate is multiplied by
-    `growth`, up to `max_rounds` escalations.  `window` is the number of
+    `stabilize` is the one function that takes a schedule; the
+    multiplicities fill in only `initial_base` and keep the other defaults.
+    `initial_base` of None starts at max(2, max(order)) in every
+    coordinate; on an unstable window every base coordinate is multiplied
+    by `growth`, up to `max_rounds` escalations.  `window` is the number of
     extra diagonal shifts that must reproduce the shift-0 value.
     """
 
@@ -70,9 +72,6 @@ class StabilizePolicy:
     growth: int = 2
 
     def __post_init__(self):
-        if self.initial_base is not None and not isinstance(self.initial_base, int):
-            # any sequence of ints becomes a tuple, so the policy can key the table memo
-            object.__setattr__(self, "initial_base", tuple(map(int, self.initial_base)))
         if self.window < 1:
             raise ValueError("window must be at least 1")
         if self.max_rounds < 0:
@@ -115,7 +114,10 @@ def stabilize(evaluate, order, policy: StabilizePolicy | None = None) -> Differe
     order-`order` difference at diagonal shifts 0..window of a base point
     and returns a DifferenceTable once all shifts agree, growing the base
     geometrically otherwise.  Raises StabilizationError with the
-    full escalation history if no window ever becomes constant.
+    full escalation history if no window ever becomes constant.  This is
+    the one place that takes a schedule: `policy` defaults to
+    StabilizePolicy(), and the multiplicities pass one with only their
+    starting base set.
     """
     policy = policy or StabilizePolicy()
     order = tuple(int(o) for o in order)
@@ -152,7 +154,6 @@ def stabilize(evaluate, order, policy: StabilizePolicy | None = None) -> Differe
                 order=order,
                 samples=samples,
                 result=diffs[0],
-                stable=True,
                 rounds=len(bases_tried),
             )
         base = tuple(b * policy.growth for b in base)
@@ -191,19 +192,23 @@ def _heuristic_base(ideals, dim: int) -> int:
 
 
 @lru_cache(maxsize=MEMO_ENTRIES)
-def _stabilized(merged, orders, policy) -> DifferenceTable:
+def _stabilized(merged, orders) -> DifferenceTable:
     """The table of the merged ideals at `orders`, shared by all callers.
 
-    Tables, ideals and policies are frozen, so a hit is safe to share.
-    A StabilizationError is not stored and is raised again on every call.
+    Tables and ideals are frozen, so a hit is safe to share.  A
+    StabilizationError is not stored and is raised again on every call.
     """
+    policy = StabilizePolicy(initial_base=_heuristic_base(merged, merged[0].dim))
     return stabilize(shared_sampler(merged).colengths, orders, policy)
 
 
-def _difference_table(ideals, type_, policy):
+def mixed_difference_table(ideals, type_=None) -> DifferenceTable:
+    """The stabilized difference table behind `mixed_multiplicity`."""
     ideals = list(ideals)
     if not ideals:
         raise ValueError("need at least one ideal")
+    if type_ is None:
+        type_ = (1,) * len(ideals)
     d = ideals[0].dim
     for I in ideals:
         if I.dim != d:
@@ -219,11 +224,7 @@ def _difference_table(ideals, type_, policy):
         raise ValueError(f"type must sum to the ambient dimension {d}")
 
     merged, orders = _merge_slots(ideals, type_)
-    policy = policy or StabilizePolicy()
-    if policy.initial_base is None:
-        policy = replace(policy, initial_base=_heuristic_base(merged, d))
-
-    table = _stabilized(tuple(merged), orders, policy)
+    table = _stabilized(tuple(merged), orders)
     if table.result < 1:
         raise ImpossibleValueError(
             f"difference table produced {table.result}; mixed multiplicities "
@@ -232,39 +233,22 @@ def _difference_table(ideals, type_, policy):
     return table
 
 
-def mixed_difference_table(
-    ideals, type_=None, policy: StabilizePolicy | None = None
-) -> DifferenceTable:
-    """The stabilized difference table behind `mixed_multiplicity`."""
-    ideals = list(ideals)
-    if type_ is None:
-        type_ = (1,) * len(ideals)
-    return _difference_table(ideals, type_, policy)
-
-
-def mixed_multiplicity(
-    ideals, type_=None, policy: StabilizePolicy | None = None
-) -> int:
+def mixed_multiplicity(ideals, type_=None) -> int:
     """Mixed multiplicity e(I_1^[a_1], ..., I_s^[a_s]).
 
     `type_` defaults to (1, ..., 1), which requires exactly d ideals.  Slots
     with a_i = 0 are ignored; repeated ideals are merged by summing their
     orders.  Every counted slot must hold an m-primary ideal.
     """
-    ideals = list(ideals)
-    if type_ is None:
-        type_ = (1,) * len(ideals)
-    return _difference_table(ideals, type_, policy).result
+    return mixed_difference_table(ideals, type_).result
 
 
-def hilbert_samuel(I: MonomialIdeal, policy: StabilizePolicy | None = None) -> int:
+def hilbert_samuel(I: MonomialIdeal) -> int:
     """Hilbert-Samuel multiplicity e(I) of an m-primary ideal."""
-    return mixed_multiplicity([I], (I.dim,), policy)
+    return mixed_multiplicity([I], (I.dim,))
 
 
-def hyperplane_section_multiplicity(
-    ideals, k: int = 1, policy: StabilizePolicy | None = None
-) -> int:
+def hyperplane_section_multiplicity(ideals, k: int = 1) -> int:
     """Multiplicity of the images of `ideals` after k general hyperplane cuts.
 
     Computed without leaving the ambient ring: cutting by k general linear
@@ -282,4 +266,4 @@ def hyperplane_section_multiplicity(
             f"need {d - k} ideals for {k} cuts in dimension {d}, got {len(ideals)}"
         )
     m = m_ideal(d)
-    return mixed_multiplicity([m] * k + ideals, (1,) * d, policy)
+    return mixed_multiplicity([m] * k + ideals, (1,) * d)

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from dataclasses import replace
 from math import factorial
 
 import pytest
@@ -31,7 +32,8 @@ from multlab import (
     write_jsonl,
     write_summary_csv,
 )
-from multlab.harness import _applicable_checks, rng_for, run_instance
+from multlab import harness
+from multlab.harness import _applicable_checks, fuzz, rng_for, run_instance
 
 
 class TestGenerator:
@@ -189,6 +191,34 @@ class TestSuite:
         write_jsonl(serial.reports, s1)
         write_jsonl(parallel.reports, s2)
         assert s1.getvalue() == s2.getvalue()
+
+    def test_pool_has_no_more_workers_than_tasks(self, monkeypatch):
+        opened = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        cfg = CorpusConfig(seed=3, dim=2, instances=1, jobs=64,
+                           checks=("lech_classical", "lech_mixed"))
+        pooled = run_suite(cfg)
+        assert opened == [2]
+        assert pooled.reports == run_suite(replace(cfg, jobs=1)).reports
+
+    def test_fuzz_finishes_one_round_of_checks(self):
+        cfg = CorpusConfig(seed=0, dim=2, rank=3)
+        result = fuzz(cfg, 1e-9)
+        assert [r.check for r in result.reports] == _applicable_checks(cfg)
 
     def test_checks_subset_respected(self):
         cfg = CorpusConfig(seed=1, dim=2, instances=2, checks=("lech_classical",))

@@ -27,7 +27,7 @@ from multlab import (
 )
 from multlab import lengths, multiplicity
 from multlab.harness import CorpusConfig, run_suite, write_jsonl
-from multlab.lengths import MEMO_ENTRIES
+from multlab.lengths import MEMO_ENTRIES, shared_sampler
 
 from conftest import random_mprimary
 
@@ -43,7 +43,6 @@ class TestStabilize:
             batch(lambda n: n[0] * (n[0] + 1) // 2), (2,), StabilizePolicy(initial_base=1)
         )
         assert table.result == 1
-        assert table.stable
         assert table.base == (1,)
 
     def test_quadratic_leading_coefficient(self):
@@ -236,7 +235,6 @@ class TestMixed:
         table = mixed_difference_table(
             [m_ideal(2), parse_ideal("(x^2, y^2)")], (1, 1)
         )
-        assert table.stable
         assert table.result == 2
         assert table.order == (1, 1)
 
@@ -280,9 +278,10 @@ class TestReproducibility:
             I = random_mprimary(rng, 2)
             J = random_mprimary(rng, 2)
             table = mixed_difference_table([I, J], (1, 1))
-            doubled = mixed_difference_table(
-                [I, J],
-                (1, 1),
+            merged = tuple(dict.fromkeys([I, J]))  # I == J merges to order (2,)
+            doubled = stabilize(
+                shared_sampler(merged).colengths,
+                table.order,
                 StabilizePolicy(initial_base=tuple(2 * b for b in table.base)),
             )
             assert doubled.result == table.result
@@ -314,30 +313,27 @@ class TestTableMemo:
         assert mixed_multiplicity(ideals) == first.result
         assert not calls
 
-    def test_policy_and_type_are_part_of_the_key(self):
+    def test_type_is_part_of_the_key(self):
         I, J = parse_ideal("(x^2, x*y, y^3)"), parse_ideal("(x^3, y^2)")
         info = multiplicity._stabilized.cache_info
-        table = mixed_difference_table([I, J])
-        wider = mixed_difference_table([I, J], policy=StabilizePolicy(window=3))
-        assert (info().misses, info().hits) == (2, 0)
-        assert wider.samples != table.samples and wider.result == table.result
+        mixed_difference_table([I, J])
+        assert (info().misses, info().hits) == (1, 0)
         assert mixed_difference_table([I, J], (2, 0)).result == hilbert_samuel(I)
-        assert (info().misses, info().hits) == (3, 1)
+        assert (info().misses, info().hits) == (2, 1)
 
-    def test_a_listed_base_is_a_key(self):
-        ideals = [parse_ideal("(x^2, x*y, y^3)"), parse_ideal("(x^3, y^2)")]
-        listed = mixed_difference_table(ideals, policy=StabilizePolicy(initial_base=[4, 4]))
-        assert listed == mixed_difference_table(
-            ideals, policy=StabilizePolicy(initial_base=(4, 4))
-        )
-        assert multiplicity._stabilized.cache_info().hits == 1
+    def test_stabilization_error_is_raised_every_time(self, monkeypatch):
+        stabilized = []
 
-    def test_stabilization_error_is_raised_every_time(self):
+        def unstable(sampler, order, policy):
+            stabilized.append(order)
+            raise StabilizationError("difference window never became constant")
+
+        monkeypatch.setattr(multiplicity, "stabilize", unstable)
         I = parse_ideal("(x^5, x^4*y, y^6)")
-        policy = StabilizePolicy(initial_base=1, window=1, max_rounds=0)
         for _ in range(2):
             with pytest.raises(StabilizationError):
-                mixed_difference_table([I], (2,), policy)
+                mixed_difference_table([I], (2,))
+        assert len(stabilized) == 2
         assert multiplicity._stabilized.cache_info().currsize == 0
 
     def test_impossible_value_is_raised_on_a_hit(self, monkeypatch):
@@ -355,10 +351,9 @@ class TestTableMemo:
         assert len(stabilized) == 1
 
     def test_bounded_by_count(self):
-        # powers of the maximal ideal collapse to binomials, so each key is cheap
-        I = m_ideal(1)
-        for b in range(1, MEMO_ENTRIES + 2):
-            assert hilbert_samuel(I, StabilizePolicy(initial_base=b)) == 1
+        # principal ideals (x^k) of k[x] have colength kn at n, so each key is cheap
+        for k in range(1, MEMO_ENTRIES + 2):
+            assert hilbert_samuel(m_power(1, k)) == k
         assert multiplicity._stabilized.cache_info().currsize == MEMO_ENTRIES
 
     def test_warm_memos_write_the_same_report(self):

@@ -29,7 +29,7 @@ from .harness import (
     CHECK_NAMES,
     CorpusConfig,
     InequalityReport,
-    SuiteResult,
+    Tally,
     check_additivity,
     check_lech_classical,
     check_lech_mixed,
@@ -80,7 +80,7 @@ __all__ = [
     "ProductSampler",
     "CorpusConfig",
     "InequalityReport",
-    "SuiteResult",
+    "Tally",
     "CHECK_NAMES",
     "ideal",
     "unit_ideal",

@@ -10,7 +10,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 bad usage or unparsable input, 2 a verified
 inequality failed (or --cross-check disagreed), 3 a difference table failed
-to stabilize or stabilized on an impossible value (ImpossibleValueError).
+to stabilize or stabilized on an impossible value (ImpossibleValueError),
+130 interrupted (Ctrl-C); every report line written before the interrupt
+stays in the --report file.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .buchsbaum_rim import (
 )
 from .errors import ParseError, StabilizationError
 from .expr import format_ideal, parse_ideal, parse_ideals, parse_module
-from .harness import CHECK_NAMES, CorpusConfig, fuzz, run_suite, write_jsonl, write_summary_csv
+from .harness import CHECK_NAMES, CorpusConfig, Tally, fuzz, run_suite, write_jsonl, write_summary_csv
 from .lengths import colength
 from .multiplicity import hilbert_samuel, mixed_multiplicity
 
@@ -36,6 +38,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_UNSTABLE = 3
+EXIT_INTERRUPTED = 130
 
 
 class _Parser(argparse.ArgumentParser):
@@ -238,14 +241,18 @@ def _cmd_br(args) -> int:
     return EXIT_OK
 
 
-def _finish_suite(result, args) -> int:
+def _finish_suite(reports, args) -> int:
+    tally = Tally()
+    reports = map(tally.add, reports)
     if args.report:
         with open(args.report, "w") as fh:
-            write_jsonl(result.reports, fh)
+            write_jsonl(reports, fh)
+    for _ in reports:  # without --report the stream is only tallied
+        pass
     if args.summary:
         with open(args.summary, "w") as fh:
-            write_summary_csv(result, fh)
-    rows = result.summary_rows()
+            write_summary_csv(tally, fh)
+    rows = tally.summary_rows()
     for row in rows:
         status = "ok" if row["violations"] == 0 else "VIOLATED"
         extra = f" (+{row['exploratory']} exploratory)" if row["exploratory"] else ""
@@ -253,11 +260,10 @@ def _finish_suite(result, args) -> int:
             f"{row['check']:<16} {row['instances']:>4} instances{extra}  "
             f"min slack {row['min_slack']:>6}  {status}"
         )
-    print(
-        f"total {len(result.reports)} reports, "
-        f"{sum(row['violations'] for row in rows)} violations"
-    )
-    return EXIT_OK if result.passed else EXIT_VIOLATION
+    total = sum(row["instances"] for row in rows)
+    violations = sum(row["violations"] for row in rows)
+    print(f"total {total} reports, {violations} violations")
+    return EXIT_VIOLATION if violations else EXIT_OK
 
 
 def _cmd_verify(args) -> int:
@@ -293,6 +299,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"multlab: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        print("multlab: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

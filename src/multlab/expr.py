@@ -131,18 +131,7 @@ def parse_ideal(text: str, dim: int | None = None) -> MonomialIdeal:
     The ambient dimension is the largest variable index seen unless `dim`
     widens it; shrinking below a used variable is an error.
     """
-    monos = _Parser(text).ideal_body()
-    used = max((max(m) for m in monos if m), default=0)
-    if dim is None:
-        if used == 0:
-            raise ParseError("cannot infer dimension from (1); pass dim")
-        dim = used
-    elif used > dim:
-        raise ParseError(f"variable x{used} exceeds dimension {dim}")
-    if dim < 1:
-        raise ParseError("dimension must be at least 1")
-    gens = [tuple(m.get(i, 0) for i in range(1, dim + 1)) for m in monos]
-    return ideal(gens, dim=dim)
+    return parse_ideals([text], dim=dim)[0]
 
 
 def parse_module(text: str, dim: int | None = None) -> list[MonomialIdeal]:
@@ -155,11 +144,20 @@ def parse_module(text: str, dim: int | None = None) -> list[MonomialIdeal]:
 
 def parse_ideals(texts, dim: int | None = None) -> list[MonomialIdeal]:
     """Parse several ideals into one dimension: `dim`, else the largest any of them uses."""
-    ideals = [parse_ideal(text, dim=dim) for text in texts]
+    parsed = [_Parser(text).ideal_body() for text in texts]
+    used = max((max(m) for monos in parsed for m in monos if m), default=0)
     if dim is None:
-        d = max(I.dim for I in ideals)
-        ideals = [parse_ideal(text, dim=d) for text in texts]
-    return ideals
+        if used == 0:
+            raise ParseError("cannot infer dimension from (1); pass dim")
+        dim = used
+    elif used > dim:
+        raise ParseError(f"variable x{used} exceeds dimension {dim}")
+    if dim < 1:
+        raise ParseError("dimension must be at least 1")
+    return [
+        ideal([tuple(m.get(i, 0) for i in range(1, dim + 1)) for m in monos], dim=dim)
+        for monos in parsed
+    ]
 
 
 def _var_name(i: int, dim: int) -> str:

@@ -14,6 +14,10 @@ of its `check_*` function.  `CHECK_NAMES`, `_applicable_checks` and
 `run_instance` only read that table.  The strict bounds can also be
 *explored* below d = 4: exploratory reports are flagged and never count
 toward the verdict.
+
+`run_suite` and `fuzz` yield reports one at a time and keep none of them;
+a `Tally` folds a report stream into the per-check summary as it passes,
+so memory stays bounded however long a run goes.
 """
 
 from __future__ import annotations
@@ -24,10 +28,10 @@ import json
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import combinations, count, repeat
 from math import factorial, inf
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .buchsbaum_rim import DirectSumModule, br_via_mixed, scale_by_m
 from .expr import format_ideal
@@ -91,7 +95,7 @@ class InequalityReport:
     terms: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        return json.dumps(vars(self), sort_keys=True, separators=(",", ":"))
 
 
 def _report(check, lhs, rhs, relation, *, instance=None, index=-1,
@@ -321,66 +325,76 @@ def run_instance(config: CorpusConfig, check: str, index: int) -> InequalityRepo
                     exploratory=row.strict and config.dim < 4)
 
 
-@dataclass
-class SuiteResult:
-    config: CorpusConfig
-    reports: list[InequalityReport]
+def run_suite(config: CorpusConfig) -> Iterator[InequalityReport]:
+    """Yield a report for every applicable check over the seeded corpus.
 
-    @property
-    def passed(self) -> bool:
-        """Whether every report that counts toward the verdict holds."""
-        return all(r.holds for r in self.reports if not r.exploratory)
-
-    def summary_rows(self) -> list[dict]:
-        rows = []
-        for name in CHECK_NAMES:
-            batch = [r for r in self.reports if r.check == name]
-            if not batch:
-                continue
-            counted = [r for r in batch if not r.exploratory]
-            rows.append(
-                {
-                    "check": name,
-                    "instances": len(batch),
-                    "exploratory": sum(r.exploratory for r in batch),
-                    "violations": sum(not r.holds for r in counted),
-                    "min_slack": min((r.slack for r in batch), default=0),
-                    "max_slack": max((r.slack for r in batch), default=0),
-                }
-            )
-        return rows
-
-
-def run_suite(config: CorpusConfig) -> SuiteResult:
-    """Drive every applicable check over the seeded corpus."""
+    Reports come check by check, each in index order, from one process or
+    from a pool of `config.jobs` workers alike.  Usage errors raise at the
+    call, before any report is made.
+    """
     tasks = [
         (check, index)
         for check in _applicable_checks(config)
         for index in range(config.instances)
     ]
+    args = (repeat(config), *zip(*tasks))
     if config.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(config.jobs, len(tasks))) as pool:
-            reports = list(pool.map(run_instance, repeat(config), *zip(*tasks), chunksize=4))
-    else:
-        reports = [run_instance(config, check, index) for check, index in tasks]
-    return SuiteResult(config=config, reports=reports)
+        return _pooled(min(config.jobs, len(tasks)), args)
+    return map(run_instance, *args)
 
 
-def fuzz(config: CorpusConfig, seconds: float) -> SuiteResult:
-    """Open-ended search: keep sampling fresh instances until time runs out.
+def _pooled(workers: int, args) -> Iterator[InequalityReport]:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(run_instance, *args, chunksize=4)
 
-    The deadline is read after each full round of checks, so every
-    applicable check runs at least once however short the budget.
+
+def fuzz(config: CorpusConfig, seconds: float) -> Iterator[InequalityReport]:
+    """Open-ended search: yield reports on fresh instances until time runs out.
+
+    The budget starts at the call and counts the time the consumer spends
+    on each report.  The deadline is read after each full round of checks,
+    so every applicable check runs at least once however short the budget.
+    Usage errors raise at the call, before any report is made.
     """
     if not 0 < seconds < inf:
         raise ValueError(f"seconds must be positive and finite, got {seconds}")
-    checks = _applicable_checks(config)
-    deadline = time.monotonic() + seconds
-    reports = []
+    return _fuzz_rounds(config, _applicable_checks(config), time.monotonic() + seconds)
+
+
+def _fuzz_rounds(config, checks, deadline) -> Iterator[InequalityReport]:
     for index in count():
-        reports.extend(run_instance(config, check, index) for check in checks)
+        for check in checks:
+            yield run_instance(config, check, index)
         if time.monotonic() >= deadline:
-            return SuiteResult(config=config, reports=reports)
+            return
+
+
+class Tally:
+    """Running per-check summary of a report stream; it keeps no reports.
+
+    A check's `violations` count its failed reports that are not
+    exploratory, so a run passes when every row has none.
+    """
+
+    def __init__(self):
+        self._rows: dict[str, dict] = {}
+
+    def add(self, report: InequalityReport) -> InequalityReport:
+        """Fold `report` into its check's row and hand it back."""
+        row = self._rows.setdefault(report.check, {
+            "check": report.check, "instances": 0, "exploratory": 0,
+            "violations": 0, "min_slack": report.slack, "max_slack": report.slack,
+        })
+        row["instances"] += 1
+        row["exploratory"] += report.exploratory
+        row["violations"] += not (report.holds or report.exploratory)
+        row["min_slack"] = min(row["min_slack"], report.slack)
+        row["max_slack"] = max(row["max_slack"], report.slack)
+        return report
+
+    def summary_rows(self) -> list[dict]:
+        """One row per check seen, in `CHECK_NAMES` order."""
+        return [self._rows[name] for name in CHECK_NAMES if name in self._rows]
 
 
 def write_jsonl(reports, stream) -> None:
@@ -388,9 +402,9 @@ def write_jsonl(reports, stream) -> None:
         stream.write(r.to_json() + "\n")
 
 
-def write_summary_csv(result: SuiteResult, stream) -> None:
+def write_summary_csv(tally: Tally, stream) -> None:
     fields = ["check", "instances", "exploratory", "violations", "min_slack", "max_slack"]
     writer = csv.DictWriter(stream, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
-    for row in result.summary_rows():
+    for row in tally.summary_rows():
         writer.writerow(row)

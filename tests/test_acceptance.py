@@ -77,15 +77,13 @@ def test_criterion_03_mixed_multiplicity_is_additive_over_products():
     """e(IJ, rest) == e(I, rest) + e(J, rest) on seeded corpora, slack zero."""
     total = 0
     for dim in (2, 3):
-        result = run_suite(
+        for report in run_suite(
             CorpusConfig(seed=303, dim=dim, instances=15, checks=("additivity",))
-        )
-        assert result.passed
-        for report in result.reports:
+        ):
             assert report.relation == "=="
             assert report.holds
             assert report.slack == 0
-        total += len(result.reports)
+            total += 1
     assert total >= 30
 
 
@@ -94,7 +92,7 @@ def test_criterion_04_scaling_by_m_gives_strict_mixed_bound_in_dim4():
     start = time.monotonic()
     base = check_main_mixed([m_ideal(4)] * 4)
     assert (base.lhs, base.rhs) == (16, 24)
-    result = run_suite(
+    reports = list(run_suite(
         CorpusConfig(
             seed=404,
             dim=4,
@@ -103,10 +101,10 @@ def test_criterion_04_scaling_by_m_gives_strict_mixed_bound_in_dim4():
             extra_gens=2,
             checks=("main_mixed",),
         )
-    )
-    assert len(result.reports) == 100
-    assert result.passed
-    for report in result.reports:
+    ))
+    assert len(reports) == 100
+    for report in reports:
+        assert not report.exploratory
         assert report.relation == "<"
         assert report.holds
         assert report.slack >= 1
@@ -121,17 +119,16 @@ def test_criterion_05_scaling_by_m_gives_strict_br_bound_in_dim4():
     assert br_direct(module([m_power(4, 2)] * 2)) == 80
     total = 0
     for rank in (1, 2):
-        result = run_suite(
+        for report in run_suite(
             CorpusConfig(
                 seed=505, dim=4, rank=rank, instances=25, checks=("main_br",)
             )
-        )
-        assert result.passed
-        for report in result.reports:
+        ):
+            assert not report.exploratory
             assert report.relation == "<"
             assert report.holds
             assert report.slack >= 1
-        total += len(result.reports)
+            total += 1
     assert total >= 50
     assert time.monotonic() - start < 1800
 
@@ -140,14 +137,13 @@ def test_criterion_06_dim2_pairwise_bound_holds_and_is_sharp():
     """The dimension-2 refinement holds over ranks 2..4 and is tight on m-powers."""
     total = 0
     for rank in (2, 3, 4):
-        result = run_suite(
+        reports = list(run_suite(
             CorpusConfig(
                 seed=606, dim=2, rank=rank, instances=34, checks=("prop_dim2",)
             )
-        )
-        assert result.passed
-        assert all(r.holds for r in result.reports)
-        total += len(result.reports)
+        ))
+        assert all(r.holds for r in reports)
+        total += len(reports)
     assert total >= 100
     for power, rank in ((1, 2), (2, 2), (2, 3), (3, 4)):
         report = check_prop_dim2([m_power(2, power)] * rank)
@@ -159,20 +155,19 @@ def test_criterion_07_sum_bound_all_dims_and_dim3_refinement():
     """e(I_1,..,I_d) <= (d-1)! sum lambda in d=2,3,4; dim-3 four-ideal bound."""
     total = 0
     for dim, instances in ((2, 40), (3, 40), (4, 20)):
-        result = run_suite(
+        reports = list(run_suite(
             CorpusConfig(
                 seed=707, dim=dim, instances=instances, checks=("lech_mixed",)
             )
-        )
-        assert result.passed
-        assert all(r.holds for r in result.reports)
-        total += len(result.reports)
+        ))
+        assert all(r.holds for r in reports)
+        total += len(reports)
     assert total >= 100
-    refined = run_suite(
+    refined = list(run_suite(
         CorpusConfig(seed=708, dim=3, instances=30, checks=("prop_dim3",))
-    )
-    assert refined.passed
-    assert len(refined.reports) >= 30
+    ))
+    assert all(r.holds for r in refined)
+    assert len(refined) >= 30
     all_m = check_prop_dim3([m_ideal(3)] * 4)
     assert (all_m.lhs, all_m.rhs) == (15, 24)
     assert all_m.holds
@@ -240,8 +235,7 @@ def test_criterion_10_verify_reports_are_byte_identical(tmp_path):
     # and the library-level writer is as deterministic as the CLI
     buffers = []
     for run in range(2):
-        result = run_suite(CorpusConfig(seed=1010, dim=2, rank=2, instances=3))
         out = io.StringIO()
-        write_jsonl(result.reports, out)
+        write_jsonl(run_suite(CorpusConfig(seed=1010, dim=2, rank=2, instances=3)), out)
         buffers.append(out.getvalue())
     assert buffers[0] == buffers[1]

@@ -1,11 +1,19 @@
 """Command-line interface: subcommands, output, exit codes."""
 
 import json
+from itertools import count, islice
 
 import pytest
 
-from multlab import ImpossibleValueError
-from multlab.cli import EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE, EXIT_VIOLATION, main
+from multlab import CorpusConfig, ImpossibleValueError, harness
+from multlab.cli import (
+    EXIT_INTERRUPTED,
+    EXIT_OK,
+    EXIT_UNSTABLE,
+    EXIT_USAGE,
+    EXIT_VIOLATION,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -89,6 +97,11 @@ class TestBr:
             capsys, "br", "--module", "(x, y)", "--scale-by-m", "--json"
         )
         assert json.loads(out)["buchsbaum_rim"] == 4
+
+    def test_unit_column_takes_the_module_dimension(self, capsys):
+        code, out, _ = run(capsys, "br", "--module", "(1);(x^2, y)")
+        assert code == EXIT_OK
+        assert "buchsbaum_rim = 2" in out
 
 
 class TestVerify:
@@ -224,6 +237,44 @@ class TestFuzz:
         assert code == EXIT_USAGE
         assert "instances" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("fuzz", "--seconds", "0"),
+        ("fuzz", "--seconds", "0.1", "--dim", "1", "--checks", "prop_dim2"),
+        ("verify", "--dim", "1", "--checks", "prop_dim2"),
+    ])
+    def test_usage_error_writes_no_report(self, capsys, tmp_path, argv):
+        report = tmp_path / "f.jsonl"
+        code, _, _ = run(capsys, *argv, "--report", str(report))
+        assert code == EXIT_USAGE
+        assert not report.exists()
+
+    def test_report_lines_match_the_printed_total(self, capsys, tmp_path):
+        report = tmp_path / "f.jsonl"
+        code, out, _ = run(capsys, "fuzz", "--seconds", "0.2", "--dim", "2", "--report", str(report))
+        assert code == EXIT_OK
+        total = int(out.splitlines()[-1].split()[1])
+        assert len(report.read_text().splitlines()) == total
+
+    def test_interrupt_exits_130_and_keeps_the_written_reports(self, capsys, tmp_path, monkeypatch):
+        k = 7  # the interrupt falls inside the second round of four checks
+        config = CorpusConfig(dim=2)
+        want = [r.to_json() for r in islice(harness.fuzz(config, 3600), k - 1)]
+        real = harness.run_instance
+        calls = count(1)
+
+        def interrupted(*args):
+            if next(calls) == k:
+                raise KeyboardInterrupt
+            return real(*args)
+
+        monkeypatch.setattr(harness, "run_instance", interrupted)
+        report = tmp_path / "f.jsonl"
+        code, out, err = run(capsys, "fuzz", "--seconds", "60", "--dim", "2", "--report", str(report))
+        assert code == EXIT_INTERRUPTED
+        assert err == "multlab: interrupted\n"
+        assert "Traceback" not in out + err
+        assert report.read_text().splitlines() == want
+
 
 class TestImpossibleValue:
     def test_maps_to_unstable_exit_without_traceback(self, capsys, monkeypatch):
@@ -256,4 +307,4 @@ class TestUsage:
         assert run(capsys, "--help")[0] == 0
 
     def test_exit_codes_distinct(self):
-        assert len({EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, EXIT_UNSTABLE}) == 4
+        assert len({EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, EXIT_UNSTABLE, EXIT_INTERRUPTED}) == 5

@@ -110,6 +110,17 @@ class TestModule:
         with pytest.raises(ParseError):
             parse_module(";;")
 
+    def test_unit_column_takes_the_module_dimension(self):
+        cols = parse_module("(1);(x^2, y)")
+        assert [I.dim for I in cols] == [2, 2]
+        assert cols[0] == parse_ideal("(1)", dim=2)
+        assert cols[1] == parse_ideal("(x^2, y)")
+
+    def test_all_unit_module_needs_dim(self):
+        with pytest.raises(ParseError, match="cannot infer dimension"):
+            parse_module("(1);(1)")
+        assert [I.dim for I in parse_module("(1);(1)", dim=3)] == [3, 3]
+
 
 @settings(max_examples=60)
 @given(

@@ -1,9 +1,12 @@
 """The inequality harness: generators, checks, determinism, report formats."""
 
 import csv
+import gc
 import io
 import json
+import weakref
 from dataclasses import replace
+from itertools import islice
 from math import factorial
 
 import pytest
@@ -12,6 +15,7 @@ from multlab import (
     CHECK_NAMES,
     CorpusConfig,
     DirectSumModule,
+    Tally,
     box_bounds,
     check_additivity,
     check_lech_classical,
@@ -150,15 +154,14 @@ class TestChecks:
 class TestSuite:
     def test_small_suite_runs_and_passes(self):
         cfg = CorpusConfig(seed=1, dim=2, rank=2, instances=3)
-        result = run_suite(cfg)
-        names = {r.check for r in result.reports}
+        reports = list(run_suite(cfg))
+        names = {r.check for r in reports}
         assert names == {"lech_classical", "lech_mixed", "prop_dim2", "additivity"}
-        assert result.passed
-        assert all(r.holds for r in result.reports)
+        assert all(r.holds for r in reports)
 
     def test_dim3_enables_prop_dim3(self):
         cfg = CorpusConfig(seed=1, dim=3, instances=2)
-        names = {r.check for r in run_suite(cfg).reports}
+        names = {r.check for r in run_suite(cfg)}
         assert "prop_dim3" in names
         assert "prop_dim2" not in names
         assert "main_mixed" not in names  # gated below dim 4
@@ -168,19 +171,19 @@ class TestSuite:
             seed=2, dim=2, instances=2, exploration=True,
             checks=("main_mixed", "lech_classical"),
         )
-        result = run_suite(cfg)
-        expl = [r for r in result.reports if r.check == "main_mixed"]
+        tally = Tally()
+        reports = [tally.add(r) for r in run_suite(cfg)]
+        expl = [r for r in reports if r.check == "main_mixed"]
         assert expl and all(r.exploratory for r in expl)
         # exploratory outcomes do not decide the verdict
-        assert result.passed == all(
-            r.holds for r in result.reports if not r.exploratory
-        )
+        violations = sum(row["violations"] for row in tally.summary_rows())
+        assert violations == sum(not (r.holds or r.exploratory) for r in reports)
 
     def test_byte_identical_reports(self):
         cfg = CorpusConfig(seed=42, dim=2, rank=2, instances=4)
         out1, out2 = io.StringIO(), io.StringIO()
-        write_jsonl(run_suite(cfg).reports, out1)
-        write_jsonl(run_suite(cfg).reports, out2)
+        write_jsonl(run_suite(cfg), out1)
+        write_jsonl(run_suite(cfg), out2)
         assert out1.getvalue() == out2.getvalue()
         assert out1.getvalue()  # non-empty
 
@@ -188,8 +191,8 @@ class TestSuite:
         serial = run_suite(CorpusConfig(seed=3, dim=2, instances=3, jobs=1))
         parallel = run_suite(CorpusConfig(seed=3, dim=2, instances=3, jobs=2))
         s1, s2 = io.StringIO(), io.StringIO()
-        write_jsonl(serial.reports, s1)
-        write_jsonl(parallel.reports, s2)
+        write_jsonl(serial, s1)
+        write_jsonl(parallel, s2)
         assert s1.getvalue() == s2.getvalue()
 
     def test_pool_has_no_more_workers_than_tasks(self, monkeypatch):
@@ -211,18 +214,33 @@ class TestSuite:
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
         cfg = CorpusConfig(seed=3, dim=2, instances=1, jobs=64,
                            checks=("lech_classical", "lech_mixed"))
-        pooled = run_suite(cfg)
+        pooled = list(run_suite(cfg))
         assert opened == [2]
-        assert pooled.reports == run_suite(replace(cfg, jobs=1)).reports
+        assert pooled == list(run_suite(replace(cfg, jobs=1)))
 
     def test_fuzz_finishes_one_round_of_checks(self):
         cfg = CorpusConfig(seed=0, dim=2, rank=3)
-        result = fuzz(cfg, 1e-9)
-        assert [r.check for r in result.reports] == _applicable_checks(cfg)
+        assert [r.check for r in fuzz(cfg, 1e-9)] == _applicable_checks(cfg)
+
+    def test_fuzz_stream_keeps_no_reports(self):
+        stream = fuzz(CorpusConfig(dim=2, rank=3), 3600)
+        first = weakref.ref(next(stream))
+        assert len(list(islice(stream, 200))) == 200
+        gc.collect()
+        assert first() is None
+
+    def test_usage_errors_raise_at_the_call(self):
+        config = CorpusConfig(dim=1, checks=("prop_dim2",))
+        with pytest.raises(ValueError, match="no applicable checks"):
+            run_suite(config)
+        with pytest.raises(ValueError, match="no applicable checks"):
+            fuzz(config, 1)
+        with pytest.raises(ValueError, match="seconds"):
+            fuzz(CorpusConfig(dim=2), 0)
 
     def test_checks_subset_respected(self):
         cfg = CorpusConfig(seed=1, dim=2, instances=2, checks=("lech_classical",))
-        assert {r.check for r in run_suite(cfg).reports} == {"lech_classical"}
+        assert {r.check for r in run_suite(cfg)} == {"lech_classical"}
 
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError):
@@ -231,7 +249,7 @@ class TestSuite:
     def test_jsonl_schema(self):
         cfg = CorpusConfig(seed=5, dim=2, instances=2, checks=("lech_mixed",))
         buf = io.StringIO()
-        write_jsonl(run_suite(cfg).reports, buf)
+        write_jsonl(run_suite(cfg), buf)
         lines = buf.getvalue().splitlines()
         assert len(lines) == 2
         row = json.loads(lines[0])
@@ -245,13 +263,27 @@ class TestSuite:
 
     def test_summary_csv(self):
         cfg = CorpusConfig(seed=5, dim=2, instances=2)
-        result = run_suite(cfg)
+        tally = Tally()
+        reports = [tally.add(r) for r in run_suite(cfg)]
         buf = io.StringIO()
-        write_summary_csv(result, buf)
+        write_summary_csv(tally, buf)
         rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
-        assert {r["check"] for r in rows} == {r.check for r in result.reports}
+        assert [r["check"] for r in rows] == [n for n in CHECK_NAMES if n in {r.check for r in reports}]
         for row in rows:
             assert row["violations"] == "0"
+
+    def test_tally_counts_only_verdict_failures(self):
+        tally = Tally()
+        for check, slack, exploratory in (
+            ("main_mixed", -1, True), ("lech_classical", 2, False), ("lech_classical", 0, False),
+        ):
+            tally.add(harness._report(check, 0, slack, "<", exploratory=exploratory))
+        assert tally.summary_rows() == [
+            {"check": "lech_classical", "instances": 2, "exploratory": 0,
+             "violations": 1, "min_slack": 0, "max_slack": 2},
+            {"check": "main_mixed", "instances": 1, "exploratory": 1,
+             "violations": 0, "min_slack": -1, "max_slack": -1},
+        ]
 
     def test_run_instance_is_pure(self):
         cfg = CorpusConfig(seed=11, dim=2)

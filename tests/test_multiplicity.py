@@ -361,7 +361,7 @@ class TestTableMemo:
         runs = []
         for _ in range(2):
             out = io.StringIO()
-            write_jsonl(run_suite(config).reports, out)
+            write_jsonl(run_suite(config), out)
             runs.append(out.getvalue())
         assert multiplicity._stabilized.cache_info().hits
         assert lengths.colength.cache_info().hits

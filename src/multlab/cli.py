@@ -140,6 +140,14 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
+def _boolean(text: str) -> bool:
+    """A config boolean: 1/true/yes/on or 0/false/no/off, in any case."""
+    word = text.lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {text!r}")
+    return word in ("1", "true", "yes", "on")
+
+
 _CONFIG_FIELDS = {
     "seed": int,
     "dim": int,
@@ -148,7 +156,7 @@ _CONFIG_FIELDS = {
     "extra_gens": int,
     "instances": int,
     "jobs": int,
-    "exploration": lambda s: s.lower() in ("1", "true", "yes", "on"),
+    "exploration": _boolean,
     "checks": lambda s: tuple(c.strip() for c in s.split(",") if c.strip()),
 }
 
@@ -167,7 +175,10 @@ def _corpus_config(args) -> CorpusConfig:
         if args.command == "fuzz" and "instances" in raw:
             raise ParseError("fuzz runs for --seconds; instances applies to verify only")
         for key, text in raw.items():
-            values[key] = _CONFIG_FIELDS[key](text)
+            try:
+                values[key] = _CONFIG_FIELDS[key](text)
+            except ValueError as exc:
+                raise ParseError(f"{args.config}: {key}: {exc}") from exc
     for key in _CONFIG_FIELDS:
         arg = getattr(args, key, None)
         if arg is not None:

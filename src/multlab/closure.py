@@ -10,20 +10,23 @@ Newton polyhedron Newt(I) = conv(gens) + R^d_{>=0} (Huneke-Swanson,
   always terminates).  It is the public per-point route and the judge of
   the second one.
 * `integral_closure` tests the whole box of pure-power bounds at once.
-  `_newton_facets` enumerates the facet inequalities a.v >= b of Newt(I)
-  in exact integers: every facet passes through k generators and the
-  d - k coordinate directions off some k-subset T of the axes, so it is
-  the cofactor normal of k distinct projections of generators onto T.
-  Membership is then a.v >= b for every facet, evaluated in int64 numpy
-  arithmetic, and the closure's minimal generators are the members with
-  no member one step below them.  No floats enter the decision.
+  Newt(I) is the slice t = 1 of the cone in R^(d+1) spanned by (g, 1) for
+  each generator g and (e_i, 0) for each axis, so its facet inequalities
+  a.v >= b are the rays (a, -b) of the dual cone with b > 0.
+  `_newton_facets` finds them by the double description method in Python
+  ints, one generator at a time, so its cost follows the facets rather
+  than the subsets of generators.  Membership is then a.v >= b for every
+  facet, evaluated in int64 numpy arithmetic, and the closure's minimal
+  generators are the members with no member one step below them.  No
+  floats enter the decision.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, islice, permutations
-from math import factorial, prod
+from itertools import product
+from math import factorial, gcd, prod
+from operator import index, mul
 
 import numpy as np
 
@@ -33,7 +36,6 @@ from .monomial import (
     as_array,
     box_bounds,
     contains,
-    dedup_rows,
     ideal_from_array,
 )
 
@@ -99,7 +101,10 @@ def _phase_one_feasible(cols: list[tuple[int, ...]], rhs: tuple[int, ...]) -> bo
 
 def newton_polyhedron_member(I: MonomialIdeal, point) -> bool:
     """True when x^point lies in the integral closure of I."""
-    v = tuple(int(e) for e in point)
+    try:
+        v = tuple(map(index, point))
+    except TypeError:
+        raise ValueError("exponents must be integers") from None
     if len(v) != I.dim:
         raise ValueError(f"point has {len(v)} coordinates, ideal has {I.dim}")
     if any(e < 0 for e in v):
@@ -109,65 +114,44 @@ def newton_polyhedron_member(I: MonomialIdeal, point) -> bool:
     return _phase_one_feasible(list(I.gens), v)
 
 
-def _determinants(m: np.ndarray) -> np.ndarray:
-    """Exact int64 determinants of a stack of square integer matrices (Leibniz)."""
-    n = m.shape[-1]
-    out = np.zeros(len(m), dtype=np.int64)
-    for perm in permutations(range(n)):
-        odd = sum(p > q for i, p in enumerate(perm) for q in perm[i + 1:]) % 2
-        term = np.ones(len(m), dtype=np.int64)
-        for row, col in enumerate(perm):
-            term *= m[:, row, col]
-        out += -term if odd else term
-    return out
-
-
 def _newton_facets(gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Integer rows (a, b), a >= 0 and b > 0, with Newt(gens) = {v >= 0 : a.v >= b for all}.
 
-    `gens` are minimal generators.  For every k-subset T of the axes and
-    every k distinct projections of the generators onto T, take the
-    cofactor normal of the k - 1 differences, flip it non-negative (mixed
-    signs and zero are dropped), set b = a.p0 at the first projection and
-    keep (a, b) when no generator has a.g < b.  Every facet of Newt(gens)
-    arises this way; any other row kept is still a valid inequality and
-    cuts nothing.  Rows are divided by their gcd and deduplicated, and rows
-    with b = 0 (true on the whole orthant) are dropped.  Combinations go
-    in batches that keep the support test at or under
-    `counting.FIELD_CELLS` values.
+    Double description (Fukuda-Prodon, *Double description method
+    revisited*, 1996) of the cone of rays y = (a, -b) with y.c >= 0 for
+    every c = (g, 1), g a generator, and every c = (e_i, 0): those rays are
+    the facet normals of the cone the c span.  The d + 1 independent
+    constraints e_i and (g_0, 1) give the rays (e_i, -g_0i) and (0, ..., 0, 1);
+    each further generator cuts the cone, and every ray keeps a bit mask
+    of the constraints it is tight on.  A ray on the positive side and one
+    on the negative side are adjacent when their common tight set has at
+    least d - 1 bits and no third ray is tight on all of it; each adjacent
+    pair gives one new ray on the cut, divided by its gcd.  All arithmetic
+    is in Python ints.  The rays with a negative last entry are the facets
+    with b > 0; the others are facets v_i >= 0 and the face at infinity.
     """
-    # g >= (p + q) / 2 for two other generators puts g inside Newt of the
-    # rest, so it is no vertex and no facet needs it; a pair holding g
-    # itself never passes, since minimal generators form an antichain
-    i, j = np.triu_indices(len(gens), 1)
-    sums = gens[i] + gens[j]
-    gens = gens[[not (sums <= 2 * g).all(axis=1).any() for g in gens]]
     d = gens.shape[1]
-    rows = [np.empty((0, d + 1), dtype=np.int64)]
-    for k in range(1, d + 1):
-        minors = [[c for c in range(k) if c != j] for j in range(k)]
-        for T in combinations(range(d), k):
-            proj = dedup_rows(gens[:, T])
-            picks = combinations(range(len(proj)), k)
-            batch = max(1, counting.FIELD_CELLS // len(proj))
-            while chunk := list(islice(picks, batch)):
-                pts = proj[np.array(chunk)]
-                diff = pts[:, 1:] - pts[:, :1]
-                a = np.stack(
-                    [(-1) ** j * _determinants(diff[:, :, minors[j]]) for j in range(k)],
-                    axis=1,
-                )
-                a = np.where((a <= 0).all(axis=1, keepdims=True), -a, a)
-                signed = (a >= 0).all(axis=1) & (a > 0).any(axis=1)
-                a, p0 = a[signed], pts[signed, 0]
-                b = (a * p0).sum(axis=1)
-                keep = ((proj @ a.T).min(axis=0) == b) & (b > 0)
-                full = np.zeros((int(keep.sum()), d + 1), dtype=np.int64)
-                full[:, list(T)] = a[keep]
-                full[:, d] = b[keep]
-                full //= np.gcd.reduce(full, axis=1, keepdims=True)
-                rows.append(dedup_rows(full))
-    rows = dedup_rows(np.concatenate(rows))
+    cuts = [(*g, 1) for g in gens.tolist()]
+    axes = (1 << d) - 1  # bit i: tight on e_i; bit d + k: tight on cuts[k]
+    rays = [((0,) * d + (1,), axes)] + [
+        ((*(int(j == i) for j in range(d)), -cuts[0][i]), (axes ^ 1 << i) | 1 << d)
+        for i in range(d)
+    ]
+    for k, c in enumerate(cuts[1:], d + 1):
+        side = [(sum(map(mul, y, c)), y, z) for y, z in rays]
+        kept = [(y, z | (s == 0) << k) for s, y, z in side if s >= 0]
+        masks = [z for _, z in rays]
+        pos = [r for r in side if r[0] > 0]
+        neg = [r for r in side if r[0] < 0]
+        for (sp, p, zp), (sn, n, zn) in product(pos, neg):
+            both = zp & zn
+            if both.bit_count() >= d - 1 and sum(z & both == both for z in masks) == 2:
+                y = [sp * e - sn * f for e, f in zip(n, p)]
+                g = gcd(*y)
+                kept.append((tuple(e // g for e in y), both | 1 << k))
+        rays = kept
+    rows = np.array([(*y[:d], -y[d]) for y, _ in rays if y[d] < 0], dtype=np.int64)
+    rows = rows.reshape(-1, d + 1)
     return rows[:, :d], rows[:, d]
 
 
@@ -181,16 +165,22 @@ def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
     generators are the points of mem for which no v - e_i is in mem (a
     shift-and over the grid, so nothing is minimalized afterwards).
 
-    Facet entries come from determinants of differences of points in the
-    box, so |a.v| <= d! * prod b_i <= d! * M^d on the box, M the largest
-    pure power; that bound is asserted to fit in int64, which it does for
-    any box small enough to scan.  The box goes in slabs along the first
-    axis of at most `counting.FIELD_CELLS` cells (or one row), and each
-    slab carries the last row of mem from the one before.
+    Each facet row (a, -b) is primitive, so it divides the vector of
+    d x d minors of the d spanning rays of its facet, (g, 1) for
+    generators g in the box and (e_i, 0) for axes.  So |a.v| is at most
+    |det| of those rays over (v, 0), and subtracting one generator
+    row from the others leaves a d x d determinant whose column i holds
+    entries of size at most b_i, so 0 <= a.v <= d! * prod b_i on the box
+    (and so is b, the value at a generator).  A box where that bound does
+    not fit in int64 raises ValueError before anything is allocated.  The
+    box goes in slabs along the first axis of at most `counting.FIELD_CELLS`
+    cells (or one row), and each slab carries the last row of mem from the
+    one before.
     """
     bounds = box_bounds(I)
     d = I.dim
-    assert factorial(d) * prod(bounds) < 2**63, "facet values may overflow int64"
+    if factorial(d) * prod(bounds) >= 2**63:
+        raise ValueError(f"pure powers {bounds} may overflow int64 facet values")
     A, b = _newton_facets(as_array(I))
     shape = [n + 1 for n in bounds]
     rows = max(1, counting.FIELD_CELLS // prod(shape[1:]))

@@ -70,6 +70,9 @@ class CorpusConfig:
             unknown = [c for c in self.checks if c not in CHECK_NAMES]
             if unknown:
                 raise ValueError(f"unknown checks: {', '.join(unknown)}")
+            repeated = sorted({c for c in self.checks if self.checks.count(c) > 1})
+            if repeated:
+                raise ValueError(f"repeated checks: {', '.join(repeated)}")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
 

@@ -180,6 +180,49 @@ class TestVerify:
         assert "no applicable checks" in err
         assert "total" not in out
 
+    def test_repeated_checks_flag_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--dim", "2", "--instances", "2",
+            "--checks", "lech_classical,lech_classical",
+        )
+        assert code == EXIT_USAGE
+        assert "repeated checks: lech_classical" in err
+        assert "total" not in out
+
+    def test_repeated_checks_config_key_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text("dim = 2\ninstances = 2\nchecks = lech_classical, prop_dim2, lech_classical\n")
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert "repeated checks: lech_classical" in err
+        assert "total" not in out
+
+    @pytest.mark.parametrize(
+        "value, explores",
+        [("1", True), ("true", True), ("YES", True), ("On", True),
+         ("0", False), ("False", False), ("no", False), ("OFF", False)],
+    )
+    def test_config_booleans(self, capsys, tmp_path, value, explores):
+        # main_mixed runs below d = 4 only with exploration
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text(
+            f"dim = 3\ninstances = 1\nchecks = lech_classical, main_mixed\nexploration = {value}\n"
+        )
+        code, out, _ = run(capsys, "verify", "--config", str(cfg))
+        assert code == EXIT_OK
+        assert ("main_mixed" in out) == explores
+
+    @pytest.mark.parametrize("value", ["maybe", "ture", "", "2"])
+    def test_config_boolean_that_is_not_one_is_usage_error(self, capsys, tmp_path, value):
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text(
+            f"dim = 3\ninstances = 1\nchecks = lech_classical, main_mixed\nexploration = {value}\n"
+        )
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert "exploration" in err
+        assert "total" not in out
+
     @pytest.mark.parametrize("value", ["zero", "0", "-2", "1.5"])
     def test_malformed_jobs_variable_is_usage_error(self, capsys, monkeypatch, value):
         monkeypatch.setenv("MULTLAB_JOBS", value)

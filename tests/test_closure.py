@@ -1,7 +1,9 @@
 """Integral closure via the Newton polyhedron, judged by the simplex and Fourier-Motzkin."""
 
+import random
 from itertools import product as iter_product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,8 @@ from multlab import (
     newton_polyhedron_member,
     parse_ideal,
 )
-from multlab import counting
+from multlab import closure, counting
+from multlab.monomial import as_array, contains
 
 from conftest import oracle_newton_member, random_mprimary
 
@@ -47,6 +50,15 @@ class TestMembership:
     def test_dimension_check(self):
         with pytest.raises(ValueError):
             newton_polyhedron_member(m_power(2, 2), (1, 1, 1))
+
+    def test_coordinates_must_be_integers(self):
+        I = parse_ideal("(x^2, y^2)")
+        for point in ((1.9, 0.0), (2.0, 0), (1, "1"), (1, None)):
+            with pytest.raises(ValueError):
+                newton_polyhedron_member(I, point)
+        assert newton_polyhedron_member(I, np.array([1, 1]))
+        assert newton_polyhedron_member(I, (np.int16(1), np.uint8(1)))
+        assert not newton_polyhedron_member(I, (np.int64(1), 0))
 
 
 class TestClosure:
@@ -89,6 +101,12 @@ class TestClosure:
         with pytest.raises(NotMPrimaryError):
             integral_closure(parse_ideal("(x^2, x*y)"))
 
+    def test_int64_overflow_is_a_value_error(self, monkeypatch):
+        # 4! * 100000^4 > 2^63: refused before the box or the facets are built
+        monkeypatch.setattr(closure, "_newton_facets", None)
+        with pytest.raises(ValueError, match="int64"):
+            integral_closure(parse_ideal("(x^100000, y^100000, z^100000, w^100000)"))
+
 
 def _box_scan(I, member):
     """The closure by definition: every point of the box that `member` accepts."""
@@ -109,6 +127,33 @@ def _cross_check_ideals(rng):
             extras = rng.randint(0, 6)
             ideals.append(random_mprimary(rng, d, max_power=5 if d < 4 else 4, extras=extras))
     return ideals
+
+
+def test_facet_rows_are_primitive_tight_supporting_inequalities(rng):
+    for I in _cross_check_ideals(rng):
+        gens = as_array(I)
+        A, b = closure._newton_facets(gens)
+        assert len(A) == len(b) >= 1, I
+        assert (A >= 0).all() and (b > 0).all(), I
+        assert (np.gcd.reduce(np.c_[A, b], axis=1) == 1).all(), I
+        values = gens @ A.T
+        assert (values >= b).all(), I
+        assert (values == b).any(axis=0).all(), I
+
+
+def test_many_generators_few_facets():
+    # lattice points of a ball of radius 10 about (10, 10, 10, 10), with x_i^30:
+    # the facets are found one generator at a time, not over subsets of them
+    pts = [v for v in iter_product(range(11), repeat=4) if sum((10 - e) ** 2 for e in v) <= 100]
+    I = ideal(pts + [tuple(30 * (i == j) for j in range(4)) for i in range(4)], dim=4)
+    assert len(I.gens) == 235
+    A, _ = closure._newton_facets(as_array(I))
+    assert len(A) == 118
+    closed = integral_closure(I)
+    rng = random.Random(235)
+    for _ in range(200):
+        v = tuple(rng.randrange(31) for _ in range(4))
+        assert contains(closed, v) == newton_polyhedron_member(I, v), v
 
 
 def test_facet_scan_matches_both_exact_oracles(rng):

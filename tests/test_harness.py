@@ -246,6 +246,10 @@ class TestSuite:
         with pytest.raises(ValueError):
             CorpusConfig(checks=("nope",))
 
+    def test_repeated_check_rejected(self):
+        with pytest.raises(ValueError, match="repeated checks: lech_classical$"):
+            CorpusConfig(checks=("lech_classical", "prop_dim2", "lech_classical"))
+
     def test_jsonl_schema(self):
         cfg = CorpusConfig(seed=5, dim=2, instances=2, checks=("lech_mixed",))
         buf = io.StringIO()

@@ -17,7 +17,7 @@ from math import comb, factorial
 
 from .errors import ImpossibleValueError
 from .lengths import colength, shared_sampler
-from .monomial import MonomialIdeal, is_m_primary
+from .monomial import MonomialIdeal, integer_exponents, is_m_primary
 from .monomial import scale_by_m as _scale_ideal
 from .multiplicity import StabilizePolicy, _heuristic_base, mixed_multiplicity, stabilize
 
@@ -75,6 +75,7 @@ def _compositions(total: int, parts: int):
 
 def module_colength(E: DirectSumModule, n: int) -> int:
     """lambda(Sym^n F / E^n): sum of product colengths over compositions of n."""
+    (n,) = integer_exponents((n,))
     if n < 0:
         raise ValueError("n must be non-negative")
     sampler = shared_sampler(E.ideals)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import factorial, gcd, prod
-from operator import index, mul
+from operator import mul
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .monomial import (
     box_bounds,
     contains,
     ideal_from_array,
+    integer_exponents,
 )
 
 
@@ -101,10 +102,7 @@ def _phase_one_feasible(cols: list[tuple[int, ...]], rhs: tuple[int, ...]) -> bo
 
 def newton_polyhedron_member(I: MonomialIdeal, point) -> bool:
     """True when x^point lies in the integral closure of I."""
-    try:
-        v = tuple(map(index, point))
-    except TypeError:
-        raise ValueError("exponents must be integers") from None
+    v = integer_exponents(point)
     if len(v) != I.dim:
         raise ValueError(f"point has {len(v)} coordinates, ideal has {I.dim}")
     if any(e < 0 for e in v):

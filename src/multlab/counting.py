@@ -18,22 +18,21 @@ above x', so the count is h.sum().
   the field of J.
 * `field_count` sums a field or a slab exactly; `count_grid` sums the slabs.
 
-Counts are exact: fields are int16 while heights stay below 2**14, int32
-while they stay below 2**30, and hold Python ints beyond, so adding two
-heights never overflows.  numpy sums int16 and int32 in int64, which no
-field that fits in memory can overflow.
+Counts are exact: a field is uint8, uint16 or uint32 while its top fits,
+and holds Python ints beyond.  No height of a field passes its top, and
+`multiply_field` clamps each g_c to J's pure-power bound, so a sum
+h + g_c never passes the product's top.  numpy sums uint8, uint16 and
+uint32 in uint64, which no field that fits in memory can overflow.
 """
 
 from __future__ import annotations
 
 from itertools import product as iter_product
+from operator import sub
 
 import numpy as np
 
-_INT16_SAFE = 2**14
-_INT32_SAFE = 2**30
-
-# Cells of the largest field or slab built at once: 2 MiB of int16, 4 MiB of int32.
+# Cells of the largest field or slab built at once: 1 MiB of uint8, 4 MiB of uint32.
 FIELD_CELLS = 2**20
 
 
@@ -45,13 +44,15 @@ def _volume(box) -> int:
 
 
 def field_dtype(top: int):
-    """The narrowest field type in which two heights up to `top` still add exactly.
+    """The narrowest field type that holds every height up to `top`.
 
-    int16 below 2**14, int32 below 2**30, Python ints beyond.
+    uint8 below 2**8, uint16 below 2**16, uint32 below 2**32, Python ints beyond.
     """
-    if top < _INT16_SAFE:
-        return np.int16
-    return np.int32 if top < _INT32_SAFE else object
+    if top < 2**8:
+        return np.uint8
+    if top < 2**16:
+        return np.uint16
+    return np.uint32 if top < 2**32 else object
 
 
 def count_naive(gens, box) -> int:
@@ -122,18 +123,26 @@ def multiply_field(h: np.ndarray, box, gens, gen_box, axis: int) -> np.ndarray:
     P and J are m-primary: `box` and `gen_box` are their pure-power bounds
     and J is generated by the rows of `gens`.  Beyond P's box a point lies
     in P, so h counts as 0 there; every g' fits inside the product's box.
+    A height g_c past J's bound b_c is clamped to b_c, which is exact since
+    (g', b_c) lies in J; so h + g_c never passes the product's top.
     """
     out_box = [int(a) + int(b) for a, b in zip(box, gen_box)]
-    rest = [i for i in range(len(out_box)) if i != axis]
-    shape = tuple(out_box[i] for i in rest)
-    dtype = field_dtype(out_box[axis])
+    top = out_box.pop(axis)
+    shape = tuple(out_box)
+    dtype = field_dtype(top)
     padded = np.zeros(shape, dtype=dtype)
-    padded[(*(slice(0, n) for n in h.shape), ...)] = h
-    out = np.full(shape, out_box[axis], dtype=dtype)
+    padded[(*map(slice, h.shape), ...)] = h
+    out = np.empty(shape, dtype=dtype)
+    out.fill(top)
+    cap = int(gen_box[axis])
+    # The trailing ... keeps the 0-d view of d = 1 an array, not a scalar.
+    # numpy 1.x adds a Python int to a 0-d array in int64; the unsafe cast
+    # back is exact, since no sum passes the top.
     for g in np.asarray(gens, dtype=np.int64).tolist():
-        view = out[(*(slice(g[i], None) for i in rest), ...)]
-        src = padded[(*(slice(0, n - g[i]) for n, i in zip(shape, rest)), ...)]
-        np.minimum(view, src + g[axis], out=view)
+        c = min(g.pop(axis), cap)
+        view = out[(*map(slice, g, shape), ...)]
+        src = padded[(*map(slice, map(sub, shape, g)), ...)]
+        np.minimum(view, src + c, out=view, casting="unsafe")
     return out
 
 

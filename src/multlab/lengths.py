@@ -31,6 +31,7 @@ from .monomial import (
     MonomialIdeal,
     as_array,
     box_bounds,
+    integer_exponents,
     is_m_primary,
     m_power_degree,
     product_array,
@@ -186,7 +187,7 @@ class ProductSampler:
 
     def _key(self, n) -> tuple[int, ...]:
         """n as a tuple of ints, with the exponents of unit ideals set to 0."""
-        n = tuple(map(int, n))
+        n = integer_exponents(n)
         if len(n) != len(self.ideals):
             raise ValueError("exponent vector length mismatch")
         if min(n) < 0:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
+from operator import index
 
 import numpy as np
 
@@ -25,6 +26,17 @@ Monomial = tuple[int, ...]
 # Exponents are machine integers inside the engine; keep far away from the
 # int64 edge so sums of generators can never wrap.
 MAX_EXPONENT = 2**31
+
+
+def integer_exponents(values) -> tuple[int, ...]:
+    """`values` as a tuple of ints.
+
+    Python and numpy integers pass; anything else, 2.0 included, is a ValueError.
+    """
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise ValueError("exponents must be integers") from None
 
 
 def divides(a: Monomial, b: Monomial) -> bool:

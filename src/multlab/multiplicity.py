@@ -29,7 +29,7 @@ from operator import add
 from .errors import DimensionMismatchError, NotMPrimaryError, StabilizationError
 from .errors import ImpossibleValueError
 from .lengths import MEMO_ENTRIES, shared_sampler
-from .monomial import MonomialIdeal, is_m_primary, m_ideal
+from .monomial import MonomialIdeal, integer_exponents, is_m_primary, m_ideal
 
 
 @dataclass(frozen=True)
@@ -215,7 +215,7 @@ def mixed_difference_table(ideals, type_=None) -> DifferenceTable:
             raise DimensionMismatchError(
                 f"ideals live in different dimensions: {I.dim} != {d}"
             )
-    type_ = tuple(int(a) for a in type_)
+    type_ = integer_exponents(type_)
     if len(type_) != len(ideals):
         raise ValueError("type length must match the number of ideals")
     if any(a < 0 for a in type_):

@@ -2,6 +2,7 @@
 
 from math import comb
 
+import numpy as np
 import pytest
 
 from multlab import (
@@ -60,6 +61,13 @@ class TestModuleColength:
         E = module([m_ideal(2), m_power(2, 2)])
         assert module_colength(E, 0) == 0
         assert module_colength(E, 1) == E.quotient_colength()
+
+    def test_n_must_be_an_integer(self):
+        E = module([parse_ideal("(x^2, x*y, y^3)"), m_ideal(2)])
+        for n in (2.5, 2.0, "2", None):
+            with pytest.raises(ValueError, match="integers"):
+                module_colength(E, n)
+        assert module_colength(E, np.int64(2)) == module_colength(E, 2)
 
     def test_rank_one_reduces_to_powers(self):
         from multlab import colength_of_product

@@ -33,7 +33,8 @@ from multlab import (
 )
 from multlab import counting, lengths, monomial
 from multlab.buchsbaum_rim import br_direct, module, module_colength
-from multlab.counting import FIELD_CELLS, count_grid, count_naive, field_slabs, multiply_field
+from multlab.counting import FIELD_CELLS, count_grid, count_naive, field_count, field_slabs
+from multlab.counting import multiply_field
 from multlab.lengths import MEMO_ENTRIES, shared_sampler
 from multlab.monomial import as_array, box_bounds, product_array, scale_by_m
 
@@ -62,10 +63,10 @@ class TestCounters:
         assert count_grid(np.array([[0, 2**40]], dtype=np.int64), (3, 5)) == 15
 
     def test_field_types(self):
-        # the narrowest type in which two heights up to the top still add:
-        # int16 below 2**14, int32 below 2**30, Python ints beyond
-        ladder = ((2**14 - 1, np.int16), (2**14, np.int32), (2**30 - 1, np.int32),
-                  (2**30, object))
+        # the narrowest type that holds the top:
+        # uint8 below 2**8, uint16 below 2**16, uint32 below 2**32, Python ints beyond
+        ladder = ((2**8 - 1, np.uint8), (2**8, np.uint16), (2**16 - 1, np.uint16),
+                  (2**16, np.uint32), (2**32 - 1, np.uint32), (2**32, object))
         for top, dtype in ladder:
             (h, widths), = field_slabs([[1, top - 1]], (3, top), 1)
             assert h.dtype == dtype
@@ -74,10 +75,32 @@ class TestCounters:
             grown = multiply_field(h.repeat(widths), (3, top), [[0, top], [1, 0]], (1, top), 1)
             assert grown.dtype == counting.field_dtype(2 * top)
             assert grown.tolist() == [2 * top, top, top - 1, top - 1]
-        (tall, widths), = field_slabs([[1, 2**31]], (3, 2**31 + 1), 1)
+        (tall, widths), = field_slabs([[1, 2**32]], (3, 2**32 + 1), 1)
         assert tall.dtype == object
-        assert tall.tolist() == [2**31 + 1, 2**31]
+        assert tall.tolist() == [2**32 + 1, 2**32]
         assert widths.tolist() == [1, 2]
+
+    def test_heights_far_above_the_top_are_clamped(self):
+        # P*J on a uint8 field (top 6); unclamped, h + 255 wraps and h + 2**40 overflows
+        P, J = parse_ideal("(x^2, x*y, y^3)"), parse_ideal("(x^2, y^3)")
+        box, gen_box = box_bounds(P), box_bounds(J)
+        h = whole_field(as_array(P), box, 1)
+        redundant = np.vstack([as_array(J), [[0, 255], [1, 2**40]]])
+        want = multiply_field(h, box, as_array(J), gen_box, 1)
+        got = multiply_field(h, box, redundant, gen_box, 1)
+        assert want.dtype == got.dtype == np.uint8
+        assert got.tolist() == want.tolist()
+        out_box = tuple(map(add, box, gen_box))
+        sums = (as_array(P)[:, None, :] + redundant[None, :, :]).reshape(-1, 2)
+        assert field_count(got) == count_naive(sums, out_box) == colength(product(P, J))
+
+    def test_one_dimension_fields_are_arrays(self):
+        # d = 1: the field is 0-d, and each min-plus update must stay an array
+        unit = multiply_field(np.zeros((), np.uint8), (0,), [[2]], (2,), 0)
+        assert isinstance(unit, np.ndarray) and unit.shape == () and unit == 2
+        grown = multiply_field(whole_field([[3]], (3,), 0), (3,), [[2], [7]], (2,), 0)
+        assert isinstance(grown, np.ndarray) and grown.shape == () and grown == 5
+        assert field_count(grown) == count_naive([[5]], (5,))
 
     def test_counters_agree_random(self, rng, monkeypatch):
         # whole fields, then slabs of a few cells
@@ -94,6 +117,42 @@ class TestCounters:
         I = parse_ideal("(x^2, x*y, y^3)")
         arr = np.vstack([as_array(I), [[5, 5], [2, 1], [2, 0]]]).astype(np.int64)
         assert count_grid(arr, box_bounds(I)) == 4
+
+
+@st.composite
+def ideal_pairs(draw):
+    """(P, J, axis) in d = 2-4: short sides, and tops on both sides of 2**8 and 2**16."""
+    d = draw(st.integers(2, 4))
+    axis = draw(st.integers(0, d - 1))
+    base = draw(st.sampled_from((0, 2**7 - 40, 2**15 - 40)))
+    pair = []
+    for _ in range(2):
+        bounds = [draw(st.integers(1, 3)) for _ in range(d)]
+        bounds[axis] = base + draw(st.integers(1, 80))
+        gens = [tuple(k * (i == j) for j in range(d)) for i, k in enumerate(bounds)]
+        gens += draw(st.lists(st.tuples(*(st.integers(0, k - 1) for k in bounds)), max_size=5))
+        pair.append(ideal([g for g in gens if any(g)], dim=d))
+    return (*pair, axis)
+
+
+def whole_field(gens, box, axis):
+    """The height field of `gens` along `axis`, its slabs' rows repeated back."""
+    slabs = list(field_slabs(gens, box, axis))
+    if len(box) == 1:
+        return slabs[0][0]
+    return np.concatenate([h.repeat(widths, axis=0) for h, widths in slabs])
+
+
+@settings(max_examples=60, deadline=None)
+@given(ideal_pairs())
+def test_multiply_field_matches_the_field_of_the_product(pair):
+    P, J, axis = pair
+    box, gen_box = box_bounds(P), box_bounds(J)
+    got = multiply_field(whole_field(as_array(P), box, axis), box, as_array(J), gen_box, axis)
+    out_box = tuple(map(add, box, gen_box))
+    want = whole_field(product_array(as_array(P), as_array(J)), out_box, axis)
+    assert got.dtype == want.dtype == counting.field_dtype(out_box[axis])
+    assert np.array_equal(got, want)
 
 
 class TestColength:
@@ -290,15 +349,19 @@ class TestProductSampler:
         )
 
     def test_narrow_fields_widen_exactly(self):
-        # heights of I are below 2**14 (int16 fields), those of I^2 and I^3 are not
-        a, b = 3, 2**13 + 1
-        I = ideal([(a, 0), (0, b)], dim=2)
-        sampler = ProductSampler([I])
-        tops = [n * b for n in (1, 2, 3)]
-        assert [counting.field_dtype(t) for t in tops] == [np.int16, np.int32, np.int32]
-        for n in (1, 2, 3):
-            assert sampler.colength_at((n,)) == a * b * n * (n + 1) // 2
-        assert hilbert_samuel(I) == a * b
+        # the heights of I fit the narrower type, those of I^2 and I^3 do not
+        a = 3
+        widenings = ((2**7 + 1, np.uint8, np.uint16), (2**15 + 1, np.uint16, np.uint32))
+        for b, narrow, wide in widenings:
+            I = ideal([(a, 0), (0, b)], dim=2)
+            sampler = ProductSampler([I])
+            tops = [n * b for n in (1, 2, 3)]
+            assert [counting.field_dtype(t) for t in tops] == [narrow, wide, wide]
+            for n in (1, 2, 3):
+                assert sampler.colength_at((n,)) == a * b * n * (n + 1) // 2
+        # each table climbs through a widening: at n = 2 to uint16, at n = 256 to uint32
+        for b in (2**7 + 1, 2**8 + 1):
+            assert hilbert_samuel(ideal([(a, 0), (0, b)], dim=2)) == a * b
 
     def test_generator_products_are_minimalized_once(self, monkeypatch):
         ideals = [parse_ideal(t, dim=3) for t in ("(x^2, x*y, y^3, z^2)", "(x^3, y, z^2)")]
@@ -367,6 +430,17 @@ class TestProductSampler:
         assert colength_of_product([A, B], (0, 0)) == 0
         with pytest.raises(ValueError):
             colength_of_product([A, B], (1,))
+
+    def test_exponents_must_be_integers(self):
+        I = parse_ideal("(x^2, x*y, y^3)")
+        for bad in ((1.9,), (2.0,), ("1",), (None,)):
+            with pytest.raises(ValueError, match="integers"):
+                colength_of_product([I], bad)
+        with pytest.raises(ValueError, match="integers"):
+            ProductSampler([I]).colengths([(1,), (1.5,)])
+        want = colength(power(I, 2))
+        assert colength_of_product([I], (np.int64(2),)) == want
+        assert ProductSampler([I]).colengths([np.array([2]), (np.uint8(2),)]) == [want, want]
 
 
 @settings(max_examples=25, deadline=None)

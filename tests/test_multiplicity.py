@@ -3,6 +3,7 @@
 import io
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -162,6 +163,15 @@ class TestMixed:
             assert mixed_multiplicity([I, I, J]) == mixed_multiplicity(
                 [I, J], (2, 1)
             )
+
+    def test_type_entries_must_be_integers(self):
+        A, B = parse_ideal("(x^2, x*y, y^3)"), parse_ideal("(x, y^3)")
+        for type_ in ((1.5, 1.5), (2.5, 0), (1.0, 1), ("1", 1)):
+            with pytest.raises(ValueError, match="integers"):
+                mixed_multiplicity([A, B], type_)
+        want = mixed_multiplicity([A, B], (1, 1))
+        assert mixed_multiplicity([A, B], (np.int64(1), np.uint8(1))) == want
+        assert mixed_multiplicity([A, B], np.array([1, 1])) == want
 
     def test_zero_slots_ignored(self, rng):
         I = random_mprimary(rng, 2)

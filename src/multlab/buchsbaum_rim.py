@@ -146,6 +146,7 @@ def composition_count(d: int, r: int) -> tuple[int, int]:
     The second entry is (d + r - 1)! / (r! (d - 1)!), which equals d/r times
     the first; the divisibility is checked rather than assumed.
     """
+    d, r = integer_exponents((d, r))
     if d < 1 or r < 1:
         raise ValueError("d and r must be positive")
     count = comb(d + r - 1, r - 1)

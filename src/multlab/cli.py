@@ -8,6 +8,14 @@ Subcommands:
 * ``verify`` -- run the seeded inequality suite from flags or a config file.
 * ``fuzz`` -- time-budgeted randomized search for violations.
 
+A ``--config FILE`` of ``verify`` or ``fuzz`` holds ``key = value`` lines
+(``#`` starts a comment). Each line stands for the subcommand's long flag
+``--key=value``, with ``_`` and ``-`` alike in the key; ``exploration``
+takes 1/true/yes/on or 0/false/no/off. The file's flags are parsed by the
+same parser as the command line, placed after the subcommand and before
+the command line's own flags, which therefore win. Flags are spelled in
+full, in a file as on the command line; a ``config`` key is refused.
+
 Exit codes: 0 success, 1 bad usage or unparsable input, 2 a verified
 inequality failed (or --cross-check disagreed), 3 a difference table failed
 to stabilize or stabilized on an impossible value (ImpossibleValueError),
@@ -18,6 +26,7 @@ stays in the --report file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -42,16 +51,23 @@ EXIT_INTERRUPTED = 130
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with code 2 on usage errors; we reserve 2 for violations."""
+    """Usage errors exit 1, not argparse's 2 (kept for violations); flags are never abbreviated."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        raise ParseError(message)
+
+
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
+        return tuple(int(part) for part in _names(text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
 
@@ -59,10 +75,8 @@ def _int_list(text: str) -> tuple[int, ...]:
 def _jobs_default() -> int:
     """Worker processes from $MULTLAB_JOBS, a positive int; 1 when it is unset or blank."""
     env = os.environ.get("MULTLAB_JOBS", "").strip()
-    if not env:
-        return 1
     try:
-        jobs = int(env)
+        jobs = int(env or "1")
     except ValueError:
         jobs = 0
     if jobs < 1:
@@ -73,122 +87,103 @@ def _jobs_default() -> int:
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="multlab", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--dim", type=int, default=None, help="ambient dimension")
+    common.add_argument("--scale-by-m", action="store_true", help="replace I by m*I first")
+    common.add_argument("--json", action="store_true", help="machine-readable output")
 
-    p_mult = sub.add_parser("mult", help="Hilbert-Samuel multiplicity of one ideal")
+    p_mult = sub.add_parser("mult", parents=[common], help="Hilbert-Samuel multiplicity of one ideal")
+    p_mult.set_defaults(handler=_cmd_mult)
     p_mult.add_argument("ideal", help='generators, e.g. "(x^2, x*y, y^3)"')
-    p_mult.add_argument("--dim", type=int, default=None, help="ambient dimension")
-    p_mult.add_argument("--scale-by-m", action="store_true", help="replace I by m*I first")
-    p_mult.add_argument("--json", action="store_true", help="machine-readable output")
 
-    p_mixed = sub.add_parser("mixed", help="mixed multiplicity of several ideals")
+    p_mixed = sub.add_parser("mixed", parents=[common], help="mixed multiplicity of several ideals")
+    p_mixed.set_defaults(handler=_cmd_mixed)
     p_mixed.add_argument("ideals", nargs="+", help="one parenthesized ideal per argument")
     p_mixed.add_argument("--type", type=_int_list, default=None, metavar="A1,A2,...",
                          help="orders per ideal (default all ones)")
-    p_mixed.add_argument("--dim", type=int, default=None)
-    p_mixed.add_argument("--scale-by-m", action="store_true")
-    p_mixed.add_argument("--json", action="store_true")
 
-    p_br = sub.add_parser("br", help="Buchsbaum-Rim multiplicity of a direct sum")
+    p_br = sub.add_parser("br", parents=[common], help="Buchsbaum-Rim multiplicity of a direct sum")
+    p_br.set_defaults(handler=_cmd_br)
     p_br.add_argument("--module", required=True,
                       help='column ideals separated by ";", e.g. "(x,y^2);(x^2,y)"')
-    p_br.add_argument("--dim", type=int, default=None)
-    p_br.add_argument("--scale-by-m", action="store_true")
     p_br.add_argument("--cross-check", action="store_true",
                       help="also compute via mixed multiplicities and compare")
-    p_br.add_argument("--json", action="store_true")
 
-    for name, help_ in (
-        ("verify", "run the seeded inequality suite"),
-        ("fuzz", "randomized time-budgeted search for violations"),
+    for name, handler, help_ in (
+        ("verify", _cmd_verify, "run the seeded inequality suite"),
+        ("fuzz", _cmd_fuzz, "randomized time-budgeted search for violations"),
     ):
         p = sub.add_parser(name, help=help_)
-        p.add_argument("--config", default=None, help="key = value file with the flags below")
+        p.set_defaults(handler=handler)
+        p.add_argument("--config", default=None,
+                       help="file of key = value lines, each standing for the flag --key=value")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--dim", type=int, default=None)
         p.add_argument("--rank", type=int, default=None)
         p.add_argument("--max-pure-power", type=int, default=None)
         p.add_argument("--extra-gens", type=int, default=None)
-        p.add_argument("--checks", default=None,
+        p.add_argument("--checks", type=_names, default=None,
                        help=f"comma-separated subset of: {', '.join(CHECK_NAMES)}")
-        p.add_argument("--exploration", action="store_true", default=None,
+        p.add_argument("--exploration", action="store_true",
                        help="also run d>=4 bounds below dimension 4, flagged")
-        if name == "verify":
-            p.add_argument("--jobs", type=int, default=None,
-                           help="worker processes (default $MULTLAB_JOBS or 1)")
         p.add_argument("--report", default=None, metavar="FILE.jsonl",
                        help="write one JSON report per instance")
         p.add_argument("--summary", default=None, metavar="FILE.csv",
                        help="write the per-check summary table")
         if name == "verify":
+            p.add_argument("--jobs", type=int, default=None,
+                           help="worker processes (default $MULTLAB_JOBS or 1)")
             p.add_argument("--instances", type=int, default=None)
         else:
             p.add_argument("--seconds", type=float, default=10.0)
     return top
 
 
-def _load_config_file(path: str) -> dict:
-    values = {}
+def _config_flags(path: str) -> list[str]:
+    """The flags that a config file's ``key = value`` lines stand for, in file order."""
+    flags = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
+            key, eq, value = line.partition("=")
+            key, value = key.strip().replace("_", "-"), value.strip()
+            if not eq:
                 raise ParseError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
+            if key == "config":
+                raise ParseError(f"{path}: config: a config file cannot name another")
+            if key != "exploration":
+                flags.append(f"--{key}={value}")
+            elif value.lower() in ("1", "true", "yes", "on"):
+                flags.append("--exploration")
+            elif value.lower() not in ("0", "false", "no", "off"):
+                raise ParseError(
+                    f"{path}: exploration: expected 1/true/yes/on or 0/false/no/off, got {value!r}"
+                )
+    return flags
 
 
-def _boolean(text: str) -> bool:
-    """A config boolean: 1/true/yes/on or 0/false/no/off, in any case."""
-    word = text.lower()
-    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
-        raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {text!r}")
-    return word in ("1", "true", "yes", "on")
-
-
-_CONFIG_FIELDS = {
-    "seed": int,
-    "dim": int,
-    "rank": int,
-    "max_pure_power": int,
-    "extra_gens": int,
-    "instances": int,
-    "jobs": int,
-    "exploration": _boolean,
-    "checks": lambda s: tuple(c.strip() for c in s.split(",") if c.strip()),
-}
+def _parse(parser: argparse.ArgumentParser, argv: list[str]):
+    """Parse argv, with a --config file's flags between the subcommand and argv's own flags."""
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None) is None:
+        return args
+    flags = _config_flags(args.config)
+    try:  # the file alone first, so that its errors name it
+        parser.parse_args([args.command, *flags])
+    except ParseError as exc:
+        raise ParseError(f"{args.config}: {exc}") from None
+    at = argv.index(args.command) + 1
+    return parser.parse_args([*argv[:at], *flags, *argv[at:]])
 
 
 def _corpus_config(args) -> CorpusConfig:
-    values = {}
-    if args.config:
-        raw = _load_config_file(args.config)
-        unknown = set(raw) - set(_CONFIG_FIELDS)
-        if unknown:
-            raise ParseError(
-                f"unknown config keys: {', '.join(sorted(unknown))}"
-            )
-        if args.command == "fuzz" and "jobs" in raw:
-            raise ParseError("fuzz runs in one process; jobs applies to verify only")
-        if args.command == "fuzz" and "instances" in raw:
-            raise ParseError("fuzz runs for --seconds; instances applies to verify only")
-        for key, text in raw.items():
-            try:
-                values[key] = _CONFIG_FIELDS[key](text)
-            except ValueError as exc:
-                raise ParseError(f"{args.config}: {key}: {exc}") from exc
-    for key in _CONFIG_FIELDS:
-        arg = getattr(args, key, None)
-        if arg is not None:
-            values[key] = _CONFIG_FIELDS[key](arg) if isinstance(arg, str) else arg
+    given = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(CorpusConfig)}
+    values = {name: value for name, value in given.items() if value is not None}
     if args.command == "verify" and "jobs" not in values:
         values["jobs"] = _jobs_default()
-    try:
-        return CorpusConfig(**values)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    return CorpusConfig(**values)
 
 
 def _emit(payload: dict, as_json: bool) -> None:
@@ -217,10 +212,7 @@ def _cmd_mixed(args) -> int:
     if args.scale_by_m:
         ideals = [scale_by_m(I) for I in ideals]
     type_ = args.type if args.type is not None else (1,) * len(ideals)
-    try:
-        value = mixed_multiplicity(ideals, type_)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
+    value = mixed_multiplicity(ideals, type_)
     payload = {
         "ideals": [format_ideal(I) for I in ideals],
         "type": list(type_),
@@ -287,27 +279,17 @@ def _cmd_fuzz(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:  # argparse --help or usage error
+            args = _parse(build_parser(), argv)
+        except SystemExit as exc:  # --help
             return int(exc.code or 0)
-        handler = {
-            "mult": _cmd_mult,
-            "mixed": _cmd_mixed,
-            "br": _cmd_br,
-            "verify": _cmd_verify,
-            "fuzz": _cmd_fuzz,
-        }[args.command]
-        return handler(args)
-    except ParseError as exc:
-        print(f"multlab: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return args.handler(args)
     except StabilizationError as exc:
         print(f"multlab: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"multlab: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except KeyboardInterrupt:

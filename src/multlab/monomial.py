@@ -61,6 +61,10 @@ class MonomialIdeal:
     gens: tuple[Monomial, ...]
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "dim", index(self.dim))
+        except TypeError:
+            raise ValueError(f"dim must be an integer, got {self.dim!r}") from None
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if not self.gens:
@@ -96,7 +100,7 @@ def ideal(gens, dim: int | None = None) -> MonomialIdeal:
     >>> ideal([(2, 0), (3, 1), (0, 1)]).gens
     ((0, 1), (2, 0))
     """
-    gens = [tuple(int(e) for e in g) for g in gens]
+    gens = [integer_exponents(g) for g in gens]
     if not gens:
         raise ValueError("empty generating set")
     if dim is None:
@@ -120,6 +124,7 @@ def m_ideal(dim: int) -> MonomialIdeal:
 
 def m_power(dim: int, k: int) -> MonomialIdeal:
     """m^k, generated by all monomials of total degree k."""
+    dim, k = integer_exponents((dim, k))
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
@@ -151,7 +156,7 @@ def minimalize(gens) -> tuple[Monomial, ...]:
 
     Raises ValueError on empty input.
     """
-    pts = {tuple(int(e) for e in g) for g in gens}
+    pts = set(map(integer_exponents, gens))
     if not pts:
         raise ValueError("empty generating set")
     if len(pts) <= 48:
@@ -219,7 +224,8 @@ def _pareto_layers(pts: np.ndarray) -> np.ndarray:
             layer = layer[~dom]
         if len(layer):
             kept.append(layer)
-    return np.concatenate(kept)
+    out = np.concatenate(kept)
+    return out[np.lexsort(out.T[::-1])]
 
 
 _GRID_CELL_CAP = 30_000_000
@@ -234,6 +240,8 @@ def minimalize_array(pts: np.ndarray) -> np.ndarray:
     the perturbed comparison; and a row that wins it while sitting in the
     prefix cell really does dominate, because winning forces value <= and
     the cell gives <= elsewhere.  Hence one pass is exact.
+
+    Every path returns the rows in lex order.
     """
     pts = dedup_rows(pts)  # lex-sorted, so row index is the lex rank
     n, d = pts.shape
@@ -293,6 +301,7 @@ def product_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def power(a: MonomialIdeal, n: int) -> MonomialIdeal:
     """a^n by iterated products, minimalizing at each step."""
+    (n,) = integer_exponents((n,))
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:

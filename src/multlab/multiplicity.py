@@ -258,6 +258,7 @@ def hyperplane_section_multiplicity(ideals, k: int = 1) -> int:
     ideals = list(ideals)
     if not ideals:
         raise ValueError("need at least one ideal")
+    (k,) = integer_exponents((k,))
     d = ideals[0].dim
     if not 1 <= k <= d - 1:
         raise ValueError(f"need 1 <= k <= {d - 1} hyperplane cuts, got {k}")

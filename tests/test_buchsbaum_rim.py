@@ -175,3 +175,9 @@ class TestCompositionCount:
             composition_count(0, 2)
         with pytest.raises(ValueError):
             composition_count(2, 0)
+
+    def test_takes_integers_only(self):
+        for bad in ((2.0, 2), (2, 2.5)):
+            with pytest.raises(ValueError, match="integers"):
+                composition_count(*bad)
+        assert composition_count(np.int64(4), np.int64(2)) == (5, 10)

@@ -223,6 +223,47 @@ class TestVerify:
         assert "exploration" in err
         assert "total" not in out
 
+    def test_report_and_summary_config_keys_write_their_files(self, capsys, tmp_path):
+        report, summary = tmp_path / "r.jsonl", tmp_path / "s.csv"
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text(f"dim = 2\ninstances = 2\nreport = {report}\nsummary = {summary}\n")
+        code, out, _ = run(capsys, "verify", "--config", str(cfg))
+        assert code == EXIT_OK
+        total = int(out.splitlines()[-1].split()[1])
+        assert len(report.read_text().splitlines()) == total
+        assert summary.read_text().startswith("check,")
+
+    def test_config_key_is_refused(self, capsys, tmp_path):
+        other = tmp_path / "other.cfg"
+        other.write_text("dim = 2\n")
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text(f"instances = 1\nconfig = {other}\n")
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert "config" in err
+        assert "total" not in out
+
+    @pytest.mark.parametrize("key", ["dim", "max_pure_power", "instances"])
+    def test_malformed_integer_names_the_file_and_the_key(self, capsys, tmp_path, key):
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text(f"{key} = two\n")
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert str(cfg) in err
+        assert key.replace("_", "-") in err
+        assert "total" not in out
+
+    def test_abbreviated_flags_are_refused(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify", "--dim", "2", "--inst", "1")
+        assert code == EXIT_USAGE
+        assert "--inst" in err
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text("dim = 2\ninst = 1\n")
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert str(cfg) in err and "inst" in err
+        assert "total" not in out
+
     @pytest.mark.parametrize("value", ["zero", "0", "-2", "1.5"])
     def test_malformed_jobs_variable_is_usage_error(self, capsys, monkeypatch, value):
         monkeypatch.setenv("MULTLAB_JOBS", value)
@@ -279,6 +320,24 @@ class TestFuzz:
         code, _, err = run(capsys, "fuzz", "--seconds", "0.1", "--config", str(cfg))
         assert code == EXIT_USAGE
         assert "instances" in err
+
+    def test_seconds_config_key_is_used(self, capsys, tmp_path):
+        cfg = tmp_path / "fuzz.cfg"
+        cfg.write_text("dim = 2\nseconds = 0\n")
+        code, out, err = run(capsys, "fuzz", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert "seconds must be positive and finite, got 0" in err
+        assert "total" not in out
+        cfg.write_text("dim = 2\nseconds = 0.1\n")
+        assert run(capsys, "fuzz", "--config", str(cfg))[0] == EXIT_OK
+
+    def test_seconds_flag_overrides_the_config_key(self, capsys, tmp_path):
+        # 600 s from the file would outlast the test; the flag's 0.1 s wins
+        cfg = tmp_path / "fuzz.cfg"
+        cfg.write_text("dim = 2\nseconds = 600\nchecks = lech_classical\n")
+        code, out, _ = run(capsys, "fuzz", "--config", str(cfg), "--seconds", "0.1")
+        assert code == EXIT_OK
+        assert "lech_classical" in out
 
     @pytest.mark.parametrize("argv", [
         ("fuzz", "--seconds", "0"),

@@ -1,5 +1,7 @@
 """Monomial ideal core: construction, minimalization, arithmetic, membership."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +65,19 @@ class TestConstruction:
         assert m_power(2, 1) == m
         assert m_power(3, 0) == unit_ideal(3)
 
+    def test_non_integer_exponents_and_dim_are_refused(self):
+        for gens in ([(1.5, 0), (0, 1)], [(2.0, 0), (0, 1)]):
+            with pytest.raises(ValueError, match="integers"):
+                ideal(gens)
+            with pytest.raises(ValueError, match="integers"):
+                minimalize(gens)
+        for dim in (2.0, 2.5):
+            with pytest.raises(ValueError, match="dim must be an integer"):
+                ideal([(1, 0), (0, 1)], dim=dim)
+        I = ideal([(np.int64(1), 0), (0, np.int64(1))], dim=np.int64(2))
+        assert I == m_ideal(2) and type(I.dim) is int
+        assert minimalize([np.array([2, 0]), (0, 3)]) == ((0, 3), (2, 0))
+
     def test_construction_is_canonical(self):
         a = ideal([(2, 0), (0, 3), (1, 1)])
         b = ideal([(1, 1), (2, 0), (0, 3), (2, 5)])
@@ -121,6 +136,18 @@ class TestMinimalize:
             monkeypatch.setattr(monomial, "_GRID_CELL_CAP", cap)
             assert sorted(map(tuple, minimalize_array(arr).tolist())) == want
 
+    def test_layers_path_returns_lex_order(self):
+        # > 1024 sparse generators whose grid would pass the cell cap: the
+        # degree-layer path must hand back lex order for `ideal` to accept it
+        rng = random.Random(1)
+        gens = [tuple(rng.randrange(10**6) for _ in range(4)) for _ in range(1100)]
+        want = oracle_minimalize(gens)
+        assert len(want) == 71
+        assert minimalize(gens) == want
+        assert ideal(gens).gens == want
+        arr = np.array(gens, dtype=np.int64)
+        assert list(map(tuple, minimalize_array(arr).tolist())) == list(want)
+
     @given(
         st.lists(
             st.tuples(*[st.integers(0, 9)] * 4), min_size=0, max_size=40
@@ -150,6 +177,18 @@ class TestArithmetic:
         B = parse_ideal("(x^2, y)")
         assert power(B, 0) == unit_ideal(2)
         assert power(B, 1) == B
+
+    def test_powers_take_integers_only(self):
+        B = parse_ideal("(x^2, y)")
+        for n in (2.0, 2.5):
+            with pytest.raises(ValueError, match="integers"):
+                power(B, n)
+            with pytest.raises(ValueError, match="integers"):
+                m_power(2, n)
+        with pytest.raises(ValueError, match="integers"):
+            m_power(2.0, 2)
+        assert power(B, np.int64(2)) == power(B, 2)
+        assert m_power(np.int64(2), np.int64(3)) == m_power(2, 3)
 
     def test_unit_is_identity(self):
         I = parse_ideal("(x^2, x*y, y^3)")

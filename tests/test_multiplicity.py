@@ -274,6 +274,12 @@ class TestHyperplaneSections:
         with pytest.raises(ValueError):
             hyperplane_section_multiplicity([m_ideal(3)], 1)  # needs d-k ideals
 
+    def test_cut_count_must_be_an_integer(self):
+        for k in (1.0, 1.5):
+            with pytest.raises(ValueError, match="integers"):
+                hyperplane_section_multiplicity([m_power(2, 5)], k)
+        assert hyperplane_section_multiplicity([m_power(2, 5)], np.int64(1)) == 5
+
     def test_sections_shrink_multiplicity_bound(self, rng):
         # e after one cut is at most e(I) for plane curves... keep it simple:
         # the section multiplicity of a single ideal is positive

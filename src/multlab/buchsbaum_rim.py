@@ -17,7 +17,7 @@ from math import comb, factorial
 
 from .errors import ImpossibleValueError
 from .lengths import colength, shared_sampler
-from .monomial import MonomialIdeal, integer_exponents, is_m_primary
+from .monomial import MonomialIdeal, integer, integer_exponents, is_m_primary
 from .monomial import scale_by_m as _scale_ideal
 from .multiplicity import StabilizePolicy, _heuristic_base, mixed_multiplicity, stabilize
 
@@ -146,7 +146,7 @@ def composition_count(d: int, r: int) -> tuple[int, int]:
     The second entry is (d + r - 1)! / (r! (d - 1)!), which equals d/r times
     the first; the divisibility is checked rather than assumed.
     """
-    d, r = integer_exponents((d, r))
+    d, r = integer(d, "d"), integer(r, "r")
     if d < 1 or r < 1:
         raise ValueError("d and r must be positive")
     count = comb(d + r - 1, r - 1)

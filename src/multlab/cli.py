@@ -75,8 +75,10 @@ def _int_list(text: str) -> tuple[int, ...]:
 def _jobs_default() -> int:
     """Worker processes from $MULTLAB_JOBS, a positive int; 1 when it is unset or blank."""
     env = os.environ.get("MULTLAB_JOBS", "").strip()
+    if not env:
+        return 1
     try:
-        jobs = int(env or "1")
+        jobs = int(env)
     except ValueError:
         jobs = 0
     if jobs < 1:

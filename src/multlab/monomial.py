@@ -39,6 +39,14 @@ def integer_exponents(values) -> tuple[int, ...]:
         raise ValueError("exponents must be integers") from None
 
 
+def integer(value, name: str) -> int:
+    """`value` as an int; as `integer_exponents`, but the ValueError names `name`."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def divides(a: Monomial, b: Monomial) -> bool:
     """True if x^a divides x^b, i.e. a <= b componentwise."""
     return all(ai <= bi for ai, bi in zip(a, b))
@@ -61,10 +69,8 @@ class MonomialIdeal:
     gens: tuple[Monomial, ...]
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "dim", index(self.dim))
-        except TypeError:
-            raise ValueError(f"dim must be an integer, got {self.dim!r}") from None
+        if type(self.dim) is not int:
+            object.__setattr__(self, "dim", integer(self.dim, "dim"))
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if not self.gens:
@@ -124,7 +130,7 @@ def m_ideal(dim: int) -> MonomialIdeal:
 
 def m_power(dim: int, k: int) -> MonomialIdeal:
     """m^k, generated by all monomials of total degree k."""
-    dim, k = integer_exponents((dim, k))
+    dim, k = integer(dim, "dim"), integer(k, "k")
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
@@ -301,7 +307,7 @@ def product_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def power(a: MonomialIdeal, n: int) -> MonomialIdeal:
     """a^n by iterated products, minimalizing at each step."""
-    (n,) = integer_exponents((n,))
+    n = integer(n, "n")
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:

@@ -29,7 +29,7 @@ from operator import add
 from .errors import DimensionMismatchError, NotMPrimaryError, StabilizationError
 from .errors import ImpossibleValueError
 from .lengths import MEMO_ENTRIES, shared_sampler
-from .monomial import MonomialIdeal, integer_exponents, is_m_primary, m_ideal
+from .monomial import MonomialIdeal, integer, integer_exponents, is_m_primary, m_ideal
 
 
 @dataclass(frozen=True)
@@ -258,7 +258,7 @@ def hyperplane_section_multiplicity(ideals, k: int = 1) -> int:
     ideals = list(ideals)
     if not ideals:
         raise ValueError("need at least one ideal")
-    (k,) = integer_exponents((k,))
+    k = integer(k, "k")
     d = ideals[0].dim
     if not 1 <= k <= d - 1:
         raise ValueError(f"need 1 <= k <= {d - 1} hyperplane cuts, got {k}")

@@ -177,7 +177,7 @@ class TestCompositionCount:
             composition_count(2, 0)
 
     def test_takes_integers_only(self):
-        for bad in ((2.0, 2), (2, 2.5)):
-            with pytest.raises(ValueError, match="integers"):
+        for bad, name in (((2.0, 2), "d"), ((2, 2.5), "r")):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 composition_count(*bad)
         assert composition_count(np.int64(4), np.int64(2)) == (5, 10)

@@ -276,7 +276,7 @@ class TestHyperplaneSections:
 
     def test_cut_count_must_be_an_integer(self):
         for k in (1.0, 1.5):
-            with pytest.raises(ValueError, match="integers"):
+            with pytest.raises(ValueError, match="k must be an integer"):
                 hyperplane_section_multiplicity([m_power(2, 5)], k)
         assert hyperplane_section_multiplicity([m_power(2, 5)], np.int64(1)) == 5
 

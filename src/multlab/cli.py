@@ -19,8 +19,9 @@ full, in a file as on the command line; a ``config`` key is refused.
 Exit codes: 0 success, 1 bad usage or unparsable input, 2 a verified
 inequality failed (or --cross-check disagreed), 3 a difference table failed
 to stabilize or stabilized on an impossible value (ImpossibleValueError),
-130 interrupted (Ctrl-C); every report line written before the interrupt
-stays in the --report file.
+4 out of memory (MemoryError), 130 interrupted (Ctrl-C). Each --report
+line is flushed as it is written, so every line written before a failure
+or an interrupt stays in the file.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_UNSTABLE = 3
+EXIT_OUT_OF_MEMORY = 4
 EXIT_INTERRUPTED = 130
 
 
@@ -294,6 +296,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"multlab: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        print("multlab: out of memory", file=sys.stderr)
+        return EXIT_OUT_OF_MEMORY
     except KeyboardInterrupt:
         print("multlab: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED

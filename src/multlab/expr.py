@@ -1,11 +1,14 @@
 """Parse and print monomial ideals in the parenthesized generator syntax.
 
-Accepted input looks like ``(x^2, x*y, y^3)``: a comma-separated list of
-monomials in parentheses.  Variables are ``x1, x2, ...`` with the aliases
-``x, y, z, w`` for the first four; ``*`` between factors is optional, and
-exponents use ``^`` (``**`` is tolerated).  A bare ``1`` denotes the unit
-monomial.  Formatting inverts parsing: ``parse_ideal(format_ideal(I)) == I``
-whenever the printed names pin down the dimension.
+Input such as ``(x^2, x*y, y^3)`` follows this grammar, with whitespace
+free between tokens::
+
+    ideal = "(" monomial {"," monomial} ")";  monomial = factor {["*"] factor} ["*"];  factor = "1" | var [("^" | "**") digits]
+
+A ``var`` is ``x1, x2, ...`` (or ``X1, X2, ...``), with the aliases ``x, y,
+z, w`` for the first four; a repeated variable multiplies, and ``1`` is the
+unit monomial.  Formatting inverts parsing: ``parse_ideal(format_ideal(I))
+== I`` whenever the printed names pin down the dimension.
 """
 
 from __future__ import annotations
@@ -17,112 +20,69 @@ from .monomial import MonomialIdeal, ideal
 
 _ALIASES = {"x": 1, "y": 2, "z": 3, "w": 4}
 
+# any other non-space character is a "bad" token
 _TOKEN = re.compile(
-    r"\s*(?:(?P<lpar>\()|(?P<rpar>\))|(?P<comma>,)|(?P<pow>\*\*|\^)"
-    r"|(?P<star>\*)|(?P<int>\d+)|(?P<var>[a-zA-Z]\d*))"
+    r"(?P<lpar>\()|(?P<rpar>\))|(?P<comma>,)|(?P<pow>\*\*|\^)|(?P<star>\*)"
+    r"|(?P<int>\d+)|(?P<var>[a-zA-Z]\d*)|(?P<bad>\S)"
 )
 
+# For each token kind, the kinds that may follow it and the error for any
+# other, where "{}" names the token found; "exp" is an int after "pow".
+_AFTER_FACTOR = {"star", "int", "var", "comma", "rpar"}
+_NEXT = {
+    "start": ({"lpar"}, "expected lpar, found {}"),
+    "lpar": ({"int", "var"}, "expected a monomial"),
+    "comma": ({"int", "var"}, "expected a monomial"),
+    "var": (_AFTER_FACTOR | {"pow"}, "expected rpar, found {}"),
+    "pow": ({"exp"}, "expected int, found {}"),
+    "exp": (_AFTER_FACTOR, "expected rpar, found {}"),
+    "int": (_AFTER_FACTOR, "expected rpar, found {}"),
+    "star": (_AFTER_FACTOR - {"star"}, "expected rpar, found {}"),
+    "rpar": ({"end"}, "trailing input {}"),
+}
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.lastgroup is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", position=at)
-        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
-    return tokens
+
+def _variable(name: str, at: int) -> int:
+    if name in _ALIASES:
+        return _ALIASES[name]
+    if name[0] in "xX" and name[1:]:
+        if int(name[1:]) < 1:
+            raise ParseError("variable indices start at 1", position=at)
+        return int(name[1:])
+    raise ParseError(f"unknown variable {name!r} (use x1..xd or x, y, z, w)", position=at)
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
+def _monomials(text: str) -> list[dict[int, int]]:
+    """The monomials of one ideal, each as {variable index: exponent}.
 
-    def peek(self) -> str | None:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
-
-    def next(self) -> tuple[str, str, int]:
-        if self.i >= len(self.tokens):
-            raise ParseError("unexpected end of input", position=len(self.text))
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}", position=tok[2])
-        return tok
-
-    def var_index(self, name: str, at: int) -> int:
-        head, digits = name[0], name[1:]
-        if digits:
-            if head not in ("x", "X"):
-                raise ParseError(
-                    f"unknown variable {name!r} (use x1..xd or x, y, z, w)",
-                    position=at,
-                )
-            idx = int(digits)
-            if idx < 1:
-                raise ParseError("variable indices start at 1", position=at)
-            return idx
-        if head in _ALIASES:
-            return _ALIASES[head]
-        raise ParseError(
-            f"unknown variable {name!r} (use x1..xd or x, y, z, w)", position=at
-        )
-
-    def monomial(self) -> dict[int, int]:
-        exps: dict[int, int] = {}
-        saw_factor = False
-        while True:
-            kind = self.peek()
-            if kind == "int":
-                _, text, at = self.next()
-                if text != "1":
-                    raise ParseError(
-                        "only the constant 1 is allowed in a monomial", position=at
-                    )
-                saw_factor = True
-            elif kind == "var":
-                _, name, at = self.next()
-                idx = self.var_index(name, at)
-                exp = 1
-                if self.peek() == "pow":
-                    self.next()
-                    _, etext, eat = self.expect("int")
-                    exp = int(etext)
-                exps[idx] = exps.get(idx, 0) + exp
-                saw_factor = True
-            else:
-                break
-            if self.peek() == "star":
-                self.next()
-                continue
-        if not saw_factor:
-            tok = self.tokens[self.i] if self.i < len(self.tokens) else None
-            at = tok[2] if tok else len(self.text)
-            raise ParseError("expected a monomial", position=at)
-        return exps
-
-    def ideal_body(self) -> list[dict[int, int]]:
-        self.expect("lpar")
-        monos = [self.monomial()]
-        while self.peek() == "comma":
-            self.next()
-            monos.append(self.monomial())
-        self.expect("rpar")
-        if self.i < len(self.tokens):
-            tok = self.tokens[self.i]
-            raise ParseError(f"trailing input {tok[1]!r}", position=tok[2])
-        return monos
+    The whole text is tokenized first, so its first unexpected character is
+    reported wherever it stands; then one pass checks each token against the
+    one before it.
+    """
+    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text)]
+    for kind, tok, at in tokens:
+        if kind == "bad":
+            raise ParseError(f"unexpected character {tok!r}", position=at)
+    monos, prev = [{}], "start"
+    for kind, tok, at in tokens + [("end", "", len(text))]:
+        if kind == "int" and prev == "pow":
+            kind = "exp"
+        follow, error = _NEXT[prev]
+        if kind not in follow:
+            if kind == "end" and "{}" in error:
+                error = "unexpected end of input"
+            raise ParseError(error.format(repr(tok)), position=at)
+        if kind == "int" and tok != "1":
+            raise ParseError("only the constant 1 is allowed in a monomial", position=at)
+        if kind == "var":
+            var = _variable(tok, at)
+            monos[-1][var] = monos[-1].get(var, 0) + 1
+        elif kind == "exp":  # the variable before "^" already counted once
+            monos[-1][var] += int(tok) - 1
+        elif kind == "comma":
+            monos.append({})
+        prev = kind
+    return monos
 
 
 def parse_ideal(text: str, dim: int | None = None) -> MonomialIdeal:
@@ -144,7 +104,7 @@ def parse_module(text: str, dim: int | None = None) -> list[MonomialIdeal]:
 
 def parse_ideals(texts, dim: int | None = None) -> list[MonomialIdeal]:
     """Parse several ideals into one dimension: `dim`, else the largest any of them uses."""
-    parsed = [_Parser(text).ideal_body() for text in texts]
+    parsed = [_monomials(text) for text in texts]
     used = max((max(m) for monos in parsed for m in monos if m), default=0)
     if dim is None:
         if used == 0:

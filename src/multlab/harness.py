@@ -401,8 +401,10 @@ class Tally:
 
 
 def write_jsonl(reports, stream) -> None:
+    """Write one JSON line per report, flushed at once, so a killed run keeps every line counted."""
     for r in reports:
         stream.write(r.to_json() + "\n")
+        stream.flush()
 
 
 def write_summary_csv(tally: Tally, stream) -> None:

@@ -13,7 +13,7 @@ All arithmetic is exact.  Large generator sets are filtered with numpy
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from math import comb
 from operator import index
 
@@ -75,14 +75,16 @@ class MonomialIdeal:
             raise ValueError("dim must be >= 1")
         if not self.gens:
             raise ValueError("an ideal needs at least one generator")
+        exponents = integer_exponents(chain.from_iterable(self.gens))
+        low, high = min(exponents), max(exponents)
+        if low < 0 or high >= MAX_EXPONENT:
+            raise ValueError(f"exponents must be in [0, {MAX_EXPONENT}), got {low if low < 0 else high}")
         prev = None
         for g in self.gens:
             if len(g) != self.dim:
                 raise DimensionMismatchError(
                     f"generator {g} has {len(g)} exponents, expected {self.dim}"
                 )
-            if any(e < 0 or e >= MAX_EXPONENT for e in g):
-                raise ValueError(f"exponents must be in [0, {MAX_EXPONENT}): {g}")
             if prev is not None and g <= prev:
                 raise ValueError("generators must be strictly increasing (lex)")
             prev = g

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, output, exit codes."""
 
+import argparse
 import json
 from itertools import count, islice
 
@@ -12,6 +13,7 @@ from multlab.cli import (
     EXIT_UNSTABLE,
     EXIT_USAGE,
     EXIT_VIOLATION,
+    _finish_suite,
     main,
 )
 
@@ -377,6 +379,21 @@ class TestFuzz:
         assert "Traceback" not in out + err
         assert report.read_text().splitlines() == want
 
+    def test_each_report_line_reaches_the_file_before_the_next_report(self, capsys, tmp_path):
+        want = [r.to_json() + "\n" for r in islice(harness.fuzz(CorpusConfig(dim=2), 3600), 6)]
+        path = tmp_path / "f.jsonl"
+        on_disk = []
+
+        def reports():
+            for r in islice(harness.fuzz(CorpusConfig(dim=2), 3600), 6):
+                on_disk.append(path.read_text())
+                yield r
+
+        args = argparse.Namespace(report=str(path), summary=None)
+        assert _finish_suite(reports(), args) == EXIT_OK
+        assert on_disk == ["".join(want[:i]) for i in range(6)]
+        assert path.read_text() == "".join(want)
+
 
 class TestImpossibleValue:
     def test_maps_to_unstable_exit_without_traceback(self, capsys, monkeypatch):
@@ -396,6 +413,18 @@ class TestImpossibleValue:
         monkeypatch.setattr("multlab.cli.mixed_multiplicity", broken)
         with pytest.raises(ZeroDivisionError):
             main(["mixed", "(x, y^2)", "(x^2, y)"])
+
+
+class TestOutOfMemory:
+    def test_maps_to_exit_4_without_traceback(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("multlab.cli.mixed_multiplicity", exhausted)
+        code, out, err = run(capsys, "mixed", "(x, y^2)", "(x^2, y)")
+        assert code == 4  # documented in the cli docstring and the README
+        assert err == "multlab: out of memory\n"
+        assert "Traceback" not in err + out
 
 
 class TestUsage:

@@ -1,5 +1,7 @@
 """Ideal expression parsing and printing."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,40 @@ from hypothesis import strategies as st
 from multlab import ParseError, format_ideal, ideal, parse_ideal, parse_module
 
 from conftest import random_mprimary
+
+
+# each malformed ideal text with the position and the message of its ParseError
+_MALFORMED = {
+    "(x^2, q)": (6, "unknown variable 'q'"),
+    "(q^2)": (1, "unknown variable 'q'"),
+    "(X)": (1, "unknown variable 'X'"),
+    "(y2)": (1, "unknown variable 'y2'"),
+    "(x0)": (1, "variable indices start at 1"),
+    "(x + y)": (3, "unexpected character '+'"),
+    "(x^-1)": (3, "unexpected character '-'"),
+    # the first bad character anywhere wins over an earlier grammar fault
+    "wX(-q0": (3, "unexpected character '-'"),
+    "": (0, "unexpected end of input"),
+    "   ": (3, "unexpected end of input"),
+    "(x": (2, "unexpected end of input"),
+    "(x, y\t": (6, "unexpected end of input"),
+    "(x^": (3, "unexpected end of input"),
+    "x^2": (0, "expected lpar, found 'x'"),
+    "(x^)": (3, "expected int, found ')'"),
+    "(x**y)": (4, "expected int, found 'y'"),
+    "(x^2^3)": (4, "expected rpar, found '^'"),
+    "(1^2)": (2, "expected rpar, found '^'"),
+    "(x * * y)": (5, "expected rpar, found '*'"),
+    "(2*x)": (1, "only the constant 1"),
+    "(01)": (1, "only the constant 1"),
+    "(": (1, "expected a monomial"),
+    "()": (1, "expected a monomial"),
+    "(*x)": (1, "expected a monomial"),
+    "(x^2,)": (5, "expected a monomial"),
+    "(x,,": (3, "expected a monomial"),
+    "(x^2) trailing": (6, "trailing input 't'"),
+    "(x, y) (z)": (7, "trailing input '('"),
+}
 
 
 class TestParse:
@@ -49,31 +85,18 @@ class TestParse:
     def test_whitespace_insensitive(self):
         assert parse_ideal(" ( x ^ 2 ,x*y , y^3 ) ") == parse_ideal("(x^2,x*y,y^3)")
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "",
-            "(",
-            "()",
-            "(x",
-            "x^2",
-            "(x^2,)",
-            "(x^)",
-            "(q^2)",
-            "(x^2) trailing",
-            "(x + y)",
-            "(2*x)",
-            "(x^-1)",
-        ],
-    )
+    @pytest.mark.parametrize("bad", list(_MALFORMED))
     def test_rejects_malformed(self, bad):
-        with pytest.raises(ParseError):
+        position, message = _MALFORMED[bad]
+        with pytest.raises(ParseError, match=re.escape(message)) as exc:
             parse_ideal(bad)
+        assert exc.value.position == position
+        assert str(exc.value).endswith(f"(at position {position})")
 
-    def test_error_carries_position(self):
-        with pytest.raises(ParseError) as exc:
-            parse_ideal("(x^2, q)")
-        assert exc.value.position == 6
+    def test_tolerated_forms(self):
+        assert parse_ideal("(x*)") == parse_ideal("(x)")
+        assert parse_ideal("(x 1 y)") == parse_ideal("(x*y)")
+        assert parse_ideal("(X2^3, x^0)").is_unit
 
     def test_cannot_infer_dim_from_unit(self):
         with pytest.raises(ParseError):
@@ -133,3 +156,22 @@ class TestModule:
 def test_format_parse_roundtrip(gens):
     I = ideal(gens)
     assert parse_ideal(format_ideal(I), dim=I.dim) == I
+
+
+# every token kind, a few bad characters, and whitespace; runs of more than
+# three digits are left out, so no variable index builds a huge dimension
+_TOKEN_TEXTS = st.sampled_from(
+    ["(", ")", ",", "^", "**", "*", " ", "x", "y", "z", "w", "X", "q",
+     "x1", "x3", "0", "1", "2", "+", "-", "\t"]
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(_TOKEN_TEXTS, max_size=14).map("".join).filter(lambda s: not re.search(r"\d{4}", s)))
+def test_any_token_string_parses_or_fails_with_a_position(text):
+    try:
+        I = parse_ideal(text, dim=None if re.search(r"[xyzwX]", text) else 1)
+    except ParseError as exc:
+        assert exc.position is not None and 0 <= exc.position <= len(text)
+    else:
+        assert parse_ideal(format_ideal(I), dim=I.dim) == I

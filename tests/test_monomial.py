@@ -78,6 +78,12 @@ class TestConstruction:
         assert I == m_ideal(2) and type(I.dim) is int
         assert minimalize([np.array([2, 0]), (0, 3)]) == ((0, 3), (2, 0))
 
+    def test_constructor_refuses_non_integer_exponents(self):
+        for gens in (((0, 1.5), (2.0, 0)), ((0, 1), (2.0, 0)), ((0, "1"), (2, 0))):
+            with pytest.raises(ValueError, match="integers"):
+                MonomialIdeal(2, gens)
+        assert MonomialIdeal(2, ((0, np.int64(1)), (2, 0))) == ideal([(0, 1), (2, 0)])
+
     def test_construction_is_canonical(self):
         a = ideal([(2, 0), (0, 3), (1, 1)])
         b = ideal([(1, 1), (2, 0), (0, 3), (2, 5)])

@@ -13,6 +13,7 @@ real cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import comb, factorial
 
 from .errors import ImpossibleValueError
@@ -89,7 +90,7 @@ def br_direct(E: DirectSumModule) -> int:
     stabilized base; the constant window certifies that the polynomial
     degree is exactly d + r - 1 with the expected leading behaviour.  Each
     round hands the compositions of all its n to the sampler in one
-    `colengths` call, so `module_colength` then only reads its memo.
+    `colengths` call and sums each n's colengths from that one result.
     """
     proper = [I for I in E.ideals if not I.is_unit]
     if not proper:
@@ -100,8 +101,8 @@ def br_direct(E: DirectSumModule) -> int:
     sampler = shared_sampler(E.ideals)
 
     def evaluate(points):
-        sampler.colengths([a for (n,) in points for a in _compositions(n, r)])
-        return [module_colength(E, n) for (n,) in points]
+        values = iter(sampler.colengths([a for (n,) in points for a in _compositions(n, r)]))
+        return [sum(islice(values, comb(n + r - 1, r - 1))) for (n,) in points]
 
     table = stabilize(evaluate, (order,), policy)
     if table.result < 1:

@@ -15,14 +15,20 @@ above x', so the count is h.sum().
 * `multiply_field` turns the field of P into the field of P*J with one
   min-plus update per generator g of J: out[g':] = min(out[g':], h[:-g'] + g_c).
   Nothing is minimalized; from the empty field of the unit ideal it gives
-  the field of J.
+  the field of J.  Two shortcuts leave every height exact.  J is m-primary,
+  so its pure power (0', b_c) on the height axis lies in J; its update
+  covers the whole field, and from a field of tops it gives h + b_c, since
+  h stays within P's top.  So `out` starts as h + b_c, and every g with
+  g_c >= b_c, a multiple of that power, is skipped: it cannot lower a
+  height.  A generator with g_c = 0 takes the minimum with the shifted h
+  itself, with no sum array.
 * `field_count` sums a field or a slab exactly; `count_grid` sums the slabs.
 
 Counts are exact: a field is uint8, uint16 or uint32 while its top fits,
 and holds Python ints beyond.  No height of a field passes its top, and
-`multiply_field` clamps each g_c to J's pure-power bound, so a sum
-h + g_c never passes the product's top.  numpy sums uint8, uint16 and
-uint32 in uint64, which no field that fits in memory can overflow.
+`multiply_field` adds at most b_c to P's heights, so a sum h + g_c never
+passes the product's top.  numpy sums uint8, uint16 and uint32 in uint64,
+which no field that fits in memory can overflow.
 """
 
 from __future__ import annotations
@@ -123,8 +129,10 @@ def multiply_field(h: np.ndarray, box, gens, gen_box, axis: int) -> np.ndarray:
     P and J are m-primary: `box` and `gen_box` are their pure-power bounds
     and J is generated by the rows of `gens`.  Beyond P's box a point lies
     in P, so h counts as 0 there; every g' fits inside the product's box.
-    A height g_c past J's bound b_c is clamped to b_c, which is exact since
-    (g', b_c) lies in J; so h + g_c never passes the product's top.
+    The pure power (0', b_c) lies in J whether or not it is a row, so the
+    field starts as h + b_c, that power's update, and a row with g_c >= b_c,
+    a multiple of it, is skipped; every sum h + g_c therefore stays within
+    the product's top.  A row with g_c = 0 shifts h without adding to it.
     """
     out_box = [int(a) + int(b) for a, b in zip(box, gen_box)]
     top = out_box.pop(axis)
@@ -132,17 +140,19 @@ def multiply_field(h: np.ndarray, box, gens, gen_box, axis: int) -> np.ndarray:
     dtype = field_dtype(top)
     padded = np.zeros(shape, dtype=dtype)
     padded[(*map(slice, h.shape), ...)] = h
-    out = np.empty(shape, dtype=dtype)
-    out.fill(top)
     cap = int(gen_box[axis])
     # The trailing ... keeps the 0-d view of d = 1 an array, not a scalar.
     # numpy 1.x adds a Python int to a 0-d array in int64; the unsafe cast
     # back is exact, since no sum passes the top.
+    out = np.empty(shape, dtype=dtype)
+    np.add(padded, cap, out=out, casting="unsafe")
     for g in np.asarray(gens, dtype=np.int64).tolist():
-        c = min(g.pop(axis), cap)
+        c = g.pop(axis)
+        if c >= cap:
+            continue
         view = out[(*map(slice, g, shape), ...)]
         src = padded[(*map(slice, map(sub, shape, g)), ...)]
-        np.minimum(view, src + c, out=view, casting="unsafe")
+        np.minimum(view, src + c if c else src, out=view, casting="unsafe")
     return out
 
 

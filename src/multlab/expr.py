@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
-from .monomial import MonomialIdeal, ideal
+from .monomial import MAX_EXPONENT, MonomialIdeal, ideal
 
 _ALIASES = {"x": 1, "y": 2, "z": 3, "w": 4}
 
@@ -78,7 +78,10 @@ def _monomials(text: str) -> list[dict[int, int]]:
             var = _variable(tok, at)
             monos[-1][var] = monos[-1].get(var, 0) + 1
         elif kind == "exp":  # the variable before "^" already counted once
-            monos[-1][var] += int(tok) - 1
+            digits = tok.lstrip("0") or "0"  # counted first: int() refuses 4 300 digits
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) >= MAX_EXPONENT:
+                raise ParseError(f"exponents must be below {MAX_EXPONENT}", position=at)
+            monos[-1][var] += int(digits) - 1
         elif kind == "comma":
             monos.append({})
         prev = kind

@@ -7,10 +7,11 @@ box of pure-power bounds.  `ProductSampler` serves the multiplicity engine,
 which needs lambda(R / I_1^{n_1} ... I_s^{n_s}) on many nearby exponent
 vectors, on height fields (on minimal generators once a field would pass
 `counting.FIELD_CELLS`).  `colengths` takes all the points of a difference
-round at once and builds their products in one depth-first walk, one
-product per new point beyond the climb to their meet; the climb starts
-from the one product a sampler keeps, the last walk's meet, when it lies
-below.  `colength_at` is the same walk on one point.
+round at once: it checks and keys each point once, builds the products of
+the points not counted yet in one depth-first walk, one product per new
+point beyond the climb to their meet, and then reads every point's count.
+The climb starts from the one product a sampler keeps, the last walk's
+meet, when it lies below.  `colength_at` is the same on one point.
 Repeated exact results come from bounded memos, least recently used out:
 `shared_sampler` holds the samplers every caller shares, `colength` keeps
 MEMO_ENTRIES colengths, and `multiplicity` keeps as many difference tables.
@@ -225,7 +226,8 @@ class ProductSampler:
         """Colengths at all `points`, their products built in one walk per kind."""
         keys = [self._key(n) for n in points]
         self._fill(keys)
-        return [self.colength_at(n) for n in keys]
+        counts = self._counts
+        return [counts[n] for n in keys]
 
 
 @lru_cache(maxsize=4)

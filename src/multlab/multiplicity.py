@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
-from math import comb
+from math import comb, prod
 from operator import add
 
 from .errors import DimensionMismatchError, NotMPrimaryError, StabilizationError
@@ -80,29 +80,28 @@ class StabilizePolicy:
             raise ValueError("growth must be at least 2")
 
 
-def _mixed_difference(values, base, order):
-    """Sum of (-1)^{|order - delta|} prod C(order_j, delta_j) f(base + delta).
+def _difference_terms(order):
+    """The pairs (delta, (-1)^{|order - delta|} prod C(order_j, delta_j)) of one order."""
+    return [
+        (delta, (-1) ** (sum(order) - sum(delta)) * prod(map(comb, order, delta)))
+        for delta in iter_product(*(range(o + 1) for o in order))
+    ]
+
+
+def _mixed_difference(values, base, terms):
+    """Sum of coeff * f(base + delta) over the `terms` of `_difference_terms`.
 
     `values` maps every point base + delta to f there.
     """
-    total = 0
-    for delta in iter_product(*(range(o + 1) for o in order)):
-        point = tuple(b + t for b, t in zip(base, delta))
-        coeff = 1
-        for o, t in zip(order, delta):
-            coeff *= comb(o, t)
-        sign = (-1) ** (sum(order) - sum(delta))
-        total += sign * coeff * values[point]
-    return total
+    return sum(coeff * values[tuple(map(add, base, delta))] for delta, coeff in terms)
 
 
-def _round_points(base, order, window):
+def _round_points(base, terms, window):
     """The distinct lattice points of one round's differences, in first-use order."""
-    deltas = list(iter_product(*(range(o + 1) for o in order)))
     points = {}
     for s in range(window + 1):
         shifted = tuple(b + s for b in base)
-        points.update(dict.fromkeys(tuple(map(add, shifted, delta)) for delta in deltas))
+        points.update(dict.fromkeys(tuple(map(add, shifted, delta)) for delta, _ in terms))
     return list(points)
 
 
@@ -134,13 +133,14 @@ def stabilize(evaluate, order, policy: StabilizePolicy | None = None) -> Differe
     if any(b < 1 for b in base):
         raise ValueError("base coordinates must be positive")
 
+    terms = _difference_terms(order)
     bases_tried = []
     diffs_seen = []
     for _ in range(policy.max_rounds + 1):
-        points = _round_points(base, order, policy.window)
+        points = _round_points(base, terms, policy.window)
         values = dict(zip(points, evaluate(points), strict=True))
         diffs = [
-            _mixed_difference(values, tuple(b + s for b in base), order)
+            _mixed_difference(values, tuple(b + s for b in base), terms)
             for s in range(policy.window + 1)
         ]
         bases_tried.append(base)

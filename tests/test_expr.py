@@ -42,6 +42,9 @@ _MALFORMED = {
     "(x,,": (3, "expected a monomial"),
     "(x^2) trailing": (6, "trailing input 't'"),
     "(x, y) (z)": (7, "trailing input '('"),
+    # exponents past monomial.MAX_EXPONENT, by value and by digit count
+    "(x^2147483648, y)": (3, "exponents must be below 2147483648"),
+    "(x^" + "9" * 5000 + ", y)": (3, "exponents must be below 2147483648"),
 }
 
 
@@ -85,7 +88,10 @@ class TestParse:
     def test_whitespace_insensitive(self):
         assert parse_ideal(" ( x ^ 2 ,x*y , y^3 ) ") == parse_ideal("(x^2,x*y,y^3)")
 
-    @pytest.mark.parametrize("bad", list(_MALFORMED))
+    # a long text is named by its head and length, the rest by themselves
+    @pytest.mark.parametrize(
+        "bad", list(_MALFORMED), ids=lambda t: f"{t[:6]}...{len(t)} chars" if len(t) > 40 else None
+    )
     def test_rejects_malformed(self, bad):
         position, message = _MALFORMED[bad]
         with pytest.raises(ParseError, match=re.escape(message)) as exc:

@@ -135,6 +135,19 @@ def ideal_pairs(draw):
     return (*pair, axis)
 
 
+@st.composite
+def generator_rows(draw, J, axis):
+    """J's generators shuffled among repeats and multiples, some of them past J's bound on `axis`."""
+    bounds = box_bounds(J)
+    gens = [list(g) for g in J.gens]
+    rows = gens + draw(st.lists(st.sampled_from(gens), max_size=4))
+    for g in draw(st.lists(st.sampled_from(gens), max_size=4)):
+        multiple = [e + draw(st.integers(0, b - e)) for e, b in zip(g, bounds)]
+        multiple[axis] += draw(st.sampled_from((0, 1, 2**8, 2**16, 2**40)))
+        rows.append(multiple)
+    return np.array(draw(st.permutations(rows)), dtype=np.int64)
+
+
 def whole_field(gens, box, axis):
     """The height field of `gens` along `axis`, its slabs' rows repeated back."""
     slabs = list(field_slabs(gens, box, axis))
@@ -144,11 +157,12 @@ def whole_field(gens, box, axis):
 
 
 @settings(max_examples=60, deadline=None)
-@given(ideal_pairs())
-def test_multiply_field_matches_the_field_of_the_product(pair):
+@given(ideal_pairs(), st.data())
+def test_multiply_field_matches_the_field_of_the_product(pair, data):
     P, J, axis = pair
     box, gen_box = box_bounds(P), box_bounds(J)
-    got = multiply_field(whole_field(as_array(P), box, axis), box, as_array(J), gen_box, axis)
+    rows = data.draw(generator_rows(J, axis))
+    got = multiply_field(whole_field(as_array(P), box, axis), box, rows, gen_box, axis)
     out_box = tuple(map(add, box, gen_box))
     want = whole_field(product_array(as_array(P), as_array(J)), out_box, axis)
     assert got.dtype == want.dtype == counting.field_dtype(out_box[axis])
@@ -310,6 +324,7 @@ class TestProductSampler:
 
         monkeypatch.setattr(sampler, "colengths", one_round)
         assert br_direct(E) == 46
+        assert calls  # the bounds above count field products the walk really made
         calls.clear()
         for n in layers:
             module_colength(E, n)
@@ -337,6 +352,7 @@ class TestProductSampler:
         table = mixed_difference_table(ideals)
         assert table.order == (1, 1, 1, 1)
         # the climb from the unit ideal to the root ends in the root's field
+        assert calls
         assert len(calls) <= sum(table.base) + len(table.samples) - 1
         fresh = ProductSampler(ideals)
         by_point = stabilize(
@@ -402,6 +418,11 @@ class TestProductSampler:
         I = parse_ideal("(x^20, y^20, z^20, w^20)", dim=4)
         assert hilbert_samuel(I) == 20**4
         assert products  # the generator walk ran
+        # every point of this table is past the budget; this one's rounds
+        # cross it at n = 15, so both walks run
+        J = parse_ideal("(x^7, y^7, z^7, w^10)", dim=4)
+        assert hilbert_samuel(J) == 7**3 * 10
+        assert fields
         assert all(h.size <= FIELD_CELLS for h in fields)
 
     def test_all_zero_is_zero(self):

@@ -1,29 +1,26 @@
-"""Integral closure of m-primary monomial ideals via the Newton polyhedron.
+"""Integral closure of monomial ideals via the Newton polyhedron.
 
 A monomial x^v lies in the integral closure of I exactly when v lies in the
 Newton polyhedron Newt(I) = conv(gens) + R^d_{>=0} (Huneke-Swanson,
-*Integral Closure*, 1.4).  Two exact routes decide that:
+*Integral Closure*, 1.4).  Newt(I) is the slice t = 1 of the cone in
+R^(d+1) spanned by (g, 1) for each generator g and (e_i, 0) for each axis,
+so its facet inequalities a.v >= b are the rays (a, -b) of the dual cone
+with b > 0.  `_newton_facets` finds them by the double description method
+in Python ints, one generator at a time, so its cost follows the facets
+rather than the subsets of generators.  Every membership question is then
+a.v >= b for every facet:
 
-* `newton_polyhedron_member` tests one point.  Whether v is >= some convex
-  combination of the generators is a linear feasibility problem, solved by
-  a phase-I simplex on `fractions.Fraction` entries (Bland's rule, so it
-  always terminates).  It is the public per-point route and the judge of
-  the second one.
-* `integral_closure` tests the whole box of pure-power bounds at once.
-  Newt(I) is the slice t = 1 of the cone in R^(d+1) spanned by (g, 1) for
-  each generator g and (e_i, 0) for each axis, so its facet inequalities
-  a.v >= b are the rays (a, -b) of the dual cone with b > 0.
-  `_newton_facets` finds them by the double description method in Python
-  ints, one generator at a time, so its cost follows the facets rather
-  than the subsets of generators.  Membership is then a.v >= b for every
-  facet, evaluated in int64 numpy arithmetic, and the closure's minimal
-  generators are the members with no member one step below them.  No
-  floats enter the decision.
+* `newton_polyhedron_member` tests one point of any ideal in Python ints,
+  so it is exact for every exponent the ideal can hold.
+* `integral_closure` tests the whole box of pure-power bounds of an
+  m-primary ideal at once, in int64 numpy arithmetic, and the closure's
+  minimal generators are the members with no member one step below them.
+
+No floats and no rationals enter the decision.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import factorial, gcd, prod
 from operator import mul
@@ -33,7 +30,6 @@ import numpy as np
 from . import counting
 from .monomial import (
     MonomialIdeal,
-    as_array,
     box_bounds,
     contains,
     ideal_from_array,
@@ -44,60 +40,12 @@ from .monomial import (
 def _phase_one_feasible(cols: list[tuple[int, ...]], rhs: tuple[int, ...]) -> bool:
     """Is there lam >= 0 with sum(lam) = 1 and sum lam_j cols[j] <= rhs?
 
-    Standard form: one convexity row with an artificial variable, one row per
-    coordinate with a slack.  Minimizing the artificial to zero certifies
-    feasibility; everything stays in exact rational arithmetic.
+    That is, does rhs lie in conv(cols) + R^d_{>=0}; it does exactly when
+    a.rhs >= b for every facet row (a, b) of `_newton_facets(cols)`.  The
+    benchmark's tracer (`bench/tracer.py`) wraps this function by name.
     """
-    g = len(cols)
-    d = len(rhs)
-    rows = d + 1
-    ncols = g + d + 1  # lambdas, slacks, artificial
-    art = g + d
-
-    T = [[Fraction(0)] * (ncols + 1) for _ in range(rows)]
-    for i in range(d):
-        for j in range(g):
-            T[i][j] = Fraction(cols[j][i])
-        T[i][g + i] = Fraction(1)
-        T[i][ncols] = Fraction(rhs[i])
-    for j in range(g):
-        T[d][j] = Fraction(1)
-    T[d][art] = Fraction(1)
-    T[d][ncols] = Fraction(1)
-
-    basis = list(range(g, g + d)) + [art]
-    # objective: minimize the artificial == maximize -art; reduced costs
-    # start as the negated artificial row since art is basic there
-    z = [-T[d][j] for j in range(ncols + 1)]
-    z[art] = Fraction(0)
-
-    while True:
-        # Bland's rule (smallest eligible index) guarantees termination;
-        # the artificial never re-enters once driven out
-        enter = next((j for j in range(ncols) if j != art and z[j] < 0), None)
-        if enter is None:
-            break
-        ratios = [
-            (T[i][ncols] / T[i][enter], basis[i], i)
-            for i in range(rows)
-            if T[i][enter] > 0
-        ]
-        if not ratios:
-            return False  # unbounded phase-I: cannot happen, but be safe
-        _, _, leave = min(ratios)
-        piv = T[leave][enter]
-        T[leave] = [v / piv for v in T[leave]]
-        for i in range(rows):
-            if i != leave and T[i][enter]:
-                f = T[i][enter]
-                T[i] = [a - f * b for a, b in zip(T[i], T[leave])]
-        if z[enter]:
-            f = z[enter]
-            z = [a - f * b for a, b in zip(z, T[leave])]
-        basis[leave] = enter
-        if art not in basis:
-            return True
-    return -z[ncols] == 0
+    A, b = _newton_facets(cols)
+    return all(sum(map(mul, a, rhs)) >= c for a, c in zip(A, b))
 
 
 def newton_polyhedron_member(I: MonomialIdeal, point) -> bool:
@@ -112,7 +60,7 @@ def newton_polyhedron_member(I: MonomialIdeal, point) -> bool:
     return _phase_one_feasible(list(I.gens), v)
 
 
-def _newton_facets(gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _newton_facets(gens) -> tuple[list[tuple[int, ...]], list[int]]:
     """Integer rows (a, b), a >= 0 and b > 0, with Newt(gens) = {v >= 0 : a.v >= b for all}.
 
     Double description (Fukuda-Prodon, *Double description method
@@ -125,11 +73,14 @@ def _newton_facets(gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     on the negative side are adjacent when their common tight set has at
     least d - 1 bits and no third ray is tight on all of it; each adjacent
     pair gives one new ray on the cut, divided by its gcd.  All arithmetic
-    is in Python ints.  The rays with a negative last entry are the facets
-    with b > 0; the others are facets v_i >= 0 and the face at infinity.
+    is in Python ints, so the rows are exact at any size.  The rays with a
+    negative last entry are the facets with b > 0; the others are facets
+    v_i >= 0 and the face at infinity.  `gens` is any non-empty sequence of
+    exponent rows, and the rows come back as the list of a's and the list
+    of b's.
     """
-    d = gens.shape[1]
-    cuts = [(*g, 1) for g in gens.tolist()]
+    cuts = [(*map(int, g), 1) for g in gens]
+    d = len(cuts[0]) - 1
     axes = (1 << d) - 1  # bit i: tight on e_i; bit d + k: tight on cuts[k]
     rays = [((0,) * d + (1,), axes)] + [
         ((*(int(j == i) for j in range(d)), -cuts[0][i]), (axes ^ 1 << i) | 1 << d)
@@ -148,9 +99,8 @@ def _newton_facets(gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 g = gcd(*y)
                 kept.append((tuple(e // g for e in y), both | 1 << k))
         rays = kept
-    rows = np.array([(*y[:d], -y[d]) for y, _ in rays if y[d] < 0], dtype=np.int64)
-    rows = rows.reshape(-1, d + 1)
-    return rows[:, :d], rows[:, d]
+    facets = [y for y, _ in rays if y[d] < 0]
+    return [y[:d] for y in facets], [-y[d] for y in facets]
 
 
 def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
@@ -170,16 +120,17 @@ def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
     row from the others leaves a d x d determinant whose column i holds
     entries of size at most b_i, so 0 <= a.v <= d! * prod b_i on the box
     (and so is b, the value at a generator).  A box where that bound does
-    not fit in int64 raises ValueError before anything is allocated.  The
-    box goes in slabs along the first axis of at most `counting.FIELD_CELLS`
-    cells (or one row), and each slab carries the last row of mem from the
-    one before.
+    not fit in int64 raises ValueError before anything is allocated; past
+    that check the facet rows, Python ints, enter int64 arithmetic
+    exactly.  The box goes in slabs along the first axis of at most
+    `counting.FIELD_CELLS` cells (or one row), and each slab carries the
+    last row of mem from the one before.
     """
     bounds = box_bounds(I)
     d = I.dim
     if factorial(d) * prod(bounds) >= 2**63:
         raise ValueError(f"pure powers {bounds} may overflow int64 facet values")
-    A, b = _newton_facets(as_array(I))
+    A, b = _newton_facets(I.gens)
     shape = [n + 1 for n in bounds]
     rows = max(1, counting.FIELD_CELLS // prod(shape[1:]))
     before = np.zeros([1, *shape[1:]], dtype=bool)
@@ -188,7 +139,7 @@ def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
         hi = min(lo + rows, shape[0])
         axes = np.ix_(np.arange(lo, hi), *(np.arange(n) for n in shape[1:]))
         mem = np.ones([hi - lo, *shape[1:]], dtype=bool)
-        for a, c in zip(A.tolist(), b.tolist()):
+        for a, c in zip(A, b):
             mem &= sum(ai * x for ai, x in zip(a, axes) if ai) >= c
         gen = mem.copy()
         gen[:1] &= ~before

@@ -79,11 +79,13 @@ def _monomials(text: str) -> list[dict[int, int]]:
             monos[-1][var] = monos[-1].get(var, 0) + 1
         elif kind == "exp":  # the variable before "^" already counted once
             digits = tok.lstrip("0") or "0"  # counted first: int() refuses 4 300 digits
-            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) >= MAX_EXPONENT:
-                raise ParseError(f"exponents must be below {MAX_EXPONENT}", position=at)
-            monos[-1][var] += int(digits) - 1
+            big = len(digits) > len(str(MAX_EXPONENT))
+            monos[-1][var] += (MAX_EXPONENT if big else int(digits)) - 1
         elif kind == "comma":
             monos.append({})
+        # a repeated variable adds up, so the token that passes the bound is named
+        if kind in ("var", "exp") and monos[-1][var] >= MAX_EXPONENT:
+            raise ParseError(f"exponents must be below {MAX_EXPONENT}", position=at)
         prev = kind
     return monos
 

@@ -42,9 +42,12 @@ _MALFORMED = {
     "(x,,": (3, "expected a monomial"),
     "(x^2) trailing": (6, "trailing input 't'"),
     "(x, y) (z)": (7, "trailing input '('"),
-    # exponents past monomial.MAX_EXPONENT, by value and by digit count
+    # exponents past monomial.MAX_EXPONENT, by value, by digit count and by
+    # the sum of a repeated variable, at the token that passes it
     "(x^2147483648, y)": (3, "exponents must be below 2147483648"),
     "(x^" + "9" * 5000 + ", y)": (3, "exponents must be below 2147483648"),
+    "(x^2147483647*x, y)": (14, "exponents must be below 2147483648"),
+    "(x*x^2147483647, y)": (5, "exponents must be below 2147483648"),
 }
 
 

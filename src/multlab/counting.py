@@ -19,26 +19,40 @@ above x', so the count is h.sum().
   so its pure power (0', b_c) on the height axis lies in J; its update
   covers the whole field, and from a field of tops it gives h + b_c, since
   h stays within P's top.  So `out` starts as h + b_c, and every g with
-  g_c >= b_c, a multiple of that power, is skipped: it cannot lower a
-  height.  A generator with g_c = 0 takes the minimum with the shifted h
-  itself, with no sum array.
+  g_c >= b_c, a multiple of that power, is dropped once per J by
+  `field_rows`: it cannot lower a height.  A generator with g_c = 0 takes
+  the minimum with the shifted h itself, with no sum array.
+  Each update is one contiguous 1-D slice, not a strided view whose short
+  rows numpy pays for one by one.  Both fields are laid out row-major on
+  the product's box, with a margin past the end of every axis but the
+  first that is as wide as J's largest shift on that axis, and P's field
+  holds the top there.  A generator is then a flat offset o, and a cell
+  whose shifted read would leave the box on some axis reads that axis's
+  margin instead, which lowers nothing.  The result is the view on the
+  box; its allocation is the box plus those margins.
 * `field_count` sums a field or a slab exactly; `count_grid` sums the slabs.
 
 Counts are exact: a field is uint8, uint16 or uint32 while its top fits,
 and holds Python ints beyond.  No height of a field passes its top, and
 `multiply_field` adds at most b_c to P's heights, so a sum h + g_c never
-passes the product's top.  numpy sums uint8, uint16 and uint32 in uint64,
-which no field that fits in memory can overflow.
+passes the product's top; only a margin read, top + g_c, may pass the
+field's type, and then the product is worked in the next type and
+narrowed.  numpy sums uint16 and uint32 in uint64, which no field that
+fits in memory can overflow, and `field_count` sums a uint8 field of fewer
+than 2**24 cells in uint32, which is exact since 255 * 2**24 < 2**32.
 """
 
 from __future__ import annotations
 
 from itertools import product as iter_product
-from operator import sub
+from operator import add, mul
+from typing import NamedTuple
 
 import numpy as np
 
-# Cells of the largest field or slab built at once: 1 MiB of uint8, 4 MiB of uint32.
+# Cells of the box of the largest field or slab built at once: 1 MiB of
+# uint8, 4 MiB of uint32.  A product field also allocates its margins, at
+# most J's largest shift more cells on each axis but the first.
 FIELD_CELLS = 2**20
 
 
@@ -123,43 +137,91 @@ def field_slabs(gens, box, axis: int):
         yield h, widths[lo:hi]
 
 
-def multiply_field(h: np.ndarray, box, gens, gen_box, axis: int) -> np.ndarray:
-    """Height field of P*J on the box `box + gen_box`, from the field h of P.
+class FieldRows(NamedTuple):
+    """The generators of an m-primary J as `multiply_field` reads them.
 
-    P and J are m-primary: `box` and `gen_box` are their pure-power bounds
-    and J is generated by the rows of `gens`.  Beyond P's box a point lies
-    in P, so h counts as 0 there; every g' fits inside the product's box.
-    The pure power (0', b_c) lies in J whether or not it is a row, so the
-    field starts as h + b_c, that power's update, and a row with g_c >= b_c,
-    a multiple of it, is skipped; every sum h + g_c therefore stays within
-    the product's top.  A row with g_c = 0 shifts h without adding to it.
+    `bounds` are J's pure-power bounds and `axis` the height axis.  `rows`
+    holds (g', g_c) for each generator with g_c < b_c, g' the coordinates
+    off the height axis; `margin` is the largest g'_i on each axis of the
+    field but the first, which gets 0, and `lift` the largest g_c in `rows`.
     """
-    out_box = [int(a) + int(b) for a, b in zip(box, gen_box)]
-    top = out_box.pop(axis)
-    shape = tuple(out_box)
-    dtype = field_dtype(top)
-    padded = np.zeros(shape, dtype=dtype)
-    padded[(*map(slice, h.shape), ...)] = h
-    cap = int(gen_box[axis])
-    # The trailing ... keeps the 0-d view of d = 1 an array, not a scalar.
-    # numpy 1.x adds a Python int to a 0-d array in int64; the unsafe cast
-    # back is exact, since no sum passes the top.
-    out = np.empty(shape, dtype=dtype)
-    np.add(padded, cap, out=out, casting="unsafe")
-    for g in np.asarray(gens, dtype=np.int64).tolist():
+
+    bounds: tuple[int, ...]
+    axis: int
+    rows: list[tuple[list[int], int]]
+    margin: list[int]
+    lift: int
+
+
+def field_rows(gens, bounds, axis: int) -> FieldRows:
+    """Split the rows of `gens`, which generate J with pure-power `bounds`, for `multiply_field`.
+
+    A row with g_c >= b_c is a multiple of the pure power (0', b_c) and is
+    dropped: it cannot lower a height below that power's update.
+    """
+    bounds = tuple(int(b) for b in bounds)
+    rows = []
+    for g in np.asarray(gens, dtype=np.int64).reshape(-1, len(bounds)).tolist():
         c = g.pop(axis)
-        if c >= cap:
-            continue
-        view = out[(*map(slice, g, shape), ...)]
-        src = padded[(*map(slice, map(sub, shape, g)), ...)]
-        np.minimum(view, src + c if c else src, out=view, casting="unsafe")
-    return out
+        if c < bounds[axis]:
+            rows.append((g, c))
+    margin = [max([g[i] for g, _ in rows], default=0) if i else 0 for i in range(len(bounds) - 1)]
+    return FieldRows(bounds, axis, rows, margin, max([c for _, c in rows], default=0))
+
+
+def multiply_field(h: np.ndarray, box, J: FieldRows) -> np.ndarray:
+    """Height field of P*J on the box `box + J.bounds`, from the field h of P.
+
+    P and J are m-primary and `box` is P's pure-power bounds.  Beyond P's
+    box a point lies in P, so h counts as 0 there; every g' fits inside the
+    product's box.  The pure power (0', b_c) lies in J whether or not it is
+    a row, so the field starts as h + b_c, that power's update, and rows
+    with g_c >= b_c are already gone (`field_rows`); every sum h + g_c
+    therefore stays within the product's top.
+
+    Both fields are laid out row-major on the product's box, each axis but
+    the first widened by `J.margin[i]` cells past its end, and the margins
+    of P's field hold the top.  A row is then one contiguous update,
+    out[o:] = min(out[o:], src[:n - o] + g_c), at the flat offset
+    o = sum g'_i * stride_i.  A cell x' >= g' reads the cell x' - g'.  For
+    any other cell, take the last axis i with x'_i < g'_i.  If i is the
+    first axis, the cell lies before o and is not updated.  Otherwise no
+    later axis borrows, so the read lands at x'_i - g'_i + (box_i +
+    margin_i) on axis i, inside its margin, since the margin is at least
+    g'_i wide: the read is top + g_c, no lower than any height, and changes
+    nothing.  The result is the view on the box.  Where top + g_c would
+    pass the field's type, the work runs in the next type and the result
+    is narrowed.
+    """
+    shape = list(map(add, box, J.bounds))
+    top = shape.pop(J.axis)
+    dtype, work = field_dtype(top), field_dtype(top + J.lift)
+    padded = list(map(add, shape, J.margin))
+    src = np.zeros(padded, dtype=work)
+    for i in range(1, len(shape)):
+        src[(slice(None),) * i + (slice(shape[i], None),)] = top
+    # The trailing ... keeps the 0-d field of d = 1 an array, not a scalar.
+    src[(*map(slice, h.shape), ...)] = h
+    strides = [s // src.itemsize for s in src.strides]
+    src = src.ravel()
+    n = src.size
+    # margin cells of out may wrap here; they are written, never read
+    out = src + J.bounds[J.axis]
+    for shift, c in J.rows:
+        o = sum(map(mul, shift, strides))
+        if o < n:
+            view = out[o:]
+            np.minimum(view, src[: n - o] + c if c else src[: n - o], out=view)
+    out = out.reshape(padded)[(*map(slice, shape), ...)]
+    return out if work is dtype else out.astype(dtype)
 
 
 def field_count(h: np.ndarray, widths=None) -> int:
     """Standard points under a field, or under a slab whose rows stand for `widths` rows."""
     if widths is None:
-        return int(h.sum())
+        # uint8 sums are exact in uint32 below 2**24 cells, as 255 * 2**24 < 2**32
+        wide = np.uint32 if h.dtype == np.uint8 and h.size < 2**24 else None
+        return int(np.add.reduce(h, axis=None, dtype=wide))
     sums = h.reshape(len(widths), -1).sum(axis=1)
     return int(np.dot(widths.astype(object), sums.astype(object)))
 

@@ -5,10 +5,12 @@ free between tokens::
 
     ideal = "(" monomial {"," monomial} ")";  monomial = factor {["*"] factor} ["*"];  factor = "1" | var [("^" | "**") digits]
 
-A ``var`` is ``x1, x2, ...`` (or ``X1, X2, ...``), with the aliases ``x, y,
-z, w`` for the first four; a repeated variable multiplies, and ``1`` is the
-unit monomial.  Formatting inverts parsing: ``parse_ideal(format_ideal(I))
-== I`` whenever the printed names pin down the dimension.
+A ``var`` is ``x1, x2, ...`` up to ``x1024`` (or ``X1, X2, ...``), with
+the aliases ``x, y, z, w`` for the first four; a repeated variable
+multiplies, and ``1`` is the unit monomial.  With a dimension given, the
+first variable past it is named at its position.  Formatting inverts
+parsing: ``parse_ideal(format_ideal(I)) == I`` whenever the printed names
+pin down the dimension.
 """
 
 from __future__ import annotations
@@ -19,6 +21,11 @@ from .errors import ParseError
 from .monomial import MAX_EXPONENT, MonomialIdeal, ideal
 
 _ALIASES = {"x": 1, "y": 2, "z": 3, "w": 4}
+
+# The largest variable index.  The index is the ideal's dimension, so
+# every generator is a row that long: (x1000000) built rows of a million
+# entries and named a million variables in its not-m-primary message.
+MAX_VARIABLE = 1024
 
 # any other non-space character is a "bad" token
 _TOKEN = re.compile(
@@ -42,22 +49,29 @@ _NEXT = {
 }
 
 
-def _variable(name: str, at: int) -> int:
+def _variable(name: str, at: int, dim: int | None) -> int:
     if name in _ALIASES:
-        return _ALIASES[name]
-    if name[0] in "xX" and name[1:]:
-        if int(name[1:]) < 1:
+        index = _ALIASES[name]
+    elif name[0] in "xX" and name[1:]:
+        digits = name[1:].lstrip("0") or "0"  # counted first: int() refuses 4 300 digits
+        index = int(digits) if len(digits) <= len(str(MAX_VARIABLE)) else MAX_VARIABLE + 1
+        if index < 1:
             raise ParseError("variable indices start at 1", position=at)
-        return int(name[1:])
-    raise ParseError(f"unknown variable {name!r} (use x1..xd or x, y, z, w)", position=at)
+        if index > MAX_VARIABLE:
+            raise ParseError(f"variable indices must be at most {MAX_VARIABLE}", position=at)
+    else:
+        raise ParseError(f"unknown variable {name!r} (use x1..xd or x, y, z, w)", position=at)
+    if dim is not None and index > dim:
+        raise ParseError(f"variable x{index} exceeds dimension {dim}", position=at)
+    return index
 
 
-def _monomials(text: str) -> list[dict[int, int]]:
+def _monomials(text: str, dim: int | None) -> list[dict[int, int]]:
     """The monomials of one ideal, each as {variable index: exponent}.
 
     The whole text is tokenized first, so its first unexpected character is
     reported wherever it stands; then one pass checks each token against the
-    one before it.
+    one before it, and each variable against `dim` when it is given.
     """
     tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text)]
     for kind, tok, at in tokens:
@@ -75,7 +89,7 @@ def _monomials(text: str) -> list[dict[int, int]]:
         if kind == "int" and tok != "1":
             raise ParseError("only the constant 1 is allowed in a monomial", position=at)
         if kind == "var":
-            var = _variable(tok, at)
+            var = _variable(tok, at, dim)
             monos[-1][var] = monos[-1].get(var, 0) + 1
         elif kind == "exp":  # the variable before "^" already counted once
             digits = tok.lstrip("0") or "0"  # counted first: int() refuses 4 300 digits
@@ -109,14 +123,11 @@ def parse_module(text: str, dim: int | None = None) -> list[MonomialIdeal]:
 
 def parse_ideals(texts, dim: int | None = None) -> list[MonomialIdeal]:
     """Parse several ideals into one dimension: `dim`, else the largest any of them uses."""
-    parsed = [_monomials(text) for text in texts]
-    used = max((max(m) for monos in parsed for m in monos if m), default=0)
+    parsed = [_monomials(text, dim) for text in texts]
     if dim is None:
-        if used == 0:
+        dim = max((max(m) for monos in parsed for m in monos if m), default=0)
+        if dim == 0:
             raise ParseError("cannot infer dimension from (1); pass dim")
-        dim = used
-    elif used > dim:
-        raise ParseError(f"variable x{used} exceeds dimension {dim}")
     if dim < 1:
         raise ParseError("dimension must be at least 1")
     return [

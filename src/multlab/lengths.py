@@ -6,13 +6,16 @@ a binomial; everything else is the sum of the ideal's height field on the
 box of pure-power bounds.  `ProductSampler` serves the multiplicity engine,
 which needs lambda(R / I_1^{n_1} ... I_s^{n_s}) on many nearby exponent
 vectors, on height fields (on minimal generators once a field would pass
-`counting.FIELD_CELLS`).  `colengths` takes all the points of a difference
-round at once: it checks and keys each point once, builds the products of
-the points not counted yet in one depth-first walk, one product per new
-point beyond the climb to their meet, and then reads every point's count.
-The climb starts from the one product a sampler keeps, the last walk's
-meet, when it lies below.  `colength_at` is the same on one point.
-Repeated exact results come from bounded memos, least recently used out:
+`counting.FIELD_CELLS`).  Each ideal's generators are split once per
+sampler into the rows and margins the field kernel reads
+(`counting.field_rows`), so a product does no per-generator set-up.
+`colengths` takes all the points of a difference round at once: it checks
+and keys each point once, builds the products of the points not counted
+yet in one depth-first walk, one product per new point beyond the climb
+to their meet, and then reads every point's count.  The climb starts from
+the one product a sampler keeps, the last walk's meet, when it lies below.
+`colength_at` is the same on one point.  Repeated exact results come from
+bounded memos, least recently used out:
 `shared_sampler` holds the samplers every caller shares, `colength` keeps
 MEMO_ENTRIES colengths, and `multiplicity` keeps as many difference tables.
 """
@@ -26,7 +29,7 @@ from operator import add, gt, le, mul
 import numpy as np
 
 from .counting import FIELD_CELLS, count_grid, count_naive, field_count, height_axis
-from .counting import field_dtype, multiply_field
+from .counting import field_dtype, field_rows, multiply_field
 from .errors import NotMPrimaryError
 from .monomial import (
     MonomialIdeal,
@@ -113,6 +116,7 @@ class ProductSampler:
         self._gens = [as_array(I) for I in ideals]
         self._units = {j for j, I in enumerate(ideals) if I.is_unit}
         self._axis = height_axis([sum(b[i] for b in bounds) for i in range(d)])
+        self._rows = [field_rows(g, b, self._axis) for g, b in zip(self._gens, bounds)]
         # a product costs one min-plus update per generator of the ideal it adds
         self._cheapest = sorted(range(len(ideals)), key=lambda j: len(self._gens[j]))
         self._root = None  # (fields?, point, product) at the meet of the last walk
@@ -179,12 +183,11 @@ class ProductSampler:
             j, c = kids.pop()
             if not kids:
                 path.pop()
-            gens, bounds = self._gens[j], self._bounds[j]
             if fields:
-                held = multiply_field(held, box, gens, bounds, self._axis)
+                held = multiply_field(held, box, self._rows[j])
             else:
-                held = product_array(held, gens)
-            visit(c, held, tuple(map(add, box, bounds)))
+                held = product_array(held, self._gens[j])
+            visit(c, held, tuple(map(add, box, self._bounds[j])))
 
     def _key(self, n) -> tuple[int, ...]:
         """n as a tuple of ints, with the exponents of unit ideals set to 0."""

@@ -48,6 +48,11 @@ _MALFORMED = {
     "(x^" + "9" * 5000 + ", y)": (3, "exponents must be below 2147483648"),
     "(x^2147483647*x, y)": (14, "exponents must be below 2147483648"),
     "(x*x^2147483647, y)": (5, "exponents must be below 2147483648"),
+    # variable indices past expr.MAX_VARIABLE, by digit count and by value,
+    # and, with a dimension given, past the dimension
+    "(x" + "1" * 5000 + ")": (1, "variable indices must be at most 1024"),
+    "(x1000000)": (1, "variable indices must be at most 1024"),
+    "(x^2, y*x5, x6)": (8, "variable x5 exceeds dimension 4", 4),
 }
 
 
@@ -96,9 +101,9 @@ class TestParse:
         "bad", list(_MALFORMED), ids=lambda t: f"{t[:6]}...{len(t)} chars" if len(t) > 40 else None
     )
     def test_rejects_malformed(self, bad):
-        position, message = _MALFORMED[bad]
+        position, message, *dim = _MALFORMED[bad]
         with pytest.raises(ParseError, match=re.escape(message)) as exc:
-            parse_ideal(bad)
+            parse_ideal(bad, *dim)
         assert exc.value.position == position
         assert str(exc.value).endswith(f"(at position {position})")
 

@@ -34,7 +34,7 @@ from multlab import (
 from multlab import counting, lengths, monomial
 from multlab.buchsbaum_rim import br_direct, module, module_colength
 from multlab.counting import FIELD_CELLS, count_grid, count_naive, field_count, field_slabs
-from multlab.counting import multiply_field
+from multlab.counting import field_rows, multiply_field
 from multlab.lengths import MEMO_ENTRIES, shared_sampler
 from multlab.monomial import as_array, box_bounds, product_array, scale_by_m
 
@@ -72,7 +72,7 @@ class TestCounters:
             assert h.dtype == dtype
             assert h.tolist() == [top, top - 1]
             assert widths.tolist() == [1, 2]
-            grown = multiply_field(h.repeat(widths), (3, top), [[0, top], [1, 0]], (1, top), 1)
+            grown = multiply_field(h.repeat(widths), (3, top), field_rows([[0, top], [1, 0]], (1, top), 1))
             assert grown.dtype == counting.field_dtype(2 * top)
             assert grown.tolist() == [2 * top, top, top - 1, top - 1]
         (tall, widths), = field_slabs([[1, 2**32]], (3, 2**32 + 1), 1)
@@ -86,8 +86,8 @@ class TestCounters:
         box, gen_box = box_bounds(P), box_bounds(J)
         h = whole_field(as_array(P), box, 1)
         redundant = np.vstack([as_array(J), [[0, 255], [1, 2**40]]])
-        want = multiply_field(h, box, as_array(J), gen_box, 1)
-        got = multiply_field(h, box, redundant, gen_box, 1)
+        want = multiply_field(h, box, field_rows(as_array(J), gen_box, 1))
+        got = multiply_field(h, box, field_rows(redundant, gen_box, 1))
         assert want.dtype == got.dtype == np.uint8
         assert got.tolist() == want.tolist()
         out_box = tuple(map(add, box, gen_box))
@@ -96,11 +96,18 @@ class TestCounters:
 
     def test_one_dimension_fields_are_arrays(self):
         # d = 1: the field is 0-d, and each min-plus update must stay an array
-        unit = multiply_field(np.zeros((), np.uint8), (0,), [[2]], (2,), 0)
+        unit = multiply_field(np.zeros((), np.uint8), (0,), field_rows([[2]], (2,), 0))
         assert isinstance(unit, np.ndarray) and unit.shape == () and unit == 2
-        grown = multiply_field(whole_field([[3]], (3,), 0), (3,), [[2], [7]], (2,), 0)
+        grown = multiply_field(whole_field([[3]], (3,), 0), (3,), field_rows([[2], [7]], (2,), 0))
         assert isinstance(grown, np.ndarray) and grown.shape == () and grown == 5
         assert field_count(grown) == count_naive([[5]], (5,))
+
+    def test_uint8_fields_count_exactly_on_both_sides_of_2_24_cells(self):
+        # below 2**24 cells a uint8 field sums in uint32, as 255 * 2**24 < 2**32
+        assert field_count(np.full((2**6, 2**7, 2**7), 255, np.uint8)) == 255 * 2**20
+        # from 2**24 cells on it sums in uint64, past 2**32 / 255 cells where uint32 wraps
+        for cells in (2**24, 2**24 + 2**17):
+            assert field_count(np.full(cells, 255, np.uint8)) == 255 * cells
 
     def test_counters_agree_random(self, rng, monkeypatch):
         # whole fields, then slabs of a few cells
@@ -162,11 +169,70 @@ def test_multiply_field_matches_the_field_of_the_product(pair, data):
     P, J, axis = pair
     box, gen_box = box_bounds(P), box_bounds(J)
     rows = data.draw(generator_rows(J, axis))
-    got = multiply_field(whole_field(as_array(P), box, axis), box, rows, gen_box, axis)
+    got = multiply_field(whole_field(as_array(P), box, axis), box, field_rows(rows, gen_box, axis))
     out_box = tuple(map(add, box, gen_box))
     want = whole_field(product_array(as_array(P), as_array(J)), out_box, axis)
     assert got.dtype == want.dtype == counting.field_dtype(out_box[axis])
     assert np.array_equal(got, want)
+
+
+class TestFieldKernelEdges:
+    """Reads of the flat min-plus update that leave the product's box.
+
+    Each must land in the margin of a later axis, or before the update's
+    offset, and lower nothing.  Every case is judged by the field of the
+    product of the generator arrays.
+    """
+
+    @staticmethod
+    def pure_powers(bounds):
+        d = len(bounds)
+        return [[k * (i == j) for j in range(d)] for i, k in enumerate(bounds)]
+
+    def case(self, rng, d, axis, top, side):
+        """P and J as generator arrays with their bounds, for a product whose top is `top`.
+
+        P is the unit ideal when `side` is None, and otherwise has bound
+        `side` on every axis but `axis`.  J has bounds 2-3 on those axes;
+        beside its pure powers, each of them carries the largest shift below
+        the pure power, at height 0 and at the largest height below b_c.
+        """
+        bounds = [rng.randint(2, 3) for _ in range(d)]
+        bounds[axis] = top if side is None else rng.randint(top // 3, 2 * top // 3)
+        J = self.pure_powers(bounds)
+        for i in range(d):
+            if i != axis:
+                for c in (0, bounds[axis] - 1):
+                    J.append([c if j == axis else (bounds[i] - 1) * (j == i) for j in range(d)])
+        if side is None:
+            box, P = [0] * d, [[0] * d]
+        else:
+            box = [side] * d
+            box[axis] = top - bounds[axis]
+            P = self.pure_powers(box)
+            if d > 1 and side > 1:
+                P.append([box[axis] // 2 if j == axis else 1 for j in range(d)])
+        return np.array(P), box, np.array(J), bounds
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_reads_past_the_box(self, d, rng):
+        # tops just below 2**8 and 2**16, where top + b_c - 1 passes the field's type
+        for axis, top, side in iter_product(range(d), (2**8 - 1, 2**16 - 2, 9), (None, 1, 2)):
+            for _ in range(2):
+                P, box, gens, bounds = self.case(rng, d, axis, top, side)
+                if side is None:
+                    h = np.zeros((0,) * (d - 1), counting.field_dtype(0))
+                else:
+                    h = whole_field(P, box, axis)
+                J = field_rows(gens, bounds, axis)
+                got = multiply_field(h, box, J)
+                out_box = tuple(map(add, box, bounds))
+                want = whole_field(product_array(P, gens), out_box, axis)
+                assert out_box[axis] == top
+                assert got.dtype == counting.field_dtype(top)
+                assert np.array_equal(got, want)
+                if d > 1 and top > 9:  # worked in the next type and narrowed
+                    assert counting.field_dtype(top + J.lift) is not counting.field_dtype(top)
 
 
 class TestColength:

@@ -12,9 +12,11 @@ a.v >= b for every facet:
 
 * `newton_polyhedron_member` tests one point of any ideal in Python ints,
   so it is exact for every exponent the ideal can hold.
-* `integral_closure` tests the whole box of pure-power bounds of an
-  m-primary ideal at once, in int64 numpy arithmetic, and the closure's
-  minimal generators are the members with no member one step below them.
+* `integral_closure` of an m-primary ideal is a height field along the
+  longest side of its box of pure-power bounds: over the other sides each
+  facet bounds the least member height from below, the field is the
+  largest of those bounds in int64 numpy arithmetic, and the closure's
+  minimal generators are the field's corners.
 
 No floats and no rationals enter the decision.
 """
@@ -106,12 +108,12 @@ def _newton_facets(gens) -> tuple[list[tuple[int, ...]], list[int]]:
 def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
     """Smallest integrally closed monomial ideal containing I.
 
-    Requires an m-primary ideal.  Every minimal generator of the closure
-    lies in the box prod [0, b_i] of the pure-power bounds, so the box is
-    scanned once against the facets of Newt(I) from `_newton_facets`:
-    mem marks the points v with a.v >= b for every facet, and the
-    generators are the points of mem for which no v - e_i is in mem (a
-    shift-and over the grid, so nothing is minimalized afterwards).
+    Requires an m-primary ideal, with pure-power bounds b_i.  Every facet
+    a.v >= b of Newt(I) from `_newton_facets` has a_c > 0 on every axis c,
+    since a_c * b_c >= b > 0 at x_c^(b_c), so the closure is a height
+    field along one axis (see `_closure_corners`), and its minimal
+    generators are read off the field's corners; nothing is minimalized
+    afterwards.
 
     Each facet row (a, -b) is primitive, so it divides the vector of
     d x d minors of the d spanning rays of its facet, (g, 1) for
@@ -119,36 +121,41 @@ def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
     |det| of those rays over (v, 0), and subtracting one generator
     row from the others leaves a d x d determinant whose column i holds
     entries of size at most b_i, so 0 <= a.v <= d! * prod b_i on the box
-    (and so is b, the value at a generator).  A box where that bound does
-    not fit in int64 raises ValueError before anything is allocated; past
-    that check the facet rows, Python ints, enter int64 arithmetic
-    exactly.  The box goes in slabs along the first axis of at most
-    `counting.FIELD_CELLS` cells (or one row), and each slab carries the
-    last row of mem from the one before.
+    prod [0, b_i] (and so is b, the value at a generator).  A box where
+    that bound does not fit in int64 raises ValueError before anything is
+    allocated; past that check the facet rows, Python ints, enter int64
+    arithmetic exactly.
     """
     bounds = box_bounds(I)
-    d = I.dim
-    if factorial(d) * prod(bounds) >= 2**63:
+    if factorial(I.dim) * prod(bounds) >= 2**63:
         raise ValueError(f"pure powers {bounds} may overflow int64 facet values")
-    A, b = _newton_facets(I.gens)
-    shape = [n + 1 for n in bounds]
-    rows = max(1, counting.FIELD_CELLS // prod(shape[1:]))
-    before = np.zeros([1, *shape[1:]], dtype=bool)
-    found = []
-    for lo in range(0, shape[0], rows):
-        hi = min(lo + rows, shape[0])
-        axes = np.ix_(np.arange(lo, hi), *(np.arange(n) for n in shape[1:]))
-        mem = np.ones([hi - lo, *shape[1:]], dtype=bool)
-        for a, c in zip(A, b):
-            mem &= sum(ai * x for ai, x in zip(a, axes) if ai) >= c
-        gen = mem.copy()
-        gen[:1] &= ~before
-        for ax in range(d):
-            below = (slice(None),) * ax + (slice(None, -1),)
-            above = (slice(None),) * ax + (slice(1, None),)
-            gen[above] &= ~mem[below]
-        before = mem[-1:]
-        pts = np.argwhere(gen)
-        pts[:, 0] += lo
-        found.append(pts)
-    return ideal_from_array(d, np.concatenate(found))
+    return ideal_from_array(I.dim, _closure_corners(*_newton_facets(I.gens), bounds))
+
+
+def _closure_corners(A, b, bounds) -> np.ndarray:
+    """The minimal generators of {v : a.v >= b for every facet row (a, b)}, as rows.
+
+    Along the height axis c = `counting.height_axis(bounds)` (the longest
+    side) the closure is the field h(v') = max(0, max over facets of
+    ceil((b - a'.v') / a_c)) on the other coordinates v' in prod [0, b_i],
+    i != c: v is a member exactly when v_c >= h(v').  h is non-increasing
+    on every axis, and (v', h(v')) is a minimal generator exactly when h is
+    strictly lower there than one step down on every axis with v'_i > 0.
+    The field is int64 and whole, and it is freed before the caller turns
+    the rows into tuples.
+    """
+    c = counting.height_axis(bounds)
+    rest = [i for i in range(len(bounds)) if i != c]
+    axes = np.ix_(*(np.arange(bounds[i] + 1) for i in rest))
+    low = np.zeros([bounds[i] + 1 for i in rest], dtype=np.int64)
+    for a, rhs in zip(A, b):  # low = min(0, floor((a'.v' - b) / a_c)) = -h
+        over = sum((a[i] * x for i, x in zip(rest, axes) if a[i]), -rhs)
+        over //= a[c]
+        np.minimum(low, over, out=low)
+    h = np.negative(low, out=low)
+    corner = np.ones(h.shape, dtype=bool)
+    for ax in range(h.ndim):
+        above = (slice(None),) * ax + (slice(1, None),)
+        below = (slice(None),) * ax + (slice(None, -1),)
+        corner[above] &= h[above] < h[below]
+    return np.insert(np.argwhere(corner), c, h[corner], axis=1)

@@ -66,19 +66,20 @@ def _variable(name: str, at: int, dim: int | None) -> int:
     return index
 
 
-def _monomials(text: str, dim: int | None) -> list[dict[int, int]]:
-    """The monomials of one ideal, each as {variable index: exponent}.
+def _monomials(text: str, dim: int | None, start: int, end: int) -> list[dict[int, int]]:
+    """The monomials of the ideal in text[start:end], each as {variable index: exponent}.
 
-    The whole text is tokenized first, so its first unexpected character is
+    The whole ideal is tokenized first, so its first unexpected character is
     reported wherever it stands; then one pass checks each token against the
-    one before it, and each variable against `dim` when it is given.
+    one before it, and each variable against `dim` when it is given.  Error
+    positions count from the start of `text`.
     """
-    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text)]
+    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text, start, end)]
     for kind, tok, at in tokens:
         if kind == "bad":
             raise ParseError(f"unexpected character {tok!r}", position=at)
     monos, prev = [{}], "start"
-    for kind, tok, at in tokens + [("end", "", len(text))]:
+    for kind, tok, at in tokens + [("end", "", end)]:
         if kind == "int" and prev == "pow":
             kind = "exp"
         follow, error = _NEXT[prev]
@@ -114,16 +115,23 @@ def parse_ideal(text: str, dim: int | None = None) -> MonomialIdeal:
 
 
 def parse_module(text: str, dim: int | None = None) -> list[MonomialIdeal]:
-    """Parse ``(..);(..);...`` into the column ideals of a direct sum."""
-    parts = [p for p in text.split(";") if p.strip()]
-    if not parts:
+    """Parse ``(..);(..);...`` into the column ideals of a direct sum.
+
+    Blank columns are skipped, and error positions count from the start of
+    the module text.
+    """
+    cols = [m.span() for m in re.finditer(r"[^;]+", text) if m.group().strip()]
+    if not cols:
         raise ParseError("empty module expression")
-    return parse_ideals(parts, dim=dim)
+    return _ideals([_monomials(text, dim, *span) for span in cols], dim)
 
 
 def parse_ideals(texts, dim: int | None = None) -> list[MonomialIdeal]:
     """Parse several ideals into one dimension: `dim`, else the largest any of them uses."""
-    parsed = [_monomials(text, dim) for text in texts]
+    return _ideals([_monomials(text, dim, 0, len(text)) for text in texts], dim)
+
+
+def _ideals(parsed, dim: int | None) -> list[MonomialIdeal]:
     if dim is None:
         dim = max((max(m) for monos in parsed for m in monos if m), default=0)
         if dim == 0:

@@ -122,12 +122,7 @@ def unit_ideal(dim: int) -> MonomialIdeal:
 
 def m_ideal(dim: int) -> MonomialIdeal:
     """The maximal ideal m = (x_1, ..., x_d)."""
-    eye = []
-    for i in range(dim):
-        g = [0] * dim
-        g[i] = 1
-        eye.append(tuple(g))
-    return MonomialIdeal(dim, tuple(sorted(eye)))
+    return m_power(dim, 1)
 
 
 def m_power(dim: int, k: int) -> MonomialIdeal:

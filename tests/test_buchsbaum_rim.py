@@ -36,6 +36,10 @@ class TestModule:
         assert not E.contained_in_mF
         assert E.quotient_colength() == 1
 
+    def test_rejects_an_empty_direct_sum(self):
+        with pytest.raises(ValueError, match="at least one column"):
+            DirectSumModule(())
+
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(ValueError):
             module([m_ideal(2), m_ideal(3)])
@@ -68,6 +72,10 @@ class TestModuleColength:
             with pytest.raises(ValueError, match="integers"):
                 module_colength(E, n)
         assert module_colength(E, np.int64(2)) == module_colength(E, 2)
+
+    def test_n_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            module_colength(module([m_ideal(2), m_ideal(2)]), -1)
 
     def test_rank_one_reduces_to_powers(self):
         from multlab import colength_of_product

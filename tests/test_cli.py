@@ -74,6 +74,12 @@ class TestMixed:
         assert code == EXIT_USAGE
         assert "sum" in err
 
+    def test_malformed_type_names_the_flag(self, capsys):
+        code, out, err = run(capsys, "mixed", "(x,y^2)", "(x^2,y)", "--type", "1,a")
+        assert code == EXIT_USAGE
+        assert "--type" in err
+        assert out == ""
+
     def test_dimension_unified_across_arguments(self, capsys):
         code, out, _ = run(capsys, "mixed", "(x, y)", "(x, y, z)", "--json")
         assert code == EXIT_USAGE  # 2 ideals in dim 3 with unit type
@@ -156,6 +162,14 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--config", str(cfg))
         assert code == EXIT_USAGE
         assert "sed" in err
+
+    def test_config_line_without_equals_names_the_line(self, capsys, tmp_path):
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text("dim 2\ninstances = 1\n")
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert f"{cfg}:1" in err
+        assert "total" not in out
 
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "verify", "--config", "/nonexistent.cfg")

@@ -1,6 +1,7 @@
 """Newton-polyhedron membership and integral closure by facets, judged by Fourier-Motzkin."""
 
 import random
+import tracemalloc
 from itertools import product as iter_product
 
 import numpy as np
@@ -88,6 +89,10 @@ class TestMembership:
         with pytest.raises(ValueError):
             newton_polyhedron_member(m_power(2, 2), (1, 1, 1))
 
+    def test_coordinates_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            newton_polyhedron_member(parse_ideal("(x^2, y^2)"), (3, -1))
+
     def test_coordinates_must_be_integers(self):
         I = parse_ideal("(x^2, y^2)")
         for point in ((1.9, 0.0), (2.0, 0), (1, "1"), (1, None)):
@@ -131,7 +136,7 @@ class TestClosure:
                 assert integral_closure(m_power(d, k)) == m_power(d, k)
 
     def test_large_pure_power_box(self):
-        # 21^4 = 194481 box points, every one against the single facet
+        # a field of 21^3 = 9261 cells over three sides, each against the single facet
         assert integral_closure(parse_ideal("(x^20, y^20, z^20, w^20)")) == m_power(4, 20)
 
     def test_requires_m_primary(self):
@@ -202,13 +207,39 @@ def test_facet_scan_matches_both_exact_oracles(rng):
         assert closed == _box_scan(I, oracle_newton_member), I
 
 
-def test_slabs_of_a_few_cells_give_the_same_closure(rng, monkeypatch):
-    # slabs of one row or a few cells: generators straddle slab boundaries
-    ideals = _cross_check_ideals(rng)
-    whole = [integral_closure(I) for I in ideals]
-    for cells in (1, 7, 40):
-        monkeypatch.setattr(counting, "FIELD_CELLS", cells)
-        assert [integral_closure(I) for I in ideals] == whole
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_every_height_axis_gives_the_same_closure(d, rng):
+    # the field stands on the longest side of the box: put that side on each
+    # axis in turn, alone and tied with the others, so every choice of
+    # height axis runs, and Fourier-Motzkin judges every closure
+    short, long = (3, 5) if d < 4 else (2, 3)
+    shapes = [tuple(long if i == k else short for i in range(d)) for k in range(d)]
+    shapes += [tuple(short if i == k else long for i in range(d)) for k in range(d)]
+    assert {counting.height_axis(bounds) for bounds in shapes} == set(range(d))
+    for bounds in shapes:
+        extras = [tuple(rng.randrange(b) for b in bounds) for _ in range(4)]
+        gens = [g for g in extras if sum(map(bool, g)) > 1]  # no new pure power
+        gens += [tuple(b * (i == j) for j in range(d)) for i, b in enumerate(bounds)]
+        I = ideal(gens, dim=d)
+        assert box_bounds(I) == bounds
+        assert integral_closure(I) == _box_scan(I, oracle_newton_member), I
+
+
+def test_long_axis_closure_stays_small():
+    # the field lies over the three short sides, 4^3 cells, however long the
+    # fourth; Newt(I) has the one facet (a + b + c) / 3 + v_w / N >= 1
+    N = 100000
+    tracemalloc.start()
+    try:
+        closed = integral_closure(parse_ideal(f"(x^3, y^3, z^3, w^{N})"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = [(a, b, c, max(0, -(-N * (3 - a - b - c) // 3)))
+                for a, b, c in iter_product(range(4), repeat=3)]
+    assert closed == ideal(expected, dim=4)
+    assert len(closed.gens) == 20
+    assert peak < 2**20, peak
 
 
 @settings(max_examples=20, deadline=None)

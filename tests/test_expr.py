@@ -55,6 +55,18 @@ _MALFORMED = {
     "(x^2, y*x5, x6)": (8, "variable x5 exceeds dimension 4", 4),
 }
 
+# each malformed module text with the position and the message of its
+# ParseError, counted from the start of the module text, not of its column
+_MALFORMED_MODULES = {
+    "(x,y^2);(x^2,q)": (13, "unknown variable 'q'"),
+    "(x,y^2);(x^2,z)": (13, "variable x3 exceeds dimension 2", 2),
+    "(x);(y);(q)": (9, "unknown variable 'q'"),
+    "(x, y^2); (x^2, y); (x^3 + y)": (25, "unexpected character '+'"),
+    "(x, y); (x^2, y); (z, x*w)": (24, "variable x4 exceeds dimension 3", 3),
+    # a blank column is skipped, and a column's end is the ";" after it
+    " ; (x;(y)": (5, "unexpected end of input"),
+}
+
 
 class TestParse:
     def test_basic(self):
@@ -152,6 +164,14 @@ class TestModule:
         assert [I.dim for I in cols] == [2, 2]
         assert cols[0] == parse_ideal("(1)", dim=2)
         assert cols[1] == parse_ideal("(x^2, y)")
+
+    @pytest.mark.parametrize("bad", list(_MALFORMED_MODULES))
+    def test_rejects_malformed(self, bad):
+        position, message, *dim = _MALFORMED_MODULES[bad]
+        with pytest.raises(ParseError, match=re.escape(message)) as exc:
+            parse_module(bad, *dim)
+        assert exc.value.position == position
+        assert str(exc.value).endswith(f"(at position {position})")
 
     def test_all_unit_module_needs_dim(self):
         with pytest.raises(ParseError, match="cannot infer dimension"):

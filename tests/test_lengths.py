@@ -511,6 +511,11 @@ class TestProductSampler:
         with pytest.raises(NotMPrimaryError):
             ProductSampler([parse_ideal("(x^2, x*y)")])
 
+    def test_exponents_must_be_non_negative(self):
+        sampler = ProductSampler([parse_ideal("(x^2, y^2)"), m_ideal(2)])
+        with pytest.raises(ValueError, match="non-negative"):
+            sampler.colength_at((1, -1))
+
     def test_colength_of_product_wrapper(self):
         A, B = parse_ideal("(x, y^2)"), parse_ideal("(x^2, y)")
         assert colength_of_product([A, B], (1, 1)) == colength(product(A, B))

@@ -93,6 +93,12 @@ class TestStabilize:
         with pytest.raises(ValueError):
             stabilize(batch(lambda n: 0), (0, 1))
 
+    def test_rejects_bad_bases(self):
+        with pytest.raises(ValueError, match="initial_base length"):
+            stabilize(batch(lambda n: 0), (1, 1), StabilizePolicy(initial_base=(2,)))
+        with pytest.raises(ValueError, match="positive"):
+            stabilize(batch(lambda n: 0), (1,), StabilizePolicy(initial_base=0))
+
     def test_rejects_an_evaluator_of_the_wrong_length(self):
         # one value short would otherwise surface as a KeyError in the difference
         for wrong in (lambda points: [0] * (len(points) - 1), lambda points: [0] * 99):

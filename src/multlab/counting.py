@@ -44,15 +44,17 @@ than 2**24 cells in uint32, which is exact since 255 * 2**24 < 2**32.
 
 from __future__ import annotations
 
+import sys
 from itertools import product as iter_product
 from operator import add, mul
 from typing import NamedTuple
 
 import numpy as np
 
-# Cells of the box of the largest field or slab built at once: 1 MiB of
-# uint8, 4 MiB of uint32.  A product field also allocates its margins, at
-# most J's largest shift more cells on each axis but the first.
+# Cells of the largest slab `field_slabs` builds at once, unless one row of
+# the field is larger: 1 MiB of uint8, 4 MiB of uint32.  It bounds only
+# `count_grid`; `multiply_field` builds a product's whole field, its box
+# plus J's largest shift more cells on each axis but the first.
 FIELD_CELLS = 2**20
 
 
@@ -61,6 +63,18 @@ def _volume(box) -> int:
     for b in box:
         vol *= int(b)
     return vol
+
+
+def _check_size(shape, dtype) -> None:
+    """Raise MemoryError for an array of `shape` and `dtype` past numpy's maximum size.
+
+    numpy refuses an array of more than np.iinfo(np.intp).max bytes with a
+    ValueError, before it asks for memory; intp is the size of Py_ssize_t,
+    so that bound is sys.maxsize, which costs no numpy call.
+    """
+    cells = _volume(shape)
+    if cells * np.dtype(dtype).itemsize > sys.maxsize:
+        raise MemoryError(f"a field of {cells} cells is past numpy's maximum array size")
 
 
 def field_dtype(top: int):
@@ -123,6 +137,7 @@ def field_slabs(gens, box, axis: int):
     starts = coords[np.r_[True, coords[1:] != coords[:-1]]]
     widths = np.diff(np.r_[starts, shape[0]])
     first = np.searchsorted(starts, gens[:, rest[0]])
+    _check_size(shape[1:], dtype)
     rows = max(1, FIELD_CELLS // _volume(shape[1:]))
     carry = np.full([1, *shape[1:]], top, dtype=dtype)
     for lo in range(0, len(starts), rows):
@@ -197,6 +212,7 @@ def multiply_field(h: np.ndarray, box, J: FieldRows) -> np.ndarray:
     top = shape.pop(J.axis)
     dtype, work = field_dtype(top), field_dtype(top + J.lift)
     padded = list(map(add, shape, J.margin))
+    _check_size(padded, work)
     src = np.zeros(padded, dtype=work)
     for i in range(1, len(shape)):
         src[(slice(None),) * i + (slice(shape[i], None),)] = top

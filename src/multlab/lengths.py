@@ -5,10 +5,10 @@ number of standard monomials.  Powers of the maximal ideal short-circuit to
 a binomial; everything else is the sum of the ideal's height field on the
 box of pure-power bounds.  `ProductSampler` serves the multiplicity engine,
 which needs lambda(R / I_1^{n_1} ... I_s^{n_s}) on many nearby exponent
-vectors, on height fields (on minimal generators once a field would pass
-`counting.FIELD_CELLS`).  Each ideal's generators are split once per
-sampler into the rows and margins the field kernel reads
-(`counting.field_rows`), so a product does no per-generator set-up.
+vectors, and builds every product as a height field (`multiply_field`).
+Each ideal's generators are split once per sampler into the rows and
+margins the field kernel reads (`counting.field_rows`), so a product does
+no per-generator set-up.
 `colengths` takes all the points of a difference round at once: it checks
 and keys each point once, builds the products of the points not counted
 yet in one depth-first walk, one product per new point beyond the climb
@@ -23,12 +23,12 @@ MEMO_ENTRIES colengths, and `multiplicity` keeps as many difference tables.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, prod
-from operator import add, gt, le, mul
+from math import comb
+from operator import add, gt, le
 
 import numpy as np
 
-from .counting import FIELD_CELLS, count_grid, count_naive, field_count, height_axis
+from .counting import count_grid, count_naive, field_count, height_axis
 from .counting import field_dtype, field_rows, multiply_field
 from .errors import NotMPrimaryError
 from .monomial import (
@@ -38,7 +38,6 @@ from .monomial import (
     integer_exponents,
     is_m_primary,
     m_power_degree,
-    product_array,
 )
 
 # Entries of the colength and difference-table memos.  A corpus of small
@@ -79,15 +78,12 @@ class ProductSampler:
     """Colengths of products prod_j I_j^{n_j}, memoized across exponents.
 
     Products are height fields along one axis per sampler: the longest side
-    of the summed boxes of the ideals.  A product whose field would have
-    more than FIELD_CELLS cells is held as its minimal generators instead,
-    so memory stays bounded for large boxes with few generators.  Every
-    product is built by one depth-first walk over the points of a call
-    (`_grow`), from the root kept by the last walk of the same kind or from
-    the unit ideal.  Between calls a sampler holds its counts and one
-    product, that root's.  Unit ideals never change a product, and when
-    every ideal is a power of the maximal ideal the colength collapses to a
-    binomial and nothing is built.
+    of the summed boxes of the ideals.  Every product is built by one
+    depth-first walk over the points of a call (`_grow`), from the root
+    kept by the last walk or from the unit ideal.  Between calls a sampler
+    holds its counts and one product, that root's.  Unit ideals never
+    change a product, and when every ideal is a power of the maximal ideal
+    the colength collapses to a binomial and nothing is built.
     """
 
     def __init__(self, ideals):
@@ -110,44 +106,38 @@ class ProductSampler:
         self.ideals = ideals
         self.dim = d
         self._bounds = bounds
-        self._columns = list(zip(*bounds))
         self._m_degrees = [m_power_degree(I) for I in ideals]
         self._all_m = all(k is not None for k in self._m_degrees)
-        self._gens = [as_array(I) for I in ideals]
+        gens = [as_array(I) for I in ideals]
         self._units = {j for j, I in enumerate(ideals) if I.is_unit}
-        self._axis = height_axis([sum(b[i] for b in bounds) for i in range(d)])
-        self._rows = [field_rows(g, b, self._axis) for g, b in zip(self._gens, bounds)]
+        axis = height_axis([sum(b[i] for b in bounds) for i in range(d)])
+        self._rows = [field_rows(g, b, axis) for g, b in zip(gens, bounds)]
         # a product costs one min-plus update per generator of the ideal it adds
-        self._cheapest = sorted(range(len(ideals)), key=lambda j: len(self._gens[j]))
-        self._root = None  # (fields?, point, product) at the meet of the last walk
+        self._cheapest = sorted(range(len(ideals)), key=lambda j: len(gens[j]))
+        self._root = None  # (point, field, box) at the meet of the last walk
         self._counts: dict[tuple[int, ...], int] = {}
 
-    def _box(self, n):
-        return tuple([sum(map(mul, n, column)) for column in self._columns])
-
-    def _grow(self, points, fields: bool) -> None:
+    def _grow(self, points) -> None:
         """Count `points` in one depth-first walk through their meet.
 
         The walk starts from the root kept by the last walk when that root
-        is of the same kind (height fields or minimal generators) and below
-        the new meet, and from the unit ideal otherwise.  A node's parent is
-        one step below it, in the slot whose ideal has the fewest generators
-        (lowest index on ties) among the steps that stay among the nodes;
-        failing that, the first step in that order that stays above the
-        meet, or for the meet and the climb below it above the start, added
-        as a node of its own.  Every node but the start costs one product
-        from its parent's.  Smaller subtrees go first and the last child
-        takes over its parent's product, so the path stack holds only the
-        ancestors that still have children to visit; of the products, only
-        the meet's is kept.
+        lies below the new meet, and from the unit ideal otherwise.  A
+        node's parent is one step below it, in the slot whose ideal has the
+        fewest generators (lowest index on ties) among the steps that stay
+        among the nodes; failing that, the first step in that order that
+        stays above the meet, or for the meet and the climb below it above
+        the start, added as a node of its own.  Every node but the start
+        costs one field product from its parent's.  Smaller subtrees go
+        first and the last child takes over its parent's product, so the
+        path stack holds only the ancestors that still have children to
+        visit; of the products, only the meet's is kept.
         """
         meet = tuple(map(min, zip(*points)))
-        if self._root and self._root[0] == fields and all(map(le, self._root[1], meet)):
-            _, start, held = self._root
-        elif fields:
-            start, held = (0,) * len(meet), np.zeros((0,) * (self.dim - 1), field_dtype(0))
+        if self._root and all(map(le, self._root[0], meet)):
+            start, held, box = self._root
         else:
-            start, held = (0,) * len(meet), np.zeros((1, self.dim), dtype=np.int64)
+            start, box = (0,) * len(meet), (0,) * self.dim
+            held = np.zeros((0,) * (self.dim - 1), field_dtype(0))
         self._root = None  # a root the walk does not start from is freed before it
         pending = sorted((set(points) | {meet}) - {start})
         children = {p: [] for p in (start, *pending)}
@@ -169,24 +159,21 @@ class ProductSampler:
         def visit(p, held, box):
             """Count p if asked, keep it if it is the meet, and queue its children."""
             if p in points:
-                self._counts[p] = field_count(held) if fields else count_grid(held, box)
+                self._counts[p] = field_count(held)
             if p == meet:
-                self._root = (fields, meet, held)
+                self._root = (meet, held, box)
             if children[p]:
                 kids = sorted(children[p], key=lambda jc: (size[jc[1]], jc[1]), reverse=True)
                 path.append((held, box, kids))
 
         path = []
-        visit(start, held, self._box(start))
+        visit(start, held, box)
         while path:
             held, box, kids = path[-1]
             j, c = kids.pop()
             if not kids:
                 path.pop()
-            if fields:
-                held = multiply_field(held, box, self._rows[j])
-            else:
-                held = product_array(held, self._gens[j])
+            held = multiply_field(held, box, self._rows[j])
             visit(c, held, tuple(map(add, box, self._bounds[j])))
 
     def _key(self, n) -> tuple[int, ...]:
@@ -201,8 +188,8 @@ class ProductSampler:
         return n
 
     def _fill(self, todo) -> None:
-        """Count every point of `todo` not counted yet, one walk per kind of product."""
-        walks = {True: set(), False: set()}
+        """Count every point of `todo` not counted yet, in one walk."""
+        walk = set()
         for n in todo:
             if n in self._counts:
                 continue
@@ -212,12 +199,9 @@ class ProductSampler:
             elif not any(n):
                 self._counts[n] = 0
             else:
-                box = self._box(n)
-                walks[prod(b for i, b in enumerate(box) if i != self._axis) <= FIELD_CELLS].add(n)
-        # fields first: a round that outgrows FIELD_CELLS keeps the root of its larger points
-        for fields in (True, False):
-            if walks[fields]:
-                self._grow(walks[fields], fields)
+                walk.add(n)
+        if walk:
+            self._grow(walk)
 
     def colength_at(self, n) -> int:
         n = self._key(n)
@@ -226,7 +210,7 @@ class ProductSampler:
         return self._counts[n]
 
     def colengths(self, points) -> list[int]:
-        """Colengths at all `points`, their products built in one walk per kind."""
+        """Colengths at all `points`, their products built in one walk."""
         keys = [self._key(n) for n in points]
         self._fill(keys)
         counts = self._counts

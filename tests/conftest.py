@@ -3,15 +3,15 @@
 The oracles here deliberately share no code with the package internals:
 colengths by exhaustive box walks, products by definition, Pareto filtering
 by quadratic scan, Newton-polyhedron membership by Fourier-Motzkin
-elimination over exact rationals.  Fast paths are trusted only where they
+elimination over Python integers.  Fast paths are trusted only where they
 agree with these.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import product as iter_product
+from math import gcd
 
 import pytest
 
@@ -58,35 +58,54 @@ def oracle_colength(I: MonomialIdeal) -> int:
     return count
 
 
-def _fm_eliminate(rows: list[list[Fraction]]) -> bool:
+def _fm_keep(system: dict, row, origin: frozenset) -> None:
+    """Add a row to `system` with the set of original rows it combines.
+
+    Rows equal up to a positive factor share one entry, which keeps each
+    origin set that holds no other.  A set that holds another is dropped:
+    every row its descendants give, the smaller set's descendants give too,
+    from no more original rows.
+    """
+    scale = gcd(*row) or 1
+    origins = system.setdefault(tuple(a // scale for a in row), [])
+    if not any(o <= origin for o in origins):
+        origins[:] = [o for o in origins if not origin <= o] + [origin]
+
+
+def _fm_eliminate(rows: list[list[int]]) -> bool:
     """Fourier-Motzkin feasibility of rows a_1 x_1 + ... + a_k x_k <= b.
 
-    Each row is [a_1, ..., a_k, b].  Eliminates variables left to right;
-    feasible iff no contradictory constant row 0 <= b with b < 0 remains.
+    Each row is [a_1, ..., a_k, b] in integers; rows combine with integer
+    factors, so the arithmetic stays exact.  Eliminates variables left to
+    right; feasible iff no contradictory constant row 0 <= b with b < 0
+    remains.  Each row carries the set of original rows it combines, and by
+    Chernikov's rule a combination of more than k + 1 of them after k
+    eliminations is implied by the other rows, so it is dropped.
     """
-    rows = [list(r) for r in rows]
+    system: dict = {}
+    for i, r in enumerate(rows):
+        _fm_keep(system, r, frozenset([i]))
     nvars = len(rows[0]) - 1
-    for _ in range(nvars):
-        pos, neg, zero = [], [], []
-        for r in rows:
-            if r[0] > 0:
-                pos.append(r)
-            elif r[0] < 0:
-                neg.append(r)
-            else:
-                zero.append(r[1:])
-        new_rows = list(zero)
-        for p in pos:
-            for q in neg:
-                scale_p, scale_q = -q[0], p[0]
-                combo = [
-                    scale_p * a + scale_q * b for a, b in zip(p[1:], q[1:])
-                ]
-                new_rows.append(combo)
-        rows = new_rows
-        if not rows:
+    for k in range(1, nvars + 1):
+        pos, neg, new_system = [], [], {}
+        for r, origins in system.items():
+            for origin in origins:
+                if r[0] > 0:
+                    pos.append((r, origin))
+                elif r[0] < 0:
+                    neg.append((r, origin))
+                else:
+                    _fm_keep(new_system, r[1:], origin)
+        for p, p_origin in pos:
+            for q, q_origin in neg:
+                origin = p_origin | q_origin
+                if len(origin) <= k + 1:
+                    combo = [-q[0] * a + p[0] * b for a, b in zip(p[1:], q[1:])]
+                    _fm_keep(new_system, combo, origin)
+        system = new_system
+        if not system:
             return True
-    return all(r[-1] >= 0 for r in rows)
+    return all(r[-1] >= 0 for r in system)
 
 
 def oracle_newton_member(I: MonomialIdeal, v) -> bool:
@@ -98,13 +117,13 @@ def oracle_newton_member(I: MonomialIdeal, v) -> bool:
     g = len(I.gens)
     rows = []
     for j in range(g):  # -lam_j <= 0
-        row = [Fraction(0)] * (g + 1)
-        row[j] = Fraction(-1)
+        row = [0] * (g + 1)
+        row[j] = -1
         rows.append(row)
-    rows.append([Fraction(1)] * g + [Fraction(1)])  # sum lam <= 1
-    rows.append([Fraction(-1)] * g + [Fraction(-1)])  # -sum lam <= -1
+    rows.append([1] * g + [1])  # sum lam <= 1
+    rows.append([-1] * g + [-1])  # -sum lam <= -1
     for i in range(I.dim):
-        rows.append([Fraction(I.gens[j][i]) for j in range(g)] + [Fraction(v[i])])
+        rows.append([I.gens[j][i] for j in range(g)] + [int(v[i])])
     return _fm_eliminate(rows)
 
 

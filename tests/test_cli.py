@@ -440,6 +440,15 @@ class TestOutOfMemory:
         assert err == "multlab: out of memory\n"
         assert "Traceback" not in err + out
 
+    def test_fields_past_numpys_maximum_size_exit_4(self, capsys):
+        # one field row of (2**31 - 1)**2 uint32 cells passes numpy's maximum
+        # array size, which numpy refuses with a ValueError; the field code
+        # raises MemoryError before it allocates anything
+        code, out, err = run(capsys, "mult", "(x^2147483647, y^2147483647, z^2147483647, w^2147483647)")
+        assert code == 4
+        assert err == "multlab: out of memory\n"
+        assert out == ""
+
 
 class TestUsage:
     def test_no_command(self, capsys):

@@ -163,6 +163,8 @@ def _cross_check_ideals(rng):
         parse_ideal("(x, y^4, z^3)"),  # a linear generator
         parse_ideal("(x^4, x*y^2, x*z^2, y^4, z^4)"),  # projections onto x repeat
         parse_ideal("(x^3, x^2*y, x*y^2*w, y^3, y*z, z^2, w^2)"),
+        # eight generators: plain Fourier-Motzkin took minutes over its box
+        parse_ideal("(x^4, x^3*y^2, x^2*y*w, y^4, y*z, z^2, z*w, w^4)"),
     ]
     for d in (1, 2, 3, 4):
         for _ in range(10):

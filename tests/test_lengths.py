@@ -31,7 +31,7 @@ from multlab import (
     stabilize,
     unit_ideal,
 )
-from multlab import counting, lengths, monomial
+from multlab import counting, lengths
 from multlab.buchsbaum_rim import br_direct, module, module_colength
 from multlab.counting import FIELD_CELLS, count_grid, count_naive, field_count, field_slabs
 from multlab.counting import field_rows, multiply_field
@@ -234,6 +234,17 @@ class TestFieldKernelEdges:
                 if d > 1 and top > 9:  # worked in the next type and narrowed
                     assert counting.field_dtype(top + J.lift) is not counting.field_dtype(top)
 
+    def test_fields_past_numpys_maximum_size_are_out_of_memory(self):
+        # numpy refuses these shapes with a ValueError before it asks for
+        # memory; the kernels refuse them first, with nothing allocated
+        assert np.iinfo(np.intp).max == sys.maxsize  # the bound they compare with
+        b = 2**21
+        J = field_rows(self.pure_powers([b] * 4), [b] * 4, 0)
+        with pytest.raises(MemoryError, match="maximum array size"):
+            multiply_field(np.zeros((0, 0, 0), counting.field_dtype(0)), [0] * 4, J)
+        with pytest.raises(MemoryError, match="maximum array size"):
+            count_grid(np.array(self.pure_powers([2**31] * 4)), [2**31] * 4)
+
 
 class TestColength:
     def test_frozen_examples(self):
@@ -288,16 +299,17 @@ class TestColength:
     def test_counting_leaves_numpy_ma_unloaded(self):
         # numpy 2's 1-D np.unique imports numpy.ma, about 10 ms on the first
         # call; numpy 1 imports numpy.ma with numpy itself, so there is
-        # nothing to check.  The second input walks minimal generators.
+        # nothing to check.  The second input minimalizes 1 140 rows past
+        # the grid cap, in `monomial._pareto_layers`.
         calls = (
             "colength(parse_ideal('(x^3, x*y, y^4)')) == 6",
-            "hilbert_samuel(parse_ideal('(x^20, y^20, z^20, w^20)', dim=4)) == 160000",
+            "len(power(parse_ideal('(x^20, y^20, z^20, w^20)', dim=4), 17).gens) == 1140",
         )
         src = str(Path(lengths.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         for call in calls:
             code = (
-                "import sys; from multlab import colength, hilbert_samuel, parse_ideal; "
+                "import sys; from multlab import colength, parse_ideal, power; "
                 "at_import = 'numpy.ma' in sys.modules; "
                 f"assert {call}; "
                 "print(at_import, 'numpy.ma' in sys.modules)"
@@ -311,29 +323,25 @@ class TestColength:
 
 
 class TestProductSampler:
-    def test_matches_direct_products(self, rng, monkeypatch):
+    def test_matches_direct_products(self, rng):
         pairs = [(random_mprimary(rng, 2), random_mprimary(rng, 2)) for _ in range(8)]
         pairs += [(random_mprimary(rng, d), random_mprimary(rng, d)) for d in (1, 3, 4)]
         pairs.append((scale_by_m(random_mprimary(rng, 3)), random_mprimary(rng, 3)))
         pairs.append((random_mprimary(rng, 4), unit_ideal(4)))
-        # height fields, then minimal generators for every product of 2+ cells
-        for cells in (FIELD_CELLS, 1):
-            monkeypatch.setattr(lengths, "FIELD_CELLS", cells)
-            for a, b in pairs:
-                sampler = ProductSampler([a, b])
-                want = {}
-                for na in range(4):
-                    for nb in range(4):
-                        direct = product(power(a, na), power(b, nb))
-                        want[na, nb] = 0 if direct.is_unit else colength(direct)
-                        assert sampler.colength_at((na, nb)) == want[na, nb]
-                # one batch whose points do not step down to each other
-                scattered = [(3, 0), (0, 3), (2, 2), (1, 3), (2, 2)]
-                batch = ProductSampler([a, b]).colengths(scattered)
-                assert batch == [want[p] for p in scattered]
+        for a, b in pairs:
+            sampler = ProductSampler([a, b])
+            want = {}
+            for na in range(4):
+                for nb in range(4):
+                    direct = product(power(a, na), power(b, nb))
+                    want[na, nb] = 0 if direct.is_unit else colength(direct)
+                    assert sampler.colength_at((na, nb)) == want[na, nb]
+            # one batch whose points do not step down to each other
+            scattered = [(3, 0), (0, 3), (2, 2), (1, 3), (2, 2)]
+            batch = ProductSampler([a, b]).colengths(scattered)
+            assert batch == [want[p] for p in scattered]
 
     def test_a_later_round_climbs_from_the_last_root(self, monkeypatch):
-        # fields, then minimal generators for every product of 2+ cells
         ideals = [
             parse_ideal(t, dim=3)
             for t in ("(x^2, x*y, y^3, z^2)", "(x^3, y, z^2)", "(x, y^2, y*z, z^3)")
@@ -341,27 +349,25 @@ class TestProductSampler:
         cube = list(iter_product(range(2), repeat=3))
         first, second = (2, 3, 1), (4, 4, 3)
         rounds = [[tuple(map(add, root, delta)) for delta in cube] for root in (first, second)]
-        for cells, step in ((FIELD_CELLS, multiply_field), (1, product_array)):
-            monkeypatch.setattr(lengths, "FIELD_CELLS", cells)
-            calls = []
+        calls = []
 
-            def counted(*args, step=step):
-                calls.append(None)
-                return step(*args)
+        def counted(*args):
+            calls.append(None)
+            return multiply_field(*args)
 
-            monkeypatch.setattr(lengths, step.__name__, counted)
-            sampler = ProductSampler(ideals)
-            assert sampler.colengths(rounds[0]) == ProductSampler(ideals).colengths(rounds[0])
-            calls.clear()
-            values = sampler.colengths(rounds[1])
-            # the climb from one root to the next ends in the new root's product
-            assert len(calls) == sum(second) - sum(first) + len(rounds[1]) - 1
-            assert values == ProductSampler(ideals).colengths(rounds[1])
-            assert values == [
-                colength(product(product(power(ideals[0], a), power(ideals[1], b)),
-                                 power(ideals[2], c)))
-                for a, b, c in rounds[1]
-            ]
+        monkeypatch.setattr(lengths, "multiply_field", counted)
+        sampler = ProductSampler(ideals)
+        assert sampler.colengths(rounds[0]) == ProductSampler(ideals).colengths(rounds[0])
+        calls.clear()
+        values = sampler.colengths(rounds[1])
+        # the climb from one root to the next ends in the new root's product
+        assert len(calls) == sum(second) - sum(first) + len(rounds[1]) - 1
+        assert values == ProductSampler(ideals).colengths(rounds[1])
+        assert values == [
+            colength(product(product(power(ideals[0], a), power(ideals[1], b)),
+                             power(ideals[2], c)))
+            for a, b, c in rounds[1]
+        ]
 
     def test_module_rounds_make_one_product_per_point_below_their_top(self, monkeypatch):
         E = module(
@@ -445,51 +451,21 @@ class TestProductSampler:
         for b in (2**7 + 1, 2**8 + 1):
             assert hilbert_samuel(ideal([(a, 0), (0, b)], dim=2)) == a * b
 
-    def test_generator_products_are_minimalized_once(self, monkeypatch):
-        ideals = [parse_ideal(t, dim=3) for t in ("(x^2, x*y, y^3, z^2)", "(x^3, y, z^2)")]
-        points = list(iter_product(range(3), repeat=2))
-        want = ProductSampler(ideals).colengths(points)
-        calls = {"product": 0, "minimalize": 0}
+    def test_products_past_the_old_cell_budget_are_exact(self, monkeypatch):
+        # fields of more than 2**20 cells, where a product was once held as
+        # its minimal generators; (x^12, ...) peaks near 75 MiB in all
+        sizes = []
 
-        def counted(fn, name):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
+        def counted(*args):
+            h = multiply_field(*args)
+            sizes.append(h.size)
+            return h
 
-            return wrapper
-
-        monkeypatch.setattr(lengths, "FIELD_CELLS", 1)  # the generator walk
-        monkeypatch.setattr(lengths, "product_array", counted(product_array, "product"))
-        minimalize = counted(monomial.minimalize_array, "minimalize")
-        monkeypatch.setattr(monomial, "minimalize_array", minimalize)
-        # counted too if lengths binds the name and minimalizes a product again
-        monkeypatch.setattr(lengths, "minimalize_array", minimalize, raising=False)
-        assert ProductSampler(ideals).colengths(points) == want
-        assert calls["product"] > 0
-        assert calls["minimalize"] == calls["product"]
-
-    def test_large_boxes_with_few_generators_stay_within_the_budget(self, monkeypatch):
-        products, fields = [], []
-
-        def product_counted(*args):
-            products.append(None)
-            return product_array(*args)
-
-        def field_counted(*args):
-            fields.append(multiply_field(*args))
-            return fields[-1]
-
-        monkeypatch.setattr(lengths, "product_array", product_counted)
-        monkeypatch.setattr(lengths, "multiply_field", field_counted)
-        I = parse_ideal("(x^20, y^20, z^20, w^20)", dim=4)
-        assert hilbert_samuel(I) == 20**4
-        assert products  # the generator walk ran
-        # every point of this table is past the budget; this one's rounds
-        # cross it at n = 15, so both walks run
-        J = parse_ideal("(x^7, y^7, z^7, w^10)", dim=4)
-        assert hilbert_samuel(J) == 7**3 * 10
-        assert fields
-        assert all(h.size <= FIELD_CELLS for h in fields)
+        monkeypatch.setattr(lengths, "multiply_field", counted)
+        for text, want in (("(x^7, y^7, z^7, w^10)", 7**3 * 10), ("(x^12, y^12, z^12, w^12)", 12**4)):
+            sizes.clear()
+            assert hilbert_samuel(parse_ideal(text, dim=4)) == want
+            assert max(sizes) > FIELD_CELLS, text
 
     def test_all_zero_is_zero(self):
         sampler = ProductSampler([m_ideal(2), m_ideal(2)])

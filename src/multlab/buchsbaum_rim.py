@@ -5,9 +5,9 @@ all of R), the function n |-> lambda(Sym^n F / image of Sym^n E) is a sum of
 colengths of products over all compositions of n, eventually polynomial of
 degree d + r - 1.  `br_direct` extracts (d+r-1)! times the leading
 coefficient from a stabilized difference table; `br_via_mixed` recomputes it
-as the sum of mixed multiplicities over compositions of d into r parts.  The
-two routes share no code past the colength layer, so their agreement is a
-real cross-check.
+as the sum of mixed multiplicities over compositions of d into r parts,
+which come from Newton polyhedra.  The two routes share neither the
+difference window nor the hull, so their agreement is a real cross-check.
 """
 
 from __future__ import annotations

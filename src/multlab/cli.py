@@ -17,11 +17,11 @@ the command line's own flags, which therefore win. Flags are spelled in
 full, in a file as on the command line; a ``config`` key is refused.
 
 Exit codes: 0 success, 1 bad usage or unparsable input, 2 a verified
-inequality failed (or --cross-check disagreed), 3 a difference table failed
-to stabilize or stabilized on an impossible value (ImpossibleValueError),
-4 out of memory (MemoryError), 130 interrupted (Ctrl-C). Each --report
-line is flushed as it is written, so every line written before a failure
-or an interrupt stays in the file.
+inequality failed (or --cross-check disagreed), 3 the difference table of
+``br`` failed to stabilize, or a value came out impossible
+(ImpossibleValueError), 4 out of memory (MemoryError), 130 interrupted
+(Ctrl-C). Each --report line is flushed as it is written, so every line
+written before a failure or an interrupt stays in the file.
 """
 
 from __future__ import annotations

@@ -33,4 +33,8 @@ class StabilizationError(RuntimeError):
 
 
 class ImpossibleValueError(StabilizationError, ArithmeticError):
-    """A difference table stabilized on a value the theory rules out."""
+    """A multiplicity came out as a value the theory rules out.
+
+    Raised for a difference table that stabilized on it and for a Newton
+    value alike.  It is a StabilizationError, so the CLI exits 3 on it.
+    """

@@ -27,7 +27,6 @@ import hashlib
 import json
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations, count, repeat
 from math import factorial, inf
@@ -347,6 +346,9 @@ def run_suite(config: CorpusConfig) -> Iterator[InequalityReport]:
 
 
 def _pooled(workers: int, args) -> Iterator[InequalityReport]:
+    # imported here: concurrent.futures and multiprocessing cost every serial run about 20 ms
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(run_instance, *args, chunksize=4)
 

@@ -3,9 +3,10 @@
 `colength` is the workhorse: length of R/I as a k-vector space, i.e. the
 number of standard monomials.  Powers of the maximal ideal short-circuit to
 a binomial; everything else is the sum of the ideal's height field on the
-box of pure-power bounds.  `ProductSampler` serves the multiplicity engine,
-which needs lambda(R / I_1^{n_1} ... I_s^{n_s}) on many nearby exponent
-vectors, and builds every product as a height field (`multiply_field`).
+box of pure-power bounds.  `ProductSampler` serves the difference-table
+engine (`br_direct` and `mixed_difference_table`), which needs
+lambda(R / I_1^{n_1} ... I_s^{n_s}) on many nearby exponent vectors, and
+builds every product as a height field (`multiply_field`).
 Each ideal's generators are split once per sampler into the rows and
 margins the field kernel reads (`counting.field_rows`), so a product does
 no per-generator set-up.
@@ -17,14 +18,15 @@ the one product a sampler keeps, the last walk's meet, when it lies below.
 `colength_at` is the same on one point.  Repeated exact results come from
 bounded memos, least recently used out:
 `shared_sampler` holds the samplers every caller shares, `colength` keeps
-MEMO_ENTRIES colengths, and `multiplicity` keeps as many difference tables.
+MEMO_ENTRIES colengths, and `multiplicity._newton_value` keeps as many
+mixed multiplicities.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from operator import add, gt, le
+from operator import add, le
 
 import numpy as np
 
@@ -40,15 +42,13 @@ from .monomial import (
     m_power_degree,
 )
 
-# Entries of the colength and difference-table memos.  A corpus of small
+# Entries of the colength and mixed-multiplicity memos.  A corpus of small
 # ideals asks for the same values again and again: `verify --dim 2 --rank 3
-# --instances 300` stabilizes 3 300 tables, 308 of them distinct, and counts
-# 1 800 colengths of 19 distinct ideals.  Each entry pins its key ideals; a
-# table entry also keeps every LengthSample of its rounds.  Filled with d=4
-# keys (`verify --dim 4 --instances 150`, 1 437 distinct tables), the table
-# memo held 6.8 MiB, about 6.8 KiB an entry, and the colength memo 0.67 KiB
-# an entry (tracemalloc), while that run's peak RSS, set by its largest
-# products, stayed at the unmemoized 194-198 MiB.
+# --instances 300` asks for 3 300 mixed multiplicities, 308 of them
+# distinct, and counts 1 800 colengths of 19 distinct ideals.  Each entry
+# pins its key ideals and holds one int.  Filled with d=4 keys (`verify
+# --dim 4 --instances 150`, 1 437 distinct values), the mixed-multiplicity
+# memo held 1.1 MiB and the colength memo 0.4 MiB (tracemalloc).
 MEMO_ENTRIES = 1024
 
 
@@ -121,16 +121,18 @@ class ProductSampler:
         """Count `points` in one depth-first walk through their meet.
 
         The walk starts from the root kept by the last walk when that root
-        lies below the new meet, and from the unit ideal otherwise.  A
-        node's parent is one step below it, in the slot whose ideal has the
-        fewest generators (lowest index on ties) among the steps that stay
-        among the nodes; failing that, the first step in that order that
-        stays above the meet, or for the meet and the climb below it above
-        the start, added as a node of its own.  Every node but the start
-        costs one field product from its parent's.  Smaller subtrees go
-        first and the last child takes over its parent's product, so the
-        path stack holds only the ancestors that still have children to
-        visit; of the products, only the meet's is kept.
+        lies below the new meet, and from the unit ideal otherwise.  It
+        climbs from there to the meet one product at a time, slot by slot
+        in reverse of `_cheapest`, so the first field too large to
+        allocate fails before anything else is planned.  Above the meet a
+        node's parent is one step below it, in the slot whose ideal has
+        the fewest generators (lowest index on ties) among the steps that
+        stay among the nodes; failing that, the first step in that order
+        that stays above the meet, added as a node of its own.  Every node
+        but the meet costs one field product from its parent's.  Smaller
+        subtrees go first and the last child takes over its parent's
+        product, so the path stack holds only the ancestors that still
+        have children to visit; of the products, only the meet's is kept.
         """
         meet = tuple(map(min, zip(*points)))
         if self._root and all(map(le, self._root[0], meet)):
@@ -139,13 +141,16 @@ class ProductSampler:
             start, box = (0,) * len(meet), (0,) * self.dim
             held = np.zeros((0,) * (self.dim - 1), field_dtype(0))
         self._root = None  # a root the walk does not start from is freed before it
-        pending = sorted((set(points) | {meet}) - {start})
-        children = {p: [] for p in (start, *pending)}
+        for j in reversed(self._cheapest):
+            for _ in range(meet[j] - start[j]):
+                held = multiply_field(held, box, self._rows[j])
+                box = tuple(map(add, box, self._bounds[j]))
+        pending = sorted(set(points) - {meet})
+        children = {p: [] for p in (meet, *pending)}
         while pending:
             p = pending.pop()
-            floor = meet if any(map(gt, p, meet)) else start
             steps = [
-                (j, p[:j] + (p[j] - 1,) + p[j + 1 :]) for j in self._cheapest if p[j] > floor[j]
+                (j, p[:j] + (p[j] - 1,) + p[j + 1 :]) for j in self._cheapest if p[j] > meet[j]
             ]
             j, up = next((step for step in steps if step[1] in children), steps[0])
             if up not in children:
@@ -167,7 +172,7 @@ class ProductSampler:
                 path.append((held, box, kids))
 
         path = []
-        visit(start, held, box)
+        visit(meet, held, box)
         while path:
             held, box, kids = path[-1]
             j, c = kids.pop()

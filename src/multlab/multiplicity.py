@@ -1,21 +1,32 @@
-"""Hilbert-Samuel and mixed multiplicities via stabilized difference tables.
+"""Hilbert-Samuel and mixed multiplicities from Newton polyhedra, with difference tables as oracle.
 
 For m-primary ideals the function n |-> lambda(R / I_1^{n_1} ... I_s^{n_s})
 agrees with a polynomial of total degree d once every n_j is large.  Taking
 the mixed finite difference of order (a_1, ..., a_s) with sum d kills every
 lower term and returns a_1! ... a_s! times the leading coefficient -- which
-is exactly the mixed multiplicity e(I_1^[a_1], ..., I_s^[a_s]).  `stabilize`
-evaluates that difference at a window of diagonal shifts and accepts the
-value only when the window is constant, doubling the base point otherwise,
-so polynomiality is confirmed rather than assumed.  Each round hands all
-its lattice points to one evaluator at once; for colengths of products
-that is `ProductSampler.colengths`, which builds them in one depth-first
-walk through the round's base point.
-The tables behind `mixed_multiplicity` come from a memo of the last
-`lengths.MEMO_ENTRIES` distinct (ideals, orders) keys, so a corpus that
-repeats its ideals stabilizes each table once; `stabilize` itself
-memoizes nothing.  Every multiplicity uses one fixed schedule, starting
-from a base read off the ideals' generators.
+is exactly the mixed multiplicity e(I_1^[a_1], ..., I_s^[a_s]).
+
+`mixed_multiplicity` takes that difference at base 0 of the closures
+instead.  lambda(R / closure of prod I_j^{n_j}) counts the lattice points
+of R^d_>=0 outside n_1 Newt(I_1) + ... + n_s Newt(I_s) (Huneke-Swanson,
+*Integral Closure*, 1.4), and that count is a polynomial of total degree d
+on all of Z^s_>=0 (McMullen, *Lattice invariant valuations on rational
+polytopes*, 1977) with the same top-degree part, since e does not change
+under integral closure.  So the order-a difference over the points
+delta <= a alone is the value: no window, no base, and no product of
+ideals.  `_newton_value` memoizes it for the last `lengths.MEMO_ENTRIES`
+distinct (ideals, orders) keys; `closure` supplies the facets of the sum
+and each term's count.
+
+The difference-table engine stays as the independent oracle.  `stabilize`
+evaluates the difference at a window of diagonal shifts and accepts the
+value only when the window is constant, doubling the base point otherwise.
+Each round hands all its lattice points to one evaluator at once; for
+colengths of products that is `ProductSampler.colengths`, which builds
+them in one depth-first walk through the round's base point.
+`mixed_difference_table` runs it from a base read off the ideals'
+generators and memoizes nothing, and `buchsbaum_rim.br_direct` runs it on
+module colengths.
 """
 
 from __future__ import annotations
@@ -24,12 +35,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
 from math import comb, prod
-from operator import add
+from operator import add, mul
 
+import numpy as np
+
+from . import closure
 from .errors import DimensionMismatchError, NotMPrimaryError, StabilizationError
 from .errors import ImpossibleValueError
 from .lengths import MEMO_ENTRIES, shared_sampler
-from .monomial import MonomialIdeal, integer, integer_exponents, is_m_primary, m_ideal
+from .monomial import MonomialIdeal, as_array, box_bounds, integer, integer_exponents
+from .monomial import is_m_primary, m_ideal
 
 
 @dataclass(frozen=True)
@@ -191,19 +206,8 @@ def _heuristic_base(ideals, dim: int) -> int:
     return max(dim, top + 1)
 
 
-@lru_cache(maxsize=MEMO_ENTRIES)
-def _stabilized(merged, orders) -> DifferenceTable:
-    """The table of the merged ideals at `orders`, shared by all callers.
-
-    Tables and ideals are frozen, so a hit is safe to share.  A
-    StabilizationError is not stored and is raised again on every call.
-    """
-    policy = StabilizePolicy(initial_base=_heuristic_base(merged, merged[0].dim))
-    return stabilize(shared_sampler(merged).colengths, orders, policy)
-
-
-def mixed_difference_table(ideals, type_=None) -> DifferenceTable:
-    """The stabilized difference table behind `mixed_multiplicity`."""
+def _merged(ideals, type_):
+    """`ideals` and `type_` checked and merged: the ideals with positive order, and their orders."""
     ideals = list(ideals)
     if not ideals:
         raise ValueError("need at least one ideal")
@@ -222,14 +226,67 @@ def mixed_difference_table(ideals, type_=None) -> DifferenceTable:
         raise ValueError("type entries must be non-negative")
     if sum(type_) != d:
         raise ValueError(f"type must sum to the ambient dimension {d}")
-
     merged, orders = _merge_slots(ideals, type_)
-    table = _stabilized(tuple(merged), orders)
-    if table.result < 1:
+    return tuple(merged), orders
+
+
+def _positive(value: int, route: str) -> int:
+    """`value`, which `route` produced, unless it is no possible mixed multiplicity."""
+    if value < 1:
         raise ImpossibleValueError(
-            f"difference table produced {table.result}; mixed multiplicities "
+            f"{route} produced {value}; mixed multiplicities "
             "of m-primary ideals are positive, so the inputs are inconsistent"
         )
+    return value
+
+
+@lru_cache(maxsize=MEMO_ENTRIES)
+def _newton_value(merged, orders) -> int:
+    """e(J_1^[a_1], ..., J_s^[a_s]) of the merged ideals J_j at `orders` a, from Newton polyhedra.
+
+    lambda(R / closure of prod J_j^(t_j)) is a polynomial of total degree d
+    on all of Z^s_>=0 (module docstring), so its order-a difference at base
+    0 is the value.  Each term is `closure.closure_colength` of the facets
+    of the whole sum (`closure.sum_facets`), with right-hand sides
+    sum t_j h_j(a), h_j(a) = min over J_j's generators of a.g, on the box
+    of summed pure-power bounds.  The largest of those fields is the one at
+    t = a, so its cells are allocated once, before anything else: a field
+    past numpy's maximum size, or one the machine will not allocate,
+    raises MemoryError at once.  Then the summed box must pass
+    `closure.check_int64`, and all the arithmetic fits in int64.  Memoized
+    for the last MEMO_ENTRIES keys, which are frozen.
+    """
+    bounds = [box_bounds(I) for I in merged]
+
+    def box(t):
+        return [sum(map(mul, t, side)) for side in zip(*bounds)]
+
+    top = box(orders)
+    cells = closure.field_cells(top)
+    closure.check_int64(top)
+    gens = [as_array(I) for I in merged]
+    A, b = closure.sum_facets(gens)
+    normals = np.array(A, dtype=np.int64).T
+    support = [(g @ normals).min(axis=0) for g in gens]
+    terms = _difference_terms(orders)
+    values = {}
+    for t, _ in terms:
+        rhs = sum(map(mul, t, support))
+        values[t] = closure.closure_colength(A, rhs.tolist(), box(t), cells) if any(t) else 0
+    return _mixed_difference(values, (0,) * len(orders), terms)
+
+
+def mixed_difference_table(ideals, type_=None) -> DifferenceTable:
+    """The stabilized difference table of the engine: the independent oracle of `mixed_multiplicity`.
+
+    The ideals are merged as by `mixed_multiplicity`, and their product
+    colengths come from `lengths.shared_sampler`, at a base read off the
+    generators.  Nothing here is memoized, so every call stabilizes afresh.
+    """
+    merged, orders = _merged(ideals, type_)
+    policy = StabilizePolicy(initial_base=_heuristic_base(merged, merged[0].dim))
+    table = stabilize(shared_sampler(merged).colengths, orders, policy)
+    _positive(table.result, "difference table")
     return table
 
 
@@ -238,9 +295,12 @@ def mixed_multiplicity(ideals, type_=None) -> int:
 
     `type_` defaults to (1, ..., 1), which requires exactly d ideals.  Slots
     with a_i = 0 are ignored; repeated ideals are merged by summing their
-    orders.  Every counted slot must hold an m-primary ideal.
+    orders.  Every counted slot must hold an m-primary ideal.  The value
+    comes from Newton polyhedra (`_newton_value`), with no difference
+    window; `mixed_difference_table` computes it independently.
     """
-    return mixed_difference_table(ideals, type_).result
+    merged, orders = _merged(ideals, type_)
+    return _positive(_newton_value(merged, orders), "the Newton route")
 
 
 def hilbert_samuel(I: MonomialIdeal) -> int:

@@ -150,10 +150,10 @@ def rng():
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    """Every test starts with empty samplers, difference tables and colengths.
+    """Every test starts with empty samplers, colengths and Newton values.
 
     Otherwise a memo warmed by an earlier test hides the work a test counts.
     """
     lengths.shared_sampler.cache_clear()
     lengths.colength.cache_clear()
-    multiplicity._stabilized.cache_clear()
+    multiplicity._newton_value.cache_clear()

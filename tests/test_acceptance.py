@@ -10,11 +10,13 @@ every run of this file exercises byte-for-byte the same instances.
 
 import io
 import time
+from itertools import product as iter_product
 from math import prod
 
 from multlab.buchsbaum_rim import br_direct, br_via_mixed, module
 from multlab.cli import main as cli_main
 from multlab.closure import integral_closure
+from multlab.expr import parse_ideal
 from multlab.harness import (
     CorpusConfig,
     check_main_br,
@@ -37,6 +39,11 @@ from multlab.multiplicity import (
 )
 
 
+def compositions(d: int, r: int):
+    """The compositions of d into r non-negative parts: the types of a rank-r Buchsbaum-Rim expansion."""
+    return [a for a in iter_product(range(d + 1), repeat=r) if sum(a) == d]
+
+
 def test_criterion_01_golden_values_and_rank_one_collapse():
     """e(m)=1, e(m,...,m)=1, e(m^2)=2^d for d=2..5; rank-1 BR equals e."""
     start = time.monotonic()
@@ -57,7 +64,11 @@ def test_criterion_01_golden_values_and_rank_one_collapse():
 
 
 def test_criterion_02_buchsbaum_rim_routes_agree():
-    """Difference-table BR equals the mixed-multiplicity expansion exactly."""
+    """Difference-table BR equals the mixed-multiplicity expansion exactly.
+
+    The expansion is summed twice: from Newton values (`br_via_mixed`) and
+    from the engine's difference tables, term by term.
+    """
     start = time.monotonic()
     checked = 0
     for dim in (2, 3):
@@ -67,14 +78,21 @@ def test_criterion_02_buchsbaum_rim_routes_agree():
                 E = module(
                     gen_random_mprimary(dim, 3, 2, rng) for _ in range(rank)
                 )
-                assert br_direct(E) == br_via_mixed(E)
+                tables = sum(
+                    mixed_difference_table(E.ideals, a).result
+                    for a in compositions(dim, rank)
+                )
+                assert br_direct(E) == br_via_mixed(E) == tables
                 checked += 1
     assert checked >= 50
     assert time.monotonic() - start < 600
 
 
 def test_criterion_03_mixed_multiplicity_is_additive_over_products():
-    """e(IJ, rest) == e(I, rest) + e(J, rest) on seeded corpora, slack zero."""
+    """e(IJ, rest) == e(I, rest) + e(J, rest) on seeded corpora, slack zero.
+
+    Both sides are read again from the engine's difference tables.
+    """
     total = 0
     for dim in (2, 3):
         for report in run_suite(
@@ -83,6 +101,12 @@ def test_criterion_03_mixed_multiplicity_is_additive_over_products():
             assert report.relation == "=="
             assert report.holds
             assert report.slack == 0
+            (first, *rest), J = (
+                [parse_ideal(t, dim=dim) for t in report.instance["ideals"][:-1]],
+                parse_ideal(report.instance["ideals"][-1], dim=dim),
+            )
+            tables = [mixed_difference_table([I, *rest]).result for I in (product(first, J), first, J)]
+            assert (report.lhs, report.rhs) == (tables[0], tables[1] + tables[2])
             total += 1
     assert total >= 30
 

@@ -2,11 +2,16 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+import time
 from itertools import count, islice
+from pathlib import Path
 
 import pytest
 
-from multlab import CorpusConfig, ImpossibleValueError, harness
+from multlab import CorpusConfig, ImpossibleValueError, cli, harness
 from multlab.cli import (
     EXIT_INTERRUPTED,
     EXIT_OK,
@@ -448,6 +453,27 @@ class TestOutOfMemory:
         assert code == 4
         assert err == "multlab: out of memory\n"
         assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("br", "--module", "(x^1000000, y^1000000, z^1000000)"),
+        ("mixed", "(x^1000000, y^1000000, z^1000000)", "--type", "3"),
+    ])
+    def test_boxes_too_large_to_allocate_exit_4_at_once(self, argv):
+        # the first field, of 10^12 cells or more, fails as it is allocated:
+        # nothing is planned or computed before it, so the exit comes at once
+        resource = pytest.importorskip("resource")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        start = time.monotonic()
+        out = subprocess.run([sys.executable, "-m", "multlab.cli", *argv], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": path},
+                             preexec_fn=limit, timeout=60)
+        assert (out.returncode, out.stdout, out.stderr) == (4, "", "multlab: out of memory\n")
+        assert time.monotonic() - start < 5
 
 
 class TestUsage:

@@ -1,9 +1,13 @@
 """The inequality harness: generators, checks, determinism, report formats."""
 
+import concurrent.futures
 import csv
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
 from itertools import islice
@@ -195,6 +199,16 @@ class TestSuite:
         write_jsonl(parallel, s2)
         assert s1.getvalue() == s2.getvalue()
 
+    def test_import_loads_no_process_pool(self):
+        # a serial run never pays for concurrent.futures or multiprocessing
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import sys, multlab; "
+                "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path}, check=True)
+        assert out.stdout.strip() == "[]"
+
     def test_pool_has_no_more_workers_than_tasks(self, monkeypatch):
         opened = []
 
@@ -211,7 +225,8 @@ class TestSuite:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        # `harness._pooled` imports the pool class when it opens a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         cfg = CorpusConfig(seed=3, dim=2, instances=1, jobs=64,
                            checks=("lech_classical", "lech_mixed"))
         pooled = list(run_suite(cfg))

@@ -1,7 +1,6 @@
-"""Multiplicities: stabilization, Hilbert-Samuel, mixed, hyperplane sections."""
+"""Multiplicities: stabilization, Hilbert-Samuel, mixed, hyperplane sections, the Newton route."""
 
 import io
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from multlab import (
     StabilizePolicy,
     hilbert_samuel,
     hyperplane_section_multiplicity,
+    ideal,
     integral_closure,
     m_ideal,
     m_power,
@@ -23,10 +23,11 @@ from multlab import (
     mixed_multiplicity,
     parse_ideal,
     product,
+    scale_by_m,
     stabilize,
     unit_ideal,
 )
-from multlab import lengths, multiplicity
+from multlab import closure, lengths, multiplicity
 from multlab.harness import CorpusConfig, run_suite, write_jsonl
 from multlab.lengths import MEMO_ENTRIES, shared_sampler
 
@@ -318,29 +319,31 @@ class TestReproducibility:
 
 
 class TestTableMemo:
+    """The memo of mixed multiplicities (`multiplicity._newton_value`); tables are not memoized."""
+
     def test_repeat_is_a_hit(self, monkeypatch):
         calls = []
-        real = lengths.multiply_field
+        real = closure.closure_colength
 
         def counted(*args):
             calls.append(None)
             return real(*args)
 
-        monkeypatch.setattr(lengths, "multiply_field", counted)
+        monkeypatch.setattr(closure, "closure_colength", counted)
         ideals = [parse_ideal("(x^2, x*y, y^3)"), parse_ideal("(x^3, y^2)")]
-        first = mixed_difference_table(ideals)
+        first = mixed_multiplicity(ideals)
         assert calls
         calls.clear()
-        assert mixed_difference_table(ideals) == first
-        assert mixed_multiplicity(ideals) == first.result
+        assert mixed_multiplicity(ideals) == first
+        assert mixed_difference_table(ideals).result == first
         assert not calls
 
     def test_type_is_part_of_the_key(self):
         I, J = parse_ideal("(x^2, x*y, y^3)"), parse_ideal("(x^3, y^2)")
-        info = multiplicity._stabilized.cache_info
-        mixed_difference_table([I, J])
+        info = multiplicity._newton_value.cache_info
+        mixed_multiplicity([I, J])
         assert (info().misses, info().hits) == (1, 0)
-        assert mixed_difference_table([I, J], (2, 0)).result == hilbert_samuel(I)
+        assert mixed_multiplicity([I, J], (2, 0)) == hilbert_samuel(I)
         assert (info().misses, info().hits) == (2, 1)
 
     def test_stabilization_error_is_raised_every_time(self, monkeypatch):
@@ -356,27 +359,30 @@ class TestTableMemo:
             with pytest.raises(StabilizationError):
                 mixed_difference_table([I], (2,))
         assert len(stabilized) == 2
-        assert multiplicity._stabilized.cache_info().currsize == 0
+        # the Newton route takes no window, so it cannot fail to stabilize
+        assert mixed_multiplicity([I], (2,)) == 29
+        assert len(stabilized) == 2
 
     def test_impossible_value_is_raised_on_a_hit(self, monkeypatch):
-        stabilized = []
+        counted = []
 
-        def zero(sampler, order, policy):
-            stabilized.append(order)
-            return replace(stabilize(sampler, order, policy), result=0)
+        def zero(*args):
+            counted.append(None)
+            return 0
 
-        monkeypatch.setattr(multiplicity, "stabilize", zero)
+        monkeypatch.setattr(closure, "closure_colength", zero)
         I = parse_ideal("(x^2, y^2)")
         for _ in range(2):
             with pytest.raises(ImpossibleValueError):
                 hilbert_samuel(I)
-        assert len(stabilized) == 1
+        assert len(counted) == 2  # the two nonzero points of an order-(2,) difference, once
+        assert multiplicity._newton_value.cache_info().hits == 1
 
     def test_bounded_by_count(self):
         # principal ideals (x^k) of k[x] have colength kn at n, so each key is cheap
         for k in range(1, MEMO_ENTRIES + 2):
             assert hilbert_samuel(m_power(1, k)) == k
-        assert multiplicity._stabilized.cache_info().currsize == MEMO_ENTRIES
+        assert multiplicity._newton_value.cache_info().currsize == MEMO_ENTRIES
 
     def test_warm_memos_write_the_same_report(self):
         config = CorpusConfig(seed=3, dim=2, rank=3, instances=20)
@@ -385,6 +391,73 @@ class TestTableMemo:
             out = io.StringIO()
             write_jsonl(run_suite(config), out)
             runs.append(out.getvalue())
-        assert multiplicity._stabilized.cache_info().hits
+        assert multiplicity._newton_value.cache_info().hits
         assert lengths.colength.cache_info().hits
         assert runs[0] == runs[1]
+
+
+class TestNewtonRoute:
+    """`mixed_multiplicity` reads Newton polyhedra; the table engine is its oracle."""
+
+    def test_pure_power_and_long_axis_boxes_build_no_product_field(self, monkeypatch):
+        # through the table engine the first needs fields of up to (4 * 20)^3
+        # cells, and the second a climb of about 32 770 products to its base
+        calls = []
+        real = lengths.multiply_field
+
+        def counted(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(lengths, "multiply_field", counted)
+        assert hilbert_samuel(parse_ideal("(x^20, y^20, z^20, w^20)")) == 160000
+        assert hilbert_samuel(parse_ideal("(x^3, y^32769)")) == 98307
+        assert not calls
+
+    def test_widening_pair(self):
+        # a constant window at a low base gives 909 for this pair; the Newton
+        # value and the table at the engine's own base give 996
+        I = parse_ideal("(x^180, x^150*y^21, x^12*y^36, y^80)")
+        J = parse_ideal("(x^16, x^9*y^2, x^5*y^36, y^37)")
+        assert mixed_multiplicity([I, J]) == 996
+        assert mixed_difference_table([I, J]).result == 996
+        low = stabilize(shared_sampler((I, J)).colengths, (1, 1), StabilizePolicy(initial_base=2))
+        assert low.result == 909
+
+    def test_int64_check_on_the_summed_box(self, monkeypatch):
+        # 6! * 6^6 * 3^4 * 2 * (2^31 - 1) > 2^63, while the field over the
+        # five short sides has 18^4 * 12 cells; no facet is computed
+        monkeypatch.setattr(closure, "sum_facets", None)
+        powers = (3, 3, 3, 3, 2, 2**31 - 1)
+        I = ideal([tuple(k * (i == j) for j in range(6)) for i, k in enumerate(powers)], dim=6)
+        with pytest.raises(ValueError, match="int64"):
+            hilbert_samuel(I)
+
+    def test_one_variable(self):
+        for k in (1, 2, 7, 2**31 - 1):
+            x = parse_ideal(f"(x^{k})")
+            assert hilbert_samuel(x) == mixed_multiplicity([x, x], (1, 0)) == k
+
+
+@st.composite
+def mprimary(draw, d):
+    """A small m-primary ideal of dimension d, one draw in five scaled by m."""
+    powers = draw(st.lists(st.integers(1, 5 if d < 4 else 3), min_size=d, max_size=d))
+    extras = draw(st.lists(st.tuples(*(st.integers(0, k - 1) for k in powers)), max_size=3))
+    gens = [tuple(k * (i == j) for j in range(d)) for i, k in enumerate(powers)]
+    I = ideal(gens + [v for v in extras if any(v)], dim=d)
+    return scale_by_m(I) if draw(st.integers(0, 4)) == 0 else I
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_newton_values_match_the_table_engine(data):
+    d = data.draw(st.integers(1, 4), label="d")
+    slots = data.draw(st.integers(1, d), label="slots")
+    ideals = []
+    for _ in range(slots):  # a slot may repeat an earlier ideal, which merges
+        repeat = ideals and data.draw(st.booleans())
+        ideals.append(data.draw(st.sampled_from(ideals)) if repeat else data.draw(mprimary(d)))
+    cuts = sorted(data.draw(st.lists(st.integers(0, d), min_size=slots - 1, max_size=slots - 1)))
+    type_ = tuple(b - a for a, b in zip([0, *cuts], [*cuts, d]))
+    assert mixed_multiplicity(ideals, type_) == mixed_difference_table(ideals, type_).result

@@ -8,10 +8,6 @@ The production representation of a staircase is its height field.  Pick one
 coordinate c of the box as the height axis; over the cells x' of the other
 axes, h(x') = min(b_c, min{g_c : g' <= x'}) is the number of standard points
 above x', so the count is h.sum().
-* `field_slabs` builds the field of a generator array: scatter the
-  generator heights, then take running minima along every axis.  It yields
-  only the distinct rows along one axis, in slabs of at most FIELD_CELLS
-  cells, so counting a large box never holds the whole field.
 * `multiply_field` turns the field of P into the field of P*J with one
   min-plus update per generator g of J: out[g':] = min(out[g':], h[:-g'] + g_c).
   Nothing is minimalized; from the empty field of the unit ideal it gives
@@ -30,7 +26,10 @@ above x', so the count is h.sum().
   whose shifted read would leave the box on some axis reads that axis's
   margin instead, which lowers nothing.  The result is the view on the
   box; its allocation is the box plus those margins.
-* `field_count` sums a field or a slab exactly; `count_grid` sums the slabs.
+* `count_grid` counts any generator array in any box by the field that
+  `multiply_field` builds from the unit ideal, with the box as J's
+  bounds, so it holds the whole field, its margins and one working copy
+  at once; `field_count` sums a field exactly.
 
 Counts are exact: a field is uint8, uint16 or uint32 while its top fits,
 and holds Python ints beyond.  No height of a field passes its top, and
@@ -46,23 +45,11 @@ from __future__ import annotations
 
 import sys
 from itertools import product as iter_product
+from math import prod
 from operator import add, mul
 from typing import NamedTuple
 
 import numpy as np
-
-# Cells of the largest slab `field_slabs` builds at once, unless one row of
-# the field is larger: 1 MiB of uint8, 4 MiB of uint32.  It bounds only
-# `count_grid`; `multiply_field` builds a product's whole field, its box
-# plus J's largest shift more cells on each axis but the first.
-FIELD_CELLS = 2**20
-
-
-def _volume(box) -> int:
-    vol = 1
-    for b in box:
-        vol *= int(b)
-    return vol
 
 
 def _check_size(shape, dtype) -> None:
@@ -72,7 +59,7 @@ def _check_size(shape, dtype) -> None:
     ValueError, before it asks for memory; intp is the size of Py_ssize_t,
     so that bound is sys.maxsize, which costs no numpy call.
     """
-    cells = _volume(shape)
+    cells = prod(shape)
     if cells * np.dtype(dtype).itemsize > sys.maxsize:
         raise MemoryError(f"a field of {cells} cells is past numpy's maximum array size")
 
@@ -95,7 +82,7 @@ def count_naive(gens, box) -> int:
     Exponentially slow by design; guarded to ~10^7 cells.
     """
     box = [int(b) for b in box]
-    if _volume(box) > 10_000_000:
+    if prod(box) > 10_000_000:
         raise ValueError("box too large for the reference counter")
     gens = [tuple(int(e) for e in g) for g in np.asarray(gens)]
     count = 0
@@ -108,48 +95,6 @@ def count_naive(gens, box) -> int:
 def height_axis(box) -> int:
     """The longest side of the box; as the height axis it keeps fields smallest."""
     return max(range(len(box)), key=lambda i: box[i])
-
-
-def field_slabs(gens, box, axis: int):
-    """Height field along `axis` of the ideal generated by the rows of `gens`.
-
-    The field lives on the box with `axis` removed.  Along the first
-    remaining axis it changes only at generator coordinates, so it comes as
-    pairs (rows, widths): consecutive distinct rows, in slabs of at most
-    FIELD_CELLS cells or one row, and how many rows of the field each one
-    stands for.  Generators need not be minimal, and those outside the box
-    on another axis are ignored.
-    """
-    box = tuple(int(b) for b in box)
-    rest = [i for i in range(len(box)) if i != axis]
-    shape = [box[i] for i in rest]
-    top = box[axis]
-    gens = np.asarray(gens, dtype=np.int64)
-    gens = gens[(gens[:, rest] < shape).all(axis=1)]
-    dtype = field_dtype(top)
-    vals = gens[:, axis] if dtype is object else np.minimum(gens[:, axis], top)
-    vals = vals.astype(dtype)
-    if not rest:
-        yield np.full((), vals.min(initial=top), dtype=dtype), np.ones(1, np.int64)
-        return
-    # distinct starts by sort and neighbour mask: np.unique would import numpy.ma
-    coords = np.sort(np.r_[0, gens[:, rest[0]]])
-    starts = coords[np.r_[True, coords[1:] != coords[:-1]]]
-    widths = np.diff(np.r_[starts, shape[0]])
-    first = np.searchsorted(starts, gens[:, rest[0]])
-    _check_size(shape[1:], dtype)
-    rows = max(1, FIELD_CELLS // _volume(shape[1:]))
-    carry = np.full([1, *shape[1:]], top, dtype=dtype)
-    for lo in range(0, len(starts), rows):
-        hi = min(lo + rows, len(starts))
-        mine = (first >= lo) & (first < hi)
-        h = np.full([hi - lo, *shape[1:]], top, dtype=dtype)
-        np.minimum.at(h, (first[mine] - lo, *(gens[mine, i] for i in rest[1:])), vals[mine])
-        np.minimum(h[:1], carry, out=h[:1])
-        for ax in range(len(rest)):
-            np.minimum.accumulate(h, axis=ax, out=h)
-        carry = h[-1:].copy()
-        yield h, widths[lo:hi]
 
 
 class FieldRows(NamedTuple):
@@ -232,18 +177,24 @@ def multiply_field(h: np.ndarray, box, J: FieldRows) -> np.ndarray:
     return out if work is dtype else out.astype(dtype)
 
 
-def field_count(h: np.ndarray, widths=None) -> int:
-    """Standard points under a field, or under a slab whose rows stand for `widths` rows."""
-    if widths is None:
-        # uint8 sums are exact in uint32 below 2**24 cells, as 255 * 2**24 < 2**32
-        wide = np.uint32 if h.dtype == np.uint8 and h.size < 2**24 else None
-        return int(np.add.reduce(h, axis=None, dtype=wide))
-    sums = h.reshape(len(widths), -1).sum(axis=1)
-    return int(np.dot(widths.astype(object), sums.astype(object)))
+def field_count(h: np.ndarray) -> int:
+    """Standard points under the field h: the exact sum of its heights."""
+    # uint8 sums are exact in uint32 below 2**24 cells, as 255 * 2**24 < 2**32
+    wide = np.uint32 if h.dtype == np.uint8 and h.size < 2**24 else None
+    return int(np.add.reduce(h, axis=None, dtype=wide))
 
 
 def count_grid(gens, box) -> int:
-    """Height-field counter; exact for any d >= 1 and any generating set."""
+    """Points of the box prod [0, b_i) divisible by no row of `gens`; exact for any d >= 1.
+
+    The rows need not be minimal, nor lie in the box.  The count is the
+    field of the rows along the longest side, built by `multiply_field`
+    from the unit ideal's empty field with the box as J's bounds: the pure
+    power (0', b_c) it assumes caps every height at the top, and
+    `field_rows` drops the rows at or past the top.  A row at or past the
+    box on another axis lowers no cell and would widen a margin, so it is
+    dropped first.
+    """
     box = tuple(int(b) for b in box)
     if any(b <= 0 for b in box):
         return 0
@@ -251,4 +202,7 @@ def count_grid(gens, box) -> int:
     if gens.ndim != 2 or gens.shape[1] != len(box):
         raise ValueError("generator array must be (n, d)")
     axis = height_axis(box)
-    return sum(field_count(h, w) for h, w in field_slabs(gens, box, axis))
+    rest = [i for i in range(len(box)) if i != axis]
+    rows = gens[(gens[:, rest] < [box[i] for i in rest]).all(axis=1)]
+    unit = np.zeros((0,) * len(rest), field_dtype(0))
+    return field_count(multiply_field(unit, (0,) * len(box), field_rows(rows, box, axis)))

@@ -305,15 +305,27 @@ CHECK_NAMES = tuple(_CHECKS)
 
 
 def _applicable_checks(config: CorpusConfig) -> list[str]:
-    """The checks of `config` that apply at its dimension; raises when none does."""
+    """The checks of `config` that apply at its dimension.
+
+    The default selection keeps them silently.  Raises when none applies,
+    and when the configuration names a check that does not apply: one not
+    defined at `dim`, or a strict d >= 4 bound below d = 4 without
+    exploration.
+    """
     wanted = config.checks if config.checks is not None else CHECK_NAMES
     explore = config.exploration or config.dim >= 4
-    out = [
-        name for name in wanted
-        if _CHECKS[name].applies(config.dim) and (explore or not _CHECKS[name].strict)
-    ]
+    why = {}
+    for name in wanted:
+        if not _CHECKS[name].applies(config.dim):
+            why[name] = f"not defined at dim {config.dim}"
+        elif _CHECKS[name].strict and not explore:
+            why[name] = "a d >= 4 bound, run below d = 4 only with exploration"
+    out = [name for name in wanted if name not in why]
     if not out:
         raise ValueError("no applicable checks for this configuration")
+    if config.checks is not None and why:
+        raise ValueError("selected checks that do not apply: "
+                         + "; ".join(f"{name} ({reason})" for name, reason in why.items()))
     return out
 
 

@@ -3,10 +3,12 @@
 `colength` is the workhorse: length of R/I as a k-vector space, i.e. the
 number of standard monomials.  Powers of the maximal ideal short-circuit to
 a binomial; everything else is the sum of the ideal's height field on the
-box of pure-power bounds.  `ProductSampler` serves the difference-table
-engine (`br_direct` and `mixed_difference_table`), which needs
-lambda(R / I_1^{n_1} ... I_s^{n_s}) on many nearby exponent vectors, and
-builds every product as a height field (`multiply_field`).
+box of pure-power bounds (`count_grid`).  `ProductSampler` serves the
+difference-table engine (`br_direct` and `mixed_difference_table`), which
+needs lambda(R / I_1^{n_1} ... I_s^{n_s}) on many nearby exponent vectors.
+Both build every field with one kernel, `multiply_field`: `colength`
+multiplies the unit ideal's empty field by I once, and the sampler climbs
+product by product.
 Each ideal's generators are split once per sampler into the rows and
 margins the field kernel reads (`counting.field_rows`), so a product does
 no per-generator set-up.
@@ -56,6 +58,8 @@ MEMO_ENTRIES = 1024
 def colength(I: MonomialIdeal) -> int:
     """Number of standard monomials of I; 0 for the unit ideal.
 
+    The sum of I's height field along the longest side of its box, which
+    `count_grid` holds whole, with its margins and one working copy.
     Memoized for the last MEMO_ENTRIES ideals.  Raises NotMPrimaryError
     when the count is infinite.
     """

@@ -1,9 +1,9 @@
 """Shared fixtures and independent oracles.
 
 The oracles here deliberately share no code with the package internals:
-colengths by exhaustive box walks, products by definition, Pareto filtering
-by quadratic scan, Newton-polyhedron membership by Fourier-Motzkin
-elimination over Python integers.  Fast paths are trusted only where they
+colengths by exhaustive box walks, height fields cell by cell, products by
+definition, Pareto filtering by quadratic scan, Newton-polyhedron
+membership by Fourier-Motzkin elimination over Python integers.  Fast paths are trusted only where they
 agree with these.
 """
 
@@ -13,6 +13,7 @@ import random
 from itertools import product as iter_product
 from math import gcd
 
+import numpy as np
 import pytest
 
 from multlab import MonomialIdeal, ideal, lengths, multiplicity
@@ -56,6 +57,23 @@ def oracle_colength(I: MonomialIdeal) -> int:
         if not any(all(g[j] <= v[j] for j in range(d)) for g in I.gens):
             count += 1
     return count
+
+
+def oracle_field(gens, box, axis: int) -> np.ndarray:
+    """Height field of the rows of `gens` along `axis`, cell by cell.
+
+    Over each cell x' of the box with `axis` removed, the least g_c over the
+    rows with g' <= x', capped at the top box[axis]; an object array of
+    Python ints, 0-d when d = 1.
+    """
+    rest = [i for i in range(len(box)) if i != axis]
+    gens = [[int(e) for e in g] for g in gens]
+    cells = iter_product(*(range(box[i]) for i in rest))
+    heights = [
+        min([g[axis] for g in gens if all(g[i] <= x for i, x in zip(rest, cell))] + [box[axis]])
+        for cell in cells
+    ]
+    return np.array(heights, dtype=object).reshape([box[i] for i in rest])
 
 
 def _fm_keep(system: dict, row, origin: frozenset) -> None:

@@ -186,6 +186,19 @@ class TestVerify:
         assert "no applicable checks" in err
         assert "total" not in out
 
+    @pytest.mark.parametrize("argv, refused", [
+        (("--dim", "2", "--checks", "prop_dim3,lech_classical"), "prop_dim3 (not defined at dim 2)"),
+        (("--dim", "3", "--checks", "main_mixed,lech_classical"), "main_mixed (a d >= 4 bound"),
+    ])
+    def test_selected_check_that_does_not_apply_is_usage_error(self, capsys, tmp_path, argv, refused):
+        # the bound named is not silently dropped while the others run
+        report = tmp_path / "r.jsonl"
+        code, out, err = run(capsys, "verify", "--instances", "2", *argv, "--report", str(report))
+        assert code == EXIT_USAGE
+        assert refused in err and "lech_classical" not in err
+        assert "total" not in out
+        assert not report.exists()
+
     @pytest.mark.parametrize("checks", [",", "", " , "])
     def test_empty_checks_flag_is_usage_error(self, capsys, checks):
         code, out, err = run(capsys, "verify", "--dim", "2", "--instances", "1", "--checks", checks)
@@ -224,14 +237,16 @@ class TestVerify:
          ("0", False), ("False", False), ("no", False), ("OFF", False)],
     )
     def test_config_booleans(self, capsys, tmp_path, value, explores):
-        # main_mixed runs below d = 4 only with exploration
+        # main_mixed runs below d = 4 only with exploration, and selected
+        # without it, it is refused by name
         cfg = tmp_path / "suite.cfg"
         cfg.write_text(
             f"dim = 3\ninstances = 1\nchecks = lech_classical, main_mixed\nexploration = {value}\n"
         )
-        code, out, _ = run(capsys, "verify", "--config", str(cfg))
-        assert code == EXIT_OK
+        code, out, err = run(capsys, "verify", "--config", str(cfg))
+        assert code == (EXIT_OK if explores else EXIT_USAGE)
         assert ("main_mixed" in out) == explores
+        assert ("main_mixed" in err) != explores
 
     @pytest.mark.parametrize("value", ["maybe", "ture", "", "2"])
     def test_config_boolean_that_is_not_one_is_usage_error(self, capsys, tmp_path, value):
@@ -322,6 +337,16 @@ class TestFuzz:
         code, _, err = run(capsys, "fuzz", "--seconds", "0.1", "--dim", "1", "--checks", "prop_dim2")
         assert code == EXIT_USAGE
         assert "no applicable checks" in err
+
+    def test_selected_checks_that_do_not_apply_are_usage_errors(self, capsys, tmp_path):
+        report = tmp_path / "r.jsonl"
+        code, out, err = run(capsys, "fuzz", "--seconds", "0.1", "--dim", "2", "--report", str(report),
+                             "--checks", "main_br,prop_dim3,lech_classical")
+        assert code == EXIT_USAGE
+        assert "main_br (a d >= 4 bound" in err and "prop_dim3 (not defined at dim 2)" in err
+        assert "lech_classical" not in err
+        assert "total" not in out
+        assert not report.exists()
 
     def test_jobs_flag_is_rejected(self, capsys):
         code, _, err = run(capsys, "fuzz", "--seconds", "0.1", "--jobs", "2")

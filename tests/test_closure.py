@@ -214,12 +214,12 @@ def test_every_height_axis_gives_the_same_closure(d, rng):
     # the field stands on the longest side of the box: put that side on each
     # axis in turn, alone and tied with the others, so every choice of
     # height axis runs, and Fourier-Motzkin judges every closure
-    short, long = (3, 5) if d < 4 else (2, 3)
+    short, long = (3, 5) if d < 4 else (3, 4)
     shapes = [tuple(long if i == k else short for i in range(d)) for k in range(d)]
     shapes += [tuple(short if i == k else long for i in range(d)) for k in range(d)]
     assert {counting.height_axis(bounds) for bounds in shapes} == set(range(d))
     for bounds in shapes:
-        extras = [tuple(rng.randrange(b) for b in bounds) for _ in range(4)]
+        extras = [tuple(rng.randrange(b) for b in bounds) for _ in range(4 if d < 4 else 6)]
         gens = [g for g in extras if sum(map(bool, g)) > 1]  # no new pure power
         gens += [tuple(b * (i == j) for j in range(d)) for i, b in enumerate(bounds)]
         I = ideal(gens, dim=d)

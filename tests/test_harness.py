@@ -374,6 +374,17 @@ class TestDispatch:
             seen[check] = (len(rep.instance["ideals"]), rep.exploratory)
         assert seen == _DISPATCH[dim, exploration]
 
+    @pytest.mark.parametrize("dim,exploration,checks,refused", [
+        (2, False, ("prop_dim3", "lech_classical"), "prop_dim3 (not defined at dim 2)"),
+        (3, False, ("main_mixed", "lech_classical"), "main_mixed (a d >= 4 bound"),
+        (3, True, ("prop_dim2", "main_br"), "prop_dim2 (not defined at dim 3)"),
+    ])
+    def test_selected_checks_that_do_not_apply_raise(self, dim, exploration, checks, refused):
+        cfg = CorpusConfig(dim=dim, rank=3, exploration=exploration, checks=checks)
+        with pytest.raises(ValueError, match="selected checks that do not apply") as info:
+            _applicable_checks(cfg)
+        assert refused in str(info.value) and checks[1] not in str(info.value)
+
     def test_unknown_check_in_run_instance_raises(self):
         with pytest.raises(ValueError, match="unknown check"):
             run_instance(CorpusConfig(), "nope", 0)

@@ -17,7 +17,7 @@ from itertools import islice
 from math import comb, factorial
 
 from .errors import ImpossibleValueError
-from .lengths import colength, shared_sampler
+from .lengths import ProductSampler, colength
 from .monomial import MonomialIdeal, integer, integer_exponents, is_m_primary
 from .monomial import scale_by_m as _scale_ideal
 from .multiplicity import StabilizePolicy, _heuristic_base, mixed_multiplicity, stabilize
@@ -75,12 +75,14 @@ def _compositions(total: int, parts: int):
 
 
 def module_colength(E: DirectSumModule, n: int) -> int:
-    """lambda(Sym^n F / E^n): sum of product colengths over compositions of n."""
+    """lambda(Sym^n F / E^n): sum of product colengths over compositions of n.
+
+    The products of all the compositions are built in one sampler walk.
+    """
     (n,) = integer_exponents((n,))
     if n < 0:
         raise ValueError("n must be non-negative")
-    sampler = shared_sampler(E.ideals)
-    return sum(sampler.colength_at(a) for a in _compositions(n, E.rank))
+    return sum(ProductSampler(E.ideals).colengths(list(_compositions(n, E.rank))))
 
 
 def br_direct(E: DirectSumModule) -> int:
@@ -90,7 +92,9 @@ def br_direct(E: DirectSumModule) -> int:
     stabilized base; the constant window certifies that the polynomial
     degree is exactly d + r - 1 with the expected leading behaviour.  Each
     round hands the compositions of all its n to the sampler in one
-    `colengths` call and sums each n's colengths from that one result.
+    `colengths` call, one walk from the unit ideal, and sums each n's
+    colengths from that one result.  The sampler is this call's own, so
+    nothing it builds outlives the call.
     """
     proper = [I for I in E.ideals if not I.is_unit]
     if not proper:
@@ -98,7 +102,7 @@ def br_direct(E: DirectSumModule) -> int:
     d, r = E.dim, E.rank
     order = d + r - 1
     policy = StabilizePolicy(initial_base=_heuristic_base(proper, d))
-    sampler = shared_sampler(E.ideals)
+    sampler = ProductSampler(E.ideals)
 
     def evaluate(points):
         values = iter(sampler.colengths([a for (n,) in points for a in _compositions(n, r)]))

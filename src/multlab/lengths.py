@@ -1,4 +1,4 @@
-"""Colengths of monomial ideals and memoized colengths of ideal products.
+"""Colengths of monomial ideals and colengths of ideal products.
 
 `colength` is the workhorse: length of R/I as a k-vector space, i.e. the
 number of standard monomials.  Powers of the maximal ideal short-circuit to
@@ -13,22 +13,21 @@ Each ideal's generators are split once per sampler into the rows and
 margins the field kernel reads (`counting.field_rows`), so a product does
 no per-generator set-up.
 `colengths` takes all the points of a difference round at once: it checks
-and keys each point once, builds the products of the points not counted
-yet in one depth-first walk, one product per new point beyond the climb
-to their meet, and then reads every point's count.  The climb starts from
-the one product a sampler keeps, the last walk's meet, when it lies below.
-`colength_at` is the same on one point.  Repeated exact results come from
-bounded memos, least recently used out:
-`shared_sampler` holds the samplers every caller shares, `colength` keeps
-MEMO_ENTRIES colengths, and `multiplicity._newton_value` keeps as many
-mixed multiplicities.
+and keys each point once, builds their products in one depth-first walk
+from the unit ideal, one product per point beyond the climb to their meet,
+and then reads every point's count.  `colength_at` is the same on one
+point.  A sampler keeps nothing from one call to the next: no count and no
+product outlives the call that made it.  Repeated exact results come from
+two bounded memos, least recently used out: `colength` keeps MEMO_ENTRIES
+colengths, and `multiplicity._newton_value` keeps as many mixed
+multiplicities.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from operator import add, le
+from operator import add, mul
 
 import numpy as np
 
@@ -79,13 +78,12 @@ def colength_naive(I: MonomialIdeal) -> int:
 
 
 class ProductSampler:
-    """Colengths of products prod_j I_j^{n_j}, memoized across exponents.
+    """Colengths of products prod_j I_j^{n_j} at the exponent vectors of one call.
 
     Products are height fields along one axis per sampler: the longest side
-    of the summed boxes of the ideals.  Every product is built by one
-    depth-first walk over the points of a call (`_grow`), from the root
-    kept by the last walk or from the unit ideal.  Between calls a sampler
-    holds its counts and one product, that root's.  Unit ideals never
+    of the summed boxes of the ideals.  Every call builds its products in
+    one depth-first walk from the unit ideal over its points (`_grow`), and
+    holds no count and no product once it returns.  Unit ideals never
     change a product, and when every ideal is a power of the maximal ideal
     the colength collapses to a binomial and nothing is built.
     """
@@ -118,38 +116,31 @@ class ProductSampler:
         self._rows = [field_rows(g, b, axis) for g, b in zip(gens, bounds)]
         # a product costs one min-plus update per generator of the ideal it adds
         self._cheapest = sorted(range(len(ideals)), key=lambda j: len(gens[j]))
-        self._root = None  # (point, field, box) at the meet of the last walk
-        self._counts: dict[tuple[int, ...], int] = {}
 
-    def _grow(self, points) -> None:
-        """Count `points` in one depth-first walk through their meet.
+    def _grow(self, points) -> dict[tuple[int, ...], int]:
+        """The counts of `points`, from one depth-first walk through their meet.
 
-        The walk starts from the root kept by the last walk when that root
-        lies below the new meet, and from the unit ideal otherwise.  It
-        climbs from there to the meet one product at a time, slot by slot
-        in reverse of `_cheapest`, so the first field too large to
-        allocate fails before anything else is planned.  Above the meet a
-        node's parent is one step below it, in the slot whose ideal has
-        the fewest generators (lowest index on ties) among the steps that
-        stay among the nodes; failing that, the first step in that order
-        that stays above the meet, added as a node of its own.  Every node
-        but the meet costs one field product from its parent's.  Smaller
-        subtrees go first and the last child takes over its parent's
-        product, so the path stack holds only the ancestors that still
-        have children to visit; of the products, only the meet's is kept.
+        The walk climbs from the unit ideal's empty field to the meet one
+        product at a time, slot by slot in reverse of `_cheapest`, so the
+        first field too large to allocate fails before anything else is
+        planned.  Above the meet a node's parent is one step below it, in
+        the slot whose ideal has the fewest generators (lowest index on
+        ties) among the steps that stay among the nodes; failing that, the
+        first step in that order that stays above the meet, added as a node
+        of its own.  Every node but the meet costs one field product from
+        its parent's.  Smaller subtrees go first and the last child takes
+        over its parent's product, so the path stack holds only the
+        ancestors that still have children to visit, and no product is
+        kept once the walk ends.
         """
         meet = tuple(map(min, zip(*points)))
-        if self._root and all(map(le, self._root[0], meet)):
-            start, held, box = self._root
-        else:
-            start, box = (0,) * len(meet), (0,) * self.dim
-            held = np.zeros((0,) * (self.dim - 1), field_dtype(0))
-        self._root = None  # a root the walk does not start from is freed before it
+        box = (0,) * self.dim
+        held = np.zeros((0,) * (self.dim - 1), field_dtype(0))
         for j in reversed(self._cheapest):
-            for _ in range(meet[j] - start[j]):
+            for _ in range(meet[j]):
                 held = multiply_field(held, box, self._rows[j])
                 box = tuple(map(add, box, self._bounds[j]))
-        pending = sorted(set(points) - {meet})
+        pending = sorted(points - {meet})
         children = {p: [] for p in (meet, *pending)}
         while pending:
             p = pending.pop()
@@ -164,13 +155,12 @@ class ProductSampler:
         size = {}
         for p in sorted(children, key=sum, reverse=True):
             size[p] = 1 + sum([size[c] for _, c in children[p]])
+        counts = {}
 
         def visit(p, held, box):
-            """Count p if asked, keep it if it is the meet, and queue its children."""
+            """Count p if asked, and queue its children."""
             if p in points:
-                self._counts[p] = field_count(held)
-            if p == meet:
-                self._root = (meet, held, box)
+                counts[p] = field_count(held)
             if children[p]:
                 kids = sorted(children[p], key=lambda jc: (size[jc[1]], jc[1]), reverse=True)
                 path.append((held, box, kids))
@@ -184,6 +174,7 @@ class ProductSampler:
                 path.pop()
             held = multiply_field(held, box, self._rows[j])
             visit(c, held, tuple(map(add, box, self._bounds[j])))
+        return counts
 
     def _key(self, n) -> tuple[int, ...]:
         """n as a tuple of ints, with the exponents of unit ideals set to 0."""
@@ -196,46 +187,20 @@ class ProductSampler:
             n = tuple(0 if j in self._units else e for j, e in enumerate(n))
         return n
 
-    def _fill(self, todo) -> None:
-        """Count every point of `todo` not counted yet, in one walk."""
-        walk = set()
-        for n in todo:
-            if n in self._counts:
-                continue
-            if self._all_m:
-                total_deg = sum(e * k for e, k in zip(n, self._m_degrees))
-                self._counts[n] = comb(total_deg - 1 + self.dim, self.dim) if total_deg else 0
-            elif not any(n):
-                self._counts[n] = 0
-            else:
-                walk.add(n)
-        if walk:
-            self._grow(walk)
-
     def colength_at(self, n) -> int:
-        n = self._key(n)
-        if n not in self._counts:
-            self._fill((n,))
-        return self._counts[n]
+        return self.colengths([n])[0]
 
     def colengths(self, points) -> list[int]:
         """Colengths at all `points`, their products built in one walk."""
         keys = [self._key(n) for n in points]
-        self._fill(keys)
-        counts = self._counts
-        return [counts[n] for n in keys]
-
-
-@lru_cache(maxsize=4)
-def shared_sampler(ideals: tuple[MonomialIdeal, ...]) -> ProductSampler:
-    """The sampler of a tuple of ideals, from a small cache shared by all callers.
-
-    Bounded by count like the colength and table memos, but to four
-    samplers, since each keeps its counts and one root product.
-    """
-    return ProductSampler(ideals)
+        if self._all_m:
+            degrees = [sum(map(mul, n, self._m_degrees)) for n in keys]
+            return [comb(k - 1 + self.dim, self.dim) if k else 0 for k in degrees]
+        walk = {n for n in keys if any(n)}
+        counts = self._grow(walk) if walk else {}
+        return [counts.get(n, 0) for n in keys]
 
 
 def colength_of_product(ideals, exponents) -> int:
     """lambda(R / prod I_j^{n_j}) for m-primary ideals; 0 when all n_j = 0."""
-    return shared_sampler(tuple(ideals)).colength_at(exponents)
+    return ProductSampler(ideals).colength_at(exponents)

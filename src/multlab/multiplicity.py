@@ -23,10 +23,10 @@ evaluates the difference at a window of diagonal shifts and accepts the
 value only when the window is constant, doubling the base point otherwise.
 Each round hands all its lattice points to one evaluator at once; for
 colengths of products that is `ProductSampler.colengths`, which builds
-them in one depth-first walk through the round's base point.
-`mixed_difference_table` runs it from a base read off the ideals'
-generators and memoizes nothing, and `buchsbaum_rim.br_direct` runs it on
-module colengths.
+them in one depth-first walk from the unit ideal through the round's base
+point.  `mixed_difference_table` runs it from a base read off the ideals'
+generators with a sampler of its own and memoizes nothing, and
+`buchsbaum_rim.br_direct` runs it on module colengths.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 from . import closure
 from .errors import DimensionMismatchError, NotMPrimaryError, StabilizationError
 from .errors import ImpossibleValueError
-from .lengths import MEMO_ENTRIES, shared_sampler
+from .lengths import MEMO_ENTRIES, ProductSampler
 from .monomial import MonomialIdeal, as_array, box_bounds, integer, integer_exponents
 from .monomial import is_m_primary, m_ideal
 
@@ -280,12 +280,13 @@ def mixed_difference_table(ideals, type_=None) -> DifferenceTable:
     """The stabilized difference table of the engine: the independent oracle of `mixed_multiplicity`.
 
     The ideals are merged as by `mixed_multiplicity`, and their product
-    colengths come from `lengths.shared_sampler`, at a base read off the
-    generators.  Nothing here is memoized, so every call stabilizes afresh.
+    colengths come from a `ProductSampler` of this call's own, at a base
+    read off the generators.  Nothing here is memoized and no product
+    outlives the call, so every call stabilizes afresh.
     """
     merged, orders = _merged(ideals, type_)
     policy = StabilizePolicy(initial_base=_heuristic_base(merged, merged[0].dim))
-    table = stabilize(shared_sampler(merged).colengths, orders, policy)
+    table = stabilize(ProductSampler(merged).colengths, orders, policy)
     _positive(table.result, "difference table")
     return table
 

@@ -168,10 +168,9 @@ def rng():
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    """Every test starts with empty samplers, colengths and Newton values.
+    """Every test starts with empty colength and Newton-value memos.
 
     Otherwise a memo warmed by an earlier test hides the work a test counts.
     """
-    lengths.shared_sampler.cache_clear()
     lengths.colength.cache_clear()
     multiplicity._newton_value.cache_clear()

@@ -28,7 +28,7 @@ from multlab.harness import (
     run_suite,
     write_jsonl,
 )
-from multlab.lengths import colength, colength_naive, shared_sampler
+from multlab.lengths import ProductSampler, colength, colength_naive
 from multlab.monomial import box_bounds, m_ideal, m_power, product
 from multlab.multiplicity import (
     StabilizePolicy,
@@ -230,7 +230,7 @@ def test_criterion_09_fast_counter_matches_naive_and_tables_reproduce():
         doubled = tuple(2 * b for b in table.base)
         merged = tuple(dict.fromkeys(ideals))  # equal draws merge, as in the table
         again = stabilize(
-            shared_sampler(merged).colengths,
+            ProductSampler(merged).colengths,
             table.order,
             StabilizePolicy(initial_base=doubled),
         )

@@ -35,7 +35,7 @@ from multlab import counting, lengths
 from multlab.buchsbaum_rim import br_direct, module, module_colength
 from multlab.counting import count_grid, count_naive, field_count
 from multlab.counting import field_rows, multiply_field
-from multlab.lengths import MEMO_ENTRIES, shared_sampler
+from multlab.lengths import MEMO_ENTRIES
 from multlab.monomial import as_array, box_bounds, scale_by_m
 
 from conftest import oracle_colength, oracle_field, random_mprimary
@@ -371,34 +371,6 @@ class TestProductSampler:
             batch = ProductSampler([a, b]).colengths(scattered)
             assert batch == [want[p] for p in scattered]
 
-    def test_a_later_round_climbs_from_the_last_root(self, monkeypatch):
-        ideals = [
-            parse_ideal(t, dim=3)
-            for t in ("(x^2, x*y, y^3, z^2)", "(x^3, y, z^2)", "(x, y^2, y*z, z^3)")
-        ]
-        cube = list(iter_product(range(2), repeat=3))
-        first, second = (2, 3, 1), (4, 4, 3)
-        rounds = [[tuple(map(add, root, delta)) for delta in cube] for root in (first, second)]
-        calls = []
-
-        def counted(*args):
-            calls.append(None)
-            return multiply_field(*args)
-
-        monkeypatch.setattr(lengths, "multiply_field", counted)
-        sampler = ProductSampler(ideals)
-        assert sampler.colengths(rounds[0]) == ProductSampler(ideals).colengths(rounds[0])
-        calls.clear()
-        values = sampler.colengths(rounds[1])
-        # the climb from one root to the next ends in the new root's product
-        assert len(calls) == sum(second) - sum(first) + len(rounds[1]) - 1
-        assert values == ProductSampler(ideals).colengths(rounds[1])
-        assert values == [
-            colength(product(product(power(ideals[0], a), power(ideals[1], b)),
-                             power(ideals[2], c)))
-            for a, b, c in rounds[1]
-        ]
-
     def test_module_rounds_make_one_product_per_point_below_their_top(self, monkeypatch):
         E = module(
             parse_ideal(t, dim=3)
@@ -411,26 +383,26 @@ class TestProductSampler:
             return multiply_field(*args)
 
         monkeypatch.setattr(lengths, "multiply_field", counted)
-        sampler = shared_sampler(E.ideals)
-        batch = sampler.colengths
+        batch = ProductSampler.colengths
         layers = set()
 
-        def one_round(points):
+        def one_round(sampler, points):
             before = len(calls)
-            values = batch(points)
+            values = batch(sampler, points)
             top = max(map(sum, points))
             # every product is of a lattice point with sum <= top, each at most once
             assert len(calls) - before <= comb(top + 3, 3)
             layers.update(map(sum, points))
             return values
 
-        monkeypatch.setattr(sampler, "colengths", one_round)
+        monkeypatch.setattr(ProductSampler, "colengths", one_round)
         assert br_direct(E) == 46
         assert calls  # the bounds above count field products the walk really made
-        calls.clear()
-        for n in layers:
+        for n in sorted(layers):
+            calls.clear()
             module_colength(E, n)
-        assert not calls  # the rounds' layers are all counted
+            # one walk: a product per lattice point with sum <= n but the zero vector
+            assert len(calls) <= comb(n + 3, 3) - 1
         for n in range(1, 7):
             want = sum(
                 colength(product(product(power(E.ideals[0], a), power(E.ideals[1], b)),
@@ -439,6 +411,21 @@ class TestProductSampler:
                 if a + b + c == n
             )
             assert module_colength(E, n) == want
+
+    @pytest.mark.parametrize("call", [
+        lambda J: mixed_difference_table([J], (3,)).result,
+        lambda J: br_direct(module([J])),
+    ], ids=["mixed_difference_table", "br_direct"])
+    def test_no_product_outlives_a_call(self, call):
+        # a product field of this ideal's table rounds holds about 300 KiB
+        call(parse_ideal("(x^2, y^2, z^2, x*y*z)"))  # imports and first-use set-up
+        tracemalloc.start()
+        try:
+            assert call(parse_ideal("(x^20, y^18, z^19, x^3*y^4*z^5)")) == 4346  # e(I)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 32 << 10
 
     def test_round_walk_makes_one_product_per_new_point(self, monkeypatch):
         # an order-(1,1,1,1) table of the default d = 4 corpus (lech_mixed, index 6)

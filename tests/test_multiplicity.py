@@ -29,7 +29,7 @@ from multlab import (
 )
 from multlab import closure, lengths, multiplicity
 from multlab.harness import CorpusConfig, run_suite, write_jsonl
-from multlab.lengths import MEMO_ENTRIES, shared_sampler
+from multlab.lengths import MEMO_ENTRIES, ProductSampler
 
 from conftest import random_mprimary
 
@@ -303,7 +303,7 @@ class TestReproducibility:
             table = mixed_difference_table([I, J], (1, 1))
             merged = tuple(dict.fromkeys([I, J]))  # I == J merges to order (2,)
             doubled = stabilize(
-                shared_sampler(merged).colengths,
+                ProductSampler(merged).colengths,
                 table.order,
                 StabilizePolicy(initial_base=tuple(2 * b for b in table.base)),
             )
@@ -421,7 +421,7 @@ class TestNewtonRoute:
         J = parse_ideal("(x^16, x^9*y^2, x^5*y^36, y^37)")
         assert mixed_multiplicity([I, J]) == 996
         assert mixed_difference_table([I, J]).result == 996
-        low = stabilize(shared_sampler((I, J)).colengths, (1, 1), StabilizePolicy(initial_base=2))
+        low = stabilize(ProductSampler((I, J)).colengths, (1, 1), StabilizePolicy(initial_base=2))
         assert low.result == 909
 
     def test_int64_check_on_the_summed_box(self, monkeypatch):

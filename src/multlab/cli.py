@@ -31,6 +31,7 @@ import dataclasses
 import json
 import os
 import sys
+from contextlib import ExitStack
 
 from .buchsbaum_rim import (
     DirectSumModule,
@@ -251,14 +252,16 @@ def _cmd_br(args) -> int:
 def _finish_suite(reports, args) -> int:
     tally = Tally()
     reports = map(tally.add, reports)
-    if args.report:
-        with open(args.report, "w") as fh:
-            write_jsonl(reports, fh)
-    for _ in reports:  # without --report the stream is only tallied
-        pass
-    if args.summary:
-        with open(args.summary, "w") as fh:
-            write_summary_csv(tally, fh)
+    with ExitStack() as files:
+        # both files open before the first instance, so a bad path costs no run
+        report, summary = (files.enter_context(open(path, "w")) if path else None
+                           for path in (args.report, args.summary))
+        if report:
+            write_jsonl(reports, report)
+        for _ in reports:  # without --report the stream is only tallied
+            pass
+        if summary:
+            write_summary_csv(tally, summary)
     rows = tally.summary_rows()
     for row in rows:
         status = "ok" if row["violations"] == 0 else "VIOLATED"

@@ -6,15 +6,21 @@ finite set of generators.  Ideals are kept in canonical form: the
 generators are the divisibility-minimal antichain, sorted lexicographically,
 so equal ideals compare equal as values.
 
-All arithmetic is exact.  Large generator sets are filtered with numpy
-(int64 with explicit bounds checks); results are ordinary Python ints.
+All arithmetic is exact; results are ordinary Python ints.  Exponents are
+checked against [0, MAX_EXPONENT) before any numpy work, so int64 sums of
+generators never wrap.  Generator sets of more than 48 monomials are
+minimalized as int64 arrays by `minimalize_array`: one lex sort drops the
+duplicates, then past 1024 rows a prefix-min grid runs when it fits under
+`_GRID_CELL_CAP` cells, and a sweep over lex-ordered blocks of 1024 rows
+handles everything else.  Lex order suffices because a divisor of a
+monomial always comes before it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement
-from math import comb
+from math import comb, prod
 from operator import index
 
 import numpy as np
@@ -37,6 +43,14 @@ def integer_exponents(values) -> tuple[int, ...]:
         return tuple(map(index, values))
     except TypeError:
         raise ValueError("exponents must be integers") from None
+
+
+def check_exponents(values) -> None:
+    """A ValueError unless every value is an int in [0, MAX_EXPONENT)."""
+    exponents = integer_exponents(values)
+    low, high = min(exponents, default=0), max(exponents, default=0)
+    if low < 0 or high >= MAX_EXPONENT:
+        raise ValueError(f"exponents must be in [0, {MAX_EXPONENT}), got {low if low < 0 else high}")
 
 
 def integer(value, name: str) -> int:
@@ -75,10 +89,7 @@ class MonomialIdeal:
             raise ValueError("dim must be >= 1")
         if not self.gens:
             raise ValueError("an ideal needs at least one generator")
-        exponents = integer_exponents(chain.from_iterable(self.gens))
-        low, high = min(exponents), max(exponents)
-        if low < 0 or high >= MAX_EXPONENT:
-            raise ValueError(f"exponents must be in [0, {MAX_EXPONENT}), got {low if low < 0 else high}")
+        check_exponents(chain.from_iterable(self.gens))
         prev = None
         for g in self.gens:
             if len(g) != self.dim:
@@ -157,11 +168,12 @@ def m_power_degree(ideal_: MonomialIdeal) -> int | None:
 def minimalize(gens) -> tuple[Monomial, ...]:
     """Divisibility-minimal antichain of a generating set, sorted lex.
 
-    Raises ValueError on empty input.
+    Raises ValueError on empty input or an exponent outside [0, MAX_EXPONENT).
     """
     pts = set(map(integer_exponents, gens))
     if not pts:
         raise ValueError("empty generating set")
+    check_exponents(chain.from_iterable(pts))
     if len(pts) <= 48:
         out = [p for p in pts if not any(q != p and divides(q, p) for q in pts)]
         return tuple(sorted(out))
@@ -178,100 +190,71 @@ def ideal_from_array(dim: int, arr: np.ndarray) -> MonomialIdeal:
     return MonomialIdeal(dim, gens)
 
 
-def dedup_rows(pts: np.ndarray) -> np.ndarray:
-    """np.unique(pts, axis=0) but via packed integer keys when they fit.
-
-    Row-wise unique sorts void views, which is an order of magnitude slower
-    than a plain int64 sort; coordinates here are small enough to pack
-    almost always.  Entries must be non-negative.  Output is lex-sorted
-    either way.
-    """
-    n, d = pts.shape
-    if n <= 1:
-        return pts
-    maxs = pts.max(axis=0).astype(np.int64) + 1
-    bits = int(sum(max(1, int(m).bit_length()) for m in maxs))
-    if bits > 63:
-        return np.unique(pts, axis=0)
-    key = pts[:, 0].astype(np.int64)
-    for i in range(1, d):
-        key = key * maxs[i] + pts[:, i]
-    _, idx = np.unique(key, return_index=True)
-    return pts[idx]
-
-
-def _pareto_pairwise(pts: np.ndarray) -> np.ndarray:
-    le = (pts[:, None, :] <= pts[None, :, :]).all(axis=2)
-    np.fill_diagonal(le, False)
-    return pts[~le.any(axis=0)]
-
-def _pareto_layers(pts: np.ndarray) -> np.ndarray:
-    # degree layers are antichains, so only cross-layer tests are needed; a
-    # layer meets the kept rows in row blocks of at most _GRID_CELL_CAP
-    # booleans (one row when a single row is larger), so this fallback
-    # allocates no more than the grid it replaces
-    deg = pts.sum(axis=1)
-    order = np.argsort(deg, kind="stable")
-    pts, deg = pts[order], deg[order]
-    kept = []
-    # distinct degrees by neighbour mask: np.unique would import numpy.ma
-    for val in deg[np.r_[True, deg[1:] != deg[:-1]]]:
-        layer = pts[deg == val]
-        if kept:
-            base = np.concatenate(kept)
-            rows = max(1, _GRID_CELL_CAP // base.size)
-            dom = np.concatenate([
-                (base[None, :, :] <= block[:, None, :]).all(axis=2).any(axis=1)
-                for block in np.split(layer, range(rows, len(layer), rows))
-            ])
-            layer = layer[~dom]
-        if len(layer):
-            kept.append(layer)
-    out = np.concatenate(kept)
-    return out[np.lexsort(out.T[::-1])]
-
-
 _GRID_CELL_CAP = 30_000_000
 
 
 def minimalize_array(pts: np.ndarray) -> np.ndarray:
-    """Pareto-minimal rows of a non-negative int64 array.
+    """Pareto-minimal rows of a non-negative int64 array, in lex order.
 
-    One prefix-min pass over the non-value axes, filtering on the perturbed
-    value v*n + lex_rank.  A dominating row is lex-smaller (its first
-    differing coordinate is smaller), so on value ties the dominator wins
-    the perturbed comparison; and a row that wins it while sitting in the
-    prefix cell really does dominate, because winning forces value <= and
-    the cell gives <= elsewhere.  Hence one pass is exact.
+    Rows are lex-sorted and equal neighbours dropped, so a row's index is its
+    lex rank.  Both passes rest on one fact: a row that divides another
+    differs from it first in a smaller coordinate, so it comes earlier in
+    lex order.
 
-    Every path returns the rows in lex order.
+    Past 1024 rows, when the grid over the non-value axes fits under
+    `_GRID_CELL_CAP` cells, one prefix-min pass over it filters on the
+    perturbed value v*n + lex_rank.  On value ties the dominator wins the
+    perturbed comparison; and a row that wins it while sitting in the prefix
+    cell really does dominate, because winning forces value <= and the cell
+    gives <= elsewhere.
+
+    Otherwise a blocked sweep takes the rows in lex order, 1024 at a time,
+    and drops each row divisible by a row kept from an earlier block or by
+    another row of its own block: all its divisors come earlier, and a
+    dropped one is divided by a kept one.  A block meets those rows in parts
+    whose boolean tables hold at most `_GRID_CELL_CAP` cells (one row's, when
+    a single row meets more), so the sweep allocates less than the grid.
     """
-    pts = dedup_rows(pts)  # lex-sorted, so row index is the lex rank
+    pts = pts[np.lexsort(pts.T[::-1])]
+    if len(pts) > 1:
+        pts = pts[np.concatenate(([True], (pts[1:] != pts[:-1]).any(axis=1)))]
     n, d = pts.shape
-    if n <= 1:
-        return pts
-    if d == 1:
+    if n <= 1 or d == 1:
         return pts[:1]
-    if n <= 1024:
-        return _pareto_pairwise(pts)
-    maxs = pts.max(axis=0)
-    c = int(np.argmax(maxs))
-    rest = [i for i in range(d) if i != c]
-    cells_shape = 1
-    for i in rest:
-        cells_shape *= int(maxs[i]) + 1
-    if cells_shape > _GRID_CELL_CAP or int(maxs[c]) + 1 > 2**62 // n:
-        return _pareto_layers(pts)
-    tilde = pts[:, c] * n + np.arange(n, dtype=np.int64)
-    grid = np.full(
-        [int(maxs[i]) + 1 for i in rest], np.iinfo(np.int64).max, np.int64
-    )
-    cells = tuple(pts[:, i] for i in rest)
-    np.minimum.at(grid, cells, tilde)  # unbuffered: right with duplicate cells
-    for ax in range(len(rest)):
-        np.minimum.accumulate(grid, axis=ax, out=grid)
-    pref = grid[cells]
-    return pts[pref == tilde]
+    if n > 1024:
+        maxs = pts.max(axis=0)
+        c = int(np.argmax(maxs))
+        rest = [i for i in range(d) if i != c]
+        shape = [int(maxs[i]) + 1 for i in rest]
+        if prod(shape) <= _GRID_CELL_CAP and int(maxs[c]) + 1 <= 2**62 // n:
+            tilde = pts[:, c] * n + np.arange(n, dtype=np.int64)
+            grid = np.full(shape, np.iinfo(np.int64).max, np.int64)
+            cells = tuple(pts[:, i] for i in rest)
+            np.minimum.at(grid, cells, tilde)  # unbuffered: right with duplicate cells
+            for ax in range(len(rest)):
+                np.minimum.accumulate(grid, axis=ax, out=grid)
+            return pts[grid[cells] == tilde]
+    return _pareto_sweep(pts)
+
+
+def _pareto_sweep(pts: np.ndarray) -> np.ndarray:
+    # distinct rows in lex order; see minimalize_array
+    kept = pts[:0]
+    for start in range(0, len(pts), 1024):
+        block = pts[start:start + 1024]
+        base = np.concatenate([kept, block]).T
+        rows = max(1, _GRID_CELL_CAP // base.shape[1])
+        hits = []
+        for i in range(0, len(block), rows):
+            part = block[i:i + rows, :, None]
+            # le[r, j]: base row j divides part row r, built one axis at a time
+            le = base[0] <= part[:, 0]
+            for k in range(1, len(base)):
+                le &= base[k] <= part[:, k]
+            hits.append(np.count_nonzero(le, axis=1))
+        # each row divides itself; one more divisor drops it
+        kept = np.concatenate([kept, block[np.concatenate(hits) == 1]])
+    return kept
 
 
 # ---------------------------------------------------------------------------

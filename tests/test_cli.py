@@ -131,6 +131,18 @@ class TestVerify:
         assert lines and all(json.loads(line)["holds"] for line in lines)
         assert summary.read_text().startswith("check,")
 
+    @pytest.mark.parametrize("command", [["verify", "--instances", "20"], ["fuzz", "--seconds", "1"]])
+    def test_unwritable_summary_exits_1_before_the_first_instance(self, capsys, tmp_path, monkeypatch, command):
+        ran = []
+        real = harness.run_instance
+        monkeypatch.setattr(harness, "run_instance", lambda *args: ran.append(args) or real(*args))
+        report, summary = tmp_path / "r.jsonl", tmp_path / "missing" / "s.csv"
+        code, out, err = run(capsys, *command, "--dim", "2", "--report", str(report), "--summary", str(summary))
+        assert code == EXIT_USAGE
+        assert str(summary) in err and "Traceback" not in out + err
+        assert ran == [] and out == ""
+        assert not report.exists() or report.read_text() == ""
+
     def test_verify_reports_are_reproducible(self, capsys, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         for path in (a, b):

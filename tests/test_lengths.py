@@ -330,7 +330,7 @@ class TestColength:
         # numpy 2's 1-D np.unique imports numpy.ma, about 10 ms on the first
         # call; numpy 1 imports numpy.ma with numpy itself, so there is
         # nothing to check.  The second input minimalizes 1 140 rows past
-        # the grid cap, in `monomial._pareto_layers`.
+        # the grid cap, in the lex-ordered sweep `monomial._pareto_sweep`.
         calls = (
             "colength(parse_ideal('(x^3, x*y, y^4)')) == 6",
             "len(power(parse_ideal('(x^20, y^20, z^20, w^20)', dim=4), 17).gens) == 1140",

@@ -1,6 +1,7 @@
 """Monomial ideal core: construction, minimalization, arithmetic, membership."""
 
 import random
+from itertools import product as iter_product
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from multlab import (
     unit_ideal,
 )
 from multlab import monomial
-from multlab.monomial import as_array, dedup_rows, minimalize_array, scale_by_m
+from multlab.monomial import MAX_EXPONENT, as_array, minimalize_array, scale_by_m
 
 from conftest import oracle_minimalize, oracle_power, oracle_product, random_mprimary
 
@@ -84,6 +85,21 @@ class TestConstruction:
                 MonomialIdeal(2, gens)
         assert MonomialIdeal(2, ((0, np.int64(1)), (2, 0))) == ideal([(0, 1), (2, 0)])
 
+    @pytest.mark.parametrize("extra", [0, 3, 60])
+    def test_exponent_range_is_checked_at_every_size(self, extra):
+        # 2 + extra rows: small inputs are minimalized in Python, larger in numpy
+        refused = rf"exponents must be in \[0, {MAX_EXPONENT}\), got "
+        antichain = [(100 + i, 200 - i) for i in range(extra)]
+        with pytest.raises(ValueError, match=refused + "-1$"):
+            minimalize([(1, -1), (0, 200)] + antichain)
+        with pytest.raises(ValueError, match=refused + f"{MAX_EXPONENT}$"):
+            minimalize([(MAX_EXPONENT, 0), (0, 200)] + antichain)
+        steps = [(i + 1, 60 - i) for i in range(extra)]
+        with pytest.raises(ValueError, match=refused + f"{2**70}$"):
+            ideal([(2**70, 0)] + steps)
+        gens = [(MAX_EXPONENT - 1, 0), (0, 200)] + antichain
+        assert minimalize(gens) == oracle_minimalize(gens)
+
     def test_construction_is_canonical(self):
         a = ideal([(2, 0), (0, 3), (1, 1)])
         b = ideal([(1, 1), (2, 0), (0, 3), (2, 5)])
@@ -109,42 +125,83 @@ class TestMinimalize:
     def test_matches_oracle(self, gens):
         assert minimalize(gens) == oracle_minimalize(gens)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        pad=st.booleans(),
+        corner=st.integers(0, 6),
+        cap=st.sampled_from([1, 20, monomial._GRID_CELL_CAP]),
+        data=st.data(),
+    )
+    def test_both_passes_match_oracle(self, d, pad, corner, cap, data):
+        # a first coordinate of 2**40 becomes the grid's value axis, so the grid still fits
+        first = st.one_of(st.integers(0, 6), st.just(2**40))
+        rows = data.draw(st.lists(st.tuples(first, *[st.integers(0, 6)] * (d - 1)), max_size=30))
+        rows += data.draw(st.lists(st.sampled_from(rows), max_size=10)) if rows else []
+        want = oracle_minimalize(rows)
+        if pad:
+            # a cube of more than 1024 distinct rows whose only minimal row is
+            # its corner, so the answer is that of rows + [corner]
+            side = {1: 1100, 2: 33, 3: 11, 4: 6}[d]
+            cube = list(iter_product(range(corner, corner + side), repeat=d))
+            want = oracle_minimalize(rows + [(corner,) * d])
+            rows = rows + cube
+            random.Random(data.draw(st.integers(0, 2**32))).shuffle(rows)
+        # the grid runs past 1024 distinct rows when it fits under the cap,
+        # which a padded input with d > 1 does only under the default cap
+        grid = pad and d > 1 and cap == monomial._GRID_CELL_CAP
+        swept = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(monomial, "_GRID_CELL_CAP", cap)
+            sweep = monomial._pareto_sweep
+            mp.setattr(monomial, "_pareto_sweep", lambda pts: swept.append(len(pts)) or sweep(pts))
+            got = minimalize_array(np.array(rows, dtype=np.int64).reshape(-1, d))
+        assert got.tolist() == [list(r) for r in want]  # lex order included
+        assert bool(swept) == (d > 1 and len(set(rows)) > 1 and not grid)
+
+    def test_grid_pass_on_distinct_rows(self, monkeypatch):
+        # 2 000 distinct rows in a 30^3 grid: the prefix-min grid is taken
+        rng = random.Random(3)
+        pts = set()
+        while len(pts) < 2000:
+            pts.add(tuple(rng.randrange(30) for _ in range(4)))
+        monkeypatch.setattr(monomial, "_pareto_sweep", None)
+        got = minimalize_array(np.array(sorted(pts), dtype=np.int64))
+        assert got.tolist() == [list(r) for r in oracle_minimalize(pts)]
+
     def test_array_path_tie_heavy(self, rng):
-        # force the grid path: > 1024 points in a tiny coordinate range
+        # 2 500 rows in a tiny coordinate range: at most 256 distinct
         pts = np.array(
             [[rng.randrange(0, 4) for _ in range(4)] for _ in range(2500)],
             dtype=np.int64,
         )
-        got = sorted(map(tuple, minimalize_array(pts).tolist()))
-        want = list(oracle_minimalize(map(tuple, pts.tolist())))
-        assert got == want
+        want = oracle_minimalize(map(tuple, pts.tolist()))
+        assert minimalize_array(pts).tolist() == [list(r) for r in want]
 
     def test_array_path_antichain_is_fixed_point(self):
         layer = m_power(3, 7)  # all degree-7 monomials: a large antichain
-        arr = as_array(layer)
-        big = np.repeat(arr, 40, axis=0)  # 1440 rows with duplicates
-        got = sorted(map(tuple, minimalize_array(big).tolist()))
-        assert got == sorted(layer.gens)
+        big = np.repeat(as_array(layer), 40, axis=0)  # 1440 rows with duplicates
+        assert minimalize_array(big).tolist() == [list(g) for g in layer.gens]
 
-    def test_layers_path_in_row_blocks(self, rng, monkeypatch):
-        # > 1024 distinct points on four adjacent degree layers, so each
-        # layer meets many kept rows; a small grid cap forces the
-        # degree-layer path and splits each layer into row blocks
+    def test_sweep_in_one_row_parts(self, rng, monkeypatch):
+        # > 1024 distinct rows on four adjacent degree layers: a cap of 1
+        # forces the sweep, in two blocks, one row at a time; the larger
+        # caps hold the 10^3-cell grid
         pts = set()
         while len(pts) < 1100:
             p = tuple(rng.randrange(0, 10) for _ in range(4))
             if 11 <= sum(p) <= 14:
                 pts.add(p)
         arr = np.array(list(pts), dtype=np.int64)
-        want = list(oracle_minimalize(pts))
+        want = [list(r) for r in oracle_minimalize(pts)]
         assert 100 < len(want) < len(pts)
         for cap in (1, 2_000, 100_000):
             monkeypatch.setattr(monomial, "_GRID_CELL_CAP", cap)
-            assert sorted(map(tuple, minimalize_array(arr).tolist())) == want
+            assert minimalize_array(arr).tolist() == want
 
-    def test_layers_path_returns_lex_order(self):
+    def test_sparse_generators_past_the_grid_cap(self):
         # > 1024 sparse generators whose grid would pass the cell cap: the
-        # degree-layer path must hand back lex order for `ideal` to accept it
+        # sweep must hand back lex order for `ideal` to accept it
         rng = random.Random(1)
         gens = [tuple(rng.randrange(10**6) for _ in range(4)) for _ in range(1100)]
         want = oracle_minimalize(gens)
@@ -153,21 +210,6 @@ class TestMinimalize:
         assert ideal(gens).gens == want
         arr = np.array(gens, dtype=np.int64)
         assert list(map(tuple, minimalize_array(arr).tolist())) == list(want)
-
-    @given(
-        st.lists(
-            st.tuples(*[st.integers(0, 9)] * 4), min_size=0, max_size=40
-        )
-    )
-    def test_dedup_rows_matches_unique(self, rows):
-        pts = np.array(rows, dtype=np.int64).reshape(-1, 4)
-        assert dedup_rows(pts).tolist() == np.unique(pts, axis=0).tolist()
-
-    def test_dedup_rows_unpackable_rows(self):
-        # four coordinates of 2**20 need more than 63 bits to pack
-        big = 2**20
-        pts = np.array([[big, 0, 1, big], [0, big, big, 1], [big, 0, 1, big]])
-        assert dedup_rows(pts).tolist() == [[0, big, big, 1], [big, 0, 1, big]]
 
 
 class TestArithmetic:

@@ -61,7 +61,6 @@ from .monomial import (
 from .multiplicity import (
     DifferenceTable,
     LengthSample,
-    StabilizePolicy,
     hilbert_samuel,
     hyperplane_section_multiplicity,
     mixed_difference_table,
@@ -76,7 +75,6 @@ __all__ = [
     "DirectSumModule",
     "DifferenceTable",
     "LengthSample",
-    "StabilizePolicy",
     "ProductSampler",
     "CorpusConfig",
     "InequalityReport",

@@ -18,9 +18,9 @@ from math import comb, factorial
 
 from .errors import ImpossibleValueError
 from .lengths import ProductSampler, colength
-from .monomial import MonomialIdeal, integer, integer_exponents, is_m_primary
+from .monomial import MonomialIdeal, common_dim, integer, integer_exponents, is_m_primary
 from .monomial import scale_by_m as _scale_ideal
-from .multiplicity import StabilizePolicy, _heuristic_base, mixed_multiplicity, stabilize
+from .multiplicity import _heuristic_base, mixed_multiplicity, stabilize
 
 
 @dataclass(frozen=True)
@@ -33,10 +33,8 @@ class DirectSumModule:
         if not self.ideals:
             raise ValueError("a direct sum needs at least one column ideal")
         object.__setattr__(self, "ideals", tuple(self.ideals))
-        d = self.ideals[0].dim
+        common_dim(self.ideals)
         for I in self.ideals:
-            if I.dim != d:
-                raise ValueError("column ideals live in different dimensions")
             if not (I.is_unit or is_m_primary(I)):
                 raise ValueError(
                     "column ideals must be m-primary (or the whole ring)"
@@ -101,14 +99,13 @@ def br_direct(E: DirectSumModule) -> int:
         raise ValueError("E equals F; the Buchsbaum-Rim multiplicity needs E != F")
     d, r = E.dim, E.rank
     order = d + r - 1
-    policy = StabilizePolicy(initial_base=_heuristic_base(proper, d))
     sampler = ProductSampler(E.ideals)
 
     def evaluate(points):
         values = iter(sampler.colengths([a for (n,) in points for a in _compositions(n, r)]))
         return [sum(islice(values, comb(n + r - 1, r - 1))) for (n,) in points]
 
-    table = stabilize(evaluate, (order,), policy)
+    table = stabilize(evaluate, (order,), base=_heuristic_base(proper, d))
     if table.result < 1:
         raise ImpossibleValueError(
             f"difference table produced {table.result}; Buchsbaum-Rim "

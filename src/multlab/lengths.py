@@ -38,6 +38,7 @@ from .monomial import (
     MonomialIdeal,
     as_array,
     box_bounds,
+    common_dim,
     integer_exponents,
     is_m_primary,
     m_power_degree,
@@ -92,11 +93,9 @@ class ProductSampler:
         ideals = tuple(ideals)
         if not ideals:
             raise ValueError("need at least one ideal")
-        d = ideals[0].dim
+        d = common_dim(ideals)
         bounds = []
         for I in ideals:
-            if I.dim != d:
-                raise ValueError("mixed ambient dimensions in one sampler")
             if I.is_unit:
                 bounds.append((0,) * d)
             elif is_m_primary(I):

@@ -6,9 +6,11 @@ finite set of generators.  Ideals are kept in canonical form: the
 generators are the divisibility-minimal antichain, sorted lexicographically,
 so equal ideals compare equal as values.
 
-All arithmetic is exact; results are ordinary Python ints.  Exponents are
-checked against [0, MAX_EXPONENT) before any numpy work, so int64 sums of
-generators never wrap.  Generator sets of more than 48 monomials are
+All arithmetic is exact; results are ordinary Python ints.  A generating
+set is converted to ints and checked once, where it enters `minimalize`:
+its rows must have one length and every exponent must lie in
+[0, MAX_EXPONENT) before any numpy work, so int64 sums of generators never
+wrap.  Generator sets of more than 48 monomials are
 minimalized as int64 arrays by `minimalize_array`: one lex sort drops the
 duplicates, then past 1024 rows a prefix-min grid runs when it fits under
 `_GRID_CELL_CAP` cells, and a sweep over lex-ordered blocks of 1024 rows
@@ -45,9 +47,8 @@ def integer_exponents(values) -> tuple[int, ...]:
         raise ValueError("exponents must be integers") from None
 
 
-def check_exponents(values) -> None:
-    """A ValueError unless every value is an int in [0, MAX_EXPONENT)."""
-    exponents = integer_exponents(values)
+def check_exponents(exponents) -> None:
+    """A ValueError unless every int of the sequence `exponents` is in [0, MAX_EXPONENT)."""
     low, high = min(exponents, default=0), max(exponents, default=0)
     if low < 0 or high >= MAX_EXPONENT:
         raise ValueError(f"exponents must be in [0, {MAX_EXPONENT}), got {low if low < 0 else high}")
@@ -89,7 +90,7 @@ class MonomialIdeal:
             raise ValueError("dim must be >= 1")
         if not self.gens:
             raise ValueError("an ideal needs at least one generator")
-        check_exponents(chain.from_iterable(self.gens))
+        check_exponents(integer_exponents(chain.from_iterable(self.gens)))
         prev = None
         for g in self.gens:
             if len(g) != self.dim:
@@ -116,15 +117,13 @@ class MonomialIdeal:
 def ideal(gens, dim: int | None = None) -> MonomialIdeal:
     """Build an ideal from any generating set, minimalizing it.
 
+    `dim` defaults to the length of the generators.
+
     >>> ideal([(2, 0), (3, 1), (0, 1)]).gens
     ((0, 1), (2, 0))
     """
-    gens = [integer_exponents(g) for g in gens]
-    if not gens:
-        raise ValueError("empty generating set")
-    if dim is None:
-        dim = len(gens[0])
-    return MonomialIdeal(dim, minimalize(gens))
+    gens = minimalize(gens)
+    return MonomialIdeal(len(gens[0]) if dim is None else dim, gens)
 
 
 def unit_ideal(dim: int) -> MonomialIdeal:
@@ -168,12 +167,17 @@ def m_power_degree(ideal_: MonomialIdeal) -> int | None:
 def minimalize(gens) -> tuple[Monomial, ...]:
     """Divisibility-minimal antichain of a generating set, sorted lex.
 
-    Raises ValueError on empty input or an exponent outside [0, MAX_EXPONENT).
+    Each row is converted to ints once, here.  Raises ValueError on empty
+    input or an exponent outside [0, MAX_EXPONENT), and
+    DimensionMismatchError on rows of different lengths.
     """
     pts = set(map(integer_exponents, gens))
     if not pts:
         raise ValueError("empty generating set")
-    check_exponents(chain.from_iterable(pts))
+    lengths = set(map(len, pts))
+    if len(lengths) > 1:
+        raise DimensionMismatchError(f"generators have different lengths {sorted(lengths)}")
+    check_exponents(tuple(chain.from_iterable(pts)))
     if len(pts) <= 48:
         out = [p for p in pts if not any(q != p and divides(q, p) for q in pts)]
         return tuple(sorted(out))
@@ -260,9 +264,16 @@ def _pareto_sweep(pts: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # arithmetic
 
-def _check_same_dim(a: MonomialIdeal, b: MonomialIdeal) -> None:
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dim {a.dim} != dim {b.dim}")
+def common_dim(ideals) -> int:
+    """The dimension of every ideal of the non-empty sequence `ideals`.
+
+    Raises DimensionMismatchError if two of them differ.
+    """
+    d = ideals[0].dim
+    for I in ideals:
+        if I.dim != d:
+            raise DimensionMismatchError(f"ideals live in different dimensions: {I.dim} != {d}")
+    return d
 
 
 def product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
@@ -272,7 +283,7 @@ def product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     >>> print(product(parse_ideal("(x, y^2)"), parse_ideal("(x^2, y)")))
     (x^3, x*y, y^3)
     """
-    _check_same_dim(a, b)
+    common_dim((a, b))
     ka, kb = m_power_degree(a), m_power_degree(b)
     if ka is not None and kb is not None:
         return m_power(a.dim, ka + kb)
@@ -307,8 +318,15 @@ def contains(ideal_: MonomialIdeal, m: Monomial) -> bool:
 
 def ideal_contains(outer: MonomialIdeal, inner: MonomialIdeal) -> bool:
     """True if inner is a subset of outer (every generator is a member)."""
-    _check_same_dim(outer, inner)
+    common_dim((outer, inner))
     return all(contains(outer, g) for g in inner.gens)
+
+
+def _pure_powers(ideal_: MonomialIdeal) -> dict[int, int]:
+    """{i: least k > 0 with x_i^k a generator}, over the variables that have one."""
+    zeros = ideal_.dim - 1
+    # read backwards, the lex order writes each variable's least power last
+    return {g.index(k): k for g in reversed(ideal_.gens) if g.count(0) == zeros for k in (max(g),)}
 
 
 def is_m_primary(ideal_: MonomialIdeal) -> bool:
@@ -317,12 +335,7 @@ def is_m_primary(ideal_: MonomialIdeal) -> bool:
     Equivalently the staircase complement is finite and the ideal is proper;
     the unit ideal is not m-primary.
     """
-    seen = set()
-    for g in ideal_.gens:
-        nz = [i for i, e in enumerate(g) if e > 0]
-        if len(nz) == 1:
-            seen.add(nz[0])
-    return len(seen) == ideal_.dim
+    return len(_pure_powers(ideal_)) == ideal_.dim
 
 
 def box_bounds(ideal_: MonomialIdeal) -> tuple[int, ...]:
@@ -331,18 +344,13 @@ def box_bounds(ideal_: MonomialIdeal) -> tuple[int, ...]:
     The staircase complement lives inside the box prod [0, b_i).
     Raises NotMPrimaryError when some variable has no pure power.
     """
-    bounds = [0] * ideal_.dim
-    for g in ideal_.gens:
-        nz = [i for i, e in enumerate(g) if e > 0]
-        if len(nz) == 1:
-            i = nz[0]
-            bounds[i] = g[i] if bounds[i] == 0 else min(bounds[i], g[i])
-    if any(b == 0 for b in bounds):
-        missing = ", ".join(f"x{i + 1}" for i, b in enumerate(bounds) if b == 0)
+    powers = _pure_powers(ideal_)
+    if len(powers) < ideal_.dim:
+        missing = ", ".join(f"x{i + 1}" for i in range(ideal_.dim) if i not in powers)
         raise NotMPrimaryError(
             f"no pure power of {missing}: the colength is infinite"
         )
-    return tuple(bounds)
+    return tuple(map(powers.get, range(ideal_.dim)))
 
 
 def scale_by_m(ideal_: MonomialIdeal) -> MonomialIdeal:

@@ -20,7 +20,8 @@ and each term's count.
 
 The difference-table engine stays as the independent oracle.  `stabilize`
 evaluates the difference at a window of diagonal shifts and accepts the
-value only when the window is constant, doubling the base point otherwise.
+value only when the window is constant, doubling the base point otherwise,
+on one fixed schedule (`WINDOW`, `MAX_ROUNDS`, `GROWTH`).
 Each round hands all its lattice points to one evaluator at once; for
 colengths of products that is `ProductSampler.colengths`, which builds
 them in one depth-first walk from the unit ideal through the round's base
@@ -40,11 +41,17 @@ from operator import add, mul
 import numpy as np
 
 from . import closure
-from .errors import DimensionMismatchError, NotMPrimaryError, StabilizationError
-from .errors import ImpossibleValueError
+from .errors import ImpossibleValueError, NotMPrimaryError, StabilizationError
 from .lengths import MEMO_ENTRIES, ProductSampler
-from .monomial import MonomialIdeal, as_array, box_bounds, integer, integer_exponents
-from .monomial import is_m_primary, m_ideal
+from .monomial import MonomialIdeal, as_array, box_bounds, common_dim, integer
+from .monomial import integer_exponents, is_m_primary, m_ideal
+
+# The schedule of `stabilize`: WINDOW extra diagonal shifts must reproduce
+# the shift-0 value; on an unstable window every base coordinate is
+# multiplied by GROWTH, up to MAX_ROUNDS escalations.
+WINDOW = 2
+MAX_ROUNDS = 6
+GROWTH = 2
 
 
 @dataclass(frozen=True)
@@ -69,32 +76,6 @@ class DifferenceTable:
     rounds: int
 
 
-@dataclass(frozen=True)
-class StabilizePolicy:
-    """How hard `stabilize` pushes for a constant difference window.
-
-    `stabilize` is the one function that takes a schedule; the
-    multiplicities fill in only `initial_base` and keep the other defaults.
-    `initial_base` of None starts at max(2, max(order)) in every
-    coordinate; on an unstable window every base coordinate is multiplied
-    by `growth`, up to `max_rounds` escalations.  `window` is the number of
-    extra diagonal shifts that must reproduce the shift-0 value.
-    """
-
-    initial_base: int | tuple[int, ...] | None = None
-    window: int = 2
-    max_rounds: int = 6
-    growth: int = 2
-
-    def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window must be at least 1")
-        if self.max_rounds < 0:
-            raise ValueError("max_rounds must be non-negative")
-        if self.growth < 2:
-            raise ValueError("growth must be at least 2")
-
-
 def _difference_terms(order):
     """The pairs (delta, (-1)^{|order - delta|} prod C(order_j, delta_j)) of one order."""
     return [
@@ -111,52 +92,44 @@ def _mixed_difference(values, base, terms):
     return sum(coeff * values[tuple(map(add, base, delta))] for delta, coeff in terms)
 
 
-def _round_points(base, terms, window):
+def _round_points(base, terms):
     """The distinct lattice points of one round's differences, in first-use order."""
     points = {}
-    for s in range(window + 1):
+    for s in range(WINDOW + 1):
         shifted = tuple(b + s for b in base)
         points.update(dict.fromkeys(tuple(map(add, shifted, delta)) for delta, _ in terms))
     return list(points)
 
 
-def stabilize(evaluate, order, policy: StabilizePolicy | None = None) -> DifferenceTable:
+def stabilize(evaluate, order, *, base: int) -> DifferenceTable:
     """Confirmed mixed difference of a function on lattice points.
 
     `evaluate` maps a round's list of points to the list of their values,
     and a list of another length raises ValueError.  Evaluates the
-    order-`order` difference at diagonal shifts 0..window of a base point
-    and returns a DifferenceTable once all shifts agree, growing the base
-    geometrically otherwise.  Raises StabilizationError with the
-    full escalation history if no window ever becomes constant.  This is
-    the one place that takes a schedule: `policy` defaults to
-    StabilizePolicy(), and the multiplicities pass one with only their
-    starting base set.
+    order-`order` difference at diagonal shifts 0..WINDOW of the point
+    (base, ..., base) and returns a DifferenceTable once all shifts agree,
+    multiplying the base by GROWTH otherwise.  Raises StabilizationError
+    with the full escalation history if no window is constant after
+    MAX_ROUNDS escalations.  `order` must hold positive ints and `base`
+    must be a positive int; anything else is a ValueError.
     """
-    policy = policy or StabilizePolicy()
-    order = tuple(int(o) for o in order)
-    if not order or any(o < 1 for o in order):
+    order = integer_exponents(order)
+    if not order or min(order) < 1:
         raise ValueError("order must be a non-empty tuple of positive ints")
-    if policy.initial_base is None:
-        base = (max(2, max(order)),) * len(order)
-    elif isinstance(policy.initial_base, int):
-        base = (policy.initial_base,) * len(order)
-    else:
-        base = tuple(int(b) for b in policy.initial_base)
-        if len(base) != len(order):
-            raise ValueError("initial_base length must match order length")
-    if any(b < 1 for b in base):
-        raise ValueError("base coordinates must be positive")
+    base = integer(base, "base")
+    if base < 1:
+        raise ValueError(f"base must be positive, got {base}")
+    base = (base,) * len(order)
 
     terms = _difference_terms(order)
     bases_tried = []
     diffs_seen = []
-    for _ in range(policy.max_rounds + 1):
-        points = _round_points(base, terms, policy.window)
+    for _ in range(MAX_ROUNDS + 1):
+        points = _round_points(base, terms)
         values = dict(zip(points, evaluate(points), strict=True))
         diffs = [
             _mixed_difference(values, tuple(b + s for b in base), terms)
-            for s in range(policy.window + 1)
+            for s in range(WINDOW + 1)
         ]
         bases_tried.append(base)
         diffs_seen.append(tuple(diffs))
@@ -171,7 +144,7 @@ def stabilize(evaluate, order, policy: StabilizePolicy | None = None) -> Differe
                 result=diffs[0],
                 rounds=len(bases_tried),
             )
-        base = tuple(b * policy.growth for b in base)
+        base = tuple(b * GROWTH for b in base)
     raise StabilizationError(
         "difference window never became constant",
         bases=bases_tried,
@@ -211,15 +184,8 @@ def _merged(ideals, type_):
     ideals = list(ideals)
     if not ideals:
         raise ValueError("need at least one ideal")
-    if type_ is None:
-        type_ = (1,) * len(ideals)
-    d = ideals[0].dim
-    for I in ideals:
-        if I.dim != d:
-            raise DimensionMismatchError(
-                f"ideals live in different dimensions: {I.dim} != {d}"
-            )
-    type_ = integer_exponents(type_)
+    d = common_dim(ideals)
+    type_ = (1,) * len(ideals) if type_ is None else integer_exponents(type_)
     if len(type_) != len(ideals):
         raise ValueError("type length must match the number of ideals")
     if any(a < 0 for a in type_):
@@ -285,8 +251,8 @@ def mixed_difference_table(ideals, type_=None) -> DifferenceTable:
     outlives the call, so every call stabilizes afresh.
     """
     merged, orders = _merged(ideals, type_)
-    policy = StabilizePolicy(initial_base=_heuristic_base(merged, merged[0].dim))
-    table = stabilize(ProductSampler(merged).colengths, orders, policy)
+    base = _heuristic_base(merged, merged[0].dim)
+    table = stabilize(ProductSampler(merged).colengths, orders, base=base)
     _positive(table.result, "difference table")
     return table
 
@@ -328,4 +294,4 @@ def hyperplane_section_multiplicity(ideals, k: int = 1) -> int:
             f"need {d - k} ideals for {k} cuts in dimension {d}, got {len(ideals)}"
         )
     m = m_ideal(d)
-    return mixed_multiplicity([m] * k + ideals, (1,) * d)
+    return mixed_multiplicity([m] * k + ideals)

@@ -31,7 +31,6 @@ from multlab.harness import (
 from multlab.lengths import ProductSampler, colength, colength_naive
 from multlab.monomial import box_bounds, m_ideal, m_power, product
 from multlab.multiplicity import (
-    StabilizePolicy,
     hilbert_samuel,
     mixed_difference_table,
     mixed_multiplicity,
@@ -227,12 +226,9 @@ def test_criterion_09_fast_counter_matches_naive_and_tables_reproduce():
         rng = rng_for(910, "doubled_base", index)
         ideals = [gen_random_mprimary(dim, 3, 1, rng) for _ in range(dim)]
         table = mixed_difference_table(ideals)
-        doubled = tuple(2 * b for b in table.base)
         merged = tuple(dict.fromkeys(ideals))  # equal draws merge, as in the table
         again = stabilize(
-            ProductSampler(merged).colengths,
-            table.order,
-            StabilizePolicy(initial_base=doubled),
+            ProductSampler(merged).colengths, table.order, base=2 * table.base[0]
         )
         assert again.result == table.result
 

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from multlab import (
     NotMPrimaryError,
     ProductSampler,
-    StabilizePolicy,
     colength,
     colength_naive,
     colength_of_product,
@@ -447,7 +446,7 @@ class TestProductSampler:
         by_point = stabilize(
             lambda points: [fresh.colength_at(n) for n in points],
             table.order,
-            StabilizePolicy(initial_base=table.base),
+            base=table.base[0],
         )
         assert (table.base, table.samples, table.result) == (
             by_point.base, by_point.samples, by_point.result

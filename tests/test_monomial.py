@@ -12,6 +12,7 @@ from multlab import (
     DimensionMismatchError,
     MonomialIdeal,
     NotMPrimaryError,
+    ProductSampler,
     box_bounds,
     contains,
     ideal,
@@ -20,6 +21,9 @@ from multlab import (
     m_ideal,
     m_power,
     minimalize,
+    mixed_difference_table,
+    mixed_multiplicity,
+    module,
     parse_ideal,
     power,
     product,
@@ -50,8 +54,19 @@ class TestConstruction:
             ideal([(1, -1)])
 
     def test_rejects_ragged(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatchError):
             ideal([(1, 0), (1, 0, 0)])
+
+    @pytest.mark.parametrize("extra", [0, 59])
+    def test_ragged_rows_are_refused_at_every_size(self, extra):
+        # 2 + extra rows: small inputs are minimalized in Python, larger in numpy;
+        # compared by zip, (1,) and (1, 0) would divide each other
+        antichain = [(100 + i, 200 - i) for i in range(extra)]
+        for gens in ([(1,), (1, 0)] + antichain, antichain + [(0, 1, 0), (1, 0)]):
+            with pytest.raises(DimensionMismatchError, match="different lengths"):
+                minimalize(gens)
+            with pytest.raises(DimensionMismatchError, match="different lengths"):
+                ideal(gens)
 
     def test_unit_ideal(self):
         R = unit_ideal(3)
@@ -270,6 +285,20 @@ class TestArithmetic:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             product(m_ideal(2), m_ideal(3))
+
+    def test_every_entry_point_checks_dimensions_alike(self):
+        m2, m3 = m_ideal(2), m_ideal(3)
+        calls = (
+            lambda: product(m2, m3),
+            lambda: ideal_contains(m2, m3),
+            lambda: module([m2, m3]),
+            lambda: ProductSampler([m2, m3]),
+            lambda: mixed_multiplicity([m2, m3], (1, 1)),
+            lambda: mixed_difference_table([m2, m3], (1, 1)),
+        )
+        for call in calls:
+            with pytest.raises(DimensionMismatchError, match="different dimensions: 3 != 2"):
+                call()
 
     def test_scale_by_m(self):
         I = parse_ideal("(x^2, y)")

@@ -12,7 +12,6 @@ from multlab import (
     ImpossibleValueError,
     NotMPrimaryError,
     StabilizationError,
-    StabilizePolicy,
     hilbert_samuel,
     hyperplane_section_multiplicity,
     ideal,
@@ -41,48 +40,45 @@ def batch(f):
 
 class TestStabilize:
     def test_polynomial_sampler(self):
-        table = stabilize(
-            batch(lambda n: n[0] * (n[0] + 1) // 2), (2,), StabilizePolicy(initial_base=1)
-        )
+        table = stabilize(batch(lambda n: n[0] * (n[0] + 1) // 2), (2,), base=1)
         assert table.result == 1
         assert table.base == (1,)
 
     def test_quadratic_leading_coefficient(self):
         # f(n) = 7n^2 + 3n + 2: second difference is 2 * 7
-        table = stabilize(batch(lambda n: 7 * n[0] ** 2 + 3 * n[0] + 2), (2,))
+        table = stabilize(batch(lambda n: 7 * n[0] ** 2 + 3 * n[0] + 2), (2,), base=2)
         assert table.result == 14
 
     def test_mixed_difference_of_product_poly(self):
         # f(a, b) = a^2 b: difference of order (2, 1) gives 2! * 1! * 1
-        table = stabilize(batch(lambda n: n[0] ** 2 * n[1]), (2, 1))
+        table = stabilize(batch(lambda n: n[0] ** 2 * n[1]), (2, 1), base=2)
         assert table.result == 2
 
     def test_escalates_past_transient(self):
         # piecewise junk below 40, clean quadratic afterwards
         f = lambda n: (n[0] % 7) if n[0] < 40 else 5 * n[0] ** 2
-        table = stabilize(batch(f), (2,), StabilizePolicy(initial_base=3))
+        table = stabilize(batch(f), (2,), base=3)
         assert table.result == 10
         assert table.base[0] >= 40
         assert table.rounds > 1
 
     def test_rounds_count_the_bases_tried(self):
-        table = stabilize(batch(lambda n: 3 * n[0] ** 2 + n[0]), (2,))
+        table = stabilize(batch(lambda n: 3 * n[0] ** 2 + n[0]), (2,), base=2)
         assert table.rounds == 1
         f = lambda n: (n[0] % 7) if n[0] < 40 else 5 * n[0] ** 2
-        table = stabilize(batch(f), (2,), StabilizePolicy(initial_base=3))
+        table = stabilize(batch(f), (2,), base=3)
         assert table.base == (3 * 2 ** (table.rounds - 1),)
 
     def test_gives_up_with_diagnostics(self):
         with pytest.raises(StabilizationError) as exc:
-            stabilize(
-                batch(lambda n: n[0] % 2), (1,), StabilizePolicy(initial_base=2, max_rounds=3)
-            )
+            stabilize(batch(lambda n: n[0] % 2), (1,), base=2)
         err = exc.value
-        assert len(err.bases) == 4  # initial + 3 escalations
-        assert len(err.attempts) == 4
+        assert len(err.bases) == 7  # initial + 6 escalations
+        assert err.bases[-1] == (128,)
+        assert len(err.attempts) == 7
 
     def test_samples_recorded(self):
-        table = stabilize(batch(lambda n: n[0] ** 2), (2,), StabilizePolicy(initial_base=2))
+        table = stabilize(batch(lambda n: n[0] ** 2), (2,), base=2)
         points = {s.point for s in table.samples}
         assert (2,) in points and (6,) in points  # base through base+window+order
         values = {s.point: s.value for s in table.samples}
@@ -90,21 +86,33 @@ class TestStabilize:
 
     def test_rejects_bad_orders(self):
         with pytest.raises(ValueError):
-            stabilize(batch(lambda n: 0), ())
+            stabilize(batch(lambda n: 0), (), base=2)
         with pytest.raises(ValueError):
-            stabilize(batch(lambda n: 0), (0, 1))
+            stabilize(batch(lambda n: 0), (0, 1), base=2)
 
     def test_rejects_bad_bases(self):
-        with pytest.raises(ValueError, match="initial_base length"):
-            stabilize(batch(lambda n: 0), (1, 1), StabilizePolicy(initial_base=(2,)))
         with pytest.raises(ValueError, match="positive"):
-            stabilize(batch(lambda n: 0), (1,), StabilizePolicy(initial_base=0))
+            stabilize(batch(lambda n: 0), (1,), base=0)
+        with pytest.raises(TypeError):
+            stabilize(batch(lambda n: 0), (1,), 2)  # the base is keyword-only
+
+    def test_refuses_non_integer_orders_and_bases(self):
+        # no rounding and no parsing: orders and bases are Python or numpy ints
+        for order in ((2.5,), ("2",)):
+            with pytest.raises(ValueError, match="integers"):
+                stabilize(batch(lambda n: 0), order, base=2)
+        for base in (2.7, (2,)):
+            with pytest.raises(ValueError, match="base must be an integer"):
+                stabilize(batch(lambda n: 0), (2,), base=base)
+        table = stabilize(batch(lambda n: n[0] ** 2), (np.int64(2),), base=np.int64(3))
+        assert (table.order, table.base, table.result) == ((2,), (3,), 2)
+        assert type(table.order[0]) is int and type(table.base[0]) is int
 
     def test_rejects_an_evaluator_of_the_wrong_length(self):
         # one value short would otherwise surface as a KeyError in the difference
         for wrong in (lambda points: [0] * (len(points) - 1), lambda points: [0] * 99):
             with pytest.raises(ValueError):
-                stabilize(wrong, (2,))
+                stabilize(wrong, (2,), base=2)
 
 
 class TestHilbertSamuel:
@@ -303,19 +311,9 @@ class TestReproducibility:
             table = mixed_difference_table([I, J], (1, 1))
             merged = tuple(dict.fromkeys([I, J]))  # I == J merges to order (2,)
             doubled = stabilize(
-                ProductSampler(merged).colengths,
-                table.order,
-                StabilizePolicy(initial_base=tuple(2 * b for b in table.base)),
+                ProductSampler(merged).colengths, table.order, base=2 * table.base[0]
             )
             assert doubled.result == table.result
-
-    def test_policies_are_validated(self):
-        with pytest.raises(ValueError):
-            StabilizePolicy(window=0)
-        with pytest.raises(ValueError):
-            StabilizePolicy(growth=1)
-        with pytest.raises(ValueError):
-            StabilizePolicy(max_rounds=-1)
 
 
 class TestTableMemo:
@@ -349,7 +347,7 @@ class TestTableMemo:
     def test_stabilization_error_is_raised_every_time(self, monkeypatch):
         stabilized = []
 
-        def unstable(sampler, order, policy):
+        def unstable(sampler, order, *, base):
             stabilized.append(order)
             raise StabilizationError("difference window never became constant")
 
@@ -421,7 +419,7 @@ class TestNewtonRoute:
         J = parse_ideal("(x^16, x^9*y^2, x^5*y^36, y^37)")
         assert mixed_multiplicity([I, J]) == 996
         assert mixed_difference_table([I, J]).result == 996
-        low = stabilize(ProductSampler((I, J)).colengths, (1, 1), StabilizePolicy(initial_base=2))
+        low = stabilize(ProductSampler((I, J)).colengths, (1, 1), base=2)
         assert low.result == 909
 
     def test_int64_check_on_the_summed_box(self, monkeypatch):

@@ -43,7 +43,7 @@ from .harness import (
     write_jsonl,
     write_summary_csv,
 )
-from .lengths import ProductSampler, colength, colength_naive, colength_of_product
+from .lengths import ProductSampler, colength, colength_naive
 from .monomial import (
     MonomialIdeal,
     box_bounds,
@@ -60,7 +60,6 @@ from .monomial import (
 )
 from .multiplicity import (
     DifferenceTable,
-    LengthSample,
     hilbert_samuel,
     hyperplane_section_multiplicity,
     mixed_difference_table,
@@ -74,7 +73,6 @@ __all__ = [
     "MonomialIdeal",
     "DirectSumModule",
     "DifferenceTable",
-    "LengthSample",
     "ProductSampler",
     "CorpusConfig",
     "InequalityReport",
@@ -98,7 +96,6 @@ __all__ = [
     "format_ideal",
     "colength",
     "colength_naive",
-    "colength_of_product",
     "hilbert_samuel",
     "mixed_multiplicity",
     "mixed_difference_table",

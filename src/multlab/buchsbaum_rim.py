@@ -3,11 +3,13 @@
 For E = I_1 e_1 + ... + I_r e_r inside F = R^r with each I_i m-primary (or
 all of R), the function n |-> lambda(Sym^n F / image of Sym^n E) is a sum of
 colengths of products over all compositions of n, eventually polynomial of
-degree d + r - 1.  `br_direct` extracts (d+r-1)! times the leading
-coefficient from a stabilized difference table; `br_via_mixed` recomputes it
-as the sum of mixed multiplicities over compositions of d into r parts,
-which come from Newton polyhedra.  The two routes share neither the
-difference window nor the hull, so their agreement is a real cross-check.
+degree d + r - 1.  `br_via_mixed` answers: br(E) is the sum of the mixed
+multiplicities e(I_1^[a_1], ..., I_r^[a_r]) over the compositions a of d,
+and summed over every a the base-0 differences of the closure colengths
+collapse to one weighted sum of them on one Newton hull.  `br_direct`, the
+oracle, extracts (d+r-1)! times the leading coefficient from a stabilized
+difference table.  The two routes share neither the difference window nor
+the hull, so their agreement is a real cross-check.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ from dataclasses import dataclass
 from itertools import islice
 from math import comb, factorial
 
-from .errors import ImpossibleValueError
 from .lengths import ProductSampler, colength
 from .monomial import MonomialIdeal, common_dim, integer, integer_exponents, is_m_primary
 from .monomial import scale_by_m as _scale_ideal
-from .multiplicity import _heuristic_base, mixed_multiplicity, stabilize
+from .multiplicity import _closure_sum, _heuristic_base, _positive, stabilize
+
+_BR_KIND = "Buchsbaum-Rim multiplicities of proper submodules"
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,13 @@ def module_colength(E: DirectSumModule, n: int) -> int:
     return sum(ProductSampler(E.ideals).colengths(list(_compositions(n, E.rank))))
 
 
+def _proper_columns(E: DirectSumModule) -> list[MonomialIdeal]:
+    proper = [I for I in E.ideals if not I.is_unit]
+    if not proper:
+        raise ValueError("E equals F; the Buchsbaum-Rim multiplicity needs E != F")
+    return proper
+
+
 def br_direct(E: DirectSumModule) -> int:
     """Buchsbaum-Rim multiplicity from the symmetric-power colength function.
 
@@ -94,9 +104,7 @@ def br_direct(E: DirectSumModule) -> int:
     colengths from that one result.  The sampler is this call's own, so
     nothing it builds outlives the call.
     """
-    proper = [I for I in E.ideals if not I.is_unit]
-    if not proper:
-        raise ValueError("E equals F; the Buchsbaum-Rim multiplicity needs E != F")
+    proper = _proper_columns(E)
     d, r = E.dim, E.rank
     order = d + r - 1
     sampler = ProductSampler(E.ideals)
@@ -106,31 +114,28 @@ def br_direct(E: DirectSumModule) -> int:
         return [sum(islice(values, comb(n + r - 1, r - 1))) for (n,) in points]
 
     table = stabilize(evaluate, (order,), base=_heuristic_base(proper, d))
-    if table.result < 1:
-        raise ImpossibleValueError(
-            f"difference table produced {table.result}; Buchsbaum-Rim "
-            "multiplicities of proper submodules are positive"
-        )
-    return table.result
+    return _positive(table.result, "difference table", _BR_KIND)
 
 
 def br_via_mixed(E: DirectSumModule) -> int:
-    """Buchsbaum-Rim multiplicity as a sum of mixed multiplicities.
+    """Buchsbaum-Rim multiplicity as a sum of mixed multiplicities, in one closure sum.
 
-    br(E) = sum over compositions (a_1, ..., a_r) of d of
-    e(I_1^[a_1], ..., I_r^[a_r]).  Compositions that put positive weight on
-    a unit column contribute nothing (the colength function does not depend
-    on that exponent) and are skipped.
+    br(E) = sum over compositions a of d of e(I_1^[a_1], ..., I_r^[a_r]),
+    where only the r proper columns count: the colength function does not
+    depend on the exponent of a unit column.  Each term is the order-a
+    difference at 0 of the closure colengths L(t), and summed over every
+    a the weight of L(t) is (-1)^{d-|t|} C(d+r-1, |t|+r-1), the
+    coefficient of x^d in x^{|t|} / (1-x)^{|t|+r}.  So the value is one
+    `_closure_sum` over the t with |t| <= d, on one hull.
     """
-    if not any(not I.is_unit for I in E.ideals):
-        raise ValueError("E equals F; the Buchsbaum-Rim multiplicity needs E != F")
-    d, r = E.dim, E.rank
-    total = 0
-    for a in _compositions(d, r):
-        if any(w > 0 and I.is_unit for w, I in zip(a, E.ideals)):
-            continue
-        total += mixed_multiplicity(list(E.ideals), a)
-    return total
+    proper = _proper_columns(E)
+    d, r = E.dim, len(proper)
+    terms = [
+        (t, (-1) ** (d - k) * comb(d + r - 1, k + r - 1))
+        for k in range(d + 1)
+        for t in _compositions(k, r)
+    ]
+    return _positive(_closure_sum(proper, terms), "the Newton route", _BR_KIND)
 
 
 def scale_by_m(x):

@@ -4,7 +4,8 @@ Subcommands:
 
 * ``mult "(x^2, x*y, y^3)"`` -- Hilbert-Samuel multiplicity (and colength).
 * ``mixed "(x,y^2)" "(x^2,y)"`` -- mixed multiplicities, optional --type.
-* ``br --module "(x,y^2);(x^2,y)"`` -- Buchsbaum-Rim, optional --cross-check.
+* ``br --module "(x,y^2);(x^2,y)"`` -- Buchsbaum-Rim from Newton polyhedra;
+  --cross-check also runs the difference table, the oracle.
 * ``verify`` -- run the seeded inequality suite from flags or a config file.
 * ``fuzz`` -- time-budgeted randomized search for violations.
 
@@ -18,7 +19,7 @@ full, in a file as on the command line; a ``config`` key is refused.
 
 Exit codes: 0 success, 1 bad usage or unparsable input, 2 a verified
 inequality failed (or --cross-check disagreed), 3 the difference table of
-``br`` failed to stabilize, or a value came out impossible
+``br --cross-check`` failed to stabilize, or a value came out impossible
 (ImpossibleValueError), 4 out of memory (MemoryError), 130 interrupted
 (Ctrl-C). Each --report line is flushed as it is written, so every line
 written before a failure or an interrupt stays in the file.
@@ -112,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_br.add_argument("--module", required=True,
                       help='column ideals separated by ";", e.g. "(x,y^2);(x^2,y)"')
     p_br.add_argument("--cross-check", action="store_true",
-                      help="also compute via mixed multiplicities and compare")
+                      help="also compute from the difference table and compare")
 
     for name, handler, help_ in (
         ("verify", _cmd_verify, "run the seeded inequality suite"),
@@ -232,14 +233,14 @@ def _cmd_br(args) -> int:
     E = DirectSumModule(tuple(ideals))
     if args.scale_by_m:
         E = scale_by_m(E)
-    value = br_direct(E)
+    value = br_via_mixed(E)
     payload = {
         "module": [format_ideal(I) for I in E.ideals],
         "buchsbaum_rim": value,
     }
     if args.cross_check:
-        other = br_via_mixed(E)
-        payload["via_mixed"] = other
+        other = br_direct(E)
+        payload["direct"] = other
         payload["routes_agree"] = other == value
         if other != value:
             _emit(payload, args.json)

@@ -199,7 +199,3 @@ class ProductSampler:
         counts = self._grow(walk) if walk else {}
         return [counts.get(n, 0) for n in keys]
 
-
-def colength_of_product(ideals, exponents) -> int:
-    """lambda(R / prod I_j^{n_j}) for m-primary ideals; 0 when all n_j = 0."""
-    return ProductSampler(ideals).colength_at(exponents)

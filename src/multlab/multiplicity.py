@@ -14,9 +14,11 @@ on all of Z^s_>=0 (McMullen, *Lattice invariant valuations on rational
 polytopes*, 1977) with the same top-degree part, since e does not change
 under integral closure.  So the order-a difference over the points
 delta <= a alone is the value: no window, no base, and no product of
-ideals.  `_newton_value` memoizes it for the last `lengths.MEMO_ENTRIES`
-distinct (ideals, orders) keys; `closure` supplies the facets of the sum
-and each term's count.
+ideals.  `_closure_sum` takes any weighted sum of those closure colengths
+on one hull, with `closure` supplying the facets of the sum and each
+term's count; `_newton_value` memoizes the order-a difference for the
+last `lengths.MEMO_ENTRIES` distinct (ideals, orders) keys, and
+`buchsbaum_rim.br_via_mixed` sums all orders of total d in one call.
 
 The difference-table engine stays as the independent oracle.  `stabilize`
 evaluates the difference at a window of diagonal shifts and accepts the
@@ -55,23 +57,16 @@ GROWTH = 2
 
 
 @dataclass(frozen=True)
-class LengthSample:
-    """One evaluated lattice point: exponent vector and its colength."""
-
-    point: tuple[int, ...]
-    value: int
-
-
-@dataclass(frozen=True)
 class DifferenceTable:
     """A confirmed mixed difference: where it was taken and what it gave.
 
-    `rounds` is the number of bases tried, the last one being `base`.
+    `samples` holds the (point, value) pairs of the last round, sorted by
+    point; `rounds` is the number of bases tried, the last one being `base`.
     """
 
     base: tuple[int, ...]
     order: tuple[int, ...]
-    samples: tuple[LengthSample, ...]
+    samples: tuple[tuple[tuple[int, ...], int], ...]
     result: int
     rounds: int
 
@@ -134,13 +129,10 @@ def stabilize(evaluate, order, *, base: int) -> DifferenceTable:
         bases_tried.append(base)
         diffs_seen.append(tuple(diffs))
         if all(v == diffs[0] for v in diffs):
-            samples = tuple(
-                LengthSample(point, value) for point, value in sorted(values.items())
-            )
             return DifferenceTable(
                 base=base,
                 order=order,
-                samples=samples,
+                samples=tuple(sorted(values.items())),
                 result=diffs[0],
                 rounds=len(bases_tried),
             )
@@ -196,50 +188,59 @@ def _merged(ideals, type_):
     return tuple(merged), orders
 
 
-def _positive(value: int, route: str) -> int:
-    """`value`, which `route` produced, unless it is no possible mixed multiplicity."""
+def _positive(value: int, route: str,
+              kind: str = "mixed multiplicities of m-primary ideals") -> int:
+    """`value`, which `route` produced, unless it is no possible value of `kind`."""
     if value < 1:
         raise ImpossibleValueError(
-            f"{route} produced {value}; mixed multiplicities "
-            "of m-primary ideals are positive, so the inputs are inconsistent"
+            f"{route} produced {value}; {kind} are positive, so the inputs are inconsistent"
         )
     return value
+
+
+def _closure_sum(ideals, terms) -> int:
+    """Sum of coeff * L(t) over `terms`, L(t) = lambda(R / closure of prod J_j^(t_j)).
+
+    `terms` holds (t, coeff) pairs.  L(t), 0 at t = 0, is
+    `closure.closure_colength` of the facets of the whole sum of the
+    Newt(J_j) (`closure.sum_facets`), with right-hand sides sum t_j h_j(a),
+    h_j(a) = min over J_j's generators of a.g, on the box of summed
+    pure-power bounds.  One field buffer, for the componentwise maximum of
+    the terms' boxes, serves every term and is allocated before anything
+    else: a field past numpy's maximum size, or one the machine will not
+    allocate, raises MemoryError at once.  Then that box must pass
+    `closure.check_int64`, and all arithmetic fits in int64.
+    """
+    bounds = [box_bounds(I) for I in ideals]
+
+    def box(t):
+        return [sum(map(mul, t, side)) for side in zip(*bounds)]
+
+    top = list(map(max, zip(*(box(t) for t, _ in terms))))
+    cells = closure.field_cells(top)
+    closure.check_int64(top)
+    gens = [as_array(I) for I in ideals]
+    A, b = closure.sum_facets(gens)
+    normals = np.array(A, dtype=np.int64).T
+    support = [(g @ normals).min(axis=0) for g in gens]
+    total = 0
+    for t, coeff in terms:
+        if any(t):
+            rhs = sum(map(mul, t, support)).tolist()
+            total += coeff * closure.closure_colength(A, rhs, box(t), cells)
+    return total
 
 
 @lru_cache(maxsize=MEMO_ENTRIES)
 def _newton_value(merged, orders) -> int:
     """e(J_1^[a_1], ..., J_s^[a_s]) of the merged ideals J_j at `orders` a, from Newton polyhedra.
 
-    lambda(R / closure of prod J_j^(t_j)) is a polynomial of total degree d
-    on all of Z^s_>=0 (module docstring), so its order-a difference at base
-    0 is the value.  Each term is `closure.closure_colength` of the facets
-    of the whole sum (`closure.sum_facets`), with right-hand sides
-    sum t_j h_j(a), h_j(a) = min over J_j's generators of a.g, on the box
-    of summed pure-power bounds.  The largest of those fields is the one at
-    t = a, so its cells are allocated once, before anything else: a field
-    past numpy's maximum size, or one the machine will not allocate,
-    raises MemoryError at once.  Then the summed box must pass
-    `closure.check_int64`, and all the arithmetic fits in int64.  Memoized
-    for the last MEMO_ENTRIES keys, which are frozen.
+    The closure colength is a polynomial of total degree d on all of
+    Z^s_>=0 (module docstring), so its order-a difference at base 0, one
+    `_closure_sum`, is the value; its largest box is the one at t = a.
+    Memoized for the last MEMO_ENTRIES keys, which are frozen.
     """
-    bounds = [box_bounds(I) for I in merged]
-
-    def box(t):
-        return [sum(map(mul, t, side)) for side in zip(*bounds)]
-
-    top = box(orders)
-    cells = closure.field_cells(top)
-    closure.check_int64(top)
-    gens = [as_array(I) for I in merged]
-    A, b = closure.sum_facets(gens)
-    normals = np.array(A, dtype=np.int64).T
-    support = [(g @ normals).min(axis=0) for g in gens]
-    terms = _difference_terms(orders)
-    values = {}
-    for t, _ in terms:
-        rhs = sum(map(mul, t, support))
-        values[t] = closure.closure_colength(A, rhs.tolist(), box(t), cells) if any(t) else 0
-    return _mixed_difference(values, (0,) * len(orders), terms)
+    return _closure_sum(merged, _difference_terms(orders))
 
 
 def mixed_difference_table(ideals, type_=None) -> DifferenceTable:

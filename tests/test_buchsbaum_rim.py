@@ -1,5 +1,6 @@
 """Buchsbaum-Rim multiplicities: module colengths and the two routes."""
 
+from itertools import product as iter_product
 from math import comb
 
 import numpy as np
@@ -14,12 +15,15 @@ from multlab import (
     hilbert_samuel,
     m_ideal,
     m_power,
+    mixed_multiplicity,
     module,
     module_colength,
     parse_ideal,
+    power,
     scale_by_m,
     unit_ideal,
 )
+from multlab import closure
 
 from conftest import random_mprimary
 
@@ -78,12 +82,10 @@ class TestModuleColength:
             module_colength(module([m_ideal(2), m_ideal(2)]), -1)
 
     def test_rank_one_reduces_to_powers(self):
-        from multlab import colength_of_product
-
         I = parse_ideal("(x^2, x*y, y^3)")
         E = module([I])
         for n in range(5):
-            assert module_colength(E, n) == colength_of_product([I], (n,))
+            assert module_colength(E, n) == colength(power(I, n))
 
     def test_m_copies_closed_form(self):
         # all columns m: sum over compositions of colength(m^n)
@@ -135,6 +137,32 @@ class TestBuchsbaumRim:
             br_direct(module([unit_ideal(2), unit_ideal(2)]))
         with pytest.raises(ValueError):
             br_via_mixed(module([unit_ideal(2)]))
+
+    def test_closure_sum_equals_the_composition_sum(self, rng):
+        # the replaced route as the oracle: one mixed multiplicity per
+        # composition a of d, skipping those that weigh a unit column
+        def composition_sum(E):
+            d, r = E.dim, E.rank
+            return sum(
+                mixed_multiplicity(list(E.ideals), a)
+                for a in iter_product(range(d + 1), repeat=r)
+                if sum(a) == d and not any(w and I.is_unit for w, I in zip(a, E.ideals))
+            )
+
+        for d in (1, 2, 3, 4):
+            for r in (1, 2, 3):
+                columns = [random_mprimary(rng, d, max_power=2 if d == 4 else 3) for _ in range(r)]
+                for E in (module(columns), module([*columns, unit_ideal(d)]),
+                          module([*columns, columns[0]])):
+                    assert br_via_mixed(E) == composition_sum(E), (d, E)
+
+    def test_one_hull_per_call(self, monkeypatch):
+        calls = []
+        real = closure.sum_facets
+        monkeypatch.setattr(closure, "sum_facets", lambda gens: calls.append(len(gens)) or real(gens))
+        I, J = parse_ideal("(x^2, x*y, y^3)"), parse_ideal("(x^3, y^2)")
+        assert br_via_mixed(module([I, unit_ideal(2), J])) == br_direct(module([I, J]))
+        assert calls == [2]  # the two proper columns, whatever the composition
 
     def test_column_order_irrelevant(self, rng):
         I = random_mprimary(rng, 2)

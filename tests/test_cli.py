@@ -103,7 +103,16 @@ class TestBr:
         assert code == EXIT_OK
         payload = json.loads(out)
         assert payload["routes_agree"] is True
-        assert payload["buchsbaum_rim"] == payload["via_mixed"]
+        assert payload["buchsbaum_rim"] == payload["direct"]
+
+    def test_only_the_cross_check_runs_the_table_engine(self, capsys, monkeypatch):
+        def oracle(E):
+            raise AssertionError("br_direct ran without --cross-check")
+
+        monkeypatch.setattr("multlab.cli.br_direct", oracle)
+        code, out, _ = run(capsys, "br", "--module", "(x, y^2);(x^2, y)", "--json")
+        assert code == EXIT_OK
+        assert json.loads(out) == {"buchsbaum_rim": 5, "module": ["(x, y^2)", "(x^2, y)"]}
 
     def test_scale(self, capsys):
         code, out, _ = run(

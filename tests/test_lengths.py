@@ -19,7 +19,6 @@ from multlab import (
     ProductSampler,
     colength,
     colength_naive,
-    colength_of_product,
     ideal,
     m_ideal,
     m_power,
@@ -509,21 +508,24 @@ class TestProductSampler:
             sampler.colength_at((1, -1))
 
     def test_colength_of_product_wrapper(self):
+        # lambda(R / A^n1 B^n2) straight from the sampler, which replaced the
+        # one-line colength_of_product wrapper
         A, B = parse_ideal("(x, y^2)"), parse_ideal("(x^2, y)")
-        assert colength_of_product([A, B], (1, 1)) == colength(product(A, B))
-        assert colength_of_product([A, B], (0, 0)) == 0
-        with pytest.raises(ValueError):
-            colength_of_product([A, B], (1,))
+        sampler = ProductSampler([A, B])
+        assert sampler.colength_at((1, 1)) == colength(product(A, B))
+        assert sampler.colength_at((0, 0)) == 0
+        with pytest.raises(ValueError, match="length"):  # one exponent per ideal
+            sampler.colength_at((1,))
 
     def test_exponents_must_be_integers(self):
         I = parse_ideal("(x^2, x*y, y^3)")
         for bad in ((1.9,), (2.0,), ("1",), (None,)):
             with pytest.raises(ValueError, match="integers"):
-                colength_of_product([I], bad)
+                ProductSampler([I]).colength_at(bad)
         with pytest.raises(ValueError, match="integers"):
             ProductSampler([I]).colengths([(1,), (1.5,)])
         want = colength(power(I, 2))
-        assert colength_of_product([I], (np.int64(2),)) == want
+        assert ProductSampler([I]).colength_at((np.int64(2),)) == want
         assert ProductSampler([I]).colengths([np.array([2]), (np.uint8(2),)]) == [want, want]
 
 

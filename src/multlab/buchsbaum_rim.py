@@ -78,7 +78,8 @@ def _compositions(total: int, parts: int):
 def module_colength(E: DirectSumModule, n: int) -> int:
     """lambda(Sym^n F / E^n): sum of product colengths over compositions of n.
 
-    The products of all the compositions are built in one sampler walk.
+    The products of all the compositions are built in one prefix walk of
+    the sampler, n = 0 included.
     """
     (n,) = integer_exponents((n,))
     if n < 0:
@@ -100,9 +101,9 @@ def br_direct(E: DirectSumModule) -> int:
     stabilized base; the constant window certifies that the polynomial
     degree is exactly d + r - 1 with the expected leading behaviour.  Each
     round hands the compositions of all its n to the sampler in one
-    `colengths` call, one walk from the unit ideal, and sums each n's
-    colengths from that one result.  The sampler is this call's own, so
-    nothing it builds outlives the call.
+    `colengths` call, one prefix walk from the unit ideal through their
+    meet, and sums each n's colengths from that one result.  The sampler
+    is this call's own, so nothing it builds outlives the call.
     """
     proper = _proper_columns(E)
     d, r = E.dim, E.rank

@@ -228,11 +228,8 @@ def closure_colength(A, b, box, cells) -> int:
     J is integrally closed and m-primary, so a point with v_i >= B_i on some
     axis lies in J, and the count is the sum of the `_height_field` along
     the longest side over prod [0, B_i) on the other sides.  The field is
-    worked in the first cells of `cells`, from `field_cells` of a box B'
-    no smaller on any side, which has enough of them: with c and c' the
-    longest sides of B and B', and c != c', prod_{i != c} B_i is
-    B_c' * prod_{i != c, c'} B_i <= B'_c * prod_{i != c, c'} B'_i, since
-    B_c' <= B_c <= B'_c.
+    worked in the first cells of `cells`, from `field_cells` of a box with
+    no fewer cells off its longest side.
     """
     c = counting.height_axis(box)
     shape = [n for i, n in enumerate(box) if i != c]

@@ -35,7 +35,7 @@ from typing import Callable, Iterator, NamedTuple
 from .buchsbaum_rim import DirectSumModule, br_via_mixed, scale_by_m
 from .expr import format_ideal
 from .lengths import colength
-from .monomial import MonomialIdeal, ideal, m_ideal, product
+from .monomial import MonomialIdeal, ideal, integer, m_ideal, product
 from .multiplicity import hyperplane_section_multiplicity, mixed_multiplicity
 
 
@@ -54,6 +54,8 @@ class CorpusConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        for name in ("seed", "dim", "rank", "max_pure_power", "extra_gens", "instances", "jobs"):
+            object.__setattr__(self, name, integer(getattr(self, name), name))
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
         if self.rank < 1:

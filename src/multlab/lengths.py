@@ -13,9 +13,9 @@ Each ideal's generators are split once per sampler into the rows and
 margins the field kernel reads (`counting.field_rows`), so a product does
 no per-generator set-up.
 `colengths` takes all the points of a difference round at once: it checks
-and keys each point once, builds their products in one depth-first walk
-from the unit ideal, one product per point beyond the climb to their meet,
-and then reads every point's count.  `colength_at` is the same on one
+and keys each point once, builds their products in one prefix walk from
+the unit ideal through their meet, slot by slot, and reads every point's
+count at the walk's last level.  `colength_at` is the same on one
 point.  A sampler keeps nothing from one call to the next: no count and no
 product outlives the call that made it.  Repeated exact results come from
 two bounded memos, least recently used out: `colength` keeps MEMO_ENTRIES
@@ -26,8 +26,9 @@ multiplicities.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import groupby
 from math import comb
-from operator import add, mul
+from operator import add, itemgetter, mul
 
 import numpy as np
 
@@ -83,7 +84,7 @@ class ProductSampler:
 
     Products are height fields along one axis per sampler: the longest side
     of the summed boxes of the ideals.  Every call builds its products in
-    one depth-first walk from the unit ideal over its points (`_grow`), and
+    one prefix walk from the unit ideal over its points (`_grow`), and
     holds no count and no product once it returns.  Unit ideals never
     change a product, and when every ideal is a power of the maximal ideal
     the colength collapses to a binomial and nothing is built.
@@ -113,66 +114,44 @@ class ProductSampler:
         self._units = {j for j, I in enumerate(ideals) if I.is_unit}
         axis = height_axis([sum(b[i] for b in bounds) for i in range(d)])
         self._rows = [field_rows(g, b, axis) for g, b in zip(gens, bounds)]
-        # a product costs one min-plus update per generator of the ideal it adds
+        # a product costs one min-plus update per generator of the ideal it
+        # adds, so the walk climbs the costliest slots where groups are fewest
         self._cheapest = sorted(range(len(ideals)), key=lambda j: len(gens[j]))
 
     def _grow(self, points) -> dict[tuple[int, ...], int]:
-        """The counts of `points`, from one depth-first walk through their meet.
+        """The counts of `points`, from one prefix walk through their meet.
 
-        The walk climbs from the unit ideal's empty field to the meet one
-        product at a time, slot by slot in reverse of `_cheapest`, so the
-        first field too large to allocate fails before anything else is
-        planned.  Above the meet a node's parent is one step below it, in
-        the slot whose ideal has the fewest generators (lowest index on
-        ties) among the steps that stay among the nodes; failing that, the
-        first step in that order that stays above the meet, added as a node
-        of its own.  Every node but the meet costs one field product from
-        its parent's.  Smaller subtrees go first and the last child takes
-        over its parent's product, so the path stack holds only the
-        ancestors that still have children to visit, and no product is
-        kept once the walk ends.
+        The walk climbs from the unit ideal's empty field to the meet, then
+        takes the slots in reverse of `_cheapest`: at each level it climbs
+        that slot from the meet through the sorted values the group's points
+        take there, recursing into the points with each value, and counts
+        the one point left at the last level.  It holds the meet's field and
+        at most one more per slot, and no product once it returns.
         """
         meet = tuple(map(min, zip(*points)))
-        box = (0,) * self.dim
-        held = np.zeros((0,) * (self.dim - 1), field_dtype(0))
-        for j in reversed(self._cheapest):
-            for _ in range(meet[j]):
-                held = multiply_field(held, box, self._rows[j])
-                box = tuple(map(add, box, self._bounds[j]))
-        pending = sorted(points - {meet})
-        children = {p: [] for p in (meet, *pending)}
-        while pending:
-            p = pending.pop()
-            steps = [
-                (j, p[:j] + (p[j] - 1,) + p[j + 1 :]) for j in self._cheapest if p[j] > meet[j]
-            ]
-            j, up = next((step for step in steps if step[1] in children), steps[0])
-            if up not in children:
-                children[up] = []
-                pending.append(up)
-            children[up].append((j, p))
-        size = {}
-        for p in sorted(children, key=sum, reverse=True):
-            size[p] = 1 + sum([size[c] for _, c in children[p]])
+        slots = self._cheapest[::-1]
         counts = {}
 
-        def visit(p, held, box):
-            """Count p if asked, and queue its children."""
-            if p in points:
-                counts[p] = field_count(held)
-            if children[p]:
-                kids = sorted(children[p], key=lambda jc: (size[jc[1]], jc[1]), reverse=True)
-                path.append((held, box, kids))
+        def climb(held, box, j, steps):
+            for _ in range(steps):
+                held = multiply_field(held, box, self._rows[j])
+                box = tuple(map(add, box, self._bounds[j]))
+            return held, box
 
-        path = []
-        visit(meet, held, box)
-        while path:
-            held, box, kids = path[-1]
-            j, c = kids.pop()
-            if not kids:
-                path.pop()
-            held = multiply_field(held, box, self._rows[j])
-            visit(c, held, tuple(map(add, box, self._bounds[j])))
+        def walk(group, k, held, box):
+            if k == len(slots):
+                counts[group[0]] = field_count(held)
+                return
+            j, at = slots[k], meet[slots[k]]
+            for v, sub in groupby(sorted(group, key=itemgetter(j)), itemgetter(j)):
+                held, box = climb(held, box, j, v - at)
+                at = v
+                walk(list(sub), k + 1, held, box)
+
+        held, box = np.zeros((0,) * (self.dim - 1), field_dtype(0)), (0,) * self.dim
+        for j in slots:
+            held, box = climb(held, box, j, meet[j])
+        walk(list(points), 0, held, box)
         return counts
 
     def _key(self, n) -> tuple[int, ...]:
@@ -190,12 +169,11 @@ class ProductSampler:
         return self.colengths([n])[0]
 
     def colengths(self, points) -> list[int]:
-        """Colengths at all `points`, their products built in one walk."""
+        """Colengths at all `points`, their products built in one prefix walk."""
         keys = [self._key(n) for n in points]
         if self._all_m:
             degrees = [sum(map(mul, n, self._m_degrees)) for n in keys]
             return [comb(k - 1 + self.dim, self.dim) if k else 0 for k in degrees]
-        walk = {n for n in keys if any(n)}
-        counts = self._grow(walk) if walk else {}
-        return [counts.get(n, 0) for n in keys]
+        counts = self._grow(keys) if keys else {}
+        return [counts[n] for n in keys]
 

@@ -26,8 +26,8 @@ value only when the window is constant, doubling the base point otherwise,
 on one fixed schedule (`WINDOW`, `MAX_ROUNDS`, `GROWTH`).
 Each round hands all its lattice points to one evaluator at once; for
 colengths of products that is `ProductSampler.colengths`, which builds
-them in one depth-first walk from the unit ideal through the round's base
-point.  `mixed_difference_table` runs it from a base read off the ideals'
+them in one prefix walk from the unit ideal through the round's meet, slot
+by slot.  `mixed_difference_table` runs it from a base read off the ideals'
 generators with a sampler of its own and memoizes nothing, and
 `buchsbaum_rim.br_direct` runs it on module colengths.
 """
@@ -205,20 +205,21 @@ def _closure_sum(ideals, terms) -> int:
     `closure.closure_colength` of the facets of the whole sum of the
     Newt(J_j) (`closure.sum_facets`), with right-hand sides sum t_j h_j(a),
     h_j(a) = min over J_j's generators of a.g, on the box of summed
-    pure-power bounds.  One field buffer, for the componentwise maximum of
-    the terms' boxes, serves every term and is allocated before anything
-    else: a field past numpy's maximum size, or one the machine will not
-    allocate, raises MemoryError at once.  Then that box must pass
-    `closure.check_int64`, and all arithmetic fits in int64.
+    pure-power bounds.  One field buffer, for the largest term's field (the
+    box with the most cells off its longest side), serves every term and is
+    allocated before anything else: a field past numpy's maximum size, or
+    one the machine will not allocate, raises MemoryError at once.  Then
+    the componentwise maximum of the boxes must pass `closure.check_int64`,
+    and all arithmetic fits in int64.
     """
     bounds = [box_bounds(I) for I in ideals]
 
     def box(t):
         return [sum(map(mul, t, side)) for side in zip(*bounds)]
 
-    top = list(map(max, zip(*(box(t) for t, _ in terms))))
-    cells = closure.field_cells(top)
-    closure.check_int64(top)
+    boxes = [box(t) for t, _ in terms]
+    cells = closure.field_cells(max(boxes, key=lambda B: prod(sorted(B)[:-1])))
+    closure.check_int64(list(map(max, zip(*boxes))))
     gens = [as_array(I) for I in ideals]
     A, b = closure.sum_facets(gens)
     normals = np.array(A, dtype=np.int64).T

@@ -13,6 +13,7 @@ from dataclasses import replace
 from itertools import islice
 from math import factorial
 
+import numpy as np
 import pytest
 
 from multlab import (
@@ -323,6 +324,17 @@ class TestSuite:
             CorpusConfig(instances=0)
         with pytest.raises(ValueError):
             CorpusConfig(jobs=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 0.5), ("dim", 2.5), ("dim", "2"), ("rank", 1.5), ("max_pure_power", 2.5),
+        ("extra_gens", 1.5), ("instances", 2.5), ("jobs", 1.5),
+    ])
+    def test_int_fields_must_be_integers(self, field, value):
+        # a float rank or seed once ran a corpus; the others failed later, in run_suite
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            CorpusConfig(**{"instances": 2, field: value})
+        config = CorpusConfig(**{field: np.int64(3)})
+        assert type(getattr(config, field)) is int
 
 
 # (applicable checks, {check: (ideals drawn, exploratory)}) at rank 3, by

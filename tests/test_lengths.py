@@ -425,7 +425,7 @@ class TestProductSampler:
             tracemalloc.stop()
         assert held < 32 << 10
 
-    def test_round_walk_makes_one_product_per_new_point(self, monkeypatch):
+    def test_round_walk_makes_one_product_per_prefix_step(self, monkeypatch):
         # an order-(1,1,1,1) table of the default d = 4 corpus (lech_mixed, index 6)
         texts = ("(x^2, y^2, z^2, w)", "(x, y, z, w^2)", "(x, y, z^3, w)", "(x^2, y^2, z^3, w)")
         ideals = [parse_ideal(t, dim=4) for t in texts]
@@ -437,10 +437,21 @@ class TestProductSampler:
 
         monkeypatch.setattr(lengths, "multiply_field", counted)
         table = mixed_difference_table(ideals)
-        assert table.order == (1, 1, 1, 1)
-        # the climb from the unit ideal to the root ends in the root's field
-        assert calls
-        assert len(calls) <= sum(table.base) + len(table.samples) - 1
+        assert (table.order, table.rounds) == ((1, 1, 1, 1), 1)
+        # the climb from the unit ideal to the round's meet, then, slot by slot
+        # with the most generators first, one climb per group of points with
+        # one prefix on the slots before, from the meet to the group's top
+        points = [p for p, _ in table.samples]
+        meet = tuple(map(min, zip(*points)))
+        slots = sorted(range(4), key=lambda j: len(ideals[j].gens))[::-1]
+        want = sum(meet)
+        for k, j in enumerate(slots):
+            tops = {}
+            for p in points:
+                q = tuple(p[i] for i in slots[:k])
+                tops[q] = max(tops.get(q, meet[j]), p[j])
+            want += sum(top - meet[j] for top in tops.values())
+        assert len(calls) == want == 94
         fresh = ProductSampler(ideals)
         by_point = stabilize(
             lambda points: [fresh.colength_at(n) for n in points],
@@ -450,6 +461,15 @@ class TestProductSampler:
         assert (table.base, table.samples, table.result) == (
             by_point.base, by_point.samples, by_point.result
         )
+
+    def test_zero_vectors_duplicates_and_unit_slots_enter_the_walk(self):
+        I = parse_ideal("(x^2, x*y, y^3)")
+        assert ProductSampler([I, I]).colengths([(0, 0), (1, 0), (0, 0)]) == [0, 4, 0]
+        assert ProductSampler([I]).colengths([]) == []
+        J = parse_ideal("(x^3)", dim=1)  # in d = 1 the unit ideal's field is 0-d
+        assert ProductSampler([J]).colengths([(0,), (2,), (0,)]) == [0, 6, 0]
+        assert module_colength(module([J]), 0) == 0
+        assert ProductSampler([J, unit_ideal(1)]).colengths([(0, 5), (1, 0)]) == [0, 3]
 
     def test_narrow_fields_widen_exactly(self):
         # the heights of I fit the narrower type, those of I^2 and I^3 do not

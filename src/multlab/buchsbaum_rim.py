@@ -6,10 +6,11 @@ colengths of products over all compositions of n, eventually polynomial of
 degree d + r - 1.  `br_via_mixed` answers: br(E) is the sum of the mixed
 multiplicities e(I_1^[a_1], ..., I_r^[a_r]) over the compositions a of d,
 and summed over every a the base-0 differences of the closure colengths
-collapse to one weighted sum of them on one Newton hull.  `br_direct`, the
-oracle, extracts (d+r-1)! times the leading coefficient from a stabilized
-difference table.  The two routes share neither the difference window nor
-the hull, so their agreement is a real cross-check.
+collapse to one weighted sum of them, one `closure.colength_sum` on one
+Newton hull.  `br_direct`, the oracle, extracts (d+r-1)! times the leading
+coefficient from a stabilized difference table.  The two routes share
+neither the difference window nor the hull, so their agreement is a real
+cross-check.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ from dataclasses import dataclass
 from itertools import islice
 from math import comb, factorial
 
+from .closure import colength_sum
 from .lengths import ProductSampler, colength
 from .monomial import MonomialIdeal, common_dim, integer, integer_exponents, is_m_primary
 from .monomial import scale_by_m as _scale_ideal
-from .multiplicity import _closure_sum, _heuristic_base, _positive, stabilize
+from .multiplicity import _heuristic_base, _positive, stabilize
 
 _BR_KIND = "Buchsbaum-Rim multiplicities of proper submodules"
 
@@ -127,7 +129,7 @@ def br_via_mixed(E: DirectSumModule) -> int:
     difference at 0 of the closure colengths L(t), and summed over every
     a the weight of L(t) is (-1)^{d-|t|} C(d+r-1, |t|+r-1), the
     coefficient of x^d in x^{|t|} / (1-x)^{|t|+r}.  So the value is one
-    `_closure_sum` over the t with |t| <= d, on one hull.
+    `closure.colength_sum` over the t with |t| <= d, on one hull.
     """
     proper = _proper_columns(E)
     d, r = E.dim, len(proper)
@@ -136,7 +138,7 @@ def br_via_mixed(E: DirectSumModule) -> int:
         for k in range(d + 1)
         for t in _compositions(k, r)
     ]
-    return _positive(_closure_sum(proper, terms), "the Newton route", _BR_KIND)
+    return _positive(colength_sum(proper, terms), "the Newton route", _BR_KIND)
 
 
 def scale_by_m(x):

@@ -17,12 +17,12 @@ a.v >= b for every facet:
   least member height from below, and the field is the largest of those
   bounds (`_height_field`, int64 numpy arithmetic, one facet at a time).
   `integral_closure` reads the closure's minimal generators off the
-  field's corners, and `closure_colength` sums the field.
-* `sum_facets` finds the facets of a Minkowski sum Newt(J_1) + ... +
-  Newt(J_s) from the vertices of its summands; with right-hand sides
-  sum t_j min over J_j of a.g they cut out every sum of multiples
+  field's corners.
+* `sum_facets` finds the facet normals of a Minkowski sum Newt(J_1) +
+  ... + Newt(J_s) from the vertices of its summands; with right-hand
+  sides sum t_j min over J_j of a.g they cut out every sum of multiples
   t_1 Newt(J_1) + ..., which is the Newton polyhedron of the product
-  prod J_j^(t_j).  `multiplicity` counts those closures.
+  prod J_j^(t_j).  `colength_sum` sums the colengths of those closures.
 
 `check_int64` bounds every facet value on a box before int64 arithmetic
 starts.  No floats and no rationals enter the decision.
@@ -38,6 +38,7 @@ import numpy as np
 from . import counting
 from .monomial import (
     MonomialIdeal,
+    as_array,
     box_bounds,
     contains,
     ideal_from_array,
@@ -165,19 +166,22 @@ def check_int64(bounds) -> None:
         raise ValueError(f"pure powers {tuple(bounds)} may overflow int64 facet values")
 
 
-def _height_field(A, b, c, low) -> np.ndarray:
-    """The least member heights along axis c over the cells of `low`, written into `low`.
+def _height_field(A, b, box, cells=None) -> np.ndarray:
+    """The least member heights along the longest side c of `box`, over prod [0, n_i) on the others.
 
-    `low` is an int64 array over the coordinates v' of the axes other than
-    c, one cell per point of prod [0, n_i) for its sides n_i.  Every facet
-    row (a, b) has a_c > 0, and the result is h(v') = max(0, max over rows
-    of ceil((b - a'.v') / a_c)): v = (v', v_c) satisfies every row exactly
-    when v_c >= h(v').  The rows go one at a time, so besides `low` only
-    one row's temporary is held.
+    Every facet row (a, b) has a_c > 0, and the result is h(v') = max(0,
+    max over rows of ceil((b - a'.v') / a_c)) at the coordinates v' off
+    axis c: v = (v', v_c) satisfies every row exactly when v_c >= h(v').
+    The int64 field is worked in the first cells of the flat int64 array
+    `cells` when it is given, else in a new array.  The rows go one at a
+    time, so besides the field only one row's temporary is held.
     """
-    rest = [i for i in range(low.ndim + 1) if i != c]
-    axes = [np.arange(n).reshape([n if j == k else 1 for j in range(low.ndim)])
-            for k, n in enumerate(low.shape)]
+    c = counting.height_axis(box)
+    rest = [i for i in range(len(box)) if i != c]
+    shape = [box[i] for i in rest]
+    low = np.empty(shape, np.int64) if cells is None else cells[: prod(shape)].reshape(shape)
+    axes = [np.arange(n).reshape([n if j == k else 1 for j in range(len(shape))])
+            for k, n in enumerate(shape)]
     low.fill(0)
     for a, rhs in zip(A, b):  # low = min(0, floor((a'.v' - b) / a_c)) = -h
         over = sum((a[i] * x for i, x in zip(rest, axes) if a[i]), -rhs)
@@ -198,42 +202,43 @@ def _closure_corners(A, b, bounds) -> np.ndarray:
     The field is int64 and whole, and it is freed before the caller turns
     the rows into tuples.
     """
-    c = counting.height_axis(bounds)
-    h = _height_field(A, b, c, np.empty([n + 1 for i, n in enumerate(bounds) if i != c], np.int64))
+    h = _height_field(A, b, [n + 1 for n in bounds])
     corner = np.ones(h.shape, dtype=bool)
     for ax in range(h.ndim):
         above = (slice(None),) * ax + (slice(1, None),)
         below = (slice(None),) * ax + (slice(None, -1),)
         corner[above] &= h[above] < h[below]
-    return np.insert(np.argwhere(corner), c, h[corner], axis=1)
+    return np.insert(np.argwhere(corner), counting.height_axis(bounds), h[corner], axis=1)
 
 
-def field_cells(box) -> np.ndarray:
-    """A flat int64 array with one cell per point of the height field of `box`.
+def colength_sum(ideals, terms) -> int:
+    """Sum of coeff * L(t) over the (t, coeff) of `terms`, L(t) = lambda(R / closure of prod J_j^(t_j)).
 
-    The field of a box of pure-power bounds B lies over prod [0, B_i) for
-    the axes i other than its longest side (`closure_colength`).  A field
-    past numpy's maximum size raises MemoryError before anything is
-    allocated, and so does one the machine cannot allocate.
+    The closure is cut out by the facet normals a of the sum of the
+    Newt(J_j) (`sum_facets`) with right-hand sides sum t_j min over J_j of
+    a.g, and L(t) is its `_height_field` summed over the box B(t) = sum
+    t_j (pure-power bounds of J_j), which holds every point outside it.
+    The order is fixed: one flat int64 buffer for the largest term's field
+    is allocated first, so a field past numpy's maximum size, or one the
+    machine will not allocate, raises MemoryError at once; then the
+    componentwise maximum of the boxes must pass `check_int64`; then one
+    hull serves every term.  The J_j are the m-primary `ideals`; L(0) = 0.
     """
-    c = counting.height_axis(box)
-    shape = [n for i, n in enumerate(box) if i != c]
-    counting._check_size(shape, np.int64)
-    return np.empty(prod(shape), np.int64)
-
-
-def closure_colength(A, b, box, cells) -> int:
-    """lambda(R/J) for J = {v >= 0 : a.v >= b for every facet row (a, b)} with pure-power bounds `box`.
-
-    J is integrally closed and m-primary, so a point with v_i >= B_i on some
-    axis lies in J, and the count is the sum of the `_height_field` along
-    the longest side over prod [0, B_i) on the other sides.  The field is
-    worked in the first cells of `cells`, from `field_cells` of a box with
-    no fewer cells off its longest side.
-    """
-    c = counting.height_axis(box)
-    shape = [n for i, n in enumerate(box) if i != c]
-    return int(_height_field(A, b, c, cells[: prod(shape)].reshape(shape)).sum())
+    sides = list(zip(*(box_bounds(J) for J in ideals)))
+    boxes = [[sum(map(mul, t, side)) for side in sides] for t, _ in terms]
+    size = max(prod(sorted(B)[:-1]) for B in boxes)  # the cells off B's longest side
+    counting._check_size([size], np.int64)
+    cells = np.empty(size, np.int64)
+    check_int64(list(map(max, zip(*boxes))))
+    gens = [as_array(J) for J in ideals]
+    A = sum_facets(gens)
+    normals = np.array(A, dtype=np.int64).T
+    support = [(g @ normals).min(axis=0) for g in gens]
+    return sum(
+        coeff * int(_height_field(A, sum(map(mul, t, support)).tolist(), B, cells).sum())
+        for (t, coeff), B in zip(terms, boxes)
+        if any(t)
+    )
 
 
 def _vertices(rows: np.ndarray, A, b) -> np.ndarray:
@@ -248,8 +253,8 @@ def _vertices(rows: np.ndarray, A, b) -> np.ndarray:
     return rows[tight >= rows.shape[1]]
 
 
-def sum_facets(gens_list) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Facet rows (a, b) of Newt(J_1) + ... + Newt(J_s), the J_j generated by `gens_list`.
+def sum_facets(gens_list) -> list[tuple[int, ...]]:
+    """Facet normals a of Newt(J_1) + ... + Newt(J_s), the J_j generated by `gens_list`.
 
     The normal fan of a Minkowski sum refines that of every partial sum, so
     these normals a also serve every sum t_1 Newt(J_1) + ... with t_j >= 0,
@@ -267,4 +272,4 @@ def sum_facets(gens_list) -> tuple[list[tuple[int, ...]], list[int]]:
         gens = np.asarray(gens, dtype=np.int64)
         total = product_array(_vertices(total, A, b), _vertices(gens, *_newton_facets(gens)))
         A, b = _newton_facets(total)
-    return A, b
+    return A

@@ -66,6 +66,10 @@ class CorpusConfig:
             raise ValueError("extra_gens must be non-negative")
         if self.instances < 1:
             raise ValueError("instances must be at least 1")
+        if not isinstance(self.exploration, bool):
+            raise ValueError(f"exploration must be a bool, got {self.exploration!r}")
+        if isinstance(self.checks, str):
+            raise ValueError(f"checks must be a sequence of check names, got the string {self.checks!r}")
         if self.checks is not None:
             object.__setattr__(self, "checks", tuple(self.checks))
             unknown = [c for c in self.checks if c not in CHECK_NAMES]
@@ -161,6 +165,8 @@ def _describe(ideals) -> dict:
 def _one_per_dim(ideals) -> list[MonomialIdeal]:
     """`ideals` as a list; raises unless there are exactly as many as their dimension."""
     ideals = list(ideals)
+    if not ideals:
+        raise ValueError("need at least one ideal")
     if len(ideals) != ideals[0].dim:
         raise ValueError(f"need {ideals[0].dim} ideals, got {len(ideals)}")
     return ideals
@@ -223,11 +229,11 @@ def check_prop_dim2(ideals, **meta) -> InequalityReport:
     with equality when all I_i are the same power of m.
     """
     ideals = list(ideals)
-    if ideals[0].dim != 2:
-        raise ValueError("this bound is specific to dimension 2")
     r = len(ideals)
     if r < 2:
         raise ValueError("need at least two ideals")
+    if ideals[0].dim != 2:
+        raise ValueError("this bound is specific to dimension 2")
     pair_sum = sum(
         mixed_multiplicity([a, b]) for a, b in combinations(ideals, 2)
     )
@@ -247,10 +253,10 @@ def check_prop_dim3(ideals, **meta) -> InequalityReport:
         + sum_i e(m, m, I_i) + 1 <= 3! * sum_i lambda(R/I_i).
     """
     ideals = list(ideals)
-    if ideals[0].dim != 3:
-        raise ValueError("this bound is specific to dimension 3")
     if len(ideals) != 4:
         raise ValueError("need exactly four ideals")
+    if ideals[0].dim != 3:
+        raise ValueError("this bound is specific to dimension 3")
     m = m_ideal(3)
     triple_sum = sum(
         mixed_multiplicity(list(t)) for t in combinations(ideals, 3)

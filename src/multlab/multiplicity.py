@@ -14,11 +14,11 @@ on all of Z^s_>=0 (McMullen, *Lattice invariant valuations on rational
 polytopes*, 1977) with the same top-degree part, since e does not change
 under integral closure.  So the order-a difference over the points
 delta <= a alone is the value: no window, no base, and no product of
-ideals.  `_closure_sum` takes any weighted sum of those closure colengths
-on one hull, with `closure` supplying the facets of the sum and each
-term's count; `_newton_value` memoizes the order-a difference for the
-last `lengths.MEMO_ENTRIES` distinct (ideals, orders) keys, and
-`buchsbaum_rim.br_via_mixed` sums all orders of total d in one call.
+ideals.  The weighted sum of closure colengths, with its hull, field
+buffer and int64 check, is `closure.colength_sum`; `_newton_value` is
+one call of it, memoized for the last `lengths.MEMO_ENTRIES` distinct
+(ideals, orders) keys, and `buchsbaum_rim.br_via_mixed` sums all orders
+of total d in one call of it.
 
 The difference-table engine stays as the independent oracle.  `stabilize`
 evaluates the difference at a window of diagonal shifts and accepts the
@@ -38,14 +38,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
 from math import comb, prod
-from operator import add, mul
-
-import numpy as np
+from operator import add
 
 from . import closure
 from .errors import ImpossibleValueError, NotMPrimaryError, StabilizationError
 from .lengths import MEMO_ENTRIES, ProductSampler
-from .monomial import MonomialIdeal, as_array, box_bounds, common_dim, integer
+from .monomial import MonomialIdeal, common_dim, integer
 from .monomial import integer_exponents, is_m_primary, m_ideal
 
 # The schedule of `stabilize`: WINDOW extra diagonal shifts must reproduce
@@ -198,50 +196,16 @@ def _positive(value: int, route: str,
     return value
 
 
-def _closure_sum(ideals, terms) -> int:
-    """Sum of coeff * L(t) over `terms`, L(t) = lambda(R / closure of prod J_j^(t_j)).
-
-    `terms` holds (t, coeff) pairs.  L(t), 0 at t = 0, is
-    `closure.closure_colength` of the facets of the whole sum of the
-    Newt(J_j) (`closure.sum_facets`), with right-hand sides sum t_j h_j(a),
-    h_j(a) = min over J_j's generators of a.g, on the box of summed
-    pure-power bounds.  One field buffer, for the largest term's field (the
-    box with the most cells off its longest side), serves every term and is
-    allocated before anything else: a field past numpy's maximum size, or
-    one the machine will not allocate, raises MemoryError at once.  Then
-    the componentwise maximum of the boxes must pass `closure.check_int64`,
-    and all arithmetic fits in int64.
-    """
-    bounds = [box_bounds(I) for I in ideals]
-
-    def box(t):
-        return [sum(map(mul, t, side)) for side in zip(*bounds)]
-
-    boxes = [box(t) for t, _ in terms]
-    cells = closure.field_cells(max(boxes, key=lambda B: prod(sorted(B)[:-1])))
-    closure.check_int64(list(map(max, zip(*boxes))))
-    gens = [as_array(I) for I in ideals]
-    A, b = closure.sum_facets(gens)
-    normals = np.array(A, dtype=np.int64).T
-    support = [(g @ normals).min(axis=0) for g in gens]
-    total = 0
-    for t, coeff in terms:
-        if any(t):
-            rhs = sum(map(mul, t, support)).tolist()
-            total += coeff * closure.closure_colength(A, rhs, box(t), cells)
-    return total
-
-
 @lru_cache(maxsize=MEMO_ENTRIES)
 def _newton_value(merged, orders) -> int:
     """e(J_1^[a_1], ..., J_s^[a_s]) of the merged ideals J_j at `orders` a, from Newton polyhedra.
 
     The closure colength is a polynomial of total degree d on all of
     Z^s_>=0 (module docstring), so its order-a difference at base 0, one
-    `_closure_sum`, is the value; its largest box is the one at t = a.
+    `closure.colength_sum`, is the value; its largest box is the one at t = a.
     Memoized for the last MEMO_ENTRIES keys, which are frozen.
     """
-    return _closure_sum(merged, _difference_terms(orders))
+    return closure.colength_sum(merged, _difference_terms(orders))
 
 
 def mixed_difference_table(ideals, type_=None) -> DifferenceTable:

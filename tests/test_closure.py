@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 from itertools import product as iter_product
+from operator import le
 
 import numpy as np
 import pytest
@@ -20,11 +21,12 @@ from multlab import (
     m_power,
     newton_polyhedron_member,
     parse_ideal,
+    unit_ideal,
 )
 from multlab import closure, counting
 from multlab.monomial import as_array, contains
 
-from conftest import oracle_newton_member, random_mprimary
+from conftest import oracle_newton_member, oracle_power, oracle_product, random_mprimary
 
 
 class TestMembership:
@@ -264,3 +266,34 @@ def test_multiplicity_invariant_under_closure(rng):
     for _ in range(6):
         I = random_mprimary(rng, 2, max_power=4, extras=2)
         assert hilbert_samuel(integral_closure(I)) == hilbert_samuel(I)
+
+
+def test_single_closure_colengths_match_fourier_motzkin(rng):
+    # L(t) = lambda(R / closure of prod J_j^(t_j)) alone, not inside a
+    # multiplicity: the product by definition, and every point of its
+    # pure-power box judged by Fourier-Motzkin, which shares no hull,
+    # Minkowski sum or field with `colength_sum`
+    def draw(d):  # pure powers 2-4 and up to two mixed generators
+        powers = [rng.randint(2, 4) for _ in range(d)]
+        extras = [tuple(rng.randrange(k) for k in powers) for _ in range(2)]
+        gens = [g for g in extras if sum(map(bool, g)) > 1]
+        return ideal(gens + [tuple(k * (i == j) for j in range(d)) for i, k in enumerate(powers)], dim=d)
+
+    def oracle(Js, t):
+        P = unit_ideal(Js[0].dim)
+        for J, k in zip(Js, t):
+            P = oracle_product(P, oracle_power(J, k))
+        box = [min(g[i] for g in P.gens if sum(g) == g[i]) for i in range(P.dim)]
+        return sum(
+            not any(all(map(le, g, v)) for g in P.gens) and not oracle_newton_member(P, v)
+            for v in iter_product(*map(range, box))
+        )
+
+    cases = 0
+    for d, s in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
+        Js = [draw(d) for _ in range(s)]
+        for t in rng.sample([t for t in iter_product(range(3), repeat=s) if any(t)], min(3, 3**s - 1)):
+            assert closure.colength_sum(Js, [(t, 1)]) == oracle(Js, t), (Js, t)
+            cases += 1
+    assert cases == 13
+    assert closure.colength_sum(Js, [((0, 0), 1)]) == 0

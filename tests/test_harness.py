@@ -155,6 +155,20 @@ class TestChecks:
         rep = check_main_mixed(quad)
         assert rep.rhs == factorial(3) * sum(colength(I) for I in quad)
 
+    @pytest.mark.parametrize("check, message", [
+        (check_lech_mixed, "at least one ideal"),
+        (check_main_mixed, "at least one ideal"),
+        pytest.param(lambda ideals: check_additivity(ideals, m_ideal(2)), "at least one ideal",
+                     id="check_additivity-at least one ideal"),
+        (check_prop_dim2, "at least two ideals"),
+        (check_prop_dim3, "exactly four ideals"),
+    ])
+    def test_empty_ideal_lists_are_value_errors(self, check, message):
+        # each read ideals[0] of the empty list and raised IndexError
+        for ideals in ([], iter([])):
+            with pytest.raises(ValueError, match=message):
+                check(ideals)
+
 
 class TestSuite:
     def test_small_suite_runs_and_passes(self):
@@ -335,6 +349,17 @@ class TestSuite:
             CorpusConfig(**{"instances": 2, field: value})
         config = CorpusConfig(**{field: np.int64(3)})
         assert type(getattr(config, field)) is int
+
+    @pytest.mark.parametrize("field, value", [
+        ("exploration", "no"), ("exploration", 1), ("exploration", None),
+        ("checks", "lech_mixed"), ("checks", "main_br"),
+    ])
+    def test_flag_and_check_fields_keep_their_types(self, field, value):
+        # exploration="no" once ran the flagged strict bounds, and a bare
+        # check name was split into letters, each one an unknown check
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            CorpusConfig(**{"instances": 2, field: value})
+        assert CorpusConfig(checks=["lech_mixed"], exploration=True).checks == ("lech_mixed",)
 
 
 # (applicable checks, {check: (ideals drawn, exploratory)}) at rank 3, by

@@ -319,13 +319,13 @@ class TestTableMemo:
 
     def test_repeat_is_a_hit(self, monkeypatch):
         calls = []
-        real = closure.closure_colength
+        real = closure.colength_sum
 
         def counted(*args):
             calls.append(None)
             return real(*args)
 
-        monkeypatch.setattr(closure, "closure_colength", counted)
+        monkeypatch.setattr(closure, "colength_sum", counted)
         ideals = [parse_ideal("(x^2, x*y, y^3)"), parse_ideal("(x^3, y^2)")]
         first = mixed_multiplicity(ideals)
         assert calls
@@ -364,14 +364,14 @@ class TestTableMemo:
 
         def zero(*args):
             counted.append(None)
-            return 0
+            return np.zeros(1, np.int64)
 
-        monkeypatch.setattr(closure, "closure_colength", zero)
+        monkeypatch.setattr(closure, "_height_field", zero)
         I = parse_ideal("(x^2, y^2)")
         for _ in range(2):
             with pytest.raises(ImpossibleValueError):
                 hilbert_samuel(I)
-        assert len(counted) == 2  # the two nonzero points of an order-(2,) difference, once
+        assert len(counted) == 2  # one field per nonzero point of an order-(2,) difference, once
         assert multiplicity._newton_value.cache_info().hits == 1
 
     def test_bounded_by_count(self):

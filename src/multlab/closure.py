@@ -5,10 +5,15 @@ Newton polyhedron Newt(I) = conv(gens) + R^d_{>=0} (Huneke-Swanson,
 *Integral Closure*, 1.4).  Newt(I) is the slice t = 1 of the cone in
 R^(d+1) spanned by (g, 1) for each generator g and (e_i, 0) for each axis,
 so its facet inequalities a.v >= b are the rays (a, -b) of the dual cone
-with b > 0.  `_newton_facets` finds them by the double description method
-in Python ints, one generator at a time, so its cost follows the facets
-rather than the subsets of generators.  Every membership question is then
-a.v >= b for every facet:
+with b > 0.  The Newton polyhedron of a product prod J_j^(t_j) is the
+Minkowski sum t_1 Newt(J_1) + ... + t_s Newt(J_s), and the Cayley trick
+gives all its facet normals from one cone in R^(d+s), spanned by (g, e_j)
+for each generator g of J_j and by (e_i, 0); with one block it is the cone
+above.  `_newton_facets` finds the normals by the double description
+method in Python ints, one generator at a time, so its cost follows the
+facets rather than the subsets of generators or the products of vertices,
+and each normal a comes with min over J_j of a.g for every block.  Every
+membership question is then a.v >= b for every facet:
 
 * `newton_polyhedron_member` tests one point of any ideal in Python ints,
   so it is exact for every exponent the ideal can hold.
@@ -18,11 +23,9 @@ a.v >= b for every facet:
   bounds (`_height_field`, int64 numpy arithmetic, one facet at a time).
   `integral_closure` reads the closure's minimal generators off the
   field's corners.
-* `sum_facets` finds the facet normals of a Minkowski sum Newt(J_1) +
-  ... + Newt(J_s) from the vertices of its summands; with right-hand
-  sides sum t_j min over J_j of a.g they cut out every sum of multiples
-  t_1 Newt(J_1) + ..., which is the Newton polyhedron of the product
-  prod J_j^(t_j).  `colength_sum` sums the colengths of those closures.
+* `colength_sum` sums the colengths of the closures of products prod
+  J_j^(t_j): one hull of the J_j serves every t, with right-hand sides
+  sum t_j min over J_j of a.g.
 
 `check_int64` bounds every facet value on a box before int64 arithmetic
 starts.  No floats and no rationals enter the decision.
@@ -38,12 +41,10 @@ import numpy as np
 from . import counting
 from .monomial import (
     MonomialIdeal,
-    as_array,
     box_bounds,
     contains,
     ideal_from_array,
     integer_exponents,
-    product_array,
 )
 
 
@@ -51,10 +52,10 @@ def _phase_one_feasible(cols: list[tuple[int, ...]], rhs: tuple[int, ...]) -> bo
     """Is there lam >= 0 with sum(lam) = 1 and sum lam_j cols[j] <= rhs?
 
     That is, does rhs lie in conv(cols) + R^d_{>=0}; it does exactly when
-    a.rhs >= b for every facet row (a, b) of `_newton_facets(cols)`.  The
+    a.rhs >= b for every facet row (a, b) of `_newton_facets([cols])`.  The
     benchmark's tracer (`bench/tracer.py`) wraps this function by name.
     """
-    A, b = _newton_facets(cols)
+    A, (b,) = _newton_facets([cols])
     return all(sum(map(mul, a, rhs)) >= c for a, c in zip(A, b))
 
 
@@ -70,53 +71,78 @@ def newton_polyhedron_member(I: MonomialIdeal, point) -> bool:
     return _phase_one_feasible(list(I.gens), v)
 
 
-def _newton_facets(gens) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Integer rows (a, b), a >= 0 and b > 0, with Newt(gens) = {v >= 0 : a.v >= b for all}.
+def _newton_facets(blocks) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """Facet normals a of Newt(J_1) + ... + Newt(J_s), and per block j the minima min over J_j of a.g.
+
+    `blocks` holds the generator rows of J_1, ..., J_s, each any non-empty
+    sequence of exponent rows.  The normals come back as a list of
+    primitive a >= 0, and with them one list per block: b_j[k] = min over
+    J_j of A[k].g >= 0.  The facets of the sum are a.v >= b_1 + ... + b_s
+    > 0, and the same normals with right-hand sides sum t_j b_j cut out
+    every sum t_1 Newt(J_1) + ... with t_j >= 0; with one block, A and b_1
+    are the facet rows of Newt(J_1) itself.
 
     Double description (Fukuda-Prodon, *Double description method
-    revisited*, 1996) of the cone of rays y = (a, -b) with y.c >= 0 for
-    every c = (g, 1), g a generator, and every c = (e_i, 0): those rays are
-    the facet normals of the cone the c span.  The cuts (g, 1) go in by
-    degree, then lex, which keeps the intermediate ray sets small.  The
-    d + 1 independent constraints e_i and (g_0, 1) give the rays
-    (e_i, -g_0i) and (0, ..., 0, 1); each further generator cuts the cone,
+    revisited*, 1996) on the Cayley cone of the blocks (Huber-Rambau-Santos,
+    *The Cayley trick, lifting subdivisions and the Bohne-Dress theorem*,
+    2000): the rays y = (a, c_1, ..., c_s) with y.(g, e_j) >= 0 for every
+    generator g of block j and y.(e_i, 0) >= 0 for every axis are the facet
+    normals of the cone those vectors span.  Its facets tight on a generator
+    of every block are the facets of the sum, with c_j = -min over J_j of
+    a.g.  The cuts go in by degree, then lex, which keeps the intermediate
+    ray sets small.  The d + s independent constraints e_i and (g_j, e_j),
+    g_j the first generator of block j in that order, give the rays (e_i,
+    -g_1i, ..., -g_si) and (0, e_j); each further generator cuts the cone,
     and every ray keeps a bit mask of the constraints it is tight on.  A
     cut with no ray on its negative side only marks the rays tight on it.
     Otherwise a ray on the positive side and one on the negative side are
-    adjacent when their common tight set has at least d - 1 bits and no
+    adjacent when their common tight set has at least d + s - 2 bits and no
     third ray is tight on all of it; each adjacent pair gives one new ray
     on the cut, divided by its gcd.  All arithmetic is in Python ints, so
-    the rows are exact at any size.  The rays with a negative last entry
-    are the facets with b > 0; the others are facets v_i >= 0 and the face
-    at infinity.  `gens` is any non-empty sequence of exponent rows, and
-    the rows come back as the list of a's and the list of b's.
+    the rows are exact at any size.
+
+    A ray tight on no generator of block j solves equations free of c_j,
+    so it is (0, e_j); every other ray is tight on every block.  Of those,
+    the rays with c_1 + ... + c_s < 0 are kept: the others are facets v_i
+    >= 0 of the sum.  A kept y is primitive and each c_j is an integer
+    combination of a, so a is primitive too.
     """
-    cuts = sorted(map(tuple, np.asarray(gens).tolist()), key=lambda g: (sum(g), g))
-    d = len(cuts[0])
-    first = cuts[0]
-    axes = (1 << d) - 1  # bit i: tight on e_i; bit d + k: tight on cuts[k]
-    ys = [(0,) * d + (1,)] + [(*(int(j == i) for j in range(d)), -first[i]) for i in range(d)]
-    zs = [axes] + [(axes ^ 1 << i) | 1 << d for i in range(d)]
-    for k, c in enumerate(cuts[1:], d + 1):
-        c = (*c, 1)
-        sides = [sum(map(mul, y, c)) for y in ys]
+    s = len(blocks)
+    firsts, cuts = [None] * s, []
+    for _, g, j in sorted((sum(g), g, j) for j, gens in enumerate(blocks)
+                          for g in map(tuple, np.asarray(gens).tolist())):
+        if firsts[j] is None:
+            firsts[j] = g
+        else:
+            cuts.append((g, j))
+    d = len(firsts[0])
+    axes = (1 << d) - 1  # bit i: tight on e_i; bit d + j: on (firsts[j], e_j); d + s + k: on cuts[k]
+    tops = ((1 << s) - 1) << d
+    ys = [(0,) * d + tuple(int(i == j) for i in range(s)) for j in range(s)]
+    zs = [axes | (tops ^ 1 << d + j) for j in range(s)]
+    for i in range(d):
+        ys.append((*(int(j == i) for j in range(d)), *(-g[i] for g in firsts)))
+        zs.append((axes ^ 1 << i) | tops)
+    for k, (g, j) in enumerate(cuts, d + s):
+        j += d
+        sides = [sum(map(mul, y, g)) + y[j] for y in ys]
         bit = 1 << k
         if min(sides) >= 0:
-            zs = [z | bit if s == 0 else z for s, z in zip(sides, zs)]
+            zs = [z | bit if side == 0 else z for side, z in zip(sides, zs)]
             continue
         new_ys, new_zs, pos, neg = [], [], [], []
-        for s, y, z in zip(sides, ys, zs):
-            if s >= 0:
+        for side, y, z in zip(sides, ys, zs):
+            if side >= 0:
                 new_ys.append(y)
-                new_zs.append(z | bit if s == 0 else z)
-                if s:
-                    pos.append((s, y, z))
+                new_zs.append(z | bit if side == 0 else z)
+                if side:
+                    pos.append((side, y, z))
             else:
-                neg.append((s, y, z))
+                neg.append((side, y, z))
         for sp, p, zp in pos:
             for sn, n, zn in neg:
                 both = zp & zn
-                if both.bit_count() < d - 1:
+                if both.bit_count() < d + s - 2:
                     continue
                 holders = 0  # rays tight on all of `both`, counted up to 3
                 for z in zs:
@@ -130,8 +156,8 @@ def _newton_facets(gens) -> tuple[list[tuple[int, ...]], list[int]]:
                     new_ys.append(tuple(e // g for e in y))
                     new_zs.append(both | bit)
         ys, zs = new_ys, new_zs
-    facets = [y for y in ys if y[d] < 0]
-    return [y[:d] for y in facets], [-y[d] for y in facets]
+    facets = [y for y in ys if sum(y[d:]) < 0]
+    return [y[:d] for y in facets], [[-y[d + j] for y in facets] for j in range(s)]
 
 
 def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
@@ -147,7 +173,8 @@ def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
     """
     bounds = box_bounds(I)
     check_int64(bounds)
-    return ideal_from_array(I.dim, _closure_corners(*_newton_facets(I.gens), bounds))
+    A, (b,) = _newton_facets([I.gens])
+    return ideal_from_array(I.dim, _closure_corners(A, b, bounds))
 
 
 def check_int64(bounds) -> None:
@@ -215,14 +242,15 @@ def colength_sum(ideals, terms) -> int:
     """Sum of coeff * L(t) over the (t, coeff) of `terms`, L(t) = lambda(R / closure of prod J_j^(t_j)).
 
     The closure is cut out by the facet normals a of the sum of the
-    Newt(J_j) (`sum_facets`) with right-hand sides sum t_j min over J_j of
-    a.g, and L(t) is its `_height_field` summed over the box B(t) = sum
-    t_j (pure-power bounds of J_j), which holds every point outside it.
-    The order is fixed: one flat int64 buffer for the largest term's field
-    is allocated first, so a field past numpy's maximum size, or one the
-    machine will not allocate, raises MemoryError at once; then the
-    componentwise maximum of the boxes must pass `check_int64`; then one
-    hull serves every term.  The J_j are the m-primary `ideals`; L(0) = 0.
+    Newt(J_j), from one `_newton_facets` call with the J_j as blocks, with
+    right-hand sides sum t_j min over J_j of a.g, and L(t) is its
+    `_height_field` summed over the box B(t) = sum t_j (pure-power bounds
+    of J_j), which holds every point outside it.  The order is fixed: one
+    flat int64 buffer for the largest term's field is allocated first, so
+    a field past numpy's maximum size, or one the machine will not
+    allocate, raises MemoryError at once; then the componentwise maximum of
+    the boxes must pass `check_int64`; then one hull serves every term.
+    The J_j are the m-primary `ideals`; L(0) = 0.
     """
     sides = list(zip(*(box_bounds(J) for J in ideals)))
     boxes = [[sum(map(mul, t, side)) for side in sides] for t, _ in terms]
@@ -230,46 +258,9 @@ def colength_sum(ideals, terms) -> int:
     counting._check_size([size], np.int64)
     cells = np.empty(size, np.int64)
     check_int64(list(map(max, zip(*boxes))))
-    gens = [as_array(J) for J in ideals]
-    A = sum_facets(gens)
-    normals = np.array(A, dtype=np.int64).T
-    support = [(g @ normals).min(axis=0) for g in gens]
+    A, mins = _newton_facets([J.gens for J in ideals])
     return sum(
-        coeff * int(_height_field(A, sum(map(mul, t, support)).tolist(), B, cells).sum())
+        coeff * int(_height_field(A, [sum(map(mul, t, m)) for m in zip(*mins)], B, cells).sum())
         for (t, coeff), B in zip(terms, boxes)
         if any(t)
     )
-
-
-def _vertices(rows: np.ndarray, A, b) -> np.ndarray:
-    """The rows of `rows` tight on at least d of the facet rows (A, b) and the planes v_i = 0.
-
-    Every vertex of the polyhedron the facet rows cut out is tight on d
-    independent ones, so no vertex among `rows` is dropped; a row kept that
-    is no vertex only costs time.  Facet values must fit in int64.
-    """
-    tight = (rows @ np.array(A, dtype=np.int64).T == np.array(b, dtype=np.int64)).sum(axis=1)
-    tight += (rows == 0).sum(axis=1)
-    return rows[tight >= rows.shape[1]]
-
-
-def sum_facets(gens_list) -> list[tuple[int, ...]]:
-    """Facet normals a of Newt(J_1) + ... + Newt(J_s), the J_j generated by `gens_list`.
-
-    The normal fan of a Minkowski sum refines that of every partial sum, so
-    these normals a also serve every sum t_1 Newt(J_1) + ... with t_j >= 0,
-    with right-hand side sum t_j min over J_j's generators of a.g.  The
-    sum is built one ideal at a time from vertices: each ideal's and each
-    running sum's rows are cut to `_vertices` of their own facets, and the
-    next running sum is the minimal rows of their pairwise sums, with one
-    `_newton_facets` call per ideal and per step.  The facet values of
-    every sum must fit in int64 (`check_int64` on the summed box).
-    """
-    first, *rest = gens_list
-    total = np.asarray(first, dtype=np.int64)
-    A, b = _newton_facets(total)
-    for gens in rest:
-        gens = np.asarray(gens, dtype=np.int64)
-        total = product_array(_vertices(total, A, b), _vertices(gens, *_newton_facets(gens)))
-        A, b = _newton_facets(total)
-    return A

@@ -146,8 +146,24 @@ def oracle_newton_member(I: MonomialIdeal, v) -> bool:
 
 
 def random_mprimary(rng: random.Random, dim: int, max_power: int = 3,
-                    extras: int = 2) -> MonomialIdeal:
-    """Small random m-primary ideal for oracle comparisons."""
+                    extras: int = 2, mixed: bool = False) -> MonomialIdeal:
+    """Small random m-primary ideal for oracle comparisons.
+
+    By default an extra generator with a zero coordinate is a smaller pure
+    power and one on an axis of power 1 is absorbed, so most draws are
+    generated by pure powers alone.  With `mixed` every pure power is at
+    least 2 and each of the `extras` generators has two or more nonzero
+    exponents, each below its axis' power, so in d >= 2 at least one mixed
+    generator is minimal.
+    """
+    if mixed:
+        powers = [rng.randint(2, max_power) for _ in range(dim)]
+        gens = [tuple(k * (i == j) for j in range(dim)) for i, k in enumerate(powers)]
+        while dim > 1 and len(gens) < dim + extras:
+            v = tuple(rng.randrange(k) for k in powers)
+            if sum(map(bool, v)) > 1:
+                gens.append(v)
+        return ideal(gens, dim=dim)
     powers = [rng.randint(1, max_power) for _ in range(dim)]
     gens = [
         tuple(k if i == j else 0 for j in range(dim))

@@ -158,11 +158,11 @@ class TestBuchsbaumRim:
 
     def test_one_hull_per_call(self, monkeypatch):
         calls = []
-        real = closure.sum_facets
-        monkeypatch.setattr(closure, "sum_facets", lambda gens: calls.append(len(gens)) or real(gens))
+        real = closure._newton_facets
+        monkeypatch.setattr(closure, "_newton_facets", lambda blocks: calls.append(len(blocks)) or real(blocks))
         I, J = parse_ideal("(x^2, x*y, y^3)"), parse_ideal("(x^3, y^2)")
         assert br_via_mixed(module([I, unit_ideal(2), J])) == br_direct(module([I, J]))
-        assert calls == [2]  # the two proper columns, whatever the composition
+        assert calls == [2]  # one hull with the two proper columns as blocks, whatever the composition
 
     def test_column_order_irrelevant(self, rng):
         I = random_mprimary(rng, 2)

@@ -3,7 +3,8 @@
 import random
 import tracemalloc
 from itertools import product as iter_product
-from operator import le
+from math import gcd
+from operator import le, mul
 
 import numpy as np
 import pytest
@@ -76,7 +77,7 @@ class TestMembership:
         N = [2**31 - 1, 2**31 - 2, 2**31 - 3, 2**31 - 5]
         gens = [tuple(n * (i == j) for j in range(4)) for i, n in enumerate(N)]
         I = ideal(gens + [(2**28, 2**28, 2**28, 2**28), (2**30, 0, 3, 2**29)], dim=4)
-        A, b = closure._newton_facets(I.gens)
+        A, (b,) = closure._newton_facets([I.gens])
         assert max(b) >= 2**63 and len(A) > 4
         for _ in range(20):
             v1 = rng.randrange(1, N[0])
@@ -178,7 +179,8 @@ def _cross_check_ideals(rng):
 def test_facet_rows_are_primitive_tight_supporting_inequalities(rng):
     for I in _cross_check_ideals(rng):
         gens = as_array(I)
-        A, b = map(np.array, closure._newton_facets(gens))
+        A, (b,) = closure._newton_facets([gens])
+        A, b = np.array(A), np.array(b)
         assert len(A) == len(b) >= 1, I
         assert (A >= 0).all() and (b > 0).all(), I
         assert (np.gcd.reduce(np.c_[A, b], axis=1) == 1).all(), I
@@ -187,13 +189,40 @@ def test_facet_rows_are_primitive_tight_supporting_inequalities(rng):
         assert (values == b).any(axis=0).all(), I
 
 
+def test_minkowski_sum_facets_are_the_product_facets(rng):
+    # one hull on the Cayley cone of 1-4 blocks against the one-block hull of
+    # the product ideal, built by definition: Newt(J_1 ... J_s) is the sum of
+    # the Newt(J_j), so the normals agree and the product's b splits into
+    # the blocks' minima; every normal is primitive (`check_int64` needs it)
+    # and every minimum is attained on its block
+    for d, s, _ in iter_product((2, 3, 4, 5), (1, 2, 3, 4), range(3)):
+        Js = [random_mprimary(rng, d, max_power=6 if d < 4 else 4, extras=4, mixed=True) for _ in range(s)]
+        assert all(any(sum(map(bool, g)) > 1 for g in J.gens) for J in Js)
+        A, mins = closure._newton_facets([J.gens for J in Js])
+        P = Js[0]
+        for J in Js[1:]:
+            P = oracle_product(P, J)
+        want_A, (want_b,) = closure._newton_facets([P.gens])
+        assert len(mins) == s and all(len(m) == len(A) for m in mins)
+        assert sorted(zip(A, map(sum, zip(*mins)))) == sorted(zip(want_A, want_b)), Js
+        for a, m in zip(A, zip(*mins)):
+            assert gcd(*a) == 1, (Js, a)
+            assert m == tuple(min(sum(map(mul, a, g)) for g in J.gens) for J in Js), (Js, a)
+        if d <= 3 and s <= 2:  # Fourier-Motzkin shares no hull with either side
+            box = [sum(B) for B in zip(*map(box_bounds, Js))]
+            for _ in range(15):
+                v = tuple(rng.randrange(n + 1) for n in box)
+                inside = all(sum(map(mul, a, v)) >= sum(m) for a, m in zip(A, zip(*mins)))
+                assert inside == oracle_newton_member(P, v), (Js, v)
+
+
 def test_many_generators_few_facets():
     # lattice points of a ball of radius 10 about (10, 10, 10, 10), with x_i^30:
     # the facets are found one generator at a time, not over subsets of them
     pts = [v for v in iter_product(range(11), repeat=4) if sum((10 - e) ** 2 for e in v) <= 100]
     I = ideal(pts + [tuple(30 * (i == j) for j in range(4)) for i in range(4)], dim=4)
     assert len(I.gens) == 235
-    A, _ = closure._newton_facets(as_array(I))
+    A, _ = closure._newton_facets([as_array(I)])
     assert len(A) == 118
     closed = integral_closure(I)
     rng = random.Random(235)

@@ -423,7 +423,7 @@ class TestNewtonRoute:
     def test_int64_check_on_the_summed_box(self, monkeypatch):
         # 6! * 6^6 * 3^4 * 2 * (2^31 - 1) > 2^63, while the field over the
         # five short sides has 18^4 * 12 cells; no facet is computed
-        monkeypatch.setattr(closure, "sum_facets", None)
+        monkeypatch.setattr(closure, "_newton_facets", None)
         powers = (3, 3, 3, 3, 2, 2**31 - 1)
         I = ideal([tuple(k * (i == j) for j in range(6)) for i, k in enumerate(powers)], dim=6)
         with pytest.raises(ValueError, match="int64"):

@@ -9,8 +9,8 @@ needs lambda(R / I_1^{n_1} ... I_s^{n_s}) on many nearby exponent vectors.
 Both build every field with one kernel, `multiply_field`: `colength`
 multiplies the unit ideal's empty field by I once, and the sampler climbs
 product by product.
-Each ideal's generators are split once per sampler into the rows and
-margins the field kernel reads (`counting.field_rows`), so a product does
+Each ideal's generators are split once per sampler into the slices and
+heights the field kernel reads (`counting.field_rows`), so a product does
 no per-generator set-up.
 `colengths` takes all the points of a difference round at once: it checks
 and keys each point once, builds their products in one prefix walk from
@@ -60,7 +60,7 @@ def colength(I: MonomialIdeal) -> int:
     """Number of standard monomials of I; 0 for the unit ideal.
 
     The sum of I's height field along the longest side of its box, which
-    `count_grid` holds whole, with its margins and one working copy.
+    `count_grid` holds whole, beside the zero field it reads and one sum.
     Memoized for the last MEMO_ENTRIES ideals.  Raises NotMPrimaryError
     when the count is infinite.
     """

@@ -36,7 +36,7 @@ from multlab.counting import field_rows, multiply_field
 from multlab.lengths import MEMO_ENTRIES
 from multlab.monomial import as_array, box_bounds, scale_by_m
 
-from conftest import oracle_colength, oracle_field, random_mprimary
+from conftest import oracle_colength, oracle_field, oracle_power, oracle_product, random_mprimary
 
 
 def field_of(gens, box, axis):
@@ -116,10 +116,10 @@ class TestCounters:
         for cells in (2**24, 2**24 + 2**17):
             assert field_count(np.full(cells, 255, np.uint8)) == 255 * cells
 
-    def test_rows_past_the_box_off_the_height_axis_widen_no_margin(self):
-        # the height axis is w; rows at 2**40 on x, y or z lie past the box,
-        # lower no cell, and as shifts would widen the field's margins past
-        # numpy's maximum size, so they are dropped before the field is laid out
+    def test_rows_past_the_box_off_the_height_axis_allocate_nothing(self):
+        # the height axis is w; rows at 2**40 on x, y or z lie past the box
+        # and lower no cell: their views of the field are empty, and the
+        # only arrays are the box's own
         box = (3, 3, 3, 9)
         far = 2**40
         rows = np.array([[1, 1, 1, 4], [far, 0, 0, 0], [0, far, 0, 1], [0, 0, far, 2], [0, far, far, 0]])
@@ -206,11 +206,12 @@ def test_multiply_field_matches_the_field_of_the_product(pair, data):
 
 
 class TestFieldKernelEdges:
-    """Reads of the flat min-plus update that leave the product's box.
+    """Slice edges of the strided min-plus update.
 
-    Each must land in the margin of a later axis, or before the update's
-    offset, and lower nothing.  Every case is judged by the naive field of
-    the sums of the two generator arrays.
+    A shift of 0 must read the whole axis, a shift equal to the product's
+    side must give empty views, and every sum must fit the product's own
+    type.  Every case is judged by the naive field of the sums of the two
+    generator arrays.
     """
 
     @staticmethod
@@ -222,22 +223,30 @@ class TestFieldKernelEdges:
         """P and J as generator arrays with their bounds, for a product whose top is `top`.
 
         P is the unit ideal when `side` is None, and otherwise has bound
-        `side` on every axis but `axis`.  J has bounds 2-3 on those axes;
-        beside its pure powers, each of them carries the largest shift below
-        the pure power, at height 0 and at the largest height below b_c.
+        `side` on every axis but `axis`.  J has bounds 2-3 on those axes.
+        Beside its pure powers it carries, at height 0 and at the largest
+        height below b_c, every shift that is 0 on some of those axes and
+        the largest below the pure power on the others; and at height 0,
+        on each of those axes, a shift equal to the product's side.
         """
         bounds = [rng.randint(2, 3) for _ in range(d)]
         bounds[axis] = top if side is None else rng.randint(top // 3, 2 * top // 3)
+        box = [0 if side is None else side] * d
+        box[axis] = top - bounds[axis]
+        rest = [i for i in range(d) if i != axis]
         J = self.pure_powers(bounds)
-        for i in range(d):
-            if i != axis:
+        for on in iter_product((0, 1), repeat=d - 1):
+            if any(on):
                 for c in (0, bounds[axis] - 1):
-                    J.append([c if j == axis else (bounds[i] - 1) * (j == i) for j in range(d)])
+                    g = [c] * d
+                    for i, bit in zip(rest, on):
+                        g[i] = (bounds[i] - 1) * bit
+                    J.append(g)
+        for i in rest:
+            J.append([(box[i] + bounds[i]) * (j == i) for j in range(d)])
         if side is None:
-            box, P = [0] * d, [[0] * d]
+            P = [[0] * d]
         else:
-            box = [side] * d
-            box[axis] = top - bounds[axis]
             P = self.pure_powers(box)
             if d > 1 and side > 1:
                 P.append([box[axis] // 2 if j == axis else 1 for j in range(d)])
@@ -245,7 +254,7 @@ class TestFieldKernelEdges:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_reads_past_the_box(self, d, rng):
-        # tops just below 2**8 and 2**16, where top + b_c - 1 passes the field's type
+        # tops just below 2**8 and 2**16, where the field's type has no room above the top
         for axis, top, side in iter_product(range(d), (2**8 - 1, 2**16 - 2, 9), (None, 1, 2)):
             for _ in range(2):
                 P, box, gens, bounds = self.case(rng, d, axis, top, side)
@@ -259,8 +268,27 @@ class TestFieldKernelEdges:
                 assert out_box[axis] == top
                 assert got.dtype == counting.field_dtype(top)
                 assert got.tolist() == oracle_field(sums(P, gens), out_box, axis).tolist()
-                if d > 1 and top > 9:  # worked in the next type and narrowed
-                    assert counting.field_dtype(top + J.lift) is not counting.field_dtype(top)
+
+    def test_a_products_field_is_exactly_its_box(self):
+        # J shifts by up to 13 on x, y and z; the product's field is one
+        # fresh C-contiguous array of its box, and the call holds at most
+        # two more of its size: P's field on the box and one sum
+        P = parse_ideal("(x^30, y^30, z^30, w^80, x^9*y^9*z^9*w)", dim=4)
+        J = parse_ideal("(x^14, y^14, z^14, w^60, x^13*w, y^13*w^2, z^13, x^12*y^12*z^12)", dim=4)
+        box, bounds = box_bounds(P), box_bounds(J)
+        unit = np.zeros((0, 0, 0), counting.field_dtype(0))
+        h = multiply_field(unit, (0,) * 4, field_rows(as_array(P), box, 3))
+        rows = field_rows(as_array(J), bounds, 3)
+        tracemalloc.start()
+        try:
+            got = multiply_field(h, box, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (44, 44, 43) and got.dtype == np.uint8
+        assert got.flags.c_contiguous and got.base is None
+        assert peak <= 3 * got.nbytes + (16 << 10), (peak, got.nbytes)
+        assert field_count(got) == colength(product(P, J))
 
     def test_fields_past_numpys_maximum_size_are_out_of_memory(self):
         # numpy refuses these shapes with a ValueError before it asks for
@@ -352,17 +380,25 @@ class TestColength:
 
 class TestProductSampler:
     def test_matches_direct_products(self, rng):
+        # judged by the naive product and the naive box walk, not by the field kernel
         pairs = [(random_mprimary(rng, 2), random_mprimary(rng, 2)) for _ in range(8)]
         pairs += [(random_mprimary(rng, d), random_mprimary(rng, d)) for d in (1, 3, 4)]
         pairs.append((scale_by_m(random_mprimary(rng, 3)), random_mprimary(rng, 3)))
         pairs.append((random_mprimary(rng, 4), unit_ideal(4)))
-        for a, b in pairs:
+        pairs = [(a, b, 6) for a, b in pairs]  # with the largest na + nb to check
+        # pairs with mixed generators; in d = 4 up to na + nb = 4, since the
+        # naive walk of the 12^4 box of (3, 3) takes seconds
+        for d, k in ((2, 4), (3, 2), (4, 2)):
+            for _ in range(2):
+                a, b = (random_mprimary(rng, d, k, mixed=True) for _ in range(2))
+                pairs.append((a, b, 6 if d < 4 else 4))
+        for a, b, most in pairs:
             sampler = ProductSampler([a, b])
             want = {}
             for na in range(4):
-                for nb in range(4):
-                    direct = product(power(a, na), power(b, nb))
-                    want[na, nb] = 0 if direct.is_unit else colength(direct)
+                for nb in range(min(4, most + 1 - na)):
+                    direct = oracle_product(oracle_power(a, na), oracle_power(b, nb))
+                    want[na, nb] = 0 if direct.is_unit else oracle_colength(direct)
                     assert sampler.colength_at((na, nb)) == want[na, nb]
             # one batch whose points do not step down to each other
             scattered = [(3, 0), (0, 3), (2, 2), (1, 3), (2, 2)]

@@ -146,11 +146,14 @@ def multiply_field(h: np.ndarray, box, J: FieldRows) -> np.ndarray:
     _check_size(shape, dtype)
     src = np.zeros(shape, dtype=dtype)
     src[tuple(map(slice, h.shape))] = h
+    # Heights are added as scalars of the field's type: numpy 1.x sums the
+    # 0-d field of d = 1 and a Python int in int64, which out= cannot narrow.
+    lift = src.dtype.type
     # out= keeps the 0-d field of d = 1 an array, not a scalar
-    out = np.add(src, J.bounds[J.axis], out=np.empty_like(src))
+    out = np.add(src, lift(J.bounds[J.axis]), out=np.empty_like(src))
     for out_at, src_at, c in J.rows:
         view = out[out_at]
-        np.minimum(view, src[src_at] + c if c else src[src_at], out=view)
+        np.minimum(view, src[src_at] + lift(c) if c else src[src_at], out=view)
     return out
 
 

@@ -20,21 +20,25 @@ membership question is then a.v >= b for every facet:
 * An m-primary polyhedron is a height field along the longest side of its
   box of pure-power bounds: over the other sides each facet bounds the
   least member height from below, and the field is the largest of those
-  bounds (`_height_field`, int64 numpy arithmetic, one facet at a time).
-  `integral_closure` reads the closure's minimal generators off the
-  field's corners.
+  bounds.  `_tile_heights` builds it in int64 numpy arithmetic, every
+  facet at once, on tiles of at most TILE_CELLS facet-cells, and each
+  tile serves every box of the call.  `integral_closure` reads the
+  closure's minimal generators off the field's corners.
 * `colength_sum` sums the colengths of the closures of products prod
   J_j^(t_j): one hull of the J_j serves every t, with right-hand sides
-  sum t_j min over J_j of a.g.
+  sum t_j min over J_j of a.g, and one `_tile_heights` pass serves every
+  box.
 
-`check_int64` bounds every facet value on a box before int64 arithmetic
+`check_int64` bounds every value the tiles hold before int64 arithmetic
 starts.  No floats and no rationals enter the decision.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import product as iter_product
 from math import factorial, gcd, prod
-from operator import mul
+from operator import add, mul
 
 import numpy as np
 
@@ -186,56 +190,103 @@ def check_int64(bounds) -> None:
     |a.v| is at most |det| of those rays over (v, 0), and subtracting one
     vertex row from the others leaves a d x d determinant whose column i
     holds entries of size at most b_i, so 0 <= a.v <= d! * prod b_i on the
-    box (and so is b, the value at a vertex).  Past that check the facet
-    rows, Python ints, enter int64 arithmetic exactly.
+    box (and so is b, the value at a vertex).  The tiles of `_tile_heights`
+    hold a'.v' - r, with a'.v' = a.v at v_c = 0 for cells v' of a field
+    in the box and r the value of a at a point of the box (a vertex, or
+    for `colength_sum` the sum of t_j minimizers over the J_j, which lies
+    in B(t)), so they lie in [-d! * prod b_i, d! * prod b_i]; so do the
+    side rows a_i * x_i that are read, x_i < B_i, and their partial sums,
+    and the run minima and their floors lie between those.  Past that
+    check the facet rows, Python ints, enter int64 arithmetic exactly.
     """
     if factorial(len(bounds)) * prod(bounds) >= 2**63:
         raise ValueError(f"pure powers {tuple(bounds)} may overflow int64 facet values")
 
 
-def _height_field(A, b, box, cells=None) -> np.ndarray:
-    """The least member heights along the longest side c of `box`, over prod [0, n_i) on the others.
+TILE_CELLS = 1 << 18
+"""The most int64 facet-cells (facets times field cells) one tile of `_tile_heights` holds."""
 
-    Every facet row (a, b) has a_c > 0, and the result is h(v') = max(0,
-    max over rows of ceil((b - a'.v') / a_c)) at the coordinates v' off
-    axis c: v = (v', v_c) satisfies every row exactly when v_c >= h(v').
-    The int64 field is worked in the first cells of the flat int64 array
-    `cells` when it is given, else in a new array.  The rows go one at a
-    time, so besides the field only one row's temporary is held.
+
+def _tile_heights(A, c, rights, boxes, cells):
+    """The least member heights along axis c over every box, negated, one tile part at a time.
+
+    Every facet row a has a_c > 0, and with right-hand sides r the height
+    at the coordinates v' off axis c is h(v') = max(0, max over rows of
+    ceil((r - a'.v') / a_c)): v = (v', v_c) satisfies every row exactly
+    when v_c >= h(v').  `rights` holds the r of each box of `boxes`, whose
+    fields lie over prod [0, B_i), i != c.  The field of their
+    componentwise maximum is cut into tiles of at most TILE_CELLS
+    facet-cells, innermost sides whole first, and each tile holds a'.v' for
+    every row at once, from broadcast adds of one row per side.  Every box
+    that meets the tile takes its part as a view and subtracts its r.  The
+    rows are sorted by a_c, and each run of one a_c is reduced to its least
+    row, then floor-divided by that a_c: floor((a'.v' - r) / a_c) is
+    monotone in a'.v' - r, so one division per run serves all its rows.
+    The least over the runs, capped at 0, is -h.  Yields (j, lo, low) for
+    box j, with low = -h on the part of its field from the coordinates lo
+    on, written into the first cells of the flat int64 buffer `cells`,
+    which holds the field of the maximum; the next part overwrites it.
     """
-    c = counting.height_axis(box)
-    rest = [i for i in range(len(box)) if i != c]
-    shape = [box[i] for i in rest]
-    low = np.empty(shape, np.int64) if cells is None else cells[: prod(shape)].reshape(shape)
-    axes = [np.arange(n).reshape([n if j == k else 1 for j in range(len(shape))])
-            for k, n in enumerate(shape)]
-    low.fill(0)
-    for a, rhs in zip(A, b):  # low = min(0, floor((a'.v' - b) / a_c)) = -h
-        over = sum((a[i] * x for i, x in zip(rest, axes) if a[i]), -rhs)
-        if a[c] > 1:
-            over //= a[c]
-        np.minimum(low, over, out=low)
-    return np.negative(low, out=low)
+    n = len(A)
+    rows = sorted((a[c], *a[:c], *a[c + 1:], *r) for a, r in zip(A, zip(*rights)))
+    table = np.array(rows, np.int64)  # per row: a_c, a', then r for every box
+    lead = [row[0] for row in rows]
+    starts = [f for f in range(n) if not f or lead[f] != lead[f - 1]]
+    runs = list(map(slice, starts, starts[1:] + [n]))  # the rows of each a_c
+    steep = [(i, lead[f]) for i, f in enumerate(starts) if lead[f] > 1]  # (run, a_c > 1)
+    boxes = [box[:c] + box[c + 1:] for box in boxes]
+    shape = list(map(max, zip(*boxes)))
+    k = len(shape)
+    col = (n,) + (1,) * k
+    rights = table.T[k + 1:].reshape((-1,) + col)
+    steps = table[:, 1 : k + 1, None] * np.arange(max(shape, default=0))  # a'_fi * x, x < side i
+    sides = [col[: i + 1] + (-1,) + col[i + 2:] for i in range(k)]  # axis i's row, broadcast
+    tile, room = [], max(1, TILE_CELLS // n)
+    for side in reversed(shape):
+        tile.insert(0, min(side, room))
+        room = max(1, room // side)
+    for lo in iter_product(*map(range, [0] * k, shape, tile)):
+        hi = [min(l + t, side) for l, t, side in zip(lo, tile, shape)]
+        parts = [steps[:, i, l:h].reshape(sides[i]) for i, (l, h) in enumerate(zip(lo, hi))]
+        vals = reduce(np.add, parts) if parts else np.zeros(n, np.int64)  # a'_f.(lo + x)
+        for j, box in enumerate(boxes):
+            ends = [min(h, b) - l for l, h, b in zip(lo, hi, box)]
+            if min(ends, default=1) > 0:
+                over = vals[(slice(None), *map(slice, ends))] - rights[j]
+                least = over  # each run's least row: the rows themselves when every run is one row
+                if len(runs) < n:
+                    least = np.empty((len(runs), *ends), np.int64)
+                    for i, run in enumerate(runs):
+                        np.minimum.reduce(over[run], axis=0, out=least[i, ...])
+                for i, a in steep:
+                    np.floor_divide(least[i, ...], a, out=least[i, ...])
+                low = cells[: prod(ends)].reshape(ends)
+                yield j, lo, np.minimum.reduce(least, axis=0, initial=0, out=low)
 
 
 def _closure_corners(A, b, bounds) -> np.ndarray:
     """The minimal generators of {v : a.v >= b for every facet row (a, b)}, as rows.
 
-    Along the height axis c = `counting.height_axis(bounds)` (the longest
-    side) the closure is the field h of `_height_field` on the other
-    coordinates v' in prod [0, b_i], i != c.  h is non-increasing on every
-    axis, and (v', h(v')) is a minimal generator exactly when h is
-    strictly lower there than one step down on every axis with v'_i > 0.
-    The field is int64 and whole, and it is freed before the caller turns
-    the rows into tuples.
+    Along the height axis c = `counting.height_axis` of the box prod [0,
+    b_i] (its longest side) the closure is the field h of `_tile_heights`
+    on the other coordinates v'.  h is non-increasing on every axis, and
+    (v', h(v')) is a minimal generator exactly when h is strictly lower
+    there than one step down on every axis with v'_i > 0.  The field is
+    int64 and whole, and it is freed before the caller turns the rows into
+    tuples.
     """
-    h = _height_field(A, b, [n + 1 for n in bounds])
+    box = [n + 1 for n in bounds]
+    c = counting.height_axis(box)
+    h = np.empty(box[:c] + box[c + 1:], np.int64)
+    for _, lo, low in _tile_heights(A, c, [b], [box], np.empty(h.size, np.int64)):
+        np.negative(low, out=h[(..., *map(slice, lo, map(add, lo, low.shape)))])
     corner = np.ones(h.shape, dtype=bool)
     for ax in range(h.ndim):
         above = (slice(None),) * ax + (slice(1, None),)
         below = (slice(None),) * ax + (slice(None, -1),)
         corner[above] &= h[above] < h[below]
-    return np.insert(np.argwhere(corner), counting.height_axis(bounds), h[corner], axis=1)
+    at = np.argwhere(corner).T
+    return np.array((*at[:c], h[corner], *at[c:])).T
 
 
 def colength_sum(ideals, terms) -> int:
@@ -243,24 +294,30 @@ def colength_sum(ideals, terms) -> int:
 
     The closure is cut out by the facet normals a of the sum of the
     Newt(J_j), from one `_newton_facets` call with the J_j as blocks, with
-    right-hand sides sum t_j min over J_j of a.g, and L(t) is its
-    `_height_field` summed over the box B(t) = sum t_j (pure-power bounds
-    of J_j), which holds every point outside it.  The order is fixed: one
-    flat int64 buffer for the largest term's field is allocated first, so
-    a field past numpy's maximum size, or one the machine will not
-    allocate, raises MemoryError at once; then the componentwise maximum of
-    the boxes must pass `check_int64`; then one hull serves every term.
-    The J_j are the m-primary `ideals`; L(0) = 0.
+    right-hand sides sum t_j min over J_j of a.g, and L(t) is the sum of
+    its heights over the box B(t) = sum t_j (pure-power bounds of J_j),
+    which holds every point outside it.  One `_tile_heights` pass along
+    the longest side of the componentwise maximum of the boxes gives every
+    L(t).  The order is fixed: one flat int64 buffer for the field of that
+    maximum is allocated first, so a field past numpy's maximum size, or
+    one the machine will not allocate, raises MemoryError at once, and
+    each tile part's heights go to its first cells; then the maximum must
+    pass `check_int64`; then one hull serves every term.  The J_j are the
+    m-primary `ideals`; L(0) = 0.
     """
     sides = list(zip(*(box_bounds(J) for J in ideals)))
+    terms = [(t, coeff) for t, coeff in terms if any(t)]
+    if not terms:
+        return 0
     boxes = [[sum(map(mul, t, side)) for side in sides] for t, _ in terms]
-    size = max(prod(sorted(B)[:-1]) for B in boxes)  # the cells off B's longest side
+    top = list(map(max, zip(*boxes)))
+    c = counting.height_axis(top)
+    size = prod(top) // top[c]
     counting._check_size([size], np.int64)
     cells = np.empty(size, np.int64)
-    check_int64(list(map(max, zip(*boxes))))
+    check_int64(top)
     A, mins = _newton_facets([J.gens for J in ideals])
-    return sum(
-        coeff * int(_height_field(A, [sum(map(mul, t, m)) for m in zip(*mins)], B, cells).sum())
-        for (t, coeff), B in zip(terms, boxes)
-        if any(t)
-    )
+    per_facet = list(zip(*mins))
+    rights = [[sum(map(mul, t, m)) for m in per_facet] for t, _ in terms]
+    return -sum(terms[j][1] * int(np.add.reduce(low, axis=None))
+                for j, _, low in _tile_heights(A, c, rights, boxes, cells))

@@ -1,7 +1,7 @@
 """Shared fixtures and independent oracles.
 
 The oracles here deliberately share no code with the package internals:
-colengths by exhaustive box walks, height fields cell by cell, products by
+height fields cell by cell and colengths as their sums, products by
 definition, Pareto filtering by quadratic scan, Newton-polyhedron
 membership by Fourier-Motzkin elimination over Python integers.  Fast paths are trusted only where they
 agree with these.
@@ -45,18 +45,20 @@ def oracle_power(a: MonomialIdeal, n: int) -> MonomialIdeal:
 
 
 def oracle_colength(I: MonomialIdeal) -> int:
-    """Count standard monomials by walking the box of pure-power bounds."""
+    """Count standard monomials as the `oracle_field` heights over the box of pure-power bounds.
+
+    Over each cell of the box with its longest side removed, the standard
+    monomials above that cell are those below the least generator height
+    there, and the pure power on the longest side caps that height.
+    """
     d = I.dim
     bounds = []
     for i in range(d):
         pure = [g[i] for g in I.gens if all(g[j] == 0 for j in range(d) if j != i)]
         assert pure, f"not m-primary along axis {i}"
         bounds.append(min(pure))
-    count = 0
-    for v in iter_product(*(range(b) for b in bounds)):
-        if not any(all(g[j] <= v[j] for j in range(d)) for g in I.gens):
-            count += 1
-    return count
+    axis = max(range(d), key=bounds.__getitem__)
+    return int(oracle_field(I.gens, bounds, axis).sum())
 
 
 def oracle_field(gens, box, axis: int) -> np.ndarray:

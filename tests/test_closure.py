@@ -20,11 +20,12 @@ from multlab import (
     ideal_contains,
     integral_closure,
     m_power,
+    mixed_multiplicity,
     newton_polyhedron_member,
     parse_ideal,
     unit_ideal,
 )
-from multlab import closure, counting
+from multlab import closure, counting, multiplicity
 from multlab.monomial import as_array, contains
 
 from conftest import oracle_newton_member, oracle_power, oracle_product, random_mprimary
@@ -297,32 +298,88 @@ def test_multiplicity_invariant_under_closure(rng):
         assert hilbert_samuel(integral_closure(I)) == hilbert_samuel(I)
 
 
+def _fm_blocks(rng, d):
+    """An m-primary ideal with pure powers 2-4 and up to two mixed generators."""
+    powers = [rng.randint(2, 4) for _ in range(d)]
+    extras = [tuple(rng.randrange(k) for k in powers) for _ in range(2)]
+    gens = [g for g in extras if sum(map(bool, g)) > 1]
+    return ideal(gens + [tuple(k * (i == j) for j in range(d)) for i, k in enumerate(powers)], dim=d)
+
+
+def _fm_colength(Js, t):
+    """L(t) by definition: the product, and every point of its box judged by Fourier-Motzkin."""
+    P = unit_ideal(Js[0].dim)
+    for J, k in zip(Js, t):
+        P = oracle_product(P, oracle_power(J, k))
+    box = [min(g[i] for g in P.gens if sum(g) == g[i]) for i in range(P.dim)]
+    return sum(
+        not any(all(map(le, g, v)) for g in P.gens) and not oracle_newton_member(P, v)
+        for v in iter_product(*map(range, box))
+    )
+
+
 def test_single_closure_colengths_match_fourier_motzkin(rng):
     # L(t) = lambda(R / closure of prod J_j^(t_j)) alone, not inside a
     # multiplicity: the product by definition, and every point of its
     # pure-power box judged by Fourier-Motzkin, which shares no hull,
     # Minkowski sum or field with `colength_sum`
-    def draw(d):  # pure powers 2-4 and up to two mixed generators
-        powers = [rng.randint(2, 4) for _ in range(d)]
-        extras = [tuple(rng.randrange(k) for k in powers) for _ in range(2)]
-        gens = [g for g in extras if sum(map(bool, g)) > 1]
-        return ideal(gens + [tuple(k * (i == j) for j in range(d)) for i, k in enumerate(powers)], dim=d)
-
-    def oracle(Js, t):
-        P = unit_ideal(Js[0].dim)
-        for J, k in zip(Js, t):
-            P = oracle_product(P, oracle_power(J, k))
-        box = [min(g[i] for g in P.gens if sum(g) == g[i]) for i in range(P.dim)]
-        return sum(
-            not any(all(map(le, g, v)) for g in P.gens) and not oracle_newton_member(P, v)
-            for v in iter_product(*map(range, box))
-        )
-
     cases = 0
     for d, s in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
-        Js = [draw(d) for _ in range(s)]
+        Js = [_fm_blocks(rng, d) for _ in range(s)]
         for t in rng.sample([t for t in iter_product(range(3), repeat=s) if any(t)], min(3, 3**s - 1)):
-            assert closure.colength_sum(Js, [(t, 1)]) == oracle(Js, t), (Js, t)
+            assert closure.colength_sum(Js, [(t, 1)]) == _fm_colength(Js, t), (Js, t)
             cases += 1
     assert cases == 13
     assert closure.colength_sum(Js, [((0, 0), 1)]) == 0
+
+
+def test_tiny_tiles_give_the_same_sums_and_closures(monkeypatch, rng):
+    # a tile of a few facet-cells splits every field into many tiles, and a
+    # box smaller than the largest of its call ends inside one; the sums are
+    # judged by Fourier-Motzkin, one term and all terms of a call at once,
+    # the closures by the box scan, and a d = 5 multiplicity by itself at
+    # the default tile size
+    I5 = parse_ideal("(x1^2, x2^3, x3^2, x4^2, x5^2, x1*x2*x3, x2*x4*x5)")
+    d5 = lambda: mixed_multiplicity([I5, m_power(5, 1)], (2, 3))
+    d5_default = d5()
+    sums = []
+    for d, s in ((1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
+        Js = [_fm_blocks(rng, d) for _ in range(s)]
+        ts = rng.sample([t for t in iter_product(range(3), repeat=s) if any(t)], min(3, 3**s - 1))
+        sums.append((Js, ts, [_fm_colength(Js, t) for t in ts]))
+    steep = 0  # calls with a facet of a_c > 1 on the height axis
+    for Js, ts, _ in sums:
+        top = [max(sum(map(mul, t, side)) for t in ts) for side in zip(*map(box_bounds, Js))]
+        A, _ = closure._newton_facets([J.gens for J in Js])
+        steep += any(a[counting.height_axis(top)] > 1 for a in A)
+    assert steep >= 3
+    closures = [(I, _box_scan(I, oracle_newton_member)) for I in _cross_check_ideals(rng)]
+
+    calls = []  # per call, the (origin, shape) of every tile part
+    real = closure._tile_heights
+
+    def recorded(*args):
+        calls.append([])
+        for j, lo, low in real(*args):
+            calls[-1].append((lo, low.shape))
+            yield j, lo, low
+
+    monkeypatch.setattr(closure, "_tile_heights", recorded)
+    for tile in (1, 7, 40):
+        monkeypatch.setattr(closure, "TILE_CELLS", tile)
+        for Js, ts, want in sums:
+            for t, w in zip(ts, want):
+                assert closure.colength_sum(Js, [(t, 1)]) == w, (tile, Js, t)
+            coeffs = [rng.randint(-3, 3) for _ in ts]
+            total = sum(map(mul, coeffs, want))
+            assert closure.colength_sum(Js, list(zip(ts, coeffs))) == total, (tile, Js)
+        for I, C in closures:
+            assert integral_closure(I) == C, (tile, I)
+    assert any(len({lo for lo, _ in parts}) > 10 for parts in calls)
+    shapes = [{shape for lo, shape in parts if lo == at} for parts in calls for at, _ in parts]
+    assert any(len(kinds) > 1 for kinds in shapes)  # boxes of one call that end apart in one tile
+    monkeypatch.setattr(closure, "TILE_CELLS", 7)
+    multiplicity._newton_value.cache_clear()
+    calls.clear()
+    assert d5() == d5_default
+    assert len(calls) == 1 and len(calls[0]) > 1000

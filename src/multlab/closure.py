@@ -98,8 +98,7 @@ def _newton_facets(blocks) -> tuple[list[tuple[int, ...]], list[list[int]]]:
     g_j the first generator of block j in that order, give the rays (e_i,
     -g_1i, ..., -g_si) and (0, e_j); each further generator cuts the cone,
     and every ray keeps a bit mask of the constraints it is tight on.  A
-    cut with no ray on its negative side only marks the rays tight on it.
-    Otherwise a ray on the positive side and one on the negative side are
+    ray on the positive side of a cut and one on the negative side are
     adjacent when their common tight set has at least d + s - 2 bits and no
     third ray is tight on all of it; each adjacent pair gives one new ray
     on the cut, divided by its gcd.  All arithmetic is in Python ints, so
@@ -131,9 +130,6 @@ def _newton_facets(blocks) -> tuple[list[tuple[int, ...]], list[list[int]]]:
         j += d
         sides = [sum(map(mul, y, g)) + y[j] for y in ys]
         bit = 1 << k
-        if min(sides) >= 0:
-            zs = [z | bit if side == 0 else z for side, z in zip(sides, zs)]
-            continue
         new_ys, new_zs, pos, neg = [], [], [], []
         for side, y, z in zip(sides, ys, zs):
             if side >= 0:

@@ -31,10 +31,10 @@ Counts are exact: a field is uint8, uint16 or uint32 while its top fits,
 and holds Python ints beyond.  No height of a field passes its top, and
 `multiply_field` reads P's heights only inside the product's box and adds
 g_c < b_c to them, so every sum h + g_c stays within the product's top and
-the product's own type holds it.  numpy sums uint16 and uint32 in uint64,
-which no field that fits in memory can overflow, and `field_count` sums a
-uint8 field of fewer than 2**24 cells in uint32, which is exact since
-255 * 2**24 < 2**32.
+the product's own type holds it.  `field_count` sums every unsigned field
+in one uint64 accumulator, exact below 2**32 cells since every height is
+below 2**32 (a uint32 field that large holds 16 GiB), and an object field
+in Python ints.
 """
 
 from __future__ import annotations
@@ -159,9 +159,7 @@ def multiply_field(h: np.ndarray, box, J: FieldRows) -> np.ndarray:
 
 def field_count(h: np.ndarray) -> int:
     """Standard points under the field h: the exact sum of its heights."""
-    # uint8 sums are exact in uint32 below 2**24 cells, as 255 * 2**24 < 2**32
-    wide = np.uint32 if h.dtype == np.uint8 and h.size < 2**24 else None
-    return int(np.add.reduce(h, axis=None, dtype=wide))
+    return int(np.add.reduce(h, axis=None, dtype=None if h.dtype == object else np.uint64))
 
 
 def count_grid(gens, box) -> int:

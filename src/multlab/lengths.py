@@ -34,14 +34,12 @@ import numpy as np
 
 from .counting import count_grid, count_naive, field_count, height_axis
 from .counting import field_dtype, field_rows, multiply_field
-from .errors import NotMPrimaryError
 from .monomial import (
     MonomialIdeal,
     as_array,
     box_bounds,
     common_dim,
     integer_exponents,
-    is_m_primary,
     m_power_degree,
 )
 
@@ -86,8 +84,9 @@ class ProductSampler:
     of the summed boxes of the ideals.  Every call builds its products in
     one prefix walk from the unit ideal over its points (`_grow`), and
     holds no count and no product once it returns.  Unit ideals never
-    change a product, and when every ideal is a power of the maximal ideal
-    the colength collapses to a binomial and nothing is built.
+    change a product, every other ideal's bounds come from `box_bounds`,
+    which raises NotMPrimaryError, and when every ideal is a power of the
+    maximal ideal the colength collapses to a binomial and nothing is built.
     """
 
     def __init__(self, ideals):
@@ -95,19 +94,9 @@ class ProductSampler:
         if not ideals:
             raise ValueError("need at least one ideal")
         d = common_dim(ideals)
-        bounds = []
-        for I in ideals:
-            if I.is_unit:
-                bounds.append((0,) * d)
-            elif is_m_primary(I):
-                bounds.append(box_bounds(I))
-            else:
-                raise NotMPrimaryError(
-                    "sampler requires m-primary (or unit) ideals"
-                )
+        bounds = [(0,) * d if I.is_unit else box_bounds(I) for I in ideals]
         self.ideals = ideals
         self.dim = d
-        self._bounds = bounds
         self._m_degrees = [m_power_degree(I) for I in ideals]
         self._all_m = all(k is not None for k in self._m_degrees)
         gens = [as_array(I) for I in ideals]
@@ -135,7 +124,7 @@ class ProductSampler:
         def climb(held, box, j, steps):
             for _ in range(steps):
                 held = multiply_field(held, box, self._rows[j])
-                box = tuple(map(add, box, self._bounds[j]))
+                box = tuple(map(add, box, self._rows[j].bounds))
             return held, box
 
         def walk(group, k, held, box):

@@ -142,35 +142,17 @@ def stabilize(evaluate, order, *, base: int) -> DifferenceTable:
     )
 
 
-def _merge_slots(ideals, type_):
-    """Drop zero slots and fuse repeated ideals, summing their orders."""
-    merged: list[MonomialIdeal] = []
-    orders: list[int] = []
-    for I, a in zip(ideals, type_):
-        if a == 0:
-            continue
-        if not is_m_primary(I):
-            raise NotMPrimaryError(
-                "mixed multiplicities need m-primary ideals in every "
-                "slot with positive order"
-            )
-        try:
-            at = merged.index(I)
-        except ValueError:
-            merged.append(I)
-            orders.append(a)
-        else:
-            orders[at] += a
-    return merged, tuple(orders)
-
-
 def _heuristic_base(ideals, dim: int) -> int:
     top = max((max(max(g) for g in I.gens) for I in ideals), default=1)
     return max(dim, top + 1)
 
 
 def _merged(ideals, type_):
-    """`ideals` and `type_` checked and merged: the ideals with positive order, and their orders."""
+    """`ideals` and `type_` checked and merged: the ideals with positive order, and their orders.
+
+    Zero slots are dropped and repeated ideals fused, their orders summed,
+    in order of first appearance.
+    """
     ideals = list(ideals)
     if not ideals:
         raise ValueError("need at least one ideal")
@@ -182,8 +164,16 @@ def _merged(ideals, type_):
         raise ValueError("type entries must be non-negative")
     if sum(type_) != d:
         raise ValueError(f"type must sum to the ambient dimension {d}")
-    merged, orders = _merge_slots(ideals, type_)
-    return tuple(merged), orders
+    orders: dict[MonomialIdeal, int] = {}
+    for I, a in zip(ideals, type_):
+        if a:
+            if not is_m_primary(I):
+                raise NotMPrimaryError(
+                    "mixed multiplicities need m-primary ideals in every "
+                    "slot with positive order"
+                )
+            orders[I] = orders.get(I, 0) + a
+    return tuple(orders), tuple(orders.values())
 
 
 def _positive(value: int, route: str,

@@ -89,6 +89,16 @@ class TestMixed:
         code, out, _ = run(capsys, "mixed", "(x, y)", "(x, y, z)", "--json")
         assert code == EXIT_USAGE  # 2 ideals in dim 3 with unit type
 
+    def test_scale_by_m(self, capsys):
+        code, out, _ = run(capsys, "mixed", "(x, y)", "(x^2, y)", "--scale-by-m", "--json")
+        assert code == EXIT_OK
+        # e(m^2, J) = 2 e(m, J) = 2 ord(J) for J = m (x^2, y) of order 2
+        assert json.loads(out) == {
+            "ideals": ["(x^2, x*y, y^2)", "(x^3, x*y, y^2)"],
+            "mixed_multiplicity": 4,
+            "type": [1, 1],
+        }
+
 
 class TestBr:
     def test_module(self, capsys):
@@ -104,6 +114,20 @@ class TestBr:
         payload = json.loads(out)
         assert payload["routes_agree"] is True
         assert payload["buchsbaum_rim"] == payload["direct"]
+
+    def test_cross_check_disagreement_exits_2_and_still_prints(self, capsys, monkeypatch):
+        monkeypatch.setattr("multlab.cli.br_direct", lambda E: 6)
+        code, out, err = run(
+            capsys, "br", "--module", "(x, y^2);(x^2, y)", "--cross-check", "--json"
+        )
+        assert code == EXIT_VIOLATION
+        assert "cross-check failed: the two routes disagree" in err
+        assert json.loads(out) == {
+            "buchsbaum_rim": 5,
+            "direct": 6,
+            "module": ["(x, y^2)", "(x^2, y)"],
+            "routes_agree": False,
+        }
 
     def test_only_the_cross_check_runs_the_table_engine(self, capsys, monkeypatch):
         def oracle(E):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multlab import ParseError, format_ideal, ideal, parse_ideal, parse_module
+from multlab.expr import parse_ideals
 
 from conftest import random_mprimary
 
@@ -128,6 +129,10 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_ideal("(1)")
         assert parse_ideal("(1)", dim=2).is_unit
+
+    def test_dimension_must_be_positive(self):
+        with pytest.raises(ParseError, match="dimension must be at least 1"):
+            parse_ideals(["(1)"], dim=0)
 
 
 class TestFormat:

@@ -38,6 +38,7 @@ from multlab import (
     mixed_multiplicity,
     parse_ideal,
     run_suite,
+    unit_ideal,
     write_jsonl,
     write_summary_csv,
 )
@@ -168,6 +169,15 @@ class TestChecks:
         for ideals in ([], iter([])):
             with pytest.raises(ValueError, match=message):
                 check(ideals)
+
+    @pytest.mark.parametrize("check, args, message", [
+        (check_lech_mixed, [m_ideal(2)] * 3, "need 2 ideals, got 3"),
+        (check_main_br, DirectSumModule((m_ideal(4), unit_ideal(4))), "contained in mF"),
+        (check_prop_dim3, [m_ideal(2)] * 4, "specific to dimension 3"),
+    ])
+    def test_inputs_of_the_wrong_shape_are_value_errors(self, check, args, message):
+        with pytest.raises(ValueError, match=message):
+            check(args)
 
 
 class TestSuite:
@@ -338,6 +348,12 @@ class TestSuite:
             CorpusConfig(instances=0)
         with pytest.raises(ValueError):
             CorpusConfig(jobs=0)
+        with pytest.raises(ValueError, match="rank must be at least 1"):
+            CorpusConfig(rank=0)
+        with pytest.raises(ValueError, match="max_pure_power must be at least 1"):
+            CorpusConfig(max_pure_power=0)
+        with pytest.raises(ValueError, match="extra_gens must be non-negative"):
+            CorpusConfig(extra_gens=-1)
 
     @pytest.mark.parametrize("field, value", [
         ("seed", 0.5), ("dim", 2.5), ("dim", "2"), ("rank", 1.5), ("max_pure_power", 2.5),

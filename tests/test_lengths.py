@@ -138,6 +138,12 @@ class TestCounters:
         arr = np.vstack([as_array(I), [[5, 5], [2, 1], [2, 0]]]).astype(np.int64)
         assert count_grid(arr, box_bounds(I)) == 4
 
+    def test_grid_inputs_are_checked(self):
+        assert count_grid([[1, 0]], (2, 0)) == 0  # an empty box holds no point
+        for rows in ([[1, 0, 0]], [1, 0]):
+            with pytest.raises(ValueError, match=r"must be \(n, d\)"):
+                count_grid(rows, (2, 2))
+
 
 @st.composite
 def ideal_pairs(draw):
@@ -557,6 +563,8 @@ class TestProductSampler:
     def test_rejects_non_primary(self):
         with pytest.raises(NotMPrimaryError):
             ProductSampler([parse_ideal("(x^2, x*y)")])
+        with pytest.raises(ValueError, match="at least one ideal"):
+            ProductSampler([])
 
     def test_exponents_must_be_non_negative(self):
         sampler = ProductSampler([parse_ideal("(x^2, y^2)"), m_ideal(2)])

@@ -100,6 +100,17 @@ class TestConstruction:
                 MonomialIdeal(2, gens)
         assert MonomialIdeal(2, ((0, np.int64(1)), (2, 0))) == ideal([(0, 1), (2, 0)])
 
+    @pytest.mark.parametrize("dim, gens, error, message", [
+        (0, ((),), ValueError, "dim must be >= 1"),
+        (2, (), ValueError, "at least one generator"),
+        (2, ((0, 1), (1, 0, 0)), DimensionMismatchError, "has 3 exponents, expected 2"),
+        (2, ((1, 0), (0, 1)), ValueError, "strictly increasing"),
+        (2, ((0, 1), (0, 1)), ValueError, "strictly increasing"),
+    ])
+    def test_constructor_refuses_malformed_generators(self, dim, gens, error, message):
+        with pytest.raises(error, match=message):
+            MonomialIdeal(dim, gens)
+
     @pytest.mark.parametrize("extra", [0, 3, 60])
     def test_exponent_range_is_checked_at_every_size(self, extra):
         # 2 + extra rows: small inputs are minimalized in Python, larger in numpy
@@ -240,6 +251,10 @@ class TestArithmetic:
         B = parse_ideal("(x^2, y)")
         assert power(B, 0) == unit_ideal(2)
         assert power(B, 1) == B
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            power(B, -1)
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            m_power(2, -1)
 
     def test_powers_take_integers_only(self):
         B = parse_ideal("(x^2, y)")
@@ -313,6 +328,8 @@ class TestMembership:
         assert contains(I, (5, 7))
         assert not contains(I, (1, 0))
         assert not contains(I, (0, 2))
+        assert (5, 7) in I and (0, 2) not in I
+        assert str(I) == "(x^2, x*y, y^3)"
 
     def test_contains_checks_dim(self):
         with pytest.raises(DimensionMismatchError):

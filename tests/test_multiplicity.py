@@ -243,8 +243,12 @@ class TestMixed:
 
     def test_validates_inputs(self):
         m = m_ideal(2)
+        with pytest.raises(ValueError, match="at least one ideal"):
+            mixed_multiplicity([])
         with pytest.raises(ValueError):
             mixed_multiplicity([m])  # needs d ideals for the default type
+        with pytest.raises(ValueError, match="type length"):
+            mixed_multiplicity([m, m], (2,))
         with pytest.raises(ValueError):
             mixed_multiplicity([m, m], (1, 2))  # type sums to 3 != 2
         with pytest.raises(ValueError):
@@ -282,6 +286,8 @@ class TestHyperplaneSections:
             ) == mixed_multiplicity([m, I, J])
 
     def test_validates_counts(self):
+        with pytest.raises(ValueError, match="at least one ideal"):
+            hyperplane_section_multiplicity([])
         with pytest.raises(ValueError):
             hyperplane_section_multiplicity([m_ideal(2)], 2)  # k = d not allowed
         with pytest.raises(ValueError):

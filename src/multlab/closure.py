@@ -249,11 +249,9 @@ def _tile_heights(A, c, rights, boxes, cells):
             ends = [min(h, b) - l for l, h, b in zip(lo, hi, box)]
             if min(ends, default=1) > 0:
                 over = vals[(slice(None), *map(slice, ends))] - rights[j]
-                least = over  # each run's least row: the rows themselves when every run is one row
-                if len(runs) < n:
-                    least = np.empty((len(runs), *ends), np.int64)
-                    for i, run in enumerate(runs):
-                        np.minimum.reduce(over[run], axis=0, out=least[i, ...])
+                least = np.empty((len(runs), *ends), np.int64)  # each run's least row
+                for i, run in enumerate(runs):
+                    np.minimum.reduce(over[run], axis=0, out=least[i, ...])
                 for i, a in steep:
                     np.floor_divide(least[i, ...], a, out=least[i, ...])
                 low = cells[: prod(ends)].reshape(ends)

@@ -6,13 +6,22 @@ finite set of generators.  Ideals are kept in canonical form: the
 generators are the divisibility-minimal antichain, sorted lexicographically,
 so equal ideals compare equal as values.
 
-All arithmetic is exact; results are ordinary Python ints.  A generating
-set is converted to ints and checked once, where it enters `minimalize`:
-its rows must have one length and every exponent must lie in
-[0, MAX_EXPONENT) before any numpy work, so int64 sums of generators never
-wrap.  Generator sets of more than 48 monomials are
-minimalized as int64 arrays by `minimalize_array`: one lex sort drops the
-duplicates, then past 1024 rows a prefix-min grid runs when it fits under
+All arithmetic is exact; results are ordinary Python ints.  Rows are
+converted to ints and checked once, where they enter: a generating set in
+`minimalize` (so in `ideal`), the rows handed to the public
+`MonomialIdeal(...)` in its constructor.  Rows must have one length and
+every exponent must lie in [0, MAX_EXPONENT) before any numpy work, so
+int64 sums of generators never wrap.  Rows that are checked already, those
+of `ideal` and `m_power` and small products, build their ideal through the
+private `_built` and are not checked again; sums made in numpy go through
+the public constructor.  Every ideal computes its hash and its pure-power
+bounds once, when it is built, so memo lookups, `is_m_primary` and
+`box_bounds` read them without a pass over the generators.
+
+Up to 48 distinct monomials are minimalized by one sweep in lex order
+against the rows kept so far; larger generator sets are minimalized as
+int64 arrays by `minimalize_array`: one lex sort drops the duplicates,
+then past 1024 rows a prefix-min grid runs when it fits under
 `_GRID_CELL_CAP` cells, and a sweep over lex-ordered blocks of 1024 rows
 handles everything else.  Lex order suffices because a divisor of a
 monomial always comes before it.
@@ -20,10 +29,10 @@ monomial always comes before it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, combinations_with_replacement
 from math import comb, prod
-from operator import index
+from operator import add, index, le
 
 import numpy as np
 
@@ -62,9 +71,12 @@ def integer(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def divides(a: Monomial, b: Monomial) -> bool:
-    """True if x^a divides x^b, i.e. a <= b componentwise."""
-    return all(ai <= bi for ai, bi in zip(a, b))
+def _dimension(value) -> int:
+    """`value` as an int >= 1; a ValueError names `dim` otherwise."""
+    dim = integer(value, "dim")
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    return dim
 
 
 def degree(a: Monomial) -> int:
@@ -75,31 +87,45 @@ def degree(a: Monomial) -> int:
 class MonomialIdeal:
     """A monomial ideal, stored as its minimal generators.
 
-    The constructor validates shape and ordering but trusts that `gens`
-    is already a divisibility antichain; build ideals from arbitrary
-    generating sets with `ideal(...)`, which minimalizes.
+    The constructor converts every exponent to an int, stores `gens` as a
+    tuple of int tuples, and checks shape, range and ordering, but trusts
+    that `gens` is already a divisibility antichain; build ideals from
+    arbitrary generating sets with `ideal(...)`, which minimalizes.  The
+    hash and the pure-power bounds are computed here, once.
     """
 
     dim: int
     gens: tuple[Monomial, ...]
+    # x_i's least pure power for each variable i, 0 where there is none
+    _bounds: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if type(self.dim) is not int:
-            object.__setattr__(self, "dim", integer(self.dim, "dim"))
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        dim = _dimension(self.dim)
         if not self.gens:
             raise ValueError("an ideal needs at least one generator")
-        check_exponents(integer_exponents(chain.from_iterable(self.gens)))
+        try:
+            gens = tuple(map(integer_exponents, self.gens))
+        except TypeError:
+            raise ValueError("exponents must be integers") from None
+        check_exponents(tuple(chain.from_iterable(gens)))
         prev = None
-        for g in self.gens:
-            if len(g) != self.dim:
+        for g in gens:
+            if len(g) != dim:
                 raise DimensionMismatchError(
-                    f"generator {g} has {len(g)} exponents, expected {self.dim}"
+                    f"generator {g} has {len(g)} exponents, expected {dim}"
                 )
             if prev is not None and g <= prev:
                 raise ValueError("generators must be strictly increasing (lex)")
             prev = g
+        _settle(self, dim, gens)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # unpickled through the checked constructor, which computes the hash anew
+        return MonomialIdeal, (self.dim, self.gens)
 
     def __str__(self) -> str:
         from .expr import format_ideal
@@ -114,6 +140,28 @@ class MonomialIdeal:
         return self.gens[0] == (0,) * self.dim
 
 
+def _settle(ideal_: MonomialIdeal, dim: int, gens: tuple[Monomial, ...]) -> MonomialIdeal:
+    """Store `dim`, `gens`, the pure-power bounds and the hash on `ideal_`, and return it."""
+    bounds = [0] * dim
+    zeros = dim - 1
+    # read backwards, the lex order writes each variable's least power last
+    for g in reversed(gens):
+        if g.count(0) == zeros:
+            k = max(g)
+            bounds[g.index(k)] = k
+    vars(ideal_).update(dim=dim, gens=gens, _bounds=tuple(bounds), _hash=hash((dim, gens)))
+    return ideal_
+
+
+def _built(dim: int, gens: tuple[Monomial, ...]) -> MonomialIdeal:
+    """The ideal of the trusted rows `gens`, with no check.
+
+    They must be a lex-sorted antichain of int tuples of length `dim` >= 1
+    with every exponent in [0, MAX_EXPONENT).
+    """
+    return _settle(object.__new__(MonomialIdeal), dim, gens)
+
+
 def ideal(gens, dim: int | None = None) -> MonomialIdeal:
     """Build an ideal from any generating set, minimalizing it.
 
@@ -123,7 +171,13 @@ def ideal(gens, dim: int | None = None) -> MonomialIdeal:
     ((0, 1), (2, 0))
     """
     gens = minimalize(gens)
-    return MonomialIdeal(len(gens[0]) if dim is None else dim, gens)
+    width = len(gens[0])
+    dim = _dimension(width if dim is None else dim)
+    if width != dim:
+        raise DimensionMismatchError(
+            f"generator {gens[0]} has {width} exponents, expected {dim}"
+        )
+    return _built(dim, gens)
 
 
 def unit_ideal(dim: int) -> MonomialIdeal:
@@ -142,13 +196,15 @@ def m_power(dim: int, k: int) -> MonomialIdeal:
         raise ValueError("k must be >= 0")
     if k == 0:
         return unit_ideal(dim)
+    dim = _dimension(dim)
+    check_exponents((k,))
     gens = []
     for pick in combinations_with_replacement(range(dim), k):
         g = [0] * dim
         for i in pick:
             g[i] += 1
         gens.append(tuple(g))
-    return MonomialIdeal(dim, tuple(sorted(gens)))
+    return _built(dim, tuple(sorted(gens)))
 
 
 def m_power_degree(ideal_: MonomialIdeal) -> int | None:
@@ -179,10 +235,22 @@ def minimalize(gens) -> tuple[Monomial, ...]:
         raise DimensionMismatchError(f"generators have different lengths {sorted(lengths)}")
     check_exponents(tuple(chain.from_iterable(pts)))
     if len(pts) <= 48:
-        out = [p for p in pts if not any(q != p and divides(q, p) for q in pts)]
-        return tuple(sorted(out))
+        return _sweep(pts)
     arr = np.array(sorted(pts), dtype=np.int64)
     return tuple(map(tuple, minimalize_array(arr).tolist()))
+
+
+def _sweep(pts) -> tuple[Monomial, ...]:
+    """The minimal rows of the set `pts`, in lex order, by one lex sweep.
+
+    A divisor of a row comes before it, so a row is kept when no row kept
+    so far divides it (as in `minimalize_array`).
+    """
+    kept = []
+    for p in sorted(pts):
+        if not any(all(map(le, q, p)) for q in kept):
+            kept.append(p)
+    return tuple(kept)
 
 
 def as_array(ideal_: MonomialIdeal) -> np.ndarray:
@@ -287,6 +355,10 @@ def product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     ka, kb = m_power_degree(a), m_power_degree(b)
     if ka is not None and kb is not None:
         return m_power(a.dim, ka + kb)
+    if len(a.gens) * len(b.gens) <= 48:  # as small as `minimalize` sweeps
+        sums = {tuple(map(add, g, h)) for g in a.gens for h in b.gens}
+        check_exponents(tuple(chain.from_iterable(sums)))
+        return _built(a.dim, _sweep(sums))
     arr = product_array(as_array(a), as_array(b))
     return ideal_from_array(a.dim, arr)
 
@@ -310,10 +382,10 @@ def power(a: MonomialIdeal, n: int) -> MonomialIdeal:
 
 
 def contains(ideal_: MonomialIdeal, m: Monomial) -> bool:
-    """Membership of the monomial x^m in the ideal."""
+    """Membership of the monomial x^m in the ideal: some generator g <= m componentwise."""
     if len(m) != ideal_.dim:
         raise DimensionMismatchError(f"monomial {m} vs dim {ideal_.dim}")
-    return any(divides(g, m) for g in ideal_.gens)
+    return any(all(map(le, g, m)) for g in ideal_.gens)
 
 
 def ideal_contains(outer: MonomialIdeal, inner: MonomialIdeal) -> bool:
@@ -322,20 +394,13 @@ def ideal_contains(outer: MonomialIdeal, inner: MonomialIdeal) -> bool:
     return all(contains(outer, g) for g in inner.gens)
 
 
-def _pure_powers(ideal_: MonomialIdeal) -> dict[int, int]:
-    """{i: least k > 0 with x_i^k a generator}, over the variables that have one."""
-    zeros = ideal_.dim - 1
-    # read backwards, the lex order writes each variable's least power last
-    return {g.index(k): k for g in reversed(ideal_.gens) if g.count(0) == zeros for k in (max(g),)}
-
-
 def is_m_primary(ideal_: MonomialIdeal) -> bool:
     """True if the ideal contains a positive pure power of every variable.
 
     Equivalently the staircase complement is finite and the ideal is proper;
     the unit ideal is not m-primary.
     """
-    return len(_pure_powers(ideal_)) == ideal_.dim
+    return all(ideal_._bounds)
 
 
 def box_bounds(ideal_: MonomialIdeal) -> tuple[int, ...]:
@@ -344,13 +409,13 @@ def box_bounds(ideal_: MonomialIdeal) -> tuple[int, ...]:
     The staircase complement lives inside the box prod [0, b_i).
     Raises NotMPrimaryError when some variable has no pure power.
     """
-    powers = _pure_powers(ideal_)
-    if len(powers) < ideal_.dim:
-        missing = ", ".join(f"x{i + 1}" for i in range(ideal_.dim) if i not in powers)
+    bounds = ideal_._bounds
+    if not all(bounds):
+        missing = ", ".join(f"x{i + 1}" for i, k in enumerate(bounds) if not k)
         raise NotMPrimaryError(
             f"no pure power of {missing}: the colength is infinite"
         )
-    return tuple(map(powers.get, range(ideal_.dim)))
+    return bounds
 
 
 def scale_by_m(ideal_: MonomialIdeal) -> MonomialIdeal:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from itertools import product as iter_product
 from math import gcd
+from operator import le
 
 import numpy as np
 import pytest
@@ -25,14 +26,14 @@ def oracle_minimalize(gens) -> tuple:
         sorted(
             p
             for p in pts
-            if not any(q != p and all(a <= b for a, b in zip(q, p)) for q in pts)
+            if not any(q != p and all(map(le, q, p)) for q in pts)
         )
     )
 
 
 def oracle_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     sums = [tuple(x + y for x, y in zip(g, h)) for g in a.gens for h in b.gens]
-    return ideal(sums, dim=a.dim)
+    return MonomialIdeal(a.dim, oracle_minimalize(sums))
 
 
 def oracle_power(a: MonomialIdeal, n: int) -> MonomialIdeal:

@@ -1,5 +1,6 @@
 """Monomial ideal core: construction, minimalization, arithmetic, membership."""
 
+import pickle
 import random
 from itertools import product as iter_product
 
@@ -17,6 +18,7 @@ from multlab import (
     contains,
     ideal,
     ideal_contains,
+    integral_closure,
     is_m_primary,
     m_ideal,
     m_power,
@@ -106,10 +108,34 @@ class TestConstruction:
         (2, ((0, 1), (1, 0, 0)), DimensionMismatchError, "has 3 exponents, expected 2"),
         (2, ((1, 0), (0, 1)), ValueError, "strictly increasing"),
         (2, ((0, 1), (0, 1)), ValueError, "strictly increasing"),
+        (2, ((0, 1), (1, -1)), ValueError, r"exponents must be in \[0, 2147483648\), got -1$"),
+        (2, ((0, MAX_EXPONENT), (1, 0)), ValueError, rf"\), got {MAX_EXPONENT}$"),
+        (2.5, ((0, 1), (1, 0)), ValueError, "dim must be an integer, got 2.5"),
+        ("2", ((0, 1), (1, 0)), ValueError, "dim must be an integer, got '2'"),
     ])
     def test_constructor_refuses_malformed_generators(self, dim, gens, error, message):
         with pytest.raises(error, match=message):
             MonomialIdeal(dim, gens)
+
+    def test_constructor_stores_int_tuples(self):
+        # rows in a list, rows given as lists or arrays, numpy ints: all
+        # stored as a tuple of int tuples, so the ideal hashes and memoizes
+        m = m_ideal(2)
+        for gens in ([(0, 1), (1, 0)], ([0, 1], [1, 0]), [np.array([0, 1]), (np.int64(1), 0)]):
+            I = MonomialIdeal(2, gens)
+            assert I == m and hash(I) == hash(m)
+            assert type(I.gens) is tuple
+            assert all(type(g) is tuple and all(type(e) is int for e in g) for g in I.gens)
+            assert mixed_multiplicity([I, I]) == 1
+
+    @pytest.mark.parametrize("extra", [0, 59])
+    def test_explicit_dim_must_match_the_rows(self, extra):
+        # 2 + extra rows, minimalized in Python or in numpy, then built unchecked
+        gens = [(0, 1), (1, 0)] + [(100 + i, 200 - i) for i in range(extra)]
+        with pytest.raises(DimensionMismatchError, match=r"has 2 exponents, expected 3$"):
+            ideal(gens, dim=3)
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            ideal([()])
 
     @pytest.mark.parametrize("extra", [0, 3, 60])
     def test_exponent_range_is_checked_at_every_size(self, extra):
@@ -131,6 +157,64 @@ class TestConstruction:
         b = ideal([(1, 1), (2, 0), (0, 3), (2, 5)])
         assert a == b
         assert hash(a) == hash(b)
+
+
+def _same(got, want):
+    """`got` equals `want` and hashes like it."""
+    return got == want and hash(got) == hash(want)
+
+
+class TestConstructionPaths:
+    """Every way of building an ideal gives what the checked constructor gives on oracle rows."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.sampled_from([47, 48, 49, 60]), d=st.sampled_from([2, 3]), data=st.data())
+    def test_ideal_matches_oracle_around_the_sweep_size(self, n, d, data):
+        # n distinct rows, so Python sweeps them at n <= 48 and numpy above;
+        # an antichain of 13 x 13 or 7^3 points has at most 13 or 37 rows,
+        # so some rows always divide others
+        top = 12 if d == 2 else 6
+        rows = data.draw(st.lists(st.tuples(*[st.integers(0, top)] * d),
+                                  min_size=n, max_size=n, unique=True))
+        gens = data.draw(st.permutations(rows + data.draw(st.lists(st.sampled_from(rows), max_size=10))))
+        arrays = []
+        with pytest.MonkeyPatch.context() as mp:
+            fast = monomial.minimalize_array
+            mp.setattr(monomial, "minimalize_array", lambda pts: arrays.append(len(pts)) or fast(pts))
+            got = ideal(gens)
+        assert _same(got, MonomialIdeal(d, oracle_minimalize(rows)))
+        assert bool(arrays) == (n > 48)
+
+    @given(st.integers(1, 4), st.integers(0, 6))
+    def test_m_power_matches_oracle(self, d, k):
+        rows = [v for v in iter_product(range(k + 1), repeat=d) if sum(v) == k]
+        assert _same(m_power(d, k), MonomialIdeal(d, oracle_minimalize(rows)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.lists(
+        st.lists(st.tuples(*[st.integers(0, 5)] * d), min_size=1, max_size=12), min_size=2, max_size=2)))
+    def test_product_matches_oracle_on_both_paths(self, pair):
+        a, b = map(ideal, pair)
+        arrays = []
+        with pytest.MonkeyPatch.context() as mp:
+            fast = monomial.product_array
+            mp.setattr(monomial, "product_array", lambda x, y: arrays.append(1) or fast(x, y))
+            got = product(a, b)
+        assert _same(got, oracle_product(a, b))
+        m_powers = None not in (monomial.m_power_degree(a), monomial.m_power_degree(b))
+        assert bool(arrays) == (len(a.gens) * len(b.gens) > 48 and not m_powers)
+
+    def test_pickle_keeps_equality_and_hash(self):
+        I = ideal([(3, 0), (1, 1), (0, 2)])
+        big = ideal([(i, 60 - i) for i in range(61)])
+        built = [
+            I, big, m_power(3, 4), unit_ideal(2), product(I, I), product(big, I),
+            integral_closure(ideal([(4, 0), (0, 4), (3, 2)])), MonomialIdeal(2, [[0, 1], [1, 0]]),
+        ]
+        for J in built:
+            back = pickle.loads(pickle.dumps(J))
+            assert _same(back, J) and is_m_primary(back) == is_m_primary(J)
+            assert back.gens == J.gens and repr(back) == repr(J)
 
 
 class TestMinimalize:
@@ -255,6 +339,11 @@ class TestArithmetic:
             power(B, -1)
         with pytest.raises(ValueError, match="k must be >= 0"):
             m_power(2, -1)
+        # m_power builds its rows unchecked, so it checks dim and k itself
+        with pytest.raises(ValueError, match=rf"\), got {MAX_EXPONENT}$"):
+            m_power(1, MAX_EXPONENT)
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            m_power(0, 2)
 
     def test_powers_take_integers_only(self):
         B = parse_ideal("(x^2, y)")
@@ -382,4 +471,4 @@ def test_ideal_roundtrip_through_array(gens):
     I = ideal(gens)
     arr = as_array(I)
     assert tuple(map(tuple, arr.tolist())) == I.gens
-    assert MonomialIdeal(I.dim, I.gens) == I
+    assert _same(MonomialIdeal(I.dim, I.gens), I)

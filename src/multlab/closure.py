@@ -45,9 +45,9 @@ import numpy as np
 from . import counting
 from .monomial import (
     MonomialIdeal,
+    _built,
     box_bounds,
     contains,
-    ideal_from_array,
     integer_exponents,
 )
 
@@ -167,14 +167,14 @@ def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
     a.v >= b of Newt(I) from `_newton_facets` has a_c > 0 on every axis c,
     since a_c * b_c >= b > 0 at x_c^(b_c), so the closure is a height
     field along one axis (see `_closure_corners`), and its minimal
-    generators are read off the field's corners; nothing is minimalized
-    afterwards.  The box is checked by `check_int64` before the facets
-    are built.
+    generators are the field's corners, an antichain with every v_i <= b_i,
+    so nothing is minimalized or checked afterwards.  The box is checked by
+    `check_int64` before the facets are built.
     """
     bounds = box_bounds(I)
     check_int64(bounds)
     A, (b,) = _newton_facets([I.gens])
-    return ideal_from_array(I.dim, _closure_corners(A, b, bounds))
+    return _built(I.dim, tuple(sorted(map(tuple, _closure_corners(A, b, bounds).tolist()))))
 
 
 def check_int64(bounds) -> None:

@@ -9,9 +9,10 @@ needs lambda(R / I_1^{n_1} ... I_s^{n_s}) on many nearby exponent vectors.
 Both build every field with one kernel, `multiply_field`: `colength`
 multiplies the unit ideal's empty field by I once, and the sampler climbs
 product by product.
-Each ideal's generators are split once per sampler into the slices and
-heights the field kernel reads (`counting.field_rows`), so a product does
-no per-generator set-up.
+The kernels read each ideal's stored rows as they are, checked once when
+the ideal was built.  Each ideal's generators are split once per sampler
+into the slices and heights the field kernel reads (`counting.field_rows`),
+so a product does no per-generator set-up.
 `colengths` takes all the points of a difference round at once: it checks
 and keys each point once, builds their products in one prefix walk from
 the unit ideal through their meet, slot by slot, and reads every point's
@@ -36,7 +37,6 @@ from .counting import count_grid, count_naive, field_count, height_axis
 from .counting import field_dtype, field_rows, multiply_field
 from .monomial import (
     MonomialIdeal,
-    as_array,
     box_bounds,
     common_dim,
     integer_exponents,
@@ -67,14 +67,14 @@ def colength(I: MonomialIdeal) -> int:
     k = m_power_degree(I)
     if k is not None:
         return comb(k - 1 + I.dim, I.dim)
-    return count_grid(as_array(I), box_bounds(I))
+    return count_grid(I.gens, box_bounds(I))
 
 
 def colength_naive(I: MonomialIdeal) -> int:
     """Reference colength by exhaustive box enumeration (small ideals only)."""
     if I.is_unit:
         return 0
-    return count_naive(as_array(I), box_bounds(I))
+    return count_naive(I.gens, box_bounds(I))
 
 
 class ProductSampler:
@@ -99,13 +99,12 @@ class ProductSampler:
         self.dim = d
         self._m_degrees = [m_power_degree(I) for I in ideals]
         self._all_m = all(k is not None for k in self._m_degrees)
-        gens = [as_array(I) for I in ideals]
         self._units = {j for j, I in enumerate(ideals) if I.is_unit}
         axis = height_axis([sum(b[i] for b in bounds) for i in range(d)])
-        self._rows = [field_rows(g, b, axis) for g, b in zip(gens, bounds)]
+        self._rows = [field_rows(I.gens, b, axis) for I, b in zip(ideals, bounds)]
         # a product costs one min-plus update per generator of the ideal it
         # adds, so the walk climbs the costliest slots where groups are fewest
-        self._cheapest = sorted(range(len(ideals)), key=lambda j: len(gens[j]))
+        self._cheapest = sorted(range(len(ideals)), key=lambda j: len(ideals[j].gens))
 
     def _grow(self, points) -> dict[tuple[int, ...], int]:
         """The counts of `points`, from one prefix walk through their meet.

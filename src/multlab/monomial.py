@@ -6,17 +6,17 @@ finite set of generators.  Ideals are kept in canonical form: the
 generators are the divisibility-minimal antichain, sorted lexicographically,
 so equal ideals compare equal as values.
 
-All arithmetic is exact; results are ordinary Python ints.  Rows are
-converted to ints and checked once, where they enter: a generating set in
-`minimalize` (so in `ideal`), the rows handed to the public
-`MonomialIdeal(...)` in its constructor.  Rows must have one length and
-every exponent must lie in [0, MAX_EXPONENT) before any numpy work, so
-int64 sums of generators never wrap.  Rows that are checked already, those
-of `ideal` and `m_power` and small products, build their ideal through the
-private `_built` and are not checked again; sums made in numpy go through
-the public constructor.  Every ideal computes its hash and its pure-power
-bounds once, when it is built, so memo lookups, `is_m_primary` and
-`box_bounds` read them without a pass over the generators.
+All arithmetic is exact; results are ordinary Python ints.  Rows from
+outside are converted to ints and checked once, where they enter: a
+generating set in `minimalize` (so in `ideal`), the rows handed to the
+public `MonomialIdeal(...)` (user calls, unpickling).  Rows must have one
+length and every exponent must lie in [0, MAX_EXPONENT) before any numpy
+work, so int64 sums of generators never wrap.  Every ideal the library
+computes builds through the private `_built` with no second check; only a
+product's sums are range-checked, since two exponents in range can sum
+past it.  Every ideal computes its hash and its pure-power bounds once,
+when it is built, so memo lookups, `is_m_primary` and `box_bounds` read
+them without a pass over the generators.
 
 Up to 48 distinct monomials are minimalized by one sweep in lex order
 against the rows kept so far; larger generator sets are minimalized as
@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain, combinations_with_replacement
 from math import comb, prod
-from operator import add, index, le
+from operator import add, index, le, sub
 
 import numpy as np
 
@@ -181,7 +181,8 @@ def ideal(gens, dim: int | None = None) -> MonomialIdeal:
 
 
 def unit_ideal(dim: int) -> MonomialIdeal:
-    return MonomialIdeal(dim, ((0,) * dim,))
+    gens = ((0,) * dim,)
+    return _built(_dimension(dim), gens)
 
 
 def m_ideal(dim: int) -> MonomialIdeal:
@@ -190,7 +191,11 @@ def m_ideal(dim: int) -> MonomialIdeal:
 
 
 def m_power(dim: int, k: int) -> MonomialIdeal:
-    """m^k, generated by all monomials of total degree k."""
+    """m^k, generated by all monomials of total degree k.
+
+    Each row is the gaps between cuts 0 <= c_1 <= ... <= c_{d-1} <= k; the
+    cuts in lex order give the rows in lex order, at O(d) a row.
+    """
     dim, k = integer(dim, "dim"), integer(k, "k")
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -198,13 +203,9 @@ def m_power(dim: int, k: int) -> MonomialIdeal:
         return unit_ideal(dim)
     dim = _dimension(dim)
     check_exponents((k,))
-    gens = []
-    for pick in combinations_with_replacement(range(dim), k):
-        g = [0] * dim
-        for i in pick:
-            g[i] += 1
-        gens.append(tuple(g))
-    return _built(dim, tuple(sorted(gens)))
+    # the pool range(k + 1) is built whole, so d = 1, which cuts nothing, gets none
+    cuts = combinations_with_replacement(range(k + 1) if dim > 1 else (), dim - 1)
+    return _built(dim, tuple([tuple(map(sub, c + (k,), (0,) + c)) for c in cuts]))
 
 
 def m_power_degree(ideal_: MonomialIdeal) -> int | None:
@@ -255,11 +256,6 @@ def _sweep(pts) -> tuple[Monomial, ...]:
 
 def as_array(ideal_: MonomialIdeal) -> np.ndarray:
     return np.array(ideal_.gens, dtype=np.int64)
-
-
-def ideal_from_array(dim: int, arr: np.ndarray) -> MonomialIdeal:
-    gens = tuple(sorted(map(tuple, arr.tolist())))
-    return MonomialIdeal(dim, gens)
 
 
 _GRID_CELL_CAP = 30_000_000
@@ -359,8 +355,9 @@ def product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
         sums = {tuple(map(add, g, h)) for g in a.gens for h in b.gens}
         check_exponents(tuple(chain.from_iterable(sums)))
         return _built(a.dim, _sweep(sums))
-    arr = product_array(as_array(a), as_array(b))
-    return ideal_from_array(a.dim, arr)
+    arr = product_array(as_array(a), as_array(b))  # an antichain in lex order
+    check_exponents((int(arr.max()),))
+    return _built(a.dim, tuple(map(tuple, arr.tolist())))
 
 
 def product_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import pickle
 import random
+from itertools import combinations_with_replacement
 from itertools import product as iter_product
 
 import numpy as np
@@ -75,6 +76,11 @@ class TestConstruction:
         assert R.is_unit
         assert R.gens == ((0, 0, 0),)
         assert ideal([(0, 0), (1, 2)]).is_unit  # 1 divides everything
+        assert unit_ideal(np.int64(2)) == ideal([(0, 0)]) and type(unit_ideal(np.int64(2)).dim) is int
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            unit_ideal(0)
+        with pytest.raises(TypeError):
+            unit_ideal(1.5)
 
     def test_m_ideal_and_powers(self):
         m = m_ideal(2)
@@ -190,6 +196,17 @@ class TestConstructionPaths:
         rows = [v for v in iter_product(range(k + 1), repeat=d) if sum(v) == k]
         assert _same(m_power(d, k), MonomialIdeal(d, oracle_minimalize(rows)))
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_m_power_rows_are_the_counted_picks(self, d):
+        # the rows of m^k once counted each pick of k variables, then sorted
+        for k in range(1, 7):
+            picks = [tuple(map(pick.count, range(d))) for pick in combinations_with_replacement(range(d), k)]
+            assert m_power(d, k).gens == tuple(sorted(picks))
+
+    def test_m_power_costs_per_row_not_per_degree(self):
+        # one row of degree 2**31 - 1 is written, not counted
+        assert m_power(1, MAX_EXPONENT - 1).gens == ((MAX_EXPONENT - 1,),)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 3).flatmap(lambda d: st.lists(
         st.lists(st.tuples(*[st.integers(0, 5)] * d), min_size=1, max_size=12), min_size=2, max_size=2)))
@@ -203,6 +220,43 @@ class TestConstructionPaths:
         assert _same(got, oracle_product(a, b))
         m_powers = None not in (monomial.m_power_degree(a), monomial.m_power_degree(b))
         assert bool(arrays) == (len(a.gens) * len(b.gens) > 48 and not m_powers)
+
+    def test_computed_ideals_are_built_unchecked_as_the_constructor_builds(self, monkeypatch):
+        # closures, products past the sweep size and unit ideals are built
+        # from trusted rows; the checked constructor on the same rows agrees
+        rng = random.Random(35)
+        draws = [random_mprimary(rng, d, max_power=6, extras=4, mixed=True)
+                 for d in (2, 3, 4) for _ in range(6)]
+        big = ideal([(i, 60 - i) for i in range(61)])
+        checked = []
+        post_init = MonomialIdeal.__post_init__
+        monkeypatch.setattr(MonomialIdeal, "__post_init__",
+                            lambda self: checked.append(1) or post_init(self))
+        built = [integral_closure(I) for I in draws]
+        pairs = [(big, draws[0]), (built[-1], draws[-1])]
+        built += [product(a, b) for a, b in pairs] + [unit_ideal(d) for d in (1, 2, 4)]
+        assert not checked
+        assert all(len(a.gens) * len(b.gens) > 48 for a, b in pairs)
+        for J in built:
+            want = MonomialIdeal(J.dim, J.gens)
+            back = pickle.loads(pickle.dumps(J))
+            assert _same(J, want) and _same(back, want) and back.gens == J.gens
+            assert J._bounds == want._bounds
+
+    def test_array_path_products_check_their_range(self):
+        # two exponents in range can sum past it, so the numpy path checks its rows once
+        arrays = []
+        with pytest.MonkeyPatch.context() as mp:
+            fast = monomial.product_array
+            mp.setattr(monomial, "product_array", lambda x, y: arrays.append(1) or fast(x, y))
+            steps = [(i, 8 - i) for i in range(8)]
+            top = ideal([(MAX_EXPONENT // 2, 0)] + steps)
+            with pytest.raises(ValueError, match=rf"^exponents must be in \[0, {MAX_EXPONENT}\), got {MAX_EXPONENT}$"):
+                product(top, top)
+            below = ideal([(MAX_EXPONENT // 2 - 1, 0)] + steps)
+            got = product(below, below)
+        assert arrays == [1, 1]
+        assert got.gens[-1] == (MAX_EXPONENT - 2, 0) and _same(got, oracle_product(below, below))
 
     def test_pickle_keeps_equality_and_hash(self):
         I = ideal([(3, 0), (1, 1), (0, 2)])

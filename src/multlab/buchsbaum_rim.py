@@ -10,19 +10,22 @@ collapse to one weighted sum of them, one `closure.colength_sum` on one
 Newton hull.  `br_direct`, the oracle, extracts (d+r-1)! times the leading
 coefficient from a stabilized difference table.  The two routes share
 neither the difference window nor the hull, so their agreement is a real
-cross-check.
+cross-check.  Both routes, and `module_colength`, take their compositions
+from `monomial.compositions`, the enumerator that also writes the
+generators of m^k.  `scale_by_m` is the one multiplication by m, of an
+ideal or of each column of a module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from math import comb, factorial
+from math import comb
 
 from .closure import colength_sum
 from .lengths import ProductSampler, colength
-from .monomial import MonomialIdeal, common_dim, integer, integer_exponents, is_m_primary
-from .monomial import scale_by_m as _scale_ideal
+from .monomial import MonomialIdeal, common_dim, compositions, integer, integer_exponents
+from .monomial import is_m_primary, m_ideal, product
 from .multiplicity import _heuristic_base, _positive, stabilize
 
 _BR_KIND = "Buchsbaum-Rim multiplicities of proper submodules"
@@ -67,26 +70,23 @@ def module(ideals) -> DirectSumModule:
     return DirectSumModule(tuple(ideals))
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` non-negative ints summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head, *rest)
+def _module_colengths(sampler: ProductSampler, ns) -> list[int]:
+    """lambda(Sym^n F / E^n) for each n of `ns`, E the direct sum of the sampler's ideals.
+
+    Every composition of every n goes to the sampler in one `colengths`
+    call, one prefix walk, and each n sums its C(n + r - 1, r - 1) values.
+    """
+    r = len(sampler.ideals)
+    values = iter(sampler.colengths([a for n in ns for a in compositions(n, r)]))
+    return [sum(islice(values, comb(n + r - 1, r - 1))) for n in ns]
 
 
 def module_colength(E: DirectSumModule, n: int) -> int:
-    """lambda(Sym^n F / E^n): sum of product colengths over compositions of n.
-
-    The products of all the compositions are built in one prefix walk of
-    the sampler, n = 0 included.
-    """
+    """lambda(Sym^n F / E^n): sum of product colengths over compositions of n, n = 0 included."""
     (n,) = integer_exponents((n,))
     if n < 0:
         raise ValueError("n must be non-negative")
-    return sum(ProductSampler(E.ideals).colengths(list(_compositions(n, E.rank))))
+    return _module_colengths(ProductSampler(E.ideals), [n])[0]
 
 
 def _proper_columns(E: DirectSumModule) -> list[MonomialIdeal]:
@@ -102,21 +102,15 @@ def br_direct(E: DirectSumModule) -> int:
     Takes the (d + r - 1)-th difference of n |-> module_colength(E, n) at a
     stabilized base; the constant window certifies that the polynomial
     degree is exactly d + r - 1 with the expected leading behaviour.  Each
-    round hands the compositions of all its n to the sampler in one
-    `colengths` call, one prefix walk from the unit ideal through their
-    meet, and sums each n's colengths from that one result.  The sampler
-    is this call's own, so nothing it builds outlives the call.
+    round's module colengths come from one `colengths` call, one prefix
+    walk from the unit ideal through their meet.  The sampler is this
+    call's own, so nothing it builds outlives the call.
     """
     proper = _proper_columns(E)
-    d, r = E.dim, E.rank
-    order = d + r - 1
+    d = E.dim
     sampler = ProductSampler(E.ideals)
-
-    def evaluate(points):
-        values = iter(sampler.colengths([a for (n,) in points for a in _compositions(n, r)]))
-        return [sum(islice(values, comb(n + r - 1, r - 1))) for (n,) in points]
-
-    table = stabilize(evaluate, (order,), base=_heuristic_base(proper, d))
+    table = stabilize(lambda points: _module_colengths(sampler, [n for (n,) in points]),
+                      (d + E.rank - 1,), base=_heuristic_base(proper, d))
     return _positive(table.result, "difference table", _BR_KIND)
 
 
@@ -136,7 +130,7 @@ def br_via_mixed(E: DirectSumModule) -> int:
     terms = [
         (t, (-1) ** (d - k) * comb(d + r - 1, k + r - 1))
         for k in range(d + 1)
-        for t in _compositions(k, r)
+        for t in compositions(k, r)
     ]
     return _positive(colength_sum(proper, terms), "the Newton route", _BR_KIND)
 
@@ -144,25 +138,19 @@ def br_via_mixed(E: DirectSumModule) -> int:
 def scale_by_m(x):
     """Multiply by the maximal ideal: ideals map to m*I, modules columnwise."""
     if isinstance(x, DirectSumModule):
-        return DirectSumModule(tuple(_scale_ideal(I) for I in x.ideals))
+        return DirectSumModule(tuple(map(scale_by_m, x.ideals)))
     if isinstance(x, MonomialIdeal):
-        return _scale_ideal(x)
+        return product(m_ideal(x.dim), x)
     raise TypeError(f"cannot scale {type(x).__name__} by m")
 
 
 def composition_count(d: int, r: int) -> tuple[int, int]:
     """(number of compositions of d into r parts, per-term Lech constant).
 
-    The second entry is (d + r - 1)! / (r! (d - 1)!), which equals d/r times
-    the first; the divisibility is checked rather than assumed.
+    The second entry is (d + r - 1)! / (r! (d - 1)!) = C(d + r - 1, r),
+    which equals d/r times the first.
     """
     d, r = integer(d, "d"), integer(r, "r")
     if d < 1 or r < 1:
         raise ValueError("d and r must be positive")
-    count = comb(d + r - 1, r - 1)
-    constant = factorial(d + r - 1) // (factorial(r) * factorial(d - 1))
-    if constant * factorial(r) * factorial(d - 1) != factorial(d + r - 1):
-        raise ArithmeticError("Lech constant is not integral")  # unreachable
-    if constant * r != d * count:
-        raise ArithmeticError("composition identity failed")  # unreachable
-    return count, constant
+    return comb(d + r - 1, r - 1), comb(d + r - 1, r)

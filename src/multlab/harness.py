@@ -28,7 +28,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import combinations, count, repeat
+from itertools import chain, combinations, count, repeat
 from math import factorial, inf
 from typing import Callable, Iterator, NamedTuple
 
@@ -351,17 +351,16 @@ def run_suite(config: CorpusConfig) -> Iterator[InequalityReport]:
     """Yield a report for every applicable check over the seeded corpus.
 
     Reports come check by check, each in index order, from one process or
-    from a pool of `config.jobs` workers alike.  Usage errors raise at the
-    call, before any report is made.
+    from a pool of `config.jobs` workers alike.  The (check, index) pairs
+    are generated as they are consumed, so the serial path holds none of
+    them ahead.  Usage errors raise at the call, before any report is made.
     """
-    tasks = [
-        (check, index)
-        for check in _applicable_checks(config)
-        for index in range(config.instances)
-    ]
-    args = (repeat(config), *zip(*tasks))
-    if config.jobs > 1 and len(tasks) > 1:
-        return _pooled(min(config.jobs, len(tasks)), args)
+    checks, n = _applicable_checks(config), config.instances
+    names = chain.from_iterable(repeat(check, n) for check in checks)
+    args = (repeat(config), names, chain.from_iterable(repeat(range(n), len(checks))))
+    tasks = len(checks) * n
+    if config.jobs > 1 and tasks > 1:
+        return _pooled(min(config.jobs, tasks), args)
     return map(run_instance, *args)
 
 

@@ -18,6 +18,10 @@ past it.  Every ideal computes its hash and its pure-power bounds once,
 when it is built, so memo lookups, `is_m_primary` and `box_bounds` read
 them without a pass over the generators.
 
+`compositions(total, parts)` lists the tuples of a given sum in lex order
+by stars and bars: the generators of m^k, and the index sets of the
+Buchsbaum-Rim sums.
+
 Up to 48 distinct monomials are minimalized by one sweep in lex order
 against the rows kept so far; larger generator sets are minimalized as
 int64 arrays by `minimalize_array`: one lex sort drops the duplicates,
@@ -181,8 +185,8 @@ def ideal(gens, dim: int | None = None) -> MonomialIdeal:
 
 
 def unit_ideal(dim: int) -> MonomialIdeal:
-    gens = ((0,) * dim,)
-    return _built(_dimension(dim), gens)
+    dim = _dimension(dim)
+    return _built(dim, ((0,) * dim,))
 
 
 def m_ideal(dim: int) -> MonomialIdeal:
@@ -191,11 +195,7 @@ def m_ideal(dim: int) -> MonomialIdeal:
 
 
 def m_power(dim: int, k: int) -> MonomialIdeal:
-    """m^k, generated by all monomials of total degree k.
-
-    Each row is the gaps between cuts 0 <= c_1 <= ... <= c_{d-1} <= k; the
-    cuts in lex order give the rows in lex order, at O(d) a row.
-    """
+    """m^k, generated by all monomials of total degree k: the compositions of k."""
     dim, k = integer(dim, "dim"), integer(k, "k")
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -203,9 +203,21 @@ def m_power(dim: int, k: int) -> MonomialIdeal:
         return unit_ideal(dim)
     dim = _dimension(dim)
     check_exponents((k,))
-    # the pool range(k + 1) is built whole, so d = 1, which cuts nothing, gets none
-    cuts = combinations_with_replacement(range(k + 1) if dim > 1 else (), dim - 1)
-    return _built(dim, tuple([tuple(map(sub, c + (k,), (0,) + c)) for c in cuts]))
+    return _built(dim, tuple(compositions(k, dim)))
+
+
+def compositions(total: int, parts: int) -> list[Monomial]:
+    """Every tuple of `parts` (>= 1) non-negative ints summing to `total`, in lex order.
+
+    Each row is the gaps between cuts 0 <= c_1 <= ... <= c_{parts-1} <= total;
+    the cuts in lex order give the rows in lex order, at O(parts) a row.
+
+    >>> compositions(2, 2)
+    [(0, 2), (1, 1), (2, 0)]
+    """
+    # the pool range(total + 1) is built whole, so one part, which cuts nothing, gets none
+    cuts = combinations_with_replacement(range(total + 1) if parts > 1 else (), parts - 1)
+    return [tuple(map(sub, c + (total,), (0,) + c)) for c in cuts]
 
 
 def m_power_degree(ideal_: MonomialIdeal) -> int | None:
@@ -414,7 +426,3 @@ def box_bounds(ideal_: MonomialIdeal) -> tuple[int, ...]:
         )
     return bounds
 
-
-def scale_by_m(ideal_: MonomialIdeal) -> MonomialIdeal:
-    """m * I."""
-    return product(m_ideal(ideal_.dim), ideal_)

@@ -24,6 +24,7 @@ from multlab import (
     unit_ideal,
 )
 from multlab import closure
+from multlab.monomial import compositions
 
 from conftest import random_mprimary
 
@@ -106,6 +107,16 @@ class TestBuchsbaumRim:
         Emix = module([m_ideal(2), parse_ideal("(x^2, y^2)")])
         assert br_direct(Emix) == 7
         assert br_via_mixed(Emix) == 7
+        # m^a_1 + ... + m^a_r has br = h_d(a_1, ..., a_r), the complete
+        # homogeneous polynomial: h_2(1, 2) = 1 + 2 + 4 and h_3(1, 2, 3) = 90
+        for E, want in ((module([m_ideal(2), m_power(2, 2)]), 7),
+                        (module([m_ideal(3), m_power(3, 2), m_power(3, 3)]), 90)):
+            assert br_direct(E) == want
+            assert br_via_mixed(E) == want
+
+    def test_rank_past_the_recursion_limit(self):
+        # 1 100 columns (x^2) in d = 1: br = the sum of the column multiplicities
+        assert br_via_mixed(module([parse_ideal("(x^2)")] * 1100)) == 2200
 
     def test_rank_one_is_hilbert_samuel(self, rng):
         for _ in range(6):
@@ -198,12 +209,10 @@ class TestCompositionCount:
         assert composition_count(1, 1) == (1, 1)
 
     def test_counts_match_enumeration(self):
-        from multlab.buchsbaum_rim import _compositions
-
         for d in range(1, 6):
             for r in range(1, 5):
                 count, constant = composition_count(d, r)
-                assert count == len(list(_compositions(d, r)))
+                assert count == len(compositions(d, r))
                 assert constant * r == d * count
 
     def test_rejects_bad_args(self):

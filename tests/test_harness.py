@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from dataclasses import replace
 from itertools import islice
@@ -257,6 +258,18 @@ class TestSuite:
         pooled = list(run_suite(cfg))
         assert opened == [2]
         assert pooled == list(run_suite(replace(cfg, jobs=1)))
+
+    def test_serial_suite_makes_no_task_list(self):
+        # the first of 4 * 10**5 reports comes before any list of the
+        # (check, index) pairs is built; such a list peaks at about 67 MiB
+        tracemalloc.start()
+        try:
+            first = next(run_suite(CorpusConfig(dim=2, rank=3, instances=10**5)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (first.check, first.index) == ("lech_classical", 0)
+        assert peak < 4 * 2**20, peak
 
     def test_fuzz_finishes_one_round_of_checks(self):
         cfg = CorpusConfig(seed=0, dim=2, rank=3)

@@ -26,6 +26,7 @@ from multlab import (
     parse_ideal,
     power,
     product,
+    scale_by_m,
     stabilize,
     unit_ideal,
 )
@@ -34,7 +35,7 @@ from multlab.buchsbaum_rim import br_direct, module, module_colength
 from multlab.counting import count_grid, count_naive, field_count
 from multlab.counting import field_rows, multiply_field
 from multlab.lengths import MEMO_ENTRIES
-from multlab.monomial import as_array, box_bounds, scale_by_m
+from multlab.monomial import as_array, box_bounds
 
 from conftest import oracle_colength, oracle_field, oracle_power, oracle_product, random_mprimary
 

@@ -4,6 +4,7 @@ import pickle
 import random
 from itertools import combinations_with_replacement
 from itertools import product as iter_product
+from math import comb
 
 import numpy as np
 import pytest
@@ -30,10 +31,11 @@ from multlab import (
     parse_ideal,
     power,
     product,
+    scale_by_m,
     unit_ideal,
 )
 from multlab import monomial
-from multlab.monomial import MAX_EXPONENT, as_array, minimalize_array, scale_by_m
+from multlab.monomial import MAX_EXPONENT, as_array, compositions, minimalize_array
 
 from conftest import oracle_minimalize, oracle_power, oracle_product, random_mprimary
 
@@ -79,7 +81,7 @@ class TestConstruction:
         assert unit_ideal(np.int64(2)) == ideal([(0, 0)]) and type(unit_ideal(np.int64(2)).dim) is int
         with pytest.raises(ValueError, match="dim must be >= 1"):
             unit_ideal(0)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="dim must be an integer, got 1.5"):
             unit_ideal(1.5)
 
     def test_m_ideal_and_powers(self):
@@ -88,6 +90,27 @@ class TestConstruction:
         assert m_power(2, 3).gens == ((0, 3), (1, 2), (2, 1), (3, 0))
         assert m_power(2, 1) == m
         assert m_power(3, 0) == unit_ideal(3)
+
+    def test_compositions_are_the_rows_of_m_powers_in_lex_order(self):
+        def recursive(total, parts):
+            # the reference: one nested generator per part, so its depth is the part count
+            if parts == 1:
+                yield (total,)
+                return
+            for head in range(total + 1):
+                for rest in recursive(total - head, parts - 1):
+                    yield (head, *rest)
+
+        for parts in range(1, 6):
+            for total in range(6):
+                rows = compositions(total, parts)
+                assert rows == list(recursive(total, parts)), (total, parts)
+                if total:
+                    assert tuple(rows) == m_power(parts, total).gens
+        # far past the depth at which the reference raises RecursionError (about 990 parts)
+        for parts in (1, 2, 7, 100, 1100):
+            for total in range(3 if parts <= 100 else 2):
+                assert len(compositions(total, parts)) == comb(total + parts - 1, parts - 1)
 
     def test_non_integer_exponents_and_dim_are_refused(self):
         for gens in ([(1.5, 0), (0, 1)], [(2.0, 0), (0, 1)]):

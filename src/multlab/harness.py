@@ -27,8 +27,9 @@ import hashlib
 import json
 import random
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, combinations, count, repeat
+from itertools import combinations, count, islice, starmap
 from math import factorial, inf
 from typing import Callable, Iterator, NamedTuple
 
@@ -353,23 +354,37 @@ def run_suite(config: CorpusConfig) -> Iterator[InequalityReport]:
     Reports come check by check, each in index order, from one process or
     from a pool of `config.jobs` workers alike.  The (check, index) pairs
     are generated as they are consumed, so the serial path holds none of
-    them ahead.  Usage errors raise at the call, before any report is made.
+    them ahead, and a pool keeps a window of two chunks of 4 tasks per
+    worker in flight: it submits one more chunk as it yields the reports
+    of the oldest.  Closing the stream early cancels the chunks not yet
+    started and waits for the workers to exit.  Usage errors raise at the
+    call, before any report is made.
     """
     checks, n = _applicable_checks(config), config.instances
-    names = chain.from_iterable(repeat(check, n) for check in checks)
-    args = (repeat(config), names, chain.from_iterable(repeat(range(n), len(checks))))
-    tasks = len(checks) * n
-    if config.jobs > 1 and tasks > 1:
-        return _pooled(min(config.jobs, tasks), args)
-    return map(run_instance, *args)
+    tasks = ((config, check, index) for check in checks for index in range(n))
+    if config.jobs > 1 and len(checks) * n > 1:
+        return _pooled(min(config.jobs, len(checks) * n), tasks)
+    return starmap(run_instance, tasks)
 
 
-def _pooled(workers: int, args) -> Iterator[InequalityReport]:
+def _run_chunk(tasks) -> list[InequalityReport]:
+    return list(starmap(run_instance, tasks))
+
+
+def _pooled(workers: int, tasks) -> Iterator[InequalityReport]:
     # imported here: concurrent.futures and multiprocessing cost every serial run about 20 ms
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(run_instance, *args, chunksize=4)
+    pool = ProcessPoolExecutor(max_workers=workers)
+    chunks = iter(lambda: tuple(islice(tasks, 4)), ())  # 4 tasks per submission
+    submitted = (pool.submit(_run_chunk, chunk) for chunk in chunks)
+    try:
+        window = deque(islice(submitted, 2 * workers))
+        while window:
+            window.extend(islice(submitted, 1))
+            yield from window.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def fuzz(config: CorpusConfig, seconds: float) -> Iterator[InequalityReport]:

@@ -27,7 +27,6 @@ multiplicities.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import groupby
 from math import comb
 from operator import add, itemgetter, mul
 
@@ -110,36 +109,44 @@ class ProductSampler:
         """The counts of `points`, from one prefix walk through their meet.
 
         The walk climbs from the unit ideal's empty field to the meet, then
-        takes the slots in reverse of `_cheapest`: at each level it climbs
-        that slot from the meet through the sorted values the group's points
-        take there, recursing into the points with each value, and counts
-        the one point left at the last level.  It holds the meet's field and
-        at most one more per slot, and no product once it returns.
+        takes the slots in reverse of `_cheapest` and the points in lex
+        order of their values on those slots.  A stack holds one (field,
+        box) per level, level k + 1 being level k with slot k climbed to the
+        point's value.  Each point keeps the levels it shares with the point
+        before (the meet, for the first), climbs the first slot where they
+        differ from that point's value to its own, climbs each later slot
+        from the meet, and counts the last level.  The walk holds the meet's
+        field and at most one more per slot, and no product once it
+        returns; it is a loop, so any number of slots fits the stack of the
+        interpreter.
         """
-        meet = tuple(map(min, zip(*points)))
         slots = self._cheapest[::-1]
-        counts = {}
+        meet = tuple(map(min, zip(*points)))
 
-        def climb(held, box, j, steps):
+        def climb(level, j, steps):
+            held, box = level
             for _ in range(steps):
                 held = multiply_field(held, box, self._rows[j])
                 box = tuple(map(add, box, self._rows[j].bounds))
             return held, box
 
-        def walk(group, k, held, box):
-            if k == len(slots):
-                counts[group[0]] = field_count(held)
-                return
-            j, at = slots[k], meet[slots[k]]
-            for v, sub in groupby(sorted(group, key=itemgetter(j)), itemgetter(j)):
-                held, box = climb(held, box, j, v - at)
-                at = v
-                walk(list(sub), k + 1, held, box)
-
-        held, box = np.zeros((0,) * (self.dim - 1), field_dtype(0)), (0,) * self.dim
+        level = np.zeros((0,) * (self.dim - 1), field_dtype(0)), (0,) * self.dim
         for j in slots:
-            held, box = climb(held, box, j, meet[j])
-        walk(list(points), 0, held, box)
+            level = climb(level, j, meet[j])
+        stack, prev, counts = [level] * (len(slots) + 1), meet, {}
+        for p in sorted(set(points), key=itemgetter(*slots)):
+            # k: the level of slot j, the first where the point leaves the
+            # one before; the meet itself, as the first point, leaves it
+            # nowhere, so k ends at the last slot and climbs it 0 steps
+            for k, j in enumerate(slots):
+                if p[j] != prev[j]:
+                    break
+            del stack[k + 2:]
+            stack[k + 1] = climb(stack[k + 1], j, p[j] - prev[j])
+            for i, j in enumerate(slots[k + 1:], k + 1):
+                stack.append(climb(stack[i], j, p[j] - meet[j]))
+            counts[p] = field_count(stack[-1][0])
+            prev = p
         return counts
 
     def _key(self, n) -> tuple[int, ...]:

@@ -22,20 +22,19 @@ them without a pass over the generators.
 by stars and bars: the generators of m^k, and the index sets of the
 Buchsbaum-Rim sums.
 
-Up to 48 distinct monomials are minimalized by one sweep in lex order
-against the rows kept so far; larger generator sets are minimalized as
-int64 arrays by `minimalize_array`: one lex sort drops the duplicates,
-then past 1024 rows a prefix-min grid runs when it fits under
-`_GRID_CELL_CAP` cells, and a sweep over lex-ordered blocks of 1024 rows
-handles everything else.  Lex order suffices because a divisor of a
-monomial always comes before it.
+Every generating set, of any size, is minimalized by one pure-Python sweep
+(`_sweep`): the distinct rows are taken by degree, then lex, and a row is
+kept unless a kept row of smaller degree divides it; two rows of one degree
+never divide each other, so they are never compared.  `minimalize` (so
+`ideal`) and `product` each take that one path; a product of two powers of
+m is m to the summed power, built with no sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, combinations_with_replacement
-from math import comb, prod
+from math import comb
 from operator import add, index, le, sub
 
 import numpy as np
@@ -81,10 +80,6 @@ def _dimension(value) -> int:
     if dim < 1:
         raise ValueError("dim must be >= 1")
     return dim
-
-
-def degree(a: Monomial) -> int:
-    return sum(a)
 
 
 @dataclass(frozen=True)
@@ -222,12 +217,10 @@ def compositions(total: int, parts: int) -> list[Monomial]:
 
 def m_power_degree(ideal_: MonomialIdeal) -> int | None:
     """k if the ideal equals m^k, else None.  Recognized in O(#gens)."""
-    k = degree(ideal_.gens[0])
-    if any(degree(g) != k for g in ideal_.gens):
-        return None
-    if len(ideal_.gens) != comb(k + ideal_.dim - 1, ideal_.dim - 1):
-        return None
-    return k
+    gens, k = ideal_.gens, sum(ideal_.gens[0])
+    if all(sum(g) == k for g in gens) and len(gens) == comb(k + ideal_.dim - 1, ideal_.dim - 1):
+        return k
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -247,94 +240,37 @@ def minimalize(gens) -> tuple[Monomial, ...]:
     if len(lengths) > 1:
         raise DimensionMismatchError(f"generators have different lengths {sorted(lengths)}")
     check_exponents(tuple(chain.from_iterable(pts)))
-    if len(pts) <= 48:
-        return _sweep(pts)
-    arr = np.array(sorted(pts), dtype=np.int64)
-    return tuple(map(tuple, minimalize_array(arr).tolist()))
+    return _sweep(pts)
 
 
 def _sweep(pts) -> tuple[Monomial, ...]:
-    """The minimal rows of the set `pts`, in lex order, by one lex sweep.
+    """The minimal rows of the set `pts`, in lex order, by one degree-layered sweep.
 
-    A divisor of a row comes before it, so a row is kept when no row kept
-    so far divides it (as in `minimalize_array`).
+    Rows are taken by degree, then lex.  A proper divisor of a row has
+    smaller degree, so a row is kept unless a row kept from a smaller
+    degree divides it, and two rows of one degree are never compared: an
+    antichain of one degree, such as the rows of m^k, costs one pass.
     """
-    kept = []
-    for p in sorted(pts):
-        if not any(all(map(le, q, p)) for q in kept):
+    kept, below, at = [], 0, None
+    for s, p in sorted([(sum(p), p) for p in pts]):
+        if s != at:
+            below, at = len(kept), s  # kept[:below] are the rows of smaller degree
+        for q in kept[:below]:
+            if all(map(le, q, p)):
+                break
+        else:
             kept.append(p)
-    return tuple(kept)
-
-
-def as_array(ideal_: MonomialIdeal) -> np.ndarray:
-    return np.array(ideal_.gens, dtype=np.int64)
-
-
-_GRID_CELL_CAP = 30_000_000
+    return tuple(sorted(kept))
 
 
 def minimalize_array(pts: np.ndarray) -> np.ndarray:
-    """Pareto-minimal rows of a non-negative int64 array, in lex order.
+    """`_sweep` on the rows of a 2-d int array, as an int64 array in lex order.
 
-    Rows are lex-sorted and equal neighbours dropped, so a row's index is its
-    lex rank.  Both passes rest on one fact: a row that divides another
-    differs from it first in a smaller coordinate, so it comes earlier in
-    lex order.
-
-    Past 1024 rows, when the grid over the non-value axes fits under
-    `_GRID_CELL_CAP` cells, one prefix-min pass over it filters on the
-    perturbed value v*n + lex_rank.  On value ties the dominator wins the
-    perturbed comparison; and a row that wins it while sitting in the prefix
-    cell really does dominate, because winning forces value <= and the cell
-    gives <= elsewhere.
-
-    Otherwise a blocked sweep takes the rows in lex order, 1024 at a time,
-    and drops each row divisible by a row kept from an earlier block or by
-    another row of its own block: all its divisors come earlier, and a
-    dropped one is divided by a kept one.  A block meets those rows in parts
-    whose boolean tables hold at most `_GRID_CELL_CAP` cells (one row's, when
-    a single row meets more), so the sweep allocates less than the grid.
+    No library code calls it or `product_array`.  Both remain only as
+    array-in, array-out names that `bench/tracer.py` wraps, until the
+    tracer stops patching functions by name (ROADMAP item 4).
     """
-    pts = pts[np.lexsort(pts.T[::-1])]
-    if len(pts) > 1:
-        pts = pts[np.concatenate(([True], (pts[1:] != pts[:-1]).any(axis=1)))]
-    n, d = pts.shape
-    if n <= 1 or d == 1:
-        return pts[:1]
-    if n > 1024:
-        maxs = pts.max(axis=0)
-        c = int(np.argmax(maxs))
-        rest = [i for i in range(d) if i != c]
-        shape = [int(maxs[i]) + 1 for i in rest]
-        if prod(shape) <= _GRID_CELL_CAP and int(maxs[c]) + 1 <= 2**62 // n:
-            tilde = pts[:, c] * n + np.arange(n, dtype=np.int64)
-            grid = np.full(shape, np.iinfo(np.int64).max, np.int64)
-            cells = tuple(pts[:, i] for i in rest)
-            np.minimum.at(grid, cells, tilde)  # unbuffered: right with duplicate cells
-            for ax in range(len(rest)):
-                np.minimum.accumulate(grid, axis=ax, out=grid)
-            return pts[grid[cells] == tilde]
-    return _pareto_sweep(pts)
-
-
-def _pareto_sweep(pts: np.ndarray) -> np.ndarray:
-    # distinct rows in lex order; see minimalize_array
-    kept = pts[:0]
-    for start in range(0, len(pts), 1024):
-        block = pts[start:start + 1024]
-        base = np.concatenate([kept, block]).T
-        rows = max(1, _GRID_CELL_CAP // base.shape[1])
-        hits = []
-        for i in range(0, len(block), rows):
-            part = block[i:i + rows, :, None]
-            # le[r, j]: base row j divides part row r, built one axis at a time
-            le = base[0] <= part[:, 0]
-            for k in range(1, len(base)):
-                le &= base[k] <= part[:, k]
-            hits.append(np.count_nonzero(le, axis=1))
-        # each row divides itself; one more divisor drops it
-        kept = np.concatenate([kept, block[np.concatenate(hits) == 1]])
-    return kept
+    return np.array(_sweep(set(map(tuple, pts.tolist()))), dtype=np.int64).reshape(-1, pts.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -363,18 +299,14 @@ def product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     ka, kb = m_power_degree(a), m_power_degree(b)
     if ka is not None and kb is not None:
         return m_power(a.dim, ka + kb)
-    if len(a.gens) * len(b.gens) <= 48:  # as small as `minimalize` sweeps
-        sums = {tuple(map(add, g, h)) for g in a.gens for h in b.gens}
-        check_exponents(tuple(chain.from_iterable(sums)))
-        return _built(a.dim, _sweep(sums))
-    arr = product_array(as_array(a), as_array(b))  # an antichain in lex order
-    check_exponents((int(arr.max()),))
-    return _built(a.dim, tuple(map(tuple, arr.tolist())))
+    sums = {tuple(map(add, g, h)) for g in a.gens for h in b.gens}
+    check_exponents(tuple(chain.from_iterable(sums)))
+    return _built(a.dim, _sweep(sums))
 
 
 def product_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    cand = (a[:, None, :] + b[None, :, :]).reshape(-1, a.shape[1])
-    return minimalize_array(cand)
+    """`minimalize_array` of every sum of a row of `a` and one of `b`; no library code calls it."""
+    return minimalize_array((a[:, None, :] + b[None, :, :]).reshape(-1, a.shape[1]))
 
 
 def power(a: MonomialIdeal, n: int) -> MonomialIdeal:

@@ -96,6 +96,12 @@ class TestModuleColength:
             expected = comb(n + r - 1, r - 1) * colength(m_power(d, n))
             assert module_colength(E, n) == expected
 
+    def test_a_thousand_columns_walk_without_recursion(self):
+        # the sampler's prefix walk takes one level per column; a walk that
+        # recursed per level raised RecursionError past about 1 000 columns
+        E = module([parse_ideal("(x^2, y)")] * 1100)
+        assert module_colength(E, 1) == 2200
+
 
 class TestBuchsbaumRim:
     def test_frozen_examples(self):

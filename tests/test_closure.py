@@ -27,7 +27,7 @@ from multlab import (
     unit_ideal,
 )
 from multlab import closure, counting, multiplicity
-from multlab.monomial import as_array, contains
+from multlab.monomial import contains
 
 from conftest import (
     oracle_minimalize,
@@ -186,7 +186,7 @@ def _cross_check_ideals(rng):
 
 def test_facet_rows_are_primitive_tight_supporting_inequalities(rng):
     for I in _cross_check_ideals(rng):
-        gens = as_array(I)
+        gens = np.array(I.gens)
         A, (b,) = closure._newton_facets([gens])
         A, b = np.array(A), np.array(b)
         assert len(A) == len(b) >= 1, I
@@ -230,7 +230,7 @@ def test_many_generators_few_facets():
     pts = [v for v in iter_product(range(11), repeat=4) if sum((10 - e) ** 2 for e in v) <= 100]
     I = ideal(pts + [tuple(30 * (i == j) for j in range(4)) for i in range(4)], dim=4)
     assert len(I.gens) == 235
-    A, _ = closure._newton_facets([as_array(I)])
+    A, _ = closure._newton_facets([I.gens])
     assert len(A) == 118
     closed = integral_closure(I)
     rng = random.Random(235)

@@ -5,9 +5,11 @@ import csv
 import gc
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -235,29 +237,67 @@ class TestSuite:
                              env={**os.environ, "PYTHONPATH": path}, check=True)
         assert out.stdout.strip() == "[]"
 
-    def test_pool_has_no_more_workers_than_tasks(self, monkeypatch):
-        opened = []
+    @staticmethod
+    def _in_process_pool(monkeypatch):
+        """Patch in a pool that runs each submission at once; return its log.
+
+        The log holds ("open", workers), one ("submit", tasks) per chunk and
+        ("shutdown", cancel_futures), in order.
+        """
+        log = []
 
         class InProcessPool:
             def __init__(self, max_workers):
-                opened.append(max_workers)
+                log.append(("open", max_workers))
 
-            def __enter__(self):
-                return self
+            def submit(self, fn, *args):
+                log.append(("submit", len(args[0])))
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
+            def shutdown(self, wait=True, cancel_futures=False):
+                log.append(("shutdown", cancel_futures))
 
         # `harness._pooled` imports the pool class when it opens a pool
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        return log
+
+    def test_pool_has_no_more_workers_than_tasks(self, monkeypatch):
+        log = self._in_process_pool(monkeypatch)
         cfg = CorpusConfig(seed=3, dim=2, instances=1, jobs=64,
                            checks=("lech_classical", "lech_mixed"))
         pooled = list(run_suite(cfg))
-        assert opened == [2]
+        assert log == [("open", 2), ("submit", 2), ("shutdown", True)]
         assert pooled == list(run_suite(replace(cfg, jobs=1)))
+
+    def test_pooled_suite_keeps_a_bounded_window(self, monkeypatch):
+        # two chunks of 4 tasks per worker, plus the one submitted as the
+        # first chunk's reports are yielded, and no list of every task
+        log = self._in_process_pool(monkeypatch)
+        tracemalloc.start()
+        try:
+            stream = run_suite(CorpusConfig(dim=2, rank=3, instances=10**5, jobs=2))
+            first = next(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (first.check, first.index) == ("lech_classical", 0)
+        assert peak < 4 * 2**20, peak
+        assert log == [("open", 2)] + [("submit", 4)] * 5
+        stream.close()
+        assert log[-1] == ("shutdown", True)
+        # the order of the reports is the serial order
+        cfg = CorpusConfig(seed=5, dim=2, rank=3, instances=11, jobs=3)
+        assert list(run_suite(cfg)) == list(run_suite(replace(cfg, jobs=1)))
+
+    def test_closing_a_pooled_stream_stops_every_worker(self):
+        stream = run_suite(CorpusConfig(dim=2, rank=3, instances=10**5, jobs=2))
+        assert next(stream).index == 0
+        start = time.perf_counter()
+        stream.close()
+        assert time.perf_counter() - start < 10
+        assert multiprocessing.active_children() == []
 
     def test_serial_suite_makes_no_task_list(self):
         # the first of 4 * 10**5 reports comes before any list of the

@@ -35,7 +35,7 @@ from multlab.buchsbaum_rim import br_direct, module, module_colength
 from multlab.counting import count_grid, count_naive, field_count
 from multlab.counting import field_rows, multiply_field
 from multlab.lengths import MEMO_ENTRIES
-from multlab.monomial import as_array, box_bounds
+from multlab.monomial import box_bounds
 
 from conftest import oracle_colength, oracle_field, oracle_power, oracle_product, random_mprimary
 
@@ -54,13 +54,13 @@ def sums(P, J):
 class TestCounters:
     def test_frozen_values(self):
         I = parse_ideal("(x^2, x*y, y^3)")
-        assert count_naive(as_array(I), box_bounds(I)) == 4
-        assert count_grid(as_array(I), box_bounds(I)) == 4
+        assert count_naive(I.gens, box_bounds(I)) == 4
+        assert count_grid(I.gens, box_bounds(I)) == 4
 
     def test_one_dimension(self):
         I = ideal([(5,)], dim=1)
-        assert count_grid(as_array(I), (5,)) == 5
-        assert count_naive(as_array(I), (5,)) == 5
+        assert count_grid(I.gens, (5,)) == 5
+        assert count_naive(I.gens, (5,)) == 5
 
     def test_oversized_sums_handled_exactly(self):
         # a tall box whose count exceeds int64: exercises the object reroute
@@ -93,11 +93,11 @@ class TestCounters:
         # P*J on a uint8 field (top 6); unclamped, h + 255 wraps and h + 2**40 overflows
         P, J = parse_ideal("(x^2, x*y, y^3)"), parse_ideal("(x^2, y^3)")
         box, gen_box = box_bounds(P), box_bounds(J)
-        h = field_of(as_array(P), box, 1)
-        redundant = np.vstack([as_array(J), [[0, 255], [1, 2**40]]])
+        h = field_of(P.gens, box, 1)
+        redundant = np.vstack([J.gens, [[0, 255], [1, 2**40]]])
         got = multiply_field(h, box, field_rows(redundant, gen_box, 1))
         out_box = tuple(map(add, box, gen_box))
-        rows = sums(as_array(P), redundant)
+        rows = sums(P.gens, redundant)
         assert got.dtype == np.uint8
         assert got.tolist() == oracle_field(rows, out_box, 1).tolist()
         assert field_count(got) == count_naive(rows, out_box) == colength(product(P, J))
@@ -136,7 +136,7 @@ class TestCounters:
     def test_redundant_generators_ok(self):
         # counters must not require minimal generating sets
         I = parse_ideal("(x^2, x*y, y^3)")
-        arr = np.vstack([as_array(I), [[5, 5], [2, 1], [2, 0]]]).astype(np.int64)
+        arr = np.vstack([I.gens, [[5, 5], [2, 1], [2, 0]]]).astype(np.int64)
         assert count_grid(arr, box_bounds(I)) == 4
 
     def test_grid_inputs_are_checked(self):
@@ -206,10 +206,10 @@ def test_multiply_field_matches_the_field_of_the_product(pair, data):
     P, J, axis = pair
     box, gen_box = box_bounds(P), box_bounds(J)
     rows = data.draw(generator_rows(J, axis))
-    got = multiply_field(field_of(as_array(P), box, axis), box, field_rows(rows, gen_box, axis))
+    got = multiply_field(field_of(P.gens, box, axis), box, field_rows(rows, gen_box, axis))
     out_box = tuple(map(add, box, gen_box))
     assert got.dtype == counting.field_dtype(out_box[axis])
-    assert got.tolist() == oracle_field(sums(as_array(P), rows), out_box, axis).tolist()
+    assert got.tolist() == oracle_field(sums(P.gens, rows), out_box, axis).tolist()
 
 
 class TestFieldKernelEdges:
@@ -284,8 +284,8 @@ class TestFieldKernelEdges:
         J = parse_ideal("(x^14, y^14, z^14, w^60, x^13*w, y^13*w^2, z^13, x^12*y^12*z^12)", dim=4)
         box, bounds = box_bounds(P), box_bounds(J)
         unit = np.zeros((0, 0, 0), counting.field_dtype(0))
-        h = multiply_field(unit, (0,) * 4, field_rows(as_array(P), box, 3))
-        rows = field_rows(as_array(J), bounds, 3)
+        h = multiply_field(unit, (0,) * 4, field_rows(P.gens, box, 3))
+        rows = field_rows(J.gens, bounds, 3)
         tracemalloc.start()
         try:
             got = multiply_field(h, box, rows)
@@ -362,8 +362,8 @@ class TestColength:
     def test_counting_leaves_numpy_ma_unloaded(self):
         # numpy 2's 1-D np.unique imports numpy.ma, about 10 ms on the first
         # call; numpy 1 imports numpy.ma with numpy itself, so there is
-        # nothing to check.  The second input minimalizes 1 140 rows past
-        # the grid cap, in the lex-ordered sweep `monomial._pareto_sweep`.
+        # nothing to check.  The second input builds a power of 1 140
+        # generators, each product minimalized by the sweep `monomial._sweep`.
         calls = (
             "colength(parse_ideal('(x^3, x*y, y^4)')) == 6",
             "len(power(parse_ideal('(x^20, y^20, z^20, w^20)', dim=4), 17).gens) == 1140",

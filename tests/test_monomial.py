@@ -34,8 +34,7 @@ from multlab import (
     scale_by_m,
     unit_ideal,
 )
-from multlab import monomial
-from multlab.monomial import MAX_EXPONENT, as_array, compositions, minimalize_array
+from multlab.monomial import MAX_EXPONENT, compositions, minimalize_array, product_array
 
 from conftest import oracle_minimalize, oracle_power, oracle_product, random_mprimary
 
@@ -64,8 +63,7 @@ class TestConstruction:
 
     @pytest.mark.parametrize("extra", [0, 59])
     def test_ragged_rows_are_refused_at_every_size(self, extra):
-        # 2 + extra rows: small inputs are minimalized in Python, larger in numpy;
-        # compared by zip, (1,) and (1, 0) would divide each other
+        # 2 or 61 rows; compared by zip, (1,) and (1, 0) would divide each other
         antichain = [(100 + i, 200 - i) for i in range(extra)]
         for gens in ([(1,), (1, 0)] + antichain, antichain + [(0, 1, 0), (1, 0)]):
             with pytest.raises(DimensionMismatchError, match="different lengths"):
@@ -159,7 +157,7 @@ class TestConstruction:
 
     @pytest.mark.parametrize("extra", [0, 59])
     def test_explicit_dim_must_match_the_rows(self, extra):
-        # 2 + extra rows, minimalized in Python or in numpy, then built unchecked
+        # 2 + extra rows, minimalized, then built unchecked
         gens = [(0, 1), (1, 0)] + [(100 + i, 200 - i) for i in range(extra)]
         with pytest.raises(DimensionMismatchError, match=r"has 2 exponents, expected 3$"):
             ideal(gens, dim=3)
@@ -168,7 +166,7 @@ class TestConstruction:
 
     @pytest.mark.parametrize("extra", [0, 3, 60])
     def test_exponent_range_is_checked_at_every_size(self, extra):
-        # 2 + extra rows: small inputs are minimalized in Python, larger in numpy
+        # 2, 5 or 62 rows
         refused = rf"exponents must be in \[0, {MAX_EXPONENT}\), got "
         antichain = [(100 + i, 200 - i) for i in range(extra)]
         with pytest.raises(ValueError, match=refused + "-1$"):
@@ -199,20 +197,14 @@ class TestConstructionPaths:
     @settings(max_examples=25, deadline=None)
     @given(n=st.sampled_from([47, 48, 49, 60]), d=st.sampled_from([2, 3]), data=st.data())
     def test_ideal_matches_oracle_around_the_sweep_size(self, n, d, data):
-        # n distinct rows, so Python sweeps them at n <= 48 and numpy above;
-        # an antichain of 13 x 13 or 7^3 points has at most 13 or 37 rows,
-        # so some rows always divide others
+        # n distinct rows with repeats, in any order; an antichain of 13 x 13
+        # or 7^3 points has at most 13 or 37 rows, so some rows always
+        # divide others
         top = 12 if d == 2 else 6
         rows = data.draw(st.lists(st.tuples(*[st.integers(0, top)] * d),
                                   min_size=n, max_size=n, unique=True))
         gens = data.draw(st.permutations(rows + data.draw(st.lists(st.sampled_from(rows), max_size=10))))
-        arrays = []
-        with pytest.MonkeyPatch.context() as mp:
-            fast = monomial.minimalize_array
-            mp.setattr(monomial, "minimalize_array", lambda pts: arrays.append(len(pts)) or fast(pts))
-            got = ideal(gens)
-        assert _same(got, MonomialIdeal(d, oracle_minimalize(rows)))
-        assert bool(arrays) == (n > 48)
+        assert _same(ideal(gens), MonomialIdeal(d, oracle_minimalize(rows)))
 
     @given(st.integers(1, 4), st.integers(0, 6))
     def test_m_power_matches_oracle(self, d, k):
@@ -234,19 +226,16 @@ class TestConstructionPaths:
     @given(st.integers(1, 3).flatmap(lambda d: st.lists(
         st.lists(st.tuples(*[st.integers(0, 5)] * d), min_size=1, max_size=12), min_size=2, max_size=2)))
     def test_product_matches_oracle_on_both_paths(self, pair):
+        # two powers of m take the shortcut to m^(ka + kb), every other pair the sweep
         a, b = map(ideal, pair)
-        arrays = []
-        with pytest.MonkeyPatch.context() as mp:
-            fast = monomial.product_array
-            mp.setattr(monomial, "product_array", lambda x, y: arrays.append(1) or fast(x, y))
-            got = product(a, b)
-        assert _same(got, oracle_product(a, b))
-        m_powers = None not in (monomial.m_power_degree(a), monomial.m_power_degree(b))
-        assert bool(arrays) == (len(a.gens) * len(b.gens) > 48 and not m_powers)
+        assert _same(product(a, b), oracle_product(a, b))
+        arrays = [np.array(I.gens, dtype=np.int64) for I in (a, b)]
+        assert product_array(*arrays).tolist() == [list(g) for g in oracle_product(a, b).gens]
 
     def test_computed_ideals_are_built_unchecked_as_the_constructor_builds(self, monkeypatch):
-        # closures, products past the sweep size and unit ideals are built
-        # from trusted rows; the checked constructor on the same rows agrees
+        # closures, products (one with a 61-generator factor) and unit
+        # ideals are built from trusted rows; the checked constructor on the
+        # same rows agrees
         rng = random.Random(35)
         draws = [random_mprimary(rng, d, max_power=6, extras=4, mixed=True)
                  for d in (2, 3, 4) for _ in range(6)]
@@ -259,7 +248,6 @@ class TestConstructionPaths:
         pairs = [(big, draws[0]), (built[-1], draws[-1])]
         built += [product(a, b) for a, b in pairs] + [unit_ideal(d) for d in (1, 2, 4)]
         assert not checked
-        assert all(len(a.gens) * len(b.gens) > 48 for a, b in pairs)
         for J in built:
             want = MonomialIdeal(J.dim, J.gens)
             back = pickle.loads(pickle.dumps(J))
@@ -267,19 +255,17 @@ class TestConstructionPaths:
             assert J._bounds == want._bounds
 
     def test_array_path_products_check_their_range(self):
-        # two exponents in range can sum past it, so the numpy path checks its rows once
-        arrays = []
-        with pytest.MonkeyPatch.context() as mp:
-            fast = monomial.product_array
-            mp.setattr(monomial, "product_array", lambda x, y: arrays.append(1) or fast(x, y))
-            steps = [(i, 8 - i) for i in range(8)]
-            top = ideal([(MAX_EXPONENT // 2, 0)] + steps)
-            with pytest.raises(ValueError, match=rf"^exponents must be in \[0, {MAX_EXPONENT}\), got {MAX_EXPONENT}$"):
-                product(top, top)
-            below = ideal([(MAX_EXPONENT // 2 - 1, 0)] + steps)
-            got = product(below, below)
-        assert arrays == [1, 1]
+        # two exponents in range can sum past it, so a product checks its 81
+        # sums once; the array form, which no library code calls, checks none
+        steps = [(i, 8 - i) for i in range(8)]
+        top = ideal([(MAX_EXPONENT // 2, 0)] + steps)
+        with pytest.raises(ValueError, match=rf"^exponents must be in \[0, {MAX_EXPONENT}\), got {MAX_EXPONENT}$"):
+            product(top, top)
+        below = ideal([(MAX_EXPONENT // 2 - 1, 0)] + steps)
+        got = product(below, below)
         assert got.gens[-1] == (MAX_EXPONENT - 2, 0) and _same(got, oracle_product(below, below))
+        rows = np.array(below.gens, dtype=np.int64)
+        assert product_array(rows, rows).tolist() == [list(g) for g in got.gens]
 
     def test_pickle_keeps_equality_and_hash(self):
         I = ideal([(3, 0), (1, 1), (0, 2)])
@@ -312,16 +298,23 @@ class TestMinimalize:
     def test_matches_oracle(self, gens):
         assert minimalize(gens) == oracle_minimalize(gens)
 
+    @staticmethod
+    def _both_forms(rows, d, want):
+        """`minimalize` and the array form on `rows` both give `want`, in lex order."""
+        got = minimalize_array(np.array(rows, dtype=np.int64).reshape(-1, d))
+        assert got.tolist() == [list(r) for r in want]
+        if rows and max(map(max, rows)) < MAX_EXPONENT:
+            assert minimalize(rows) == want
+
     @settings(max_examples=80, deadline=None)
     @given(
         d=st.integers(1, 4),
         pad=st.booleans(),
         corner=st.integers(0, 6),
-        cap=st.sampled_from([1, 20, monomial._GRID_CELL_CAP]),
         data=st.data(),
     )
-    def test_both_passes_match_oracle(self, d, pad, corner, cap, data):
-        # a first coordinate of 2**40 becomes the grid's value axis, so the grid still fits
+    def test_padded_cubes_match_oracle(self, d, pad, corner, data):
+        # a first coordinate of 2**40 is past MAX_EXPONENT, so only the array form takes it
         first = st.one_of(st.integers(0, 6), st.just(2**40))
         rows = data.draw(st.lists(st.tuples(first, *[st.integers(0, 6)] * (d - 1)), max_size=30))
         rows += data.draw(st.lists(st.sampled_from(rows), max_size=10)) if rows else []
@@ -334,69 +327,46 @@ class TestMinimalize:
             want = oracle_minimalize(rows + [(corner,) * d])
             rows = rows + cube
             random.Random(data.draw(st.integers(0, 2**32))).shuffle(rows)
-        # the grid runs past 1024 distinct rows when it fits under the cap,
-        # which a padded input with d > 1 does only under the default cap
-        grid = pad and d > 1 and cap == monomial._GRID_CELL_CAP
-        swept = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(monomial, "_GRID_CELL_CAP", cap)
-            sweep = monomial._pareto_sweep
-            mp.setattr(monomial, "_pareto_sweep", lambda pts: swept.append(len(pts)) or sweep(pts))
-            got = minimalize_array(np.array(rows, dtype=np.int64).reshape(-1, d))
-        assert got.tolist() == [list(r) for r in want]  # lex order included
-        assert bool(swept) == (d > 1 and len(set(rows)) > 1 and not grid)
+        self._both_forms(rows, d, want)
 
-    def test_grid_pass_on_distinct_rows(self, monkeypatch):
-        # 2 000 distinct rows in a 30^3 grid: the prefix-min grid is taken
+    def test_distinct_rows_in_a_small_box(self):
+        # 2 000 distinct rows in a 30^4 box, most of them divided by another
         rng = random.Random(3)
         pts = set()
         while len(pts) < 2000:
             pts.add(tuple(rng.randrange(30) for _ in range(4)))
-        monkeypatch.setattr(monomial, "_pareto_sweep", None)
-        got = minimalize_array(np.array(sorted(pts), dtype=np.int64))
-        assert got.tolist() == [list(r) for r in oracle_minimalize(pts)]
+        self._both_forms(sorted(pts), 4, oracle_minimalize(pts))
 
     def test_array_path_tie_heavy(self, rng):
         # 2 500 rows in a tiny coordinate range: at most 256 distinct
-        pts = np.array(
-            [[rng.randrange(0, 4) for _ in range(4)] for _ in range(2500)],
-            dtype=np.int64,
-        )
-        want = oracle_minimalize(map(tuple, pts.tolist()))
-        assert minimalize_array(pts).tolist() == [list(r) for r in want]
+        rows = [tuple(rng.randrange(0, 4) for _ in range(4)) for _ in range(2500)]
+        self._both_forms(rows, 4, oracle_minimalize(rows))
 
     def test_array_path_antichain_is_fixed_point(self):
         layer = m_power(3, 7)  # all degree-7 monomials: a large antichain
-        big = np.repeat(as_array(layer), 40, axis=0)  # 1440 rows with duplicates
-        assert minimalize_array(big).tolist() == [list(g) for g in layer.gens]
+        self._both_forms(list(layer.gens) * 40, 3, layer.gens)  # 1440 rows with duplicates
 
-    def test_sweep_in_one_row_parts(self, rng, monkeypatch):
-        # > 1024 distinct rows on four adjacent degree layers: a cap of 1
-        # forces the sweep, in two blocks, one row at a time; the larger
-        # caps hold the 10^3-cell grid
+    def test_adjacent_degree_layers(self, rng):
+        # > 1024 distinct rows on four adjacent degree layers: each row meets
+        # the rows kept from the layers below it
         pts = set()
         while len(pts) < 1100:
             p = tuple(rng.randrange(0, 10) for _ in range(4))
             if 11 <= sum(p) <= 14:
                 pts.add(p)
-        arr = np.array(list(pts), dtype=np.int64)
-        want = [list(r) for r in oracle_minimalize(pts)]
+        want = oracle_minimalize(pts)
         assert 100 < len(want) < len(pts)
-        for cap in (1, 2_000, 100_000):
-            monkeypatch.setattr(monomial, "_GRID_CELL_CAP", cap)
-            assert minimalize_array(arr).tolist() == want
+        self._both_forms(list(pts), 4, want)
 
     def test_sparse_generators_past_the_grid_cap(self):
-        # > 1024 sparse generators whose grid would pass the cell cap: the
-        # sweep must hand back lex order for `ideal` to accept it
+        # > 1024 sparse generators in a box of about 10^24 cells: the sweep
+        # must hand back lex order for `ideal` to accept it
         rng = random.Random(1)
         gens = [tuple(rng.randrange(10**6) for _ in range(4)) for _ in range(1100)]
         want = oracle_minimalize(gens)
         assert len(want) == 71
-        assert minimalize(gens) == want
+        self._both_forms(gens, 4, want)
         assert ideal(gens).gens == want
-        arr = np.array(gens, dtype=np.int64)
-        assert list(map(tuple, minimalize_array(arr).tolist())) == list(want)
 
 
 class TestArithmetic:
@@ -445,21 +415,21 @@ class TestArithmetic:
 
     def test_product_commutes_and_associates(self, rng):
         for _ in range(10):
-            a = random_mprimary(rng, 3)
-            b = random_mprimary(rng, 3)
-            c = random_mprimary(rng, 3)
+            a = random_mprimary(rng, 3, mixed=True)
+            b = random_mprimary(rng, 3, mixed=True)
+            c = random_mprimary(rng, 3, mixed=True)
             assert product(a, b) == product(b, a)
             assert product(product(a, b), c) == product(a, product(b, c))
 
     def test_product_matches_oracle(self, rng):
         for _ in range(25):
-            a = random_mprimary(rng, rng.randint(1, 4))
-            b = random_mprimary(rng, a.dim)
+            a = random_mprimary(rng, rng.randint(1, 4), mixed=True)
+            b = random_mprimary(rng, a.dim, mixed=True)
             assert product(a, b) == oracle_product(a, b)
 
     def test_power_matches_oracle(self, rng):
         for _ in range(10):
-            a = random_mprimary(rng, rng.randint(1, 3))
+            a = random_mprimary(rng, rng.randint(1, 3), mixed=True)
             n = rng.randint(0, 4)
             assert power(a, n) == oracle_power(a, n)
 
@@ -546,6 +516,6 @@ class TestMPrimary:
 )
 def test_ideal_roundtrip_through_array(gens):
     I = ideal(gens)
-    arr = as_array(I)
-    assert tuple(map(tuple, arr.tolist())) == I.gens
-    assert _same(MonomialIdeal(I.dim, I.gens), I)
+    arr = np.array(I.gens, dtype=np.int64)
+    assert minimalize_array(arr).tolist() == arr.tolist()  # an antichain is its own minimalization
+    assert _same(MonomialIdeal(I.dim, list(arr)), I)  # rows given as int64 arrays

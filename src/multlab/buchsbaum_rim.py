@@ -14,13 +14,24 @@ cross-check.  Both routes, and `module_colength`, take their compositions
 from `monomial.compositions`, the enumerator that also writes the
 generators of m^k.  `scale_by_m` is the one multiplication by m, of an
 ideal or of each column of a module.
+
+Equal columns are fused first, in order of first appearance, as
+`multiplicity._merged` fuses equal slots, by a `Counter` of the columns.  A column J_g that
+appears m_g times sees only the sum s_g of the exponents of its copies, and
+C(s_g + m_g - 1, m_g - 1) compositions over the copies give that sum, so a
+composition s over the distinct columns weighs the product of those
+binomials (`_weights`).  Every sum runs over the compositions into the
+distinct columns, so its cost follows their number, not the rank: 1 100
+copies of one column cost what one costs.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
-from math import comb
+from math import comb, prod
+from operator import add, mul
 
 from .closure import colength_sum
 from .lengths import ProductSampler, colength
@@ -70,15 +81,34 @@ def module(ideals) -> DirectSumModule:
     return DirectSumModule(tuple(ideals))
 
 
-def _module_colengths(sampler: ProductSampler, ns) -> list[int]:
-    """lambda(Sym^n F / E^n) for each n of `ns`, E the direct sum of the sampler's ideals.
+def _weights(points, copies: Counter) -> list[int]:
+    """How many compositions over all the columns fuse to each of `points`.
 
-    Every composition of every n goes to the sampler in one `colengths`
-    call, one prefix walk, and each n sums its C(n + r - 1, r - 1) values.
+    `copies` counts the columns, distinct ones in order of first appearance.
+    A point s is a composition over the distinct columns, the g-th of which
+    appears m_g times; it weighs prod_g C(s_g + m_g - 1, m_g - 1).
     """
-    r = len(sampler.ideals)
-    values = iter(sampler.colengths([a for n in ns for a in compositions(n, r)]))
-    return [sum(islice(values, comb(n + r - 1, r - 1))) for n in ns]
+    less = [m - 1 for m in copies.values()]
+    return [prod(map(comb, map(add, s, less), less)) for s in points]
+
+
+def _module_colengths(E: DirectSumModule):
+    """The function mapping a list of n to lambda(Sym^n F / E^n) for each n.
+
+    E's columns are fused, and the compositions of every n over the
+    distinct columns go to one sampler walk (`ProductSampler._counts`,
+    which takes them unchecked) in one call; each n sums its
+    C(n + s - 1, s - 1) colengths, s distinct columns, times their weights.
+    """
+    copies = Counter(E.ideals)
+    sampler, s = ProductSampler(tuple(copies)), len(copies)
+
+    def evaluate(ns) -> list[int]:
+        points = [a for n in ns for a in compositions(n, s)]
+        values = map(mul, _weights(points, copies), sampler._counts(points))
+        return [sum(islice(values, comb(n + s - 1, s - 1))) for n in ns]
+
+    return evaluate
 
 
 def module_colength(E: DirectSumModule, n: int) -> int:
@@ -86,7 +116,7 @@ def module_colength(E: DirectSumModule, n: int) -> int:
     (n,) = integer_exponents((n,))
     if n < 0:
         raise ValueError("n must be non-negative")
-    return _module_colengths(ProductSampler(E.ideals), [n])[0]
+    return _module_colengths(E)([n])[0]
 
 
 def _proper_columns(E: DirectSumModule) -> list[MonomialIdeal]:
@@ -102,14 +132,15 @@ def br_direct(E: DirectSumModule) -> int:
     Takes the (d + r - 1)-th difference of n |-> module_colength(E, n) at a
     stabilized base; the constant window certifies that the polynomial
     degree is exactly d + r - 1 with the expected leading behaviour.  Each
-    round's module colengths come from one `colengths` call, one prefix
-    walk from the unit ideal through their meet.  The sampler is this
-    call's own, so nothing it builds outlives the call.
+    round's module colengths come from one prefix walk over the
+    compositions into the distinct columns, from the unit ideal through
+    their meet.  The sampler is this call's own, so nothing it builds
+    outlives the call.
     """
     proper = _proper_columns(E)
     d = E.dim
-    sampler = ProductSampler(E.ideals)
-    table = stabilize(lambda points: _module_colengths(sampler, [n for (n,) in points]),
+    evaluate = _module_colengths(E)
+    table = stabilize(lambda points: evaluate([n for (n,) in points]),
                       (d + E.rank - 1,), base=_heuristic_base(proper, d))
     return _positive(table.result, "difference table", _BR_KIND)
 
@@ -122,17 +153,19 @@ def br_via_mixed(E: DirectSumModule) -> int:
     depend on the exponent of a unit column.  Each term is the order-a
     difference at 0 of the closure colengths L(t), and summed over every
     a the weight of L(t) is (-1)^{d-|t|} C(d+r-1, |t|+r-1), the
-    coefficient of x^d in x^{|t|} / (1-x)^{|t|+r}.  So the value is one
+    coefficient of x^d in x^{|t|} / (1-x)^{|t|+r}.  Equal proper columns
+    are fused, and each t over the distinct ones also weighs the number of
+    t over all r that fuse to it (`_weights`).  So the value is one
     `closure.colength_sum` over the t with |t| <= d, on one hull.
     """
-    proper = _proper_columns(E)
-    d, r = E.dim, len(proper)
+    copies = Counter(_proper_columns(E))
+    d, r = E.dim, copies.total()
+    points = [t for k in range(d + 1) for t in compositions(k, len(copies))]
     terms = [
-        (t, (-1) ** (d - k) * comb(d + r - 1, k + r - 1))
-        for k in range(d + 1)
-        for t in compositions(k, r)
+        (t, (-1) ** (d - sum(t)) * comb(d + r - 1, sum(t) + r - 1) * w)
+        for t, w in zip(points, _weights(points, copies))
     ]
-    return _positive(colength_sum(proper, terms), "the Newton route", _BR_KIND)
+    return _positive(colength_sum(tuple(copies), terms), "the Newton route", _BR_KIND)
 
 
 def scale_by_m(x):

@@ -43,12 +43,14 @@ from operator import add, mul
 import numpy as np
 
 from . import counting
+from .errors import NotMPrimaryError
 from .monomial import (
     MonomialIdeal,
     _built,
     box_bounds,
     contains,
     integer_exponents,
+    is_m_primary,
 )
 
 
@@ -169,8 +171,11 @@ def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
     field along one axis (see `_closure_corners`), and its minimal
     generators are the field's corners, an antichain with every v_i <= b_i,
     so nothing is minimalized or checked afterwards.  The box is checked by
-    `check_int64` before the facets are built.
+    `check_int64` before the facets are built.  Any other ideal, the unit
+    ideal included, raises NotMPrimaryError.
     """
+    if not is_m_primary(I):
+        raise NotMPrimaryError("the integral closure is computed for m-primary ideals only")
     bounds = box_bounds(I)
     check_int64(bounds)
     A, (b,) = _newton_facets([I.gens])

@@ -11,8 +11,9 @@ above x', so the count is h.sum().
 * `multiply_field` turns the field of P into the field of P*J with one
   min-plus update per generator g of J: out[g':] = min(out[g':], h[:-g'] + g_c).
   Nothing is minimalized; from the empty field of the unit ideal it gives
-  the field of J.  Two shortcuts leave every height exact.  J is m-primary,
-  so its pure power (0', b_c) on the height axis lies in J; its update
+  the field of J.  Two shortcuts leave every height exact.  J is m-primary
+  or R, so its pure power (0', b_c) on the height axis lies in J (for R,
+  b_c = 0 and the power is 1, so P*R keeps P's field); its update
   covers the whole field, and from a field of tops it gives h + b_c, since
   h stays within P's top.  So `out` starts as h + b_c, and every g with
   g_c >= b_c, a multiple of that power, is dropped once per J by
@@ -94,7 +95,7 @@ def height_axis(box) -> int:
 
 
 class FieldRows(NamedTuple):
-    """The generators of an m-primary J as `multiply_field` reads them.
+    """The generators of an m-primary J, or of R, as `multiply_field` reads them.
 
     `bounds` are J's pure-power bounds and `axis` the height axis.  `rows`
     holds one (out_at, src_at, g_c) per generator with g_c < b_c: with g'
@@ -130,7 +131,9 @@ def field_rows(gens, bounds, axis: int) -> FieldRows:
 def multiply_field(h: np.ndarray, box, J: FieldRows) -> np.ndarray:
     """Height field of P*J on the box `box + J.bounds`, from the field h of P.
 
-    P and J are m-primary and `box` is P's pure-power bounds.  Beyond P's
+    P and J are m-primary or R and `box` is P's pure-power bounds, 0 for
+    R.  R's one row (0, ..., 0) is dropped, since 0 >= b_c = 0, so for J = R
+    the product's field is a copy of h.  Beyond P's
     box a point lies in P, so P's field is h on its box and 0 on the rest
     of the product's.  The pure power (0', b_c) lies in J whether or not it
     is a row, so the field starts as h + b_c, that power's update, and rows
@@ -170,11 +173,11 @@ def count_grid(gens, box) -> int:
     from the unit ideal's empty field with the box as J's bounds: the pure
     power (0', b_c) it assumes caps every height at the top, `field_rows`
     drops the rows at or past the top, and a row at or past the box on
-    another axis updates empty views.
+    another axis updates empty views.  A box with a side 0, such as the
+    unit ideal's (0, ..., 0), gives a field with no cells or a height of 0,
+    which counts 0.
     """
     box = tuple(int(b) for b in box)
-    if any(b <= 0 for b in box):
-        return 0
     gens = np.asarray(gens, dtype=np.int64)
     if gens.ndim != 2 or gens.shape[1] != len(box):
         raise ValueError("generator array must be (n, d)")

@@ -1,9 +1,10 @@
 """Colengths of monomial ideals and colengths of ideal products.
 
 `colength` is the workhorse: length of R/I as a k-vector space, i.e. the
-number of standard monomials.  Powers of the maximal ideal short-circuit to
-a binomial; everything else is the sum of the ideal's height field on the
-box of pure-power bounds (`count_grid`).  `ProductSampler` serves the
+number of standard monomials.  It is the sum of the ideal's height field on
+the box of pure-power bounds (`count_grid`) for every ideal, with no
+binomial shortcut for powers of m and no branch for R, whose box
+(0, ..., 0) is empty and counts 0.  `ProductSampler` serves the
 difference-table engine (`br_direct` and `mixed_difference_table`), which
 needs lambda(R / I_1^{n_1} ... I_s^{n_s}) on many nearby exponent vectors.
 Both build every field with one kernel, `multiply_field`: `colength`
@@ -17,11 +18,18 @@ so a product does no per-generator set-up.
 and keys each point once, builds their products in one prefix walk from
 the unit ideal through their meet, slot by slot, and reads every point's
 count at the walk's last level.  `colength_at` is the same on one
-point.  A sampler keeps nothing from one call to the next: no count and no
-product outlives the call that made it.  Repeated exact results come from
-two bounded memos, least recently used out: `colength` keeps MEMO_ENTRIES
-colengths, and `multiplicity._newton_value` keeps as many mixed
-multiplicities.
+point.  `_counts` is that walk on points already checked, for the module
+layer, which builds its compositions itself.  A unit ideal has no rows and
+an empty box, so its slot climbs as a copy of its field.  When every ideal
+is a power of m (R is m^0), the sampler answers by a binomial and builds
+nothing.  It keeps that shortcut, unlike `colength`, because whole walks
+are what it saves: without it the br-cross-check benchmark's `wall_s` read
+1.0 % higher (medians of 7 alternating pairs, 6 of them slower, 2-core
+Xeon, numpy 2.4.6).  A sampler keeps nothing from one call to the next:
+no count and no product outlives the call that made it.  Repeated exact
+results come from two bounded memos, least recently used out: `colength`
+keeps MEMO_ENTRIES colengths, and `multiplicity._newton_value` keeps as
+many mixed multiplicities.
 """
 
 from __future__ import annotations
@@ -54,25 +62,18 @@ MEMO_ENTRIES = 1024
 
 @lru_cache(maxsize=MEMO_ENTRIES)
 def colength(I: MonomialIdeal) -> int:
-    """Number of standard monomials of I; 0 for the unit ideal.
+    """Number of standard monomials of I; 0 for the unit ideal, whose box is empty.
 
     The sum of I's height field along the longest side of its box, which
     `count_grid` holds whole, beside the zero field it reads and one sum.
     Memoized for the last MEMO_ENTRIES ideals.  Raises NotMPrimaryError
     when the count is infinite.
     """
-    if I.is_unit:
-        return 0
-    k = m_power_degree(I)
-    if k is not None:
-        return comb(k - 1 + I.dim, I.dim)
     return count_grid(I.gens, box_bounds(I))
 
 
 def colength_naive(I: MonomialIdeal) -> int:
     """Reference colength by exhaustive box enumeration (small ideals only)."""
-    if I.is_unit:
-        return 0
     return count_naive(I.gens, box_bounds(I))
 
 
@@ -82,10 +83,11 @@ class ProductSampler:
     Products are height fields along one axis per sampler: the longest side
     of the summed boxes of the ideals.  Every call builds its products in
     one prefix walk from the unit ideal over its points (`_grow`), and
-    holds no count and no product once it returns.  Unit ideals never
-    change a product, every other ideal's bounds come from `box_bounds`,
-    which raises NotMPrimaryError, and when every ideal is a power of the
-    maximal ideal the colength collapses to a binomial and nothing is built.
+    holds no count and no product once it returns.  Every ideal's bounds
+    come from `box_bounds`, which raises NotMPrimaryError; a unit ideal's
+    are 0 and it has no rows, so it leaves a product's field as it is.
+    When every ideal is a power of the maximal ideal the colength collapses
+    to a binomial and nothing is built.
     """
 
     def __init__(self, ideals):
@@ -93,12 +95,11 @@ class ProductSampler:
         if not ideals:
             raise ValueError("need at least one ideal")
         d = common_dim(ideals)
-        bounds = [(0,) * d if I.is_unit else box_bounds(I) for I in ideals]
+        bounds = [box_bounds(I) for I in ideals]
         self.ideals = ideals
         self.dim = d
         self._m_degrees = [m_power_degree(I) for I in ideals]
         self._all_m = all(k is not None for k in self._m_degrees)
-        self._units = {j for j, I in enumerate(ideals) if I.is_unit}
         axis = height_axis([sum(b[i] for b in bounds) for i in range(d)])
         self._rows = [field_rows(I.gens, b, axis) for I, b in zip(ideals, bounds)]
         # a product costs one min-plus update per generator of the ideal it
@@ -150,22 +151,23 @@ class ProductSampler:
         return counts
 
     def _key(self, n) -> tuple[int, ...]:
-        """n as a tuple of ints, with the exponents of unit ideals set to 0."""
+        """n as a tuple of ints, one non-negative exponent per ideal."""
         n = integer_exponents(n)
         if len(n) != len(self.ideals):
             raise ValueError("exponent vector length mismatch")
         if min(n) < 0:
             raise ValueError("exponents must be non-negative")
-        if self._units:
-            n = tuple(0 if j in self._units else e for j, e in enumerate(n))
         return n
 
     def colength_at(self, n) -> int:
         return self.colengths([n])[0]
 
     def colengths(self, points) -> list[int]:
-        """Colengths at all `points`, their products built in one prefix walk."""
-        keys = [self._key(n) for n in points]
+        """Colengths at all `points`, each checked, their products built in one prefix walk."""
+        return self._counts([self._key(n) for n in points])
+
+    def _counts(self, keys) -> list[int]:
+        """Colengths at `keys`, tuples of non-negative ints, one per ideal, taken as they are."""
         if self._all_m:
             degrees = [sum(map(mul, n, self._m_degrees)) for n in keys]
             return [comb(k - 1 + self.dim, self.dim) if k else 0 for k in degrees]

@@ -26,14 +26,21 @@ Every generating set, of any size, is minimalized by one pure-Python sweep
 (`_sweep`): the distinct rows are taken by degree, then lex, and a row is
 kept unless a kept row of smaller degree divides it; two rows of one degree
 never divide each other, so they are never compared.  `minimalize` (so
-`ideal`) and `product` each take that one path; a product of two powers of
-m is m to the summed power, built with no sweep.
+`ideal`) and `product` each take that one path, products of powers of m
+included: their sums all have one degree, so the sweep compares none.
+
+The unit ideal R needs no branch of its own.  Its least pure powers are the
+x_i^0, so `box_bounds(R)` is (0, ..., 0), the empty box the counting
+kernels count as 0; `compositions(0, d)` is its one row, so `m_power(d, 0)`
+is R; and `power(I, 0)` is the empty product, R.  `is_m_primary(R)` stays
+False: R is not proper.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations_with_replacement
+from functools import reduce
+from itertools import chain, combinations_with_replacement, repeat
 from math import comb
 from operator import add, index, le, sub
 
@@ -190,13 +197,13 @@ def m_ideal(dim: int) -> MonomialIdeal:
 
 
 def m_power(dim: int, k: int) -> MonomialIdeal:
-    """m^k, generated by all monomials of total degree k: the compositions of k."""
-    dim, k = integer(dim, "dim"), integer(k, "k")
+    """m^k, generated by all monomials of total degree k: the compositions of k.
+
+    m^0 is R, whose one generator is the one composition of 0.
+    """
+    dim, k = _dimension(dim), integer(k, "k")
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k == 0:
-        return unit_ideal(dim)
-    dim = _dimension(dim)
     check_exponents((k,))
     return _built(dim, tuple(compositions(k, dim)))
 
@@ -216,7 +223,7 @@ def compositions(total: int, parts: int) -> list[Monomial]:
 
 
 def m_power_degree(ideal_: MonomialIdeal) -> int | None:
-    """k if the ideal equals m^k, else None.  Recognized in O(#gens)."""
+    """k if the ideal equals m^k (0 for R), else None.  Recognized in O(#gens)."""
     gens, k = ideal_.gens, sum(ideal_.gens[0])
     if all(sum(g) == k for g in gens) and len(gens) == comb(k + ideal_.dim - 1, ideal_.dim - 1):
         return k
@@ -296,9 +303,6 @@ def product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     (x^3, x*y, y^3)
     """
     common_dim((a, b))
-    ka, kb = m_power_degree(a), m_power_degree(b)
-    if ka is not None and kb is not None:
-        return m_power(a.dim, ka + kb)
     sums = {tuple(map(add, g, h)) for g in a.gens for h in b.gens}
     check_exponents(tuple(chain.from_iterable(sums)))
     return _built(a.dim, _sweep(sums))
@@ -310,16 +314,11 @@ def product_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def power(a: MonomialIdeal, n: int) -> MonomialIdeal:
-    """a^n by iterated products, minimalizing at each step."""
+    """a^n by iterated products from the empty product R, minimalizing at each step."""
     n = integer(n, "n")
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return unit_ideal(a.dim)
-    out = a
-    for _ in range(n - 1):
-        out = product(out, a)
-    return out
+    return reduce(product, repeat(a, n), unit_ideal(a.dim))
 
 
 def contains(ideal_: MonomialIdeal, m: Monomial) -> bool:
@@ -347,11 +346,14 @@ def is_m_primary(ideal_: MonomialIdeal) -> bool:
 def box_bounds(ideal_: MonomialIdeal) -> tuple[int, ...]:
     """For each variable the least k with x_i^k in the ideal.
 
-    The staircase complement lives inside the box prod [0, b_i).
-    Raises NotMPrimaryError when some variable has no pure power.
+    The staircase complement lives inside the box prod [0, b_i).  For R the
+    least pure powers are the x_i^0, so the box is (0, ..., 0) and empty.
+    Raises NotMPrimaryError when a variable has no pure power in a proper
+    ideal.  The unit test runs only where a bound is 0, so an m-primary
+    ideal pays nothing for it.
     """
     bounds = ideal_._bounds
-    if not all(bounds):
+    if not all(bounds) and not ideal_.is_unit:
         missing = ", ".join(f"x{i + 1}" for i, k in enumerate(bounds) if not k)
         raise NotMPrimaryError(
             f"no pure power of {missing}: the colength is infinite"

@@ -1,5 +1,6 @@
 """Buchsbaum-Rim multiplicities: module colengths and the two routes."""
 
+import time
 from itertools import product as iter_product
 from math import comb
 
@@ -20,6 +21,7 @@ from multlab import (
     module_colength,
     parse_ideal,
     power,
+    product,
     scale_by_m,
     unit_ideal,
 )
@@ -101,6 +103,28 @@ class TestModuleColength:
         # recursed per level raised RecursionError past about 1 000 columns
         E = module([parse_ideal("(x^2, y)")] * 1100)
         assert module_colength(E, 1) == 2200
+        # the 1 100 equal columns fuse into one sampler slot, and n = 2 weighs
+        # its one product by the C(1 101, 2) = 605 550 compositions of 2 over
+        # the copies, times lambda(R/I^2) = 6
+        start = time.perf_counter()
+        assert module_colength(E, 2) == 3_633_300
+        assert time.perf_counter() - start < 1
+
+    def test_fused_sums_match_the_sum_over_every_composition(self, rng):
+        # the unfused definition as the oracle: one product colength per
+        # composition of n over all the columns, repeated and unit ones included
+        for d in (1, 2, 3):
+            I, J = (random_mprimary(rng, d, mixed=True) for _ in range(2))
+            for columns in ([I, J, I], [I, I, I], [J, unit_ideal(d), J, unit_ideal(d)]):
+                E = module(columns)
+                for n in range(4):
+                    want = 0
+                    for a in compositions(n, len(columns)):
+                        P = unit_ideal(d)
+                        for K, e in zip(columns, a):
+                            P = product(P, power(K, e))
+                        want += colength(P)
+                    assert module_colength(E, n) == want, (columns, n)
 
 
 class TestBuchsbaumRim:
@@ -124,21 +148,37 @@ class TestBuchsbaumRim:
         # 1 100 columns (x^2) in d = 1: br = the sum of the column multiplicities
         assert br_via_mixed(module([parse_ideal("(x^2)")] * 1100)) == 2200
 
+    def test_many_equal_columns_agree(self):
+        # br = C(d + r - 1, r - 1) e(I) for r copies of I, e((x^2, y)) = 2; fused,
+        # the sums run over one column, not over every composition into r of them
+        I = parse_ideal("(x^2, y)")
+        for r, want in ((50, 2550), (1100, 1_211_100)):
+            E = module([I] * r)
+            for route in (br_direct, br_via_mixed):
+                start = time.perf_counter()
+                assert route(E) == want, (route.__name__, r)
+                assert time.perf_counter() - start < 1, (route.__name__, r)
+
     def test_rank_one_is_hilbert_samuel(self, rng):
         for _ in range(6):
             d = rng.randint(2, 3)
-            I = random_mprimary(rng, d)
+            I = random_mprimary(rng, d, mixed=True)
             E = module([I])
             e = hilbert_samuel(I)
             assert br_direct(E) == e
             assert br_via_mixed(E) == e
 
     def test_routes_agree_random(self, rng):
+        # beside each draw, the same columns with the first repeated (fused
+        # into one slot of weight 2) and with a unit column (a slot that
+        # climbs as a copy of its field)
         for _ in range(10):
             d = rng.randint(2, 3)
             r = rng.randint(1, 3)
-            E = module([random_mprimary(rng, d) for _ in range(r)])
-            assert br_direct(E) == br_via_mixed(E)
+            columns = [random_mprimary(rng, d, mixed=True) for _ in range(r)]
+            for E in (module(columns), module([*columns, columns[0]]),
+                      module([*columns, unit_ideal(d)])):
+                assert br_direct(E) == br_via_mixed(E), E
 
     def test_unit_column_drops_out(self, rng):
         # a free summand contributes nothing: br(I + R e) == e(I)

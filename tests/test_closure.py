@@ -151,8 +151,12 @@ class TestClosure:
         assert integral_closure(parse_ideal("(x^20, y^20, z^20, w^20)")) == m_power(4, 20)
 
     def test_requires_m_primary(self):
-        with pytest.raises(NotMPrimaryError):
-            integral_closure(parse_ideal("(x^2, x*y)"))
+        # refused by name, not through box_bounds: R's box is (0, ..., 0) and
+        # its colength 0, so no message may call a colength infinite
+        for I in (parse_ideal("(x^2, x*y)"), unit_ideal(1), unit_ideal(2), unit_ideal(4)):
+            with pytest.raises(NotMPrimaryError, match="m-primary") as caught:
+                integral_closure(I)
+            assert "infinite" not in str(caught.value)
 
     def test_int64_overflow_is_a_value_error(self, monkeypatch):
         # 4! * 100000^4 > 2^63: refused before the box or the facets are built

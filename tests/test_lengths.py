@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multlab import (
@@ -316,16 +316,25 @@ class TestColength:
         assert colength(m_power(2, 3)) == 6
         assert colength(m_power(3, 3)) == 10
 
-    def test_unit_ideal_is_zero(self):
-        assert colength(unit_ideal(3)) == 0
-        assert colength_naive(unit_ideal(3)) == 0
+    def test_unit_ideal_is_zero(self, monkeypatch):
+        # R's box is (0, ..., 0): both counters see it and count 0, with no branch for R
+        counted = []
+        for name, counter in (("count_grid", count_grid), ("count_naive", count_naive)):
+            monkeypatch.setattr(lengths, name, lambda *a, c=counter: counted.append(a[1]) or c(*a))
+        for d in (1, 2, 3, 4):
+            assert colength(unit_ideal(d)) == 0
+            assert colength_naive(unit_ideal(d)) == 0
+        assert counted == [(0,) * d for d in (1, 2, 3, 4) for _ in range(2)]
 
     def test_not_m_primary_raises(self):
         with pytest.raises(NotMPrimaryError):
             colength(parse_ideal("(x^2, x*y)"))
 
-    @given(st.integers(1, 5), st.integers(1, 7))
+    @given(st.integers(1, 5), st.integers(0, 7))
+    @example(4, 20)
     def test_m_power_closed_form(self, d, k):
+        # colength has no binomial shortcut, so the closed form checks count_grid
+        # (8 855 for m^20 in d = 4), and m^0 = R counts comb(d - 1, d) = 0
         assert colength(m_power(d, k)) == comb(k - 1 + d, d)
 
     def test_matches_independent_oracle(self, rng):
@@ -424,7 +433,8 @@ class TestProductSampler:
             return multiply_field(*args)
 
         monkeypatch.setattr(lengths, "multiply_field", counted)
-        batch = ProductSampler.colengths
+        # the rounds hand their compositions to the walk unchecked, through _counts
+        batch = ProductSampler._counts
         layers = set()
 
         def one_round(sampler, points):
@@ -436,8 +446,9 @@ class TestProductSampler:
             layers.update(map(sum, points))
             return values
 
-        monkeypatch.setattr(ProductSampler, "colengths", one_round)
+        monkeypatch.setattr(ProductSampler, "_counts", one_round)
         assert br_direct(E) == 46
+        assert layers  # the per-round bound above held on every round br_direct made
         assert calls  # the bounds above count field products the walk really made
         for n in sorted(layers):
             calls.clear()

@@ -34,7 +34,9 @@ from multlab import (
     scale_by_m,
     unit_ideal,
 )
+from multlab import monomial
 from multlab.monomial import MAX_EXPONENT, compositions, minimalize_array, product_array
+from multlab.monomial import _sweep as sweep
 
 from conftest import oracle_minimalize, oracle_power, oracle_product, random_mprimary
 
@@ -226,7 +228,7 @@ class TestConstructionPaths:
     @given(st.integers(1, 3).flatmap(lambda d: st.lists(
         st.lists(st.tuples(*[st.integers(0, 5)] * d), min_size=1, max_size=12), min_size=2, max_size=2)))
     def test_product_matches_oracle_on_both_paths(self, pair):
-        # two powers of m take the shortcut to m^(ka + kb), every other pair the sweep
+        # every pair, two powers of m included, takes the one sweep
         a, b = map(ideal, pair)
         assert _same(product(a, b), oracle_product(a, b))
         arrays = [np.array(I.gens, dtype=np.int64) for I in (a, b)]
@@ -382,6 +384,9 @@ class TestArithmetic:
         B = parse_ideal("(x^2, y)")
         assert power(B, 0) == unit_ideal(2)
         assert power(B, 1) == B
+        # m^0 is the one composition of 0 and I^0 the empty product, R in every d
+        for d in (1, 2, 3, 4):
+            assert power(m_power(d, 2), 0) == m_power(d, 0) == unit_ideal(d)
         with pytest.raises(ValueError, match="n must be >= 0"):
             power(B, -1)
         with pytest.raises(ValueError, match="k must be >= 0"):
@@ -408,10 +413,18 @@ class TestArithmetic:
         I = parse_ideal("(x^2, x*y, y^3)")
         assert product(I, unit_ideal(2)) == I
 
-    def test_m_power_shortcut_consistent(self):
-        direct = product(m_power(3, 2), m_power(3, 3))
-        assert direct == m_power(3, 5)
-        assert oracle_product(m_power(3, 2), m_power(3, 3)) == m_power(3, 5)
+    def test_products_of_m_powers_take_the_sweep(self, monkeypatch):
+        # product has no m-power shortcut: m^a * m^b = m^(a+b) comes out of the
+        # one sweep, whose sums all have degree a + b, m^0 = R included
+        swept = []
+        monkeypatch.setattr(monomial, "_sweep", lambda pts: swept.append(None) or sweep(pts))
+        for d in (1, 2, 3, 4):
+            for a in range(4):
+                for b in range(4):
+                    got = product(m_power(d, a), m_power(d, b))
+                    assert _same(got, m_power(d, a + b)), (d, a, b)
+                    assert oracle_product(m_power(d, a), m_power(d, b)) == got
+        assert len(swept) == 4 * 4 * 4
 
     def test_product_commutes_and_associates(self, rng):
         for _ in range(10):
@@ -494,6 +507,10 @@ class TestMPrimary:
     def test_box_bounds(self):
         assert box_bounds(parse_ideal("(x^2, x*y, y^3)")) == (2, 3)
         assert box_bounds(m_power(3, 4)) == (4, 4, 4)
+        # R's least pure powers are the x_i^0, so its box is empty; R is
+        # still not m-primary (test_m_primary_detection), since it is not proper
+        for d in (1, 2, 3, 4):
+            assert box_bounds(unit_ideal(d)) == (0,) * d
 
     def test_box_bounds_raises_with_axis_names(self):
         with pytest.raises(NotMPrimaryError, match="x2"):

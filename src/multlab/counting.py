@@ -27,6 +27,10 @@ above x', so the count is h.sum().
   `multiply_field` builds from the unit ideal, with the box as J's
   bounds, so it holds the whole field, the zero field it reads and one
   sum at once; `field_count` sums a field exactly.
+* `field_rows` takes rows of Python ints as they are.  `count_grid`
+  converts and shape-checks outside input once, as an int64 array, and
+  hands its rows on as lists; the sampler hands each ideal's stored
+  tuples, checked when the ideal was built.
 
 Counts are exact: a field is uint8, uint16 or uint32 while its top fits,
 and holds Python ints beyond.  No height of a field passes its top, and
@@ -109,21 +113,24 @@ class FieldRows(NamedTuple):
     rows: list[tuple[tuple, tuple, int]]
 
 
-def field_rows(gens, bounds, axis: int) -> FieldRows:
+def field_rows(gens, bounds: tuple[int, ...], axis: int) -> FieldRows:
     """Split the rows of `gens`, which generate J with pure-power `bounds`, for `multiply_field`.
 
-    A row with g_c >= b_c is a multiple of the pure power (0', b_c) and is
-    dropped: it cannot lower a height below that power's update.  Each
-    slice tuple ends in ..., which keeps the 0-d field of d = 1 an array,
-    and slice(-e or None) reads the whole axis when e = 0.
+    The rows (tuples or lists of Python ints, one per axis) and `bounds` are
+    taken as they are, with no conversion: an ideal's stored rows, or the
+    rows `count_grid` converted once.  A row with g_c >= b_c is a multiple
+    of the pure power (0', b_c) and is dropped: it cannot lower a height
+    below that power's update.  Each slice tuple ends in ..., which keeps
+    the 0-d field of d = 1 an array, and slice(-e or None) reads the whole
+    axis when e = 0.
     """
-    bounds = tuple(int(b) for b in bounds)
     rows = []
-    for g in np.asarray(gens, dtype=np.int64).reshape(-1, len(bounds)).tolist():
-        c = g.pop(axis)
+    for g in gens:
+        c = g[axis]
         if c < bounds[axis]:
-            out_at = (*(slice(e, None) for e in g), ...)
-            src_at = (*(slice(-e or None) for e in g), ...)
+            rest = g[:axis] + g[axis + 1:]
+            out_at = (*(slice(e, None) for e in rest), ...)
+            src_at = (*(slice(-e or None) for e in rest), ...)
             rows.append((out_at, src_at, c))
     return FieldRows(bounds, axis, rows)
 
@@ -182,5 +189,5 @@ def count_grid(gens, box) -> int:
     if gens.ndim != 2 or gens.shape[1] != len(box):
         raise ValueError("generator array must be (n, d)")
     unit = np.zeros((0,) * (len(box) - 1), field_dtype(0))
-    J = field_rows(gens, box, height_axis(box))
+    J = field_rows(gens.tolist(), box, height_axis(box))
     return field_count(multiply_field(unit, (0,) * len(box), J))

@@ -8,9 +8,11 @@ free between tokens::
 A ``var`` is ``x1, x2, ...`` up to ``x1024`` (or ``X1, X2, ...``), with
 the aliases ``x, y, z, w`` for the first four; a repeated variable
 multiplies, and ``1`` is the unit monomial.  With a dimension given, the
-first variable past it is named at its position.  Formatting inverts
-parsing: ``parse_ideal(format_ideal(I)) == I`` whenever the printed names
-pin down the dimension.
+first variable past it is named at its position; a given dimension may
+not pass ``MAX_VARIABLE`` either, so neither text nor ``--dim`` builds
+rows longer than 1 024 entries.  Formatting inverts parsing:
+``parse_ideal(format_ideal(I)) == I`` whenever the printed names pin down
+the dimension.
 """
 
 from __future__ import annotations
@@ -138,6 +140,8 @@ def _ideals(parsed, dim: int | None) -> list[MonomialIdeal]:
             raise ParseError("cannot infer dimension from (1); pass dim")
     if dim < 1:
         raise ParseError("dimension must be at least 1")
+    if dim > MAX_VARIABLE:  # before a row is built: each is dim entries long
+        raise ParseError(f"dimension must be at most {MAX_VARIABLE}, got {dim}")
     return [
         ideal([tuple(m.get(i, 0) for i in range(1, dim + 1)) for m in monos], dim=dim)
         for monos in parsed

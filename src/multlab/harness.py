@@ -15,6 +15,14 @@ of its `check_*` function.  `CHECK_NAMES`, `_applicable_checks` and
 *explored* below d = 4: exploratory reports are flagged and never count
 toward the verdict.
 
+A corpus's inputs are checked once, where they enter: `CorpusConfig`
+refuses a `dim` past `expr.MAX_VARIABLE`, the parser's bound, and a
+`max_pure_power` of MAX_EXPONENT or more, and `gen_random_mprimary`
+checks the same two bounds once per call.  Its rows are then ints in
+range, so every draw is built as every computed ideal is, by
+`monomial._built` on the sweep, with no second check; the checks take
+e(m, I) and its kin from `mixed_multiplicity`, with one m per instance.
+
 `run_suite` and `fuzz` yield reports one at a time and keep none of them;
 a `Tally` folds a report stream into the per-check summary as it passes,
 so memory stays bounded however long a run goes.
@@ -34,10 +42,10 @@ from math import factorial, inf
 from typing import Callable, Iterator, NamedTuple
 
 from .buchsbaum_rim import DirectSumModule, br_via_mixed, scale_by_m
-from .expr import format_ideal
+from .expr import MAX_VARIABLE, format_ideal
 from .lengths import colength
-from .monomial import MonomialIdeal, ideal, integer, m_ideal, product
-from .multiplicity import hyperplane_section_multiplicity, mixed_multiplicity
+from .monomial import MAX_EXPONENT, MonomialIdeal, _built, _sweep, integer, m_ideal, product
+from .multiplicity import mixed_multiplicity
 
 
 @dataclass(frozen=True)
@@ -57,12 +65,9 @@ class CorpusConfig:
     def __post_init__(self):
         for name in ("seed", "dim", "rank", "max_pure_power", "extra_gens", "instances", "jobs"):
             object.__setattr__(self, name, integer(getattr(self, name), name))
-        if self.dim < 1:
-            raise ValueError("dim must be at least 1")
+        _draw_bounds(self.dim, self.max_pure_power)
         if self.rank < 1:
             raise ValueError("rank must be at least 1")
-        if self.max_pure_power < 1:
-            raise ValueError("max_pure_power must be at least 1")
         if self.extra_gens < 0:
             raise ValueError("extra_gens must be non-negative")
         if self.instances < 1:
@@ -129,10 +134,30 @@ def rng_for(seed: int, check: str, index: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
+def _draw_bounds(dim, max_pure_power) -> tuple[int, int]:
+    """`dim` and `max_pure_power` as ints; a ValueError unless draws from them can be built unchecked.
+
+    A draw's rows are `dim` long, at most `expr.MAX_VARIABLE` as the parser
+    allows, and its exponents lie in [0, max_pure_power], below MAX_EXPONENT.
+    """
+    dim, top = integer(dim, "dim"), integer(max_pure_power, "max_pure_power")
+    if not 1 <= dim <= MAX_VARIABLE:
+        raise ValueError(f"dim must be at least 1 and at most {MAX_VARIABLE}, got {dim}")
+    if not 1 <= top < MAX_EXPONENT:
+        raise ValueError(f"max_pure_power must be at least 1 and below {MAX_EXPONENT}, got {top}")
+    return dim, top
+
+
 def gen_random_mprimary(
     dim: int, max_pure_power: int, extra_gens: int, rng: random.Random
 ) -> MonomialIdeal:
-    """Random m-primary ideal: pure powers x_i^{k_i} plus extra box points."""
+    """Random m-primary ideal: pure powers x_i^{k_i} plus extra box points.
+
+    `dim` and `max_pure_power` are checked once, here (`_draw_bounds`); the
+    drawn rows are then ints in range, so the ideal is built as a product
+    is, by the sweep with no second check.
+    """
+    dim, max_pure_power = _draw_bounds(dim, max_pure_power)
     powers = [rng.randint(1, max_pure_power) for _ in range(dim)]
     gens = [
         tuple(k if i == j else 0 for j in range(dim))
@@ -144,7 +169,7 @@ def gen_random_mprimary(
             v = tuple(rng.randrange(0, k) for k in powers)
             if any(v):
                 gens.append(v)
-    return ideal(gens, dim=dim)
+    return _built(dim, _sweep(set(gens)))
 
 
 def _gen_many(config: CorpusConfig, check: str, index: int, count: int):
@@ -235,12 +260,12 @@ def check_prop_dim2(ideals, **meta) -> InequalityReport:
         raise ValueError("need at least two ideals")
     if ideals[0].dim != 2:
         raise ValueError("this bound is specific to dimension 2")
+    m = m_ideal(2)
     pair_sum = sum(
         mixed_multiplicity([a, b]) for a, b in combinations(ideals, 2)
     )
-    section_sum = sum(
-        hyperplane_section_multiplicity([I], 1) for I in ideals
-    )
+    # e(m, I) is the multiplicity of I after one general hyperplane cut
+    section_sum = sum(mixed_multiplicity([m, I]) for I in ideals)
     lhs = 2 * pair_sum + (r - 1) * section_sum
     rhs = 2 * (r - 1) * sum(colength(I) for I in ideals)
     terms = {"pair_sum": pair_sum, "section_sum": section_sum}

@@ -19,10 +19,11 @@ and keys each point once, builds their products in one prefix walk from
 the unit ideal through their meet, slot by slot, and reads every point's
 count at the walk's last level.  `colength_at` is the same on one
 point.  `_counts` is that walk on points already checked, for the module
-layer, which builds its compositions itself.  A unit ideal has no rows and
-an empty box, so its slot climbs as a copy of its field.  When every ideal
-is a power of m (R is m^0), the sampler answers by a binomial and builds
-nothing.  It keeps that shortcut, unlike `colength`, because whole walks
+layer, which builds its compositions itself, and for
+`mixed_difference_table`, whose rounds make their own points.  A unit
+ideal has no rows and an empty box, so its slot climbs as a copy of its
+field.  When every ideal is a power of m (R is m^0), the sampler answers
+by a binomial and builds nothing.  It keeps that shortcut, unlike `colength`, because whole walks
 are what it saves: without it the br-cross-check benchmark's `wall_s` read
 1.0 % higher (medians of 7 alternating pairs, 6 of them slower, 2-core
 Xeon, numpy 2.4.6).  A sampler keeps nothing from one call to the next:

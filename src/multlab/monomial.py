@@ -12,11 +12,14 @@ generating set in `minimalize` (so in `ideal`), the rows handed to the
 public `MonomialIdeal(...)` (user calls, unpickling).  Rows must have one
 length and every exponent must lie in [0, MAX_EXPONENT) before any numpy
 work, so int64 sums of generators never wrap.  Every ideal the library
-computes builds through the private `_built` with no second check; only a
-product's sums are range-checked, since two exponents in range can sum
-past it.  Every ideal computes its hash and its pure-power bounds once,
-when it is built, so memo lookups, `is_m_primary` and `box_bounds` read
-them without a pass over the generators.
+computes builds through the private `_built` with no second check: among
+them the harness's random draws, whose `dim` and largest pure power
+`harness.gen_random_mprimary` checks once per call, so its rows are ints
+in range by construction.  Only a product's sums are range-checked, since
+two exponents in range can sum past it.  Every ideal computes its hash
+and its pure-power bounds once, when it is built, so memo lookups,
+`is_m_primary` and `box_bounds` read them without a pass over the
+generators.
 
 `compositions(total, parts)` lists the tuples of a given sum in lex order
 by stars and bars: the generators of m^k, and the index sets of the

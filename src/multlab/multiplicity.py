@@ -25,10 +25,12 @@ evaluates the difference at a window of diagonal shifts and accepts the
 value only when the window is constant, doubling the base point otherwise,
 on one fixed schedule (`WINDOW`, `MAX_ROUNDS`, `GROWTH`).
 Each round hands all its lattice points to one evaluator at once; for
-colengths of products that is `ProductSampler.colengths`, which builds
-them in one prefix walk from the unit ideal through the round's meet, slot
-by slot.  `mixed_difference_table` runs it from a base read off the ideals'
-generators with a sampler of its own and memoizes nothing, and
+colengths of products that is the sampler's walk, which builds them in one
+prefix walk from the unit ideal through the round's meet, slot by slot.
+`mixed_difference_table` runs it from a base read off the ideals'
+generators with a sampler of its own and memoizes nothing; its round
+points are tuples of ints it made itself, so they go to the unchecked
+`ProductSampler._counts`, as the module layer's compositions do, and
 `buchsbaum_rim.br_direct` runs it on module colengths.
 """
 
@@ -203,12 +205,13 @@ def mixed_difference_table(ideals, type_=None) -> DifferenceTable:
 
     The ideals are merged as by `mixed_multiplicity`, and their product
     colengths come from a `ProductSampler` of this call's own, at a base
-    read off the generators.  Nothing here is memoized and no product
-    outlives the call, so every call stabilizes afresh.
+    read off the generators; each round's points, made by `stabilize`,
+    go to its walk unchecked (`_counts`).  Nothing here is memoized and no
+    product outlives the call, so every call stabilizes afresh.
     """
     merged, orders = _merged(ideals, type_)
     base = _heuristic_base(merged, merged[0].dim)
-    table = stabilize(ProductSampler(merged).colengths, orders, base=base)
+    table = stabilize(ProductSampler(merged)._counts, orders, base=base)
     _positive(table.result, "difference table")
     return table
 

@@ -558,3 +558,20 @@ class TestUsage:
 
     def test_exit_codes_distinct(self):
         assert len({EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, EXIT_UNSTABLE, EXIT_INTERRUPTED}) == 5
+
+    @pytest.mark.parametrize("argv, bound", [
+        # an exponent bound the draws never reached the library's check with:
+        # this run built fields and then exited 4
+        (("verify", "--max-pure-power", "2147483648", "--instances", "1"), "below 2147483648"),
+        # dimensions the parser's variable bound did not cover: each run built
+        # rows that long, and none of them exited within 20 s
+        (("mult", "(x^2, y^2)", "--dim", "2147483648"), "at most 1024"),
+        (("verify", "--dim", "1025", "--instances", "1"), "at most 1024"),
+        (("verify", "--dim", "3000", "--instances", "1", "--checks", "lech_classical"), "at most 1024"),
+    ])
+    def test_sizes_past_the_bounds_are_usage_errors(self, capsys, argv, bound):
+        start = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert bound in err and len(err) < 200
+        assert time.monotonic() - start < 5

@@ -134,6 +134,17 @@ class TestParse:
         with pytest.raises(ParseError, match="dimension must be at least 1"):
             parse_ideals(["(1)"], dim=0)
 
+    def test_dimension_is_capped_as_variables_are(self):
+        # a given dim builds rows that long, so it has the variables' bound
+        for dim in (1025, 2**31, 10**100):
+            with pytest.raises(ParseError, match="dimension must be at most 1024"):
+                parse_ideal("(x^2, y^2)", dim=dim)
+            with pytest.raises(ParseError, match="dimension must be at most 1024"):
+                parse_module("(x^2, y); (x, y^2)", dim=dim)
+        I = parse_ideal("(x^2, y^2)", dim=1024)
+        assert I.dim == 1024 and I.gens[-1] == (2,) + (0,) * 1023
+        assert parse_module("(1); (x1024)", dim=1024)[1].gens == ((0,) * 1023 + (1,),)
+
 
 class TestFormat:
     def test_x_major_order(self):

@@ -35,6 +35,7 @@ from multlab import (
     colength,
     gen_random_mprimary,
     hilbert_samuel,
+    ideal,
     is_m_primary,
     m_ideal,
     m_power,
@@ -73,6 +74,35 @@ class TestGenerator:
         c = gen_random_mprimary(3, 3, 2, rng_for(5, "c", 8))
         assert a == b
         assert a != c or True  # different index usually differs; never equal forced
+
+    def test_unchecked_build_equals_the_checked_one(self, monkeypatch):
+        # the draw's rows reach the sweep unchecked; ideal() of the same rows,
+        # which converts, checks and minimalizes them, must give the same ideal
+        drawn = []
+        sweep = harness._sweep
+        monkeypatch.setattr(harness, "_sweep", lambda rows: drawn.append(rows) or sweep(rows))
+        for dim in range(1, 6):
+            for top in range(1, 6):
+                for extra in range(5):
+                    for index in range(4):
+                        rng = rng_for(dim, f"unchecked-{top}-{extra}", index)
+                        got = gen_random_mprimary(dim, top, extra, rng)
+                        want = ideal(list(drawn.pop()), dim=dim)
+                        assert got == want and hash(got) == hash(want)
+                        assert box_bounds(got) == box_bounds(want)
+                        assert all(type(e) is int for g in got.gens for e in g)
+
+    @pytest.mark.parametrize("dim, top, message", [
+        (0, 3, "dim must be at least 1"),
+        (1025, 3, "at most 1024"),
+        (2, 0, "max_pure_power must be at least 1"),
+        (2, 2**31, "below 2147483648"),
+        (2.0, 3, "dim must be an integer"),
+        (2, 3.0, "max_pure_power must be an integer"),
+    ])
+    def test_refuses_what_it_cannot_build(self, dim, top, message):
+        with pytest.raises(ValueError, match=message):
+            gen_random_mprimary(dim, top, 2, rng_for(0, "bad", 0))
 
 
 class TestChecks:
@@ -405,6 +435,13 @@ class TestSuite:
             CorpusConfig(rank=0)
         with pytest.raises(ValueError, match="max_pure_power must be at least 1"):
             CorpusConfig(max_pure_power=0)
+        with pytest.raises(ValueError, match="max_pure_power must be .* below 2147483648"):
+            CorpusConfig(max_pure_power=2**31)
+        assert CorpusConfig(max_pure_power=2**31 - 1).max_pure_power == 2**31 - 1
+        # a report at a larger dim would name variables that parse_ideal refuses
+        with pytest.raises(ValueError, match="dim must be at least 1 and at most 1024"):
+            CorpusConfig(dim=1025)
+        assert CorpusConfig(dim=1024).dim == 1024
         with pytest.raises(ValueError, match="extra_gens must be non-negative"):
             CorpusConfig(extra_gens=-1)
 

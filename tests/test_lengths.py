@@ -95,7 +95,7 @@ class TestCounters:
         box, gen_box = box_bounds(P), box_bounds(J)
         h = field_of(P.gens, box, 1)
         redundant = np.vstack([J.gens, [[0, 255], [1, 2**40]]])
-        got = multiply_field(h, box, field_rows(redundant, gen_box, 1))
+        got = multiply_field(h, box, field_rows(redundant.tolist(), gen_box, 1))
         out_box = tuple(map(add, box, gen_box))
         rows = sums(P.gens, redundant)
         assert got.dtype == np.uint8
@@ -206,7 +206,7 @@ def test_multiply_field_matches_the_field_of_the_product(pair, data):
     P, J, axis = pair
     box, gen_box = box_bounds(P), box_bounds(J)
     rows = data.draw(generator_rows(J, axis))
-    got = multiply_field(field_of(P.gens, box, axis), box, field_rows(rows, gen_box, axis))
+    got = multiply_field(field_of(P.gens, box, axis), box, field_rows(rows.tolist(), gen_box, axis))
     out_box = tuple(map(add, box, gen_box))
     assert got.dtype == counting.field_dtype(out_box[axis])
     assert got.tolist() == oracle_field(sums(P.gens, rows), out_box, axis).tolist()
@@ -269,7 +269,7 @@ class TestFieldKernelEdges:
                     h = np.zeros((0,) * (d - 1), counting.field_dtype(0))
                 else:
                     h = field_of(P, box, axis)
-                J = field_rows(gens, bounds, axis)
+                J = field_rows(gens.tolist(), bounds, axis)  # rows of Python ints, as taken
                 got = multiply_field(h, box, J)
                 out_box = tuple(map(add, box, bounds))
                 assert out_box[axis] == top

@@ -200,12 +200,12 @@ class TestMixed:
 
     def test_symmetry(self, rng):
         for _ in range(5):
-            I = random_mprimary(rng, 2)
-            J = random_mprimary(rng, 2)
+            I = random_mprimary(rng, 2, mixed=True)
+            J = random_mprimary(rng, 2, mixed=True)
             assert mixed_multiplicity([I, J]) == mixed_multiplicity([J, I])
 
     def test_symmetry_three(self, rng):
-        I, J, K = (random_mprimary(rng, 3) for _ in range(3))
+        I, J, K = (random_mprimary(rng, 3, mixed=True) for _ in range(3))
         want = mixed_multiplicity([I, J, K])
         assert mixed_multiplicity([K, I, J]) == want
         assert mixed_multiplicity([J, K, I]) == want
@@ -214,8 +214,8 @@ class TestMixed:
         # deep in the polynomial region the pure a-direction second
         # difference of lambda(R/I^a J^b) is e(I), whatever b is held at
         for _ in range(4):
-            I = random_mprimary(rng, 2)
-            J = random_mprimary(rng, 2)
+            I = random_mprimary(rng, 2, mixed=True)
+            J = random_mprimary(rng, 2, mixed=True)
             eI = hilbert_samuel(I)
             for b in (0, 1, 3):
                 lam = lambda a: ProductSampler([I, J]).colength_at((a, b))
@@ -227,16 +227,16 @@ class TestMixed:
         from multlab import power
 
         for _ in range(4):
-            I = random_mprimary(rng, 2)
-            J = random_mprimary(rng, 2)
+            I = random_mprimary(rng, 2, mixed=True)
+            J = random_mprimary(rng, 2, mixed=True)
             assert mixed_multiplicity([power(I, 2), J]) == 2 * mixed_multiplicity(
                 [I, J]
             )
 
     def test_closure_invariance(self, rng):
         for _ in range(4):
-            I = random_mprimary(rng, 2, max_power=3, extras=2)
-            J = random_mprimary(rng, 2, max_power=3, extras=2)
+            I = random_mprimary(rng, 2, max_power=3, extras=2, mixed=True)
+            J = random_mprimary(rng, 2, max_power=3, extras=2, mixed=True)
             assert mixed_multiplicity([integral_closure(I), J]) == mixed_multiplicity(
                 [I, J]
             )
@@ -310,8 +310,8 @@ class TestHyperplaneSections:
 class TestReproducibility:
     def test_doubled_base_reproduces_value(self, rng):
         for _ in range(4):
-            I = random_mprimary(rng, 2)
-            J = random_mprimary(rng, 2)
+            I = random_mprimary(rng, 2, mixed=True)
+            J = random_mprimary(rng, 2, mixed=True)
             table = mixed_difference_table([I, J], (1, 1))
             merged = tuple(dict.fromkeys([I, J]))  # I == J merges to order (2,)
             doubled = stabilize(

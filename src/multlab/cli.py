@@ -6,7 +6,8 @@ Subcommands:
 * ``mixed "(x,y^2)" "(x^2,y)"`` -- mixed multiplicities, optional --type.
 * ``br --module "(x,y^2);(x^2,y)"`` -- Buchsbaum-Rim from Newton polyhedra;
   --cross-check also runs the difference table, the oracle.
-* ``verify`` -- run the seeded inequality suite from flags or a config file.
+* ``verify`` -- run the seeded inequality suite from flags or a config file;
+  ``--jobs N`` (default 1) pools N worker processes.
 * ``fuzz`` -- time-budgeted randomized search for violations.
 
 A ``--config FILE`` of ``verify`` or ``fuzz`` holds ``key = value`` lines
@@ -30,7 +31,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from contextlib import ExitStack
 
@@ -74,20 +74,6 @@ def _int_list(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in _names(text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
-
-
-def _jobs_default() -> int:
-    """Worker processes from $MULTLAB_JOBS, a positive int; 1 when it is unset or blank."""
-    env = os.environ.get("MULTLAB_JOBS", "").strip()
-    if not env:
-        return 1
-    try:
-        jobs = int(env)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise ParseError(f"MULTLAB_JOBS must be a positive integer, got {env!r}")
-    return jobs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,8 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--summary", default=None, metavar="FILE.csv",
                        help="write the per-check summary table")
         if name == "verify":
-            p.add_argument("--jobs", type=int, default=None,
-                           help="worker processes (default $MULTLAB_JOBS or 1)")
+            p.add_argument("--jobs", type=int, default=None, help="worker processes (default 1)")
             p.add_argument("--instances", type=int, default=None)
         else:
             p.add_argument("--seconds", type=float, default=10.0)
@@ -186,10 +171,7 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]):
 
 def _corpus_config(args) -> CorpusConfig:
     given = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(CorpusConfig)}
-    values = {name: value for name, value in given.items() if value is not None}
-    if args.command == "verify" and "jobs" not in values:
-        values["jobs"] = _jobs_default()
-    return CorpusConfig(**values)
+    return CorpusConfig(**{name: value for name, value in given.items() if value is not None})
 
 
 def _emit(payload: dict, as_json: bool) -> None:

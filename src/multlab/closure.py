@@ -15,8 +15,9 @@ facets rather than the subsets of generators or the products of vertices,
 and each normal a comes with min over J_j of a.g for every block.  Every
 membership question is then a.v >= b for every facet:
 
-* `newton_polyhedron_member` tests one point of any ideal in Python ints,
-  so it is exact for every exponent the ideal can hold.
+* `newton_polyhedron_member` tests one point of any ideal against its
+  facet rows alone, in Python ints, so it is exact for every exponent the
+  ideal can hold.
 * An m-primary polyhedron is a height field along the longest side of its
   box of pure-power bounds: over the other sides each facet bounds the
   least member height from below, and the field is the largest of those
@@ -48,13 +49,12 @@ from .monomial import (
     MonomialIdeal,
     _built,
     box_bounds,
-    contains,
     integer_exponents,
     is_m_primary,
 )
 
 
-def _phase_one_feasible(cols: list[tuple[int, ...]], rhs: tuple[int, ...]) -> bool:
+def _phase_one_feasible(cols: tuple[tuple[int, ...], ...], rhs: tuple[int, ...]) -> bool:
     """Is there lam >= 0 with sum(lam) = 1 and sum lam_j cols[j] <= rhs?
 
     That is, does rhs lie in conv(cols) + R^d_{>=0}; it does exactly when
@@ -66,24 +66,29 @@ def _phase_one_feasible(cols: list[tuple[int, ...]], rhs: tuple[int, ...]) -> bo
 
 
 def newton_polyhedron_member(I: MonomialIdeal, point) -> bool:
-    """True when x^point lies in the integral closure of I."""
+    """True when x^point lies in the integral closure of I.
+
+    The facet rows alone decide, with no divisibility test first: a point
+    that a generator divides satisfies every row too.  Nothing in the
+    library calls this function, and each call finds the facets afresh:
+    30-45 ms for the 235 generators of a ball-shaped ideal in d = 4.
+    """
     v = integer_exponents(point)
     if len(v) != I.dim:
         raise ValueError(f"point has {len(v)} coordinates, ideal has {I.dim}")
     if any(e < 0 for e in v):
         raise ValueError("exponents must be non-negative")
-    if contains(I, v):
-        return True
-    return _phase_one_feasible(list(I.gens), v)
+    return _phase_one_feasible(I.gens, v)
 
 
 def _newton_facets(blocks) -> tuple[list[tuple[int, ...]], list[list[int]]]:
     """Facet normals a of Newt(J_1) + ... + Newt(J_s), and per block j the minima min over J_j of a.g.
 
-    `blocks` holds the generator rows of J_1, ..., J_s, each any non-empty
-    sequence of exponent rows.  The normals come back as a list of
-    primitive a >= 0, and with them one list per block: b_j[k] = min over
-    J_j of A[k].g >= 0.  The facets of the sum are a.v >= b_1 + ... + b_s
+    `blocks` holds the generator rows of J_1, ..., J_s, each a non-empty
+    sequence of tuples of Python ints, such as an ideal's stored `gens`,
+    taken as they are.  The normals come back as a list of primitive a >=
+    0, and with them one list per block: b_j[k] = min over J_j of A[k].g >=
+    0.  The facets of the sum are a.v >= b_1 + ... + b_s
     > 0, and the same normals with right-hand sides sum t_j b_j cut out
     every sum t_1 Newt(J_1) + ... with t_j >= 0; with one block, A and b_1
     are the facet rows of Newt(J_1) itself.
@@ -114,8 +119,7 @@ def _newton_facets(blocks) -> tuple[list[tuple[int, ...]], list[list[int]]]:
     """
     s = len(blocks)
     firsts, cuts = [None] * s, []
-    for _, g, j in sorted((sum(g), g, j) for j, gens in enumerate(blocks)
-                          for g in map(tuple, np.asarray(gens).tolist())):
+    for _, g, j in sorted((sum(g), g, j) for j, gens in enumerate(blocks) for g in gens):
         if firsts[j] is None:
             firsts[j] = g
         else:
@@ -223,6 +227,11 @@ def _tile_heights(A, c, rights, boxes, cells):
     rows are sorted by a_c, and each run of one a_c is reduced to its least
     row, then floor-divided by that a_c: floor((a'.v' - r) / a_c) is
     monotone in a'.v' - r, so one division per run serves all its rows.
+    Dividing every row instead took the d = 6 CI corpus (`verify --dim 6
+    --rank 3 --instances 2 --seed 11`, in-process) from 13.0 / 11.3 s to
+    21.9 / 20.0 s, 1.7-1.8 times as long, while the closure-d4 benchmark
+    corpus, of few facets over small fields, read 4 % faster (16.0 against
+    15.4 ms, medians of 21 alternating passes).
     The least over the runs, capped at 0, is -h.  Yields (j, lo, low) for
     box j, with low = -h on the part of its field from the coordinates lo
     on, written into the first cells of the flat int64 buffer `cells`,

@@ -161,6 +161,9 @@ def multiply_field(h: np.ndarray, box, J: FieldRows) -> np.ndarray:
     lift = src.dtype.type
     # out= keeps the 0-d field of d = 1 an array, not a scalar
     out = np.add(src, lift(J.bounds[J.axis]), out=np.empty_like(src))
+    # a row of height 0 takes the minimum with the shifted field itself, with
+    # no sum array: with one path for every row, br_direct over the 79
+    # br-cross-check modules took 29 % longer (medians of 21 alternating passes)
     for out_at, src_at, c in J.rows:
         view = out[out_at]
         np.minimum(view, src[src_at] + lift(c) if c else src[src_at], out=view)

@@ -23,14 +23,16 @@ layer, which builds its compositions itself, and for
 `mixed_difference_table`, whose rounds make their own points.  A unit
 ideal has no rows and an empty box, so its slot climbs as a copy of its
 field.  When every ideal is a power of m (R is m^0), the sampler answers
-by a binomial and builds nothing.  It keeps that shortcut, unlike `colength`, because whole walks
-are what it saves: without it the br-cross-check benchmark's `wall_s` read
-1.0 % higher (medians of 7 alternating pairs, 6 of them slower, 2-core
-Xeon, numpy 2.4.6).  A sampler keeps nothing from one call to the next:
-no count and no product outlives the call that made it.  Repeated exact
-results come from two bounded memos, least recently used out: `colength`
-keeps MEMO_ENTRIES colengths, and `multiplicity._newton_value` keeps as
-many mixed multiplicities.
+by a binomial and builds nothing.  It keeps that shortcut, unlike
+`colength`, because whole walks are what it saves: on the 8 of the 79
+br-cross-check benchmark modules that take it, `br_direct` took 71-241 us
+with the binomial and 130-1 022 us by the walk, 1.8 to 4.3 times as much
+(medians of 15 alternating calls, in-process, 2-core Xeon, numpy 2.4.6).
+A sampler keeps nothing from one call to the next: no count and no
+product outlives the call that made it.  Repeated exact results come from
+two bounded memos, least recently used out: `colength` keeps MEMO_ENTRIES
+colengths, and `multiplicity._newton_value` keeps as many mixed
+multiplicities.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ class ProductSampler:
 
     Products are height fields along one axis per sampler: the longest side
     of the summed boxes of the ideals.  Every call builds its products in
-    one prefix walk from the unit ideal over its points (`_grow`), and
+    one prefix walk from the unit ideal over its points (`_counts`), and
     holds no count and no product once it returns.  Every ideal's bounds
     come from `box_bounds`, which raises NotMPrimaryError; a unit ideal's
     are 0 and it has no rows, so it leaves a product's field as it is.
@@ -104,24 +106,32 @@ class ProductSampler:
         axis = height_axis([sum(b[i] for b in bounds) for i in range(d)])
         self._rows = [field_rows(I.gens, b, axis) for I, b in zip(ideals, bounds)]
         # a product costs one min-plus update per generator of the ideal it
-        # adds, so the walk climbs the costliest slots where groups are fewest
+        # adds, so the walk climbs the costliest slots where groups are fewest;
+        # in plain index order, br_direct over the 79 br-cross-check modules
+        # took 3.6-4.6 % longer (medians of 21 alternating passes, two runs)
         self._cheapest = sorted(range(len(ideals)), key=lambda j: len(ideals[j].gens))
 
-    def _grow(self, points) -> dict[tuple[int, ...], int]:
-        """The counts of `points`, from one prefix walk through their meet.
+    def _counts(self, points) -> list[int]:
+        """Colengths at `points`, tuples of non-negative ints, one per ideal, taken as they are.
 
-        The walk climbs from the unit ideal's empty field to the meet, then
-        takes the slots in reverse of `_cheapest` and the points in lex
-        order of their values on those slots.  A stack holds one (field,
-        box) per level, level k + 1 being level k with slot k climbed to the
-        point's value.  Each point keeps the levels it shares with the point
-        before (the meet, for the first), climbs the first slot where they
-        differ from that point's value to its own, climbs each later slot
-        from the meet, and counts the last level.  The walk holds the meet's
-        field and at most one more per slot, and no product once it
-        returns; it is a loop, so any number of slots fits the stack of the
-        interpreter.
+        Powers of m take the binomial; otherwise one prefix walk through
+        the points' meet builds the products.  The walk climbs from the
+        unit ideal's empty field to the meet, then takes the slots in
+        reverse of `_cheapest` and the points in lex order of their values
+        on those slots.  A stack holds one (field, box) per level, level k
+        + 1 being level k with slot k climbed to the point's value.  Each
+        point keeps the levels it shares with the point before (the meet,
+        for the first), climbs the first slot where they differ from that
+        point's value to its own, climbs each later slot from the meet, and
+        counts the last level.  The walk holds the meet's field and at most
+        one more per slot, and no product once it returns; it is a loop, so
+        any number of slots fits the stack of the interpreter.
         """
+        if self._all_m:
+            degrees = [sum(map(mul, n, self._m_degrees)) for n in points]
+            return [comb(k - 1 + self.dim, self.dim) if k else 0 for k in degrees]
+        if not points:
+            return []
         slots = self._cheapest[::-1]
         meet = tuple(map(min, zip(*points)))
 
@@ -149,7 +159,7 @@ class ProductSampler:
                 stack.append(climb(stack[i], j, p[j] - meet[j]))
             counts[p] = field_count(stack[-1][0])
             prev = p
-        return counts
+        return [counts[n] for n in points]
 
     def _key(self, n) -> tuple[int, ...]:
         """n as a tuple of ints, one non-negative exponent per ideal."""
@@ -166,12 +176,3 @@ class ProductSampler:
     def colengths(self, points) -> list[int]:
         """Colengths at all `points`, each checked, their products built in one prefix walk."""
         return self._counts([self._key(n) for n in points])
-
-    def _counts(self, keys) -> list[int]:
-        """Colengths at `keys`, tuples of non-negative ints, one per ideal, taken as they are."""
-        if self._all_m:
-            degrees = [sum(map(mul, n, self._m_degrees)) for n in keys]
-            return [comb(k - 1 + self.dim, self.dim) if k else 0 for k in degrees]
-        counts = self._grow(keys) if keys else {}
-        return [counts[n] for n in keys]
-

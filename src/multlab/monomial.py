@@ -352,14 +352,16 @@ def box_bounds(ideal_: MonomialIdeal) -> tuple[int, ...]:
     The staircase complement lives inside the box prod [0, b_i).  For R the
     least pure powers are the x_i^0, so the box is (0, ..., 0) and empty.
     Raises NotMPrimaryError when a variable has no pure power in a proper
-    ideal.  The unit test runs only where a bound is 0, so an m-primary
-    ideal pays nothing for it.
+    ideal; the message names the first three such variables and counts the
+    rest, so it stays one short line at any dimension.  The unit test runs
+    only where a bound is 0, so an m-primary ideal pays nothing for it.
     """
     bounds = ideal_._bounds
     if not all(bounds) and not ideal_.is_unit:
-        missing = ", ".join(f"x{i + 1}" for i, k in enumerate(bounds) if not k)
+        missing = [f"x{i + 1}" for i, k in enumerate(bounds) if not k]
+        more = f" and {len(missing) - 3} more" if len(missing) > 3 else ""
         raise NotMPrimaryError(
-            f"no pure power of {missing}: the colength is infinite"
+            f"no pure power of {', '.join(missing[:3])}{more}: the colength is infinite"
         )
     return bounds
 

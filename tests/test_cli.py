@@ -61,6 +61,17 @@ class TestMult:
         assert code == EXIT_USAGE
         assert "x2" in err
 
+    def test_non_primary_message_stays_short_at_the_largest_dimension(self, capsys):
+        # the message names the first three variables without a pure power
+        # and counts the rest, so it stays one line at any dimension
+        code, _, err = run(capsys, "mult", "(x^2, y^2)", "--dim", "1024")
+        assert code == EXIT_USAGE
+        assert len(err.encode()) < 200
+        assert "no pure power of x3, x4, x5 and 1019 more:" in err
+        code, _, err = run(capsys, "mult", "(x^2, y^2)", "--dim", "3")
+        assert code == EXIT_USAGE
+        assert err == "multlab: no pure power of x3: the colength is infinite\n"
+
 
 class TestMixed:
     def test_two_ideals(self, capsys):
@@ -106,14 +117,31 @@ class TestBr:
         assert code == EXIT_OK
         assert json.loads(out)["buchsbaum_rim"] == 3
 
-    def test_cross_check_agrees(self, capsys):
-        code, out, _ = run(
-            capsys, "br", "--module", "(x, y^2);(x^2, y)", "--cross-check", "--json"
-        )
+    # br answers from Newton polyhedra; the cross-check runs the table engine,
+    # br_direct, which hands each round's compositions to the sampler in one
+    # batch, and both routes must agree.  Past a rank-2 module in d = 2: a
+    # rank-3 module; a rank-1 module, whose compositions meet away from the
+    # zero vector, so every call climbs to that meet from the unit ideal, and
+    # whose value is e(I) = 20; a d = 4 module, where most min-plus updates
+    # are by generators of height 0; and a unit column and a repeated one,
+    # twice: equal columns are fused into one slot weighted by a binomial,
+    # and the unit ideal's slot climbs as a copy of its field.  Under numpy
+    # 1.x value-based casting the walk adds heights as scalars of the field's
+    # own type, and these values must still come out exact.
+    @pytest.mark.parametrize("module_text, value", [
+        ("(x, y^2);(x^2, y)", 5),
+        ("(x^2, x*y, y^3, z^2);(x^3, y, z^2);(x, y^2, y*z, z^3)", 46),
+        ("(x^3, x*y^2, y^4, z^2)", 20),
+        ("(x^4, y^4, z^4, w^4, x*y*z*w);(x^5, y^3, z^4, w^2, x*w);(x^3, y^5, z^2, w^4, y*z)", 1243),
+        ("(x^2, y);(x^2, y);(1)", 6),
+        ("(x^2, x*y, y^3, z^2);(x^2, x*y, y^3, z^2);(x^3, y, z^2)", 66),
+    ], ids=["rank2", "rank3", "rank1", "d4", "unit-column", "repeated-column"])
+    def test_cross_check_agrees(self, capsys, module_text, value):
+        code, out, _ = run(capsys, "br", "--module", module_text, "--cross-check", "--json")
         assert code == EXIT_OK
         payload = json.loads(out)
+        assert (payload["buchsbaum_rim"], payload["direct"]) == (value, value)
         assert payload["routes_agree"] is True
-        assert payload["buchsbaum_rim"] == payload["direct"]
 
     def test_cross_check_disagreement_exits_2_and_still_prints(self, capsys, monkeypatch):
         monkeypatch.setattr("multlab.cli.br_direct", lambda E: 6)
@@ -345,20 +373,11 @@ class TestVerify:
         assert str(cfg) in err and "inst" in err
         assert "total" not in out
 
-    @pytest.mark.parametrize("value", ["zero", "0", "-2", "1.5"])
-    def test_malformed_jobs_variable_is_usage_error(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("MULTLAB_JOBS", value)
-        code, _, err = run(capsys, "verify", "--dim", "2", "--instances", "1")
-        assert code == EXIT_USAGE
-        assert "MULTLAB_JOBS" in err
-
-    def test_jobs_variable_sets_the_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("MULTLAB_JOBS", " 1 ")
-        code, _, _ = run(capsys, "verify", "--dim", "2", "--instances", "1")
-        assert code == EXIT_OK
-        # an explicit flag wins over a malformed variable
+    def test_no_environment_variable_sets_the_jobs(self, capsys, monkeypatch):
+        # --jobs and a config file's jobs line set the workers; no environment
+        # variable does, so a malformed MULTLAB_JOBS is never read
         monkeypatch.setenv("MULTLAB_JOBS", "zero")
-        code, _, _ = run(capsys, "verify", "--dim", "2", "--instances", "1", "--jobs", "1")
+        code, _, _ = run(capsys, "verify", "--dim", "2", "--instances", "1")
         assert code == EXIT_OK
 
 

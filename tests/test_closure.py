@@ -190,8 +190,8 @@ def _cross_check_ideals(rng):
 
 def test_facet_rows_are_primitive_tight_supporting_inequalities(rng):
     for I in _cross_check_ideals(rng):
+        A, (b,) = closure._newton_facets([I.gens])
         gens = np.array(I.gens)
-        A, (b,) = closure._newton_facets([gens])
         A, b = np.array(A), np.array(b)
         assert len(A) == len(b) >= 1, I
         assert (A >= 0).all() and (b > 0).all(), I

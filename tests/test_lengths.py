@@ -566,6 +566,20 @@ class TestProductSampler:
             k = 2 * a + b
             assert sampler.colength_at((a, b)) == (comb(k - 1 + 3, 3) if k else 0)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_m_power_binomial_equals_the_walk(self, d):
+        # powers of m, and R as m^0, take the binomial; forced off, the same
+        # sampler walks and counts fields, and the two must agree everywhere
+        for ks in ((1,), (2,), (3,), (1, 2), (3, 1), (1, 2, 3)):
+            for unit in (False, True):
+                ideals = [m_power(d, k) for k in ks] + [unit_ideal(d)] * unit
+                points = list(iter_product(range(3), repeat=len(ideals)))
+                sampler = ProductSampler(ideals)
+                assert sampler._all_m
+                binomial = sampler._counts(points)
+                sampler._all_m = False
+                assert sampler._counts(points) == binomial, (d, ks, unit)
+
     def test_unit_columns_are_inert(self):
         I = parse_ideal("(x^2, y^2)")
         sampler = ProductSampler([I, unit_ideal(2)])

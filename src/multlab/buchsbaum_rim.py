@@ -3,26 +3,32 @@
 For E = I_1 e_1 + ... + I_r e_r inside F = R^r with each I_i m-primary (or
 all of R), the function n |-> lambda(Sym^n F / image of Sym^n E) is a sum of
 colengths of products over all compositions of n, eventually polynomial of
-degree d + r - 1.  `br_via_mixed` answers: br(E) is the sum of the mixed
-multiplicities e(I_1^[a_1], ..., I_r^[a_r]) over the compositions a of d,
-and summed over every a the base-0 differences of the closure colengths
-collapse to one weighted sum of them, one `closure.colength_sum` on one
-Newton hull.  `br_direct`, the oracle, extracts (d+r-1)! times the leading
-coefficient from a stabilized difference table.  The two routes share
-neither the difference window nor the hull, so their agreement is a real
-cross-check.  Both routes, and `module_colength`, take their compositions
-from `monomial.compositions`, the enumerator that also writes the
-generators of m^k.  `scale_by_m` is the one multiplication by m, of an
-ideal or of each column of a module.
+degree d + r - 1.  `br_via_mixed` answers: br(E) = sum over the
+compositions a of d of e(I_1^[a_1], ..., I_r^[a_r]), and it passes those
+compositions, weighted, to one `closure.mixed_sum`, which turns them into
+closure colengths on one Newton hull; this module builds none.
+`br_direct`, the oracle, extracts (d+r-1)! times the leading coefficient
+from a stabilized difference table.  The two routes share neither the
+difference window nor the hull, so their agreement is a real cross-check.
+The oracle walks C(n + r - 1, r - 1) compositions per n over r distinct
+columns, so its time grows fast with r: on r distinct columns (x^2,
+y^(k+1)), k < r, in d = 2 it took 0.01-0.03 s at r = 4, 0.56-1.5 s at
+r = 6 and 30-55 s at r = 8 on two 2-core Xeon hosts, where
+`br_via_mixed` took 1-2 ms.  Both routes,
+and `module_colength`, take their compositions from
+`monomial.compositions`, the enumerator that also writes the generators
+of m^k.  `scale_by_m` is the one multiplication by m, of an ideal or of
+each column of a module.
 
 Equal columns are fused first, in order of first appearance, as
 `multiplicity._merged` fuses equal slots, by a `Counter` of the columns.  A column J_g that
 appears m_g times sees only the sum s_g of the exponents of its copies, and
 C(s_g + m_g - 1, m_g - 1) compositions over the copies give that sum, so a
 composition s over the distinct columns weighs the product of those
-binomials (`_weights`).  Every sum runs over the compositions into the
-distinct columns, so its cost follows their number, not the rank: 1 100
-copies of one column cost what one costs.
+binomials (`_weights`), in which a column seen once is the factor 1 and
+is not read.  Every sum runs over the compositions into the distinct
+columns, so its cost follows their number, not the rank: 1 100 copies of
+one column cost what one costs.
 """
 
 from __future__ import annotations
@@ -31,9 +37,9 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from math import comb, prod
-from operator import add, mul
+from operator import mul
 
-from .closure import colength_sum
+from .closure import mixed_sum
 from .lengths import ProductSampler, colength
 from .monomial import MonomialIdeal, common_dim, compositions, integer, integer_exponents
 from .monomial import is_m_primary, m_ideal, product
@@ -86,10 +92,12 @@ def _weights(points, copies: Counter) -> list[int]:
 
     `copies` counts the columns, distinct ones in order of first appearance.
     A point s is a composition over the distinct columns, the g-th of which
-    appears m_g times; it weighs prod_g C(s_g + m_g - 1, m_g - 1).
+    appears m_g times; it weighs prod_g C(s_g + m_g - 1, m_g - 1), a
+    product over the repeated columns alone, since a column seen once
+    gives the factor 1.
     """
-    less = [m - 1 for m in copies.values()]
-    return [prod(map(comb, map(add, s, less), less)) for s in points]
+    repeated = [(g, m - 1) for g, m in enumerate(copies.values()) if m > 1]
+    return [prod(comb(s[g] + k, k) for g, k in repeated) for s in points]
 
 
 def _module_colengths(E: DirectSumModule):
@@ -150,22 +158,15 @@ def br_via_mixed(E: DirectSumModule) -> int:
 
     br(E) = sum over compositions a of d of e(I_1^[a_1], ..., I_r^[a_r]),
     where only the r proper columns count: the colength function does not
-    depend on the exponent of a unit column.  Each term is the order-a
-    difference at 0 of the closure colengths L(t), and summed over every
-    a the weight of L(t) is (-1)^{d-|t|} C(d+r-1, |t|+r-1), the
-    coefficient of x^d in x^{|t|} / (1-x)^{|t|+r}.  Equal proper columns
-    are fused, and each t over the distinct ones also weighs the number of
-    t over all r that fuse to it (`_weights`).  So the value is one
-    `closure.colength_sum` over the t with |t| <= d, on one hull.
+    depend on the exponent of a unit column.  Equal proper columns are
+    fused, and each composition a over the distinct ones weighs the number
+    of compositions over all r that fuse to it (`_weights`).  Those pairs
+    go to `closure.mixed_sum`, which answers on one hull.
     """
     copies = Counter(_proper_columns(E))
-    d, r = E.dim, copies.total()
-    points = [t for k in range(d + 1) for t in compositions(k, len(copies))]
-    terms = [
-        (t, (-1) ** (d - sum(t)) * comb(d + r - 1, sum(t) + r - 1) * w)
-        for t, w in zip(points, _weights(points, copies))
-    ]
-    return _positive(colength_sum(tuple(copies), terms), "the Newton route", _BR_KIND)
+    points = compositions(E.dim, len(copies))
+    value = mixed_sum(tuple(copies), zip(points, _weights(points, copies)))
+    return _positive(value, "the Newton route", _BR_KIND)
 
 
 def scale_by_m(x):

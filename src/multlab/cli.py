@@ -99,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_br.add_argument("--module", required=True,
                       help='column ideals separated by ";", e.g. "(x,y^2);(x^2,y)"')
     p_br.add_argument("--cross-check", action="store_true",
-                      help="also compute from the difference table and compare")
+                      help="also compute from the difference table and compare; it walks C(n+r-1, r-1) "
+                           "compositions per n over the r distinct columns: 0.6-1.5 s at r = 6, 30-55 s at r = 8")
 
     for name, handler, help_ in (
         ("verify", _cmd_verify, "run the seeded inequality suite"),
@@ -221,14 +222,12 @@ def _cmd_br(args) -> int:
         "buchsbaum_rim": value,
     }
     if args.cross_check:
-        other = br_direct(E)
-        payload["direct"] = other
+        payload["direct"] = other = br_direct(E)
         payload["routes_agree"] = other == value
-        if other != value:
-            _emit(payload, args.json)
-            print("cross-check failed: the two routes disagree", file=sys.stderr)
-            return EXIT_VIOLATION
     _emit(payload, args.json)
+    if args.cross_check and not payload["routes_agree"]:
+        print("cross-check failed: the two routes disagree", file=sys.stderr)
+        return EXIT_VIOLATION
     return EXIT_OK
 
 

@@ -17,7 +17,8 @@ membership question is then a.v >= b for every facet:
 
 * `newton_polyhedron_member` tests one point of any ideal against its
   facet rows alone, in Python ints, so it is exact for every exponent the
-  ideal can hold.
+  ideal can hold; the rows of each generator tuple are found once and kept
+  in a memo bounded by `lengths.MEMO_ENTRIES` (`_facet_rows`).
 * An m-primary polyhedron is a height field along the longest side of its
   box of pure-power bounds: over the other sides each facet bounds the
   least member height from below, and the field is the largest of those
@@ -29,6 +30,11 @@ membership question is then a.v >= b for every facet:
   J_j^(t_j): one hull of the J_j serves every t, with right-hand sides
   sum t_j min over J_j of a.g, and one `_tile_heights` pass serves every
   box.
+* `mixed_sum` is the one place that turns mixed multiplicities into
+  closure colengths: it takes weighted orders a with |a| = d, expands each
+  into the terms of its order-a difference at 0, merges them per point t
+  and hands them to one `colength_sum`.  `multiplicity._newton_value`
+  passes one order, `buchsbaum_rim.br_via_mixed` every composition of d.
 
 `check_int64` bounds every value the tiles hold before int64 arithmetic
 starts.  No floats and no rationals enter the decision.
@@ -36,7 +42,7 @@ starts.  No floats and no rationals enter the decision.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product as iter_product
 from math import factorial, gcd, prod
 from operator import add, mul
@@ -45,24 +51,36 @@ import numpy as np
 
 from . import counting
 from .errors import NotMPrimaryError
+from .lengths import MEMO_ENTRIES
 from .monomial import (
     MonomialIdeal,
     _built,
+    _difference_terms,
     box_bounds,
     integer_exponents,
     is_m_primary,
 )
 
 
+@lru_cache(maxsize=MEMO_ENTRIES)
+def _facet_rows(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The facet rows (a, b) of Newt(J) for the generator rows `gens` of J, from `_newton_facets`.
+
+    Memoized for the last `lengths.MEMO_ENTRIES` generator tuples, so
+    membership finds each ideal's facets once, not once per point.
+    """
+    A, (b,) = _newton_facets([gens])
+    return tuple(zip(A, b))
+
+
 def _phase_one_feasible(cols: tuple[tuple[int, ...], ...], rhs: tuple[int, ...]) -> bool:
     """Is there lam >= 0 with sum(lam) = 1 and sum lam_j cols[j] <= rhs?
 
     That is, does rhs lie in conv(cols) + R^d_{>=0}; it does exactly when
-    a.rhs >= b for every facet row (a, b) of `_newton_facets([cols])`.  The
+    a.rhs >= b for every facet row (a, b) of `_facet_rows(cols)`.  The
     benchmark's tracer (`bench/tracer.py`) wraps this function by name.
     """
-    A, (b,) = _newton_facets([cols])
-    return all(sum(map(mul, a, rhs)) >= c for a, c in zip(A, b))
+    return all(sum(map(mul, a, rhs)) >= b for a, b in _facet_rows(cols))
 
 
 def newton_polyhedron_member(I: MonomialIdeal, point) -> bool:
@@ -70,7 +88,8 @@ def newton_polyhedron_member(I: MonomialIdeal, point) -> bool:
 
     The facet rows alone decide, with no divisibility test first: a point
     that a generator divides satisfies every row too.  Nothing in the
-    library calls this function, and each call finds the facets afresh:
+    library calls this function; the rows of each ideal are found once and
+    kept in the bounded memo of `_facet_rows`, since finding them takes
     30-45 ms for the 235 generators of a ball-shaped ideal in d = 4.
     """
     v = integer_exponents(point)
@@ -329,3 +348,25 @@ def colength_sum(ideals, terms) -> int:
     rights = [[sum(map(mul, t, m)) for m in per_facet] for t, _ in terms]
     return -sum(terms[j][1] * int(np.add.reduce(low, axis=None))
                 for j, _, low in _tile_heights(A, c, rights, boxes, cells))
+
+
+def mixed_sum(ideals, weights) -> int:
+    """Sum of w * e(J_1^[a_1], ..., J_s^[a_s]) over the pairs (a, w) of `weights`, each |a| = d.
+
+    L(t) = lambda(R / closure of prod J_j^(t_j)) counts the lattice points
+    outside t_1 Newt(J_1) + ... + t_s Newt(J_s) (Huneke-Swanson, *Integral
+    Closure*, 1.4) and is a polynomial of total degree d on all of
+    Z^s_>=0 (McMullen, *Lattice invariant valuations on rational
+    polytopes*, 1977) with the top-degree part of the colength of the
+    products themselves, since e does not change under integral closure.
+    So e(J^[a]) is the order-a difference of L at 0, the sum over t <= a
+    of (-1)^{|a - t|} prod C(a_j, t_j) L(t) (`monomial._difference_terms`),
+    with no window and no product of ideals.  The terms of every a are
+    merged per t, and one `colength_sum` on one hull of the m-primary
+    `ideals` sums them.
+    """
+    merged = {}
+    for a, w in weights:
+        for t, coeff in _difference_terms(a):
+            merged[t] = merged.get(t, 0) + w * coeff
+    return colength_sum(ideals, merged.items())

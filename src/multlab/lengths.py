@@ -30,9 +30,10 @@ with the binomial and 130-1 022 us by the walk, 1.8 to 4.3 times as much
 (medians of 15 alternating calls, in-process, 2-core Xeon, numpy 2.4.6).
 A sampler keeps nothing from one call to the next: no count and no
 product outlives the call that made it.  Repeated exact results come from
-two bounded memos, least recently used out: `colength` keeps MEMO_ENTRIES
-colengths, and `multiplicity._newton_value` keeps as many mixed
-multiplicities.
+three bounded memos, least recently used out: `colength` keeps MEMO_ENTRIES
+colengths, `multiplicity._newton_value` keeps as many mixed
+multiplicities, and `closure._facet_rows` as many ideals' facet rows for
+`closure.newton_polyhedron_member`.
 """
 
 from __future__ import annotations

@@ -23,7 +23,10 @@ generators.
 
 `compositions(total, parts)` lists the tuples of a given sum in lex order
 by stars and bars: the generators of m^k, and the index sets of the
-Buchsbaum-Rim sums.
+Buchsbaum-Rim sums.  Beside it, `_difference_terms(order)` lists the
+points t <= order with the signed binomial coefficients of the
+order-`order` mixed difference; `closure.mixed_sum` and
+`multiplicity.stabilize` both take their terms from it.
 
 Every generating set, of any size, is minimalized by one pure-Python sweep
 (`_sweep`): the distinct rows are taken by degree, then lex, and a row is
@@ -223,6 +226,24 @@ def compositions(total: int, parts: int) -> list[Monomial]:
     # the pool range(total + 1) is built whole, so one part, which cuts nothing, gets none
     cuts = combinations_with_replacement(range(total + 1) if parts > 1 else (), parts - 1)
     return [tuple(map(sub, c + (total,), (0,) + c)) for c in cuts]
+
+
+def _difference_terms(order) -> list[tuple[Monomial, int]]:
+    """The pairs (t, (-1)^{|order - t|} prod C(order_j, t_j)) over the points t <= `order`, in lex order.
+
+    They are the terms of the order-`order` mixed difference: sum coeff *
+    f(base + t) is the difference of f at `base`.  The coefficient is a
+    product over the coordinates, so the terms are built one coordinate o
+    of `order` at a time, each extended by the signed binomials (-1)^{o -
+    k} C(o, k) of its k <= o.
+
+    >>> _difference_terms((1, 2))
+    [((0, 0), -1), ((0, 1), 2), ((0, 2), -1), ((1, 0), 1), ((1, 1), -2), ((1, 2), 1)]
+    """
+    terms = [((), 1)]
+    for o in order:
+        terms = [(t + (k,), c * (-1) ** (o - k) * comb(o, k)) for t, c in terms for k in range(o + 1)]
+    return terms
 
 
 def m_power_degree(ideal_: MonomialIdeal) -> int | None:

@@ -7,23 +7,18 @@ lower term and returns a_1! ... a_s! times the leading coefficient -- which
 is exactly the mixed multiplicity e(I_1^[a_1], ..., I_s^[a_s]).
 
 `mixed_multiplicity` takes that difference at base 0 of the closures
-instead.  lambda(R / closure of prod I_j^{n_j}) counts the lattice points
-of R^d_>=0 outside n_1 Newt(I_1) + ... + n_s Newt(I_s) (Huneke-Swanson,
-*Integral Closure*, 1.4), and that count is a polynomial of total degree d
-on all of Z^s_>=0 (McMullen, *Lattice invariant valuations on rational
-polytopes*, 1977) with the same top-degree part, since e does not change
-under integral closure.  So the order-a difference over the points
-delta <= a alone is the value: no window, no base, and no product of
-ideals.  The weighted sum of closure colengths, with its hull, field
-buffer and int64 check, is `closure.colength_sum`; `_newton_value` is
-one call of it, memoized for the last `lengths.MEMO_ENTRIES` distinct
-(ideals, orders) keys, and `buchsbaum_rim.br_via_mixed` sums all orders
-of total d in one call of it.
+instead, from Newton polyhedra: no window, no base, and no product of
+ideals.  `closure.mixed_sum` holds that route, why it gives the value,
+and every closure colength it sums; `_newton_value` is one call of it,
+with the one pair (orders, 1), memoized for the last
+`lengths.MEMO_ENTRIES` distinct (ideals, orders) keys.  This module
+holds no field, box, hull or closure colength.
 
 The difference-table engine stays as the independent oracle.  `stabilize`
-evaluates the difference at a window of diagonal shifts and accepts the
-value only when the window is constant, doubling the base point otherwise,
-on one fixed schedule (`WINDOW`, `MAX_ROUNDS`, `GROWTH`).
+evaluates the difference, with the terms of `monomial._difference_terms`,
+at a window of diagonal shifts and accepts the value only when the
+window is constant, doubling the base point otherwise, on one fixed
+schedule (`WINDOW`, `MAX_ROUNDS`, `GROWTH`).
 Each round hands all its lattice points to one evaluator at once; for
 colengths of products that is the sampler's walk, which builds them in one
 prefix walk from the unit ideal through the round's meet, slot by slot.
@@ -38,14 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iter_product
-from math import comb, prod
 from operator import add
 
 from . import closure
 from .errors import ImpossibleValueError, NotMPrimaryError, StabilizationError
 from .lengths import MEMO_ENTRIES, ProductSampler
-from .monomial import MonomialIdeal, common_dim, integer
+from .monomial import MonomialIdeal, _difference_terms, common_dim, integer
 from .monomial import integer_exponents, is_m_primary, m_ideal
 
 # The schedule of `stabilize`: WINDOW extra diagonal shifts must reproduce
@@ -69,14 +62,6 @@ class DifferenceTable:
     samples: tuple[tuple[tuple[int, ...], int], ...]
     result: int
     rounds: int
-
-
-def _difference_terms(order):
-    """The pairs (delta, (-1)^{|order - delta|} prod C(order_j, delta_j)) of one order."""
-    return [
-        (delta, (-1) ** (sum(order) - sum(delta)) * prod(map(comb, order, delta)))
-        for delta in iter_product(*(range(o + 1) for o in order))
-    ]
 
 
 def _mixed_difference(values, base, terms):
@@ -192,12 +177,10 @@ def _positive(value: int, route: str,
 def _newton_value(merged, orders) -> int:
     """e(J_1^[a_1], ..., J_s^[a_s]) of the merged ideals J_j at `orders` a, from Newton polyhedra.
 
-    The closure colength is a polynomial of total degree d on all of
-    Z^s_>=0 (module docstring), so its order-a difference at base 0, one
-    `closure.colength_sum`, is the value; its largest box is the one at t = a.
-    Memoized for the last MEMO_ENTRIES keys, which are frozen.
+    One `closure.mixed_sum` of the one pair (a, 1).  Memoized for the last
+    MEMO_ENTRIES keys, which are frozen.
     """
-    return closure.colength_sum(merged, _difference_terms(orders))
+    return closure.mixed_sum(merged, [(orders, 1)])
 
 
 def mixed_difference_table(ideals, type_=None) -> DifferenceTable:

@@ -17,7 +17,7 @@ from operator import le
 import numpy as np
 import pytest
 
-from multlab import MonomialIdeal, ideal, lengths, multiplicity
+from multlab import MonomialIdeal, closure, ideal, lengths, multiplicity
 
 
 def oracle_minimalize(gens) -> tuple:
@@ -187,9 +187,10 @@ def rng():
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    """Every test starts with empty colength and Newton-value memos.
+    """Every test starts with empty colength, Newton-value and facet-row memos.
 
     Otherwise a memo warmed by an earlier test hides the work a test counts.
     """
     lengths.colength.cache_clear()
     multiplicity._newton_value.cache_clear()
+    closure._facet_rows.cache_clear()

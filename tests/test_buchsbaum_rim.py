@@ -1,8 +1,9 @@
 """Buchsbaum-Rim multiplicities: module colengths and the two routes."""
 
 import time
+from collections import Counter
 from itertools import product as iter_product
-from math import comb
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from multlab import (
     unit_ideal,
 )
 from multlab import closure
+from multlab.buchsbaum_rim import _weights
 from multlab.monomial import compositions
 
 from conftest import random_mprimary
@@ -212,6 +214,44 @@ class TestBuchsbaumRim:
                 for E in (module(columns), module([*columns, unit_ideal(d)]),
                           module([*columns, columns[0]])):
                     assert br_via_mixed(E) == composition_sum(E), (d, E)
+
+    def test_merged_weights_are_the_closed_form(self, monkeypatch):
+        # a closed form is the oracle for `closure.mixed_sum`'s merge: summed
+        # over the compositions a of d, each weighted by `_weights`, the order-a
+        # differences give L(t) the weight (-1)^(d-|t|) C(d+r-1, |t|+r-1),
+        # the coefficient of x^d in x^|t| / (1-x)^(|t|+r), times the number
+        # of t over all r columns that fuse to t
+        merged = {}
+        monkeypatch.setattr(closure, "colength_sum", lambda ideals, terms: merged.update(terms) or 0)
+        patterns = ((1,), (3,), (1, 1), (2, 1), (1, 1, 1), (1, 3, 2), (2, 2, 2), (1, 1, 1, 1), (2, 1, 1, 3))
+        for d in range(1, 7):
+            for copies in patterns:
+                s, r = len(copies), sum(copies)
+                merged.clear()
+                points = compositions(d, s)
+                closure.mixed_sum(None, zip(points, _weights(points, Counter(dict(enumerate(copies))))))
+                want = {
+                    t: (-1) ** (d - sum(t)) * comb(d + r - 1, sum(t) + r - 1)
+                    * prod(comb(e + m - 1, m - 1) for e, m in zip(t, copies))
+                    for k in range(d + 1) for t in compositions(k, s)
+                }
+                assert merged == want, (d, copies)
+
+    def test_fused_sum_of_mixed_multiplicities(self, rng):
+        # br(E) = sum over the compositions a of d into the distinct columns
+        # of C(a_g + m_g - 1, m_g - 1) over columns seen m_g times, times
+        # e(J_1^[a_1], ..., J_s^[a_s])
+        for d in (2, 3):
+            for s in (1, 2, 3):
+                distinct = list(dict.fromkeys(random_mprimary(rng, d) for _ in range(s)))
+                copies = [rng.randint(1, 3) for _ in distinct]
+                E = module([J for J, m in zip(distinct, copies) for _ in range(m)])
+                want = sum(
+                    prod(comb(e + m - 1, m - 1) for e, m in zip(a, copies))
+                    * mixed_multiplicity(distinct, a)
+                    for a in compositions(d, len(distinct))
+                )
+                assert br_via_mixed(E) == want == br_direct(E), (d, copies, E)
 
     def test_one_hull_per_call(self, monkeypatch):
         calls = []

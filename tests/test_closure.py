@@ -96,6 +96,21 @@ class TestMembership:
             v = tuple(rng.randrange(n // 2) for n in N)
             assert newton_polyhedron_member(I, v) == oracle_newton_member(I, v), v
 
+    def test_facets_are_found_once_per_ideal(self, monkeypatch):
+        # the facet rows of an ideal are memoized, so 200 points of one
+        # ideal find them once, and a second ideal finds its own
+        calls = []
+        real = closure._newton_facets
+        monkeypatch.setattr(closure, "_newton_facets", lambda blocks: calls.append(blocks) or real(blocks))
+        I = parse_ideal("(x^4, x^2*y, y^3*z, z^5, x*y*z)")
+        rng = random.Random(200)
+        for _ in range(200):
+            v = tuple(rng.randrange(6) for _ in range(3))
+            assert newton_polyhedron_member(I, v) == oracle_newton_member(I, v), v
+        assert calls == [[I.gens]]
+        assert newton_polyhedron_member(m_power(3, 2), (1, 1, 0))
+        assert len(calls) == 2
+
     def test_dimension_check(self):
         with pytest.raises(ValueError):
             newton_polyhedron_member(m_power(2, 2), (1, 1, 1))

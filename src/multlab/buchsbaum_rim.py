@@ -10,11 +10,14 @@ closure colengths on one Newton hull; this module builds none.
 `br_direct`, the oracle, extracts (d+r-1)! times the leading coefficient
 from a stabilized difference table.  The two routes share neither the
 difference window nor the hull, so their agreement is a real cross-check.
-The oracle walks C(n + r - 1, r - 1) compositions per n over r distinct
-columns, so its time grows fast with r: on r distinct columns (x^2,
-y^(k+1)), k < r, in d = 2 it took 0.01-0.03 s at r = 4, 0.56-1.5 s at
-r = 6 and 30-55 s at r = 8 on two 2-core Xeon hosts, where
-`br_via_mixed` took 1-2 ms.  Both routes,
+The oracle sums C(n + r - 1, r - 1) compositions per n over r distinct
+columns, so its time grows fast with r, though the sampler climbs their
+products in batches: on r distinct columns (x^2, y^(k+1)), k < r, in
+d = 2 it took 0.009-0.015 s at r = 4, 0.32-0.78 s at r = 6 and 28-39 s
+at r = 8 on a 2-core Xeon host (with one product per kernel call,
+0.016-0.035 s, 0.79-1.47 s and 53 s there), where `br_via_mixed` took
+1-2 ms.  At r = 8 the Python bookkeeping of the round's 3 095 235
+compositions, not their products, takes most of the time.  Both routes,
 and `module_colength`, take their compositions from
 `monomial.compositions`, the enumerator that also writes the generators
 of m^k.  `scale_by_m` is the one multiplication by m, of an ideal or of
@@ -36,7 +39,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
-from math import comb, prod
+from math import comb
 from operator import mul
 
 from .closure import mixed_sum
@@ -94,17 +97,22 @@ def _weights(points, copies: Counter) -> list[int]:
     A point s is a composition over the distinct columns, the g-th of which
     appears m_g times; it weighs prod_g C(s_g + m_g - 1, m_g - 1), a
     product over the repeated columns alone, since a column seen once
-    gives the factor 1.
+    gives the factor 1.  The weights are built a repeated column at a time,
+    so with none every weight is 1 and no point is read: an empty product
+    per point took 8 % of `br_direct` on seven distinct columns (cProfile).
     """
-    repeated = [(g, m - 1) for g, m in enumerate(copies.values()) if m > 1]
-    return [prod(comb(s[g] + k, k) for g, k in repeated) for s in points]
+    weights = [1] * len(points)
+    for g, m in enumerate(copies.values()):
+        if m > 1:
+            weights = [w * comb(s[g] + m - 1, m - 1) for w, s in zip(weights, points)]
+    return weights
 
 
 def _module_colengths(E: DirectSumModule):
     """The function mapping a list of n to lambda(Sym^n F / E^n) for each n.
 
     E's columns are fused, and the compositions of every n over the
-    distinct columns go to one sampler walk (`ProductSampler._counts`,
+    distinct columns go to one sampler climb (`ProductSampler._counts`,
     which takes them unchecked) in one call; each n sums its
     C(n + s - 1, s - 1) colengths, s distinct columns, times their weights.
     """
@@ -140,7 +148,7 @@ def br_direct(E: DirectSumModule) -> int:
     Takes the (d + r - 1)-th difference of n |-> module_colength(E, n) at a
     stabilized base; the constant window certifies that the polynomial
     degree is exactly d + r - 1 with the expected leading behaviour.  Each
-    round's module colengths come from one prefix walk over the
+    round's module colengths come from one batched climb over the
     compositions into the distinct columns, from the unit ideal through
     their meet.  The sampler is this call's own, so nothing it builds
     outlives the call.

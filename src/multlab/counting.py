@@ -8,8 +8,10 @@ The production representation of a staircase is its height field.  Pick one
 coordinate c of the box as the height axis; over the cells x' of the other
 axes, h(x') = min(b_c, min{g_c : g' <= x'}) is the number of standard points
 above x', so the count is h.sum().
-* `multiply_field` turns the field of P into the field of P*J with one
-  min-plus update per generator g of J: out[g':] = min(out[g':], h[:-g'] + g_c).
+* `multiply_field` turns a batch of fields of ideals P, a leading axis of
+  fields on one box, into the batch of fields of the P*J, with one min-plus
+  update per generator g of J for the whole batch:
+  out[..., g':] = min(out[..., g':], h[..., :-g'] + g_c).
   Nothing is minimalized; from the empty field of the unit ideal it gives
   the field of J.  Two shortcuts leave every height exact.  J is m-primary
   or R, so its pure power (0', b_c) on the height axis lies in J (for R,
@@ -19,14 +21,19 @@ above x', so the count is h.sum().
   g_c >= b_c, a multiple of that power, is dropped once per J by
   `field_rows`: it cannot lower a height.  A generator with g_c = 0 takes
   the minimum with the shifted h itself, with no sum array.
-  Both fields are arrays of exactly the product's box, P's field zero past
-  its own box, and each update is one strided view per side, one slice
-  per axis.  Every read lies inside the box, and a generator whose shift
-  reaches past the box on some axis gives empty views and updates nothing.
+  Both batches are arrays of exactly the product's box, each field of P
+  zero past its own box, and each update is one strided view per side, one
+  slice per axis after the batch axis, which the slices lead with an
+  ellipsis to pass.  Every read lies inside the box, and a generator whose
+  shift reaches past the box on some axis gives empty views and updates
+  nothing.  Padding is exact: a field is 0 past its own box, since the pure
+  powers off the height axis put those cells in P, so fields of different
+  boxes share a batch on the largest, as the sampler's chunks do.
 * `count_grid` counts any generator array in any box by the field that
-  `multiply_field` builds from the unit ideal, with the box as J's
-  bounds, so it holds the whole field, the zero field it reads and one
-  sum at once; `field_count` sums a field exactly.
+  `multiply_field` builds from the unit ideal, a batch of one, with the box
+  as J's bounds, so it holds the whole field, the zero field it reads and
+  one sum at once; `field_counts` sums each field of a batch exactly, in
+  one reduce.
 * `field_rows` takes rows of Python ints as they are.  `count_grid`
   converts and shape-checks outside input once, as an int64 array, and
   hands its rows on as lists; the sampler hands each ideal's stored
@@ -36,10 +43,11 @@ Counts are exact: a field is uint8, uint16 or uint32 while its top fits,
 and holds Python ints beyond.  No height of a field passes its top, and
 `multiply_field` reads P's heights only inside the product's box and adds
 g_c < b_c to them, so every sum h + g_c stays within the product's top and
-the product's own type holds it.  `field_count` sums every unsigned field
-in one uint64 accumulator, exact below 2**32 cells since every height is
-below 2**32 (a uint32 field that large holds 16 GiB), and an object field
-in Python ints.
+the product's own type holds it.  `field_counts` sums an unsigned field
+in a uint32 accumulator while its cells times 2**bits stay below 2**32,
+bits the width of its type, and in uint64 beyond, exact below 2**32 cells
+since every height is below 2**32 (a uint32 field that large holds 16
+GiB); an object field sums in Python ints.
 """
 
 from __future__ import annotations
@@ -58,10 +66,11 @@ def _check_size(shape, dtype) -> None:
 
     numpy refuses an array of more than np.iinfo(np.intp).max bytes with a
     ValueError, before it asks for memory; intp is the size of Py_ssize_t,
-    so that bound is sys.maxsize, which costs no numpy call.
+    so that bound is sys.maxsize, which costs no numpy call.  No field type
+    takes more than 8 bytes a cell, so smaller fields skip the type's size.
     """
     cells = prod(shape)
-    if cells * np.dtype(dtype).itemsize > sys.maxsize:
+    if cells > sys.maxsize >> 3 and cells * np.dtype(dtype).itemsize > sys.maxsize:
         raise MemoryError(f"a field of {cells} cells is past numpy's maximum array size")
 
 
@@ -129,50 +138,65 @@ def field_rows(gens, bounds: tuple[int, ...], axis: int) -> FieldRows:
         c = g[axis]
         if c < bounds[axis]:
             rest = g[:axis] + g[axis + 1:]
-            out_at = (*(slice(e, None) for e in rest), ...)
-            src_at = (*(slice(-e or None) for e in rest), ...)
+            out_at = (..., *(slice(e, None) for e in rest))
+            src_at = (..., *(slice(-e or None) for e in rest))
             rows.append((out_at, src_at, c))
     return FieldRows(bounds, axis, rows)
 
 
 def multiply_field(h: np.ndarray, box, J: FieldRows) -> np.ndarray:
-    """Height field of P*J on the box `box + J.bounds`, from the field h of P.
+    """Height fields of P*J on the box `box + J.bounds`, from a batch h of fields of P.
 
-    P and J are m-primary or R and `box` is P's pure-power bounds, 0 for
-    R.  R's one row (0, ..., 0) is dropped, since 0 >= b_c = 0, so for J = R
-    the product's field is a copy of h.  Beyond P's
-    box a point lies in P, so P's field is h on its box and 0 on the rest
-    of the product's.  The pure power (0', b_c) lies in J whether or not it
-    is a row, so the field starts as h + b_c, that power's update, and rows
-    with g_c >= b_c are already gone (`field_rows`).  Each row then updates
-    out[g':] = min(out[g':], src[:-g'] + g_c), both views inside the
+    h has a leading axis of fields, one per P, all on the box `box` or a
+    smaller one, and the result has one field per P on the product's box;
+    `count_grid` passes a batch of one.  P and J are m-primary or R and
+    `box` covers each P's pure-power bounds, 0 for R.  R's one row (0, ...,
+    0) is dropped, since 0 >= b_c = 0, so for J = R the product's fields
+    are a copy of h.  Beyond P's own box a point lies in P, so P's field
+    is h on its box and 0 on the rest of the product's: padding a field
+    with zeros to a larger box leaves it exact.  The pure power (0', b_c)
+    lies in J whether or not it is a row, so the fields start as h + b_c,
+    that power's update, and rows with g_c >= b_c are already gone
+    (`field_rows`).  Each row then updates out[..., g':] =
+    min(out[..., g':], src[..., :-g'] + g_c), both views inside the
     product's box: every sum stays within the product's top, in the
     product's own type, and a row with g'_i at or past the box's side on
     some axis gives empty views and lowers nothing.
     """
-    shape = list(map(add, box, J.bounds))
-    top = shape.pop(J.axis)
-    dtype = field_dtype(top)
+    shape = [len(h), *map(add, box, J.bounds)]
+    dtype = field_dtype(shape.pop(J.axis + 1))
     _check_size(shape, dtype)
     src = np.zeros(shape, dtype=dtype)
     src[tuple(map(slice, h.shape))] = h
-    # Heights are added as scalars of the field's type: numpy 1.x sums the
-    # 0-d field of d = 1 and a Python int in int64, which out= cannot narrow.
+    # heights are added as scalars of the field's own type, which every sum
+    # keeps under numpy 1.x value-based casting and numpy 2 alike
     lift = src.dtype.type
-    # out= keeps the 0-d field of d = 1 an array, not a scalar
-    out = np.add(src, lift(J.bounds[J.axis]), out=np.empty_like(src))
+    out = src + lift(J.bounds[J.axis])
     # a row of height 0 takes the minimum with the shifted field itself, with
     # no sum array: with one path for every row, br_direct over the 79
-    # br-cross-check modules took 29 % longer (medians of 21 alternating passes)
+    # br-cross-check modules took 7-13 % longer (medians of 21 alternating
+    # passes, four runs)
     for out_at, src_at, c in J.rows:
         view = out[out_at]
         np.minimum(view, src[src_at] + lift(c) if c else src[src_at], out=view)
     return out
 
 
-def field_count(h: np.ndarray) -> int:
-    """Standard points under the field h: the exact sum of its heights."""
-    return int(np.add.reduce(h, axis=None, dtype=None if h.dtype == object else np.uint64))
+def field_counts(h: np.ndarray) -> list[int]:
+    """Standard points under each field of the batch h: the exact sum of each one's heights.
+
+    h holds at least one field, and one reduce sums each over its cells.  An unsigned field sums in uint32
+    while its cells times 2**bits, bits its type's width, stay below 2**32,
+    so every sum is exact, and in uint64 beyond; an object field sums in
+    Python ints.  On uint8 fields of 22 500 cells, uint32 sums took 6-7 us
+    against 11-13 us in uint64 (timeit, numpy 2.4.6), and with uint64 alone
+    the d = 4 table of tests/test_lengths.py took 4-5 % longer (medians of
+    21-41 alternating calls, in-process).
+    """
+    # a field of h.size / len(h) cells sums below 2**32 when cells << bits does
+    wide = None if h.dtype == object else (
+        np.uint32 if h.size << 8 * h.itemsize < len(h) << 32 else np.uint64)
+    return np.add.reduce(h.reshape(len(h), -1), axis=1, dtype=wide).tolist()
 
 
 def count_grid(gens, box) -> int:
@@ -187,10 +211,11 @@ def count_grid(gens, box) -> int:
     unit ideal's (0, ..., 0), gives a field with no cells or a height of 0,
     which counts 0.
     """
-    box = tuple(int(b) for b in box)
+    box = tuple(map(int, box))
     gens = np.asarray(gens, dtype=np.int64)
     if gens.ndim != 2 or gens.shape[1] != len(box):
         raise ValueError("generator array must be (n, d)")
-    unit = np.zeros((0,) * (len(box) - 1), field_dtype(0))
+    unit = np.zeros((1,) + (0,) * (len(box) - 1), field_dtype(0))
     J = field_rows(gens.tolist(), box, height_axis(box))
-    return field_count(multiply_field(unit, (0,) * len(box), J))
+    (count,) = field_counts(multiply_field(unit, (0,) * len(box), J))
+    return count

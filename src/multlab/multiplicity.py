@@ -20,8 +20,8 @@ at a window of diagonal shifts and accepts the value only when the
 window is constant, doubling the base point otherwise, on one fixed
 schedule (`WINDOW`, `MAX_ROUNDS`, `GROWTH`).
 Each round hands all its lattice points to one evaluator at once; for
-colengths of products that is the sampler's walk, which builds them in one
-prefix walk from the unit ideal through the round's meet, slot by slot.
+colengths of products that is the sampler, which builds them in one
+batched climb from the unit ideal through the round's meet, slot by slot.
 `mixed_difference_table` runs it from a base read off the ideals'
 generators with a sampler of its own and memoizes nothing; its round
 points are tuples of ints it made itself, so they go to the unchecked
@@ -189,7 +189,7 @@ def mixed_difference_table(ideals, type_=None) -> DifferenceTable:
     The ideals are merged as by `mixed_multiplicity`, and their product
     colengths come from a `ProductSampler` of this call's own, at a base
     read off the generators; each round's points, made by `stabilize`,
-    go to its walk unchecked (`_counts`).  Nothing here is memoized and no
+    go to its climb unchecked (`_counts`).  Nothing here is memoized and no
     product outlives the call, so every call stabilizes afresh.
     """
     merged, orders = _merged(ideals, type_)

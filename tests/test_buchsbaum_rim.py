@@ -101,8 +101,9 @@ class TestModuleColength:
             assert module_colength(E, n) == expected
 
     def test_a_thousand_columns_walk_without_recursion(self):
-        # the sampler's prefix walk takes one level per column; a walk that
-        # recursed per level raised RecursionError past about 1 000 columns
+        # the sampler's climb takes one level per slot; a walk that recursed
+        # per level raised RecursionError past about 1 000 columns (1 100
+        # distinct slots are test_eleven_hundred_distinct_slots_climb_in_a_loop)
         E = module([parse_ideal("(x^2, y)")] * 1100)
         assert module_colength(E, 1) == 2200
         # the 1 100 equal columns fuse into one sampler slot, and n = 2 weighs

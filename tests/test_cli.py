@@ -126,7 +126,7 @@ class TestBr:
     # are by generators of height 0; and a unit column and a repeated one,
     # twice: equal columns are fused into one slot weighted by a binomial,
     # and the unit ideal's slot climbs as a copy of its field.  Under numpy
-    # 1.x value-based casting the walk adds heights as scalars of the field's
+    # 1.x value-based casting the climb adds heights as scalars of the field's
     # own type, and these values must still come out exact.
     @pytest.mark.parametrize("module_text, value", [
         ("(x, y^2);(x^2, y)", 5),

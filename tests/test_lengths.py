@@ -32,7 +32,7 @@ from multlab import (
 )
 from multlab import counting, lengths
 from multlab.buchsbaum_rim import br_direct, module, module_colength
-from multlab.counting import count_grid, count_naive, field_count
+from multlab.counting import count_grid, count_naive, field_counts
 from multlab.counting import field_rows, multiply_field
 from multlab.lengths import MEMO_ENTRIES
 from multlab.monomial import box_bounds
@@ -43,6 +43,18 @@ from conftest import oracle_colength, oracle_field, oracle_power, oracle_product
 def field_of(gens, box, axis):
     """The naive field of `gens` along `axis`, in the type a field of its top keeps."""
     return oracle_field(gens, box, axis).astype(counting.field_dtype(box[axis]))
+
+
+def multiply_one(h, box, J):
+    """`multiply_field` on a batch of one field: the product's field."""
+    (got,) = multiply_field(h[None], box, J)
+    return got
+
+
+def field_count(h):
+    """`field_counts` on a batch of one field: its count."""
+    (count,) = field_counts(h[None])
+    return count
 
 
 def sums(P, J):
@@ -79,13 +91,13 @@ class TestCounters:
                   (2**16, np.uint32), (2**32 - 1, np.uint32), (2**32, object))
         unit = np.zeros((0,), counting.field_dtype(0))
         for top, dtype in ladder:
-            h = multiply_field(unit, (0, 0), field_rows([[1, top - 1]], (3, top), 1))
+            h = multiply_one(unit, (0, 0), field_rows([[1, top - 1]], (3, top), 1))
             assert h.dtype == dtype
             assert h.tolist() == [top, top - 1, top - 1]
-            grown = multiply_field(h, (3, top), field_rows([[0, top], [1, 0]], (1, top), 1))
+            grown = multiply_one(h, (3, top), field_rows([[0, top], [1, 0]], (1, top), 1))
             assert grown.dtype == counting.field_dtype(2 * top)
             assert grown.tolist() == [2 * top, top, top - 1, top - 1]
-        tall = multiply_field(unit, (0, 0), field_rows([[1, 2**32]], (3, 2**32 + 1), 1))
+        tall = multiply_one(unit, (0, 0), field_rows([[1, 2**32]], (3, 2**32 + 1), 1))
         assert tall.dtype == object
         assert tall.tolist() == [2**32 + 1, 2**32, 2**32]
 
@@ -95,7 +107,7 @@ class TestCounters:
         box, gen_box = box_bounds(P), box_bounds(J)
         h = field_of(P.gens, box, 1)
         redundant = np.vstack([J.gens, [[0, 255], [1, 2**40]]])
-        got = multiply_field(h, box, field_rows(redundant.tolist(), gen_box, 1))
+        got = multiply_one(h, box, field_rows(redundant.tolist(), gen_box, 1))
         out_box = tuple(map(add, box, gen_box))
         rows = sums(P.gens, redundant)
         assert got.dtype == np.uint8
@@ -103,12 +115,15 @@ class TestCounters:
         assert field_count(got) == count_naive(rows, out_box) == colength(product(P, J))
 
     def test_one_dimension_fields_are_arrays(self):
-        # d = 1: the field is 0-d, and each min-plus update must stay an array
-        unit = multiply_field(np.zeros((), np.uint8), (0,), field_rows([[2]], (2,), 0))
-        assert isinstance(unit, np.ndarray) and unit.shape == () and unit == 2
-        grown = multiply_field(field_of([[3]], (3,), 0), (3,), field_rows([[2], [7]], (2,), 0))
-        assert isinstance(grown, np.ndarray) and grown.shape == () and grown == 5
-        assert field_count(grown) == count_naive([[5]], (5,))
+        # d = 1: each field is 0-d, so a batch is 1-d, and each min-plus
+        # update must keep it an array of the batch's type
+        unit = multiply_field(np.zeros((1,), np.uint8), (0,), field_rows([[2]], (2,), 0))
+        assert isinstance(unit, np.ndarray) and unit.tolist() == [2]
+        # the fields of (x^3) and of (x) padded to its box, times (x^2, x^7)
+        h = np.array([field_of([[3]], (3,), 0), field_of([[1]], (3,), 0)])
+        grown = multiply_field(h, (3,), field_rows([[2], [7]], (2,), 0))
+        assert grown.dtype == np.uint8 and grown.tolist() == [5, 3]
+        assert field_counts(grown) == [count_naive([[5]], (5,)), count_naive([[3]], (5,))]
 
     def test_uint8_fields_count_exactly_on_both_sides_of_2_24_cells(self):
         # below 2**24 cells a uint8 field sums in uint32, as 255 * 2**24 < 2**32
@@ -206,7 +221,7 @@ def test_multiply_field_matches_the_field_of_the_product(pair, data):
     P, J, axis = pair
     box, gen_box = box_bounds(P), box_bounds(J)
     rows = data.draw(generator_rows(J, axis))
-    got = multiply_field(field_of(P.gens, box, axis), box, field_rows(rows.tolist(), gen_box, axis))
+    got = multiply_one(field_of(P.gens, box, axis), box, field_rows(rows.tolist(), gen_box, axis))
     out_box = tuple(map(add, box, gen_box))
     assert got.dtype == counting.field_dtype(out_box[axis])
     assert got.tolist() == oracle_field(sums(P.gens, rows), out_box, axis).tolist()
@@ -270,32 +285,32 @@ class TestFieldKernelEdges:
                 else:
                     h = field_of(P, box, axis)
                 J = field_rows(gens.tolist(), bounds, axis)  # rows of Python ints, as taken
-                got = multiply_field(h, box, J)
+                got = multiply_one(h, box, J)
                 out_box = tuple(map(add, box, bounds))
                 assert out_box[axis] == top
                 assert got.dtype == counting.field_dtype(top)
                 assert got.tolist() == oracle_field(sums(P, gens), out_box, axis).tolist()
 
     def test_a_products_field_is_exactly_its_box(self):
-        # J shifts by up to 13 on x, y and z; the product's field is one
-        # fresh C-contiguous array of its box, and the call holds at most
+        # J shifts by up to 13 on x, y and z; the product's batch of one is
+        # one fresh C-contiguous array of its box, and the call holds at most
         # two more of its size: P's field on the box and one sum
         P = parse_ideal("(x^30, y^30, z^30, w^80, x^9*y^9*z^9*w)", dim=4)
         J = parse_ideal("(x^14, y^14, z^14, w^60, x^13*w, y^13*w^2, z^13, x^12*y^12*z^12)", dim=4)
         box, bounds = box_bounds(P), box_bounds(J)
         unit = np.zeros((0, 0, 0), counting.field_dtype(0))
-        h = multiply_field(unit, (0,) * 4, field_rows(P.gens, box, 3))
+        h = multiply_one(unit, (0,) * 4, field_rows(P.gens, box, 3))
         rows = field_rows(J.gens, bounds, 3)
         tracemalloc.start()
         try:
-            got = multiply_field(h, box, rows)
+            got = multiply_field(h[None], box, rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert got.shape == (44, 44, 43) and got.dtype == np.uint8
+        assert got.shape == (1, 44, 44, 43) and got.dtype == np.uint8
         assert got.flags.c_contiguous and got.base is None
         assert peak <= 3 * got.nbytes + (16 << 10), (peak, got.nbytes)
-        assert field_count(got) == colength(product(P, J))
+        assert field_counts(got) == [colength(product(P, J))]
 
     def test_fields_past_numpys_maximum_size_are_out_of_memory(self):
         # numpy refuses these shapes with a ValueError before it asks for
@@ -304,7 +319,7 @@ class TestFieldKernelEdges:
         b = 2**21
         J = field_rows(self.pure_powers([b] * 4), [b] * 4, 0)
         with pytest.raises(MemoryError, match="maximum array size"):
-            multiply_field(np.zeros((0, 0, 0), counting.field_dtype(0)), [0] * 4, J)
+            multiply_field(np.zeros((1, 0, 0, 0), counting.field_dtype(0)), [0] * 4, J)
         with pytest.raises(MemoryError, match="maximum array size"):
             count_grid(np.array(self.pure_powers([2**31] * 4)), [2**31] * 4)
 
@@ -426,14 +441,14 @@ class TestProductSampler:
             parse_ideal(t, dim=3)
             for t in ("(x^2, x*y, y^3, z^2)", "(x^3, y, z^2)", "(x, y^2, y*z, z^3)")
         )
-        calls = []
+        calls = []  # one entry per product: a call makes one per row of its batch
 
-        def counted(*args):
-            calls.append(None)
-            return multiply_field(*args)
+        def counted(h, *args):
+            calls.extend([None] * len(h))
+            return multiply_field(h, *args)
 
         monkeypatch.setattr(lengths, "multiply_field", counted)
-        # the rounds hand their compositions to the walk unchecked, through _counts
+        # the rounds hand their compositions to the climb unchecked, through _counts
         batch = ProductSampler._counts
         layers = set()
 
@@ -449,11 +464,11 @@ class TestProductSampler:
         monkeypatch.setattr(ProductSampler, "_counts", one_round)
         assert br_direct(E) == 46
         assert layers  # the per-round bound above held on every round br_direct made
-        assert calls  # the bounds above count field products the walk really made
+        assert calls  # the bounds above count field products the climb really made
         for n in sorted(layers):
             calls.clear()
             module_colength(E, n)
-            # one walk: a product per lattice point with sum <= n but the zero vector
+            # one climb: a product per lattice point with sum <= n but the zero vector
             assert len(calls) <= comb(n + 3, 3) - 1
         for n in range(1, 7):
             want = sum(
@@ -483,27 +498,26 @@ class TestProductSampler:
         # an order-(1,1,1,1) table of the default d = 4 corpus (lech_mixed, index 6)
         texts = ("(x^2, y^2, z^2, w)", "(x, y, z, w^2)", "(x, y, z^3, w)", "(x^2, y^2, z^3, w)")
         ideals = [parse_ideal(t, dim=4) for t in texts]
-        calls = []
+        calls = []  # one entry per product: a call makes one per row of its batch
 
-        def counted(*args):
-            calls.append(None)
-            return multiply_field(*args)
+        def counted(h, *args):
+            calls.extend([None] * len(h))
+            return multiply_field(h, *args)
 
         monkeypatch.setattr(lengths, "multiply_field", counted)
         table = mixed_difference_table(ideals)
         assert (table.order, table.rounds) == ((1, 1, 1, 1), 1)
-        # the climb from the unit ideal to the round's meet, then, slot by slot
-        # with the most generators first, one climb per group of points with
-        # one prefix on the slots before, from the meet to the group's top
+        # the climb from the unit ideal to the round's meet, then, slot by
+        # slot, one climb per group of points with one prefix on the slots
+        # before, from the meet to the group's top; a batched call makes one
+        # product per row, so the products, not the calls, are the walk's
         points = [p for p, _ in table.samples]
         meet = tuple(map(min, zip(*points)))
-        slots = sorted(range(4), key=lambda j: len(ideals[j].gens))[::-1]
         want = sum(meet)
-        for k, j in enumerate(slots):
+        for j in range(4):
             tops = {}
             for p in points:
-                q = tuple(p[i] for i in slots[:k])
-                tops[q] = max(tops.get(q, meet[j]), p[j])
+                tops[p[:j]] = max(tops.get(p[:j], meet[j]), p[j])
             want += sum(top - meet[j] for top in tops.values())
         assert len(calls) == want == 94
         fresh = ProductSampler(ideals)
@@ -524,6 +538,96 @@ class TestProductSampler:
         assert ProductSampler([J]).colengths([(0,), (2,), (0,)]) == [0, 6, 0]
         assert module_colength(module([J]), 0) == 0
         assert ProductSampler([J, unit_ideal(1)]).colengths([(0, 5), (1, 0)]) == [0, 3]
+
+    def test_tiny_chunks_give_the_counts_of_one_batch(self, monkeypatch):
+        # a budget of 4 cells splits every level into chunks of one or two
+        # rows; each round must count what it counts unsplit, with the same
+        # products in more kernel calls
+        E = module(
+            parse_ideal(t, dim=3)
+            for t in ("(x^2, x*y, y^3, z^2)", "(x^3, y, z^2)", "(x, y^2, y*z, z^3)")
+        )
+        texts = ("(x^2, y^2, z^2, w)", "(x, y, z, w^2)", "(x, y, z^3, w)", "(x^2, y^2, z^3, w)")
+        ideals = [parse_ideal(t, dim=4) for t in texts]
+        rounds, calls = [], []
+        climb = ProductSampler._counts
+
+        def one_round(sampler, points):
+            rounds.append((sampler, points))
+            return climb(sampler, points)
+
+        def counted(h, *args):
+            out = multiply_field(h, *args)
+            calls.append(len(h))
+            # a batch of more than one field keeps within the budget
+            assert len(h) == 1 or out.size <= lengths.BATCH_CELLS, (out.shape, lengths.BATCH_CELLS)
+            return out
+
+        monkeypatch.setattr(ProductSampler, "_counts", one_round)
+        monkeypatch.setattr(lengths, "multiply_field", counted)
+        monkeypatch.setattr(lengths, "BATCH_CELLS", 4)
+        assert br_direct(E) == 46
+        table = mixed_difference_table(ideals)
+        assert (table.order, table.rounds, table.result) == ((1, 1, 1, 1), 1, 2)
+        split = []
+        for sampler, points in rounds:
+            calls.clear()
+            split.append((climb(sampler, points), len(calls), sum(calls)))
+        monkeypatch.setattr(lengths, "BATCH_CELLS", 1 << 62)
+        for (sampler, points), (values, kernel_calls, products) in zip(rounds, split):
+            calls.clear()
+            assert climb(sampler, points) == values
+            assert sum(calls) == products and len(calls) < kernel_calls
+        # the module round, judged by the naive count where its boxes are small
+        (sampler, points), (values, _, _) = rounds[0], split[0]
+        assert sampler.ideals == E.ideals
+        low = [(p, v) for p, v in zip(points, values) if sum(p) == 4]
+        assert len(low) == 15  # the compositions of 4 over three columns
+        for p, v in low:
+            P = unit_ideal(3)
+            for I, e in zip(E.ideals, p):
+                P = product(P, power(I, e))
+            assert v == count_naive(P.gens, box_bounds(P)), p
+        # the table round, judged one point at a time by a fresh sampler
+        (sampler, points), (values, _, _) = rounds[1], split[1]
+        assert values == [ProductSampler(ideals).colength_at(p) for p in points]
+
+    def test_rows_of_one_batch_widen_at_different_steps(self, monkeypatch):
+        # slot 0, J, is climbed first, so the last level holds the rows J^q,
+        # q = 0, 1, 2, in one batch, and they climb I together.  Row q tops
+        # out at q*b + t*a after t steps: rows 1 and 2 cross 2**8 (or 2**16)
+        # at step 1, row 0 at step 2, and the batch's type follows the highest
+        seen = []
+
+        def counted(h, *args):
+            out = multiply_field(h, *args)
+            seen.append((len(h), h.dtype, out.dtype))
+            return out
+
+        monkeypatch.setattr(lengths, "multiply_field", counted)
+        for a, b, narrow, wide in ((2**7 + 1, 2**7 - 1, np.uint8, np.uint16),
+                                   (2**15 + 1, 2**15 - 1, np.uint16, np.uint32)):
+            I, J = ideal([(1, 0), (0, a)], dim=2), ideal([(1, 0), (0, b)], dim=2)
+            points = list(iter_product(range(3), range(4)))
+            seen.clear()
+            got = ProductSampler([J, I]).colengths(points)
+            assert (3, narrow, wide) in seen
+            for (q, p), value in zip(points, got):
+                direct = oracle_product(oracle_power(J, q), oracle_power(I, p))
+                assert value == (0 if direct.is_unit else oracle_colength(direct)), (a, q, p)
+        # heights past 2**32 are Python ints: (x, y^b)^n has colength b*n*(n+1)/2
+        b = 2**31 - 1
+        I = ideal([(1, 0), (0, b)], dim=2)
+        assert ProductSampler([I]).colengths([(1,), (2,), (3,)]) == [b, 3 * b, 6 * b]
+
+    def test_eleven_hundred_distinct_slots_climb_in_a_loop(self):
+        # one level per slot: a climb that recursed per level would pass the
+        # interpreter's stack near a thousand slots.  (x^k) in d = 1 has
+        # colength k, so each unit vector reads its own slot's k
+        sampler = ProductSampler([ideal([(k,)], dim=1) for k in range(1, 1101)])
+        units = (0, 1, 549, 1099)
+        points = [tuple(int(i == j) for i in range(1100)) for j in units] + [(0,) * 1100]
+        assert sampler.colengths(points) == [1, 2, 550, 1100, 0]
 
     def test_narrow_fields_widen_exactly(self):
         # the heights of I fit the narrower type, those of I^2 and I^3 do not
@@ -569,7 +673,7 @@ class TestProductSampler:
     @pytest.mark.parametrize("d", [2, 3])
     def test_m_power_binomial_equals_the_walk(self, d):
         # powers of m, and R as m^0, take the binomial; forced off, the same
-        # sampler walks and counts fields, and the two must agree everywhere
+        # sampler climbs and counts fields, and the two must agree everywhere
         for ks in ((1,), (2,), (3,), (1, 2), (3, 1), (1, 2, 3)):
             for unit in (False, True):
                 ideals = [m_power(d, k) for k in ks] + [unit_ideal(d)] * unit

@@ -9,10 +9,10 @@ coordinate c of the box as the height axis; over the cells x' of the other
 axes, h(x') = min(b_c, min{g_c : g' <= x'}) is the number of standard points
 above x', so the count is h.sum().
 * `multiply_field` turns a batch of fields of ideals P, a leading axis of
-  fields on one box, into the batch of fields of the P*J, with one min-plus
-  update per generator g of J for the whole batch:
+  fields on one box, into the batch of fields of the P*J on the same box,
+  with one min-plus update per generator g of J for the whole batch:
   out[..., g':] = min(out[..., g':], h[..., :-g'] + g_c).
-  Nothing is minimalized; from the empty field of the unit ideal it gives
+  Nothing is minimalized; from the zero field of the unit ideal it gives
   the field of J.  Two shortcuts leave every height exact.  J is m-primary
   or R, so its pure power (0', b_c) on the height axis lies in J (for R,
   b_c = 0 and the power is 1, so P*R keeps P's field); its update
@@ -21,33 +21,38 @@ above x', so the count is h.sum().
   g_c >= b_c, a multiple of that power, is dropped once per J by
   `field_rows`: it cannot lower a height.  A generator with g_c = 0 takes
   the minimum with the shifted h itself, with no sum array.
-  Both batches are arrays of exactly the product's box, each field of P
-  zero past its own box, and each update is one strided view per side, one
-  slice per axis after the batch axis, which the slices lead with an
-  ellipsis to pass.  Every read lies inside the box, and a generator whose
-  shift reaches past the box on some axis gives empty views and updates
-  nothing.  Padding is exact: a field is 0 past its own box, since the pure
-  powers off the height axis put those cells in P, so fields of different
-  boxes share a batch on the largest, as the sampler's chunks do.
+  The kernel allocates its product and one sum at a time, and no copy of
+  h; it picks no box and no type of its own.  Each update is one strided
+  view per side, one slice per axis after the batch axis, which the
+  slices lead with an ellipsis to pass; every read lies inside h's box,
+  and a generator whose shift reaches past it on some axis gives empty
+  views and updates nothing.
+* `zero_fields` lays out every batch that is multiplied: zero fields on a
+  box, in the type of the box's top, after the size check.  Any box that
+  holds the product's box is exact: a field is 0 past its own box, since
+  the pure powers off the height axis put those cells in the ideal, so
+  fields of different boxes share a batch on one that holds them all, as
+  the sampler's chunks do, and a batch climbs step after step on the box
+  of its last product.
 * `count_grid` counts any generator array in any box by the field that
-  `multiply_field` builds from the unit ideal, a batch of one, with the box
-  as J's bounds, so it holds the whole field, the zero field it reads and
-  one sum at once; `field_counts` sums each field of a batch exactly, in
-  one reduce.
+  `multiply_field` builds from the unit ideal's zero field on that box, a
+  batch of one, with the box as J's bounds, so it holds the whole field,
+  the zero field it reads and one sum at once; `field_counts` sums each
+  field of a batch exactly, in one reduce.
 * `field_rows` takes rows of Python ints as they are.  `count_grid`
   converts and shape-checks outside input once, as an int64 array, and
   hands its rows on as lists; the sampler hands each ideal's stored
   tuples, checked when the ideal was built.
 
-Counts are exact: a field is uint8, uint16 or uint32 while its top fits,
-and holds Python ints beyond.  No height of a field passes its top, and
-`multiply_field` reads P's heights only inside the product's box and adds
-g_c < b_c to them, so every sum h + g_c stays within the product's top and
-the product's own type holds it.  `field_counts` sums an unsigned field
-in a uint32 accumulator while its cells times 2**bits stay below 2**32,
-bits the width of its type, and in uint64 beyond, exact below 2**32 cells
-since every height is below 2**32 (a uint32 field that large holds 16
-GiB); an object field sums in Python ints.
+Counts are exact: a batch is uint8, uint16 or uint32 while the top of its
+box fits, and holds Python ints beyond.  No height of a field passes its
+top, and `multiply_field` adds g_c <= b_c to heights of P, so every sum
+h + g_c stays within the product's top, which the box's top and so h's
+type hold.  `field_counts` sums an unsigned field in a uint32 accumulator
+while its cells times 2**bits stay below 2**32, bits the width of its
+type, and in uint64 beyond, exact below 2**32 cells since every height is
+below 2**32 (a uint32 field that large holds 16 GiB); an object field
+sums in Python ints.
 """
 
 from __future__ import annotations
@@ -55,7 +60,6 @@ from __future__ import annotations
 import sys
 from itertools import product as iter_product
 from math import prod
-from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -144,41 +148,48 @@ def field_rows(gens, bounds: tuple[int, ...], axis: int) -> FieldRows:
     return FieldRows(bounds, axis, rows)
 
 
-def multiply_field(h: np.ndarray, box, J: FieldRows) -> np.ndarray:
-    """Height fields of P*J on the box `box + J.bounds`, from a batch h of fields of P.
+def zero_fields(n: int, box, axis: int) -> np.ndarray:
+    """A batch of `n` zero fields on `box` along `axis`, in the type of the box's top.
 
-    h has a leading axis of fields, one per P, all on the box `box` or a
-    smaller one, and the result has one field per P on the product's box;
-    `count_grid` passes a batch of one.  P and J are m-primary or R and
-    `box` covers each P's pure-power bounds, 0 for R.  R's one row (0, ...,
-    0) is dropped, since 0 >= b_c = 0, so for J = R the product's fields
-    are a copy of h.  Beyond P's own box a point lies in P, so P's field
-    is h on its box and 0 on the rest of the product's: padding a field
-    with zeros to a larger box leaves it exact.  The pure power (0', b_c)
-    lies in J whether or not it is a row, so the fields start as h + b_c,
-    that power's update, and rows with g_c >= b_c are already gone
-    (`field_rows`).  Each row then updates out[..., g':] =
-    min(out[..., g':], src[..., :-g'] + g_c), both views inside the
-    product's box: every sum stays within the product's top, in the
-    product's own type, and a row with g'_i at or past the box's side on
-    some axis gives empty views and lowers nothing.
+    The one place that decides a batch's box and type: `count_grid` and
+    the sampler lay out every batch they multiply here.  Raises
+    MemoryError, with nothing allocated, past numpy's maximum size.
     """
-    shape = [len(h), *map(add, box, J.bounds)]
-    dtype = field_dtype(shape.pop(J.axis + 1))
+    shape = (n, *box[:axis], *box[axis + 1:])
+    dtype = field_dtype(box[axis])
     _check_size(shape, dtype)
-    src = np.zeros(shape, dtype=dtype)
-    src[tuple(map(slice, h.shape))] = h
+    return np.zeros(shape, dtype)
+
+
+def multiply_field(h: np.ndarray, J: FieldRows) -> np.ndarray:
+    """Height fields of P*J from a batch h of fields of P, on h's own box and in h's type.
+
+    h has a leading axis of fields, one per P, laid out on a box that holds
+    each product's box, in a type that holds each product's top, as
+    `zero_fields` lays a batch out.  P and J are m-primary or R.  Beyond
+    P's own box a point lies in P, so P's field is 0 there, and beyond the
+    product's box J's pure powers off the height axis keep the product's
+    field at 0: the result is exact on any box that holds the product's.  R's one row (0, ..., 0) is dropped,
+    since 0 >= b_c = 0, so for J = R the product's fields are a copy of h.
+    The pure power (0', b_c) lies in J whether or not it is a row, so the
+    fields start as h + b_c, that power's update, and rows with g_c >= b_c
+    are already gone (`field_rows`).  Each row then updates out[..., g':]
+    = min(out[..., g':], h[..., :-g'] + g_c), both views inside the box:
+    every sum stays within the product's top, so h's type holds it, and a
+    row with g'_i at or past the box's side on some axis gives empty views
+    and lowers nothing.
+    """
     # heights are added as scalars of the field's own type, which every sum
     # keeps under numpy 1.x value-based casting and numpy 2 alike
-    lift = src.dtype.type
-    out = src + lift(J.bounds[J.axis])
+    lift = h.dtype.type
+    out = h + lift(J.bounds[J.axis])
     # a row of height 0 takes the minimum with the shifted field itself, with
     # no sum array: with one path for every row, br_direct over the 79
     # br-cross-check modules took 7-13 % longer (medians of 21 alternating
     # passes, four runs)
     for out_at, src_at, c in J.rows:
         view = out[out_at]
-        np.minimum(view, src[src_at] + lift(c) if c else src[src_at], out=view)
+        np.minimum(view, h[src_at] + lift(c) if c else h[src_at], out=view)
     return out
 
 
@@ -204,18 +215,18 @@ def count_grid(gens, box) -> int:
 
     The rows need not be minimal, nor lie in the box.  The count is the
     field of the rows along the longest side, built by `multiply_field`
-    from the unit ideal's empty field with the box as J's bounds: the pure
-    power (0', b_c) it assumes caps every height at the top, `field_rows`
-    drops the rows at or past the top, and a row at or past the box on
-    another axis updates empty views.  A box with a side 0, such as the
-    unit ideal's (0, ..., 0), gives a field with no cells or a height of 0,
-    which counts 0.
+    from the unit ideal's zero field on the box, with the box as J's
+    bounds: the pure power (0', b_c) it assumes caps every height at the
+    top, `field_rows` drops the rows at or past the top, and a row at or
+    past the box on another axis updates empty views.  A box with a side
+    0, such as the unit ideal's (0, ..., 0), gives a field with no cells or
+    a height of 0, which counts 0.
     """
     box = tuple(map(int, box))
     gens = np.asarray(gens, dtype=np.int64)
     if gens.ndim != 2 or gens.shape[1] != len(box):
         raise ValueError("generator array must be (n, d)")
-    unit = np.zeros((1,) + (0,) * (len(box) - 1), field_dtype(0))
-    J = field_rows(gens.tolist(), box, height_axis(box))
-    (count,) = field_counts(multiply_field(unit, (0,) * len(box), J))
+    axis = height_axis(box)
+    J = field_rows(gens.tolist(), box, axis)
+    (count,) = field_counts(multiply_field(zero_fields(1, box, axis), J))
     return count

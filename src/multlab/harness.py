@@ -344,7 +344,8 @@ def _applicable_checks(config: CorpusConfig) -> list[str]:
     The default selection keeps them silently.  Raises when none applies,
     and when the configuration names a check that does not apply: one not
     defined at `dim`, or a strict d >= 4 bound below d = 4 without
-    exploration.
+    exploration.  Either message names each selected check it refused,
+    with the reason.
     """
     wanted = config.checks if config.checks is not None else CHECK_NAMES
     explore = config.exploration or config.dim >= 4
@@ -355,11 +356,12 @@ def _applicable_checks(config: CorpusConfig) -> list[str]:
         elif _CHECKS[name].strict and not explore:
             why[name] = "a d >= 4 bound, run below d = 4 only with exploration"
     out = [name for name in wanted if name not in why]
+    refused = "; ".join(f"{name} ({reason})" for name, reason in why.items())
     if not out:
-        raise ValueError("no applicable checks for this configuration")
+        raise ValueError("no applicable checks for this configuration"
+                         + (f": {refused}" if config.checks else ""))
     if config.checks is not None and why:
-        raise ValueError("selected checks that do not apply: "
-                         + "; ".join(f"{name} ({reason})" for name, reason in why.items()))
+        raise ValueError(f"selected checks that do not apply: {refused}")
     return out
 
 

@@ -7,9 +7,11 @@ binomial shortcut for powers of m and no branch for R, whose box
 (0, ..., 0) is empty and counts 0.  `ProductSampler` serves the
 difference-table engine (`br_direct` and `mixed_difference_table`), which
 needs lambda(R / I_1^{n_1} ... I_s^{n_s}) on many nearby exponent vectors.
-Both build every field with one kernel, `multiply_field`, which takes a
-batch of fields: `colength` multiplies a batch of one, the unit ideal's
-empty field, by I once, and the sampler climbs many products per call.
+Both build every field with one kernel, `multiply_field`, which multiplies
+a batch of fields on the batch's own box, and lay every batch out once,
+with `zero_fields`, on a box that holds each product it will take:
+`colength` multiplies a batch of one, the unit ideal's zero field on I's
+box, by I once, and the sampler climbs many products per call.
 The kernels read each ideal's stored rows as they are, checked once when
 the ideal was built.  Each ideal's generators are split once per sampler
 into the slices and heights the field kernel reads (`counting.field_rows`),
@@ -19,7 +21,8 @@ and keys each point once, builds their products in one batched climb from
 the unit ideal through their meet, slot by slot, and counts every point
 at the climb's last level.  Each level holds one field per prefix of the
 points' values, and its fields climb the level's slot together, one
-kernel call per step, in chunks of at most BATCH_CELLS cells.
+kernel call per step, in chunks of at most BATCH_CELLS cells, each chunk
+laid out once, on the box of its top.
 `colength_at` is the same on one point.  `_counts` is that climb on
 points already checked, for the module layer, which builds its
 compositions itself, and for `mixed_difference_table`, whose rounds make
@@ -46,10 +49,8 @@ from functools import lru_cache
 from math import comb, prod
 from operator import add, itemgetter, mul
 
-import numpy as np
-
-from .counting import count_grid, count_naive, field_counts, height_axis
-from .counting import field_dtype, field_rows, multiply_field
+from .counting import count_grid, count_naive, field_counts, field_rows, height_axis
+from .counting import multiply_field, zero_fields
 from .monomial import (
     MonomialIdeal,
     box_bounds,
@@ -70,13 +71,13 @@ MEMO_ENTRIES = 1024
 # Cells that one chunk of a level of the sampler's climb may keep for the
 # next level (at the last level: may climb), each field counted at the box
 # of the chunk's top.  Against a walk of one product per kernel call,
-# br_direct over the 79 br-cross-check modules took 0.54-0.59 of the time
-# at 2**14 cells, 0.52-0.62 at 2**15, 0.47-0.73 at 2**16 and 0.43-0.71 at
-# 2**18, and the d = 4 order-(1, 1, 1, 1) table of tests/test_lengths.py
-# 0.93-0.96, 0.93-0.97, 0.94-0.98 and 1.18-1.21, as batches of large fields
-# pay for their padding (medians of 15 and 41 alternating calls, two runs,
-# in-process).  2**16 gained no more than the spread of the runs, and the
-# smaller budget holds less.
+# br_direct over the 79 br-cross-check modules took 0.52-0.62 of the time
+# at this budget.  Against this budget, it took 0.98-1.07 of the time at
+# 2**14 cells, 0.92-1.07 at 2**16 and 0.92-1.08 at 2**18, and the d = 4
+# order-(1, 1, 1, 1) table of tests/test_lengths.py 0.94-1.05, 0.93-1.16
+# and 1.04-1.29, as chunks of large fields climb on the box of their top
+# (medians of 15 and 41 calls, six alternating rounds, in-process).  No
+# larger budget gained more than the spread, and this one holds less.
 BATCH_CELLS = 1 << 15
 
 
@@ -136,29 +137,35 @@ class ProductSampler:
         """Colengths at `points`, tuples of non-negative ints, one per ideal, taken as they are.
 
         Powers of m take the binomial; otherwise one batched climb through
-        the points' meet builds the products.  A batch of one climbs from
-        the unit ideal's empty field to the meet.  Then the slots are taken
-        in order, and the distinct points in lex order, so the points that
-        share a prefix are a run of that order.  Level k holds one field per
-        prefix of length k, each with its own box, and its rows climb slot
-        k together, one `multiply_field` call per step, each from the meet
-        to its top, the largest value that its points take there.  The rows
-        go largest top first, so the rows still climbing are a leading
-        slice.  At each step the rows that reach a value of their points
-        are kept, as one batch, for the next level; the last level counts
-        them instead, with one reduce, and keeps nothing.
+        the points' meet builds the products.  A batch of one, the unit
+        ideal's zero field laid out on the meet's box, climbs to the meet,
+        each step on the box of its product, a leading view of that layout.
+        Then the slots are taken in order, and the distinct points in lex
+        order, so the points that share a prefix are a run of that order.
+        Level k holds one field per prefix of length k, each exact on its
+        own box, and its rows climb slot k together, one `multiply_field`
+        call per step, each from the meet to its top, the largest value
+        that its points take there.  The rows go largest top first, so the
+        rows still climbing are a leading slice.  At each step the rows
+        that reach a value of their points are kept, as one batch, for the
+        next level; the last level counts them instead, with one reduce,
+        and keeps nothing.
 
         A level climbs in chunks of consecutive rows: a chunk holds at most
-        as many rows as keep rows, each with the cells of the box at the
-        top of its climb, within BATCH_CELLS, and at least one row.  Its
-        rows are gathered into one batch padded to the largest of their
-        boxes, which leaves every field exact; a chunk of one row reads its
-        batch in place.  The stack holds one chunk's next level per slot,
-        below the meet's field, and no product once it returns; it is a
-        loop, so any number of slots fits the stack of the interpreter.
-        Each field is the product that a prefix walk makes for its prefix,
-        so the climb makes exactly the walk's products: the climb to the
-        meet, then each row from the meet to its own top.
+        as many rows as keep rows, each with the cells of the chunk's top
+        box, within BATCH_CELLS, and at least one row.  The top box is the
+        largest box of its rows, the chunk's base, plus the steps of its
+        climb times J's bounds.  The chunk is laid out once, on that box in
+        the type of its top, with one copy per batch that its rows come
+        from, and every step multiplies the rows still climbing into a new
+        batch on the same box: a field is 0 past its own box, so each is
+        exact there, and the rows kept at step t are exact on the base plus
+        t times J's bounds.  The stack holds one chunk's next level per
+        slot, below the meet's field, and no product once it returns; it is
+        a loop, so any number of slots fits the stack of the interpreter.  Each field is the
+        product that a prefix walk makes for its prefix, so the climb makes
+        exactly the walk's products: the climb to the meet, then each row
+        from the meet to its own top.
         """
         if self._all_m:
             degrees = [sum(map(mul, n, self._m_degrees)) for n in points]
@@ -168,12 +175,17 @@ class ProductSampler:
         order = sorted(set(points))
         meet = tuple(map(min, zip(*points)))
         axis = self._rows[0].axis
-        box = (0,) * self.dim
-        held = np.zeros((1,) + (0,) * (self.dim - 1), field_dtype(0))
+        box = tuple(sum(map(mul, meet, sides)) for sides in zip(*(J.bounds for J in self._rows)))
+        # each step of the climb to the meet multiplies the leading view of the
+        # meet's box that holds its product: on the whole box, the order-4
+        # table of (x^12, y^12, z^12, w^12) took 15-25 % longer (medians of 9
+        # calls, six alternating runs, in-process)
+        held, grown = zero_fields(1, box, axis), (0,) * self.dim
         for J, steps in zip(self._rows, meet):
             for _ in range(steps):
-                held = multiply_field(held, box, J)
-                box = tuple(map(add, box, J.bounds))
+                grown = tuple(map(add, grown, J.bounds))
+                at = (..., *map(slice, _off_axis(grown, axis)))
+                held[at] = multiply_field(held[at], J)
         # rise[k][i]: how far above the meet order[i] lies on slot k
         rise = [[v - low for v in map(itemgetter(k), order)] for k, low in enumerate(meet)]
         counts = [0] * len(order)
@@ -205,49 +217,41 @@ class ProductSampler:
                 stack.pop()
                 continue
             J, last = self._rows[k], k == len(self._rows) - 1
-            # the chunk: wide[a] is the box of its first a rows, and cells the
-            # cells of the chunk's box at its top
-            runs, _, both, _ = rows[start]
+            # the chunk: base is the least box that holds its rows' boxes, and
+            # cells the cells of base at the chunk's top
+            runs, _, base, _ = rows[start]
             steps = runs[-1][0]
             grow = [e * steps for e in J.bounds]
-            wide = [None, both]
-            cells = _cells(tuple(map(add, both, grow)), axis)
+            cells = _cells(tuple(map(add, base, grow)), axis)
             keep, stop = 1 if last else len(runs), start + 1
             while stop < len(rows) and (keep + 1) * cells <= BATCH_CELLS:
                 runs, _, box, _ = rows[stop]
-                both = tuple(map(max, both, box))
-                cells = _cells(tuple(map(add, both, grow)), axis)
+                wide = tuple(map(max, base, box))
+                cells = _cells(tuple(map(add, wide, grow)), axis)
                 size = keep + (1 if last else len(runs))
                 if size * cells > BATCH_CELLS:
                     break
-                wide.append(both)
-                keep, stop = size, stop + 1
+                base, keep, stop = wide, size, stop + 1
             entry[2] = stop
             chunk = rows[start:stop]
-            alive, box = len(chunk), wide[-1]
-            # a chunk of one row reads its batch in place: gathered as the
-            # rest are, the d = 4 table of tests/test_lengths.py took 4 %
-            # longer (medians of 41 alternating calls, in-process)
-            if alive == 1:
-                _, batch, _, i = chunk[0]
-                held = batch[i:i + 1]
-            else:
-                # one copy per batch that the rows come from: a slice for one
-                # row, a fancy index for more (a fancy index for every batch
-                # made br_direct over the 79 br-cross-check modules 4 %
-                # slower, medians of 15 alternating passes)
-                held = np.zeros((alive, *_off_axis(box, axis)), field_dtype(box[axis]))
-                sources = {}
-                for r, (_, batch, _, i) in enumerate(chunk):
-                    to, at = sources.setdefault(id(batch), (batch, [], []))[1:]
-                    to.append(r)
-                    at.append(i)
-                for batch, to, at in sources.values():
-                    cut = tuple(map(slice, batch.shape[1:]))
-                    if len(to) == 1:
-                        held[(to[0], *cut)] = batch[at[0]]
-                    else:
-                        held[(to, *cut)] = batch[at]
+            alive = len(chunk)
+            # the chunk's one layout: its top's box, gathered with one copy per
+            # batch that its rows come from, a slice for one row, a fancy index
+            # for more (a fancy index for every batch made br_direct over the
+            # 79 br-cross-check modules about 5 % slower, medians of 15
+            # passes, six alternating runs)
+            held = zero_fields(alive, tuple(map(add, base, grow)), axis)
+            sources = {}
+            for r, (_, batch, box, i) in enumerate(chunk):
+                to, at = sources.setdefault(id(batch), (batch, box, [], []))[2:]
+                to.append(r)
+                at.append(i)
+            for batch, box, to, at in sources.values():
+                cut = tuple(map(slice, _off_axis(box, axis)))
+                if len(to) == 1:
+                    held[(to[0], *cut)] = batch[(at[0], *cut)]
+                else:
+                    held[(to, *cut)] = batch[(at, *cut)]
             # hits[t]: the rows that reach a value of their points at step t;
             # tops[r]: the steps row r climbs
             hits, tops = [[] for _ in range(steps + 1)], []
@@ -258,13 +262,9 @@ class ProductSampler:
             kept = []
             for t, hit in enumerate(hits):
                 if t:
-                    if tops[alive - 1] < t:
-                        while tops[alive - 1] < t:
-                            alive -= 1
-                        box = tuple(b + (t - 1) * e for b, e in zip(wide[alive], J.bounds))
-                        held = held[(slice(alive), *map(slice, _off_axis(box, axis)))]
-                    held = multiply_field(held, box, J)
-                    box = tuple(map(add, box, J.bounds))
+                    while tops[alive - 1] < t:
+                        alive -= 1
+                    held = multiply_field(held[:alive], J)
                 if not hit:
                     continue
                 if last:
@@ -276,6 +276,7 @@ class ProductSampler:
                         counts[lo] = sums[r]
                     continue
                 batch = held if len(hit) == alive else held[[r for r, _, _ in hit]]
+                box = tuple(b + t * e for b, e in zip(base, J.bounds))
                 kept += [(batch, box, i, lo, hi) for i, (_, lo, hi) in enumerate(hit)]
             del chunk, held, batch
             if kept:

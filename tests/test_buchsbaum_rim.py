@@ -209,12 +209,11 @@ class TestBuchsbaumRim:
                 if sum(a) == d and not any(w and I.is_unit for w, I in zip(a, E.ideals))
             )
 
-        for d in (1, 2, 3, 4):
-            for r in (1, 2, 3):
-                columns = [random_mprimary(rng, d, max_power=2 if d == 4 else 3) for _ in range(r)]
-                for E in (module(columns), module([*columns, unit_ideal(d)]),
-                          module([*columns, columns[0]])):
-                    assert br_via_mixed(E) == composition_sum(E), (d, E)
+        for mixed, d, r in iter_product((False, True), (1, 2, 3, 4), (1, 2, 3)):
+            columns = [random_mprimary(rng, d, max_power=2 if d == 4 else 3, mixed=mixed) for _ in range(r)]
+            for E in (module(columns), module([*columns, unit_ideal(d)]),
+                      module([*columns, columns[0]])):
+                assert br_via_mixed(E) == composition_sum(E), (d, E)
 
     def test_merged_weights_are_the_closed_form(self, monkeypatch):
         # a closed form is the oracle for `closure.mixed_sum`'s merge: summed
@@ -242,17 +241,16 @@ class TestBuchsbaumRim:
         # br(E) = sum over the compositions a of d into the distinct columns
         # of C(a_g + m_g - 1, m_g - 1) over columns seen m_g times, times
         # e(J_1^[a_1], ..., J_s^[a_s])
-        for d in (2, 3):
-            for s in (1, 2, 3):
-                distinct = list(dict.fromkeys(random_mprimary(rng, d) for _ in range(s)))
-                copies = [rng.randint(1, 3) for _ in distinct]
-                E = module([J for J, m in zip(distinct, copies) for _ in range(m)])
-                want = sum(
-                    prod(comb(e + m - 1, m - 1) for e, m in zip(a, copies))
-                    * mixed_multiplicity(distinct, a)
-                    for a in compositions(d, len(distinct))
-                )
-                assert br_via_mixed(E) == want == br_direct(E), (d, copies, E)
+        for mixed, d, s in iter_product((False, True), (2, 3), (1, 2, 3)):
+            distinct = list(dict.fromkeys(random_mprimary(rng, d, mixed=mixed) for _ in range(s)))
+            copies = [rng.randint(1, 3) for _ in distinct]
+            E = module([J for J, m in zip(distinct, copies) for _ in range(m)])
+            want = sum(
+                prod(comb(e + m - 1, m - 1) for e, m in zip(a, copies))
+                * mixed_multiplicity(distinct, a)
+                for a in compositions(d, len(distinct))
+            )
+            assert br_via_mixed(E) == want == br_direct(E), (d, copies, E)
 
     def test_one_hull_per_call(self, monkeypatch):
         calls = []

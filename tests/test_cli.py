@@ -254,10 +254,13 @@ class TestVerify:
         assert code == EXIT_USAGE
 
     def test_no_applicable_checks_is_usage_error(self, capsys):
-        code, out, err = run(capsys, "verify", "--dim", "1", "--checks", "prop_dim2")
-        assert code == EXIT_USAGE
-        assert "no applicable checks" in err
-        assert "total" not in out
+        # the message names each refused check with its reason
+        for dim, check, reason in (("1", "prop_dim2", "not defined at dim 1"),
+                                   ("3", "main_br", "a d >= 4 bound")):
+            code, out, err = run(capsys, "verify", "--dim", dim, "--checks", check)
+            assert code == EXIT_USAGE
+            assert "no applicable checks" in err and f"{check} ({reason}" in err
+            assert "total" not in out
 
     @pytest.mark.parametrize("argv, refused", [
         (("--dim", "2", "--checks", "prop_dim3,lech_classical"), "prop_dim3 (not defined at dim 2)"),
@@ -398,9 +401,11 @@ class TestFuzz:
         assert "total" not in out
 
     def test_no_applicable_checks_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "fuzz", "--seconds", "0.1", "--dim", "1", "--checks", "prop_dim2")
-        assert code == EXIT_USAGE
-        assert "no applicable checks" in err
+        for dim, check, reason in (("1", "prop_dim2", "not defined at dim 1"),
+                                   ("3", "main_br", "a d >= 4 bound")):
+            code, _, err = run(capsys, "fuzz", "--seconds", "0.1", "--dim", dim, "--checks", check)
+            assert code == EXIT_USAGE
+            assert "no applicable checks" in err and f"{check} ({reason}" in err
 
     def test_selected_checks_that_do_not_apply_are_usage_errors(self, capsys, tmp_path):
         report = tmp_path / "r.jsonl"

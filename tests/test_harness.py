@@ -7,6 +7,7 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -353,11 +354,17 @@ class TestSuite:
         assert first() is None
 
     def test_usage_errors_raise_at_the_call(self):
-        config = CorpusConfig(dim=1, checks=("prop_dim2",))
-        with pytest.raises(ValueError, match="no applicable checks"):
-            run_suite(config)
-        with pytest.raises(ValueError, match="no applicable checks"):
-            fuzz(config, 1)
+        # each refused check is named with its reason; an empty selection names none
+        for dim, check, reason in ((1, "prop_dim2", "not defined at dim 1"),
+                                   (3, "main_br", "a d >= 4 bound")):
+            config = CorpusConfig(dim=dim, checks=(check,))
+            message = re.escape(f"no applicable checks for this configuration: {check} ({reason}")
+            with pytest.raises(ValueError, match=message):
+                run_suite(config)
+            with pytest.raises(ValueError, match=message):
+                fuzz(config, 1)
+        with pytest.raises(ValueError, match="no applicable checks for this configuration$"):
+            run_suite(CorpusConfig(dim=2, checks=()))
         with pytest.raises(ValueError, match="seconds"):
             fuzz(CorpusConfig(dim=2), 0)
 

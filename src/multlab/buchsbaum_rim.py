@@ -5,8 +5,9 @@ all of R), the function n |-> lambda(Sym^n F / image of Sym^n E) is a sum of
 colengths of products over all compositions of n, eventually polynomial of
 degree d + r - 1.  `br_via_mixed` answers: br(E) = sum over the
 compositions a of d of e(I_1^[a_1], ..., I_r^[a_r]), and it passes those
-compositions, weighted, to one `closure.mixed_sum`, which turns them into
-closure colengths on one Newton hull; this module builds none.
+compositions, weighted, to one `closure.mixed_sum`, which answers on one
+Newton hull, from its facets in d <= 3 and from closure colengths from
+d = 4 on; this module builds neither, and in d <= 3 no box is built.
 `br_direct`, the oracle, extracts (d+r-1)! times the leading coefficient
 from a stabilized difference table.  The two routes share neither the
 difference window nor the hull, so their agreement is a real cross-check.

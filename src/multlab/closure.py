@@ -30,11 +30,15 @@ membership question is then a.v >= b for every facet:
   J_j^(t_j): one hull of the J_j serves every t, with right-hand sides
   sum t_j min over J_j of a.g, and one `_tile_heights` pass serves every
   box.
-* `mixed_sum` is the one place that turns mixed multiplicities into
-  closure colengths: it takes weighted orders a with |a| = d, expands each
-  into the terms of its order-a difference at 0, merges them per point t
-  and hands them to one `colength_sum`.  `multiplicity._newton_value`
-  passes one order, `buchsbaum_rim.br_via_mixed` every composition of d.
+* `mixed_sum` is the one route of mixed multiplicities: it takes
+  weighted orders a with |a| = d and chooses by the ideals' dimension.
+  In d <= 3 `facet_sum` reads every value off the facets of the one hull,
+  by the facet formula for mixed volumes, in Python ints with no box.
+  From d = 4 on it expands each a into the terms of its order-a
+  difference at 0, merges them per point t (`_merged_terms`) and hands
+  them to one `colength_sum`, which is also the facet route's oracle in
+  the tests.  `multiplicity._newton_value` passes one order,
+  `buchsbaum_rim.br_via_mixed` every composition of d.
 
 `check_int64` bounds every value the tiles hold before int64 arithmetic
 starts.  No floats and no rationals enter the decision.
@@ -350,23 +354,112 @@ def colength_sum(ideals, terms) -> int:
                 for j, _, low in _tile_heights(A, c, rights, boxes, cells))
 
 
-def mixed_sum(ideals, weights) -> int:
-    """Sum of w * e(J_1^[a_1], ..., J_s^[a_s]) over the pairs (a, w) of `weights`, each |a| = d.
-
-    L(t) = lambda(R / closure of prod J_j^(t_j)) counts the lattice points
-    outside t_1 Newt(J_1) + ... + t_s Newt(J_s) (Huneke-Swanson, *Integral
-    Closure*, 1.4) and is a polynomial of total degree d on all of
-    Z^s_>=0 (McMullen, *Lattice invariant valuations on rational
-    polytopes*, 1977) with the top-degree part of the colength of the
-    products themselves, since e does not change under integral closure.
-    So e(J^[a]) is the order-a difference of L at 0, the sum over t <= a
-    of (-1)^{|a - t|} prod C(a_j, t_j) L(t) (`monomial._difference_terms`),
-    with no window and no product of ideals.  The terms of every a are
-    merged per t, and one `colength_sum` on one hull of the m-primary
-    `ideals` sums them.
-    """
+def _merged_terms(weights) -> dict:
+    """The terms of every order-a difference at 0, times w, merged per point t, over the (a, w) of `weights`."""
     merged = {}
     for a, w in weights:
         for t, coeff in _difference_terms(a):
             merged[t] = merged.get(t, 0) + w * coeff
-    return colength_sum(ideals, merged.items())
+    return merged
+
+
+def _hull(points) -> list:
+    """The vertices of conv(points) for points in Z^k, k <= 2: counter-clockwise in Z^2, least and greatest in Z^1.
+
+    Andrew's monotone chain; a segment gives its two ends and a point itself.
+    """
+    points = sorted(set(points))
+    if len(points) < 3 or len(points[0]) < 2:
+        return points[:1] + points[1:][-1:]
+    hull = []
+    for run in (points, points[::-1]):
+        chain = []
+        for x, y in run:
+            while len(chain) > 1 and ((chain[-1][0] - chain[-2][0]) * (y - chain[-2][1])
+                                      <= (chain[-1][1] - chain[-2][1]) * (x - chain[-2][0])):
+                chain.pop()
+            chain.append((x, y))
+        hull += chain[:-1]
+    return hull
+
+
+def _mixed_volume(hulls) -> int:
+    """MV_k of the lattice polytopes with vertices `hulls` (from `_hull`) in Z^k, k <= 2, with MV(P, ..., P) = k! vol P.
+
+    MV_0 = 1, MV_1 is the length, and MV_2(P, Q) is the sum over the
+    counter-clockwise edges e of Q of the largest e_y p_x - e_x p_y over
+    the vertices p of P: the support of P at the outer normal of e, as
+    long as e, which is the facet formula in the plane.
+    """
+    if len(hulls) < 2:
+        return hulls[0][-1][0] - hulls[0][0][0] if hulls else 1
+    P, Q = hulls
+    return sum(max((q[1] - p[1]) * x - (q[0] - p[0]) * y for x, y in P)
+               for p, q in zip(Q, Q[1:] + Q[:1]))
+
+
+def facet_sum(ideals, weights) -> int:
+    """Sum of w * e(J_1^[a_1], ..., J_s^[a_s]) over the (a, w) of `weights`, in d <= 3, from the facets of one hull.
+
+    e(J^[a]) is the normalized mixed covolume of the Newton polyhedra of
+    the slots j_1, ..., j_d that a lists (Teissier, *Monomial ideals,
+    binomial ideals, polynomial ideals*, 2004), and the facet formula
+    for mixed volumes (Schneider, *Convex Bodies*, 5.1) gives it as the
+    sum, over the primitive facet normals u of Newt(J_1) + ... +
+    Newt(J_s), of m_{j_1}(u) MV_{d-1}(F_{j_2}(u), ..., F_{j_d}(u)), with
+    m_j(u) = min over J_j of u.g and F_j(u) the generators of J_j on
+    which it is reached; a normal of a coarser sum only adds terms whose
+    faces are too thin, which are 0.  Every u > 0, since the sum holds a
+    pure power on every axis, so the facet projects onto the other
+    coordinates when coordinate c, the largest u_c, is dropped, and that
+    map takes the facet's lattice to one of index u_c in Z^(d-1); so
+    the mixed volume is `_mixed_volume` of the projected faces' hulls,
+    divided by u_c.  Each face and each per-facet volume is computed once
+    per call, in Python ints, so the value is exact at any size and no
+    box is built.  The J_j are the m-primary `ideals`, in dimension at
+    most 3.
+    """
+    blocks = [J.gens for J in ideals]
+    A, mins = _newton_facets(blocks)
+    faces, volumes = {}, {}  # (facet, block): projected face hull; (facet, slots): its volume
+    total = 0
+    for a, w in weights:
+        first, *rest = (j for j, n in enumerate(a) for _ in range(n))
+        rest = tuple(rest)
+        for k, u in enumerate(A):
+            if (k, rest) not in volumes:
+                c = u.index(max(u))
+                for j in rest:
+                    if (k, j) not in faces:
+                        m = mins[j][k]
+                        faces[k, j] = _hull([g[:c] + g[c + 1:] for g in blocks[j]
+                                             if sum(map(mul, u, g)) == m])
+                volumes[k, rest] = _mixed_volume([faces[k, j] for j in rest]) // u[c]
+            total += w * mins[first][k] * volumes[k, rest]
+    return total
+
+
+def mixed_sum(ideals, weights) -> int:
+    """Sum of w * e(J_1^[a_1], ..., J_s^[a_s]) over the pairs (a, w) of `weights`, each |a| = d.
+
+    In d <= 3 `facet_sum` answers from the facets of one hull, with no
+    box.  From d = 4 on the closure colengths answer: L(t) = lambda(R /
+    closure of prod J_j^(t_j)) counts the lattice points outside t_1
+    Newt(J_1) + ... + t_s Newt(J_s) (Huneke-Swanson, *Integral Closure*,
+    1.4) and is a polynomial of total degree d on all of Z^s_>=0
+    (McMullen, *Lattice invariant valuations on rational polytopes*, 1977)
+    with the top-degree part of the colength of the products themselves,
+    since e does not change under integral closure.  So e(J^[a]) is the
+    order-a difference of L at 0, the sum over t <= a of (-1)^{|a - t|}
+    prod C(a_j, t_j) L(t) (`monomial._difference_terms`), with no window
+    and no product of ideals.  The terms of every a are merged per t
+    (`_merged_terms`), and one `colength_sum` on one hull of the
+    m-primary `ideals` sums them.
+    """
+    # The facet formula one dimension up, by a recursion through MV_3 of the
+    # faces read off the hull's tight masks, took 1.35-1.7 times the closure
+    # sums' time on the 30 calls of the verify-d4 benchmark corpus (3.7
+    # times with one hull per face), so from d = 4 on the sums answer.
+    if ideals[0].dim > 3:
+        return colength_sum(ideals, _merged_terms(weights).items())
+    return facet_sum(ideals, weights)

@@ -25,8 +25,8 @@ generators.
 by stars and bars: the generators of m^k, and the index sets of the
 Buchsbaum-Rim sums.  Beside it, `_difference_terms(order)` lists the
 points t <= order with the signed binomial coefficients of the
-order-`order` mixed difference; `closure.mixed_sum` and
-`multiplicity.stabilize` both take their terms from it.
+order-`order` mixed difference; the closure sums of `closure.mixed_sum`
+(from d = 4 on) and `multiplicity.stabilize` both take their terms from it.
 
 Every generating set, of any size, is minimalized by one pure-Python sweep
 (`_sweep`): the distinct rows are taken by degree, then lex, and a row is

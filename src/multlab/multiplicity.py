@@ -6,12 +6,15 @@ the mixed finite difference of order (a_1, ..., a_s) with sum d kills every
 lower term and returns a_1! ... a_s! times the leading coefficient -- which
 is exactly the mixed multiplicity e(I_1^[a_1], ..., I_s^[a_s]).
 
-`mixed_multiplicity` takes that difference at base 0 of the closures
-instead, from Newton polyhedra: no window, no base, and no product of
-ideals.  `closure.mixed_sum` holds that route, why it gives the value,
-and every closure colength it sums; `_newton_value` is one call of it,
-with the one pair (orders, 1), memoized for the last
-`lengths.MEMO_ENTRIES` distinct (ideals, orders) keys.  This module
+`mixed_multiplicity` takes the value from Newton polyhedra instead: no
+window, no base, and no product of ideals.  `closure.mixed_sum` holds
+that route and why it gives the value: in d <= 3 the facet formula for
+mixed volumes on one hull, with no box, and from d = 4 on that
+difference at base 0 of the closures, as closure colengths.
+`_newton_value` is one call of it, with the one pair (orders, 1),
+memoized for the last `lengths.MEMO_ENTRIES` distinct (ideals, orders)
+keys; mixed multiplicities are symmetric, so `mixed_multiplicity` keys
+the merged ideals in one order, sorted by their generators.  This module
 holds no field, box, hull or closure colength.
 
 The difference-table engine stays as the independent oracle.  `stabilize`
@@ -209,6 +212,9 @@ def mixed_multiplicity(ideals, type_=None) -> int:
     window; `mixed_difference_table` computes it independently.
     """
     merged, orders = _merged(ideals, type_)
+    # e is symmetric in its slots, so the memo keys them in one order
+    pairs = sorted(zip(merged, orders), key=lambda pair: (pair[0].dim, pair[0].gens))
+    merged, orders = zip(*pairs)
     return _positive(_newton_value(merged, orders), "the Newton route")
 
 

@@ -215,21 +215,19 @@ class TestBuchsbaumRim:
                       module([*columns, columns[0]])):
                 assert br_via_mixed(E) == composition_sum(E), (d, E)
 
-    def test_merged_weights_are_the_closed_form(self, monkeypatch):
-        # a closed form is the oracle for `closure.mixed_sum`'s merge: summed
-        # over the compositions a of d, each weighted by `_weights`, the order-a
-        # differences give L(t) the weight (-1)^(d-|t|) C(d+r-1, |t|+r-1),
-        # the coefficient of x^d in x^|t| / (1-x)^(|t|+r), times the number
-        # of t over all r columns that fuse to t
-        merged = {}
-        monkeypatch.setattr(closure, "colength_sum", lambda ideals, terms: merged.update(terms) or 0)
+    def test_merged_weights_are_the_closed_form(self):
+        # a closed form is the oracle for the merge of `closure.mixed_sum`'s
+        # closure route: summed over the compositions a of d, each weighted by
+        # `_weights`, the order-a differences give L(t) the weight
+        # (-1)^(d-|t|) C(d+r-1, |t|+r-1), the coefficient of x^d in
+        # x^|t| / (1-x)^(|t|+r), times the number of t over all r columns
+        # that fuse to t
         patterns = ((1,), (3,), (1, 1), (2, 1), (1, 1, 1), (1, 3, 2), (2, 2, 2), (1, 1, 1, 1), (2, 1, 1, 3))
         for d in range(1, 7):
             for copies in patterns:
                 s, r = len(copies), sum(copies)
-                merged.clear()
                 points = compositions(d, s)
-                closure.mixed_sum(None, zip(points, _weights(points, Counter(dict(enumerate(copies))))))
+                merged = closure._merged_terms(zip(points, _weights(points, Counter(dict(enumerate(copies))))))
                 want = {
                     t: (-1) ** (d - sum(t)) * comb(d + r - 1, sum(t) + r - 1)
                     * prod(comb(e + m - 1, m - 1) for e, m in zip(t, copies))

@@ -549,12 +549,13 @@ class TestOutOfMemory:
         assert out == ""
 
     @pytest.mark.parametrize("argv", [
-        ("br", "--module", "(x^1000000, y^1000000, z^1000000)"),
-        ("mixed", "(x^1000000, y^1000000, z^1000000)", "--type", "3"),
+        ("br", "--module", "(x^1000000, y^1000000, z^1000000, w^1000000)"),
+        ("mixed", "(x^1000000, y^1000000, z^1000000, w^1000000)", "--type", "4"),
     ])
     def test_boxes_too_large_to_allocate_exit_4_at_once(self, argv):
-        # the first field, of 10^12 cells or more, fails as it is allocated:
-        # nothing is planned or computed before it, so the exit comes at once
+        # from d = 4 on a Newton value sums closure colengths over a box: the
+        # first field, of 10^18 cells, fails as it is allocated; nothing is
+        # planned or computed before it, so the exit comes at once
         resource = pytest.importorskip("resource")
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -568,6 +569,19 @@ class TestOutOfMemory:
                              preexec_fn=limit, timeout=60)
         assert (out.returncode, out.stdout, out.stderr) == (4, "", "multlab: out of memory\n")
         assert time.monotonic() - start < 5
+
+
+class TestBoxFree:
+    def test_large_pure_powers_answer_in_d3(self, capsys):
+        # in d <= 3 mixed and Buchsbaum-Rim values come from the facets of one
+        # hull, with no box, so pure powers of 10^6 answer exactly; the
+        # module's value is p^3 + 2p^2 + 6p + 30, the sum for complete
+        # intersections
+        p = "(x^1000000, y^1000000, z^1000000)"
+        code, out, _ = run(capsys, "br", "--module", f"{p};(x^3, y^2, z^5)", "--json")
+        assert (code, json.loads(out)["buchsbaum_rim"]) == (0, 1000002000006000030)
+        code, out, _ = run(capsys, "mixed", p, "--type", "3", "--json")
+        assert (code, json.loads(out)["mixed_multiplicity"]) == (0, 10**18)
 
 
 class TestUsage:

@@ -15,6 +15,7 @@ from multlab import (
     MonomialIdeal,
     NotMPrimaryError,
     box_bounds,
+    br_via_mixed,
     colength,
     hilbert_samuel,
     ideal,
@@ -22,12 +23,13 @@ from multlab import (
     integral_closure,
     m_power,
     mixed_multiplicity,
+    module,
     newton_polyhedron_member,
     parse_ideal,
     unit_ideal,
 )
 from multlab import closure, counting, multiplicity
-from multlab.monomial import contains
+from multlab.monomial import compositions, contains
 
 from conftest import (
     oracle_minimalize,
@@ -357,6 +359,37 @@ def test_single_closure_colengths_match_fourier_motzkin(rng):
             cases += 1
     assert cases == 13
     assert closure.colength_sum(Js, [((0, 0), 1)]) == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.booleans(), st.randoms(use_true_random=False))
+def test_facet_route_equals_the_closure_sums(d, s, mixed, rng):
+    # the closure colengths are the facet route's oracle: on the same hull,
+    # the merged difference terms of the same weighted orders, summed over
+    # height fields, must give what the faces give; the d slots are drawn
+    # from s ideals, so slots repeat and are merged, and further orders come
+    # with random weights
+    pool = [random_mprimary(rng, d, max_power=4, extras=rng.randint(0, 4), mixed=mixed) for _ in range(s)]
+    ideals, orders = multiplicity._merged([rng.choice(pool) for _ in range(d)], None)
+    others = compositions(d, len(ideals))
+    weights = [(orders, 1)] + [(a, rng.randint(-3, 3)) for a in rng.sample(others, rng.randint(0, len(others)))]
+    want = closure.colength_sum(ideals, closure._merged_terms(weights).items())
+    assert closure.facet_sum(ideals, weights) == want
+
+
+def test_facet_route_closed_forms():
+    # values the facet route gives with no box, so pure powers of any size
+    # are exact: e(m^a, m^b, m^c) = abc; e of three pure powers p is p^3;
+    # e((x^q, y^q), J) = q e(m, J) = q ord(J); and br of a sum of two
+    # complete intersections in d = 3 is p^3 + 2p^2 + 6p + 30 here
+    for a, b, c in iter_product(range(1, 5), repeat=3):
+        assert mixed_multiplicity([m_power(3, a), m_power(3, b), m_power(3, c)]) == a * b * c
+    p, q = 10**6, 2**31 - 1
+    powers = parse_ideal(f"(x^{p}, y^{p}, z^{p})")
+    assert hilbert_samuel(powers) == p**3
+    assert mixed_multiplicity([parse_ideal(f"(x^{q}, y^{q})"), parse_ideal("(x^3, x*y, y^5)")]) == 2 * q
+    E = module([powers, parse_ideal("(x^3, y^2, z^5)")])
+    assert br_via_mixed(E) == p**3 + 2 * p**2 + 6 * p + 30
 
 
 def test_tiny_tiles_give_the_same_sums_and_closures(monkeypatch, rng):

@@ -325,13 +325,13 @@ class TestTableMemo:
 
     def test_repeat_is_a_hit(self, monkeypatch):
         calls = []
-        real = closure.colength_sum
+        real = closure.mixed_sum
 
         def counted(*args):
             calls.append(None)
             return real(*args)
 
-        monkeypatch.setattr(closure, "colength_sum", counted)
+        monkeypatch.setattr(closure, "mixed_sum", counted)
         ideals = [parse_ideal("(x^2, x*y, y^3)"), parse_ideal("(x^3, y^2)")]
         first = mixed_multiplicity(ideals)
         assert calls
@@ -347,6 +347,19 @@ class TestTableMemo:
         assert (info().misses, info().hits) == (1, 0)
         assert mixed_multiplicity([I, J], (2, 0)) == hilbert_samuel(I)
         assert (info().misses, info().hits) == (2, 1)
+
+    def test_slot_order_is_not_part_of_the_key(self):
+        # mixed multiplicities are symmetric in their slots, so the merged
+        # slots are keyed in one order, whatever order they came in
+        I, J = parse_ideal("(x^2, x*y, y^3)"), parse_ideal("(x^3, y^2)")
+        info = multiplicity._newton_value.cache_info
+        assert mixed_multiplicity([I, J]) == mixed_multiplicity([J, I])
+        assert (info().misses, info().hits) == (1, 1)
+        K, L = parse_ideal("(x^2, y^3, z^2, x*y*z)"), parse_ideal("(x^3, y, z^4)")
+        assert mixed_multiplicity([K, L, K]) == mixed_multiplicity([L, K], (1, 2))
+        assert (info().misses, info().hits) == (2, 2)
+        assert mixed_multiplicity([L, K], (2, 1)) != mixed_multiplicity([K, L], (2, 1))
+        assert (info().misses, info().hits) == (3, 3)  # e(L, L, K) is new, e(K, K, L) a hit
 
     def test_stabilization_error_is_raised_every_time(self, monkeypatch):
         stabilized = []
@@ -370,14 +383,14 @@ class TestTableMemo:
 
         def zero(*args):
             counted.append(None)
-            return iter(())
+            return 0
 
-        monkeypatch.setattr(closure, "_tile_heights", zero)
+        monkeypatch.setattr(closure, "mixed_sum", zero)
         I = parse_ideal("(x^2, y^2)")
         for _ in range(2):
             with pytest.raises(ImpossibleValueError):
                 hilbert_samuel(I)
-        assert len(counted) == 1  # one call serves every term of the order-(2,) difference, once
+        assert len(counted) == 1  # the value is computed once, and the memo serves the repeat
         assert multiplicity._newton_value.cache_info().hits == 1
 
     def test_bounded_by_count(self):

@@ -9,11 +9,15 @@ with b > 0.  The Newton polyhedron of a product prod J_j^(t_j) is the
 Minkowski sum t_1 Newt(J_1) + ... + t_s Newt(J_s), and the Cayley trick
 gives all its facet normals from one cone in R^(d+s), spanned by (g, e_j)
 for each generator g of J_j and by (e_i, 0); with one block it is the cone
-above.  `_newton_facets` finds the normals by the double description
-method in Python ints, one generator at a time, so its cost follows the
-facets rather than the subsets of generators or the products of vertices,
-and each normal a comes with min over J_j of a.g for every block.  Every
-membership question is then a.v >= b for every facet:
+above.  `_newton_facets` finds the normals in Python ints, and each normal
+a comes with min over J_j of a.g for every block.  In the plane
+(`_plane_facets`) they are the edge normals of the blocks' lower convex
+chains, merged by direction.  In every other dimension, and as the plane
+route's reference in the tests, the double description method
+(`_double_description`) cuts the Cayley cone one generator at a time, so
+its cost follows the facets rather than the subsets of generators or the
+products of vertices.  Every membership question is then a.v >= b for
+every facet:
 
 * `newton_polyhedron_member` tests one point of any ideal against its
   facet rows alone, in Python ints, so it is exact for every exponent the
@@ -46,7 +50,7 @@ starts.  No floats and no rationals enter the decision.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import cmp_to_key, lru_cache, reduce
 from itertools import product as iter_product
 from math import factorial, gcd, prod
 from operator import add, mul
@@ -114,7 +118,72 @@ def _newton_facets(blocks) -> tuple[list[tuple[int, ...]], list[list[int]]]:
     0.  The facets of the sum are a.v >= b_1 + ... + b_s
     > 0, and the same normals with right-hand sides sum t_j b_j cut out
     every sum t_1 Newt(J_1) + ... with t_j >= 0; with one block, A and b_1
-    are the facet rows of Newt(J_1) itself.
+    are the facet rows of Newt(J_1) itself.  The rows come in no fixed
+    order.
+
+    The dimension of the rows alone chooses the route: in the plane the
+    blocks' edge chains (`_plane_facets`), otherwise the double description
+    on the Cayley cone (`_double_description`), which is also the plane
+    route's reference in the tests.
+    """
+    if len(blocks[0][0]) == 2:
+        return _plane_facets(blocks)
+    return _double_description(blocks)
+
+
+def _plane_facets(blocks) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """`_newton_facets` for rows in Z^2, from the edge chains of the blocks.
+
+    The edges of a Minkowski sum of polygons are the summands' edges, merged
+    by direction (de Berg et al., *Computational Geometry*, 3rd ed., 13.3),
+    and Newt(J) is bounded below and to the left by the lower convex chain
+    of the minimal generators of J.  Per block, the rows sorted lex, less
+    each row that an earlier one divides (its y is not below every y
+    before it), run right and strictly down; their chain (`_chain`,
+    Andrew's monotone chain) runs from x_first, the least x, to y_last,
+    the least y, and each edge (dx, -dy) gives the primitive normal (dy,
+    dx) / gcd, both entries positive.  The rays of Newt(J) add x >=
+    x_first when J has no pure power of y and y >= y_last when it has no
+    pure power of x.  The normals of every block, one per direction, are
+    sorted from (1, 0) towards (0, 1), the order of the edges along each
+    chain, so every block's minimum over its chain is found by one walk
+    that moves forward only: a.p is convex along the chain, and its least
+    vertex moves with a.  All arithmetic is in Python ints, so the rows
+    are exact at any size.
+    """
+    chains, normals = [], set()
+    for gens in blocks:
+        stair = []
+        for x, y in sorted(gens):
+            if not stair or y < stair[-1][1]:
+                stair.append((x, y))
+        chain = _chain(stair)
+        chains.append(chain)
+        for (x, y), (u, v) in zip(chain, chain[1:]):
+            g = gcd(y - v, u - x)
+            normals.add(((y - v) // g, (u - x) // g))
+        if chain[0][0]:
+            normals.add((1, 0))
+        if chain[-1][1]:
+            normals.add((0, 1))
+    A = sorted(normals, key=cmp_to_key(lambda p, q: p[1] * q[0] - p[0] * q[1]))
+    mins = []
+    for chain in chains:
+        k, row = 0, []
+        for ax, ay in A:
+            m = ax * chain[k][0] + ay * chain[k][1]
+            while k + 1 < len(chain):
+                n = ax * chain[k + 1][0] + ay * chain[k + 1][1]
+                if n > m:
+                    break
+                k, m = k + 1, n
+            row.append(m)
+        mins.append(row)
+    return A, mins
+
+
+def _double_description(blocks) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """`_newton_facets` in any dimension: the one route for d = 1 and d >= 3, and the plane route's reference.
 
     Double description (Fukuda-Prodon, *Double description method
     revisited*, 1996) on the Cayley cone of the blocks (Huber-Rambau-Santos,
@@ -371,16 +440,21 @@ def _hull(points) -> list:
     points = sorted(set(points))
     if len(points) < 3 or len(points[0]) < 2:
         return points[:1] + points[1:][-1:]
-    hull = []
-    for run in (points, points[::-1]):
-        chain = []
-        for x, y in run:
-            while len(chain) > 1 and ((chain[-1][0] - chain[-2][0]) * (y - chain[-2][1])
-                                      <= (chain[-1][1] - chain[-2][1]) * (x - chain[-2][0])):
-                chain.pop()
-            chain.append((x, y))
-        hull += chain[:-1]
-    return hull
+    return _chain(points)[:-1] + _chain(points[::-1])[:-1]
+
+
+def _chain(points) -> list:
+    """The chain through `points` in Z^2, taken in order, that turns strictly left at every vertex it keeps.
+
+    For points sorted lex it is their lower hull (Andrew's monotone chain).
+    """
+    chain = []
+    for x, y in points:
+        while len(chain) > 1 and ((chain[-1][0] - chain[-2][0]) * (y - chain[-2][1])
+                                  <= (chain[-1][1] - chain[-2][1]) * (x - chain[-2][0])):
+            chain.pop()
+        chain.append((x, y))
+    return chain
 
 
 def _mixed_volume(hulls) -> int:
@@ -414,10 +488,12 @@ def facet_sum(ideals, weights) -> int:
     coordinates when coordinate c, the largest u_c, is dropped, and that
     map takes the facet's lattice to one of index u_c in Z^(d-1); so
     the mixed volume is `_mixed_volume` of the projected faces' hulls,
-    divided by u_c.  Each face and each per-facet volume is computed once
-    per call, in Python ints, so the value is exact at any size and no
-    box is built.  The J_j are the m-primary `ideals`, in dimension at
-    most 3.
+    divided by u_c.  The hull is `_newton_facets`: in d = 2 the blocks'
+    edge chains (`_plane_facets`), in d = 1 and 3 the double description,
+    which the tests hold the plane route to.  Each face and each
+    per-facet volume is computed once per call, in Python ints, so the
+    value is exact at any size and no box is built.  The J_j are the
+    m-primary `ideals`, in dimension at most 3.
     """
     blocks = [J.gens for J in ideals]
     A, mins = _newton_facets(blocks)

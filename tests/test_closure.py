@@ -245,6 +245,58 @@ def test_minkowski_sum_facets_are_the_product_facets(rng):
                 assert inside == oracle_newton_member(P, v), (Js, v)
 
 
+def _sorted_rows(facets):
+    """The (normal, per-block minima) rows of `_newton_facets`-shaped output, sorted, and the block count."""
+    A, mins = facets
+    return sorted(zip(A, zip(*mins))), len(mins)
+
+
+def test_plane_route_matches_the_double_description(rng):
+    # in the plane the rows come from the blocks' edge chains, and the double
+    # description on the Cayley cone, the one route in every other dimension,
+    # is their reference: on random blocks with mixed generators, on raw rows
+    # that repeat, divide one another or miss a pure power, on principal
+    # ideals, the unit ideal, exponents near 2**31 - 1 and a long staircase
+    cases = []
+    for s in (1, 2, 3, 4):
+        for _ in range(25):
+            cases.append([random_mprimary(rng, 2, max_power=rng.randint(2, 9), extras=rng.randint(0, 5),
+                                          mixed=True).gens for _ in range(s)])
+            cases.append([[tuple(rng.randrange(7) for _ in range(2)) for _ in range(rng.randint(1, 6))]
+                          for _ in range(s)])
+    N = 2**31 - 1
+    near = [(N, 0), (N - 2, 1), (N // 2, N // 3), (1, N - 1), (0, N)]
+    unit, principal = [(0, 0)], [(3, 5)]
+    cases += [[principal], [[(0, 4)]], [[(4, 0)]], [unit], [unit, unit], [unit, principal],
+              [[(2, 3), (5, 1), (3, 3), (5, 1)], principal], [near], [near, [(N - 1, N)], principal]]
+    n = 1000
+    stair = ideal([(i, (n - i) ** 2 // 100 + n - i) for i in range(n + 1)], dim=2).gens
+    cases += [[stair], [stair, near]]
+    for blocks in cases:
+        want = _sorted_rows(closure._double_description(blocks))
+        assert _sorted_rows(closure._plane_facets(blocks)) == want, blocks
+    assert len(_sorted_rows(closure._plane_facets([stair]))[0]) == 161
+    assert _sorted_rows(closure._plane_facets([unit, unit])) == ([], 2)
+
+
+def test_plane_hulls_skip_the_double_description(monkeypatch):
+    # the rows' dimension alone picks the route: with no double description,
+    # plane values still come from the edge chains, and a d = 3 value reaches
+    # it once.  e((x^3, x*y, y^4)) is twice the area below its Newton
+    # polygon, 7; e(J, m^2) = 2 ord(J) = 4; (x^2, y^2) closes to m^2
+    real = closure._double_description
+    monkeypatch.setattr(closure, "_double_description", None)
+    J, square = parse_ideal("(x^3, x*y, y^4)"), parse_ideal("(x^2, y^2)")
+    assert hilbert_samuel(J) == 7
+    assert mixed_multiplicity([J, m_power(2, 2)]) == 4
+    assert integral_closure(square) == m_power(2, 2)
+    assert newton_polyhedron_member(square, (1, 1)) and not newton_polyhedron_member(square, (1, 0))
+    calls = []
+    monkeypatch.setattr(closure, "_double_description", lambda blocks: calls.append(len(blocks)) or real(blocks))
+    assert hilbert_samuel(parse_ideal("(x^2, y^3, z^5)")) == 30
+    assert calls == [1]
+
+
 def test_many_generators_few_facets():
     # lattice points of a ball of radius 10 about (10, 10, 10, 10), with x_i^30:
     # the facets are found one generator at a time, not over subsets of them

@@ -454,6 +454,16 @@ class TestNewtonRoute:
             assert hilbert_samuel(x) == mixed_multiplicity([x, x], (1, 0)) == k
 
 
+@pytest.mark.parametrize("text, e", [("(x^3, x*y^2*z, y^5, z^4)", 59), ("(x^5, x^3*z, x*y^3, y^4, z^4)", 67)])
+def test_table_engine_false_stops_are_newton_values(text, e):
+    # mixed_difference_table stops on a constant window of third differences
+    # one below these values (58 and 66, at base 6 in one round), before the
+    # colengths have become a polynomial; the Newton value and the window-free
+    # closure sum both give the true value
+    I = parse_ideal(text)
+    assert hilbert_samuel(I) == closure.colength_sum([I], closure._merged_terms([((3,), 1)]).items()) == e
+
+
 @st.composite
 def mprimary(draw, d):
     """A small m-primary ideal of dimension d, one draw in five scaled by m."""

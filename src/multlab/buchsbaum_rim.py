@@ -11,26 +11,26 @@ d = 4 on; this module builds neither, and in d <= 3 no box is built.
 `br_direct`, the oracle, extracts (d+r-1)! times the leading coefficient
 from a stabilized difference table.  The two routes share neither the
 difference window nor the hull, so their agreement is a real cross-check.
-The oracle sums C(n + r - 1, r - 1) compositions per n over r distinct
-columns, so its time grows fast with r, though the sampler climbs their
-products in batches: on r distinct columns (x^2, y^(k+1)), k < r, in
-d = 2 it took 0.009-0.015 s at r = 4, 0.32-0.78 s at r = 6 and 28-39 s
-at r = 8 on a 2-core Xeon host (with one product per kernel call,
-0.016-0.035 s, 0.79-1.47 s and 53 s there), where `br_via_mixed` took
-1-2 ms.  At r = 8 the Python bookkeeping of the round's 3 095 235
-compositions, not their products, takes most of the time.  Both routes,
-and `module_colength`, take their compositions from
-`monomial.compositions`, the enumerator that also writes the generators
-of m^k.  `scale_by_m` is the one multiplication by m, of an ideal or of
-each column of a module.
+The oracle makes one product per lattice point of sum at most the top n of
+a round, C(n + r, r) of them over r distinct columns, so its time still
+grows fast with r, though it lists no composition: the sampler walks their
+prefixes (`ProductSampler._composition_sums`).  On r distinct columns
+(x^2, y^(k+1)), k < r, in d = 2 it took 0.002-0.004 s at r = 4, 0.04-0.08
+s at r = 6, 0.28-0.42 s at r = 7 and 1.9-2.7 s at r = 8 on a 2-core Xeon
+host, where listing the compositions took 0.009-0.014 s, 0.55-0.57 s,
+4.2-5.0 s and 28-39 s, and `br_via_mixed` takes 1-2 ms.  `br_via_mixed`
+takes its compositions from `monomial.compositions`, the enumerator that
+also writes the generators of m^k.  `scale_by_m` is the one multiplication
+by m, of an ideal or of each column of a module.
 
 Equal columns are fused first, in order of first appearance, as
 `multiplicity._merged` fuses equal slots, by a `Counter` of the columns.  A column J_g that
 appears m_g times sees only the sum s_g of the exponents of its copies, and
 C(s_g + m_g - 1, m_g - 1) compositions over the copies give that sum, so a
 composition s over the distinct columns weighs the product of those
-binomials (`_weights`), in which a column seen once is the factor 1 and
-is not read.  Every sum runs over the compositions into the distinct
+binomials, in which a column seen once is the factor 1: `_weights` lists
+them for `br_via_mixed`, and the walk of `br_direct` multiplies them in
+slot by slot.  Every sum runs over the compositions into the distinct
 columns, so its cost follows their number, not the rank: 1 100 copies of
 one column cost what one costs.
 """
@@ -39,9 +39,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
 from math import comb
-from operator import mul
 
 from .closure import mixed_sum
 from .lengths import ProductSampler, colength
@@ -99,8 +97,7 @@ def _weights(points, copies: Counter) -> list[int]:
     appears m_g times; it weighs prod_g C(s_g + m_g - 1, m_g - 1), a
     product over the repeated columns alone, since a column seen once
     gives the factor 1.  The weights are built a repeated column at a time,
-    so with none every weight is 1 and no point is read: an empty product
-    per point took 8 % of `br_direct` on seven distinct columns (cProfile).
+    so with none every weight is 1 and no point is read.
     """
     weights = [1] * len(points)
     for g, m in enumerate(copies.values()):
@@ -112,20 +109,14 @@ def _weights(points, copies: Counter) -> list[int]:
 def _module_colengths(E: DirectSumModule):
     """The function mapping a list of n to lambda(Sym^n F / E^n) for each n.
 
-    E's columns are fused, and the compositions of every n over the
-    distinct columns go to one sampler climb (`ProductSampler._counts`,
-    which takes them unchecked) in one call; each n sums its
-    C(n + s - 1, s - 1) colengths, s distinct columns, times their weights.
+    E's columns are fused, and every n goes to one walk of a sampler over
+    the distinct columns (`ProductSampler._composition_sums`), which
+    weighs each composition of n over them by the compositions over all
+    the columns that fuse to it, and lists none of them.
     """
     copies = Counter(E.ideals)
-    sampler, s = ProductSampler(tuple(copies)), len(copies)
-
-    def evaluate(ns) -> list[int]:
-        points = [a for n in ns for a in compositions(n, s)]
-        values = map(mul, _weights(points, copies), sampler._counts(points))
-        return [sum(islice(values, comb(n + s - 1, s - 1))) for n in ns]
-
-    return evaluate
+    sampler = ProductSampler(tuple(copies))
+    return lambda ns: sampler._composition_sums(ns, tuple(copies.values()))
 
 
 def module_colength(E: DirectSumModule, n: int) -> int:
@@ -149,9 +140,9 @@ def br_direct(E: DirectSumModule) -> int:
     Takes the (d + r - 1)-th difference of n |-> module_colength(E, n) at a
     stabilized base; the constant window certifies that the polynomial
     degree is exactly d + r - 1 with the expected leading behaviour.  Each
-    round's module colengths come from one batched climb over the
-    compositions into the distinct columns, from the unit ideal through
-    their meet.  The sampler is this call's own, so nothing it builds
+    round's module colengths come from one walk of the sampler over the
+    prefixes of the compositions into the distinct columns, which lists
+    none of them.  The sampler is this call's own, so nothing it builds
     outlives the call.
     """
     proper = _proper_columns(E)

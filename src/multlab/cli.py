@@ -99,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_br.add_argument("--module", required=True,
                       help='column ideals separated by ";", e.g. "(x,y^2);(x^2,y)"')
     p_br.add_argument("--cross-check", action="store_true",
-                      help="also compute from the difference table and compare; it sums C(n+r-1, r-1) "
-                           "compositions per n over the r distinct columns: 0.3-0.8 s at r = 6, 28-39 s at r = 8")
+                      help="also compute from the difference table and compare; it makes C(n+r, r) "
+                           "products per round over the r distinct columns: 0.05-0.08 s at r = 6, 2-3 s at r = 8")
 
     for name, handler, help_ in (
         ("verify", _cmd_verify, "run the seeded inequality suite"),

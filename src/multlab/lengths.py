@@ -24,16 +24,19 @@ points' values, and its fields climb the level's slot together, one
 kernel call per step, in chunks of at most BATCH_CELLS cells, each chunk
 laid out once, on the box of its top.
 `colength_at` is the same on one point.  `_counts` is that climb on
-points already checked, for the module layer, which builds its
-compositions itself, and for `mixed_difference_table`, whose rounds make
-their own points.  A unit ideal has no rows and an empty box, so its slot
-climbs as a copy of its field.  When every ideal is a power of m (R is
-m^0), the sampler answers by a binomial and builds nothing.  It keeps that
-shortcut, unlike `colength`, because whole climbs are what it saves: on
-the 8 of the 79 br-cross-check benchmark modules that take it, `br_direct`
-took 74-256 us with the binomial and 150-781 us by the climb, 2.0 to 3.5
-times as much (medians of 15 alternating calls, two runs, in-process,
-2-core Xeon, numpy 2.4.6).
+points already checked, for `mixed_difference_table`, whose rounds make
+their own points.  The module layer takes `_composition_sums` instead:
+for each n of a window, the weighted sum of colengths over the
+compositions of n, from one walk over the prefixes of the compositions
+that lists none of them.  Both climbs lay each chunk out with `_chunk`.
+A unit ideal has no rows and an empty box, so its slot climbs as a copy
+of its field.  When every ideal is a power of m (R is m^0), the sampler
+answers by binomials and builds nothing.  It keeps that shortcut, unlike
+`colength`, because whole climbs are what it saves: on the 8 of the 79
+br-cross-check benchmark modules that take it, `br_direct` took 54-179
+us with the binomials and 92-468 us by the climb, 1.6 to 2.8 times as
+much (medians of 15 alternating calls, three runs, in-process, 2-core
+Xeon, numpy 2.4.6).
 A sampler keeps nothing from one call to the next: no count and no
 product outlives the call that made it.  Repeated exact results come from
 three bounded memos, least recently used out: `colength` keeps MEMO_ENTRIES
@@ -107,17 +110,66 @@ def _cells(box, axis: int) -> int:
     return prod(_off_axis(box, axis))
 
 
+def _chunk(rows, start: int, grow, keep, axis: int):
+    """The chunk of a level's `rows` from `start`, laid out once: (its end, its base, its batch).
+
+    Every row ends in (batch, box, i): row i of `batch`, exact on `box`.
+    The chunk takes consecutive rows while the fields they keep for the
+    next level, `keep(row)` each, times the cells of the chunk's top box
+    stay within BATCH_CELLS, and at least one row.  Its base is the least
+    box that holds its rows' boxes, and its top box the base plus `grow`,
+    the steps of its climb times J's bounds.  The batch is zero fields on
+    the top box, in the type of its top, gathered with one copy per batch
+    that the rows come from: a slice for one row, a fancy index for more
+    (a fancy index for every batch made br_direct over the 79
+    br-cross-check modules about 5 % slower, medians of 15 passes, six
+    alternating runs).  A field is 0 past its own box, so each is exact
+    on the top box, and so is every product that the chunk climbs there.
+    """
+    base = rows[start][-2]
+    cells = _cells(tuple(map(add, base, grow)), axis)
+    kept, stop, end = keep(rows[start]), start + 1, len(rows)
+    while stop < end and (kept + 1) * cells <= BATCH_CELLS:
+        row = rows[stop]
+        box = row[-2]
+        wide = base if box == base else tuple(map(max, base, box))
+        if wide != base:
+            cells = _cells(tuple(map(add, wide, grow)), axis)
+        size = kept + keep(row)
+        if size * cells > BATCH_CELLS:
+            break
+        base, kept, stop = wide, size, stop + 1
+    held = zero_fields(stop - start, tuple(map(add, base, grow)), axis)
+    sources = {}
+    for r, row in enumerate(rows[start:stop]):
+        batch = row[-3]
+        source = sources.get(id(batch))
+        if source is None:
+            sources[id(batch)] = batch, row[-2], [r], [row[-1]]
+        else:
+            source[2].append(r)
+            source[3].append(row[-1])
+    for batch, box, to, at in sources.values():
+        cut = tuple(map(slice, _off_axis(box, axis)))
+        if len(to) == 1:
+            held[(to[0], *cut)] = batch[(at[0], *cut)]
+        else:
+            held[(to, *cut)] = batch[(at, *cut)]
+    return stop, base, held
+
+
 class ProductSampler:
     """Colengths of products prod_j I_j^{n_j} at the exponent vectors of one call.
 
     Products are height fields along one axis per sampler: the longest side
     of the summed boxes of the ideals.  Every call builds its products in
-    one batched climb from the unit ideal over its points (`_counts`), and
-    holds no count and no product once it returns.  Every ideal's bounds
+    one batched climb from the unit ideal, over its points (`_counts`) or
+    over the prefixes of compositions (`_composition_sums`), and holds no
+    count and no product once it returns.  Every ideal's bounds
     come from `box_bounds`, which raises NotMPrimaryError; a unit ideal's
     are 0 and it has no rows, so it leaves a product's field as it is.
     When every ideal is a power of the maximal ideal the colength collapses
-    to a binomial and nothing is built.
+    to a binomial of the product's degree and nothing is built.
     """
 
     def __init__(self, ideals):
@@ -151,21 +203,17 @@ class ProductSampler:
         next level; the last level counts them instead, with one reduce,
         and keeps nothing.
 
-        A level climbs in chunks of consecutive rows: a chunk holds at most
-        as many rows as keep rows, each with the cells of the chunk's top
-        box, within BATCH_CELLS, and at least one row.  The top box is the
-        largest box of its rows, the chunk's base, plus the steps of its
-        climb times J's bounds.  The chunk is laid out once, on that box in
-        the type of its top, with one copy per batch that its rows come
-        from, and every step multiplies the rows still climbing into a new
-        batch on the same box: a field is 0 past its own box, so each is
-        exact there, and the rows kept at step t are exact on the base plus
-        t times J's bounds.  The stack holds one chunk's next level per
-        slot, below the meet's field, and no product once it returns; it is
-        a loop, so any number of slots fits the stack of the interpreter.  Each field is the
-        product that a prefix walk makes for its prefix, so the climb makes
-        exactly the walk's products: the climb to the meet, then each row
-        from the meet to its own top.
+        A level climbs in chunks of consecutive rows, each laid out once by
+        `_chunk` on the box of its top, a row keeping one field per run of
+        its points (at the last level, itself), and every step multiplies
+        the rows still climbing into a new batch on the same box: the rows
+        kept at step t are exact on the chunk's base plus t times J's
+        bounds.  The stack holds one chunk's next level per slot, below the
+        meet's field, and no product once it returns; it is a loop, so any
+        number of slots fits the stack of the interpreter.  Each field is
+        the product that a prefix walk makes for its prefix, so the climb
+        makes exactly the walk's products: the climb to the meet, then each
+        row from the meet to its own top.
         """
         if self._all_m:
             degrees = [sum(map(mul, n, self._m_degrees)) for n in points]
@@ -217,41 +265,12 @@ class ProductSampler:
                 stack.pop()
                 continue
             J, last = self._rows[k], k == len(self._rows) - 1
-            # the chunk: base is the least box that holds its rows' boxes, and
-            # cells the cells of base at the chunk's top
-            runs, _, base, _ = rows[start]
-            steps = runs[-1][0]
-            grow = [e * steps for e in J.bounds]
-            cells = _cells(tuple(map(add, base, grow)), axis)
-            keep, stop = 1 if last else len(runs), start + 1
-            while stop < len(rows) and (keep + 1) * cells <= BATCH_CELLS:
-                runs, _, box, _ = rows[stop]
-                wide = tuple(map(max, base, box))
-                cells = _cells(tuple(map(add, wide, grow)), axis)
-                size = keep + (1 if last else len(runs))
-                if size * cells > BATCH_CELLS:
-                    break
-                base, keep, stop = wide, size, stop + 1
+            steps = rows[start][0][-1][0]
+            keep = (lambda row: 1) if last else (lambda row: len(row[0]))
+            stop, base, held = _chunk(rows, start, [e * steps for e in J.bounds], keep, axis)
             entry[2] = stop
             chunk = rows[start:stop]
             alive = len(chunk)
-            # the chunk's one layout: its top's box, gathered with one copy per
-            # batch that its rows come from, a slice for one row, a fancy index
-            # for more (a fancy index for every batch made br_direct over the
-            # 79 br-cross-check modules about 5 % slower, medians of 15
-            # passes, six alternating runs)
-            held = zero_fields(alive, tuple(map(add, base, grow)), axis)
-            sources = {}
-            for r, (_, batch, box, i) in enumerate(chunk):
-                to, at = sources.setdefault(id(batch), (batch, box, [], []))[2:]
-                to.append(r)
-                at.append(i)
-            for batch, box, to, at in sources.values():
-                cut = tuple(map(slice, _off_axis(box, axis)))
-                if len(to) == 1:
-                    held[(to[0], *cut)] = batch[(at[0], *cut)]
-                else:
-                    held[(to, *cut)] = batch[(at, *cut)]
             # hits[t]: the rows that reach a value of their points at step t;
             # tops[r]: the steps row r climbs
             hits, tops = [[] for _ in range(steps + 1)], []
@@ -259,7 +278,7 @@ class ProductSampler:
                 for t, lo, hi in runs:
                     hits[t].append((r, lo, hi))
                 tops.append(t)
-            kept = []
+            kept, batch = [], None
             for t, hit in enumerate(hits):
                 if t:
                     while tops[alive - 1] < t:
@@ -283,6 +302,80 @@ class ProductSampler:
                 stack.append(level(kept, k + 1))
         by_point = dict(zip(order, counts))
         return [by_point[n] for n in points]
+
+    def _composition_sums(self, ns, copies) -> list[int]:
+        """For each n of `ns`, the weighted sum of colengths over the compositions of n.
+
+        A composition a of n into the slots weighs prod_g C(a_g + m_g - 1,
+        m_g - 1), m_g = copies[g], and adds that weight times lambda(R /
+        prod_g I_g^a_g).  The walk lists no composition.  Level k holds one
+        row per prefix over the slots before k whose sum, its size, is at
+        most the top of `ns`: its field, exact on its box, and its weight.
+        Each row climbs slot k for steps t = 0 .. top - size, and every
+        step is kept, since each is a prefix of a composition of the top;
+        a kept row's weight is its own times C(t + m_k - 1, m_k - 1).  The
+        last slot instead counts its rows with one reduce per step and adds
+        weight times count into the total of size + t, once that lies in
+        `ns`.  Rows go smallest size first, so the rows still climbing are
+        a leading slice, and a step whose last row still lies below `ns`
+        is not counted.  A level climbs in chunks laid out by `_chunk`, as
+        in `_counts`, each row keeping the fields of its steps; the stack
+        holds one chunk's next level per slot and nothing once it returns.
+        So the products are those of the lattice points with sum at most
+        the top, each made once.  When every ideal is a power of m, the
+        colength depends only on the degree of the product, and the walk
+        carries one summed weight per (size, degree) instead of a field.
+        """
+        top, totals = max(ns), dict.fromkeys(ns, 0)
+        if self._all_m:
+            level = {(0, 0): 1}
+            for k, m in zip(self._m_degrees, copies):
+                sums = {}
+                for (size, degree), w in level.items():
+                    for t in range(top - size + 1):
+                        at = size + t, degree + k * t
+                        sums[at] = sums.get(at, 0) + w * comb(t + m - 1, m - 1)
+                level = sums
+            for (size, degree), w in level.items():
+                if size in totals and degree:
+                    totals[size] += w * comb(degree - 1 + self.dim, self.dim)
+            return [totals[n] for n in ns]
+        low = min(totals)
+        axis, zero = self._rows[0].axis, (0,) * self.dim
+        # a row (size, weight, batch, box, i) is row i of batch, exact on box
+        stack = [[[(0, 1, zero_fields(1, zero, axis), zero, 0)], 0, 0]]
+        while stack:
+            rows, k, start = entry = stack[-1]
+            if start == len(rows):
+                stack.pop()
+                continue
+            J, m, last = self._rows[k], copies[k], k == len(self._rows) - 1
+            steps = top - rows[start][0]
+            keep = (lambda row: 1) if last else (lambda row: top - row[0] + 1)
+            stop, base, held = _chunk(rows, start, [e * steps for e in J.bounds], keep, axis)
+            entry[2] = stop
+            sizes = [row[0] for row in rows[start:stop]]
+            weights = [row[1] for row in rows[start:stop]]
+            alive, kept = len(sizes), []
+            for t in range(steps + 1):
+                if t:
+                    while sizes[alive - 1] + t > top:
+                        alive -= 1
+                    held = multiply_field(held[:alive], J)
+                lift = comb(t + m - 1, m - 1)
+                if not last:
+                    box = tuple(b + t * e for b, e in zip(base, J.bounds))
+                    kept += [(size + t, w * lift, held, box, r)
+                             for r, (size, w) in enumerate(zip(sizes[:alive], weights))]
+                elif sizes[alive - 1] + t >= low:
+                    for size, w, count in zip(sizes, weights, field_counts(held)):
+                        if size + t in totals:
+                            totals[size + t] += w * lift * count
+            del held
+            if kept:
+                kept.sort(key=itemgetter(0))
+                stack.append([kept, k + 1, 0])
+        return [totals[n] for n in ns]
 
     def _key(self, n) -> tuple[int, ...]:
         """n as a tuple of ints, one non-negative exponent per ideal."""

@@ -28,8 +28,9 @@ batched climb from the unit ideal through the round's meet, slot by slot.
 `mixed_difference_table` runs it from a base read off the ideals'
 generators with a sampler of its own and memoizes nothing; its round
 points are tuples of ints it made itself, so they go to the unchecked
-`ProductSampler._counts`, as the module layer's compositions do, and
-`buchsbaum_rim.br_direct` runs it on module colengths.
+`ProductSampler._counts`.  `buchsbaum_rim.br_direct` runs it on module
+colengths, which the sampler's walk over compositions sums
+(`ProductSampler._composition_sums`).
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Buchsbaum-Rim multiplicities: module colengths and the two routes."""
 
 import time
+import tracemalloc
 from collections import Counter
 from itertools import product as iter_product
 from math import comb, prod
@@ -27,7 +28,7 @@ from multlab import (
     unit_ideal,
 )
 from multlab import closure
-from multlab.buchsbaum_rim import _weights
+from multlab.buchsbaum_rim import _module_colengths, _weights
 from multlab.monomial import compositions
 
 from conftest import random_mprimary
@@ -115,19 +116,31 @@ class TestModuleColength:
 
     def test_fused_sums_match_the_sum_over_every_composition(self, rng):
         # the unfused definition as the oracle: one product colength per
-        # composition of n over all the columns, repeated and unit ones included
+        # composition of n over all the columns, repeated, unit and m ones
+        # included.  Beside repeated columns: three distinct ones up to n = 6,
+        # and powers of m beside other columns, which climb as fields
         for d in (1, 2, 3):
-            I, J = (random_mprimary(rng, d, mixed=True) for _ in range(2))
-            for columns in ([I, J, I], [I, I, I], [J, unit_ideal(d), J, unit_ideal(d)]):
+            distinct = []
+            while len(distinct) < 3:
+                J = random_mprimary(rng, d, max_power=4, mixed=True)
+                distinct += [J] * (J not in distinct)
+            I, J, K = distinct
+            cases = (([I, J, I], 3), ([I, I, I], 3), ([J, unit_ideal(d), J, unit_ideal(d)], 3),
+                     ([I, J, K], 6), ([m_ideal(d), J], 6), ([m_power(d, 2), K, m_ideal(d), K], 4))
+            for columns, most in cases:
                 E = module(columns)
-                for n in range(4):
+                for n in range(most + 1):
                     want = 0
                     for a in compositions(n, len(columns)):
                         P = unit_ideal(d)
-                        for K, e in zip(columns, a):
-                            P = product(P, power(K, e))
+                        for C, e in zip(columns, a):
+                            P = product(P, power(C, e))
                         want += colength(P)
                     assert module_colength(E, n) == want, (columns, n)
+                # a window that starts above 0, as the rounds of br_direct
+                # start at their base, gives n by n what single-n calls give
+                window = list(range(3, 8))
+                assert _module_colengths(E)(window) == [module_colength(E, n) for n in window], columns
 
 
 class TestBuchsbaumRim:
@@ -161,6 +174,21 @@ class TestBuchsbaumRim:
                 start = time.perf_counter()
                 assert route(E) == want, (route.__name__, r)
                 assert time.perf_counter() - start < 1, (route.__name__, r)
+
+    def test_distinct_columns_walk_in_bounded_memory(self):
+        # the walk lists no composition: br_direct over five distinct columns
+        # (x^2, y^k) holds one chunk's next level per slot, 0.4 MiB of traced
+        # allocations at its peak, where listing the round's 11 628
+        # compositions of n <= 14 held 3.1 MiB
+        br_direct(module([parse_ideal("(x^2, y)")]))  # imports and first-use set-up
+        E = module(parse_ideal(f"(x^2, y^{k})") for k in range(1, 6))
+        tracemalloc.start()
+        try:
+            assert br_direct(E) == 70
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
     def test_rank_one_is_hilbert_samuel(self, rng):
         for _ in range(6):

@@ -35,7 +35,7 @@ from multlab.buchsbaum_rim import br_direct, module, module_colength
 from multlab.counting import count_grid, count_naive, field_counts
 from multlab.counting import field_rows, multiply_field
 from multlab.lengths import MEMO_ENTRIES
-from multlab.monomial import box_bounds
+from multlab.monomial import box_bounds, compositions
 
 from conftest import oracle_colength, oracle_field, oracle_power, oracle_product, random_mprimary
 
@@ -471,20 +471,20 @@ class TestProductSampler:
             return multiply_field(h, *args)
 
         monkeypatch.setattr(lengths, "multiply_field", counted)
-        # the rounds hand their compositions to the climb unchecked, through _counts
-        batch = ProductSampler._counts
+        # the rounds hand their n to the walk over the compositions
+        walk = ProductSampler._composition_sums
         layers = set()
 
-        def one_round(sampler, points):
+        def one_round(sampler, ns, copies):
             before = len(calls)
-            values = batch(sampler, points)
-            top = max(map(sum, points))
+            values = walk(sampler, ns, copies)
+            top = max(ns)
             # every product is of a lattice point with sum <= top, each at most once
             assert len(calls) - before <= comb(top + 3, 3)
-            layers.update(map(sum, points))
+            layers.update(ns)
             return values
 
-        monkeypatch.setattr(ProductSampler, "_counts", one_round)
+        monkeypatch.setattr(ProductSampler, "_composition_sums", one_round)
         assert br_direct(E) == 46
         assert layers  # the per-round bound above held on every round br_direct made
         assert calls  # the bounds above count field products the climb really made
@@ -573,11 +573,13 @@ class TestProductSampler:
         texts = ("(x^2, y^2, z^2, w)", "(x, y, z, w^2)", "(x, y, z^3, w)", "(x^2, y^2, z^3, w)")
         ideals = [parse_ideal(t, dim=4) for t in texts]
         rounds, calls = [], []
-        climb = ProductSampler._counts
+        walks = {name: getattr(ProductSampler, name) for name in ("_composition_sums", "_counts")}
 
-        def one_round(sampler, points):
-            rounds.append((sampler, points))
-            return climb(sampler, points)
+        def hooked(walk):
+            def one_round(sampler, *args):
+                rounds.append((walk, sampler, args))
+                return walk(sampler, *args)
+            return one_round
 
         def counted(h, *args):
             out = multiply_field(h, *args)
@@ -586,33 +588,37 @@ class TestProductSampler:
             assert len(h) == 1 or out.size <= lengths.BATCH_CELLS, (out.shape, lengths.BATCH_CELLS)
             return out
 
-        monkeypatch.setattr(ProductSampler, "_counts", one_round)
+        for name, walk in walks.items():
+            monkeypatch.setattr(ProductSampler, name, hooked(walk))
         monkeypatch.setattr(lengths, "multiply_field", counted)
         monkeypatch.setattr(lengths, "BATCH_CELLS", 4)
         assert br_direct(E) == 46
         table = mixed_difference_table(ideals)
         assert (table.order, table.rounds, table.result) == ((1, 1, 1, 1), 1, 2)
         split = []
-        for sampler, points in rounds:
+        for walk, sampler, args in rounds:
             calls.clear()
-            split.append((climb(sampler, points), len(calls), sum(calls)))
+            split.append((walk(sampler, *args), len(calls), sum(calls)))
         monkeypatch.setattr(lengths, "BATCH_CELLS", 1 << 62)
-        for (sampler, points), (values, kernel_calls, products) in zip(rounds, split):
+        for (walk, sampler, args), (values, kernel_calls, products) in zip(rounds, split):
             calls.clear()
-            assert climb(sampler, points) == values
+            assert walk(sampler, *args) == values
             assert sum(calls) == products and len(calls) < kernel_calls
         # the module round, judged by the naive count where its boxes are small
-        (sampler, points), (values, _, _) = rounds[0], split[0]
-        assert sampler.ideals == E.ideals
-        low = [(p, v) for p, v in zip(points, values) if sum(p) == 4]
-        assert len(low) == 15  # the compositions of 4 over three columns
-        for p, v in low:
+        (walk, sampler, (ns, copies)), (values, _, _) = rounds[0], split[0]
+        assert walk is walks["_composition_sums"] and sampler.ideals == E.ideals
+        low = compositions(4, 3)
+        assert len(low) == 15 and copies == (1, 1, 1)
+        want = 0
+        for p in low:
             P = unit_ideal(3)
             for I, e in zip(E.ideals, p):
                 P = product(P, power(I, e))
-            assert v == count_naive(P.gens, box_bounds(P)), p
+            want += count_naive(P.gens, box_bounds(P))
+        assert values[ns.index(4)] == want
         # the table round, judged one point at a time by a fresh sampler
-        (sampler, points), (values, _, _) = rounds[1], split[1]
+        (walk, sampler, (points,)), (values, _, _) = rounds[1], split[1]
+        assert walk is walks["_counts"]
         assert values == [ProductSampler(ideals).colength_at(p) for p in points]
 
     def test_rows_of_one_batch_widen_at_different_steps(self, monkeypatch):

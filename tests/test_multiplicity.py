@@ -454,12 +454,33 @@ class TestNewtonRoute:
             assert hilbert_samuel(x) == mixed_multiplicity([x, x], (1, 0)) == k
 
 
-@pytest.mark.parametrize("text, e", [("(x^3, x*y^2*z, y^5, z^4)", 59), ("(x^5, x^3*z, x*y^3, y^4, z^4)", 67)])
+# The table engine's known false stops, each with its true value.  The
+# engine stops on a constant window of third differences one below it, before
+# the colengths have become a polynomial: in one round at base 6, at base 7
+# for (x^5, x^2*y^3, ...), and for (x^6, ...) in its second, at base 14.
+# The first is the hypothesis draw of --hypothesis-seed=122, the second the
+# plateau of third differences at 66 from n = 3 to 9.  The first and the last
+# eight are the nine draws where the engine disagrees with the Newton value
+# among the distinct ideals of 3 000 gen_random_mprimary(3, 5, 3, rng) and
+# 3 000 gen_random_mprimary(3, 6, 4, rng) draws, each from rng =
+# random.Random(7): 6 of 1 192 and 3 of 1 564
+FALSE_STOPS = [
+    ("(x^3, x*y^2*z, y^5, z^4)", 59),
+    ("(x^5, x^3*z, x*y^3, y^4, z^4)", 67),
+    ("(x^3, x^2*y^3, x*y^2*z, y^5, z^4)", 59),
+    ("(x^5, x^2*y*z, y^3, z^4)", 59),
+    ("(x^5, x^3*y, x^2*y*z, y^4, z^4)", 68),
+    ("(x^5, x^3*z, x^2*y*z, y^4, z^4)", 68),
+    ("(x^4, x^3*z^3, x*y*z^2, y^3, z^5)", 59),
+    ("(x^6, x^4*y, x*z^4, y^6, z^5)", 149),
+    ("(x^5, x^2*y^3, y^6, y^4*z^3, y*z^4, z^5)", 133),
+    ("(x^5, x^2*y*z, x*y*z^3, y^3, y^2*z^3, z^4)", 59),
+]
+
+
+@pytest.mark.parametrize("text, e", FALSE_STOPS)
 def test_table_engine_false_stops_are_newton_values(text, e):
-    # mixed_difference_table stops on a constant window of third differences
-    # one below these values (58 and 66, at base 6 in one round), before the
-    # colengths have become a polynomial; the Newton value and the window-free
-    # closure sum both give the true value
+    # the Newton value and the window-free closure sum both give the true value
     I = parse_ideal(text)
     assert hilbert_samuel(I) == closure.colength_sum([I], closure._merged_terms([((3,), 1)]).items()) == e
 

@@ -31,7 +31,6 @@ so memory stays bounded however long a run goes.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import random
 import time
@@ -46,6 +45,16 @@ from .expr import MAX_VARIABLE, format_ideal
 from .lengths import colength
 from .monomial import MAX_EXPONENT, MonomialIdeal, _built, _sweep, integer, m_ideal, product
 from .multiplicity import mixed_multiplicity
+
+# the interpreter's own SHA-256, as `random` takes its SHA-512: hashlib
+# loads OpenSSL's libcrypto, several MiB of it, for this one digest
+try:
+    from _sha2 import sha256  # Python 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 @dataclass(frozen=True)
@@ -130,7 +139,7 @@ def _report(check, lhs, rhs, relation, *, instance=None, index=-1,
 
 
 def rng_for(seed: int, check: str, index: int) -> random.Random:
-    digest = hashlib.sha256(f"{seed}:{check}:{index}".encode()).digest()
+    digest = sha256(f"{seed}:{check}:{index}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 

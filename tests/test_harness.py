@@ -3,10 +3,12 @@
 import concurrent.futures
 import csv
 import gc
+import hashlib
 import io
 import json
 import multiprocessing
 import os
+import random
 import re
 import subprocess
 import sys
@@ -51,6 +53,14 @@ from multlab import harness
 from multlab.harness import _applicable_checks, fuzz, rng_for, run_instance
 
 
+def _python(code: str) -> str:
+    """The stripped stdout of `code`, run by a fresh interpreter on this checkout's multlab."""
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True).stdout.strip()
+
+
 class TestGenerator:
     def test_always_m_primary(self):
         for index in range(50):
@@ -75,6 +85,28 @@ class TestGenerator:
         c = gen_random_mprimary(3, 3, 2, rng_for(5, "c", 8))
         assert a == b
         assert a != c or True  # different index usually differs; never equal forced
+
+    def test_seeds_without_the_built_in_hash(self):
+        # with neither of the interpreter's own SHA-256 modules, rng_for falls
+        # back to hashlib's: the same digest, so the same draws
+        keys = [(0, "lech_classical", 0), (5, "c", 7), (11, "main_br", 299), (2**40, "x", 1)]
+        code = f"""if True:
+            import sys
+            from itertools import starmap
+            sys.modules["_sha2"] = sys.modules["_sha256"] = None
+            import hashlib
+            from multlab import harness
+            assert harness.sha256 is hashlib.sha256
+            print([[rng.random() for _ in range(3)] for rng in starmap(harness.rng_for, {keys})])
+        """
+        fallback = _python(code)
+        builtin = [[rng.random() for _ in range(3)] for rng in (rng_for(*key) for key in keys)]
+        reference = [
+            [rng.random() for _ in range(3)]
+            for rng in (random.Random(int.from_bytes(
+                hashlib.sha256(f"{s}:{c}:{i}".encode()).digest()[:8], "big")) for s, c, i in keys)
+        ]
+        assert fallback == repr(builtin) == repr(reference)
 
     def test_unchecked_build_equals_the_checked_one(self, monkeypatch):
         # the draw's rows reach the sweep unchecked; ideal() of the same rows,
@@ -259,14 +291,30 @@ class TestSuite:
         assert s1.getvalue() == s2.getvalue()
 
     def test_import_loads_no_process_pool(self):
-        # a serial run never pays for concurrent.futures or multiprocessing
-        src = os.path.dirname(os.path.dirname(harness.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        code = ("import sys, multlab; "
-                "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": path}, check=True)
-        assert out.stdout.strip() == "[]"
+        # a serial run never pays for concurrent.futures or multiprocessing, and
+        # `import multlab` loads the calculator alone: the harness module waits
+        # in sys.modules unrun, and OpenSSL's hashlib stays out (unless the
+        # interpreter's own `random` needs it, having no built-in SHA)
+        code = """if True:
+            import random, sys, types
+            before = set(sys.modules)
+            import multlab
+            pending = type(sys.modules["multlab.harness"]) is not types.ModuleType
+            print(sorted({"concurrent.futures", "multiprocessing", "hashlib", "_hashlib", "csv"}
+                         & set(sys.modules) - before), pending)
+            assert multlab.CorpusConfig is multlab.harness.CorpusConfig
+            assert multlab.harness.run_instance(multlab.CorpusConfig(), "lech_classical", 0).holds
+            assert getattr(multlab, "check_main_br") is multlab.harness.check_main_br
+            star = {}
+            exec("from multlab import *", star)
+            assert set(multlab.__all__) <= star.keys()
+            assert {"CorpusConfig", "run_suite", "harness", "colength"} <= set(dir(multlab))
+            try:
+                multlab.no_such_name
+            except AttributeError:
+                print("AttributeError")
+        """
+        assert _python(code).split("\n") == ["[] True", "AttributeError"]
 
     @staticmethod
     def _in_process_pool(monkeypatch):

@@ -22,6 +22,9 @@ checks the same two bounds once per call.  Its rows are then ints in
 range, so every draw is built as every computed ideal is, by
 `monomial._built` on the sweep, with no second check; the checks take
 e(m, I) and its kin from `mixed_multiplicity`, with one m per instance.
+A draw takes its numbers from the instance's `getrandbits` by CPython's
+own rejection loop, the numbers `randrange` gives, without its argument
+handling; every report is encoded by one module-level JSON encoder.
 
 `run_suite` and `fuzz` yield reports one at a time and keep none of them;
 a `Tally` folds a report stream into the per-check summary as it passes,
@@ -97,6 +100,10 @@ class CorpusConfig:
             raise ValueError("jobs must be at least 1")
 
 
+# one encoder for every report: json.dumps builds a new one per call that passes options
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 @dataclass(frozen=True)
 class InequalityReport:
     """One evaluated instance of one check.
@@ -118,7 +125,7 @@ class InequalityReport:
     terms: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(vars(self), sort_keys=True, separators=(",", ":"))
+        return _encode(vars(self))
 
 
 def _report(check, lhs, rhs, relation, *, instance=None, index=-1,
@@ -162,23 +169,38 @@ def gen_random_mprimary(
 ) -> MonomialIdeal:
     """Random m-primary ideal: pure powers x_i^{k_i} plus extra box points.
 
+    The draw is defined on `rng.getrandbits`: a number below n is
+    getrandbits(n.bit_length()), drawn again while it is n or more.  That
+    is CPython's own rejection loop, so on a `random.Random` each number
+    is the one `randrange(n)` gives, and 1 + it the one `randint(1, n)`
+    gives; a subclass that overrides only `random()` has a `randrange` of
+    its own, which this draw does not follow.  First come the pure powers
+    k_i in [1, max_pure_power], then, unless every k_i is 1, `extra_gens`
+    points v with v_i in [0, k_i), each kept unless it is 0.
+
     `dim` and `max_pure_power` are checked once, here (`_draw_bounds`); the
     drawn rows are then ints in range, so the ideal is built as a product
     is, by the sweep with no second check.
     """
     dim, max_pure_power = _draw_bounds(dim, max_pure_power)
-    powers = [rng.randint(1, max_pure_power) for _ in range(dim)]
-    gens = [
-        tuple(k if i == j else 0 for j in range(dim))
-        for i, k in enumerate(powers)
-    ]
-    interior = [k > 1 for k in powers]
-    if any(interior):
+    getrandbits = rng.getrandbits
+
+    def below(n):
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    powers = [1 + below(max_pure_power) for _ in range(dim)]
+    zero = (0,) * dim
+    rows = {zero[:i] + (k,) + zero[i + 1:] for i, k in enumerate(powers)}
+    if max(powers) > 1:
         for _ in range(extra_gens):
-            v = tuple(rng.randrange(0, k) for k in powers)
+            v = tuple(map(below, powers))
             if any(v):
-                gens.append(v)
-    return _built(dim, _sweep(set(gens)))
+                rows.add(v)
+    return _built(dim, _sweep(rows))
 
 
 def _gen_many(config: CorpusConfig, check: str, index: int, count: int):

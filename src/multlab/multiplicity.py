@@ -12,10 +12,13 @@ that route and why it gives the value: in d <= 3 the facet formula for
 mixed volumes on one hull, with no box, and from d = 4 on that
 difference at base 0 of the closures, as closure colengths.
 `_newton_value` is one call of it, with the one pair (orders, 1),
-memoized for the last `lengths.MEMO_ENTRIES` distinct (ideals, orders)
-keys; mixed multiplicities are symmetric, so `mixed_multiplicity` keys
-the merged ideals in one order, sorted by their generators.  This module
-holds no field, box, hull or closure colength.
+memoized for the last `lengths.MEMO_ENTRIES` distinct keys.  A key
+holds generator rows, not ideals, as `closure._facet_rows` does: the
+merged slots' (rows, order) pairs, sorted as tuples, since mixed
+multiplicities are symmetric.  `_merged` fuses equal slots by their
+rows, and every call checks its slots, memo hits included; only a miss
+builds the ideals again.  This module holds no field, box, hull or
+closure colength.
 
 The difference-table engine stays as the independent oracle.  `stabilize`
 evaluates the difference, with the terms of `monomial._difference_terms`,
@@ -42,7 +45,7 @@ from operator import add
 from . import closure
 from .errors import ImpossibleValueError, NotMPrimaryError, StabilizationError
 from .lengths import MEMO_ENTRIES, ProductSampler
-from .monomial import MonomialIdeal, _difference_terms, common_dim, integer
+from .monomial import MonomialIdeal, _built, _difference_terms, common_dim, integer
 from .monomial import integer_exponents, is_m_primary, m_ideal
 
 # The schedule of `stabilize`: WINDOW extra diagonal shifts must reproduce
@@ -139,10 +142,12 @@ def _heuristic_base(ideals, dim: int) -> int:
 
 
 def _merged(ideals, type_):
-    """`ideals` and `type_` checked and merged: the ideals with positive order, and their orders.
+    """`ideals` and `type_` checked and merged: the dimension d, and a dict of generator rows to orders.
 
-    Zero slots are dropped and repeated ideals fused, their orders summed,
-    in order of first appearance.
+    The rows map to the summed order of every slot that holds them, in
+    order of first appearance; zero slots are dropped.  Rows are tuples,
+    so they hash and compare in C, where an ideal's hash and equality are
+    Python calls.
     """
     ideals = list(ideals)
     if not ideals:
@@ -155,7 +160,7 @@ def _merged(ideals, type_):
         raise ValueError("type entries must be non-negative")
     if sum(type_) != d:
         raise ValueError(f"type must sum to the ambient dimension {d}")
-    orders: dict[MonomialIdeal, int] = {}
+    orders: dict[tuple, int] = {}
     for I, a in zip(ideals, type_):
         if a:
             if not is_m_primary(I):
@@ -163,8 +168,8 @@ def _merged(ideals, type_):
                     "mixed multiplicities need m-primary ideals in every "
                     "slot with positive order"
                 )
-            orders[I] = orders.get(I, 0) + a
-    return tuple(orders), tuple(orders.values())
+            orders[I.gens] = orders.get(I.gens, 0) + a
+    return d, orders
 
 
 def _positive(value: int, route: str,
@@ -178,13 +183,15 @@ def _positive(value: int, route: str,
 
 
 @lru_cache(maxsize=MEMO_ENTRIES)
-def _newton_value(merged, orders) -> int:
-    """e(J_1^[a_1], ..., J_s^[a_s]) of the merged ideals J_j at `orders` a, from Newton polyhedra.
+def _newton_value(dim, key) -> int:
+    """e(J_1^[a_1], ..., J_s^[a_s]) from Newton polyhedra, for the (rows of J_j, a_j) pairs of `key`.
 
-    One `closure.mixed_sum` of the one pair (a, 1).  Memoized for the last
-    MEMO_ENTRIES keys, which are frozen.
+    One `closure.mixed_sum` of the one pair (a, 1), on the ideals rebuilt
+    from their rows in dimension `dim`, which only a miss does.  Memoized
+    for the last MEMO_ENTRIES keys, which hold generator rows, not ideals.
     """
-    return closure.mixed_sum(merged, [(orders, 1)])
+    merged = [_built(dim, rows) for rows, _ in key]
+    return closure.mixed_sum(merged, [(tuple(a for _, a in key), 1)])
 
 
 def mixed_difference_table(ideals, type_=None) -> DifferenceTable:
@@ -196,9 +203,10 @@ def mixed_difference_table(ideals, type_=None) -> DifferenceTable:
     go to its climb unchecked (`_counts`).  Nothing here is memoized and no
     product outlives the call, so every call stabilizes afresh.
     """
-    merged, orders = _merged(ideals, type_)
-    base = _heuristic_base(merged, merged[0].dim)
-    table = stabilize(ProductSampler(merged)._counts, orders, base=base)
+    d, orders = _merged(ideals, type_)
+    merged = [_built(d, rows) for rows in orders]
+    base = _heuristic_base(merged, d)
+    table = stabilize(ProductSampler(merged)._counts, tuple(orders.values()), base=base)
     _positive(table.result, "difference table")
     return table
 
@@ -208,15 +216,14 @@ def mixed_multiplicity(ideals, type_=None) -> int:
 
     `type_` defaults to (1, ..., 1), which requires exactly d ideals.  Slots
     with a_i = 0 are ignored; repeated ideals are merged by summing their
-    orders.  Every counted slot must hold an m-primary ideal.  The value
-    comes from Newton polyhedra (`_newton_value`), with no difference
-    window; `mixed_difference_table` computes it independently.
+    orders.  Every counted slot must hold an m-primary ideal, and every
+    call checks its slots, memo hits included.  The value comes from
+    Newton polyhedra (`_newton_value`), with no difference window;
+    `mixed_difference_table` computes it independently.
     """
-    merged, orders = _merged(ideals, type_)
-    # e is symmetric in its slots, so the memo keys them in one order
-    pairs = sorted(zip(merged, orders), key=lambda pair: (pair[0].dim, pair[0].gens))
-    merged, orders = zip(*pairs)
-    return _positive(_newton_value(merged, orders), "the Newton route")
+    d, orders = _merged(ideals, type_)
+    # e is symmetric in its slots, so the memo keys the (rows, order) pairs in one order
+    return _positive(_newton_value(d, tuple(sorted(orders.items()))), "the Newton route")
 
 
 def hilbert_samuel(I: MonomialIdeal) -> int:

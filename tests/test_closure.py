@@ -29,7 +29,7 @@ from multlab import (
     unit_ideal,
 )
 from multlab import closure, counting, multiplicity
-from multlab.monomial import compositions, contains
+from multlab.monomial import _built, compositions, contains
 
 from conftest import (
     oracle_minimalize,
@@ -422,7 +422,8 @@ def test_facet_route_equals_the_closure_sums(d, s, mixed, rng):
     # from s ideals, so slots repeat and are merged, and further orders come
     # with random weights
     pool = [random_mprimary(rng, d, max_power=4, extras=rng.randint(0, 4), mixed=mixed) for _ in range(s)]
-    ideals, orders = multiplicity._merged([rng.choice(pool) for _ in range(d)], None)
+    _, merged = multiplicity._merged([rng.choice(pool) for _ in range(d)], None)
+    ideals, orders = [_built(d, rows) for rows in merged], tuple(merged.values())
     others = compositions(d, len(ideals))
     weights = [(orders, 1)] + [(a, rng.randint(-3, 3)) for a in rng.sample(others, rng.randint(0, len(others)))]
     want = closure.colength_sum(ideals, closure._merged_terms(weights).items())

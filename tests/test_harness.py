@@ -84,7 +84,49 @@ class TestGenerator:
         b = gen_random_mprimary(3, 3, 2, rng_for(5, "c", 7))
         c = gen_random_mprimary(3, 3, 2, rng_for(5, "c", 8))
         assert a == b
-        assert a != c or True  # different index usually differs; never equal forced
+        assert a != c  # (x, y, z) at index 7, (x^3, x*y, y^2, z^2) at index 8
+        assert c == parse_ideal("(x^3, x*y, y^2, z^2)")
+
+    def test_rejection_loop_is_randrange(self):
+        # the draw's numbers below n come from getrandbits by CPython's own
+        # rejection loop; on this interpreter that must be randrange(n), and
+        # 1 + it randint(1, n), leaving the generator in the same state
+        def below(rng, n):
+            k = n.bit_length()
+            r = rng.getrandbits(k)
+            while r >= n:
+                r = rng.getrandbits(k)
+            return r
+
+        sizes = [*range(1, 301), 2**31 - 1]
+        for seed in range(40):
+            ours, theirs, ints = random.Random(seed), random.Random(seed), random.Random(seed)
+            for n in sizes:
+                r = below(ours, n)
+                assert r == theirs.randrange(n) == ints.randint(1, n) - 1, (seed, n)
+            assert ours.getstate() == theirs.getstate() == ints.getstate()
+
+    def test_draws_equal_the_randrange_draw(self):
+        # the draw as it was written on randint and randrange: pure powers,
+        # then extra points, kept unless 0, once some power exceeds 1
+        def reference(dim, top, extra, rng):
+            powers = [rng.randint(1, top) for _ in range(dim)]
+            gens = [tuple(k if i == j else 0 for j in range(dim)) for i, k in enumerate(powers)]
+            if any(k > 1 for k in powers):
+                for _ in range(extra):
+                    v = tuple(rng.randrange(0, k) for k in powers)
+                    if any(v):
+                        gens.append(v)
+            return ideal(gens, dim=dim)
+
+        for dim in range(1, 7):
+            for top in (1, 2, 3, 4, 5, 6, 200):
+                for extra in range(5):
+                    for index in range(3):
+                        ours, theirs = (rng_for(dim, f"draw-{top}-{extra}", index) for _ in range(2))
+                        got = gen_random_mprimary(dim, top, extra, ours)
+                        assert got == reference(dim, top, extra, theirs), (dim, top, extra, index)
+                        assert ours.getstate() == theirs.getstate()
 
     def test_seeds_without_the_built_in_hash(self):
         # with neither of the interpreter's own SHA-256 modules, rng_for falls

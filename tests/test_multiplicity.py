@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from multlab import (
     DimensionMismatchError,
     ImpossibleValueError,
+    MonomialIdeal,
     NotMPrimaryError,
     StabilizationError,
     hilbert_samuel,
@@ -360,6 +361,36 @@ class TestTableMemo:
         assert (info().misses, info().hits) == (2, 2)
         assert mixed_multiplicity([L, K], (2, 1)) != mixed_multiplicity([K, L], (2, 1))
         assert (info().misses, info().hits) == (3, 3)  # e(L, L, K) is new, e(K, K, L) a hit
+
+    def test_equal_ideals_built_apart_share_a_key(self):
+        # the memo is keyed by generator rows, so equal ideals hit it however
+        # they were built, in either slot order
+        I, J = parse_ideal("(x^2, x*y, y^3)"), parse_ideal("(x^3, y^2)")
+        I2, J2 = ideal([(0, 3), (2, 0), (1, 1), (2, 1)]), MonomialIdeal(2, ((0, 2), (3, 0)))
+        assert (I2, J2) == (I, J) and I2 is not I and J2 is not J
+        info = multiplicity._newton_value.cache_info
+        first = mixed_multiplicity([I, J])
+        assert mixed_multiplicity([I2, J2]) == mixed_multiplicity([J2, I]) == first
+        assert (info().misses, info().hits) == (1, 2)
+        assert mixed_multiplicity([I, I2], (1, 1)) == hilbert_samuel(I2)  # fused by rows
+        assert (info().misses, info().hits) == (2, 3)
+
+    def test_memoized_ideals_are_checked_on_every_call(self):
+        # a memo hit skips only the Newton route: the type and the slots are
+        # checked on every call, after the same ideals were memoized too
+        I, J = parse_ideal("(x^2, x*y, y^3)"), parse_ideal("(x^3, y^2)")
+        K = parse_ideal("(x^2, x*y)")  # no pure power of y
+        mixed_multiplicity([I, J])
+        hilbert_samuel(I)
+        for bad in ((1, 2), (1, 0), (2, 1), (0, 0)):
+            with pytest.raises(ValueError, match="sum to the ambient dimension"):
+                mixed_multiplicity([I, J], bad)
+        with pytest.raises(NotMPrimaryError):
+            mixed_multiplicity([I, K])
+        with pytest.raises(NotMPrimaryError):
+            mixed_multiplicity([K, J], (1, 1))
+        assert mixed_multiplicity([I, K], (2, 0)) == hilbert_samuel(I)  # a zero slot is not read
+        assert multiplicity._newton_value.cache_info().currsize == 2
 
     def test_stabilization_error_is_raised_every_time(self, monkeypatch):
         stabilized = []

@@ -42,12 +42,16 @@ from dataclasses import dataclass
 from math import comb
 
 from .closure import mixed_sum
+from .errors import StabilizationError
 from .lengths import ProductSampler, colength
 from .monomial import MonomialIdeal, common_dim, compositions, integer, integer_exponents
 from .monomial import is_m_primary, m_ideal, product
 from .multiplicity import _heuristic_base, _positive, stabilize
 
 _BR_KIND = "Buchsbaum-Rim multiplicities of proper submodules"
+
+MAX_PRODUCTS = 1 << 22
+"""The most products one round of `br_direct` may make, C(top + r, r) over r distinct columns."""
 
 
 @dataclass(frozen=True)
@@ -143,13 +147,28 @@ def br_direct(E: DirectSumModule) -> int:
     round's module colengths come from one walk of the sampler over the
     prefixes of the compositions into the distinct columns, which lists
     none of them.  The sampler is this call's own, so nothing it builds
-    outlives the call.
+    outlives the call.  Every escalation doubles the base, so a round's
+    C(top + r, r) products over r distinct columns grow about 2^r-fold;
+    a round of more than MAX_PRODUCTS of them raises StabilizationError
+    before its walk.  The cap admits the eight distinct columns (x^2, y^k)
+    of one round up to n = 20 (3 108 105 points) and refuses five such
+    columns at base 48 (C(61, 5) = 5 949 147), whose windows settle at
+    base 6, so a window that never settles fails within seconds.
     """
     proper = _proper_columns(E)
     d = E.dim
-    evaluate = _module_colengths(E)
-    table = stabilize(lambda points: evaluate([n for (n,) in points]),
-                      (d + E.rank - 1,), base=_heuristic_base(proper, d))
+    walk, r = _module_colengths(E), len(set(E.ideals))
+
+    def evaluate(points):
+        ns = [n for (n,) in points]
+        products = comb(max(ns) + r, r)
+        if products > MAX_PRODUCTS:
+            raise StabilizationError(
+                f"a round up to n = {max(ns)} over {r} distinct columns makes {products} "
+                f"products, more than {MAX_PRODUCTS}")
+        return walk(ns)
+
+    table = stabilize(evaluate, (d + E.rank - 1,), base=_heuristic_base(proper, d))
     return _positive(table.result, "difference table", _BR_KIND)
 
 

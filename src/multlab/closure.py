@@ -16,8 +16,9 @@ chains, merged by direction.  In every other dimension, and as the plane
 route's reference in the tests, the double description method
 (`_double_description`) cuts the Cayley cone one generator at a time, so
 its cost follows the facets rather than the subsets of generators or the
-products of vertices.  Every membership question is then a.v >= b for
-every facet:
+products of vertices; it starts from the known rays of a block's
+pure-power simplex and drops the rows inside it.  Every membership
+question is then a.v >= b for every facet:
 
 * `newton_polyhedron_member` tests one point of any ideal against its
   facet rows alone, in Python ints, so it is exact for every exponent the
@@ -26,13 +27,15 @@ every facet:
 * An m-primary polyhedron is a height field along the longest side of its
   box of pure-power bounds: over the other sides each facet bounds the
   least member height from below, and the field is the largest of those
-  bounds.  `_tile_heights` builds it in int64 numpy arithmetic, every
-  facet at once, on tiles of at most TILE_CELLS facet-cells, and each
-  tile serves every box of the call.  `integral_closure` reads the
-  closure's minimal generators off the field's corners.
+  bounds.  It is built in int64 numpy arithmetic, every facet at once, on
+  the tiles of `_tile_sums`, of at most TILE_CELLS facet-cells.
+  `integral_closure` reads the closure's minimal generators off the
+  corners of its one field (`_closure_corners`, which divides every row
+  at once).
 * `colength_sum` sums the colengths of the closures of products prod
   J_j^(t_j): one hull of the J_j serves every t, with right-hand sides
-  sum t_j min over J_j of a.g, and one `_tile_heights` pass serves every
+  sum t_j min over J_j of a.g, and one `_tile_heights` pass, each tile
+  shared by every box and each run of one a_c divided once, serves every
   box.
 * `mixed_sum` is the one route of mixed multiplicities: it takes
   weighted orders a with |a| = d and chooses by the ideals' dimension.
@@ -52,8 +55,8 @@ from __future__ import annotations
 
 from functools import cmp_to_key, lru_cache, reduce
 from itertools import product as iter_product
-from math import factorial, gcd, prod
-from operator import add, mul
+from math import factorial, gcd, lcm, prod
+from operator import mul, or_
 
 import numpy as np
 
@@ -192,11 +195,22 @@ def _double_description(blocks) -> tuple[list[tuple[int, ...]], list[list[int]]]
     generator g of block j and y.(e_i, 0) >= 0 for every axis are the facet
     normals of the cone those vectors span.  Its facets tight on a generator
     of every block are the facets of the sum, with c_j = -min over J_j of
-    a.g.  The cuts go in by degree, then lex, which keeps the intermediate
-    ray sets small.  The d + s independent constraints e_i and (g_j, e_j),
-    g_j the first generator of block j in that order, give the rays (e_i,
-    -g_1i, ..., -g_si) and (0, e_j); each further generator cuts the cone,
-    and every ray keeps a bit mask of the constraints it is tight on.  A
+    a.g.  The distinct rows go in by degree, then lex, which keeps the
+    intermediate ray sets small, and every ray keeps a bit mask of the
+    constraints it is tight on.
+
+    The start is a cone whose rays are known.  In d >= 2 a block holding a
+    pure power on every axis, its least ones b_i e_i, has the simplex
+    weights w_i = L / b_i, L = lcm(b), and each of its rows g with w.g > L,
+    or w.g = L and g not one of those pure powers, lies in conv(b_i e_i) +
+    R^d_>=0, so its constraint follows from theirs and the axes' and is
+    dropped.  The first such block p starts from its d pure powers, the
+    axes and (g_j, e_j), g_j the first kept row of every other block j:
+    with g_p = 0 those 2d + s - 1 constraints give the s + d + 1 rays (0,
+    e_j), (e_i, -g_1i, ..., -g_si) and (w, c) with c_p = -L and c_j = -w.g_j
+    (primitive, since the gcd of the L / b_i is 1).  With no such block,
+    and in d = 1, the d + s independent constraints e_i and (g_j, e_j)
+    give the first d + s of those rays.  Each further row cuts the cone.  A
     ray on the positive side of a cut and one on the negative side are
     adjacent when their common tight set has at least d + s - 2 bits and no
     third ray is tight on all of it; each adjacent pair gives one new ray
@@ -207,24 +221,55 @@ def _double_description(blocks) -> tuple[list[tuple[int, ...]], list[list[int]]]
     so it is (0, e_j); every other ray is tight on every block.  Of those,
     the rays with c_1 + ... + c_s < 0 are kept: the others are facets v_i
     >= 0 of the sum.  A kept y is primitive and each c_j is an integer
-    combination of a, so a is primitive too.
+    combination of a, so a is primitive too.  The rays of the whole cone do
+    not depend on the start or on the dropped rows, so neither do the rows
+    returned, taken as a set.
     """
-    s = len(blocks)
+    s, d = len(blocks), len(blocks[0][0])
+    rows = sorted({(sum(g), g, j) for j, gens in enumerate(blocks) for g in gens})
+    least = [[0] * d for _ in range(s)]  # per block, its least pure power on each axis
+    if d > 1:
+        for deg, g, j in rows:
+            if deg and deg == max(g):
+                i = g.index(deg)
+                least[j][i] = least[j][i] or deg
+    simplex = [None] * s  # per block holding every pure power: (w, L)
+    for j, b in enumerate(least):
+        if all(b):
+            L = lcm(*b)
+            simplex[j] = [L // e for e in b], L
+    p = next((j for j, sim in enumerate(simplex) if sim), None)
     firsts, cuts = [None] * s, []
-    for _, g, j in sorted((sum(g), g, j) for j, gens in enumerate(blocks) for g in gens):
+    if p is not None:
+        firsts[p] = (0,) * d
+    for deg, g, j in rows:
+        if simplex[j]:
+            w, L = simplex[j]
+            t = sum(map(mul, w, g))
+            # rows on or past the simplex go, but for its pure powers: the
+            # start on block p, cuts on every other block
+            if t > L or t == L and (j == p or deg != max(g)):
+                continue
         if firsts[j] is None:
             firsts[j] = g
         else:
             cuts.append((g, j))
-    d = len(firsts[0])
-    axes = (1 << d) - 1  # bit i: tight on e_i; bit d + j: on (firsts[j], e_j); d + s + k: on cuts[k]
-    tops = ((1 << s) - 1) << d
+    # bit i: tight on e_i; d + i: on block p's pure power on axis i;
+    # 2d + j: on (firsts[j], e_j) for j != p; 2d + s + k: on cuts[k]
+    axes = (1 << d) - 1
+    pures = 0 if p is None else axes << d
+    own = [pures if j == p else 1 << 2 * d + j for j in range(s)]  # each block's start bits
+    every = reduce(or_, own, axes)
     ys = [(0,) * d + tuple(int(i == j) for i in range(s)) for j in range(s)]
-    zs = [axes | (tops ^ 1 << d + j) for j in range(s)]
+    zs = [every ^ z for z in own]
     for i in range(d):
         ys.append((*(int(j == i) for j in range(d)), *(-g[i] for g in firsts)))
-        zs.append((axes ^ 1 << i) | tops)
-    for k, (g, j) in enumerate(cuts, d + s):
+        zs.append(every ^ 1 << i ^ pures & 1 << d + i)
+    if p is not None:
+        w, L = simplex[p]
+        ys.append((*w, *(-L if j == p else -sum(map(mul, w, g)) for j, g in enumerate(firsts))))
+        zs.append(every ^ axes)
+    for k, (g, j) in enumerate(cuts, 2 * d + s):
         j += d
         sides = [sum(map(mul, y, g)) + y[j] for y in ys]
         bit = 1 << k
@@ -288,46 +333,66 @@ def check_int64(bounds) -> None:
     vertex row from the others leaves a d x d determinant whose column i
     holds entries of size at most b_i, so 0 <= a.v <= d! * prod b_i on the
     box (and so is b, the value at a vertex).  The tiles of `_tile_heights`
-    hold a'.v' - r, with a'.v' = a.v at v_c = 0 for cells v' of a field
-    in the box and r the value of a at a point of the box (a vertex, or
-    for `colength_sum` the sum of t_j minimizers over the J_j, which lies
-    in B(t)), so they lie in [-d! * prod b_i, d! * prod b_i]; so do the
-    side rows a_i * x_i that are read, x_i < B_i, and their partial sums,
-    and the run minima and their floors lie between those.  Past that
-    check the facet rows, Python ints, enter int64 arithmetic exactly.
+    and `_closure_corners` hold a'.v' - r, with a'.v' = a.v at v_c = 0 for
+    cells v' of a field in the box and r the value of a at a point of the
+    box (a vertex, or for `colength_sum` the sum of t_j minimizers over the
+    J_j, which lies in B(t)), so they lie in [-d! * prod b_i, d! * prod
+    b_i]; so do the side rows a_i * x_i that are read, x_i < B_i, and their
+    partial sums, and the minima and the floors lie between those.  Past
+    that check the facet rows, Python ints, enter int64 arithmetic exactly.
     """
     if factorial(len(bounds)) * prod(bounds) >= 2**63:
         raise ValueError(f"pure powers {tuple(bounds)} may overflow int64 facet values")
 
 
 TILE_CELLS = 1 << 18
-"""The most int64 facet-cells (facets times field cells) one tile of `_tile_heights` holds."""
+"""The most int64 facet-cells (facets times field cells) one tile of `_tile_sums` holds."""
+
+
+def _tile_sums(rows, shape):
+    """The field over prod [0, shape_i) in tiles: per tile its origin lo, its ends hi and a'.v' for every row.
+
+    `rows` is an int64 table of one row a' per facet, one column per side.
+    Each tile holds at most TILE_CELLS facet-cells, its innermost sides
+    whole first, and its values a'.(lo + x) come from broadcast adds of one
+    row per side, a fresh array unless the field has one side, where it is
+    a view of a table kept across tiles, so callers write only into arrays
+    of their own.
+    """
+    n, k = rows.shape
+    steps = rows[:, :, None] * np.arange(max(shape, default=0))  # a'_fi * x, x < side i
+    col = (n,) + (1,) * k
+    sides = [col[: i + 1] + (-1,) + col[i + 2:] for i in range(k)]  # axis i's row, broadcast
+    tile, room = [], max(1, TILE_CELLS // n)
+    for side in reversed(shape):
+        tile.insert(0, min(side, room))
+        room = max(1, room // side)
+    for lo in iter_product(*map(range, [0] * k, shape, tile)):
+        hi = [min(l + t, side) for l, t, side in zip(lo, tile, shape)]
+        parts = [steps[:, i, l:h].reshape(sides[i]) for i, (l, h) in enumerate(zip(lo, hi))]
+        yield lo, hi, reduce(np.add, parts) if parts else np.zeros(n, np.int64)
 
 
 def _tile_heights(A, c, rights, boxes, cells):
-    """The least member heights along axis c over every box, negated, one tile part at a time.
+    """The least member heights along axis c over every box of `colength_sum`, negated, one tile part at a time.
 
     Every facet row a has a_c > 0, and with right-hand sides r the height
     at the coordinates v' off axis c is h(v') = max(0, max over rows of
     ceil((r - a'.v') / a_c)): v = (v', v_c) satisfies every row exactly
     when v_c >= h(v').  `rights` holds the r of each box of `boxes`, whose
     fields lie over prod [0, B_i), i != c.  The field of their
-    componentwise maximum is cut into tiles of at most TILE_CELLS
-    facet-cells, innermost sides whole first, and each tile holds a'.v' for
-    every row at once, from broadcast adds of one row per side.  Every box
-    that meets the tile takes its part as a view and subtracts its r.  The
-    rows are sorted by a_c, and each run of one a_c is reduced to its least
-    row, then floor-divided by that a_c: floor((a'.v' - r) / a_c) is
+    componentwise maximum is cut into the tiles of `_tile_sums`, and every
+    box that meets a tile takes its part as a view and subtracts its r.
+    The rows are sorted by a_c, and each run of one a_c is reduced to its
+    least row, then floor-divided by that a_c: floor((a'.v' - r) / a_c) is
     monotone in a'.v' - r, so one division per run serves all its rows.
     Dividing every row instead took the d = 6 CI corpus (`verify --dim 6
     --rank 3 --instances 2 --seed 11`, in-process) from 13.0 / 11.3 s to
-    21.9 / 20.0 s, 1.7-1.8 times as long, while the closure-d4 benchmark
-    corpus, of few facets over small fields, read 4 % faster (16.0 against
-    15.4 ms, medians of 21 alternating passes).
-    The least over the runs, capped at 0, is -h.  Yields (j, lo, low) for
-    box j, with low = -h on the part of its field from the coordinates lo
-    on, written into the first cells of the flat int64 buffer `cells`,
-    which holds the field of the maximum; the next part overwrites it.
+    21.9 / 20.0 s, 1.7-1.8 times as long.  The least over the runs, capped
+    at 0, is -h.  Yields (j, lo, low) for box j, with low = -h on the part
+    of its field from the coordinates lo on, written into the first cells
+    of the flat int64 buffer `cells`, which holds the field of the maximum;
+    the next part overwrites it.
     """
     n = len(A)
     rows = sorted((a[c], *a[:c], *a[c + 1:], *r) for a, r in zip(A, zip(*rights)))
@@ -339,18 +404,8 @@ def _tile_heights(A, c, rights, boxes, cells):
     boxes = [box[:c] + box[c + 1:] for box in boxes]
     shape = list(map(max, zip(*boxes)))
     k = len(shape)
-    col = (n,) + (1,) * k
-    rights = table.T[k + 1:].reshape((-1,) + col)
-    steps = table[:, 1 : k + 1, None] * np.arange(max(shape, default=0))  # a'_fi * x, x < side i
-    sides = [col[: i + 1] + (-1,) + col[i + 2:] for i in range(k)]  # axis i's row, broadcast
-    tile, room = [], max(1, TILE_CELLS // n)
-    for side in reversed(shape):
-        tile.insert(0, min(side, room))
-        room = max(1, room // side)
-    for lo in iter_product(*map(range, [0] * k, shape, tile)):
-        hi = [min(l + t, side) for l, t, side in zip(lo, tile, shape)]
-        parts = [steps[:, i, l:h].reshape(sides[i]) for i, (l, h) in enumerate(zip(lo, hi))]
-        vals = reduce(np.add, parts) if parts else np.zeros(n, np.int64)  # a'_f.(lo + x)
+    rights = table.T[k + 1:].reshape((-1, n) + (1,) * k)
+    for lo, hi, vals in _tile_sums(table[:, 1 : k + 1], shape):
         for j, box in enumerate(boxes):
             ends = [min(h, b) - l for l, h, b in zip(lo, hi, box)]
             if min(ends, default=1) > 0:
@@ -368,8 +423,13 @@ def _closure_corners(A, b, bounds) -> np.ndarray:
     """The minimal generators of {v : a.v >= b for every facet row (a, b)}, as rows.
 
     Along the height axis c = `counting.height_axis` of the box prod [0,
-    b_i] (its longest side) the closure is the field h of `_tile_heights`
-    on the other coordinates v'.  h is non-increasing on every axis, and
+    b_i] (its longest side) every row has a_c > 0, and the closure is the
+    field h(v') = max(0, max over rows of ceil((b - a'.v') / a_c)) on the
+    other coordinates v', the least height of a member.  One int64 table
+    holds (a_c, b, a') per row; on each tile of `_tile_sums` every row's
+    a'.v' - b is floor-divided by its a_c in one call, and the least over
+    the rows, capped at 0, is -h, so a tile holds about three arrays of
+    TILE_CELLS facet-cells at once.  h is non-increasing on every axis, and
     (v', h(v')) is a minimal generator exactly when h is strictly lower
     there than one step down on every axis with v'_i > 0.  The field is
     int64 and whole, and it is freed before the caller turns the rows into
@@ -378,8 +438,14 @@ def _closure_corners(A, b, bounds) -> np.ndarray:
     box = [n + 1 for n in bounds]
     c = counting.height_axis(box)
     h = np.empty(box[:c] + box[c + 1:], np.int64)
-    for _, lo, low in _tile_heights(A, c, [b], [box], np.empty(h.size, np.int64)):
-        np.negative(low, out=h[(..., *map(slice, lo, map(add, lo, low.shape)))])
+    table = np.array([(a[c], r, *a[:c], *a[c + 1:]) for a, r in zip(A, b)], np.int64)
+    lead, right = table.T[:2].reshape((2, -1) + (1,) * h.ndim)
+    for lo, hi, vals in _tile_sums(table[:, 2:], h.shape):
+        over = np.subtract(vals, right)
+        np.floor_divide(over, lead, out=over)
+        low = h[(..., *map(slice, lo, hi))]
+        np.minimum.reduce(over, axis=0, initial=0, out=low)
+        np.negative(low, out=low)
     corner = np.ones(h.shape, dtype=bool)
     for ax in range(h.ndim):
         above = (slice(None),) * ax + (slice(1, None),)

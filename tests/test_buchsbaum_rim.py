@@ -27,8 +27,10 @@ from multlab import (
     scale_by_m,
     unit_ideal,
 )
-from multlab import closure
+from multlab import buchsbaum_rim, closure
 from multlab.buchsbaum_rim import _module_colengths, _weights
+from multlab.cli import EXIT_UNSTABLE, main
+from multlab.errors import StabilizationError
 from multlab.monomial import compositions
 
 from conftest import random_mprimary
@@ -189,6 +191,37 @@ class TestBuchsbaumRim:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, peak
+
+    def test_walks_that_never_settle_stop_at_the_product_cap(self, capsys, monkeypatch):
+        # every escalation doubles the base, and a round over r distinct
+        # columns makes C(top + r, r) products: with windows that never
+        # settle, the five columns (x^2, y^k) walk the bases 6, 12 and 24,
+        # and the round of base 48, C(61, 5) = 5 949 147 products, is refused
+        # before its walk, where the walk went on to base 96 and about 10^8
+        # products; the CLI exits 3 on it
+        real = buchsbaum_rim._module_colengths
+        tops = []
+
+        def unsettled(E):
+            walk = real(E)
+
+            def values(ns):
+                tops.append(max(ns))
+                return [v + n % 2 for n, v in zip(ns, walk(ns))]
+
+            return values
+
+        monkeypatch.setattr(buchsbaum_rim, "_module_colengths", unsettled)
+        text = ";".join(f"(x^2, y^{k})" for k in range(1, 6))
+        start = time.perf_counter()
+        with pytest.raises(StabilizationError, match="5949147 products, more than 4194304"):
+            br_direct(module(parse_ideal(column) for column in text.split(";")))
+        assert time.perf_counter() - start < 10
+        assert tops == [14, 20, 32]
+        assert main(["br", "--module", text, "--cross-check"]) == EXIT_UNSTABLE
+        assert "more than 4194304" in capsys.readouterr().err
+        # the eight distinct columns of the CI step stay below the cap
+        assert comb(20 + 8, 8) <= buchsbaum_rim.MAX_PRODUCTS < comb(56 + 5, 5)
 
     def test_rank_one_is_hilbert_samuel(self, rng):
         for _ in range(6):

@@ -245,6 +245,65 @@ def test_minkowski_sum_facets_are_the_product_facets(rng):
                 assert inside == oracle_newton_member(P, v), (Js, v)
 
 
+def _simplex_blocks(rng, d, s):
+    """s blocks of raw rows in Z^d, most with extras below their pure-power simplex, and the count of those extras.
+
+    An extra v has sum v_i / k_i < 1 for the pure powers k_i, so it is not
+    in the simplex's Newton polyhedron and still cuts a hull started from
+    it.  Some blocks also hold a larger pure power beside the least one, miss
+    a pure power, repeat rows or hold the zero row.
+    """
+    blocks, below = [], 0
+    for _ in range(s):
+        powers = [rng.randint(2, 5) for _ in range(d)]
+        rows = [tuple(k * (i == j) for j in range(d)) for i, k in enumerate(powers)]
+        for _ in range(3 * d):
+            v = tuple(rng.randrange(k) for k in powers)
+            if sum(map(bool, v)) > 1 and sum(e / k for e, k in zip(v, powers)) < 1:
+                rows.append(v)
+                below += 1
+        kind = rng.randrange(5)
+        if kind == 0:
+            i = rng.randrange(d)
+            rows.append(tuple((powers[i] + rng.randint(1, 3)) * (i == j) for j in range(d)))
+        elif kind == 1:
+            rows.pop(rng.randrange(d))
+        elif kind == 2:
+            rows += rng.sample(rows, 2)
+        elif kind == 3 and rng.random() < 0.3:
+            rows.append((0,) * d)
+        rng.shuffle(rows)
+        blocks.append(rows)
+    return blocks, below
+
+
+def test_hulls_started_from_the_pure_power_simplex(rng):
+    # the double description starts from the simplex of a block's least pure
+    # powers and drops the rows inside it; rows below it still cut.  In
+    # d <= 3 Fourier-Motzkin on the product ideal judges points of the sum,
+    # and in d = 4-5 the Cayley hull must equal the one-block hull of the
+    # product, which starts from the product's own simplex, or from its
+    # first row when a block misses a pure power
+    below = 0
+    for d, s, _ in iter_product((2, 3, 4, 5), (1, 2, 3, 4), range(3)):
+        blocks, n = _simplex_blocks(rng, d, s)
+        below += n
+        A, mins = closure._double_description(blocks)
+        P = ideal(blocks[0], dim=d)
+        for rows in blocks[1:]:
+            P = oracle_product(P, ideal(rows, dim=d))
+        if d <= 3:
+            box = [max(g[i] for g in P.gens) + 1 for i in range(d)]
+            for _ in range(10):
+                v = tuple(rng.randrange(n) for n in box)
+                inside = all(sum(map(mul, a, v)) >= sum(m) for a, m in zip(A, zip(*mins)))
+                assert inside == oracle_newton_member(P, v), (blocks, v)
+        else:
+            want_A, (want_b,) = closure._double_description([P.gens])
+            assert sorted(zip(A, map(sum, zip(*mins)))) == sorted(zip(want_A, want_b)), blocks
+    assert below >= 150
+
+
 def _sorted_rows(facets):
     """The (normal, per-block minima) rows of `_newton_facets`-shaped output, sorted, and the block count."""
     A, mins = facets
@@ -297,11 +356,15 @@ def test_plane_hulls_skip_the_double_description(monkeypatch):
     assert calls == [1]
 
 
-def test_many_generators_few_facets():
-    # lattice points of a ball of radius 10 about (10, 10, 10, 10), with x_i^30:
-    # the facets are found one generator at a time, not over subsets of them
+def _ball():
+    """Lattice points of a ball of radius 10 about (10, 10, 10, 10), with x_i^30: 235 generators, 118 facets."""
     pts = [v for v in iter_product(range(11), repeat=4) if sum((10 - e) ** 2 for e in v) <= 100]
-    I = ideal(pts + [tuple(30 * (i == j) for j in range(4)) for i in range(4)], dim=4)
+    return ideal(pts + [tuple(30 * (i == j) for j in range(4)) for i in range(4)], dim=4)
+
+
+def test_many_generators_few_facets():
+    # the facets are found one generator at a time, not over subsets of them
+    I = _ball()
     assert len(I.gens) == 235
     A, _ = closure._newton_facets([I.gens])
     assert len(A) == 118
@@ -310,6 +373,21 @@ def test_many_generators_few_facets():
     for _ in range(200):
         v = tuple(rng.randrange(31) for _ in range(4))
         assert contains(closed, v) == newton_polyhedron_member(I, v), v
+
+
+def test_ball_closure_field_stays_in_tiles():
+    # the field has 31**3 cells under 118 facets, 27 MiB of int64 facet-cells
+    # at once; tiled, about three arrays of one tile are alive at a time
+    I = _ball()
+    integral_closure(parse_ideal("(x^2, y^2, z^2, w^2)"))  # first-use set-up
+    tracemalloc.start()
+    try:
+        closed = integral_closure(I)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(closed.gens) == 3473
+    assert peak < 4 * closure.TILE_CELLS * 8, peak
 
 
 def test_facet_scan_matches_both_exact_oracles(rng):
@@ -476,7 +554,18 @@ def test_tiny_tiles_give_the_same_sums_and_closures(monkeypatch, rng):
             calls[-1].append((lo, low.shape))
             yield j, lo, low
 
+    fields = []  # per `_tile_sums` call, the origin of every tile
+    real_tiles = closure._tile_sums
+
+    def tiled(*args):
+        fields.append([])
+        for lo, hi, vals in real_tiles(*args):
+            fields[-1].append(lo)
+            yield lo, hi, vals
+
     monkeypatch.setattr(closure, "_tile_heights", recorded)
+    monkeypatch.setattr(closure, "_tile_sums", tiled)
+    closed = []  # the tile origins of every closure's field
     for tile in (1, 7, 40):
         monkeypatch.setattr(closure, "TILE_CELLS", tile)
         for Js, ts, want in sums:
@@ -485,8 +574,12 @@ def test_tiny_tiles_give_the_same_sums_and_closures(monkeypatch, rng):
             coeffs = [rng.randint(-3, 3) for _ in ts]
             total = sum(map(mul, coeffs, want))
             assert closure.colength_sum(Js, list(zip(ts, coeffs))) == total, (tile, Js)
+        summed, before = len(calls), len(fields)
         for I, C in closures:
             assert integral_closure(I) == C, (tile, I)
+        assert len(calls) == summed  # closures take their own pass, not `_tile_heights`
+        closed += fields[before:]
+    assert any(len(set(origins)) > 10 for origins in closed)
     assert any(len({lo for lo, _ in parts}) > 10 for parts in calls)
     shapes = [{shape for lo, shape in parts if lo == at} for parts in calls for at, _ in parts]
     assert any(len(kinds) > 1 for kinds in shapes)  # boxes of one call that end apart in one tile

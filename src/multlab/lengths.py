@@ -17,26 +17,24 @@ the ideal was built.  Each ideal's generators are split once per sampler
 into the slices and heights the field kernel reads (`counting.field_rows`),
 so a product does no per-generator set-up.
 `colengths` takes all the points of a difference round at once: it checks
-and keys each point once, builds their products in one batched climb from
-the unit ideal through their meet, slot by slot, and counts every point
-at the climb's last level.  Each level holds one field per prefix of the
-points' values, and its fields climb the level's slot together, one
-kernel call per step, in chunks of at most BATCH_CELLS cells, each chunk
-laid out once, on the box of its top.
-`colength_at` is the same on one point.  `_counts` is that climb on
-points already checked, for `mixed_difference_table`, whose rounds make
-their own points.  The module layer takes `_composition_sums` instead:
-for each n of a window, the weighted sum of colengths over the
-compositions of n, from one walk over the prefixes of the compositions
-that lists none of them.  Both climbs lay each chunk out with `_chunk`.
+and keys each point once, climbs their meet's product once from the unit
+ideal, slot by slot, and then lays that field out once per distinct point,
+on the point's own box, climbs on to the point, one kernel call per step,
+and counts it.  `colength_at` is the same on one point.  `_counts` is that
+climb on points already checked, for `mixed_difference_table`, the oracle
+of the Newton route, whose rounds make their own points.  The module layer
+(`br_direct` and `module_colength`) takes `_composition_sums` instead: for
+each n of a window, the weighted sum of colengths over the compositions
+of n, from one batched walk over the prefixes of the compositions that
+lists none of them, each level climbed in chunks that `_chunk` lays out.
 A unit ideal has no rows and an empty box, so its slot climbs as a copy
-of its field.  When every ideal is a power of m (R is m^0), the sampler
-answers by binomials and builds nothing.  It keeps that shortcut, unlike
-`colength`, because whole climbs are what it saves: on the 8 of the 79
-br-cross-check benchmark modules that take it, `br_direct` took 54-179
-us with the binomials and 92-468 us by the climb, 1.6 to 2.8 times as
-much (medians of 15 alternating calls, three runs, in-process, 2-core
-Xeon, numpy 2.4.6).
+of its field.  When every ideal is a power of m (R is m^0), the walk over
+compositions carries binomials and builds nothing.  It keeps that
+shortcut, unlike `colength` and `_counts`, because whole walks are what it
+saves: on the 8 of the 79 br-cross-check benchmark modules that take it,
+`br_direct` took 54-179 us with the binomials and 92-468 us by the climb,
+1.6 to 2.8 times as much (medians of 15 alternating calls, three runs,
+in-process, 2-core Xeon, numpy 2.4.6).
 A sampler keeps nothing from one call to the next: no count and no
 product outlives the call that made it.  Repeated exact results come from
 three bounded memos, least recently used out: `colength` keeps MEMO_ENTRIES
@@ -47,10 +45,9 @@ multiplicities, and `closure._facet_rows` as many ideals' facet rows for
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import lru_cache
 from math import comb, prod
-from operator import add, itemgetter, mul
+from operator import add, itemgetter, mul, sub
 
 from .counting import count_grid, count_naive, field_counts, field_rows, height_axis
 from .counting import multiply_field, zero_fields
@@ -73,16 +70,14 @@ from .monomial import (
 # were ideals) and then the colength memo 0.5 MiB (tracemalloc, Python 3.11).
 MEMO_ENTRIES = 1024
 
-# Cells that one chunk of a level of the sampler's climb may keep for the
+# Cells that one chunk of a level of `_composition_sums` may keep for the
 # next level (at the last level: may climb), each field counted at the box
 # of the chunk's top.  Against a walk of one product per kernel call,
 # br_direct over the 79 br-cross-check modules took 0.52-0.62 of the time
 # at this budget.  Against this budget, it took 0.98-1.07 of the time at
-# 2**14 cells, 0.92-1.07 at 2**16 and 0.92-1.08 at 2**18, and the d = 4
-# order-(1, 1, 1, 1) table of tests/test_lengths.py 0.94-1.05, 0.93-1.16
-# and 1.04-1.29, as chunks of large fields climb on the box of their top
-# (medians of 15 and 41 calls, six alternating rounds, in-process).  No
-# larger budget gained more than the spread, and this one holds less.
+# 2**14 cells, 0.92-1.07 at 2**16 and 0.92-1.08 at 2**18 (medians of 15
+# calls, six alternating rounds, in-process).  No larger budget gained
+# more than the spread, and this one holds less.
 BATCH_CELLS = 1 << 15
 
 
@@ -164,14 +159,16 @@ class ProductSampler:
     """Colengths of products prod_j I_j^{n_j} at the exponent vectors of one call.
 
     Products are height fields along one axis per sampler: the longest side
-    of the summed boxes of the ideals.  Every call builds its products in
-    one batched climb from the unit ideal, over its points (`_counts`) or
-    over the prefixes of compositions (`_composition_sums`), and holds no
-    count and no product once it returns.  Every ideal's bounds
+    of the summed boxes of the ideals.  A call over points (`_counts`)
+    climbs their meet once from the unit ideal and each distinct point on
+    from there; a call over compositions (`_composition_sums`) builds its
+    products in one batched walk over their prefixes.  Neither holds a
+    count or a product once it returns.  Every ideal's bounds
     come from `box_bounds`, which raises NotMPrimaryError; a unit ideal's
     are 0 and it has no rows, so it leaves a product's field as it is.
     When every ideal is a power of the maximal ideal the colength collapses
-    to a binomial of the product's degree and nothing is built.
+    to a binomial of the product's degree, and the walk over compositions
+    takes those binomials and builds nothing.
     """
 
     def __init__(self, ideals):
@@ -190,42 +187,24 @@ class ProductSampler:
     def _counts(self, points) -> list[int]:
         """Colengths at `points`, tuples of non-negative ints, one per ideal, taken as they are.
 
-        Powers of m take the binomial; otherwise one batched climb through
-        the points' meet builds the products.  A batch of one, the unit
-        ideal's zero field laid out on the meet's box, climbs to the meet,
-        each step on the box of its product, a leading view of that layout.
-        Then the slots are taken in order, and the distinct points in lex
-        order, so the points that share a prefix are a run of that order.
-        Level k holds one field per prefix of length k, each exact on its
-        own box, and its rows climb slot k together, one `multiply_field`
-        call per step, each from the meet to its top, the largest value
-        that its points take there.  The rows go largest top first, so the
-        rows still climbing are a leading slice.  At each step the rows
-        that reach a value of their points are kept, as one batch, for the
-        next level; the last level counts them instead, with one reduce,
-        and keeps nothing.
-
-        A level climbs in chunks of consecutive rows, each laid out once by
-        `_chunk` on the box of its top, a row keeping one field per run of
-        its points (at the last level, itself), and every step multiplies
-        the rows still climbing into a new batch on the same box: the rows
-        kept at step t are exact on the chunk's base plus t times J's
-        bounds.  The stack holds one chunk's next level per slot, below the
-        meet's field, and no product once it returns; it is a loop, so any
-        number of slots fits the stack of the interpreter.  Each field is
-        the product that a prefix walk makes for its prefix, so the climb
-        makes exactly the walk's products: the climb to the meet, then each
-        row from the meet to its own top.
+        The points' meet climbs once from the unit ideal, a batch of one
+        laid out on the meet's box, each step on the box of its product, a
+        leading view of that layout.  Each distinct point then lays the
+        meet's field out once on its own box, in the type of its top,
+        climbs on from the meet, one `multiply_field` call per step, and is
+        counted.  So a call makes the products of the climb to the meet
+        and, for each distinct point, one per step above the meet, and
+        holds none of them once it returns.
         """
-        if self._all_m:
-            degrees = [sum(map(mul, n, self._m_degrees)) for n in points]
-            return [comb(k - 1 + self.dim, self.dim) if k else 0 for k in degrees]
         if not points:
             return []
-        order = sorted(set(points))
         meet = tuple(map(min, zip(*points)))
-        axis = self._rows[0].axis
-        box = tuple(sum(map(mul, meet, sides)) for sides in zip(*(J.bounds for J in self._rows)))
+        axis, sides = self._rows[0].axis, list(zip(*(J.bounds for J in self._rows)))
+
+        def box_of(n):
+            return tuple(sum(map(mul, n, side)) for side in sides)
+
+        box = box_of(meet)
         # each step of the climb to the meet multiplies the leading view of the
         # meet's box that holds its product: on the whole box, the order-4
         # table of (x^12, y^12, z^12, w^12) took 15-25 % longer (medians of 9
@@ -236,74 +215,16 @@ class ProductSampler:
                 grown = tuple(map(add, grown, J.bounds))
                 at = (..., *map(slice, _off_axis(grown, axis)))
                 held[at] = multiply_field(held[at], J)
-        # rise[k][i]: how far above the meet order[i] lies on slot k
-        rise = [[v - low for v in map(itemgetter(k), order)] for k, low in enumerate(meet)]
-        counts = [0] * len(order)
-
-        def level(kept, k):
-            """Level k of the fields `kept`, as [rows, k, the first row no chunk has taken].
-
-            A kept field (batch, box, i, lo, hi) is row i of `batch`, exact
-            on `box`, for the points order[lo:hi].  Its row (runs, batch,
-            box, i) splits those points into runs (step, lo, hi) by their
-            value on slot k, the meet's plus step.  Rows go largest
-            top first: the step of their last run.
-            """
-            at, rows = rise[k], []
-            for batch, box, i, lo, hi in kept:
-                runs = []
-                while lo < hi:
-                    end = bisect_right(at, at[lo], lo, hi)
-                    runs.append((at[lo], lo, end))
-                    lo = end
-                rows.append((runs, batch, box, i))
-            rows.sort(key=lambda row: row[0][-1][0], reverse=True)
-            return [rows, k, 0]
-
-        stack = [level([(held, box, 0, 0, len(order))], 0)]
-        while stack:
-            rows, k, start = entry = stack[-1]
-            if start == len(rows):
-                stack.pop()
-                continue
-            J, last = self._rows[k], k == len(self._rows) - 1
-            steps = rows[start][0][-1][0]
-            keep = (lambda row: 1) if last else (lambda row: len(row[0]))
-            stop, base, held = _chunk(rows, start, [e * steps for e in J.bounds], keep, axis)
-            entry[2] = stop
-            chunk = rows[start:stop]
-            alive = len(chunk)
-            # hits[t]: the rows that reach a value of their points at step t;
-            # tops[r]: the steps row r climbs
-            hits, tops = [[] for _ in range(steps + 1)], []
-            for r, (runs, _, _, _) in enumerate(chunk):
-                for t, lo, hi in runs:
-                    hits[t].append((r, lo, hi))
-                tops.append(t)
-            kept, batch = [], None
-            for t, hit in enumerate(hits):
-                if t:
-                    while tops[alive - 1] < t:
-                        alive -= 1
-                    held = multiply_field(held[:alive], J)
-                if not hit:
-                    continue
-                if last:
-                    # summing every row still climbing costs less than
-                    # copying out the rows hit: that copy made br_direct over
-                    # the 79 br-cross-check modules 3 % slower (15 passes)
-                    sums = field_counts(held)
-                    for r, lo, _ in hit:
-                        counts[lo] = sums[r]
-                    continue
-                batch = held if len(hit) == alive else held[[r for r, _, _ in hit]]
-                box = tuple(b + t * e for b, e in zip(base, J.bounds))
-                kept += [(batch, box, i, lo, hi) for i, (_, lo, hi) in enumerate(hit)]
-            del chunk, held, batch
-            if kept:
-                stack.append(level(kept, k + 1))
-        by_point = dict(zip(order, counts))
-        return [by_point[n] for n in points]
+        cut = (..., *map(slice, _off_axis(box, axis)))
+        counts = dict.fromkeys(points)
+        for n in counts:
+            field = zero_fields(1, box_of(n), axis)
+            field[cut] = held
+            for J, steps in zip(self._rows, map(sub, n, meet)):
+                for _ in range(steps):
+                    field = multiply_field(field, J)
+            (counts[n],) = field_counts(field)
+        return [counts[n] for n in points]
 
     def _composition_sums(self, ns, copies) -> list[int]:
         """For each n of `ns`, the weighted sum of colengths over the compositions of n.
@@ -320,8 +241,8 @@ class ProductSampler:
         weight times count into the total of size + t, once that lies in
         `ns`.  Rows go smallest size first, so the rows still climbing are
         a leading slice, and a step whose last row still lies below `ns`
-        is not counted.  A level climbs in chunks laid out by `_chunk`, as
-        in `_counts`, each row keeping the fields of its steps; the stack
+        is not counted.  A level climbs in chunks laid out by `_chunk`,
+        each row keeping the fields of its steps; the stack
         holds one chunk's next level per slot and nothing once it returns.
         So the products are those of the lattice points with sum at most
         the top, each made once.  When every ideal is a power of m, the
@@ -392,5 +313,5 @@ class ProductSampler:
         return self.colengths([n])[0]
 
     def colengths(self, points) -> list[int]:
-        """Colengths at all `points`, each checked, their products built in one batched climb."""
+        """Colengths at all `points`, each checked, each climbed from their meet (`_counts`)."""
         return self._counts([self._key(n) for n in points])

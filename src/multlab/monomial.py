@@ -299,7 +299,7 @@ def minimalize_array(pts: np.ndarray) -> np.ndarray:
 
     No library code calls it or `product_array`.  Both remain only as
     array-in, array-out names that `bench/tracer.py` wraps, until the
-    tracer stops patching functions by name (ROADMAP item 4).
+    tracer stops patching functions by name (ROADMAP item 5).
     """
     return np.array(_sweep(set(map(tuple, pts.tolist()))), dtype=np.int64).reshape(-1, pts.shape[1])
 

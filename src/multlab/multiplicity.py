@@ -26,8 +26,8 @@ at a window of diagonal shifts and accepts the value only when the
 window is constant, doubling the base point otherwise, on one fixed
 schedule (`WINDOW`, `MAX_ROUNDS`, `GROWTH`).
 Each round hands all its lattice points to one evaluator at once; for
-colengths of products that is the sampler, which builds them in one
-batched climb from the unit ideal through the round's meet, slot by slot.
+colengths of products that is the sampler, which climbs the round's meet
+once from the unit ideal, slot by slot, and each point on from the meet.
 `mixed_difference_table` runs it from a base read off the ideals'
 generators with a sampler of its own and memoizes nothing; its round
 points are tuples of ints it made itself, so they go to the unchecked

@@ -118,11 +118,12 @@ class TestBr:
         assert json.loads(out)["buchsbaum_rim"] == 3
 
     # br answers from Newton polyhedra; the cross-check runs the table engine,
-    # br_direct, which hands each round's compositions to the sampler in one
-    # batch, and both routes must agree.  Past a rank-2 module in d = 2: a
-    # rank-3 module; a rank-1 module, whose compositions meet away from the
-    # zero vector, so every call climbs to that meet from the unit ideal, and
-    # whose value is e(I) = 20; a d = 4 module, where most min-plus updates
+    # br_direct, which hands each round's window of n to one walk of the
+    # sampler over the compositions, and both routes must agree.  Past a
+    # rank-2 module in d = 2: a rank-3 module; a rank-1 module, whose one slot
+    # climbs from the unit ideal through every power up to the round's top
+    # and counts only those in the window, and whose value is e(I) = 20; a
+    # d = 4 module, where most min-plus updates
     # are by generators of height 0; and a unit column and a repeated one,
     # twice: equal columns are fused into one slot weighted by a binomial,
     # and the unit ideal's slot climbs as a copy of its field.  Under numpy

@@ -6,7 +6,7 @@ import sys
 import tracemalloc
 from itertools import product as iter_product
 from math import comb
-from operator import add
+from operator import add, mul
 from pathlib import Path
 
 import numpy as np
@@ -517,7 +517,7 @@ class TestProductSampler:
             tracemalloc.stop()
         assert held < 32 << 10
 
-    def test_round_walk_makes_one_product_per_prefix_step(self, monkeypatch):
+    def test_table_round_climbs_the_meet_once_and_each_point_from_it(self, monkeypatch):
         # an order-(1,1,1,1) table of the default d = 4 corpus (lech_mixed, index 6)
         texts = ("(x^2, y^2, z^2, w)", "(x, y, z, w^2)", "(x, y, z^3, w)", "(x^2, y^2, z^3, w)")
         ideals = [parse_ideal(t, dim=4) for t in texts]
@@ -530,19 +530,12 @@ class TestProductSampler:
         monkeypatch.setattr(lengths, "multiply_field", counted)
         table = mixed_difference_table(ideals)
         assert (table.order, table.rounds) == ((1, 1, 1, 1), 1)
-        # the climb from the unit ideal to the round's meet, then, slot by
-        # slot, one climb per group of points with one prefix on the slots
-        # before, from the meet to the group's top; a batched call makes one
-        # product per row, so the products, not the calls, are the walk's
+        # the climb from the unit ideal to the round's meet, then one climb
+        # per distinct point from the meet, a product per step
         points = [p for p, _ in table.samples]
         meet = tuple(map(min, zip(*points)))
-        want = sum(meet)
-        for j in range(4):
-            tops = {}
-            for p in points:
-                tops[p[:j]] = max(tops.get(p[:j], meet[j]), p[j])
-            want += sum(top - meet[j] for top in tops.values())
-        assert len(calls) == want == 94
+        want = sum(meet) + sum(sum(p) - sum(meet) for p in set(points))
+        assert len(calls) == want == 292
         fresh = ProductSampler(ideals)
         by_point = stabilize(
             lambda points: [fresh.colength_at(n) for n in points],
@@ -552,6 +545,27 @@ class TestProductSampler:
         assert (table.base, table.samples, table.result) == (
             by_point.base, by_point.samples, by_point.result
         )
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_points_climb_from_a_meet_above_zero(self, d, rng):
+        # every slot's meet is at least 1 and every slot takes two values or
+        # more, so each point climbs from a meet field that is no unit
+        # ideal's; a point repeats, and a unit slot and a repeated ideal
+        # each fill a slot; judged by products by definition
+        A, B = (random_mprimary(rng, d, 3, mixed=True) for _ in range(2))
+        cases = (
+            ([A, B], [(1, 2), (2, 1), (1, 2), (3, 1)]),
+            ([A, unit_ideal(d), B], [(1, 1, 2), (2, 3, 1), (1, 2, 1), (1, 1, 2)]),
+            ([B, A, B], [(2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 1, 1)]),
+        )
+        for ideals, points in cases:
+            want = []
+            for n in points:
+                direct = unit_ideal(d)
+                for I, e in zip(ideals, n):
+                    direct = oracle_product(direct, oracle_power(I, e))
+                want.append(oracle_colength(direct))
+            assert ProductSampler(ideals).colengths(points) == want, (ideals, points)
 
     def test_zero_vectors_duplicates_and_unit_slots_enter_the_walk(self):
         I = parse_ideal("(x^2, x*y, y^3)")
@@ -563,9 +577,11 @@ class TestProductSampler:
         assert ProductSampler([J, unit_ideal(1)]).colengths([(0, 5), (1, 0)]) == [0, 3]
 
     def test_tiny_chunks_give_the_counts_of_one_batch(self, monkeypatch):
-        # a budget of 4 cells splits every level into chunks of one or two
-        # rows; each round must count what it counts unsplit, with the same
-        # products in more kernel calls
+        # a budget of 4 cells splits every level of the module round's walk
+        # into chunks of one or two rows; it must count what it counts
+        # unsplit, with the same products in more kernel calls.  The table
+        # round climbs each point alone, in no chunk, and must count what
+        # a fresh sampler counts one point at a time
         E = module(
             parse_ideal(t, dim=3)
             for t in ("(x^2, x*y, y^3, z^2)", "(x^3, y, z^2)", "(x, y^2, y*z, z^3)")
@@ -603,7 +619,8 @@ class TestProductSampler:
         for (walk, sampler, args), (values, kernel_calls, products) in zip(rounds, split):
             calls.clear()
             assert walk(sampler, *args) == values
-            assert sum(calls) == products and len(calls) < kernel_calls
+            if walk is walks["_composition_sums"]:
+                assert sum(calls) == products and len(calls) < kernel_calls
         # the module round, judged by the naive count where its boxes are small
         (walk, sampler, (ns, copies)), (values, _, _) = rounds[0], split[0]
         assert walk is walks["_composition_sums"] and sampler.ideals == E.ideals
@@ -622,11 +639,12 @@ class TestProductSampler:
         assert values == [ProductSampler(ideals).colength_at(p) for p in points]
 
     def test_rows_of_one_batch_widen_at_different_steps(self, monkeypatch):
-        # slot 0, J, is climbed first, so the last level holds the rows J^q,
-        # q = 0, 1, 2, in one batch, and they climb I together.  Row q tops
-        # out at q*b + t*a after t steps: rows 1 and 2 cross 2**8 (or 2**16)
-        # at step 1, row 0 at step 2, and the batch is laid out once, in the
-        # type of its top, which every step keeps
+        # the walk over the compositions of n <= 3 into (J, I) climbs J first,
+        # a batch of one whose top 3c fits the narrower type, and keeps J^q,
+        # q = 0..3; the last level lays those rows out as one batch, in the
+        # type of its top 3c + 3a, and they climb I together.  Row q tops out
+        # at q*c + t*a after t steps: row 2 crosses 2**8 (or 2**16) at step
+        # 1, rows 0 and 1 at step 2, and every step keeps the batch's type
         seen = []
 
         def counted(h, *args):
@@ -635,17 +653,21 @@ class TestProductSampler:
             return out
 
         monkeypatch.setattr(lengths, "multiply_field", counted)
-        for a, b, narrow, wide in ((2**7 + 1, 2**7 - 1, np.uint8, np.uint16),
-                                   (2**15 + 1, 2**15 - 1, np.uint16, np.uint32)):
-            I, J = ideal([(1, 0), (0, a)], dim=2), ideal([(1, 0), (0, b)], dim=2)
-            points = list(iter_product(range(3), range(4)))
+        for a, c, narrow, wide in ((2**7 + 1, 2**6, np.uint8, np.uint16),
+                                   (2**15 + 1, 2**14, np.uint16, np.uint32)):
+            I, J = ideal([(1, 0), (0, a)], dim=2), ideal([(1, 0), (0, c)], dim=2)
+            want = {}
+            for q, p in iter_product(range(4), repeat=2):
+                direct = oracle_product(oracle_power(J, q), oracle_power(I, p))
+                want[q, p] = 0 if direct.is_unit else oracle_colength(direct)
             seen.clear()
-            got = ProductSampler([J, I]).colengths(points)
+            sums = ProductSampler([J, I])._composition_sums([0, 1, 2, 3], (1, 1))
             assert (1, narrow, narrow) in seen and (3, wide, wide) in seen
             assert all(before == after for _, before, after in seen)
-            for (q, p), value in zip(points, got):
-                direct = oracle_product(oracle_power(J, q), oracle_power(I, p))
-                assert value == (0 if direct.is_unit else oracle_colength(direct)), (a, q, p)
+            assert sums == [sum(want[q, n - q] for q in range(n + 1)) for n in range(4)], a
+            points = list(iter_product(range(3), range(4)))
+            got = ProductSampler([J, I]).colengths(points)
+            assert got == [want[p] for p in points], a
         # heights past 2**32 are Python ints: (x, y^b)^n has colength b*n*(n+1)/2
         b = 2**31 - 1
         I = ideal([(1, 0), (0, b)], dim=2)
@@ -712,17 +734,26 @@ class TestProductSampler:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_m_power_binomial_equals_the_walk(self, d):
-        # powers of m, and R as m^0, take the binomial; forced off, the same
-        # sampler climbs and counts fields, and the two must agree everywhere
+        # powers of m, and R as m^0: the walk over compositions carries one
+        # summed weight per (size, degree) and takes binomials; forced off,
+        # the same sampler climbs and counts fields, and the two must agree
+        # on every window, n = 0 included.  The point climb has no binomial,
+        # and must count comb(k - 1 + d, d) at each degree k > 0
         for ks in ((1,), (2,), (3,), (1, 2), (3, 1), (1, 2, 3)):
             for unit in (False, True):
                 ideals = [m_power(d, k) for k in ks] + [unit_ideal(d)] * unit
-                points = list(iter_product(range(3), repeat=len(ideals)))
                 sampler = ProductSampler(ideals)
                 assert sampler._all_m
-                binomial = sampler._counts(points)
-                sampler._all_m = False
-                assert sampler._counts(points) == binomial, (d, ks, unit)
+                for copies in ((1,) * len(ideals), tuple(range(1, len(ideals) + 1))):
+                    for ns in ([0, 1, 2, 3], [0, 4]):
+                        sampler._all_m = True
+                        carried = sampler._composition_sums(ns, copies)
+                        sampler._all_m = False
+                        assert sampler._composition_sums(ns, copies) == carried, (d, ks, unit, ns)
+                points = list(iter_product(range(3), repeat=len(ideals)))
+                degrees = [sum(map(mul, n, ks + (0,) * unit)) for n in points]
+                want = [comb(k - 1 + d, d) if k else 0 for k in degrees]
+                assert sampler._counts(points) == want, (d, ks, unit)
 
     def test_unit_columns_are_inert(self):
         I = parse_ideal("(x^2, y^2)")

@@ -48,11 +48,9 @@ Counts are exact: a batch is uint8, uint16 or uint32 while the top of its
 box fits, and holds Python ints beyond.  No height of a field passes its
 top, and `multiply_field` adds g_c <= b_c to heights of P, so every sum
 h + g_c stays within the product's top, which the box's top and so h's
-type hold.  `field_counts` sums an unsigned field in a uint32 accumulator
-while its cells times 2**bits stay below 2**32, bits the width of its
-type, and in uint64 beyond, exact below 2**32 cells since every height is
-below 2**32 (a uint32 field that large holds 16 GiB); an object field
-sums in Python ints.
+type hold.  `field_counts` sums every unsigned field in uint64, exact
+below 2**32 cells since every height is below 2**32 (a uint32 field that
+large holds 16 GiB), and an object field in Python ints.
 """
 
 from __future__ import annotations
@@ -184,9 +182,10 @@ def multiply_field(h: np.ndarray, J: FieldRows) -> np.ndarray:
     lift = h.dtype.type
     out = h + lift(J.bounds[J.axis])
     # a row of height 0 takes the minimum with the shifted field itself, with
-    # no sum array: with one path for every row, br_direct over the 79
-    # br-cross-check modules took 7-13 % longer (medians of 21 alternating
-    # passes, four runs)
+    # no sum array: with one path for every row, ten alternating pairs of
+    # the br-cross-check benchmark (2-core Xeon, numpy 2.4.6) read a median
+    # wall_s 10 % higher, item_p50_s 13 % and item_tail_s 14 %, each higher
+    # in 9 of 10 pairs
     for out_at, src_at, c in J.rows:
         view = out[out_at]
         np.minimum(view, h[src_at] + lift(c) if c else h[src_at], out=view)
@@ -196,17 +195,11 @@ def multiply_field(h: np.ndarray, J: FieldRows) -> np.ndarray:
 def field_counts(h: np.ndarray) -> list[int]:
     """Standard points under each field of the batch h: the exact sum of each one's heights.
 
-    h holds at least one field, and one reduce sums each over its cells.  An unsigned field sums in uint32
-    while its cells times 2**bits, bits its type's width, stay below 2**32,
-    so every sum is exact, and in uint64 beyond; an object field sums in
-    Python ints.  On uint8 fields of 22 500 cells, uint32 sums took 6-7 us
-    against 11-13 us in uint64 (timeit, numpy 2.4.6), and with uint64 alone
-    the d = 4 table of tests/test_lengths.py took 4-5 % longer (medians of
-    21-41 alternating calls, in-process).
+    h holds at least one field, and one reduce sums each over its cells:
+    an unsigned field in uint64, exact below 2**32 cells since every
+    height is below 2**32, and an object field in Python ints.
     """
-    # a field of h.size / len(h) cells sums below 2**32 when cells << bits does
-    wide = None if h.dtype == object else (
-        np.uint32 if h.size << 8 * h.itemsize < len(h) << 32 else np.uint64)
+    wide = None if h.dtype == object else np.uint64
     return np.add.reduce(h.reshape(len(h), -1), axis=1, dtype=wide).tolist()
 
 

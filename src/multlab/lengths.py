@@ -16,25 +16,20 @@ The kernels read each ideal's stored rows as they are, checked once when
 the ideal was built.  Each ideal's generators are split once per sampler
 into the slices and heights the field kernel reads (`counting.field_rows`),
 so a product does no per-generator set-up.
-`colengths` takes all the points of a difference round at once: it checks
-and keys each point once, climbs their meet's product once from the unit
-ideal, slot by slot, and then lays that field out once per distinct point,
-on the point's own box, climbs on to the point, one kernel call per step,
-and counts it.  `colength_at` is the same on one point.  `_counts` is that
-climb on points already checked, for `mixed_difference_table`, the oracle
-of the Newton route, whose rounds make their own points.  The module layer
-(`br_direct` and `module_colength`) takes `_composition_sums` instead: for
-each n of a window, the weighted sum of colengths over the compositions
-of n, from one batched walk over the prefixes of the compositions that
-lists none of them, each level climbed in chunks that `_chunk` lays out.
-A unit ideal has no rows and an empty box, so its slot climbs as a copy
-of its field.  When every ideal is a power of m (R is m^0), the walk over
-compositions carries binomials and builds nothing.  It keeps that
-shortcut, unlike `colength` and `_counts`, because whole walks are what it
-saves: on the 8 of the 79 br-cross-check benchmark modules that take it,
-`br_direct` took 54-179 us with the binomials and 92-468 us by the climb,
-1.6 to 2.8 times as much (medians of 15 alternating calls, three runs,
-in-process, 2-core Xeon, numpy 2.4.6).
+The sampler has no branch for powers of m either: their fields climb
+like any other ideal's.
+`colengths` takes all the points of a difference round at once, for
+`mixed_difference_table`, the oracle of the Newton route: it checks and
+keys each point once, climbs their meet's product once from the unit
+ideal, slot by slot, on the meet's whole box, and then lays that field
+out once per distinct point, on the point's own box, climbs on to the
+point, one kernel call per step, and counts it.  `colength_at` is the
+same on one point.  The module layer (`br_direct` and `module_colength`)
+takes `_composition_sums` instead: for each n of a window, the weighted
+sum of colengths over the compositions of n, from one batched walk over
+the prefixes of the compositions that lists none of them, each level
+climbed in chunks that `_chunk` lays out.  A unit ideal has no rows and
+an empty box, so its slot climbs as a copy of its field.
 A sampler keeps nothing from one call to the next: no count and no
 product outlives the call that made it.  Repeated exact results come from
 three bounded memos, least recently used out: `colength` keeps MEMO_ENTRIES
@@ -51,13 +46,7 @@ from operator import add, itemgetter, mul, sub
 
 from .counting import count_grid, count_naive, field_counts, field_rows, height_axis
 from .counting import multiply_field, zero_fields
-from .monomial import (
-    MonomialIdeal,
-    box_bounds,
-    common_dim,
-    integer_exponents,
-    m_power_degree,
-)
+from .monomial import MonomialIdeal, box_bounds, common_dim, integer_exponents
 
 # Entries of the colength and mixed-multiplicity memos.  A corpus of small
 # ideals asks for the same values again and again: `verify --dim 2 --rank 3
@@ -118,10 +107,12 @@ def _chunk(rows, start: int, grow, keep, axis: int):
     the steps of its climb times J's bounds.  The batch is zero fields on
     the top box, in the type of its top, gathered with one copy per batch
     that the rows come from: a slice for one row, a fancy index for more
-    (a fancy index for every batch made br_direct over the 79
-    br-cross-check modules about 5 % slower, medians of 15 passes, six
-    alternating runs).  A field is 0 past its own box, so each is exact
-    on the top box, and so is every product that the chunk climbs there.
+    (with a fancy index for every batch, ten alternating pairs of the
+    br-cross-check benchmark, 2-core Xeon, numpy 2.4.6, read a median
+    `wall_s` 6 % higher, higher in 7 of 10 pairs, `item_p50_s` 8 % in 8
+    and `item_tail_s` 12 % in 9).  A field is 0 past its own box, so each
+    is exact on the top box, and so is every product that the chunk
+    climbs there.
     """
     base = rows[start][-2]
     cells = _cells(tuple(map(add, base, grow)), axis)
@@ -159,16 +150,14 @@ class ProductSampler:
     """Colengths of products prod_j I_j^{n_j} at the exponent vectors of one call.
 
     Products are height fields along one axis per sampler: the longest side
-    of the summed boxes of the ideals.  A call over points (`_counts`)
+    of the summed boxes of the ideals.  A call over points (`colengths`)
     climbs their meet once from the unit ideal and each distinct point on
     from there; a call over compositions (`_composition_sums`) builds its
     products in one batched walk over their prefixes.  Neither holds a
     count or a product once it returns.  Every ideal's bounds
     come from `box_bounds`, which raises NotMPrimaryError; a unit ideal's
     are 0 and it has no rows, so it leaves a product's field as it is.
-    When every ideal is a power of the maximal ideal the colength collapses
-    to a binomial of the product's degree, and the walk over compositions
-    takes those binomials and builds nothing.
+    Powers of the maximal ideal take the same paths as every other ideal.
     """
 
     def __init__(self, ideals):
@@ -179,52 +168,8 @@ class ProductSampler:
         bounds = [box_bounds(I) for I in ideals]
         self.ideals = ideals
         self.dim = d
-        self._m_degrees = [m_power_degree(I) for I in ideals]
-        self._all_m = all(k is not None for k in self._m_degrees)
         axis = height_axis([sum(b[i] for b in bounds) for i in range(d)])
         self._rows = [field_rows(I.gens, b, axis) for I, b in zip(ideals, bounds)]
-
-    def _counts(self, points) -> list[int]:
-        """Colengths at `points`, tuples of non-negative ints, one per ideal, taken as they are.
-
-        The points' meet climbs once from the unit ideal, a batch of one
-        laid out on the meet's box, each step on the box of its product, a
-        leading view of that layout.  Each distinct point then lays the
-        meet's field out once on its own box, in the type of its top,
-        climbs on from the meet, one `multiply_field` call per step, and is
-        counted.  So a call makes the products of the climb to the meet
-        and, for each distinct point, one per step above the meet, and
-        holds none of them once it returns.
-        """
-        if not points:
-            return []
-        meet = tuple(map(min, zip(*points)))
-        axis, sides = self._rows[0].axis, list(zip(*(J.bounds for J in self._rows)))
-
-        def box_of(n):
-            return tuple(sum(map(mul, n, side)) for side in sides)
-
-        box = box_of(meet)
-        # each step of the climb to the meet multiplies the leading view of the
-        # meet's box that holds its product: on the whole box, the order-4
-        # table of (x^12, y^12, z^12, w^12) took 15-25 % longer (medians of 9
-        # calls, six alternating runs, in-process)
-        held, grown = zero_fields(1, box, axis), (0,) * self.dim
-        for J, steps in zip(self._rows, meet):
-            for _ in range(steps):
-                grown = tuple(map(add, grown, J.bounds))
-                at = (..., *map(slice, _off_axis(grown, axis)))
-                held[at] = multiply_field(held[at], J)
-        cut = (..., *map(slice, _off_axis(box, axis)))
-        counts = dict.fromkeys(points)
-        for n in counts:
-            field = zero_fields(1, box_of(n), axis)
-            field[cut] = held
-            for J, steps in zip(self._rows, map(sub, n, meet)):
-                for _ in range(steps):
-                    field = multiply_field(field, J)
-            (counts[n],) = field_counts(field)
-        return [counts[n] for n in points]
 
     def _composition_sums(self, ns, copies) -> list[int]:
         """For each n of `ns`, the weighted sum of colengths over the compositions of n.
@@ -245,24 +190,9 @@ class ProductSampler:
         each row keeping the fields of its steps; the stack
         holds one chunk's next level per slot and nothing once it returns.
         So the products are those of the lattice points with sum at most
-        the top, each made once.  When every ideal is a power of m, the
-        colength depends only on the degree of the product, and the walk
-        carries one summed weight per (size, degree) instead of a field.
+        the top, each made once, for every module, powers of m included.
         """
         top, totals = max(ns), dict.fromkeys(ns, 0)
-        if self._all_m:
-            level = {(0, 0): 1}
-            for k, m in zip(self._m_degrees, copies):
-                sums = {}
-                for (size, degree), w in level.items():
-                    for t in range(top - size + 1):
-                        at = size + t, degree + k * t
-                        sums[at] = sums.get(at, 0) + w * comb(t + m - 1, m - 1)
-                level = sums
-            for (size, degree), w in level.items():
-                if size in totals and degree:
-                    totals[size] += w * comb(degree - 1 + self.dim, self.dim)
-            return [totals[n] for n in ns]
         low = min(totals)
         axis, zero = self._rows[0].axis, (0,) * self.dim
         # a row (size, weight, batch, box, i) is row i of batch, exact on box
@@ -313,5 +243,38 @@ class ProductSampler:
         return self.colengths([n])[0]
 
     def colengths(self, points) -> list[int]:
-        """Colengths at all `points`, each checked, each climbed from their meet (`_counts`)."""
-        return self._counts([self._key(n) for n in points])
+        """Colengths at all `points`, exponent vectors with one entry per ideal, each checked once.
+
+        The points' meet climbs once from the unit ideal, a batch of one
+        laid out on the meet's box, each step multiplying that whole box,
+        which holds every product of the climb.  Each distinct point then
+        lays the meet's field out once on its own box, in the type of its
+        top, climbs on from the meet, one `multiply_field` call per step,
+        and is counted.  So a call makes the products of the climb to the
+        meet and, for each distinct point, one per step above the meet, and
+        holds none of them once it returns.
+        """
+        points = [self._key(n) for n in points]
+        if not points:
+            return []
+        meet = tuple(map(min, zip(*points)))
+        axis, sides = self._rows[0].axis, list(zip(*(J.bounds for J in self._rows)))
+
+        def box_of(n):
+            return tuple(sum(map(mul, n, side)) for side in sides)
+
+        box = box_of(meet)
+        held = zero_fields(1, box, axis)
+        for J, steps in zip(self._rows, meet):
+            for _ in range(steps):
+                held = multiply_field(held, J)
+        cut = (..., *map(slice, _off_axis(box, axis)))
+        counts = dict.fromkeys(points)
+        for n in counts:
+            field = zero_fields(1, box_of(n), axis)
+            field[cut] = held
+            for J, steps in zip(self._rows, map(sub, n, meet)):
+                for _ in range(steps):
+                    field = multiply_field(field, J)
+            (counts[n],) = field_counts(field)
+        return [counts[n] for n in points]

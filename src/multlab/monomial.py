@@ -246,14 +246,6 @@ def _difference_terms(order) -> list[tuple[Monomial, int]]:
     return terms
 
 
-def m_power_degree(ideal_: MonomialIdeal) -> int | None:
-    """k if the ideal equals m^k (0 for R), else None.  Recognized in O(#gens)."""
-    gens, k = ideal_.gens, sum(ideal_.gens[0])
-    if all(sum(g) == k for g in gens) and len(gens) == comb(k + ideal_.dim - 1, ideal_.dim - 1):
-        return k
-    return None
-
-
 # ---------------------------------------------------------------------------
 # minimalization (divisibility antichain)
 

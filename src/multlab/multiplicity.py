@@ -29,11 +29,10 @@ Each round hands all its lattice points to one evaluator at once; for
 colengths of products that is the sampler, which climbs the round's meet
 once from the unit ideal, slot by slot, and each point on from the meet.
 `mixed_difference_table` runs it from a base read off the ideals'
-generators with a sampler of its own and memoizes nothing; its round
-points are tuples of ints it made itself, so they go to the unchecked
-`ProductSampler._counts`.  `buchsbaum_rim.br_direct` runs it on module
-colengths, which the sampler's walk over compositions sums
-(`ProductSampler._composition_sums`).
+generators with a sampler of its own, whose `ProductSampler.colengths`
+takes each round's points, and memoizes nothing.
+`buchsbaum_rim.br_direct` runs it on module colengths, which the
+sampler's walk over compositions sums (`ProductSampler._composition_sums`).
 """
 
 from __future__ import annotations
@@ -200,13 +199,13 @@ def mixed_difference_table(ideals, type_=None) -> DifferenceTable:
     The ideals are merged as by `mixed_multiplicity`, and their product
     colengths come from a `ProductSampler` of this call's own, at a base
     read off the generators; each round's points, made by `stabilize`,
-    go to its climb unchecked (`_counts`).  Nothing here is memoized and no
+    go to its point climb (`colengths`).  Nothing here is memoized and no
     product outlives the call, so every call stabilizes afresh.
     """
     d, orders = _merged(ideals, type_)
     merged = [_built(d, rows) for rows in orders]
     base = _heuristic_base(merged, d)
-    table = stabilize(ProductSampler(merged)._counts, tuple(orders.values()), base=base)
+    table = stabilize(ProductSampler(merged).colengths, tuple(orders.values()), base=base)
     _positive(table.result, "difference table")
     return table
 

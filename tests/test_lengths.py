@@ -5,7 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from itertools import product as iter_product
-from math import comb
+from math import comb, prod
 from operator import add, mul
 from pathlib import Path
 
@@ -131,9 +131,10 @@ class TestCounters:
         assert tall.dtype == object and tall.tolist() == [2**32] == field_counts(tall)
 
     def test_uint8_fields_count_exactly_on_both_sides_of_2_24_cells(self):
-        # below 2**24 cells a uint8 field sums in uint32, as 255 * 2**24 < 2**32
+        # a uint8 field of 255s sums below 2**32 up to 2**24 cells, as
+        # 255 * 2**24 < 2**32, and past it at 2**24 + 2**17 cells, where a
+        # uint32 accumulator would wrap: both sides must count exactly
         assert field_count(np.full((2**6, 2**7, 2**7), 255, np.uint8)) == 255 * 2**20
-        # from 2**24 cells on it sums in uint64, past 2**32 / 255 cells where uint32 wraps
         for cells in (2**24, 2**24 + 2**17):
             assert field_count(np.full(cells, 255, np.uint8)) == 255 * cells
 
@@ -589,7 +590,7 @@ class TestProductSampler:
         texts = ("(x^2, y^2, z^2, w)", "(x, y, z, w^2)", "(x, y, z^3, w)", "(x^2, y^2, z^3, w)")
         ideals = [parse_ideal(t, dim=4) for t in texts]
         rounds, calls = [], []
-        walks = {name: getattr(ProductSampler, name) for name in ("_composition_sums", "_counts")}
+        walks = {name: getattr(ProductSampler, name) for name in ("_composition_sums", "colengths")}
 
         def hooked(walk):
             def one_round(sampler, *args):
@@ -635,7 +636,7 @@ class TestProductSampler:
         assert values[ns.index(4)] == want
         # the table round, judged one point at a time by a fresh sampler
         (walk, sampler, (points,)), (values, _, _) = rounds[1], split[1]
-        assert walk is walks["_counts"]
+        assert walk is walks["colengths"]
         assert values == [ProductSampler(ideals).colength_at(p) for p in points]
 
     def test_rows_of_one_batch_widen_at_different_steps(self, monkeypatch):
@@ -726,7 +727,7 @@ class TestProductSampler:
         sampler = ProductSampler([m_ideal(2), m_ideal(2)])
         assert sampler.colength_at((0, 0)) == 0
 
-    def test_m_power_fast_path(self):
+    def test_products_of_m_powers_count_the_binomial_of_their_degree(self):
         sampler = ProductSampler([m_power(3, 2), m_ideal(3)])
         for a, b in [(0, 0), (1, 0), (2, 3), (5, 1)]:
             k = 2 * a + b
@@ -734,26 +735,38 @@ class TestProductSampler:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_m_power_binomial_equals_the_walk(self, d):
-        # powers of m, and R as m^0: the walk over compositions carries one
-        # summed weight per (size, degree) and takes binomials; forced off,
-        # the same sampler climbs and counts fields, and the two must agree
-        # on every window, n = 0 included.  The point climb has no binomial,
-        # and must count comb(k - 1 + d, d) at each degree k > 0
+        # powers of m, and R as m^0: lambda(R / m^k) is comb(k - 1 + d, d),
+        # and 0 at k = 0, so a product of powers of m counts the binomial of
+        # its degree.  That binomial is the oracle: over the compositions a
+        # of each n of a window, the sum of prod_g C(a_g + m_g - 1, m_g - 1)
+        # times it.  The walk over compositions, which climbs fields for
+        # these columns as for any other, and the point climb, summed over
+        # the same compositions, must both equal it, n = 0 included; and the
+        # point climb must count the binomial at every point of a grid
+        def binomial(k):
+            return comb(k - 1 + d, d) if k else 0
+
         for ks in ((1,), (2,), (3,), (1, 2), (3, 1), (1, 2, 3)):
             for unit in (False, True):
+                degrees = ks + (0,) * unit
                 ideals = [m_power(d, k) for k in ks] + [unit_ideal(d)] * unit
                 sampler = ProductSampler(ideals)
-                assert sampler._all_m
                 for copies in ((1,) * len(ideals), tuple(range(1, len(ideals) + 1))):
                     for ns in ([0, 1, 2, 3], [0, 4]):
-                        sampler._all_m = True
-                        carried = sampler._composition_sums(ns, copies)
-                        sampler._all_m = False
-                        assert sampler._composition_sums(ns, copies) == carried, (d, ks, unit, ns)
+                        want, climbed = [], []
+                        for n in ns:
+                            points = compositions(n, len(ideals))
+                            weights = [prod(comb(a + m - 1, m - 1) for a, m in zip(p, copies))
+                                       for p in points]
+                            want.append(sum(w * binomial(sum(map(mul, p, degrees)))
+                                            for w, p in zip(weights, points)))
+                            climbed.append(sum(map(mul, weights, sampler.colengths(points))))
+                        case = (d, ks, unit, copies, ns)
+                        assert sampler._composition_sums(ns, copies) == want, case
+                        assert climbed == want, case
                 points = list(iter_product(range(3), repeat=len(ideals)))
-                degrees = [sum(map(mul, n, ks + (0,) * unit)) for n in points]
-                want = [comb(k - 1 + d, d) if k else 0 for k in degrees]
-                assert sampler._counts(points) == want, (d, ks, unit)
+                want = [binomial(sum(map(mul, n, degrees))) for n in points]
+                assert sampler.colengths(points) == want, (d, ks, unit)
 
     def test_unit_columns_are_inert(self):
         I = parse_ideal("(x^2, y^2)")

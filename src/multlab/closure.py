@@ -34,9 +34,11 @@ question is then a.v >= b for every facet:
   at once).
 * `colength_sum` sums the colengths of the closures of products prod
   J_j^(t_j): one hull of the J_j serves every t, with right-hand sides
-  sum t_j min over J_j of a.g, and one `_tile_heights` pass, each tile
-  shared by every box and each run of one a_c divided once, serves every
-  box.
+  sum t_j min over J_j of a.g, one int64 table from one matrix product,
+  and one `_tile_heights` pass serves every box: the parts of the boxes
+  that meet a tile are reduced together, in batches of at most one
+  tile's cells, each run of one a_c divided once per batch, and one
+  `np.add.reduceat` sums each part.
 * `mixed_sum` is the one route of mixed multiplicities: it takes
   weighted orders a with |a| = d and chooses by the ideals' dimension.
   In d <= 3 `facet_sum` reads every value off the facets of the one hull,
@@ -332,14 +334,19 @@ def check_int64(bounds) -> None:
     |a.v| is at most |det| of those rays over (v, 0), and subtracting one
     vertex row from the others leaves a d x d determinant whose column i
     holds entries of size at most b_i, so 0 <= a.v <= d! * prod b_i on the
-    box (and so is b, the value at a vertex).  The tiles of `_tile_heights`
-    and `_closure_corners` hold a'.v' - r, with a'.v' = a.v at v_c = 0 for
-    cells v' of a field in the box and r the value of a at a point of the
-    box (a vertex, or for `colength_sum` the sum of t_j minimizers over the
-    J_j, which lies in B(t)), so they lie in [-d! * prod b_i, d! * prod
-    b_i]; so do the side rows a_i * x_i that are read, x_i < B_i, and their
-    partial sums, and the minima and the floors lie between those.  Past
-    that check the facet rows, Python ints, enter int64 arithmetic exactly.
+    box (and so is b, the value at a vertex).  The tiles of `_closure_corners`
+    and the batches of `_tile_heights` hold a'.v' - r, with a'.v' = a.v at
+    v_c = 0 for cells v' of a field in the box and r the value of a at a
+    point of the box (a vertex, or for `colength_sum` the sum of t_j
+    minimizers over the J_j, which lies in B(t)), so they lie in [-d! *
+    prod b_i, d! * prod b_i]; so do the side rows a_i * x_i that are read,
+    x_i < B_i, and their partial sums, and the minima and the floors lie
+    between those.  `colength_sum` forms its r as one matrix product of
+    the t with the minima, whose summands t_j * min over J_j of a.g are
+    non-negative and at most r, so they and their partial sums fit too;
+    and the heights h <= B_c summed over a part of B(t) are at most the
+    number of points of B(t).  Past that check the facet rows, Python
+    ints, enter int64 arithmetic exactly.
     """
     if factorial(len(bounds)) * prod(bounds) >= 2**63:
         raise ValueError(f"pure powers {tuple(bounds)} may overflow int64 facet values")
@@ -374,49 +381,71 @@ def _tile_sums(rows, shape):
 
 
 def _tile_heights(A, c, rights, boxes, cells):
-    """The least member heights along axis c over every box of `colength_sum`, negated, one tile part at a time.
+    """The least member heights along axis c over every box of `colength_sum`, negated and summed per tile part, in batches.
 
     Every facet row a has a_c > 0, and with right-hand sides r the height
     at the coordinates v' off axis c is h(v') = max(0, max over rows of
     ceil((r - a'.v') / a_c)): v = (v', v_c) satisfies every row exactly
-    when v_c >= h(v').  `rights` holds the r of each box of `boxes`, whose
-    fields lie over prod [0, B_i), i != c.  The field of their
-    componentwise maximum is cut into the tiles of `_tile_sums`, and every
-    box that meets a tile takes its part as a view and subtracts its r.
-    The rows are sorted by a_c, and each run of one a_c is reduced to its
-    least row, then floor-divided by that a_c: floor((a'.v' - r) / a_c) is
-    monotone in a'.v' - r, so one division per run serves all its rows.
-    Dividing every row instead took the d = 6 CI corpus (`verify --dim 6
-    --rank 3 --instances 2 --seed 11`, in-process) from 13.0 / 11.3 s to
-    21.9 / 20.0 s, 1.7-1.8 times as long.  The least over the runs, capped
-    at 0, is -h.  Yields (j, lo, low) for box j, with low = -h on the part
-    of its field from the coordinates lo on, written into the first cells
-    of the flat int64 buffer `cells`, which holds the field of the maximum;
-    the next part overwrites it.
+    when v_c >= h(v').  `rights` is an int64 table of the r of each box of
+    `boxes`, one row per box and one column per row of A; the boxes' fields
+    lie over prod [0, B_i), i != c.  The field of their componentwise
+    maximum is cut into the tiles of `_tile_sums`, and the parts of the
+    boxes that meet a tile are packed first-fit into batches of at most
+    one tile's cells, and never more than that field's: each part's a'.v'
+    is copied into its own segment of one int64 buffer of one row per
+    facet, and its r are subtracted there.  The rows are sorted by a_c, and
+    per batch each run of one a_c is reduced to its least row, then
+    floor-divided by that a_c: floor((a'.v' - r) / a_c) is monotone in
+    a'.v' - r, so one division per run serves all its rows.  Dividing every
+    row instead took the d = 6 CI corpus (`verify --dim 6 --rank 3
+    --instances 2 --seed 11`, in-process) from 13.0 / 11.3 s to 21.9 /
+    20.0 s, 1.7-1.8 times as long.  The least over the runs, capped at 0,
+    is -h; it is written into the first cells of the flat int64 buffer
+    `cells`, which holds the field of the maximum, and one
+    `np.add.reduceat` sums it per part.  Yields (lo, parts, sums) per
+    batch: the tile's origin lo, (j, ends, at, size) for each part, the
+    field of box j from lo on with sides `ends` at offset `at` of the batch,
+    and each part's sum of -h as a Python int.
     """
+    # the rows by a_c, sorted in Python: np.argsort would page 0.1-0.3 MiB of
+    # numpy's code that nothing else runs into the resident set
     n = len(A)
-    rows = sorted((a[c], *a[:c], *a[c + 1:], *r) for a, r in zip(A, zip(*rights)))
-    table = np.array(rows, np.int64)  # per row: a_c, a', then r for every box
-    lead = [row[0] for row in rows]
+    order = sorted(range(n), key=lambda f: A[f][c])
+    lead = [A[f][c] for f in order]
     starts = [f for f in range(n) if not f or lead[f] != lead[f - 1]]
     runs = list(map(slice, starts, starts[1:] + [n]))  # the rows of each a_c
     steep = [(i, lead[f]) for i, f in enumerate(starts) if lead[f] > 1]  # (run, a_c > 1)
     boxes = [box[:c] + box[c + 1:] for box in boxes]
-    shape = list(map(max, zip(*boxes)))
-    k = len(shape)
-    rights = table.T[k + 1:].reshape((-1, n) + (1,) * k)
-    for lo, hi, vals in _tile_sums(table[:, 1 : k + 1], shape):
+    rights = rights[:, order, None]
+    room = min(cells.size, max(1, TILE_CELLS // n))  # a batch's cells: no more than a tile's
+    over, least = np.empty((n, room), np.int64), np.empty((len(runs), room), np.int64)
+    rows = np.array([A[f][:c] + A[f][c + 1:] for f in order], np.int64)
+    for lo, hi, vals in _tile_sums(rows, list(map(max, zip(*boxes)))):
+        batches = []  # per batch: its cells so far, then (box, ends, offset, size) per part
         for j, box in enumerate(boxes):
             ends = [min(h, b) - l for l, h, b in zip(lo, hi, box)]
             if min(ends, default=1) > 0:
-                over = vals[(slice(None), *map(slice, ends))] - rights[j]
-                least = np.empty((len(runs), *ends), np.int64)  # each run's least row
-                for i, run in enumerate(runs):
-                    np.minimum.reduce(over[run], axis=0, out=least[i, ...])
-                for i, a in steep:
-                    np.floor_divide(least[i, ...], a, out=least[i, ...])
-                low = cells[: prod(ends)].reshape(ends)
-                yield j, lo, np.minimum.reduce(least, axis=0, initial=0, out=low)
+                size = prod(ends)
+                batch = next((b for b in batches if b[0] + size <= room), None)
+                if batch is None:
+                    batches.append(batch := [0])
+                batch.append((j, ends, batch[0], size))
+                batch[0] += size
+        for used, *parts in batches:
+            # a strided copy, then a flat subtraction: one strided subtraction
+            # took the five largest d = 6 CI calls 1.06 s, against 0.86 s so
+            # (in-process, best of three)
+            for j, ends, at, size in parts:
+                part = over[:, at : at + size]  # its last axis split below: still a view
+                np.copyto(part.reshape((n, *ends)), vals[(slice(None), *map(slice, ends))])
+                np.subtract(part, rights[j], out=part)
+            low = least[:, :used]  # each run's least row
+            for i, run in enumerate(runs):
+                np.minimum.reduce(over[run, :used], axis=0, out=low[i])
+            for i, a in steep:
+                np.floor_divide(low[i], a, out=low[i])
+            np.minimum.reduce(low, axis=0, initial=0, out=cells[:used])
+            yield lo, parts, np.add.reduceat(cells[:used], [at for _, _, at, _ in parts]).tolist()
 
 
 def _closure_corners(A, b, bounds) -> np.ndarray:
@@ -462,13 +491,17 @@ def colength_sum(ideals, terms) -> int:
     Newt(J_j), from one `_newton_facets` call with the J_j as blocks, with
     right-hand sides sum t_j min over J_j of a.g, and L(t) is the sum of
     its heights over the box B(t) = sum t_j (pure-power bounds of J_j),
-    which holds every point outside it.  One `_tile_heights` pass along
-    the longest side of the componentwise maximum of the boxes gives every
-    L(t).  The order is fixed: one flat int64 buffer for the field of that
-    maximum is allocated first, so a field past numpy's maximum size, or
-    one the machine will not allocate, raises MemoryError at once, and
-    each tile part's heights go to its first cells; then the maximum must
-    pass `check_int64`; then one hull serves every term.  The J_j are the
+    which holds every point outside it.  The right-hand sides are one
+    int64 table of terms by facets, one matrix product of the t with the
+    minima, exact past `check_int64`.  One `_tile_heights` pass along the
+    longest side of the componentwise maximum of the boxes sums the
+    negated heights of every tile part of every box, batch by batch, and
+    each part's sum is weighed by its term's coefficient.  The order is
+    fixed: one flat int64 buffer for the field of that maximum is
+    allocated first, so a field past numpy's maximum size, or one the
+    machine will not allocate, raises MemoryError at once, and each
+    batch's heights go to its first cells; then the maximum must pass
+    `check_int64`; then one hull serves every term.  The J_j are the
     m-primary `ideals`; L(0) = 0.
     """
     sides = list(zip(*(box_bounds(J) for J in ideals)))
@@ -483,10 +516,12 @@ def colength_sum(ideals, terms) -> int:
     cells = np.empty(size, np.int64)
     check_int64(top)
     A, mins = _newton_facets([J.gens for J in ideals])
-    per_facet = list(zip(*mins))
-    rights = [[sum(map(mul, t, m)) for m in per_facet] for t, _ in terms]
-    return -sum(terms[j][1] * int(np.add.reduce(low, axis=None))
-                for j, _, low in _tile_heights(A, c, rights, boxes, cells))
+    # ts @ mins as a product and a sum, whose loops are resident already;
+    # matmul pages in 0.06 MiB of code of its own
+    ts = np.array([t for t, _ in terms], np.int64)[:, :, None]
+    rights = (ts * np.array(mins, np.int64)).sum(axis=1)
+    return -sum(terms[j][1] * h for _, parts, sums in _tile_heights(A, c, rights, boxes, cells)
+                for (j, *_), h in zip(parts, sums))
 
 
 def _merged_terms(weights) -> dict:
@@ -601,7 +636,9 @@ def mixed_sum(ideals, weights) -> int:
     # The facet formula one dimension up, by a recursion through MV_3 of the
     # faces read off the hull's tight masks, took 1.35-1.7 times the closure
     # sums' time on the 30 calls of the verify-d4 benchmark corpus (3.7
-    # times with one hull per face), so from d = 4 on the sums answer.
+    # times with one hull per face), so from d = 4 on the sums answer.  That
+    # ratio was measured against the per-part tile pass, before the parts of
+    # a tile were reduced in batches; a cut-over is to be re-measured.
     if ideals[0].dim > 3:
         return colength_sum(ideals, _merged_terms(weights).items())
     return facet_sum(ideals, weights)

@@ -491,6 +491,21 @@ def test_single_closure_colengths_match_fourier_motzkin(rng):
     assert closure.colength_sum(Js, [((0, 0), 1)]) == 0
 
 
+def test_d4_closure_colengths_match_fourier_motzkin(rng):
+    # d = 4 is where `mixed_sum` hands its terms to `colength_sum`: one and
+    # two blocks, every t with |t| <= 2 alone (the oracle's elimination grows
+    # past that), then all of them in one weighted sum, whose parts share
+    # the tile pass's batches
+    for s in (1, 2):
+        Js = [_fm_blocks(rng, 4) for _ in range(s)]
+        ts = [t for t in iter_product(range(3), repeat=s) if 0 < sum(t) <= 2]
+        want = [_fm_colength(Js, t) for t in ts]
+        for t, w in zip(ts, want):
+            assert closure.colength_sum(Js, [(t, 1)]) == w, (Js, t)
+        coeffs = [rng.randint(-3, 3) for _ in ts]
+        assert closure.colength_sum(Js, list(zip(ts, coeffs))) == sum(map(mul, coeffs, want)), Js
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 3), st.booleans(), st.randoms(use_true_random=False))
 def test_facet_route_equals_the_closure_sums(d, s, mixed, rng):
@@ -545,14 +560,14 @@ def test_tiny_tiles_give_the_same_sums_and_closures(monkeypatch, rng):
     assert steep >= 3
     closures = [(I, _box_scan(I, oracle_newton_member)) for I in _cross_check_ideals(rng)]
 
-    calls = []  # per call, the (origin, shape) of every tile part
+    calls = []  # per call, per batch: its tile's origin and the shape of each part
     real = closure._tile_heights
 
     def recorded(*args):
         calls.append([])
-        for j, lo, low in real(*args):
-            calls[-1].append((lo, low.shape))
-            yield j, lo, low
+        for lo, parts, sums in real(*args):
+            calls[-1].append((lo, [tuple(ends) for _, ends, *_ in parts]))
+            yield lo, parts, sums
 
     fields = []  # per `_tile_sums` call, the origin of every tile
     real_tiles = closure._tile_sums
@@ -568,6 +583,7 @@ def test_tiny_tiles_give_the_same_sums_and_closures(monkeypatch, rng):
     closed = []  # the tile origins of every closure's field
     for tile in (1, 7, 40):
         monkeypatch.setattr(closure, "TILE_CELLS", tile)
+        first = len(calls)
         for Js, ts, want in sums:
             for t, w in zip(ts, want):
                 assert closure.colength_sum(Js, [(t, 1)]) == w, (tile, Js, t)
@@ -579,9 +595,12 @@ def test_tiny_tiles_give_the_same_sums_and_closures(monkeypatch, rng):
             assert integral_closure(I) == C, (tile, I)
         assert len(calls) == summed  # closures take their own pass, not `_tile_heights`
         closed += fields[before:]
+        if tile > 1:  # some tile's parts fill more than one batch
+            assert any(len(batches) > len({lo for lo, _ in batches}) for batches in calls[first:])
     assert any(len(set(origins)) > 10 for origins in closed)
-    assert any(len({lo for lo, _ in parts}) > 10 for parts in calls)
-    shapes = [{shape for lo, shape in parts if lo == at} for parts in calls for at, _ in parts]
+    assert any(len({lo for lo, _ in batches}) > 10 for batches in calls)
+    shapes = [{shape for lo, parts in batches if lo == at for shape in parts}
+              for batches in calls for at, _ in batches]
     assert any(len(kinds) > 1 for kinds in shapes)  # boxes of one call that end apart in one tile
     monkeypatch.setattr(closure, "TILE_CELLS", 7)
     multiplicity._newton_value.cache_clear()

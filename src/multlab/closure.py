@@ -9,21 +9,25 @@ with b > 0.  The Newton polyhedron of a product prod J_j^(t_j) is the
 Minkowski sum t_1 Newt(J_1) + ... + t_s Newt(J_s), and the Cayley trick
 gives all its facet normals from one cone in R^(d+s), spanned by (g, e_j)
 for each generator g of J_j and by (e_i, 0); with one block it is the cone
-above.  `_newton_facets` finds the normals in Python ints, and each normal
-a comes with min over J_j of a.g for every block.  In the plane
-(`_plane_facets`) they are the edge normals of the blocks' lower convex
-chains, merged by direction.  In every other dimension, and as the plane
+above.  `_newton_facets` takes the ideals J_j themselves, reads each
+one's minimal generators as stored, lex-sorted, and finds the normals in
+Python ints, and each normal a comes with min over J_j of a.g for every
+block.  In the plane (`_plane_facets`) they are the edge normals of the
+blocks' lower convex chains, which run through the stored generators in
+order, merged by direction.  In every other dimension, and as the plane
 route's reference in the tests, the double description method
 (`_double_description`) cuts the Cayley cone one generator at a time, so
 its cost follows the facets rather than the subsets of generators or the
-products of vertices; it starts from the known rays of a block's
-pure-power simplex and drops the rows inside it.  Every membership
-question is then a.v >= b for every facet:
+products of vertices; it starts from the known rays of the simplex of an
+m-primary block's pure powers, the bounds the ideal stored when it was
+built, and drops the rows inside it.  Every membership question is then
+a.v >= b for every facet:
 
 * `newton_polyhedron_member` tests one point of any ideal against its
   facet rows alone, in Python ints, so it is exact for every exponent the
-  ideal can hold; the rows of each generator tuple are found once and kept
-  in a memo bounded by `lengths.MEMO_ENTRIES` (`_facet_rows`).
+  ideal can hold; the rows of each ideal are found once and kept in a
+  memo keyed by the ideal and bounded by `lengths.MEMO_ENTRIES`
+  (`_facet_rows`).
 * An m-primary polyhedron is a height field along the longest side of its
   box of pure-power bounds: over the other sides each facet bounds the
   least member height from below, and the field is the largest of those
@@ -55,7 +59,7 @@ starts.  No floats and no rationals enter the decision.
 
 from __future__ import annotations
 
-from functools import cmp_to_key, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import product as iter_product
 from math import factorial, gcd, lcm, prod
 from operator import mul, or_
@@ -76,24 +80,25 @@ from .monomial import (
 
 
 @lru_cache(maxsize=MEMO_ENTRIES)
-def _facet_rows(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The facet rows (a, b) of Newt(J) for the generator rows `gens` of J, from `_newton_facets`.
+def _facet_rows(I: MonomialIdeal) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The facet rows (a, b) of Newt(I), from `_newton_facets`.
 
-    Memoized for the last `lengths.MEMO_ENTRIES` generator tuples, so
-    membership finds each ideal's facets once, not once per point.
+    Memoized for the last `lengths.MEMO_ENTRIES` ideals, keyed by the ideal,
+    whose hash is stored when it is built, so membership finds each ideal's
+    facets once, not once per point.
     """
-    A, (b,) = _newton_facets([gens])
+    A, (b,) = _newton_facets([I])
     return tuple(zip(A, b))
 
 
-def _phase_one_feasible(cols: tuple[tuple[int, ...], ...], rhs: tuple[int, ...]) -> bool:
-    """Is there lam >= 0 with sum(lam) = 1 and sum lam_j cols[j] <= rhs?
+def _phase_one_feasible(I: MonomialIdeal, rhs: tuple[int, ...]) -> bool:
+    """Is there lam >= 0 with sum(lam) = 1 and sum lam_j g_j <= rhs over the generators g_j of I?
 
-    That is, does rhs lie in conv(cols) + R^d_{>=0}; it does exactly when
-    a.rhs >= b for every facet row (a, b) of `_facet_rows(cols)`.  The
-    benchmark's tracer (`bench/tracer.py`) wraps this function by name.
+    That is, does rhs lie in Newt(I); it does exactly when a.rhs >= b for
+    every facet row (a, b) of `_facet_rows(I)`.  The benchmark's tracer
+    (`bench/tracer.py`) wraps this function by name.
     """
-    return all(sum(map(mul, a, rhs)) >= b for a, b in _facet_rows(cols))
+    return all(sum(map(mul, a, rhs)) >= b for a, b in _facet_rows(I))
 
 
 def newton_polyhedron_member(I: MonomialIdeal, point) -> bool:
@@ -110,60 +115,49 @@ def newton_polyhedron_member(I: MonomialIdeal, point) -> bool:
         raise ValueError(f"point has {len(v)} coordinates, ideal has {I.dim}")
     if any(e < 0 for e in v):
         raise ValueError("exponents must be non-negative")
-    return _phase_one_feasible(I.gens, v)
+    return _phase_one_feasible(I, v)
 
 
 def _newton_facets(blocks) -> tuple[list[tuple[int, ...]], list[list[int]]]:
     """Facet normals a of Newt(J_1) + ... + Newt(J_s), and per block j the minima min over J_j of a.g.
 
-    `blocks` holds the generator rows of J_1, ..., J_s, each a non-empty
-    sequence of tuples of Python ints, such as an ideal's stored `gens`,
-    taken as they are.  The normals come back as a list of primitive a >=
-    0, and with them one list per block: b_j[k] = min over J_j of A[k].g >=
-    0.  The facets of the sum are a.v >= b_1 + ... + b_s
-    > 0, and the same normals with right-hand sides sum t_j b_j cut out
-    every sum t_1 Newt(J_1) + ... with t_j >= 0; with one block, A and b_1
-    are the facet rows of Newt(J_1) itself.  The rows come in no fixed
-    order.
+    `blocks` holds the ideals J_1, ..., J_s, of one dimension; the hull
+    reads their stored minimal generators, lex-sorted, and the pure-power
+    bounds stored with them.  The normals come back as a list of primitive
+    a >= 0, and with them one list per block: b_j[k] = min over J_j of
+    A[k].g >= 0.  The facets of the sum are a.v >= b_1 + ... + b_s > 0,
+    and the same normals with right-hand sides sum t_j b_j cut out every
+    sum t_1 Newt(J_1) + ... with t_j >= 0; with one block, A and b_1 are
+    the facet rows of Newt(J_1) itself.  The rows come in no fixed order.
 
-    The dimension of the rows alone chooses the route: in the plane the
-    blocks' edge chains (`_plane_facets`), otherwise the double description
-    on the Cayley cone (`_double_description`), which is also the plane
-    route's reference in the tests.
+    The dimension alone chooses the route: in the plane the blocks' edge
+    chains (`_plane_facets`), otherwise the double description on the
+    Cayley cone (`_double_description`), which is also the plane route's
+    reference in the tests.
     """
-    if len(blocks[0][0]) == 2:
+    if blocks[0].dim == 2:
         return _plane_facets(blocks)
     return _double_description(blocks)
 
 
 def _plane_facets(blocks) -> tuple[list[tuple[int, int]], list[list[int]]]:
-    """`_newton_facets` for rows in Z^2, from the edge chains of the blocks.
+    """`_newton_facets` for ideals of k[x, y], from the edge chains of the blocks.
 
     The edges of a Minkowski sum of polygons are the summands' edges, merged
     by direction (de Berg et al., *Computational Geometry*, 3rd ed., 13.3),
     and Newt(J) is bounded below and to the left by the lower convex chain
-    of the minimal generators of J.  Per block, the rows sorted lex, less
-    each row that an earlier one divides (its y is not below every y
-    before it), run right and strictly down; their chain (`_chain`,
-    Andrew's monotone chain) runs from x_first, the least x, to y_last,
-    the least y, and each edge (dx, -dy) gives the primitive normal (dy,
-    dx) / gcd, both entries positive.  The rays of Newt(J) add x >=
-    x_first when J has no pure power of y and y >= y_last when it has no
-    pure power of x.  The normals of every block, one per direction, are
-    sorted from (1, 0) towards (0, 1), the order of the edges along each
-    chain, so every block's minimum over its chain is found by one walk
-    that moves forward only: a.p is convex along the chain, and its least
-    vertex moves with a.  All arithmetic is in Python ints, so the rows
-    are exact at any size.
+    of the minimal generators of J.  They are stored lex-sorted, so they
+    run right and strictly down, and their chain (`_chain`, Andrew's
+    monotone chain) runs from x_first, the least x, to y_last, the least y;
+    each edge (dx, -dy) gives the primitive normal (dy, dx) / gcd, both
+    entries positive.  The rays of Newt(J) add x >= x_first when J has no
+    pure power of y and y >= y_last when it has no pure power of x.  Each
+    block's minimum at a normal, one per direction, is the least a.p over
+    the vertices p of its chain.  All arithmetic is in Python ints, so the
+    rows are exact at any size.
     """
-    chains, normals = [], set()
-    for gens in blocks:
-        stair = []
-        for x, y in sorted(gens):
-            if not stair or y < stair[-1][1]:
-                stair.append((x, y))
-        chain = _chain(stair)
-        chains.append(chain)
+    chains, normals = [_chain(J.gens) for J in blocks], set()
+    for chain in chains:
         for (x, y), (u, v) in zip(chain, chain[1:]):
             g = gcd(y - v, u - x)
             normals.add(((y - v) // g, (u - x) // g))
@@ -171,20 +165,8 @@ def _plane_facets(blocks) -> tuple[list[tuple[int, int]], list[list[int]]]:
             normals.add((1, 0))
         if chain[-1][1]:
             normals.add((0, 1))
-    A = sorted(normals, key=cmp_to_key(lambda p, q: p[1] * q[0] - p[0] * q[1]))
-    mins = []
-    for chain in chains:
-        k, row = 0, []
-        for ax, ay in A:
-            m = ax * chain[k][0] + ay * chain[k][1]
-            while k + 1 < len(chain):
-                n = ax * chain[k + 1][0] + ay * chain[k + 1][1]
-                if n > m:
-                    break
-                k, m = k + 1, n
-            row.append(m)
-        mins.append(row)
-    return A, mins
+    A = list(normals)
+    return A, [[min(ax * x + ay * y for x, y in chain) for ax, ay in A] for chain in chains]
 
 
 def _double_description(blocks) -> tuple[list[tuple[int, ...]], list[list[int]]]:
@@ -197,27 +179,27 @@ def _double_description(blocks) -> tuple[list[tuple[int, ...]], list[list[int]]]
     generator g of block j and y.(e_i, 0) >= 0 for every axis are the facet
     normals of the cone those vectors span.  Its facets tight on a generator
     of every block are the facets of the sum, with c_j = -min over J_j of
-    a.g.  The distinct rows go in by degree, then lex, which keeps the
-    intermediate ray sets small, and every ray keeps a bit mask of the
-    constraints it is tight on.
+    a.g.  The rows, the blocks' minimal generators, go in by degree, then
+    lex, which keeps the intermediate ray sets small, and every ray keeps
+    a bit mask of the constraints it is tight on.
 
-    The start is a cone whose rays are known.  In d >= 2 a block holding a
-    pure power on every axis, its least ones b_i e_i, has the simplex
-    weights w_i = L / b_i, L = lcm(b), and each of its rows g with w.g > L,
-    or w.g = L and g not one of those pure powers, lies in conv(b_i e_i) +
-    R^d_>=0, so its constraint follows from theirs and the axes' and is
-    dropped.  The first such block p starts from its d pure powers, the
-    axes and (g_j, e_j), g_j the first kept row of every other block j:
-    with g_p = 0 those 2d + s - 1 constraints give the s + d + 1 rays (0,
-    e_j), (e_i, -g_1i, ..., -g_si) and (w, c) with c_p = -L and c_j = -w.g_j
-    (primitive, since the gcd of the L / b_i is 1).  With no such block,
-    and in d = 1, the d + s independent constraints e_i and (g_j, e_j)
-    give the first d + s of those rays.  Each further row cuts the cone.  A
-    ray on the positive side of a cut and one on the negative side are
-    adjacent when their common tight set has at least d + s - 2 bits and no
-    third ray is tight on all of it; each adjacent pair gives one new ray
-    on the cut, divided by its gcd.  All arithmetic is in Python ints, so
-    the rows are exact at any size.
+    The start is a cone whose rays are known.  In d >= 2 an m-primary
+    block, whose pure powers b_i e_i are the bounds its ideal stored
+    (`box_bounds`), has the simplex weights w_i = L / b_i, L = lcm(b), and
+    each of its rows g with w.g > L, or w.g = L and g not a pure power,
+    lies in conv(b_i e_i) + R^d_>=0, so its constraint follows from theirs
+    and the axes' and is dropped.  The first such block p starts from its
+    d pure powers, the axes and (g_j, e_j), g_j the first kept row of every
+    other block j: with g_p = 0 those 2d + s - 1 constraints give the s + d
+    + 1 rays (0, e_j), (e_i, -g_1i, ..., -g_si) and (w, c) with c_p = -L
+    and c_j = -w.g_j (primitive, since the gcd of the L / b_i is 1).  With
+    no such block, and in d = 1, the d + s independent constraints e_i and
+    (g_j, e_j) give the first d + s of those rays.  Each further row cuts
+    the cone.  A ray on the positive side of a cut and one on the negative
+    side are adjacent when their common tight set has at least d + s - 2
+    bits and no third ray is tight on all of it; each adjacent pair gives
+    one new ray on the cut, divided by its gcd.  All arithmetic is in
+    Python ints, so the rows are exact at any size.
 
     A ray tight on no generator of block j solves equations free of c_j,
     so it is (0, e_j); every other ray is tight on every block.  Of those,
@@ -227,17 +209,12 @@ def _double_description(blocks) -> tuple[list[tuple[int, ...]], list[list[int]]]
     not depend on the start or on the dropped rows, so neither do the rows
     returned, taken as a set.
     """
-    s, d = len(blocks), len(blocks[0][0])
-    rows = sorted({(sum(g), g, j) for j, gens in enumerate(blocks) for g in gens})
-    least = [[0] * d for _ in range(s)]  # per block, its least pure power on each axis
-    if d > 1:
-        for deg, g, j in rows:
-            if deg and deg == max(g):
-                i = g.index(deg)
-                least[j][i] = least[j][i] or deg
-    simplex = [None] * s  # per block holding every pure power: (w, L)
-    for j, b in enumerate(least):
-        if all(b):
+    s, d = len(blocks), blocks[0].dim
+    rows = sorted((sum(g), g, j) for j, J in enumerate(blocks) for g in J.gens)
+    simplex = [None] * s  # per m-primary block: (w, L)
+    for j, J in enumerate(blocks):
+        if d > 1 and is_m_primary(J):
+            b = box_bounds(J)
             L = lcm(*b)
             simplex[j] = [L // e for e in b], L
     p = next((j for j, sim in enumerate(simplex) if sim), None)
@@ -321,7 +298,7 @@ def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
         raise NotMPrimaryError("the integral closure is computed for m-primary ideals only")
     bounds = box_bounds(I)
     check_int64(bounds)
-    A, (b,) = _newton_facets([I.gens])
+    A, (b,) = _newton_facets([I])
     return _built(I.dim, tuple(sorted(map(tuple, _closure_corners(A, b, bounds).tolist()))))
 
 
@@ -398,14 +375,16 @@ def _tile_heights(A, c, rights, boxes, cells):
     floor-divided by that a_c: floor((a'.v' - r) / a_c) is monotone in
     a'.v' - r, so one division per run serves all its rows.  Dividing every
     row instead took the d = 6 CI corpus (`verify --dim 6 --rank 3
-    --instances 2 --seed 11`, in-process) from 13.0 / 11.3 s to 21.9 /
-    20.0 s, 1.7-1.8 times as long.  The least over the runs, capped at 0,
-    is -h; it is written into the first cells of the flat int64 buffer
-    `cells`, which holds the field of the maximum, and one
-    `np.add.reduceat` sums it per part.  Yields (lo, parts, sums) per
-    batch: the tile's origin lo, (j, ends, at, size) for each part, the
-    field of box j from lo on with sides `ends` at offset `at` of the batch,
-    and each part's sum of -h as a Python int.
+    --instances 2 --seed 11`, in-process, six alternating runs on a 2-core
+    Xeon) 14.2-16.6 s against 11.7-12.9 s, about 1.2 times as long, and
+    verify-d4's 30 calls of `colength_sum` 15.4-19.6 ms against 14.2-14.8
+    ms (sums of per-call minima, five alternating runs).  The least over
+    the runs, capped at 0, is -h; it is written into the first cells of
+    the flat int64 buffer `cells`, which holds the field of the maximum,
+    and one `np.add.reduceat` sums it per part.  Yields (lo, parts, sums)
+    per batch: the tile's origin lo, (j, ends, at, size) for each part,
+    the field of box j from lo on with sides `ends` at offset `at` of the
+    batch, and each part's sum of -h as a Python int.
     """
     # the rows by a_c, sorted in Python: np.argsort would page 0.1-0.3 MiB of
     # numpy's code that nothing else runs into the resident set
@@ -515,7 +494,7 @@ def colength_sum(ideals, terms) -> int:
     counting._check_size([size], np.int64)
     cells = np.empty(size, np.int64)
     check_int64(top)
-    A, mins = _newton_facets([J.gens for J in ideals])
+    A, mins = _newton_facets(ideals)
     # ts @ mins as a product and a sum, whose loops are resident already;
     # matmul pages in 0.06 MiB of code of its own
     ts = np.array([t for t, _ in terms], np.int64)[:, :, None]
@@ -596,8 +575,7 @@ def facet_sum(ideals, weights) -> int:
     value is exact at any size and no box is built.  The J_j are the
     m-primary `ideals`, in dimension at most 3.
     """
-    blocks = [J.gens for J in ideals]
-    A, mins = _newton_facets(blocks)
+    A, mins = _newton_facets(ideals)
     faces, volumes = {}, {}  # (facet, block): projected face hull; (facet, slots): its volume
     total = 0
     for a, w in weights:
@@ -609,7 +587,7 @@ def facet_sum(ideals, weights) -> int:
                 for j in rest:
                     if (k, j) not in faces:
                         m = mins[j][k]
-                        faces[k, j] = _hull([g[:c] + g[c + 1:] for g in blocks[j]
+                        faces[k, j] = _hull([g[:c] + g[c + 1:] for g in ideals[j].gens
                                              if sum(map(mul, u, g)) == m])
                 volumes[k, rest] = _mixed_volume([faces[k, j] for j in rest]) // u[c]
             total += w * mins[first][k] * volumes[k, rest]

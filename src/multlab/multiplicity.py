@@ -13,12 +13,11 @@ mixed volumes on one hull, with no box, and from d = 4 on that
 difference at base 0 of the closures, as closure colengths.
 `_newton_value` is one call of it, with the one pair (orders, 1),
 memoized for the last `lengths.MEMO_ENTRIES` distinct keys.  A key
-holds generator rows, not ideals, as `closure._facet_rows` does: the
-merged slots' (rows, order) pairs, sorted as tuples, since mixed
-multiplicities are symmetric.  `_merged` fuses equal slots by their
-rows, and every call checks its slots, memo hits included; only a miss
-builds the ideals again.  This module holds no field, box, hull or
-closure colength.
+holds generator rows, not ideals: the merged slots' (rows, order) pairs,
+sorted as tuples, since mixed multiplicities are symmetric.  `_merged`
+fuses equal slots by their rows, and every call checks its slots, memo
+hits included; only a miss builds the ideals again.  This module holds
+no field, box, hull or closure colength.
 
 The difference-table engine stays as the independent oracle.  `stabilize`
 evaluates the difference, with the terms of `monomial._difference_terms`,
@@ -45,7 +44,7 @@ from . import closure
 from .errors import ImpossibleValueError, NotMPrimaryError, StabilizationError
 from .lengths import MEMO_ENTRIES, ProductSampler
 from .monomial import MonomialIdeal, _built, _difference_terms, common_dim, integer
-from .monomial import integer_exponents, is_m_primary, m_ideal
+from .monomial import box_bounds, integer_exponents, is_m_primary, m_ideal
 
 # The schedule of `stabilize`: WINDOW extra diagonal shifts must reproduce
 # the shift-0 value; on an unstable window every base coordinate is
@@ -136,7 +135,12 @@ def stabilize(evaluate, order, *, base: int) -> DifferenceTable:
 
 
 def _heuristic_base(ideals, dim: int) -> int:
-    top = max((max(max(g) for g in I.gens) for I in ideals), default=1)
+    """The first base of a difference table: the larger of `dim` and one past the largest exponent of the m-primary `ideals`.
+
+    That exponent is their largest pure power: a minimal generator of an
+    m-primary ideal that is not a pure power has every g_i < b_i.
+    """
+    top = max((max(box_bounds(I)) for I in ideals), default=1)
     return max(dim, top + 1)
 
 

@@ -54,9 +54,9 @@ class TestMembership:
             assert newton_polyhedron_member(I, g)
 
     def test_matches_fourier_motzkin_oracle(self, rng):
-        for _ in range(15):
+        for k in range(23):  # the last eight with mixed generators, not only pure powers
             d = rng.randint(2, 3)
-            I = random_mprimary(rng, d, max_power=4, extras=3)
+            I = random_mprimary(rng, d, max_power=4, extras=3, mixed=k >= 15)
             for _ in range(12):
                 v = tuple(rng.randrange(0, 5) for _ in range(d))
                 assert newton_polyhedron_member(I, v) == oracle_newton_member(I, v)
@@ -87,7 +87,7 @@ class TestMembership:
         N = [2**31 - 1, 2**31 - 2, 2**31 - 3, 2**31 - 5]
         gens = [tuple(n * (i == j) for j in range(4)) for i, n in enumerate(N)]
         I = ideal(gens + [(2**28, 2**28, 2**28, 2**28), (2**30, 0, 3, 2**29)], dim=4)
-        A, (b,) = closure._newton_facets([I.gens])
+        A, (b,) = closure._newton_facets([I])
         assert max(b) >= 2**63 and len(A) > 4
         for _ in range(20):
             v1 = rng.randrange(1, N[0])
@@ -109,7 +109,7 @@ class TestMembership:
         for _ in range(200):
             v = tuple(rng.randrange(6) for _ in range(3))
             assert newton_polyhedron_member(I, v) == oracle_newton_member(I, v), v
-        assert calls == [[I.gens]]
+        assert calls == [[I]]
         assert newton_polyhedron_member(m_power(3, 2), (1, 1, 0))
         assert len(calls) == 2
 
@@ -199,15 +199,15 @@ def _cross_check_ideals(rng):
         parse_ideal("(x^4, x^3*y^2, x^2*y*w, y^4, y*z, z^2, z*w, w^4)"),
     ]
     for d in (1, 2, 3, 4):
-        for _ in range(10):
+        for k in range(13):  # the last three with mixed generators, not only pure powers
             extras = rng.randint(0, 6)
-            ideals.append(random_mprimary(rng, d, max_power=5 if d < 4 else 4, extras=extras))
+            ideals.append(random_mprimary(rng, d, max_power=5 if d < 4 else 4, extras=extras, mixed=k >= 10))
     return ideals
 
 
 def test_facet_rows_are_primitive_tight_supporting_inequalities(rng):
     for I in _cross_check_ideals(rng):
-        A, (b,) = closure._newton_facets([I.gens])
+        A, (b,) = closure._newton_facets([I])
         gens = np.array(I.gens)
         A, b = np.array(A), np.array(b)
         assert len(A) == len(b) >= 1, I
@@ -227,11 +227,11 @@ def test_minkowski_sum_facets_are_the_product_facets(rng):
     for d, s, _ in iter_product((2, 3, 4, 5), (1, 2, 3, 4), range(3)):
         Js = [random_mprimary(rng, d, max_power=6 if d < 4 else 4, extras=4, mixed=True) for _ in range(s)]
         assert all(any(sum(map(bool, g)) > 1 for g in J.gens) for J in Js)
-        A, mins = closure._newton_facets([J.gens for J in Js])
+        A, mins = closure._newton_facets(Js)
         P = Js[0]
         for J in Js[1:]:
             P = oracle_product(P, J)
-        want_A, (want_b,) = closure._newton_facets([P.gens])
+        want_A, (want_b,) = closure._newton_facets([P])
         assert len(mins) == s and all(len(m) == len(A) for m in mins)
         assert sorted(zip(A, map(sum, zip(*mins)))) == sorted(zip(want_A, want_b)), Js
         for a, m in zip(A, zip(*mins)):
@@ -246,52 +246,47 @@ def test_minkowski_sum_facets_are_the_product_facets(rng):
 
 
 def _simplex_blocks(rng, d, s):
-    """s blocks of raw rows in Z^d, most with extras below their pure-power simplex, and the count of those extras.
+    """s ideals in d variables, most with generators below their pure-power simplex, and the count of those generators.
 
-    An extra v has sum v_i / k_i < 1 for the pure powers k_i, so it is not
-    in the simplex's Newton polyhedron and still cuts a hull started from
-    it.  Some blocks also hold a larger pure power beside the least one, miss
-    a pure power, repeat rows or hold the zero row.
+    A generator v below it has sum v_i / k_i < 1 for the pure powers k_i,
+    so it is not in the simplex's Newton polyhedron and still cuts a hull
+    started from it.  Some ideals miss a pure power, and a few are the
+    unit ideal.
     """
     blocks, below = [], 0
     for _ in range(s):
         powers = [rng.randint(2, 5) for _ in range(d)]
         rows = [tuple(k * (i == j) for j in range(d)) for i, k in enumerate(powers)]
-        for _ in range(3 * d):
+        for _ in range(4 * d):
             v = tuple(rng.randrange(k) for k in powers)
             if sum(map(bool, v)) > 1 and sum(e / k for e, k in zip(v, powers)) < 1:
                 rows.append(v)
-                below += 1
-        kind = rng.randrange(5)
+        kind = rng.randrange(3)
         if kind == 0:
-            i = rng.randrange(d)
-            rows.append(tuple((powers[i] + rng.randint(1, 3)) * (i == j) for j in range(d)))
-        elif kind == 1:
             rows.pop(rng.randrange(d))
-        elif kind == 2:
-            rows += rng.sample(rows, 2)
-        elif kind == 3 and rng.random() < 0.3:
-            rows.append((0,) * d)
-        rng.shuffle(rows)
-        blocks.append(rows)
+        elif kind == 1 and rng.random() < 0.3:
+            rows = [(0,) * d]
+        J = ideal(rows, dim=d)
+        below += sum(sum(map(bool, g)) > 1 for g in J.gens)
+        blocks.append(J)
     return blocks, below
 
 
 def test_hulls_started_from_the_pure_power_simplex(rng):
-    # the double description starts from the simplex of a block's least pure
-    # powers and drops the rows inside it; rows below it still cut.  In
-    # d <= 3 Fourier-Motzkin on the product ideal judges points of the sum,
-    # and in d = 4-5 the Cayley hull must equal the one-block hull of the
-    # product, which starts from the product's own simplex, or from its
-    # first row when a block misses a pure power
+    # the double description starts from the simplex of a block's pure
+    # powers and drops the generators inside it; those below it still cut.
+    # In d <= 3 Fourier-Motzkin on the product ideal judges points of the
+    # sum, and in d = 4-5 the Cayley hull must equal the one-block hull of
+    # the product, which starts from the product's own simplex, or from its
+    # first generator when a block misses a pure power
     below = 0
     for d, s, _ in iter_product((2, 3, 4, 5), (1, 2, 3, 4), range(3)):
         blocks, n = _simplex_blocks(rng, d, s)
         below += n
         A, mins = closure._double_description(blocks)
-        P = ideal(blocks[0], dim=d)
-        for rows in blocks[1:]:
-            P = oracle_product(P, ideal(rows, dim=d))
+        P = blocks[0]
+        for J in blocks[1:]:
+            P = oracle_product(P, J)
         if d <= 3:
             box = [max(g[i] for g in P.gens) + 1 for i in range(d)]
             for _ in range(10):
@@ -299,7 +294,7 @@ def test_hulls_started_from_the_pure_power_simplex(rng):
                 inside = all(sum(map(mul, a, v)) >= sum(m) for a, m in zip(A, zip(*mins)))
                 assert inside == oracle_newton_member(P, v), (blocks, v)
         else:
-            want_A, (want_b,) = closure._double_description([P.gens])
+            want_A, (want_b,) = closure._double_description([P])
             assert sorted(zip(A, map(sum, zip(*mins)))) == sorted(zip(want_A, want_b)), blocks
     assert below >= 150
 
@@ -313,23 +308,23 @@ def _sorted_rows(facets):
 def test_plane_route_matches_the_double_description(rng):
     # in the plane the rows come from the blocks' edge chains, and the double
     # description on the Cayley cone, the one route in every other dimension,
-    # is their reference: on random blocks with mixed generators, on raw rows
-    # that repeat, divide one another or miss a pure power, on principal
-    # ideals, the unit ideal, exponents near 2**31 - 1 and a long staircase
+    # is their reference: on random ideals with mixed generators, on ideals
+    # of random rows, which may miss a pure power, on principal ideals, the
+    # unit ideal, exponents near 2**31 - 1 and a long staircase
     cases = []
     for s in (1, 2, 3, 4):
         for _ in range(25):
             cases.append([random_mprimary(rng, 2, max_power=rng.randint(2, 9), extras=rng.randint(0, 5),
-                                          mixed=True).gens for _ in range(s)])
-            cases.append([[tuple(rng.randrange(7) for _ in range(2)) for _ in range(rng.randint(1, 6))]
+                                          mixed=True) for _ in range(s)])
+            cases.append([ideal([tuple(rng.randrange(7) for _ in range(2)) for _ in range(rng.randint(1, 6))])
                           for _ in range(s)])
     N = 2**31 - 1
-    near = [(N, 0), (N - 2, 1), (N // 2, N // 3), (1, N - 1), (0, N)]
-    unit, principal = [(0, 0)], [(3, 5)]
-    cases += [[principal], [[(0, 4)]], [[(4, 0)]], [unit], [unit, unit], [unit, principal],
-              [[(2, 3), (5, 1), (3, 3), (5, 1)], principal], [near], [near, [(N - 1, N)], principal]]
+    near = ideal([(N, 0), (N - 2, 1), (N // 2, N // 3), (1, N - 1), (0, N)])
+    unit, principal = unit_ideal(2), ideal([(3, 5)])
+    cases += [[principal], [ideal([(0, 4)])], [ideal([(4, 0)])], [unit], [unit, unit], [unit, principal],
+              [ideal([(2, 3), (5, 1)]), principal], [near], [near, ideal([(N - 1, N)]), principal]]
     n = 1000
-    stair = ideal([(i, (n - i) ** 2 // 100 + n - i) for i in range(n + 1)], dim=2).gens
+    stair = ideal([(i, (n - i) ** 2 // 100 + n - i) for i in range(n + 1)], dim=2)
     cases += [[stair], [stair, near]]
     for blocks in cases:
         want = _sorted_rows(closure._double_description(blocks))
@@ -366,7 +361,7 @@ def test_many_generators_few_facets():
     # the facets are found one generator at a time, not over subsets of them
     I = _ball()
     assert len(I.gens) == 235
-    A, _ = closure._newton_facets([I.gens])
+    A, _ = closure._newton_facets([I])
     assert len(A) == 118
     closed = integral_closure(I)
     rng = random.Random(235)
@@ -555,7 +550,7 @@ def test_tiny_tiles_give_the_same_sums_and_closures(monkeypatch, rng):
     steep = 0  # calls with a facet of a_c > 1 on the height axis
     for Js, ts, _ in sums:
         top = [max(sum(map(mul, t, side)) for t in ts) for side in zip(*map(box_bounds, Js))]
-        A, _ = closure._newton_facets([J.gens for J in Js])
+        A, _ = closure._newton_facets(Js)
         steep += any(a[counting.height_axis(top)] > 1 for a in A)
     assert steep >= 3
     closures = [(I, _box_scan(I, oracle_newton_member)) for I in _cross_check_ideals(rng)]

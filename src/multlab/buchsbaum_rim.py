@@ -5,9 +5,10 @@ all of R), the function n |-> lambda(Sym^n F / image of Sym^n E) is a sum of
 colengths of products over all compositions of n, eventually polynomial of
 degree d + r - 1.  `br_via_mixed` answers: br(E) = sum over the
 compositions a of d of e(I_1^[a_1], ..., I_r^[a_r]), and it passes those
-compositions, weighted, to one `closure.mixed_sum`, which answers on one
-Newton hull, from its facets in d <= 3 and from closure colengths from
-d = 4 on; this module builds neither, and in d <= 3 no box is built.
+compositions, weighted, to one `closure.mixed_sum`, which answers from
+the columns' edge chains in the plane, from the facets of one Newton hull
+in d = 3 and from closure colengths on one hull from d = 4 on; this
+module builds neither, and in d <= 3 no box is built.
 `br_direct`, the oracle, extracts (d+r-1)! times the leading coefficient
 from a stabilized difference table.  The two routes share neither the
 difference window nor the hull, so their agreement is a real cross-check.
@@ -180,7 +181,7 @@ def br_via_mixed(E: DirectSumModule) -> int:
     depend on the exponent of a unit column.  Equal proper columns are
     fused, and each composition a over the distinct ones weighs the number
     of compositions over all r that fuse to it (`_weights`).  Those pairs
-    go to `closure.mixed_sum`, which answers on one hull.
+    go to `closure.mixed_sum`, which answers in one call.
     """
     copies = Counter(_proper_columns(E))
     points = compositions(E.dim, len(copies))

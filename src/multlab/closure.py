@@ -9,17 +9,14 @@ with b > 0.  The Newton polyhedron of a product prod J_j^(t_j) is the
 Minkowski sum t_1 Newt(J_1) + ... + t_s Newt(J_s), and the Cayley trick
 gives all its facet normals from one cone in R^(d+s), spanned by (g, e_j)
 for each generator g of J_j and by (e_i, 0); with one block it is the cone
-above.  `_newton_facets` takes the ideals J_j themselves, reads each
-one's minimal generators as stored, lex-sorted, and finds the normals in
-Python ints, and each normal a comes with min over J_j of a.g for every
-block.  In the plane (`_plane_facets`) they are the edge normals of the
-blocks' lower convex chains, which run through the stored generators in
-order, merged by direction.  In every other dimension, and as the plane
-route's reference in the tests, the double description method
-(`_double_description`) cuts the Cayley cone one generator at a time, so
-its cost follows the facets rather than the subsets of generators or the
-products of vertices; it starts from the known rays of the simplex of an
-m-primary block's pure powers, the bounds the ideal stored when it was
+above.  `_newton_facets`, the one hull algorithm in every dimension,
+takes the ideals J_j themselves, reads each one's minimal generators as
+stored, lex-sorted, and finds the normals in Python ints, and each normal
+a comes with min over J_j of a.g for every block.  It is the double
+description method, which cuts the Cayley cone one generator at a time,
+so its cost follows the facets rather than the subsets of generators or
+the products of vertices; it starts from the known rays of the simplex of
+an m-primary block's pure powers, the bounds the ideal stored when it was
 built, and drops the rows inside it.  Every membership question is then
 a.v >= b for every facet:
 
@@ -45,13 +42,15 @@ a.v >= b for every facet:
   `np.add.reduceat` sums each part.
 * `mixed_sum` is the one route of mixed multiplicities: it takes
   weighted orders a with |a| = d and chooses by the ideals' dimension.
-  In d <= 3 `facet_sum` reads every value off the facets of the one hull,
-  by the facet formula for mixed volumes, in Python ints with no box.
-  From d = 4 on it expands each a into the terms of its order-a
-  difference at 0, merges them per point t (`_merged_terms`) and hands
-  them to one `colength_sum`, which is also the facet route's oracle in
-  the tests.  `multiplicity._newton_value` passes one order,
-  `buchsbaum_rim.br_via_mixed` every composition of d.
+  In d <= 3 `facet_sum` reads every value off facets, by the facet
+  formula for mixed volumes, in Python ints with no box: in the plane
+  off the edges of the blocks' lower convex chains, which run through
+  the stored generators in order, with no hull; in d = 1 and 3 off the
+  facets of the one hull.  From d = 4 on it expands each a into the
+  terms of its order-a difference at 0, merges them per point t
+  (`_merged_terms`) and hands them to one `colength_sum`, which is also
+  the facet route's oracle in the tests.  `multiplicity._newton_value`
+  passes one order, `buchsbaum_rim.br_via_mixed` every composition of d.
 
 `check_int64` bounds every value the tiles hold before int64 arithmetic
 starts.  No floats and no rationals enter the decision.
@@ -129,48 +128,7 @@ def _newton_facets(blocks) -> tuple[list[tuple[int, ...]], list[list[int]]]:
     and the same normals with right-hand sides sum t_j b_j cut out every
     sum t_1 Newt(J_1) + ... with t_j >= 0; with one block, A and b_1 are
     the facet rows of Newt(J_1) itself.  The rows come in no fixed order.
-
-    The dimension alone chooses the route: in the plane the blocks' edge
-    chains (`_plane_facets`), otherwise the double description on the
-    Cayley cone (`_double_description`), which is also the plane route's
-    reference in the tests.
-    """
-    if blocks[0].dim == 2:
-        return _plane_facets(blocks)
-    return _double_description(blocks)
-
-
-def _plane_facets(blocks) -> tuple[list[tuple[int, int]], list[list[int]]]:
-    """`_newton_facets` for ideals of k[x, y], from the edge chains of the blocks.
-
-    The edges of a Minkowski sum of polygons are the summands' edges, merged
-    by direction (de Berg et al., *Computational Geometry*, 3rd ed., 13.3),
-    and Newt(J) is bounded below and to the left by the lower convex chain
-    of the minimal generators of J.  They are stored lex-sorted, so they
-    run right and strictly down, and their chain (`_chain`, Andrew's
-    monotone chain) runs from x_first, the least x, to y_last, the least y;
-    each edge (dx, -dy) gives the primitive normal (dy, dx) / gcd, both
-    entries positive.  The rays of Newt(J) add x >= x_first when J has no
-    pure power of y and y >= y_last when it has no pure power of x.  Each
-    block's minimum at a normal, one per direction, is the least a.p over
-    the vertices p of its chain.  All arithmetic is in Python ints, so the
-    rows are exact at any size.
-    """
-    chains, normals = [_chain(J.gens) for J in blocks], set()
-    for chain in chains:
-        for (x, y), (u, v) in zip(chain, chain[1:]):
-            g = gcd(y - v, u - x)
-            normals.add(((y - v) // g, (u - x) // g))
-        if chain[0][0]:
-            normals.add((1, 0))
-        if chain[-1][1]:
-            normals.add((0, 1))
-    A = list(normals)
-    return A, [[min(ax * x + ay * y for x, y in chain) for ax, ay in A] for chain in chains]
-
-
-def _double_description(blocks) -> tuple[list[tuple[int, ...]], list[list[int]]]:
-    """`_newton_facets` in any dimension: the one route for d = 1 and d >= 3, and the plane route's reference.
+    This is the one hull algorithm, in every dimension.
 
     Double description (Fukuda-Prodon, *Double description method
     revisited*, 1996) on the Cayley cone of the blocks (Huber-Rambau-Santos,
@@ -513,13 +471,13 @@ def _merged_terms(weights) -> dict:
 
 
 def _hull(points) -> list:
-    """The vertices of conv(points) for points in Z^k, k <= 2: counter-clockwise in Z^2, least and greatest in Z^1.
+    """The vertices of conv(points) for points in Z^2, counter-clockwise.
 
     Andrew's monotone chain; a segment gives its two ends and a point itself.
     """
     points = sorted(set(points))
-    if len(points) < 3 or len(points[0]) < 2:
-        return points[:1] + points[1:][-1:]
+    if len(points) < 3:
+        return points
     return _chain(points)[:-1] + _chain(points[::-1])[:-1]
 
 
@@ -538,22 +496,22 @@ def _chain(points) -> list:
 
 
 def _mixed_volume(hulls) -> int:
-    """MV_k of the lattice polytopes with vertices `hulls` (from `_hull`) in Z^k, k <= 2, with MV(P, ..., P) = k! vol P.
+    """MV_k of the lattice polytopes with vertices `hulls` (from `_hull`) in Z^k, k = 0 or 2, with MV(P, P) = 2 vol P.
 
-    MV_0 = 1, MV_1 is the length, and MV_2(P, Q) is the sum over the
-    counter-clockwise edges e of Q of the largest e_y p_x - e_x p_y over
-    the vertices p of P: the support of P at the outer normal of e, as
-    long as e, which is the facet formula in the plane.
+    MV_0 = 1, and MV_2(P, Q) is the sum over the counter-clockwise edges e
+    of Q of the largest e_y p_x - e_x p_y over the vertices p of P: the
+    support of P at the outer normal of e, as long as e, which is the
+    facet formula in the plane.
     """
-    if len(hulls) < 2:
-        return hulls[0][-1][0] - hulls[0][0][0] if hulls else 1
+    if not hulls:
+        return 1
     P, Q = hulls
     return sum(max((q[1] - p[1]) * x - (q[0] - p[0]) * y for x, y in P)
                for p, q in zip(Q, Q[1:] + Q[:1]))
 
 
 def facet_sum(ideals, weights) -> int:
-    """Sum of w * e(J_1^[a_1], ..., J_s^[a_s]) over the (a, w) of `weights`, in d <= 3, from the facets of one hull.
+    """Sum of w * e(J_1^[a_1], ..., J_s^[a_s]) over the (a, w) of `weights`, in d <= 3, from facets.
 
     e(J^[a]) is the normalized mixed covolume of the Newton polyhedra of
     the slots j_1, ..., j_d that a lists (Teissier, *Monomial ideals,
@@ -563,18 +521,37 @@ def facet_sum(ideals, weights) -> int:
     Newt(J_s), of m_{j_1}(u) MV_{d-1}(F_{j_2}(u), ..., F_{j_d}(u)), with
     m_j(u) = min over J_j of u.g and F_j(u) the generators of J_j on
     which it is reached; a normal of a coarser sum only adds terms whose
-    faces are too thin, which are 0.  Every u > 0, since the sum holds a
-    pure power on every axis, so the facet projects onto the other
-    coordinates when coordinate c, the largest u_c, is dropped, and that
-    map takes the facet's lattice to one of index u_c in Z^(d-1); so
-    the mixed volume is `_mixed_volume` of the projected faces' hulls,
-    divided by u_c.  The hull is `_newton_facets`: in d = 2 the blocks'
-    edge chains (`_plane_facets`), in d = 1 and 3 the double description,
-    which the tests hold the plane route to.  Each face and each
-    per-facet volume is computed once per call, in Python ints, so the
-    value is exact at any size and no box is built.  The J_j are the
-    m-primary `ideals`, in dimension at most 3.
+    faces are too thin, which are 0.
+
+    In the plane only the edges of Newt(J_j), j = j_2, give faces longer
+    than a point, and m_{j_1} = 0 on the axes, so the hull is not needed.
+    Newt(J) is bounded below by the lower convex chain of the minimal
+    generators of J, which are stored lex-sorted, so `_chain` of them runs
+    right and strictly down.  An edge (x, y) -> (u, v) has the normal (y -
+    v, u - x), its lattice length times the primitive one, and its face
+    has MV_1 that length, so e(J_i, J_j) is the sum over the edges of J_j's
+    chain of the least (y - v) p + (u - x) q over the vertices (p, q) of
+    J_i's chain, where m_i is reached: no generator is scanned and no gcd
+    taken.
+
+    In d = 1 and 3 the normals come from the one hull, `_newton_facets`.
+    Every u > 0, since the sum holds a pure power on every axis, so the
+    facet projects onto the other coordinates when coordinate c, the
+    largest u_c, is dropped, and that map takes the facet's lattice to
+    one of index u_c in Z^(d-1); so the mixed volume is `_mixed_volume`
+    of the projected faces' hulls, divided by u_c.  Each face and each
+    per-facet volume is computed once per call.  All arithmetic is in
+    Python ints, so the value is exact at any size and no box is built.
+    The J_j are the m-primary `ideals`, in dimension at most 3.
     """
+    if ideals[0].dim == 2:
+        chains = [_chain(J.gens) for J in ideals]
+        total = 0
+        for a, w in weights:
+            i, j = (k for k, n in enumerate(a) for _ in range(n))
+            total += w * sum(min((y - v) * p + (u - x) * q for p, q in chains[i])
+                             for (x, y), (u, v) in zip(chains[j], chains[j][1:]))
+        return total
     A, mins = _newton_facets(ideals)
     faces, volumes = {}, {}  # (facet, block): projected face hull; (facet, slots): its volume
     total = 0
@@ -597,8 +574,9 @@ def facet_sum(ideals, weights) -> int:
 def mixed_sum(ideals, weights) -> int:
     """Sum of w * e(J_1^[a_1], ..., J_s^[a_s]) over the pairs (a, w) of `weights`, each |a| = d.
 
-    In d <= 3 `facet_sum` answers from the facets of one hull, with no
-    box.  From d = 4 on the closure colengths answer: L(t) = lambda(R /
+    In d <= 3 `facet_sum` answers from facets, with no box: in the plane
+    from the blocks' edge chains, with no hull, in d = 1 and 3 from the
+    one hull.  From d = 4 on the closure colengths answer: L(t) = lambda(R /
     closure of prod J_j^(t_j)) counts the lattice points outside t_1
     Newt(J_1) + ... + t_s Newt(J_s) (Huneke-Swanson, *Integral Closure*,
     1.4) and is a polynomial of total degree d on all of Z^s_>=0

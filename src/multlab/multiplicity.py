@@ -9,8 +9,9 @@ is exactly the mixed multiplicity e(I_1^[a_1], ..., I_s^[a_s]).
 `mixed_multiplicity` takes the value from Newton polyhedra instead: no
 window, no base, and no product of ideals.  `closure.mixed_sum` holds
 that route and why it gives the value: in d <= 3 the facet formula for
-mixed volumes on one hull, with no box, and from d = 4 on that
-difference at base 0 of the closures, as closure colengths.
+mixed volumes, with no box, in the plane on the ideals' edge chains and
+in d = 1 and 3 on one hull, and from d = 4 on that difference at base 0
+of the closures, as closure colengths.
 `_newton_value` is one call of it, with the one pair (orders, 1),
 memoized for the last `lengths.MEMO_ENTRIES` distinct keys.  A key
 holds generator rows, not ideals: the merged slots' (rows, order) pairs,

@@ -315,8 +315,12 @@ class TestBuchsbaumRim:
         calls = []
         real = closure._newton_facets
         monkeypatch.setattr(closure, "_newton_facets", lambda blocks: calls.append(len(blocks)) or real(blocks))
+        # in d = 2 the values come from the columns' edge chains, with no hull
         I, J = parse_ideal("(x^2, x*y, y^3)"), parse_ideal("(x^3, y^2)")
         assert br_via_mixed(module([I, unit_ideal(2), J])) == br_direct(module([I, J]))
+        assert calls == []
+        I, J = parse_ideal("(x^2, x*y, y^3, z^2)"), parse_ideal("(x^3, y, z^2)")
+        assert br_via_mixed(module([I, unit_ideal(3), J])) == br_direct(module([I, J]))
         assert calls == [2]  # one hull with the two proper columns as blocks, whatever the composition
 
     def test_column_order_irrelevant(self, rng):

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from functools import reduce
 from itertools import product as iter_product
 from math import gcd
 from operator import le, mul
@@ -22,6 +23,7 @@ from multlab import (
     ideal_contains,
     integral_closure,
     m_power,
+    mixed_difference_table,
     mixed_multiplicity,
     module,
     newton_polyhedron_member,
@@ -29,7 +31,7 @@ from multlab import (
     unit_ideal,
 )
 from multlab import closure, counting, multiplicity
-from multlab.monomial import _built, compositions, contains
+from multlab.monomial import _built, compositions, contains, product
 
 from conftest import (
     oracle_minimalize,
@@ -283,7 +285,7 @@ def test_hulls_started_from_the_pure_power_simplex(rng):
     for d, s, _ in iter_product((2, 3, 4, 5), (1, 2, 3, 4), range(3)):
         blocks, n = _simplex_blocks(rng, d, s)
         below += n
-        A, mins = closure._double_description(blocks)
+        A, mins = closure._newton_facets(blocks)
         P = blocks[0]
         for J in blocks[1:]:
             P = oracle_product(P, J)
@@ -294,61 +296,144 @@ def test_hulls_started_from_the_pure_power_simplex(rng):
                 inside = all(sum(map(mul, a, v)) >= sum(m) for a, m in zip(A, zip(*mins)))
                 assert inside == oracle_newton_member(P, v), (blocks, v)
         else:
-            want_A, (want_b,) = closure._double_description([P])
+            want_A, (want_b,) = closure._newton_facets([P])
             assert sorted(zip(A, map(sum, zip(*mins)))) == sorted(zip(want_A, want_b)), blocks
     assert below >= 150
 
 
-def _sorted_rows(facets):
-    """The (normal, per-block minima) rows of `_newton_facets`-shaped output, sorted, and the block count."""
-    A, mins = facets
-    return sorted(zip(A, zip(*mins))), len(mins)
+def _staircase():
+    """The 1 001-generator staircase (i, (1000 - i)^2 // 100 + 1000 - i): 161 facets, e = 7 665 400."""
+    return ideal([(i, (1000 - i) ** 2 // 100 + 1000 - i) for i in range(1001)], dim=2)
 
 
-def test_plane_route_matches_the_double_description(rng):
-    # in the plane the rows come from the blocks' edge chains, and the double
-    # description on the Cayley cone, the one route in every other dimension,
-    # is their reference: on random ideals with mixed generators, on ideals
-    # of random rows, which may miss a pure power, on principal ideals, the
-    # unit ideal, exponents near 2**31 - 1 and a long staircase
-    cases = []
-    for s in (1, 2, 3, 4):
-        for _ in range(25):
-            cases.append([random_mprimary(rng, 2, max_power=rng.randint(2, 9), extras=rng.randint(0, 5),
-                                          mixed=True) for _ in range(s)])
-            cases.append([ideal([tuple(rng.randrange(7) for _ in range(2)) for _ in range(rng.randint(1, 6))])
-                          for _ in range(s)])
+def _lower_chain(points):
+    """The vertices of the lower convex chain of the plane Newton polygon spanned by `points`, by gift wrapping.
+
+    From the lowest point of least x, each step goes to the point down and
+    to the right that the steepest line from the last vertex reaches, so
+    it shares nothing with the library's monotone chain.
+    """
+    chain = [min(points)]
+    while below := [(u, v) for u, v in points if u > chain[-1][0] and v < chain[-1][1]]:
+        (x, y), (u, v) = chain[-1], below[0]
+        for p, q in below:
+            if (q - y) * (u - x) < (v - y) * (p - x):  # steeper: a lesser slope
+                u, v = p, q
+        chain.append((u, v))
+    return chain
+
+
+def _area_value(I, J):
+    """e(I, J) in the plane by areas: e(K) is twice the area below Newt(K), and e(I, J) = (e(IJ) - e(I) - e(J)) / 2.
+
+    Twice that area is the sum over the edges (x, y) -> (u, v) of K's lower
+    chain of u y - x v, and IJ comes from `monomial.product`; e(J, J) =
+    e(J) needs no product.
+    """
+    def e(K):
+        chain = _lower_chain(K.gens)
+        return sum(u * y - x * v for (x, y), (u, v) in zip(chain, chain[1:]))
+
+    return e(I) if I == J else (e(product(I, J)) - e(I) - e(J)) // 2
+
+
+def test_plane_values_from_the_edge_chains(rng):
+    # in the plane `facet_sum` reads e(J_i, J_j) off the blocks' edge chains
+    # with no hull; the area oracle judges every composition of 2, alone and
+    # all with random weights, on 1-4 blocks with mixed generators, on
+    # exponents near 2**31 - 1 (a product of the two halves, of exponents
+    # near 2**30, reaches 2**31 - 2) and on the 1 001-generator staircase.
+    # Where the box is small the closure sums on the one hull and the table
+    # engine, which builds products, must give the same
+    N, H = 2**31 - 1, 2**30 - 1
+    near = ideal([(N, 0), (N - 2, 1), (N // 2, N // 3), (1, N - 1), (0, N)])
+    halves = [ideal([(H, 0), (H - 2, 1), (H // 2, H // 3), (1, H - 1), (0, H)]),
+              ideal([(H - 1, 0), (H // 3, 5), (2, H // 2), (0, H)])]
+    stair = _staircase()
+    cases = [[random_mprimary(rng, 2, max_power=rng.randint(2, 9), extras=rng.randint(0, 5), mixed=True)
+              for _ in range(s)] for s in (1, 2, 3, 4) for _ in range(25)]
+    cases += [[near], halves, [stair], [stair, halves[1]]]
+    tables = 0
+    for blocks in cases:
+        values = {a: _area_value(*(blocks[k] for k, n in enumerate(a) for _ in range(n)))
+                  for a in compositions(2, len(blocks))}
+        for a, want in values.items():
+            assert closure.facet_sum(blocks, [(a, 1)]) == want == mixed_multiplicity(blocks, a), (blocks, a)
+        weights = [(a, rng.randint(-3, 3)) for a in values]
+        total = sum(w * values[a] for a, w in weights)
+        assert closure.facet_sum(blocks, weights) == total, blocks
+        if max(map(max, map(box_bounds, blocks))) <= 9:
+            assert closure.colength_sum(blocks, closure._merged_terms(weights).items()) == total, blocks
+            a = rng.choice(list(values))
+            assert mixed_difference_table(blocks, a).result == values[a], (blocks, a)
+            tables += 1
+    assert tables == 100
+    assert hilbert_samuel(stair) == 7665400
+
+
+def test_plane_hulls_by_the_double_description(rng):
+    # plane integral closures, membership and closure sums take the one hull
+    # algorithm, the double description: on principal ideals, the unit
+    # ideal, ideals of random rows, which may miss a pure power, and rows
+    # near 2**31 - 1, of 1-4 blocks, each row is a primitive normal a >= 0
+    # with a positive right-hand side, and each block's minimum is reached
+    # on it.  Points of a sum of at most two blocks agree with
+    # Fourier-Motzkin on the product, a sum of more has the facets of the
+    # one-block hull of the product, and one block's membership and
+    # closure agree with Fourier-Motzkin and the box scan
     N = 2**31 - 1
     near = ideal([(N, 0), (N - 2, 1), (N // 2, N // 3), (1, N - 1), (0, N)])
     unit, principal = unit_ideal(2), ideal([(3, 5)])
-    cases += [[principal], [ideal([(0, 4)])], [ideal([(4, 0)])], [unit], [unit, unit], [unit, principal],
-              [ideal([(2, 3), (5, 1)]), principal], [near], [near, ideal([(N - 1, N)]), principal]]
-    n = 1000
-    stair = ideal([(i, (n - i) ** 2 // 100 + n - i) for i in range(n + 1)], dim=2)
-    cases += [[stair], [stair, near]]
-    for blocks in cases:
-        want = _sorted_rows(closure._double_description(blocks))
-        assert _sorted_rows(closure._plane_facets(blocks)) == want, blocks
-    assert len(_sorted_rows(closure._plane_facets([stair]))[0]) == 161
-    assert _sorted_rows(closure._plane_facets([unit, unit])) == ([], 2)
+    cases = [[ideal([tuple(rng.randrange(7) for _ in range(2)) for _ in range(rng.randint(1, 6))])
+              for _ in range(s)] for s in (1, 2, 3, 4) for _ in range(25)]
+    specials = [[principal], [ideal([(0, 4)])], [ideal([(4, 0)])], [unit], [unit, unit], [unit, principal],
+                [ideal([(2, 3), (5, 1)]), principal], [near], [near, ideal([(N - 1, N)]), principal]]
+    hulls = [(blocks, *closure._newton_facets(blocks)) for blocks in cases + specials]
+    for blocks, A, mins in hulls:
+        for a, m in zip(A, zip(*mins)):
+            assert min(a) >= 0 and gcd(*a) == 1 and sum(m) > 0, (blocks, a)
+            assert m == tuple(min(sum(map(mul, a, g)) for g in J.gens) for J in blocks), (blocks, a)
+    for blocks, A, mins in hulls[:len(cases)]:
+        P = reduce(oracle_product, blocks)
+        if len(blocks) > 2:
+            want_A, (want_b,) = closure._newton_facets([P])
+            assert sorted(zip(A, map(sum, zip(*mins)))) == sorted(zip(want_A, want_b)), blocks
+            continue
+        for _ in range(10):
+            v = tuple(rng.randrange(7 * len(blocks)) for _ in range(2))
+            inside = all(sum(map(mul, a, v)) >= sum(m) for a, m in zip(A, zip(*mins)))
+            assert inside == oracle_newton_member(P, v), (blocks, v)
+            if len(blocks) == 1:
+                assert newton_polyhedron_member(P, v) == inside, (P, v)
+        if len(blocks) == 1 and P != unit:  # with pure powers of its own it is m-primary
+            Q = ideal(P.gens + ((rng.randint(1, 7), 0), (0, rng.randint(1, 7))))
+            assert integral_closure(Q) == _box_scan(Q, oracle_newton_member), Q
+    assert closure._newton_facets([unit, unit]) == ([], [[], []])
+    assert len(closure._newton_facets([_staircase()])[0]) == 161
 
 
-def test_plane_hulls_skip_the_double_description(monkeypatch):
-    # the rows' dimension alone picks the route: with no double description,
-    # plane values still come from the edge chains, and a d = 3 value reaches
-    # it once.  e((x^3, x*y, y^4)) is twice the area below its Newton
-    # polygon, 7; e(J, m^2) = 2 ord(J) = 4; (x^2, y^2) closes to m^2
-    real = closure._double_description
-    monkeypatch.setattr(closure, "_double_description", None)
+def test_plane_values_build_no_hull(monkeypatch):
+    # with no hull algorithm at all, plane values still come from the edge
+    # chains: e((x^3, x*y, y^4)) is twice the area below its Newton polygon,
+    # 7; e(J, m^2) = 2 ord(J) = 4; and br((x^2, x*y, y^3) + (x^3, y^2)) =
+    # 5 + 4 + 6.  A plane closure and a membership call each build one hull,
+    # and so does a d = 3 value
+    multiplicity._newton_value.cache_clear()
+    closure._facet_rows.cache_clear()
+    real = closure._newton_facets
+    monkeypatch.setattr(closure, "_newton_facets", None)
     J, square = parse_ideal("(x^3, x*y, y^4)"), parse_ideal("(x^2, y^2)")
     assert hilbert_samuel(J) == 7
     assert mixed_multiplicity([J, m_power(2, 2)]) == 4
-    assert integral_closure(square) == m_power(2, 2)
-    assert newton_polyhedron_member(square, (1, 1)) and not newton_polyhedron_member(square, (1, 0))
+    assert br_via_mixed(module([parse_ideal("(x^2, x*y, y^3)"), parse_ideal("(x^3, y^2)")])) == 15
     calls = []
-    monkeypatch.setattr(closure, "_double_description", lambda blocks: calls.append(len(blocks)) or real(blocks))
-    assert hilbert_samuel(parse_ideal("(x^2, y^3, z^5)")) == 30
+    monkeypatch.setattr(closure, "_newton_facets", lambda blocks: calls.append(len(blocks)) or real(blocks))
+    assert integral_closure(square) == m_power(2, 2)
     assert calls == [1]
+    assert newton_polyhedron_member(square, (1, 1)) and not newton_polyhedron_member(square, (1, 0))
+    assert calls == [1, 1]
+    assert hilbert_samuel(parse_ideal("(x^2, y^3, z^5)")) == 30
+    assert calls == [1, 1, 1]
 
 
 def _ball():

@@ -10,6 +10,10 @@ Subcommands:
   ``--jobs N`` (default 1) pools N worker processes.
 * ``fuzz`` -- time-budgeted randomized search for violations.
 
+After their summary, ``verify`` and ``fuzz`` print one line to stderr,
+``N reports in S s (R reports/s)``; stdout and the report files carry no
+timing.
+
 A ``--config FILE`` of ``verify`` or ``fuzz`` holds ``key = value`` lines
 (``#`` starts a comment). Each line stands for the subcommand's long flag
 ``--key=value``, with ``_`` and ``-`` alike in the key; ``exploration``
@@ -32,6 +36,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
 from contextlib import ExitStack
 
 from .buchsbaum_rim import (
@@ -232,6 +237,12 @@ def _cmd_br(args) -> int:
 
 
 def _finish_suite(reports, args) -> int:
+    """Tally the report stream into the files of `args` and the summary on stdout.
+
+    The throughput goes to stderr, after the summary, so stdout and the
+    report files stay byte-identical from run to run.
+    """
+    start = time.perf_counter()
     tally = Tally()
     reports = map(tally.add, reports)
     with ExitStack() as files:
@@ -255,6 +266,8 @@ def _finish_suite(reports, args) -> int:
     total = sum(row["instances"] for row in rows)
     violations = sum(row["violations"] for row in rows)
     print(f"total {total} reports, {violations} violations")
+    elapsed = time.perf_counter() - start
+    print(f"{total} reports in {elapsed:.3f} s ({total / elapsed:.1f} reports/s)", file=sys.stderr)
     return EXIT_VIOLATION if violations else EXIT_OK
 
 

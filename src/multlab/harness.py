@@ -15,16 +15,19 @@ of its `check_*` function.  `CHECK_NAMES`, `_applicable_checks` and
 *explored* below d = 4: exploratory reports are flagged and never count
 toward the verdict.
 
-A corpus's inputs are checked once, where they enter: `CorpusConfig`
-refuses a `dim` past `expr.MAX_VARIABLE`, the parser's bound, and a
-`max_pure_power` of MAX_EXPONENT or more, and `gen_random_mprimary`
-checks the same two bounds once per call.  Its rows are then ints in
-range, so every draw is built as every computed ideal is, by
-`monomial._built` on the sweep, with no second check; the checks take
-e(m, I) and its kin from `mixed_multiplicity`, with one m per instance.
-A draw takes its numbers from the instance's `getrandbits` by CPython's
-own rejection loop, the numbers `randrange` gives, without its argument
-handling; every report is encoded by one module-level JSON encoder.
+A corpus's inputs are checked once, where they enter (`_draw_bounds`):
+`CorpusConfig` refuses a `dim` past `expr.MAX_VARIABLE`, the parser's
+bound, and a `max_pure_power` of MAX_EXPONENT or more when it is made,
+and `gen_random_mprimary` checks the same two bounds once per call.  One
+routine, `_draw`, then draws every ideal: `gen_random_mprimary` calls it
+after its check, and `run_instance` (through `_gen_many`) on the bounds
+its config already checked, with no check per draw.  A draw takes its
+numbers from the instance's `getrandbits` by CPython's own rejection
+loop, the numbers `randrange` gives, without its argument handling.  Its
+rows are ints in range, so every draw is built as every computed ideal
+is, by `monomial._built` on the sweep, with no second check.  The checks
+take e(m, I) and its kin from `mixed_multiplicity`, with one m per
+instance, and every report is encoded by one module-level JSON encoder.
 
 `run_suite` and `fuzz` yield reports one at a time and keep none of them;
 a `Tally` folds a report stream into the per-check summary as it passes,
@@ -151,10 +154,13 @@ def rng_for(seed: int, check: str, index: int) -> random.Random:
 
 
 def _draw_bounds(dim, max_pure_power) -> tuple[int, int]:
-    """`dim` and `max_pure_power` as ints; a ValueError unless draws from them can be built unchecked.
+    """`dim` and `max_pure_power` as ints; a ValueError unless `_draw` may build from them unchecked.
 
     A draw's rows are `dim` long, at most `expr.MAX_VARIABLE` as the parser
     allows, and its exponents lie in [0, max_pure_power], below MAX_EXPONENT.
+    `CorpusConfig` runs this once, when it is made, and
+    `gen_random_mprimary` once per call; `_gen_many` draws on a config's
+    bounds with no check of its own.
     """
     dim, top = integer(dim, "dim"), integer(max_pure_power, "max_pure_power")
     if not 1 <= dim <= MAX_VARIABLE:
@@ -162,6 +168,37 @@ def _draw_bounds(dim, max_pure_power) -> tuple[int, int]:
     if not 1 <= top < MAX_EXPONENT:
         raise ValueError(f"max_pure_power must be at least 1 and below {MAX_EXPONENT}, got {top}")
     return dim, top
+
+
+def _draw(dim: int, top: int, extra_gens: int, getrandbits) -> MonomialIdeal:
+    """The one draw routine: an m-primary ideal from `getrandbits`, on bounds `_draw_bounds` passed.
+
+    A number below n is getrandbits(n.bit_length()), drawn again while it
+    is n or more, written out at each use, so a draw builds no closure.
+    The rows are then ints in range, so the ideal is built as a product
+    is, by the sweep with no second check.
+    """
+    k = top.bit_length()
+    zero = (0,) * dim
+    powers, rows = [], set()
+    for i in range(dim):
+        r = getrandbits(k)
+        while r >= top:
+            r = getrandbits(k)
+        powers.append(r + 1)
+        rows.add(zero[:i] + (r + 1,) + zero[i + 1:])
+    if max(powers) > 1:
+        for _ in range(extra_gens):
+            v = []
+            for n in powers:
+                k = n.bit_length()
+                r = getrandbits(k)
+                while r >= n:
+                    r = getrandbits(k)
+                v.append(r)
+            if any(v):
+                rows.add(tuple(v))
+    return _built(dim, _sweep(rows))
 
 
 def gen_random_mprimary(
@@ -178,37 +215,19 @@ def gen_random_mprimary(
     k_i in [1, max_pure_power], then, unless every k_i is 1, `extra_gens`
     points v with v_i in [0, k_i), each kept unless it is 0.
 
-    `dim` and `max_pure_power` are checked once, here (`_draw_bounds`); the
-    drawn rows are then ints in range, so the ideal is built as a product
-    is, by the sweep with no second check.
+    `dim` and `max_pure_power` are checked here, once per call
+    (`_draw_bounds`); then `_draw`, the routine `run_instance` draws with
+    too, builds the ideal.
     """
     dim, max_pure_power = _draw_bounds(dim, max_pure_power)
-    getrandbits = rng.getrandbits
-
-    def below(n):
-        k = n.bit_length()
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        return r
-
-    powers = [1 + below(max_pure_power) for _ in range(dim)]
-    zero = (0,) * dim
-    rows = {zero[:i] + (k,) + zero[i + 1:] for i, k in enumerate(powers)}
-    if max(powers) > 1:
-        for _ in range(extra_gens):
-            v = tuple(map(below, powers))
-            if any(v):
-                rows.add(v)
-    return _built(dim, _sweep(rows))
+    return _draw(dim, max_pure_power, extra_gens, rng.getrandbits)
 
 
 def _gen_many(config: CorpusConfig, check: str, index: int, count: int):
-    rng = rng_for(config.seed, check, index)
-    return [
-        gen_random_mprimary(config.dim, config.max_pure_power, config.extra_gens, rng)
-        for _ in range(count)
-    ]
+    """`count` successive draws on the stream of (seed, check, index), on the bounds `config` checked."""
+    getrandbits = rng_for(config.seed, check, index).getrandbits
+    dim, top, extra = config.dim, config.max_pure_power, config.extra_gens
+    return [_draw(dim, top, extra, getrandbits) for _ in range(count)]
 
 
 def _describe(ideals) -> dict:

@@ -13,8 +13,9 @@ public `MonomialIdeal(...)` (user calls, unpickling).  Rows must have one
 length and every exponent must lie in [0, MAX_EXPONENT) before any numpy
 work, so int64 sums of generators never wrap.  Every ideal the library
 computes builds through the private `_built` with no second check: among
-them the harness's random draws, whose `dim` and largest pure power
-`harness.gen_random_mprimary` checks once per call, so its rows are ints
+them the harness's random draws, whose `dim` and largest pure power were
+checked where they entered, by `harness.CorpusConfig` when it is made or
+by `harness.gen_random_mprimary` once per call, so their rows are ints
 in range by construction.  Only a product's sums are range-checked, since
 two exponents in range can sum past it.  Every ideal computes its hash
 and its pure-power bounds once, when it is built, so memo lookups,

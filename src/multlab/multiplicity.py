@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from operator import add
 
 from . import closure
@@ -151,28 +152,38 @@ def _merged(ideals, type_):
     The rows map to the summed order of every slot that holds them, in
     order of first appearance; zero slots are dropped.  Rows are tuples,
     so they hash and compare in C, where an ideal's hash and equality are
-    Python calls.
+    Python calls.  One pass over the slots merges them and gathers what
+    the refusals need, which are then raised in a fixed order: a negative
+    entry, a sum other than d, a non-m-primary slot of positive order.
     """
     ideals = list(ideals)
     if not ideals:
         raise ValueError("need at least one ideal")
     d = common_dim(ideals)
-    type_ = (1,) * len(ideals) if type_ is None else integer_exponents(type_)
-    if len(type_) != len(ideals):
-        raise ValueError("type length must match the number of ideals")
-    if any(a < 0 for a in type_):
-        raise ValueError("type entries must be non-negative")
-    if sum(type_) != d:
-        raise ValueError(f"type must sum to the ambient dimension {d}")
+    if type_ is None:
+        type_ = repeat(1)
+    else:
+        type_ = integer_exponents(type_)
+        if len(type_) != len(ideals):
+            raise ValueError("type length must match the number of ideals")
     orders: dict[tuple, int] = {}
+    total, negative, primary = 0, False, True
     for I, a in zip(ideals, type_):
-        if a:
-            if not is_m_primary(I):
-                raise NotMPrimaryError(
-                    "mixed multiplicities need m-primary ideals in every "
-                    "slot with positive order"
-                )
+        total += a
+        if a > 0:
+            primary = primary and is_m_primary(I)
             orders[I.gens] = orders.get(I.gens, 0) + a
+        elif a:
+            negative = True
+    if negative:
+        raise ValueError("type entries must be non-negative")
+    if total != d:
+        raise ValueError(f"type must sum to the ambient dimension {d}")
+    if not primary:
+        raise NotMPrimaryError(
+            "mixed multiplicities need m-primary ideals in every "
+            "slot with positive order"
+        )
     return d, orders
 
 

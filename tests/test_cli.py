@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -383,6 +384,15 @@ class TestVerify:
         monkeypatch.setenv("MULTLAB_JOBS", "zero")
         code, _, _ = run(capsys, "verify", "--dim", "2", "--instances", "1")
         assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("command", [["verify", "--instances", "3"], ["fuzz", "--seconds", "0.1"]])
+def test_suite_throughput_goes_to_stderr(capsys, command):
+    # one line after the summary, on stderr alone; stdout ends with the total
+    code, out, err = run(capsys, *command, "--dim", "2", "--seed", "5")
+    assert code == EXIT_OK
+    total = re.fullmatch(r"(?s).*\ntotal (\d+) reports, 0 violations\n", out).group(1)
+    assert re.fullmatch(rf"{total} reports in \d+\.\d{{3}} s \(\d+\.\d reports/s\)\n", err), err
 
 
 class TestFuzz:

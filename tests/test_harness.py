@@ -167,6 +167,29 @@ class TestGenerator:
                         assert box_bounds(got) == box_bounds(want)
                         assert all(type(e) is int for g in got.gens for e in g)
 
+    def test_instances_draw_as_the_public_generator_does(self, monkeypatch):
+        # _gen_many draws on the bounds its config checked, with no check per
+        # draw, and gives the successive draws of gen_random_mprimary on the
+        # same stream; at 1 no extra generator is drawn, and the powers of two
+        # are where the rejection loop's bit count changes
+        configs = [CorpusConfig(seed=3, dim=dim, max_pure_power=top, extra_gens=extra)
+                   for dim in range(1, 7) for top in (1, 2, 3, 4, 7, 8, 2**31 - 1)
+                   for extra in range(5)]
+        want = {}
+        for config in configs:
+            for index in range(3):
+                rng = rng_for(config.seed, "many", index)
+                want[config, index] = [
+                    gen_random_mprimary(config.dim, config.max_pure_power, config.extra_gens, rng)
+                    for _ in range(4)]
+
+        def refused(dim, max_pure_power):
+            raise AssertionError("a corpus draw checked its bounds again")
+
+        monkeypatch.setattr(harness, "_draw_bounds", refused)
+        for (config, index), ideals in want.items():
+            assert harness._gen_many(config, "many", index, 4) == ideals, (config, index)
+
     @pytest.mark.parametrize("dim, top, message", [
         (0, 3, "dim must be at least 1"),
         (1025, 3, "at most 1024"),
@@ -433,8 +456,14 @@ class TestSuite:
         assert peak < 4 * 2**20, peak
 
     def test_fuzz_finishes_one_round_of_checks(self):
-        cfg = CorpusConfig(seed=0, dim=2, rank=3)
-        assert [r.check for r in fuzz(cfg, 1e-9)] == _applicable_checks(cfg)
+        # the round is the first instance of every check: the reports of a
+        # one-instance verify, byte for byte
+        for dim, rank in ((2, 3), (4, 2)):
+            cfg = CorpusConfig(seed=0, dim=dim, rank=rank)
+            reports = list(fuzz(cfg, 1e-9))
+            assert [r.check for r in reports] == _applicable_checks(cfg)
+            assert [r.to_json() for r in reports] == [
+                r.to_json() for r in run_suite(replace(cfg, instances=1))]
 
     def test_fuzz_stream_keeps_no_reports(self):
         stream = fuzz(CorpusConfig(dim=2, rank=3), 3600)

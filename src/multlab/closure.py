@@ -11,7 +11,8 @@ gives all its facet normals from one cone in R^(d+s), spanned by (g, e_j)
 for each generator g of J_j and by (e_i, 0); with one block it is the cone
 above.  `_newton_facets`, the one hull algorithm in every dimension,
 takes the ideals J_j themselves, reads each one's minimal generators as
-stored, lex-sorted, and finds the normals in Python ints, and each normal
+stored, lex-sorted (in the plane only the vertices of its lower convex
+chain), and finds the normals in Python ints, and each normal
 a comes with min over J_j of a.g for every block.  It is the double
 description method, which cuts the Cayley cone one generator at a time,
 so its cost follows the facets rather than the subsets of generators or
@@ -107,7 +108,9 @@ def newton_polyhedron_member(I: MonomialIdeal, point) -> bool:
     that a generator divides satisfies every row too.  Nothing in the
     library calls this function; the rows of each ideal are found once and
     kept in the bounded memo of `_facet_rows`, since finding them takes
-    30-45 ms for the 235 generators of a ball-shaped ideal in d = 4.
+    11-12 ms for the 235 generators of a ball-shaped ideal in d = 4
+    (in-process on a 2-core Xeon), against about 0.04 ms per point once
+    they are kept.
     """
     v = integer_exponents(point)
     if len(v) != I.dim:
@@ -121,10 +124,11 @@ def _newton_facets(blocks) -> tuple[list[tuple[int, ...]], list[list[int]]]:
     """Facet normals a of Newt(J_1) + ... + Newt(J_s), and per block j the minima min over J_j of a.g.
 
     `blocks` holds the ideals J_1, ..., J_s, of one dimension; the hull
-    reads their stored minimal generators, lex-sorted, and the pure-power
-    bounds stored with them.  The normals come back as a list of primitive
-    a >= 0, and with them one list per block: b_j[k] = min over J_j of
-    A[k].g >= 0.  The facets of the sum are a.v >= b_1 + ... + b_s > 0,
+    reads their stored minimal generators, lex-sorted, in the plane only
+    the vertices of their lower convex chains (`_chain`), and the
+    pure-power bounds stored with them.  The normals come back as a list
+    of primitive a >= 0, and with them one list per block: b_j[k] = min
+    over J_j of A[k].g >= 0.  The facets of the sum are a.v >= b_1 + ... + b_s > 0,
     and the same normals with right-hand sides sum t_j b_j cut out every
     sum t_1 Newt(J_1) + ... with t_j >= 0; with one block, A and b_1 are
     the facet rows of Newt(J_1) itself.  The rows come in no fixed order.
@@ -139,7 +143,15 @@ def _newton_facets(blocks) -> tuple[list[tuple[int, ...]], list[list[int]]]:
     of every block are the facets of the sum, with c_j = -min over J_j of
     a.g.  The rows, the blocks' minimal generators, go in by degree, then
     lex, which keeps the intermediate ray sets small, and every ray keeps
-    a bit mask of the constraints it is tight on.
+    a bit mask of the constraints it is tight on.  In the plane a block's
+    rows are the vertices of its chain: every other generator lies in
+    their convex hull plus R^2_>=0, so its constraint follows from theirs
+    and the axes', and every minimum a.g is reached at a vertex, so
+    neither the facets nor the minima change.  The 1 001-generator
+    staircase (i, (1000 - i)^2 // 100 + 1000 - i) has 162 chain vertices
+    and 161 facets; its `integral_closure` took 14-25 ms so, against
+    71-124 ms with every generator a row (in-process, twenty interleaved
+    calls each on a 2-core Xeon).
 
     The start is a cone whose rays are known.  In d >= 2 an m-primary
     block, whose pure powers b_i e_i are the bounds its ideal stored
@@ -153,11 +165,17 @@ def _newton_facets(blocks) -> tuple[list[tuple[int, ...]], list[list[int]]]:
     and c_j = -w.g_j (primitive, since the gcd of the L / b_i is 1).  With
     no such block, and in d = 1, the d + s independent constraints e_i and
     (g_j, e_j) give the first d + s of those rays.  Each further row cuts
-    the cone.  A ray on the positive side of a cut and one on the negative
-    side are adjacent when their common tight set has at least d + s - 2
-    bits and no third ray is tight on all of it; each adjacent pair gives
-    one new ray on the cut, divided by its gcd.  All arithmetic is in
-    Python ints, so the rows are exact at any size.
+    the cone, and one pass over the rays takes each one's side of the cut,
+    y.(g, e_j), and sorts it into the positive, zero or negative rays; on
+    a pure power g = b e_i the side is the one product b y_i plus c_j,
+    with no sum over the zero exponents.  Such cuts, every pure power of
+    every block but p, are most of the cuts of a sum of several blocks:
+    158 of the 261 in the 30 hulls of the verify-d4 benchmark's batch.  A
+    ray on the positive side of a cut and one on the negative side are
+    adjacent when their common tight set has at least d + s - 2 bits and
+    no third ray is tight on all of it; each adjacent pair gives one new
+    ray on the cut, divided by its gcd.  All arithmetic is in Python ints,
+    so the rows are exact at any size.
 
     A ray tight on no generator of block j solves equations free of c_j,
     so it is (0, e_j); every other ray is tight on every block.  Of those,
@@ -168,61 +186,69 @@ def _newton_facets(blocks) -> tuple[list[tuple[int, ...]], list[list[int]]]:
     returned, taken as a set.
     """
     s, d = len(blocks), blocks[0].dim
-    rows = sorted((sum(g), g, j) for j, J in enumerate(blocks) for g in J.gens)
-    simplex = [None] * s  # per m-primary block: (w, L)
+    p, rows = None, []
     for j, J in enumerate(blocks):
+        gens = _chain(J.gens) if d == 2 else J.gens
         if d > 1 and is_m_primary(J):
             b = box_bounds(J)
             L = lcm(*b)
-            simplex[j] = [L // e for e in b], L
-    p = next((j for j, sim in enumerate(simplex) if sim), None)
+            w = [L // e for e in b]
+            # rows on or past the simplex go, but for its pure powers: the
+            # start on block p, cuts on every other block
+            rows += [(sum(g), g, j) for g in gens if sum(map(mul, w, g)) < L]
+            if p is None:
+                p, w_p, L_p = j, w, L
+            else:
+                rows += [(e, (0,) * i + (e,) + (0,) * (d - 1 - i), j) for i, e in enumerate(b)]
+        else:
+            rows += [(sum(g), g, j) for g in gens]
+    rows.sort()
     firsts, cuts = [None] * s, []
     if p is not None:
         firsts[p] = (0,) * d
     for deg, g, j in rows:
-        if simplex[j]:
-            w, L = simplex[j]
-            t = sum(map(mul, w, g))
-            # rows on or past the simplex go, but for its pure powers: the
-            # start on block p, cuts on every other block
-            if t > L or t == L and (j == p or deg != max(g)):
-                continue
         if firsts[j] is None:
             firsts[j] = g
         else:
-            cuts.append((g, j))
+            cuts.append((deg, g, j))
     # bit i: tight on e_i; d + i: on block p's pure power on axis i;
     # 2d + j: on (firsts[j], e_j) for j != p; 2d + s + k: on cuts[k]
     axes = (1 << d) - 1
     pures = 0 if p is None else axes << d
     own = [pures if j == p else 1 << 2 * d + j for j in range(s)]  # each block's start bits
     every = reduce(or_, own, axes)
-    ys = [(0,) * d + tuple(int(i == j) for i in range(s)) for j in range(s)]
+    ys = [[0] * (d + j) + [1] + [0] * (s - 1 - j) for j in range(s)]
     zs = [every ^ z for z in own]
     for i in range(d):
-        ys.append((*(int(j == i) for j in range(d)), *(-g[i] for g in firsts)))
+        ys.append([0] * i + [1] + [0] * (d - 1 - i) + [-g[i] for g in firsts])
         zs.append(every ^ 1 << i ^ pures & 1 << d + i)
     if p is not None:
-        w, L = simplex[p]
-        ys.append((*w, *(-L if j == p else -sum(map(mul, w, g)) for j, g in enumerate(firsts))))
+        ys.append(w_p + [-L_p if j == p else -sum(map(mul, w_p, g)) for j, g in enumerate(firsts)])
         zs.append(every ^ axes)
-    for k, (g, j) in enumerate(cuts, 2 * d + s):
+    need = d + s - 2
+    for k, (deg, g, j) in enumerate(cuts, 2 * d + s):
+        # the cut y.(g, e_j); on a pure power, one product
+        pure = deg == max(g)
+        if pure:
+            i = g.index(deg)
         j += d
-        sides = [sum(map(mul, y, g)) + y[j] for y in ys]
         bit = 1 << k
         new_ys, new_zs, pos, neg = [], [], [], []
-        for side, y, z in zip(sides, ys, zs):
-            if side >= 0:
-                new_ys.append(y)
-                new_zs.append(z | bit if side == 0 else z)
-                if side:
-                    pos.append((side, y, z))
-            else:
+        for y, z in zip(ys, zs):
+            side = y[i] * deg + y[j] if pure else sum(map(mul, y, g)) + y[j]
+            if side > 0:
+                pos.append((side, y, z))
+            elif side:
                 neg.append((side, y, z))
-        for sp, p, zp in pos:
-            for sn, n, zn in neg:
+                continue
+            else:
+                z |= bit
+            new_ys.append(y)
+            new_zs.append(z)
+        for sp, yp, zp in pos:
+            for sn, yn, zn in neg:
                 both = zp & zn
-                if both.bit_count() < d + s - 2:
+                if both.bit_count() < need:
                     continue
                 holders = 0  # rays tight on all of `both`, counted up to 3
                 for z in zs:
@@ -231,13 +257,13 @@ def _newton_facets(blocks) -> tuple[list[tuple[int, ...]], list[list[int]]]:
                         if holders > 2:
                             break
                 if holders == 2:
-                    y = [sp * e - sn * f for e, f in zip(n, p)]
-                    g = gcd(*y)
-                    new_ys.append(tuple(e // g for e in y))
+                    y = [sp * e - sn * f for e, f in zip(yn, yp)]
+                    q = gcd(*y)
+                    new_ys.append([e // q for e in y] if q > 1 else y)
                     new_zs.append(both | bit)
         ys, zs = new_ys, new_zs
     facets = [y for y in ys if sum(y[d:]) < 0]
-    return [y[:d] for y in facets], [[-y[d + j] for y in facets] for j in range(s)]
+    return [tuple(y[:d]) for y in facets], [[-y[d + j] for y in facets] for j in range(s)]
 
 
 def integral_closure(I: MonomialIdeal) -> MonomialIdeal:
@@ -321,12 +347,14 @@ def _tile_heights(A, c, rights, boxes, cells):
     Every facet row a has a_c > 0, and with right-hand sides r the height
     at the coordinates v' off axis c is h(v') = max(0, max over rows of
     ceil((r - a'.v') / a_c)): v = (v', v_c) satisfies every row exactly
-    when v_c >= h(v').  `rights` is an int64 table of the r of each box of
-    `boxes`, one row per box and one column per row of A; the boxes' fields
-    lie over prod [0, B_i), i != c.  The field of their componentwise
-    maximum is cut into the tiles of `_tile_sums`, and the parts of the
-    boxes that meet a tile are packed first-fit into batches of at most
-    one tile's cells, and never more than that field's: each part's a'.v'
+    when v_c >= h(v').  `boxes` is an int64 table of the boxes B, one row
+    per box, and `rights` one of their r, one row per box and one column
+    per row of A; the boxes' fields lie over prod [0, B_i), i != c.  The
+    field of their componentwise maximum is cut into the tiles of
+    `_tile_sums`; the ends and sizes of every box's part of a tile come
+    from a few array operations on that table, and the parts that meet
+    the tile are packed first-fit into batches of at most one tile's
+    cells, and never more than that field's: each part's a'.v'
     is copied into its own segment of one int64 buffer of one row per
     facet, and its r are subtracted there.  The rows are sorted by a_c, and
     per batch each run of one a_c is reduced to its least row, then
@@ -352,21 +380,23 @@ def _tile_heights(A, c, rights, boxes, cells):
     starts = [f for f in range(n) if not f or lead[f] != lead[f - 1]]
     runs = list(map(slice, starts, starts[1:] + [n]))  # the rows of each a_c
     steep = [(i, lead[f]) for i, f in enumerate(starts) if lead[f] > 1]  # (run, a_c > 1)
-    boxes = [box[:c] + box[c + 1:] for box in boxes]
+    boxes = boxes[:, [i for i in range(boxes.shape[1]) if i != c]]
     rights = rights[:, order, None]
     room = min(cells.size, max(1, TILE_CELLS // n))  # a batch's cells: no more than a tile's
     over, least = np.empty((n, room), np.int64), np.empty((len(runs), room), np.int64)
     rows = np.array([A[f][:c] + A[f][c + 1:] for f in order], np.int64)
-    for lo, hi, vals in _tile_sums(rows, list(map(max, zip(*boxes)))):
+    for lo, hi, vals in _tile_sums(rows, boxes.max(axis=0).tolist()):
+        ends = np.minimum(boxes, hi) - lo  # each box's part of the tile: empty where an end is <= 0
+        sizes = np.maximum(ends, 0).prod(axis=1, dtype=np.int64).tolist()  # int64 with no sides too
         batches = []  # per batch: its cells so far, then (box, ends, offset, size) per part
-        for j, box in enumerate(boxes):
-            ends = [min(h, b) - l for l, h, b in zip(lo, hi, box)]
-            if min(ends, default=1) > 0:
-                size = prod(ends)
-                batch = next((b for b in batches if b[0] + size <= room), None)
-                if batch is None:
+        for j, (size, part) in enumerate(zip(sizes, ends.tolist())):
+            if size:
+                for batch in batches:
+                    if batch[0] + size <= room:
+                        break
+                else:
                     batches.append(batch := [0])
-                batch.append((j, ends, batch[0], size))
+                batch.append((j, part, batch[0], size))
                 batch[0] += size
         for used, *parts in batches:
             # a strided copy, then a flat subtraction: one strided subtraction
@@ -428,9 +458,12 @@ def colength_sum(ideals, terms) -> int:
     Newt(J_j), from one `_newton_facets` call with the J_j as blocks, with
     right-hand sides sum t_j min over J_j of a.g, and L(t) is the sum of
     its heights over the box B(t) = sum t_j (pure-power bounds of J_j),
-    which holds every point outside it.  The right-hand sides are one
-    int64 table of terms by facets, one matrix product of the t with the
-    minima, exact past `check_int64`.  One `_tile_heights` pass along the
+    which holds every point outside it.  One int64 table of the t gives
+    both the boxes, as its matrix product with the blocks' bounds, and the
+    right-hand sides, one row per term and one column per facet, as its
+    product with the minima: the boxes are exact since every bound is
+    below 2^31 and every t_j of `mixed_sum` at most d, the right-hand
+    sides past `check_int64`.  One `_tile_heights` pass along the
     longest side of the componentwise maximum of the boxes sums the
     negated heights of every tile part of every box, batch by batch, and
     each part's sum is weighed by its term's coefficient.  The order is
@@ -441,24 +474,25 @@ def colength_sum(ideals, terms) -> int:
     `check_int64`; then one hull serves every term.  The J_j are the
     m-primary `ideals`; L(0) = 0.
     """
-    sides = list(zip(*(box_bounds(J) for J in ideals)))
+    bounds = np.array([box_bounds(J) for J in ideals], np.int64)
     terms = [(t, coeff) for t, coeff in terms if any(t)]
     if not terms:
         return 0
-    boxes = [[sum(map(mul, t, side)) for side in sides] for t, _ in terms]
-    top = list(map(max, zip(*boxes)))
+    # ts @ bounds and ts @ mins as products and sums, whose loops are resident
+    # already; matmul pages in 0.06 MiB of code of its own
+    ts = np.array([t for t, _ in terms], np.int64)[:, :, None]
+    boxes = (ts * bounds).sum(axis=1)
+    top = boxes.max(axis=0).tolist()
     c = counting.height_axis(top)
     size = prod(top) // top[c]
     counting._check_size([size], np.int64)
     cells = np.empty(size, np.int64)
     check_int64(top)
     A, mins = _newton_facets(ideals)
-    # ts @ mins as a product and a sum, whose loops are resident already;
-    # matmul pages in 0.06 MiB of code of its own
-    ts = np.array([t for t, _ in terms], np.int64)[:, :, None]
     rights = (ts * np.array(mins, np.int64)).sum(axis=1)
-    return -sum(terms[j][1] * h for _, parts, sums in _tile_heights(A, c, rights, boxes, cells)
-                for (j, *_), h in zip(parts, sums))
+    coeffs = [coeff for _, coeff in terms]
+    return -sum(coeffs[part[0]] * h for _, parts, sums in _tile_heights(A, c, rights, boxes, cells)
+                for part, h in zip(parts, sums))
 
 
 def _merged_terms(weights) -> dict:
@@ -589,12 +623,16 @@ def mixed_sum(ideals, weights) -> int:
     (`_merged_terms`), and one `colength_sum` on one hull of the
     m-primary `ideals` sums them.
     """
-    # The facet formula one dimension up, by a recursion through MV_3 of the
-    # faces read off the hull's tight masks, took 1.35-1.7 times the closure
-    # sums' time on the 30 calls of the verify-d4 benchmark corpus (3.7
-    # times with one hull per face), so from d = 4 on the sums answer.  That
-    # ratio was measured against the per-part tile pass, before the parts of
-    # a tile were reduced in batches; a cut-over is to be re-measured.
+    # The facet formula one dimension up, a recursion through the mixed
+    # volumes of compact faces, took 1.35-1.7 times the closure sums' time on
+    # the 30 calls of the verify-d4 benchmark batch when the sums reduced each
+    # tile part alone, and 2.65 times in a later prototype once they were
+    # batched; both ran the old hull, and the recursion shares only its top
+    # hull with the sums.  Since then the hull's sparse cuts made those 30
+    # hulls 1.3-1.4 times faster (1.3-1.5 ms less) and the sums 1.2 times
+    # faster (2.3-2.6 ms less), which widens the gap: so from d = 4 on the
+    # sums answer.  At d = 6 the later prototype took a tenth of the sums'
+    # time, a cut-over still to be made.
     if ideals[0].dim > 3:
         return colength_sum(ideals, _merged_terms(weights).items())
     return facet_sum(ideals, weights)

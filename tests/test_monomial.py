@@ -5,6 +5,7 @@ import random
 from itertools import combinations_with_replacement
 from itertools import product as iter_product
 from math import comb
+from operator import le
 
 import numpy as np
 import pytest
@@ -495,6 +496,32 @@ class TestMembership:
         for _ in range(10):
             a = random_mprimary(rng, 2)
             assert ideal_contains(a, product(a, m))  # mI inside I
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_ideal_contains_matches_the_generator_scan(self, data):
+        # the shared generators are found by set lookup and only the rest are
+        # scanned: against every inner generator scanned by definition, on
+        # pairs that share generators (an ideal of some of outer's generators
+        # and others, and an ideal inside its closure) and on pairs drawn apart
+        d = data.draw(st.integers(1, 4), label="d")
+        row = st.tuples(*[st.integers(0, 4)] * d)
+        outer = ideal(data.draw(st.lists(row, min_size=1, max_size=6), label="outer"), dim=d)
+        kind = data.draw(st.sampled_from(["shared", "closure", "apart"]), label="kind")
+        if kind == "shared":
+            kept = data.draw(st.lists(st.sampled_from(outer.gens), max_size=len(outer.gens)), label="kept")
+            extra = data.draw(st.lists(row, min_size=0 if kept else 1, max_size=4), label="extra")
+            inner = ideal(kept + extra, dim=d)
+        elif kind == "closure":
+            pure = [tuple(4 * (i == j) for j in range(d)) for i in range(d)]
+            outer = ideal([g for g in outer.gens if any(g)] + pure, dim=d)
+            outer, inner = integral_closure(outer), outer
+        else:
+            inner = ideal(data.draw(st.lists(row, min_size=1, max_size=6), label="inner"), dim=d)
+        scan = all(any(all(map(le, g, v)) for g in outer.gens) for v in inner.gens)
+        assert ideal_contains(outer, inner) == scan
+        if kind == "closure":
+            assert scan and set(inner.gens) & set(outer.gens)
 
 
 class TestMPrimary:

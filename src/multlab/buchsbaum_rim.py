@@ -156,6 +156,15 @@ def br_direct(E: DirectSumModule) -> int:
     columns at base 48 (C(61, 5) = 5 949 147), whose windows settle at
     base 6, so a window that never settles fails within seconds.
     """
+    return _br_table(E).result
+
+
+def _br_table(E: DirectSumModule, base: int | None = None):
+    """The confirmed difference table of `br_direct`, from `base` (default: the heuristic base).
+
+    `br --cross-check` runs it again from a larger base when its value
+    and `br_via_mixed` disagree, since the window can stop early.
+    """
     proper = _proper_columns(E)
     d = E.dim
     walk, r = _module_colengths(E), len(set(E.ideals))
@@ -169,8 +178,11 @@ def br_direct(E: DirectSumModule) -> int:
                 f"products, more than {MAX_PRODUCTS}")
         return walk(ns)
 
-    table = stabilize(evaluate, (d + E.rank - 1,), base=_heuristic_base(proper, d))
-    return _positive(table.result, "difference table", _BR_KIND)
+    if base is None:
+        base = _heuristic_base(proper, d)
+    table = stabilize(evaluate, (d + E.rank - 1,), base=base)
+    _positive(table.result, "difference table", _BR_KIND)
+    return table
 
 
 def br_via_mixed(E: DirectSumModule) -> int:

@@ -5,7 +5,8 @@ Subcommands:
 * ``mult "(x^2, x*y, y^3)"`` -- Hilbert-Samuel multiplicity (and colength).
 * ``mixed "(x,y^2)" "(x^2,y)"`` -- mixed multiplicities, optional --type.
 * ``br --module "(x,y^2);(x^2,y)"`` -- Buchsbaum-Rim from Newton polyhedra;
-  --cross-check also runs the difference table, the oracle.
+  --cross-check also runs the difference table, the oracle, and once more
+  from twice its stop base when the two disagree, noted on stderr.
 * ``verify`` -- run the seeded inequality suite from flags or a config file;
   ``--jobs N`` (default 1) pools N worker processes.
 * ``fuzz`` -- time-budgeted randomized search for violations.
@@ -23,7 +24,8 @@ the command line's own flags, which therefore win. Flags are spelled in
 full, in a file as on the command line; a ``config`` key is refused.
 
 Exit codes: 0 success, 1 bad usage or unparsable input, 2 a verified
-inequality failed (or --cross-check disagreed), 3 the difference table of
+inequality failed (or --cross-check disagreed, also from twice the table's
+stop base), 3 the difference table of
 ``br --cross-check`` failed to stabilize, or a value came out impossible
 (ImpossibleValueError), 4 out of memory (MemoryError), 130 interrupted
 (Ctrl-C). Each --report line is flushed as it is written, so every line
@@ -39,17 +41,12 @@ import sys
 import time
 from contextlib import ExitStack
 
-from .buchsbaum_rim import (
-    DirectSumModule,
-    br_direct,
-    br_via_mixed,
-    scale_by_m,
-)
+from .buchsbaum_rim import DirectSumModule, _br_table, br_via_mixed, scale_by_m
 from .errors import ParseError, StabilizationError
 from .expr import format_ideal, parse_ideal, parse_ideals, parse_module
 from .harness import CHECK_NAMES, CorpusConfig, Tally, fuzz, run_suite, write_jsonl, write_summary_csv
 from .lengths import colength
-from .multiplicity import hilbert_samuel, mixed_multiplicity
+from .multiplicity import GROWTH, hilbert_samuel, mixed_multiplicity
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -227,8 +224,14 @@ def _cmd_br(args) -> int:
         "buchsbaum_rim": value,
     }
     if args.cross_check:
-        payload["direct"] = other = br_direct(E)
-        payload["routes_agree"] = other == value
+        table = _br_table(E)
+        if table.result != value:  # the window can stop early: one more table, from further out
+            (stop,) = table.base
+            print(f"cross-check: the difference table gave {table.result} at base {stop}; "
+                  f"running it again from base {GROWTH * stop}", file=sys.stderr)
+            table = _br_table(E, GROWTH * stop)
+        payload["direct"] = table.result
+        payload["routes_agree"] = table.result == value
     _emit(payload, args.json)
     if args.cross_check and not payload["routes_agree"]:
         print("cross-check failed: the two routes disagree", file=sys.stderr)

@@ -25,7 +25,13 @@ its config already checked, with no check per draw.  A draw takes its
 numbers from the instance's `getrandbits` by CPython's own rejection
 loop, the numbers `randrange` gives, without its argument handling.  Its
 rows are ints in range, so every draw is built as every computed ideal
-is, by `monomial._built` on the sweep, with no second check.  The checks
+is, by `monomial._built` on the sweep, with no second check.  Default
+corpora draw the same few ideals again and again, so every draw goes
+through one table, `_interned`, keyed by the dimension and the draw's raw
+row set: each distinct row set is swept, built and printed once per
+process, and a repeated draw, which still takes the same numbers from the
+stream, reads the ideal and its printed form from the table.  The table is
+a bounded memo like the colength memo (`lengths.MEMO_ENTRIES`).  The checks
 take e(m, I) and its kin from `mixed_multiplicity`, with one m per
 instance, and every report is encoded by one module-level JSON encoder.
 
@@ -42,13 +48,14 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations, count, islice, starmap
 from math import factorial, inf
 from typing import Callable, Iterator, NamedTuple
 
 from .buchsbaum_rim import DirectSumModule, br_via_mixed, scale_by_m
 from .expr import MAX_VARIABLE, format_ideal
-from .lengths import colength
+from .lengths import MEMO_ENTRIES, colength
 from .monomial import MAX_EXPONENT, MonomialIdeal, _built, _sweep, integer, m_ideal, product
 from .multiplicity import mixed_multiplicity
 
@@ -149,6 +156,11 @@ def _report(check, lhs, rhs, relation, *, instance=None, index=-1,
 
 
 def rng_for(seed: int, check: str, index: int) -> random.Random:
+    """The stream of instance (seed, check, index): a `random.Random` seeded by an int.
+
+    The int is the first 8 bytes, read big-endian, of the SHA-256 digest
+    of the text "seed:check:index".
+    """
     digest = sha256(f"{seed}:{check}:{index}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
@@ -170,23 +182,24 @@ def _draw_bounds(dim, max_pure_power) -> tuple[int, int]:
     return dim, top
 
 
-def _draw(dim: int, top: int, extra_gens: int, getrandbits) -> MonomialIdeal:
+def _draw(dim: int, top: int, extra_gens: int, getrandbits) -> tuple[MonomialIdeal, str]:
     """The one draw routine: an m-primary ideal from `getrandbits`, on bounds `_draw_bounds` passed.
 
     A number below n is getrandbits(n.bit_length()), drawn again while it
     is n or more, written out at each use, so a draw builds no closure.
     The rows are then ints in range, so the ideal is built as a product
-    is, by the sweep with no second check.
+    is, by the sweep with no second check, once per distinct row set
+    (`_interned`); gives the ideal and its printed form.
     """
     k = top.bit_length()
     zero = (0,) * dim
-    powers, rows = [], set()
+    powers, rows = [], []
     for i in range(dim):
         r = getrandbits(k)
         while r >= top:
             r = getrandbits(k)
         powers.append(r + 1)
-        rows.add(zero[:i] + (r + 1,) + zero[i + 1:])
+        rows.append(zero[:i] + (r + 1,) + zero[i + 1:])
     if max(powers) > 1:
         for _ in range(extra_gens):
             v = []
@@ -197,8 +210,19 @@ def _draw(dim: int, top: int, extra_gens: int, getrandbits) -> MonomialIdeal:
                     r = getrandbits(k)
                 v.append(r)
             if any(v):
-                rows.add(tuple(v))
-    return _built(dim, _sweep(rows))
+                rows.append(tuple(v))
+    return _interned(dim, frozenset(rows))
+
+
+@lru_cache(maxsize=MEMO_ENTRIES)
+def _interned(dim: int, rows: frozenset) -> tuple[MonomialIdeal, str]:
+    """The ideal a draw's raw `rows` generate, and its printed form; the draw table.
+
+    Memoized for the last `lengths.MEMO_ENTRIES` row sets, so a corpus that
+    draws one row set again sweeps, builds and prints it once per process.
+    """
+    I = _built(dim, _sweep(rows))
+    return I, format_ideal(I)
 
 
 def gen_random_mprimary(
@@ -220,18 +244,21 @@ def gen_random_mprimary(
     too, builds the ideal.
     """
     dim, max_pure_power = _draw_bounds(dim, max_pure_power)
-    return _draw(dim, max_pure_power, extra_gens, rng.getrandbits)
+    return _draw(dim, max_pure_power, extra_gens, rng.getrandbits)[0]
 
 
 def _gen_many(config: CorpusConfig, check: str, index: int, count: int):
-    """`count` successive draws on the stream of (seed, check, index), on the bounds `config` checked."""
+    """`count` successive draws on the stream of (seed, check, index), on the bounds `config` checked.
+
+    Each is a pair of the drawn ideal and its printed form.
+    """
     getrandbits = rng_for(config.seed, check, index).getrandbits
     dim, top, extra = config.dim, config.max_pure_power, config.extra_gens
     return [_draw(dim, top, extra, getrandbits) for _ in range(count)]
 
 
-def _describe(ideals) -> dict:
-    return {"ideals": [format_ideal(I) for I in ideals]}
+def _describe(drawn) -> dict:
+    return {"ideals": [text for _, text in drawn]}
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +447,8 @@ def run_instance(config: CorpusConfig, check: str, index: int) -> InequalityRepo
     if check not in _CHECKS:
         raise ValueError(f"unknown check {check!r}")
     row = _CHECKS[check]
-    ideals = _gen_many(config, check, index, row.draws(config.dim, config.rank))
-    return row.call(ideals, instance=_describe(ideals), index=index,
+    drawn = _gen_many(config, check, index, row.draws(config.dim, config.rank))
+    return row.call([I for I, _ in drawn], instance=_describe(drawn), index=index,
                     exploratory=row.strict and config.dim < 4)
 
 

@@ -32,10 +32,12 @@ climbed in chunks that `_chunk` lays out.  A unit ideal has no rows and
 an empty box, so its slot climbs as a copy of its field.
 A sampler keeps nothing from one call to the next: no count and no
 product outlives the call that made it.  Repeated exact results come from
-three bounded memos, least recently used out: `colength` keeps MEMO_ENTRIES
+four bounded memos, least recently used out: `colength` keeps MEMO_ENTRIES
 colengths, `multiplicity._newton_value` keeps as many mixed
-multiplicities, and `closure._facet_rows` as many ideals' facet rows for
-`closure.newton_polyhedron_member`.
+multiplicities, `closure._facet_rows` as many ideals' facet rows for
+`closure.newton_polyhedron_member`, and `harness._interned`, the draw
+table, as many drawn ideals with their printed forms, keyed by the
+dimension and a draw's raw row set.
 """
 
 from __future__ import annotations
@@ -48,15 +50,19 @@ from .counting import count_grid, count_naive, field_counts, field_rows, height_
 from .counting import multiply_field, zero_fields
 from .monomial import MonomialIdeal, box_bounds, common_dim, integer_exponents
 
-# Entries of the colength and mixed-multiplicity memos.  A corpus of small
-# ideals asks for the same values again and again: `verify --dim 2 --rank 3
-# --instances 300` asks for 3 300 mixed multiplicities, 308 of them
-# distinct, and counts 1 800 colengths of 19 distinct ideals.  A colength
-# entry pins its key ideal, a mixed-multiplicity entry only its slots'
-# generator rows, and each holds one int.  Filled with d=4 keys (`verify
-# --dim 4 --instances 150`: 851 mixed multiplicities, 600 colengths),
-# clearing the mixed-multiplicity memo freed 1.5 MiB (2.0 MiB when its keys
-# were ideals) and then the colength memo 0.5 MiB (tracemalloc, Python 3.11).
+# Entries of each of the four memos.  A corpus of small ideals asks for the
+# same values again and again: `verify --dim 2 --rank 3 --instances 300`
+# draws 2 700 ideals from 89 distinct raw row sets, asks for 3 300 mixed
+# multiplicities, 308 of them distinct, and counts 1 800 colengths of 19
+# distinct ideals.  A colength entry pins its key ideal, a
+# mixed-multiplicity entry only its slots' generator rows, and each holds
+# one int.  Filled with d=4 keys (`verify --dim 4 --instances 150`: 851
+# mixed multiplicities, 600 colengths), clearing the mixed-multiplicity
+# memo freed 1.5 MiB (2.0 MiB when its keys were ideals) and then the
+# colength memo 0.5 MiB (tracemalloc, Python 3.11).  That corpus draws
+# 2 400 ideals from 1 639 distinct raw row sets; the draw table, full with
+# the last 1 024 of them and nothing else holding their ideals, freed
+# 1.8 MiB when cleared (with the verify-d2 batch's 89 row sets, 0.09 MiB).
 MEMO_ENTRIES = 1024
 
 # Cells that one chunk of a level of `_composition_sums` may keep for the

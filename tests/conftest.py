@@ -17,7 +17,7 @@ from operator import le
 import numpy as np
 import pytest
 
-from multlab import MonomialIdeal, closure, ideal, lengths, multiplicity
+from multlab import MonomialIdeal, closure, harness, ideal, lengths, multiplicity
 
 
 def oracle_minimalize(gens) -> tuple:
@@ -187,10 +187,11 @@ def rng():
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    """Every test starts with empty colength, Newton-value and facet-row memos.
+    """Every test starts with empty colength, Newton-value, facet-row and draw memos.
 
     Otherwise a memo warmed by an earlier test hides the work a test counts.
     """
     lengths.colength.cache_clear()
     multiplicity._newton_value.cache_clear()
     closure._facet_rows.cache_clear()
+    harness._interned.cache_clear()

@@ -146,24 +146,41 @@ class TestBr:
         assert payload["routes_agree"] is True
 
     def test_cross_check_disagreement_exits_2_and_still_prints(self, capsys, monkeypatch):
-        monkeypatch.setattr("multlab.cli.br_direct", lambda E: 6)
+        # the table engine runs once more from twice its stop base, gives 5
+        # again, and the routes still disagree
+        monkeypatch.setattr("multlab.cli.br_via_mixed", lambda E: 6)
         code, out, err = run(
             capsys, "br", "--module", "(x, y^2);(x^2, y)", "--cross-check", "--json"
         )
         assert code == EXIT_VIOLATION
+        assert "gave 5 at base 3; running it again from base 6" in err
         assert "cross-check failed: the two routes disagree" in err
         assert json.loads(out) == {
-            "buchsbaum_rim": 5,
-            "direct": 6,
+            "buchsbaum_rim": 6,
+            "direct": 5,
             "module": ["(x, y^2)", "(x^2, y)"],
             "routes_agree": False,
         }
 
-    def test_only_the_cross_check_runs_the_table_engine(self, capsys, monkeypatch):
-        def oracle(E):
-            raise AssertionError("br_direct ran without --cross-check")
+    @pytest.mark.parametrize("module_text, value, stop", [
+        ("(z^4, y^5, x*y^2*z, x^3)", 59, 6),
+        ("(x^5, x^3*z, x*y^3, y^4, z^4)", 67, 6),
+        ("(x^6, x^4*y, x*z^4, y^6, z^5)", 149, 14),
+    ])
+    def test_cross_check_runs_past_a_false_stop(self, capsys, module_text, value, stop):
+        # the engine's window stops at `stop` one short of the Newton value;
+        # one more table from twice that base gives it, and the check passes
+        code, out, err = run(capsys, "br", "--module", module_text, "--cross-check", "--json")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert (payload["buchsbaum_rim"], payload["direct"]) == (value, value)
+        assert f"gave {value - 1} at base {stop}; running it again from base {2 * stop}" in err
 
-        monkeypatch.setattr("multlab.cli.br_direct", oracle)
+    def test_only_the_cross_check_runs_the_table_engine(self, capsys, monkeypatch):
+        def oracle(E, base=None):
+            raise AssertionError("the table engine ran without --cross-check")
+
+        monkeypatch.setattr("multlab.cli._br_table", oracle)
         code, out, _ = run(capsys, "br", "--module", "(x, y^2);(x^2, y)", "--json")
         assert code == EXIT_OK
         assert json.loads(out) == {"buchsbaum_rim": 5, "module": ["(x, y^2)", "(x^2, y)"]}

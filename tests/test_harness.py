@@ -36,6 +36,7 @@ from multlab import (
     check_prop_dim2,
     check_prop_dim3,
     colength,
+    format_ideal,
     gen_random_mprimary,
     hilbert_samuel,
     ideal,
@@ -51,6 +52,7 @@ from multlab import (
 )
 from multlab import harness
 from multlab.harness import _applicable_checks, fuzz, rng_for, run_instance
+from multlab.lengths import MEMO_ENTRIES
 
 
 def _python(code: str) -> str:
@@ -151,11 +153,13 @@ class TestGenerator:
         assert fallback == repr(builtin) == repr(reference)
 
     def test_unchecked_build_equals_the_checked_one(self, monkeypatch):
-        # the draw's rows reach the sweep unchecked; ideal() of the same rows,
-        # which converts, checks and minimalizes them, must give the same ideal
+        # every draw's raw rows enter the draw table, which sweeps them
+        # unchecked on a miss; ideal() of the same rows, which converts,
+        # checks and minimalizes them, must give the same ideal, on a hit too
         drawn = []
-        sweep = harness._sweep
-        monkeypatch.setattr(harness, "_sweep", lambda rows: drawn.append(rows) or sweep(rows))
+        interned = harness._interned
+        monkeypatch.setattr(harness, "_interned",
+                            lambda dim, rows: drawn.append(rows) or interned(dim, rows))
         for dim in range(1, 6):
             for top in range(1, 6):
                 for extra in range(5):
@@ -166,6 +170,16 @@ class TestGenerator:
                         assert got == want and hash(got) == hash(want)
                         assert box_bounds(got) == box_bounds(want)
                         assert all(type(e) is int for g in got.gens for e in g)
+        assert interned.cache_info().hits > 0
+
+    def test_draw_table_is_bounded(self):
+        # a long fuzz run draws ever new row sets; the table keeps the last
+        # MEMO_ENTRIES of them
+        for index in range(MEMO_ENTRIES + 100):
+            gen_random_mprimary(2, 1000, 1, rng_for(0, "bounded", index))
+        info = harness._interned.cache_info()
+        assert info.misses > MEMO_ENTRIES
+        assert info.currsize == MEMO_ENTRIES
 
     def test_instances_draw_as_the_public_generator_does(self, monkeypatch):
         # _gen_many draws on the bounds its config checked, with no check per
@@ -188,7 +202,9 @@ class TestGenerator:
 
         monkeypatch.setattr(harness, "_draw_bounds", refused)
         for (config, index), ideals in want.items():
-            assert harness._gen_many(config, "many", index, 4) == ideals, (config, index)
+            drawn = harness._gen_many(config, "many", index, 4)
+            assert [I for I, _ in drawn] == ideals, (config, index)
+            assert [text for _, text in drawn] == list(map(format_ideal, ideals))
 
     @pytest.mark.parametrize("dim, top, message", [
         (0, 3, "dim must be at least 1"),
@@ -346,6 +362,25 @@ class TestSuite:
         write_jsonl(run_suite(cfg), out2)
         assert out1.getvalue() == out2.getvalue()
         assert out1.getvalue()  # non-empty
+
+    @pytest.mark.parametrize("dim, instances", [(2, 20), (3, 4), (4, 1)])
+    def test_reports_do_not_depend_on_the_draw_table(self, monkeypatch, dim, instances):
+        # a draw read from the table gives the report that building it gives
+        cfg = CorpusConfig(seed=5, dim=dim, rank=3, instances=instances)
+        warm = io.StringIO()
+        for _ in run_suite(cfg):
+            pass
+        write_jsonl(run_suite(cfg), warm)
+        assert harness._interned.cache_info().hits
+
+        def cold(*task):
+            harness._interned.cache_clear()
+            return run_instance(*task)
+
+        monkeypatch.setattr(harness, "run_instance", cold)
+        cleared = io.StringIO()
+        write_jsonl(run_suite(cfg), cleared)
+        assert cleared.getvalue() == warm.getvalue()
 
     def test_parallel_matches_serial(self):
         serial = run_suite(CorpusConfig(seed=3, dim=2, instances=3, jobs=1))

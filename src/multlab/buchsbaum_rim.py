@@ -45,7 +45,7 @@ from math import comb
 from .closure import mixed_sum
 from .errors import StabilizationError
 from .lengths import ProductSampler, colength
-from .monomial import MonomialIdeal, common_dim, compositions, integer, integer_exponents
+from .monomial import MonomialIdeal, common_dim, compositions, exponent_vector, integer
 from .monomial import is_m_primary, m_ideal, product
 from .multiplicity import _heuristic_base, _positive, stabilize
 
@@ -125,10 +125,11 @@ def _module_colengths(E: DirectSumModule):
 
 
 def module_colength(E: DirectSumModule, n: int) -> int:
-    """lambda(Sym^n F / E^n): sum of product colengths over compositions of n, n = 0 included."""
-    (n,) = integer_exponents((n,))
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    """lambda(Sym^n F / E^n): sum of product colengths over compositions of n, n = 0 included.
+
+    n is checked as an exponent vector of length 1 (`monomial.exponent_vector`).
+    """
+    (n,) = exponent_vector((n,), 1)
     return _module_colengths(E)([n])[0]
 
 

@@ -48,7 +48,7 @@ from operator import add, itemgetter, mul, sub
 
 from .counting import count_grid, count_naive, field_counts, field_rows, height_axis
 from .counting import multiply_field, zero_fields
-from .monomial import MonomialIdeal, box_bounds, common_dim, integer_exponents
+from .monomial import MonomialIdeal, box_bounds, common_dim, exponent_vector
 
 # Entries of each of the four memos.  A corpus of small ideals asks for the
 # same values again and again: `verify --dim 2 --rank 3 --instances 300`
@@ -236,20 +236,14 @@ class ProductSampler:
                 stack.append([kept, k + 1, 0])
         return [totals[n] for n in ns]
 
-    def _key(self, n) -> tuple[int, ...]:
-        """n as a tuple of ints, one non-negative exponent per ideal."""
-        n = integer_exponents(n)
-        if len(n) != len(self.ideals):
-            raise ValueError("exponent vector length mismatch")
-        if min(n) < 0:
-            raise ValueError("exponents must be non-negative")
-        return n
-
     def colength_at(self, n) -> int:
         return self.colengths([n])[0]
 
     def colengths(self, points) -> list[int]:
-        """Colengths at all `points`, exponent vectors with one entry per ideal, each checked once.
+        """Colengths at all `points`, exponent vectors with one entry per ideal.
+
+        Each point is checked once, by `monomial.exponent_vector`, the one
+        check of an exponent vector: ints, one per ideal, none negative.
 
         The points' meet climbs once from the unit ideal, a batch of one
         laid out on the meet's box, each step multiplying that whole box,
@@ -260,7 +254,7 @@ class ProductSampler:
         meet and, for each distinct point, one per step above the meet, and
         holds none of them once it returns.
         """
-        points = [self._key(n) for n in points]
+        points = [exponent_vector(n, len(self.ideals)) for n in points]
         if not points:
             return []
         meet = tuple(map(min, zip(*points)))

@@ -6,21 +6,25 @@ finite set of generators.  Ideals are kept in canonical form: the
 generators are the divisibility-minimal antichain, sorted lexicographically,
 so equal ideals compare equal as values.
 
-All arithmetic is exact; results are ordinary Python ints.  Rows from
-outside are converted to ints and checked once, where they enter: a
-generating set in `minimalize` (so in `ideal`), the rows handed to the
-public `MonomialIdeal(...)` (user calls, unpickling).  Rows must have one
-length and every exponent must lie in [0, MAX_EXPONENT) before any numpy
-work, so int64 sums of generators never wrap.  Every ideal the library
-computes builds through the private `_built` with no second check: among
-them the harness's random draws, whose `dim` and largest pure power were
-checked where they entered, by `harness.CorpusConfig` when it is made or
-by `harness.gen_random_mprimary` once per call, so their rows are ints
-in range by construction.  Only a product's sums are range-checked, since
-two exponents in range can sum past it.  Every ideal computes its hash
-and its pure-power bounds once, when it is built, so memo lookups,
-`is_m_primary` and `box_bounds` read them without a pass over the
-generators.
+All arithmetic is exact; results are ordinary Python ints.  Each kind of
+input from outside has one checker, which converts it to ints where it
+enters.  A generating set goes through `_generators`: `minimalize`, then
+the dimension check.  `ideal` and the public `MonomialIdeal(...)` (user
+calls, unpickling) both call it, and the constructor refuses rows that are
+not already the minimal generators in strictly increasing lex order.  Rows
+must have one length and every exponent must lie in [0, MAX_EXPONENT)
+before any numpy work, so int64 sums of generators never wrap.  An
+exponent vector (a point, a product's exponents, a module's n) goes
+through `exponent_vector`: ints, the right length, none negative.  Every
+ideal the library computes builds through the private `_built` with no
+second check: among them the harness's random draws, whose `dim` and
+largest pure power were checked where they entered, by
+`harness.CorpusConfig` when it is made or by `harness.gen_random_mprimary`
+once per call, so their rows are ints in range by construction.  Only a
+product's sums are range-checked, since two exponents in range can sum
+past it.  Every ideal computes its hash and its pure-power bounds once,
+when it is built, so memo lookups, `is_m_primary` and `box_bounds` read
+them without a pass over the generators.
 
 `compositions(total, parts)` lists the tuples of a given sum in lex order
 by stars and bars: the generators of m^k, and the index sets of the
@@ -45,6 +49,7 @@ False: R is not proper.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, combinations_with_replacement, repeat
@@ -71,6 +76,31 @@ def integer_exponents(values) -> tuple[int, ...]:
         return tuple(map(index, values))
     except TypeError:
         raise ValueError("exponents must be integers") from None
+
+
+def _int_rows(gens) -> Iterator[Monomial]:
+    """The rows of `gens` as int tuples, one by one; a ValueError unless `gens` is iterable."""
+    try:
+        return map(integer_exponents, gens)
+    except TypeError:
+        raise ValueError(f"generators must be rows of exponents, got {type(gens).__name__}") from None
+
+
+def exponent_vector(values, length: int) -> tuple[int, ...]:
+    """`values` as a tuple of `length` non-negative ints.
+
+    The one check of an exponent vector from outside: a point of
+    `closure.newton_polyhedron_member`, of `ProductSampler.colengths` or
+    the n of `buchsbaum_rim.module_colength`.  As `integer_exponents`, it
+    takes Python and numpy integers; any other entry, a wrong length or a
+    negative entry is a ValueError.
+    """
+    v = integer_exponents(values)
+    if len(v) != length:
+        raise ValueError(f"exponent vector has length {len(v)}, expected {length}")
+    if min(v, default=0) < 0:
+        raise ValueError(f"exponents must be non-negative, got {min(v)}")
+    return v
 
 
 def check_exponents(exponents) -> None:
@@ -100,11 +130,13 @@ def _dimension(value) -> int:
 class MonomialIdeal:
     """A monomial ideal, stored as its minimal generators.
 
-    The constructor converts every exponent to an int, stores `gens` as a
-    tuple of int tuples, and checks shape, range and ordering, but trusts
-    that `gens` is already a divisibility antichain; build ideals from
-    arbitrary generating sets with `ideal(...)`, which minimalizes.  The
-    hash and the pure-power bounds are computed here, once.
+    The constructor takes only the minimal generators, in strictly
+    increasing lex order.  It checks them with the checker that `ideal(...)`
+    uses (`_generators`: convert to ints, check length and range,
+    minimalize, check `dim`) and refuses rows that minimalizing would
+    change; build ideals from arbitrary generating sets with `ideal(...)`.
+    `gens` is stored as a tuple of int tuples.  The hash and the pure-power
+    bounds are computed here, once.
     """
 
     dim: int
@@ -114,23 +146,10 @@ class MonomialIdeal:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        dim = _dimension(self.dim)
-        if not self.gens:
-            raise ValueError("an ideal needs at least one generator")
-        try:
-            gens = tuple(map(integer_exponents, self.gens))
-        except TypeError:
-            raise ValueError("exponents must be integers") from None
-        check_exponents(tuple(chain.from_iterable(gens)))
-        prev = None
-        for g in gens:
-            if len(g) != dim:
-                raise DimensionMismatchError(
-                    f"generator {g} has {len(g)} exponents, expected {dim}"
-                )
-            if prev is not None and g <= prev:
-                raise ValueError("generators must be strictly increasing (lex)")
-            prev = g
+        rows = tuple(_int_rows(self.gens))
+        dim, gens = _generators(rows, self.dim)
+        if gens != rows:
+            raise ValueError("generators must be minimal, strictly increasing (lex); ideal() minimalizes")
         _settle(self, dim, gens)
 
     def __hash__(self) -> int:
@@ -183,14 +202,23 @@ def ideal(gens, dim: int | None = None) -> MonomialIdeal:
     >>> ideal([(2, 0), (3, 1), (0, 1)]).gens
     ((0, 1), (2, 0))
     """
+    return _built(*_generators(gens, dim))
+
+
+def _generators(gens, dim) -> tuple[int, tuple[Monomial, ...]]:
+    """`dim` and the minimal generators of the generating set `gens`, checked.
+
+    The one check of a generating set from outside, which `ideal` and the
+    `MonomialIdeal` constructor share: `minimalize` converts and checks the
+    rows, then `dim`, which defaults to their length, must be an int >= 1
+    equal to it.
+    """
     gens = minimalize(gens)
     width = len(gens[0])
     dim = _dimension(width if dim is None else dim)
     if width != dim:
-        raise DimensionMismatchError(
-            f"generator {gens[0]} has {width} exponents, expected {dim}"
-        )
-    return _built(dim, gens)
+        raise DimensionMismatchError(f"generator {gens[0]} has {width} exponents, expected {dim}")
+    return dim, gens
 
 
 def unit_ideal(dim: int) -> MonomialIdeal:
@@ -253,11 +281,12 @@ def _difference_terms(order) -> list[tuple[Monomial, int]]:
 def minimalize(gens) -> tuple[Monomial, ...]:
     """Divisibility-minimal antichain of a generating set, sorted lex.
 
-    Each row is converted to ints once, here.  Raises ValueError on empty
-    input or an exponent outside [0, MAX_EXPONENT), and
-    DimensionMismatchError on rows of different lengths.
+    Each row is converted to ints once, here.  Raises ValueError on input
+    that is not an iterable of integer rows, on empty input or on an
+    exponent outside [0, MAX_EXPONENT), and DimensionMismatchError on rows
+    of different lengths.
     """
-    pts = set(map(integer_exponents, gens))
+    pts = set(_int_rows(gens))
     if not pts:
         raise ValueError("empty generating set")
     lengths = set(map(len, pts))

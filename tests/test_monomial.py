@@ -18,7 +18,10 @@ from multlab import (
     NotMPrimaryError,
     ProductSampler,
     box_bounds,
+    br_direct,
+    br_via_mixed,
     contains,
+    hilbert_samuel,
     ideal,
     ideal_contains,
     integral_closure,
@@ -29,6 +32,8 @@ from multlab import (
     mixed_difference_table,
     mixed_multiplicity,
     module,
+    module_colength,
+    newton_polyhedron_member,
     parse_ideal,
     power,
     product,
@@ -134,8 +139,8 @@ class TestConstruction:
 
     @pytest.mark.parametrize("dim, gens, error, message", [
         (0, ((),), ValueError, "dim must be >= 1"),
-        (2, (), ValueError, "at least one generator"),
-        (2, ((0, 1), (1, 0, 0)), DimensionMismatchError, "has 3 exponents, expected 2"),
+        (2, (), ValueError, "empty generating set"),
+        (2, ((0, 1), (1, 0, 0)), DimensionMismatchError, r"different lengths \[2, 3\]"),
         (2, ((1, 0), (0, 1)), ValueError, "strictly increasing"),
         (2, ((0, 1), (0, 1)), ValueError, "strictly increasing"),
         (2, ((0, 1), (1, -1)), ValueError, r"exponents must be in \[0, 2147483648\), got -1$"),
@@ -146,6 +151,27 @@ class TestConstruction:
     def test_constructor_refuses_malformed_generators(self, dim, gens, error, message):
         with pytest.raises(error, match=message):
             MonomialIdeal(dim, gens)
+
+    def test_constructor_refuses_rows_that_are_not_minimal(self):
+        # m^2 with the redundant x^2*y: sorted and in range, but the Newton
+        # route reads Newt(I) off the stored rows, so accepting it gave
+        # e(J) = 2, e(m, J) = 1 and br_via_mixed(J + J) = 6
+        rows = ((0, 2), (1, 1), (2, 0), (2, 1))
+        with pytest.raises(ValueError, match=r"^generators must be minimal, strictly increasing \(lex\); ideal\(\) minimalizes$"):
+            MonomialIdeal(2, rows)
+        J = ideal(rows)
+        assert J == m_power(2, 2)
+        assert hilbert_samuel(J) == 4 and mixed_multiplicity([m_ideal(2), J]) == 2
+        E = module([J, J])
+        assert br_via_mixed(E) == br_direct(E) == 12
+
+    def test_both_constructors_refuse_a_non_iterable_alike(self):
+        for build in (ideal, minimalize, lambda gens: MonomialIdeal(2, gens)):
+            for gens in (5, None):
+                with pytest.raises(ValueError, match="generators must be rows of exponents, got "):
+                    build(gens)
+            with pytest.raises(ValueError, match="^empty generating set$"):
+                build([])
 
     def test_constructor_stores_int_tuples(self):
         # rows in a list, rows given as lists or arrays, numpy ints: all
@@ -194,6 +220,14 @@ def _same(got, want):
     return got == want and hash(got) == hash(want)
 
 
+def _bounds_or_refusal(I):
+    """`box_bounds(I)`, or None where it refuses I as not m-primary."""
+    try:
+        return box_bounds(I)
+    except NotMPrimaryError:
+        return None
+
+
 class TestConstructionPaths:
     """Every way of building an ideal gives what the checked constructor gives on oracle rows."""
 
@@ -208,6 +242,27 @@ class TestConstructionPaths:
                                   min_size=n, max_size=n, unique=True))
         gens = data.draw(st.permutations(rows + data.draw(st.lists(st.sampled_from(rows), max_size=10))))
         assert _same(ideal(gens), MonomialIdeal(d, oracle_minimalize(rows)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(1, 4), data=st.data())
+    def test_constructor_accepts_exactly_the_minimal_rows(self, d, data):
+        # unsorted, repeated and non-minimal rows, sometimes their own
+        # minimalization, sometimes as numpy ints: the constructor takes
+        # them exactly when they are already minimal and lex-sorted, and
+        # then builds what ideal() builds
+        rows = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * d), min_size=1, max_size=8))
+        if data.draw(st.booleans()):
+            rows = list(oracle_minimalize(rows))
+        if data.draw(st.booleans()):
+            rows = [np.array(r, dtype=np.int64) for r in rows]
+        if tuple(tuple(map(int, r)) for r in rows) != minimalize(rows):
+            with pytest.raises(ValueError, match=r"ideal\(\)"):
+                MonomialIdeal(d, rows)
+            return
+        J, I = MonomialIdeal(d, rows), ideal(rows, d)
+        assert _same(J, I) and J.gens == I.gens
+        assert _bounds_or_refusal(J) == _bounds_or_refusal(I)
+        assert _same(pickle.loads(pickle.dumps(J)), J)
 
     @given(st.integers(1, 4), st.integers(0, 6))
     def test_m_power_matches_oracle(self, d, k):
@@ -281,6 +336,27 @@ class TestConstructionPaths:
             back = pickle.loads(pickle.dumps(J))
             assert _same(back, J) and is_m_primary(back) == is_m_primary(J)
             assert back.gens == J.gens and repr(back) == repr(J)
+
+
+class TestExponentVectors:
+    """Every exponent vector from outside takes the one check, `exponent_vector`."""
+
+    def test_every_caller_refuses_a_wrong_length_and_a_negative_entry(self):
+        I, m = parse_ideal("(x^2, x*y, y^3)"), m_ideal(2)
+        sampler, E = ProductSampler([I, m]), module([I, m])
+        for call in (lambda v: newton_polyhedron_member(I, v), sampler.colength_at):
+            for wrong in ((1,), (1, 2, 3)):
+                with pytest.raises(ValueError, match="length"):
+                    call(wrong)
+            with pytest.raises(ValueError, match="non-negative"):
+                call((1, -1))
+        # module_colength's n is its vector's one entry, so a sequence in
+        # its place, of any length, is not an integer
+        for wrong in ((), (1,), (1, 2)):
+            with pytest.raises(ValueError, match="integers"):
+                module_colength(E, wrong)
+        with pytest.raises(ValueError, match="non-negative"):
+            module_colength(E, -1)
 
 
 class TestMinimalize:
@@ -417,15 +493,18 @@ class TestArithmetic:
     def test_products_of_m_powers_take_the_sweep(self, monkeypatch):
         # product has no m-power shortcut: m^a * m^b = m^(a+b) comes out of the
         # one sweep, whose sums all have degree a + b, m^0 = R included
+        # (the oracle's checked MonomialIdeal sweeps too, so only the sweeps
+        # made inside product are counted)
         swept = []
         monkeypatch.setattr(monomial, "_sweep", lambda pts: swept.append(None) or sweep(pts))
         for d in (1, 2, 3, 4):
             for a in range(4):
                 for b in range(4):
+                    before = len(swept)
                     got = product(m_power(d, a), m_power(d, b))
+                    assert len(swept) == before + 1, (d, a, b)
                     assert _same(got, m_power(d, a + b)), (d, a, b)
                     assert oracle_product(m_power(d, a), m_power(d, b)) == got
-        assert len(swept) == 4 * 4 * 4
 
     def test_product_commutes_and_associates(self, rng):
         for _ in range(10):
